@@ -44,6 +44,8 @@ from .measure import (
     MeasurementPlan,
     MeasurementStep,
     OutcomeBranch,
+    StepSpec,
+    build_plan,
     complete_basis,
     enumerate_outcomes,
     perp_probability,
@@ -53,7 +55,6 @@ from .teleport import (
     FamilySpec,
     OutcomeReport,
     Probe,
-    StepSpec,
     TeleportResult,
     TeleportScenario,
     build_probes,
@@ -70,11 +71,9 @@ from .locc import (
     CertificateReport,
     DiscriminationResult,
     LoccProtocol,
-    LoccRound,
     check_certificate,
     product_terms,
     run_discrimination,
-    walgate_hardy_check,
 )
 from .diagnostics import (
     EntanglementProfile,
@@ -106,15 +105,15 @@ __all__ = [
     "CORRECTIONS", "BasisCorrection", "NamedBasis", "NamedState",
     "basis_names", "corrections_for", "make_basis", "make_state",
     "state_names", "validate_orthonormal",
-    "MeasurementPlan", "MeasurementStep", "OutcomeBranch", "complete_basis",
-    "enumerate_outcomes", "perp_probability", "sample_counts",
-    "FamilySpec", "OutcomeReport", "Probe", "StepSpec", "TeleportResult",
+    "MeasurementPlan", "MeasurementStep", "OutcomeBranch", "StepSpec",
+    "build_plan", "complete_basis", "enumerate_outcomes", "perp_probability",
+    "sample_counts",
+    "FamilySpec", "OutcomeReport", "Probe", "TeleportResult",
     "TeleportScenario", "build_probes", "family_span", "run_scenario",
     "DenseCodingResult", "best_over_subsets", "distinguishable_messages",
     "encoded_states",
-    "CertificateReport", "DiscriminationResult", "LoccProtocol", "LoccRound",
+    "CertificateReport", "DiscriminationResult", "LoccProtocol",
     "check_certificate", "product_terms", "run_discrimination",
-    "walgate_hardy_check",
     "EntanglementProfile", "genuine_multipartite", "pair_concurrence",
     "profile", "purity_profile", "three_tangle_pure", "wootters_concurrence",
     "ScenarioFormatError", "load_scenario", "loads_scenario",

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .states import PureState, apply_local, pauli
+from .states import ASSERT_TOL, GRAM_TOL, PureState, apply_local, pauli
 
 
 def from_kets_unnormalized(kets: Mapping[str, complex]) -> PureState:
@@ -111,7 +111,7 @@ def validate_orthonormal(basis: NamedBasis) -> dict:
     off = gram - np.diag(np.diag(gram))
     max_off = float(np.max(np.abs(off))) if k > 1 else 0.0
     max_norm_dev = float(np.max(np.abs(np.diag(gram).real - 1.0)))
-    ok = max_off < 1e-12 and max_norm_dev < 1e-12
+    ok = max_off < GRAM_TOL and max_norm_dev < GRAM_TOL
     return {
         "basis": basis.name,
         "count": k,
@@ -181,7 +181,7 @@ def _w_mn(m: float, n: float, rho: float = 0.0, eta: float = 0.0, sigma: float =
 
 def _w_pqrs(p: complex, q: complex, r: complex, s: complex) -> PureState:
     gap = abs(p) ** 2 + abs(q) ** 2 + abs(r) ** 2 - abs(s) ** 2
-    if abs(gap) > 1e-10:
+    if abs(gap) > ASSERT_TOL:
         raise ValueError(
             "teleportation-capable W family needs |p|^2+|q|^2+|r|^2 = |s|^2 "
             "(got residual %.3e)" % gap
@@ -217,6 +217,15 @@ _STATE_ALIASES = {
 }
 
 
+def _take(params: dict, family: str, names: str) -> list:
+    """Pop the required one-letter parameters, naming any that are missing."""
+    missing = [k for k in names if k not in params]
+    if missing:
+        raise ValueError("%s is missing parameters: %s"
+                         % (family, ", ".join(missing)))
+    return [params.pop(k) for k in names]
+
+
 def make_state(name: str, **params) -> NamedState:
     """Construct a catalog state by name.
 
@@ -240,15 +249,14 @@ def make_state(name: str, **params) -> NamedState:
     if canonical == "W3":
         return NamedState("W3", _w3())
     if canonical == "W_mn":
-        m = float(params.pop("m"))
-        n = float(params.pop("n"))
+        m, n = (float(v) for v in _take(params, "W_mn", "mn"))
         phases = {k: float(params.pop(k, 0.0)) for k in ("rho", "eta", "sigma")}
         if params:
             raise ValueError("unknown W_mn parameters: %s" % sorted(params))
         st = _w_mn(m, n, **phases)
         return NamedState("W_mn", st, params={"m": m, "n": n, **phases})
     if canonical == "W_pqrs":
-        vals = [complex(params.pop(k)) for k in ("p", "q", "r", "s")]
+        vals = [complex(v) for v in _take(params, "W_pqrs", "pqrs")]
         if params:
             raise ValueError("unknown W_pqrs parameters: %s" % sorted(params))
         st = _w_pqrs(*vals)
@@ -452,6 +460,8 @@ _PAULI_NAMES = ("s0", "s1", "s2", "s3")
 
 
 def _check_pauli_index(i: int) -> str:
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise ValueError("Pauli index must be an integer, got %r" % (i,))
     if i not in (0, 1, 2, 3):
         raise ValueError("Pauli index must be 0..3, got %r" % i)
     return _PAULI_NAMES[i]

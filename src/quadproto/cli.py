@@ -24,6 +24,7 @@ from .densecode import distinguishable_messages
 from .diagnostics import profile
 from .locc import check_certificate, run_discrimination
 from .scenario_io import ScenarioFormatError, load_scenario
+from .states import AMP_TOL, ASSERT_TOL, DROP_TOL
 from .suite import format_text, report_dict, run_suite, SECTIONS
 from .teleport import TeleportScenario, run_scenario
 
@@ -33,7 +34,7 @@ __all__ = ["main"]
 def _kets(state) -> list[dict]:
     return [
         {"label": label, "re": float(amp.real), "im": float(amp.imag)}
-        for label, amp in state.ket_terms(tol=1e-12)
+        for label, amp in state.ket_terms(tol=AMP_TOL)
     ]
 
 
@@ -64,6 +65,18 @@ def _parse_params(items: list[str]) -> dict[str, float]:
         key, _, raw = item.partition("=")
         out[key] = float(raw)
     return out
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tolerance: a finite number in (0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and 0.0 < value < 1.0):
+        raise argparse.ArgumentTypeError(
+            "must be a finite number strictly between 0 and 1, got %r" % text)
+    return value
 
 
 def _parse_qubits(text: str) -> tuple[int, ...]:
@@ -276,7 +289,7 @@ def _cmd_locc(args) -> int:
             raise KeyError("unknown protocol %r (have: %s)"
                            % (args.protocol, ", ".join(sorted(protocols))))
         res = run_discrimination(sets[args.set], protocols[args.protocol],
-                                 tol=1e-12)
+                                 tol=DROP_TOL)
         payload = {
             "set": args.set, "protocol": args.protocol,
             "success": res.success,
@@ -364,8 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42,
                         help="seed for randomized probes (default 42)")
-    common.add_argument("--tolerance", type=float, default=1e-10,
-                        help="assertion tolerance (default 1e-10)")
+    common.add_argument("--tolerance", type=_tolerance, default=ASSERT_TOL,
+                        help="assertion tolerance, strictly between 0 and 1 "
+                             "(default 1e-10)")
     common.add_argument("--format", choices=("json", "text", "both"),
                         default="both", help="output style (default both)")
     common.add_argument("--out", default=None,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import SIGMA, PureState, apply_local
+from .states import ASSERT_TOL, SIGMA, PureState, apply_local
 
 __all__ = [
     "ENCODING_PAULIS",
@@ -31,7 +31,6 @@ __all__ = [
     "best_over_subsets",
 ]
 
-ORTHO_TOL = 1e-10
 ENCODING_PAULIS = ("s0", "s1", "is2", "s3")
 
 
@@ -39,6 +38,8 @@ def encoded_states(resource: PureState, sender_qubits: tuple[int, ...],
                    paulis: tuple[str, ...] = ENCODING_PAULIS,
                    ) -> list[tuple[tuple[str, ...], PureState]]:
     """All 4^k encoded states in lexicographic encoding order."""
+    if len(set(sender_qubits)) != len(sender_qubits):
+        raise ValueError("repeated sender qubit in %s" % (list(sender_qubits),))
     out = []
     for names in itertools.product(paulis, repeat=len(sender_qubits)):
         st = resource
@@ -127,7 +128,7 @@ class DenseCodingResult:
 
 
 def distinguishable_messages(resource: PureState, sender_qubits: tuple[int, ...],
-                             tol: float = ORTHO_TOL,
+                             tol: float = ASSERT_TOL,
                              paulis: tuple[str, ...] = ENCODING_PAULIS,
                              ) -> DenseCodingResult:
     encoded = encoded_states(resource, tuple(sender_qubits), paulis)
@@ -151,7 +152,7 @@ def distinguishable_messages(resource: PureState, sender_qubits: tuple[int, ...]
 
 
 def best_over_subsets(resource: PureState, k: int,
-                      tol: float = ORTHO_TOL,
+                      tol: float = ASSERT_TOL,
                       ) -> tuple[DenseCodingResult, dict[tuple[int, ...], int]]:
     """Best message count over all k-qubit sender subsets."""
     per_subset: dict[tuple[int, ...], int] = {}

@@ -12,7 +12,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, SIGMA, purity, reduced_density
+from .states import (MIXED_TOL, SIGMA, DensityMatrix, PureState, purity,
+                     reduced_density)
 
 __all__ = [
     "wootters_concurrence",
@@ -23,8 +24,6 @@ __all__ = [
     "EntanglementProfile",
     "profile",
 ]
-
-MIXED_TOL = 1e-6
 
 
 def wootters_concurrence(rho: DensityMatrix | np.ndarray) -> float:

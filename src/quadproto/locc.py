@@ -10,51 +10,37 @@ product outcomes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .catalog import NamedBasis, make_basis
-from .measure import MeasurementPlan, MeasurementStep, enumerate_outcomes
-from .states import PureState, tensor
+from .catalog import NamedBasis
+from .measure import MeasurementPlan, StepSpec, build_plan, enumerate_outcomes
+from .states import ASSERT_TOL, DROP_TOL, PureState
 
 __all__ = [
-    "LoccRound",
     "LoccProtocol",
     "DiscriminationResult",
     "run_discrimination",
     "product_terms",
     "CertificateReport",
     "check_certificate",
-    "walgate_hardy_check",
 ]
-
-ZERO_TOL = 1e-12
-ASSERT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class LoccRound:
-    qubits: tuple[int, ...]
-    basis: str
-    party: str
-    basis_params: Mapping[str, object] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class LoccProtocol:
     protocol_id: str
-    rounds: tuple[LoccRound, ...]
+    rounds: tuple[StepSpec, ...]
 
+    @functools.cached_property
     def plan(self) -> MeasurementPlan:
-        return MeasurementPlan(tuple(
-            MeasurementStep(r.qubits, make_basis(r.basis, **dict(r.basis_params)),
-                            party=r.party)
-            for r in self.rounds
-        ))
+        """Built on first use and kept: one protocol serves many candidate sets."""
+        return build_plan(self.rounds)
 
 
 @dataclass(frozen=True)
@@ -69,7 +55,7 @@ class DiscriminationResult:
 
 def run_discrimination(candidates: Sequence[tuple[str, PureState]],
                        protocol: LoccProtocol,
-                       tol: float = ZERO_TOL) -> DiscriminationResult:
+                       tol: float = DROP_TOL) -> DiscriminationResult:
     """Check whether the protocol's transcripts separate the candidates.
 
     Classical cost convention: every round whose party differs from the
@@ -78,7 +64,7 @@ def run_discrimination(candidates: Sequence[tuple[str, PureState]],
     actually fire for some candidate).  The final party announces the
     verdict, which is not counted here.
     """
-    plan = protocol.plan()
+    plan = protocol.plan
     transcripts: dict[str, set[str]] = {}
     fired_per_round: list[set[str]] = [set() for _ in protocol.rounds]
     for label, state in candidates:
@@ -184,7 +170,6 @@ def check_certificate(candidates: Sequence[tuple[str, PureState]],
             empty.append(label)
     cross = 0.0
     labels = [lbl for lbl, _ in candidates]
-    states = {lbl: st for lbl, st in candidates}
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
             shared = set(supports[a]) & set(supports[b])
@@ -206,13 +191,3 @@ def check_certificate(candidates: Sequence[tuple[str, PureState]],
         blocks={lbl: tuple(sorted(supports[lbl])) for lbl in labels},
         detail=detail,
     )
-
-
-def walgate_hardy_check(candidates: Sequence[tuple[str, PureState]],
-                        protocol: LoccProtocol) -> bool:
-    """Does the supplied sequential protocol distinguish the candidates?
-
-    This verifies a given measurement choice only; it does not search for
-    one.
-    """
-    return run_discrimination(candidates, protocol).success

@@ -2,33 +2,36 @@
 
 A plan is an ordered list of steps; each step measures a disjoint set of
 qubits in a named basis.  Subspace bases are completed automatically with
-Gram-Schmidt vectors labeled ``perp0``, ``perp1``, ...  Enumeration walks
-every outcome combination exactly (no sampling), returning normalized
-residual states together with the original indices of the surviving qubits.
+Gram-Schmidt vectors labeled ``perp0``, ``perp1``, ...  once, when the step
+is built.  Enumeration walks every outcome combination exactly (no
+sampling), returning normalized residual states together with the original
+indices of the surviving qubits.
+
+Teleport scenarios and LOCC protocols both describe their measurements as
+``StepSpec`` values (catalog basis names); ``build_plan`` resolves them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .catalog import NamedBasis
-from .states import PureState
+from .catalog import NamedBasis, make_basis
+from .states import DROP_TOL, PureState
 
 __all__ = [
+    "StepSpec",
     "MeasurementStep",
     "MeasurementPlan",
     "OutcomeBranch",
+    "build_plan",
     "complete_basis",
     "enumerate_outcomes",
     "perp_probability",
     "sample_counts",
 ]
-
-DROP_TOL = 1e-12
-PERP_ALARM = 1e-10
 
 
 def complete_basis(basis: NamedBasis) -> NamedBasis:
@@ -44,21 +47,9 @@ def complete_basis(basis: NamedBasis) -> NamedBasis:
     rows = [v.amplitudes for v in basis.vectors]
     labels = list(basis.labels)
     k = 0
-    for i in range(d):
-        if len(rows) == d:
-            break
-        cand = np.zeros(d, dtype=np.complex128)
-        cand[i] = 1.0
-        for r in rows:
-            cand -= np.vdot(r, cand) * r
-        norm = np.linalg.norm(cand)
-        # 0.5 keeps the selection far from roundoff ambiguity
-        if norm > 0.5:
-            rows.append(cand / norm)
-            labels.append("perp%d" % k)
-            k += 1
-    if len(rows) != d:
-        # fall back to accepting any numerically independent column
+    # 0.5 keeps the selection far from roundoff ambiguity; the second pass
+    # falls back to accepting any numerically independent column
+    for threshold in (0.5, 1e-6):
         for i in range(d):
             if len(rows) == d:
                 break
@@ -67,7 +58,7 @@ def complete_basis(basis: NamedBasis) -> NamedBasis:
             for r in rows:
                 cand -= np.vdot(r, cand) * r
             norm = np.linalg.norm(cand)
-            if norm > 1e-6:
+            if norm > threshold:
                 rows.append(cand / norm)
                 labels.append("perp%d" % k)
                 k += 1
@@ -78,16 +69,33 @@ def complete_basis(basis: NamedBasis) -> NamedBasis:
 
 
 @dataclass(frozen=True)
+class StepSpec:
+    """Measurement step by catalog basis name, resolved by ``build_plan``.
+
+    Teleport scenarios use joint-register coordinates (the unknown state's
+    qubits first, then the resource qubits in catalog order); LOCC protocols
+    index the candidate register directly.
+    """
+
+    qubits: tuple[int, ...]
+    basis: str
+    basis_params: Mapping[str, object] = field(default_factory=dict)
+    party: str = "Alice"
+
+
+@dataclass(frozen=True)
 class MeasurementStep:
     """One projective measurement: ``basis`` applied to ``qubits``.
 
     The i-th qubit of every basis vector corresponds to ``qubits[i]`` of the
-    register being measured, so the tuple order is meaningful.
+    register being measured, so the tuple order is meaningful.  ``completed``
+    is ``basis`` extended to a full basis, computed once here.
     """
 
     qubits: tuple[int, ...]
     basis: NamedBasis
     party: str = "Alice"
+    completed: NamedBasis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.qubits)) != len(self.qubits):
@@ -97,6 +105,7 @@ class MeasurementStep:
                 "basis %r is on %d qubits but the step names %d"
                 % (self.basis.name, self.basis.num_qubits, len(self.qubits))
             )
+        object.__setattr__(self, "completed", complete_basis(self.basis))
 
 
 @dataclass(frozen=True)
@@ -121,12 +130,14 @@ class MeasurementPlan:
             raise ValueError("plan touches qubits %s outside a %d-qubit register"
                              % (bad, num_qubits))
 
-    def parties(self) -> list[str]:
-        out: list[str] = []
-        for step in self.steps:
-            if step.party not in out:
-                out.append(step.party)
-        return out
+
+def build_plan(steps: Iterable[StepSpec]) -> MeasurementPlan:
+    """Resolve named steps against the catalog into a measurement plan."""
+    return MeasurementPlan(tuple(
+        MeasurementStep(s.qubits, make_basis(s.basis, **dict(s.basis_params)),
+                        party=s.party)
+        for s in steps
+    ))
 
 
 @dataclass(frozen=True)
@@ -164,12 +175,12 @@ def enumerate_outcomes(state: PureState, plan: MeasurementPlan,
     if drop_tol < 0.0:
         raise ValueError("drop_tol must be nonnegative")
     plan.validate_for(state.num_qubits)
-    completed = [complete_basis(step.basis) for step in plan.steps]
 
     # original index of the qubit at each current position
     orig = list(range(state.num_qubits))
     branches: list[tuple[tuple[str, ...], np.ndarray]] = [((), state.amplitudes)]
-    for step, basis in zip(plan.steps, completed):
+    for step in plan.steps:
+        basis = step.completed
         positions = [orig.index(q) for q in step.qubits]
         matrix = basis.matrix()
         nq = len(orig)

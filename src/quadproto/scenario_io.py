@@ -9,9 +9,11 @@ no parser-dependent notation.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Mapping
 
-from .teleport import FamilySpec, StepSpec, TeleportScenario
+from .measure import StepSpec
+from .teleport import FamilySpec, TeleportScenario
 
 __all__ = ["FORMAT_NAME", "FORMAT_VERSION", "ScenarioFormatError",
            "scenario_to_dict", "scenario_from_dict",
@@ -45,6 +47,14 @@ def _int_tuple(value: Any, where: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _number(value: Any, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioFormatError("%s must be a number" % where)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioFormatError("%s must be finite, got %r" % (where, value))
+    return value
+
+
 def _params(value: Any, where: str) -> dict[str, float]:
     if value is None:
         return {}
@@ -54,9 +64,7 @@ def _params(value: Any, where: str) -> dict[str, float]:
     for key, v in value.items():
         if not isinstance(key, str):
             raise ScenarioFormatError("%s keys must be strings" % where)
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ScenarioFormatError("%s[%s] must be a number" % (where, key))
-        out[key] = v
+        out[key] = _number(v, "%s[%s]" % (where, key))
     return out
 
 
@@ -129,12 +137,9 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> TeleportScenario:
                     or set(label) - {"0", "1"}):
                 raise ScenarioFormatError(
                     "resource.kets[%d].label must be a binary string" % i)
-            for part in ("re", "im"):
-                v = entry[part]
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ScenarioFormatError(
-                        "resource.kets[%d].%s must be a number" % (i, part))
-            pairs.append((label, complex(entry["re"], entry["im"])))
+            real, imag = (_number(entry[part], "resource.kets[%d].%s" % (i, part))
+                          for part in ("re", "im"))
+            pairs.append((label, complex(real, imag)))
         if len({k for k, _ in pairs}) != len(pairs):
             raise ScenarioFormatError("resource.kets has duplicate labels")
         kets = tuple(pairs)

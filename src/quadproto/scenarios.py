@@ -15,8 +15,9 @@ from __future__ import annotations
 from typing import Mapping
 
 from .catalog import make_basis
-from .locc import LoccProtocol, LoccRound
-from .teleport import FamilySpec, StepSpec, TeleportScenario
+from .locc import LoccProtocol
+from .measure import StepSpec
+from .teleport import FamilySpec, TeleportScenario
 
 __all__ = [
     "TELEPORT_SCENARIOS",
@@ -293,24 +294,24 @@ def locc_candidate_sets() -> dict[str, list]:
 def locc_protocols() -> dict[str, LoccProtocol]:
     return {
         "ghz_bell_bell": LoccProtocol("ghz_bell_bell", (
-            LoccRound((0, 2), "bell", "B1"),
-            LoccRound((1, 3), "bell", "B2"),
+            StepSpec((0, 2), "bell", party="B1"),
+            StepSpec((1, 3), "bell", party="B2"),
         )),
         "ghz_pm_ghz3": LoccProtocol("ghz_pm_ghz3", (
-            LoccRound((3,), "plus_minus", "B1"),
-            LoccRound((0, 1, 2), "ghz3_full", "B2"),
+            StepSpec((3,), "plus_minus", party="B1"),
+            StepSpec((0, 1, 2), "ghz3_full", party="B2"),
         )),
         "omega_comp": LoccProtocol("omega_comp", (
-            LoccRound((0, 2), "computational:2", "B1"),
-            LoccRound((1, 3), "computational:2", "B2"),
+            StepSpec((0, 2), "computational:2", party="B1"),
+            StepSpec((1, 3), "computational:2", party="B2"),
         )),
         "w_bell": LoccProtocol("w_bell", (
-            LoccRound((0, 2), "bell", "B1"),
-            LoccRound((1, 3), "bell", "B2"),
+            StepSpec((0, 2), "bell", party="B1"),
+            StepSpec((1, 3), "bell", party="B2"),
         )),
         "q5_comp": LoccProtocol("q5_comp", (
-            LoccRound((0, 2), "computational:2", "B1"),
-            LoccRound((1, 3), "computational:2", "B2"),
+            StepSpec((0, 2), "computational:2", party="B1"),
+            StepSpec((1, 3), "computational:2", party="B2"),
         )),
     }
 
@@ -331,18 +332,18 @@ def catalog_protocols() -> list[LoccProtocol]:
             for bb in bases:
                 pid = "p%d%d_%s__p%d%d_%s" % (*pa, ba.split(":")[0], *pb, bb.split(":")[0])
                 out.append(LoccProtocol(pid, (
-                    LoccRound(pa, ba, "B1"),
-                    LoccRound(pb, bb, "B2"),
+                    StepSpec(pa, ba, party="B1"),
+                    StepSpec(pb, bb, party="B2"),
                 )))
     for single in range(4):
         rest = tuple(q for q in range(4) if q != single)
         out.append(LoccProtocol("pm%d_ghz3" % single, (
-            LoccRound((single,), "plus_minus", "B1"),
-            LoccRound(rest, "ghz3_full", "B2"),
+            StepSpec((single,), "plus_minus", party="B1"),
+            StepSpec(rest, "ghz3_full", party="B2"),
         )))
         out.append(LoccProtocol("comp%d_comp3" % single, (
-            LoccRound((single,), "computational:1", "B1"),
-            LoccRound(rest, "ghz3_full", "B2"),
+            StepSpec((single,), "computational:1", party="B1"),
+            StepSpec(rest, "ghz3_full", party="B2"),
         )))
     return out
 

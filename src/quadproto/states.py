@@ -12,9 +12,20 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 MAX_QUBITS = 12
-NORM_TOL = 1e-12
-UNITARY_TOL = 1e-12
-PSD_TOL = 1e-10
+
+# Tolerances.  Every module imports these; none defines its own.
+NORM_TOL = 1e-12        # |norm - 1| of a PureState
+UNITARY_TOL = 1e-12     # max |U^dag U - I| of a LocalUnitary
+HERMITIAN_TOL = 1e-12   # DensityMatrix hermiticity and unit trace
+PSD_TOL = 1e-10         # most negative DensityMatrix eigenvalue allowed
+GRAM_TOL = 1e-12        # max |G - I| of a catalog basis
+AMP_TOL = 1e-12         # smaller amplitudes are left out of ket listings
+DROP_TOL = 1e-12        # outcome branches at or below this probability never fire
+ASSERT_TOL = 1e-10      # default tolerance of every checked claim (CLI --tolerance)
+PERP_ALARM = 1e-10      # probability leaking into auto-completed directions
+VALUE_TOL = 1e-9        # computed values against stated ones; uniform probabilities
+MIXED_TOL = 1e-6        # a reduction counts as mixed below purity 1 - MIXED_TOL
+NEGATIVE_GAP = 1e-3     # infeasible setups stay this far below unit fidelity
 
 
 class CapacityError(ValueError):
@@ -84,7 +95,7 @@ class PureState:
             vec = vec / norm
         return cls(vec)
 
-    def ket_terms(self, tol: float = 1e-12) -> list[tuple[str, complex]]:
+    def ket_terms(self, tol: float = AMP_TOL) -> list[tuple[str, complex]]:
         """Nonzero (label, amplitude) pairs in label order."""
         n = self.num_qubits
         return [(format(i, f"0{n}b") if n else "", complex(a))
@@ -130,9 +141,10 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
         _qubit_count(mat.shape[0])
-        if np.abs(mat - mat.conj().T).max() > 1e-12:
+        if np.abs(mat - mat.conj().T).max() > HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(mat).real - 1.0) > 1e-12 or abs(np.trace(mat).imag) > 1e-12:
+        trace = np.trace(mat)
+        if abs(trace.real - 1.0) > HERMITIAN_TOL or abs(trace.imag) > HERMITIAN_TOL:
             raise ValueError("density matrix trace deviates from 1")
         if np.linalg.eigvalsh(mat).min() < -PSD_TOL:
             raise ValueError("density matrix has an eigenvalue below -1e-10")

@@ -25,17 +25,14 @@ from . import scenarios as reg
 from .catalog import CORRECTIONS, basis_names, make_basis, make_state
 from .densecode import distinguishable_messages
 from .diagnostics import profile, three_tangle_pure
-from .locc import check_certificate, run_discrimination, walgate_hardy_check
-from .locc import LoccProtocol, LoccRound
-from .states import apply_local, pauli
+from .locc import LoccProtocol, check_certificate, run_discrimination
+from .measure import StepSpec
+from .states import (AMP_TOL, ASSERT_TOL, GRAM_TOL, NEGATIVE_GAP, VALUE_TOL,
+                     apply_local, pauli)
 from .teleport import run_scenario
 
 __all__ = ["ClaimRow", "SuiteReport", "run_suite", "format_text", "report_dict",
            "SECTIONS"]
-
-ASSERT_TOL = 1e-10
-NEGATIVE_GAP = 1e-3
-VALUE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -231,21 +228,21 @@ def _locc_rows(tol: float) -> list[ClaimRow]:
     bell = make_basis("bell")
     bell_states = dict(zip(bell.labels, bell.vectors))
     seq = LoccProtocol("comp_singlewise", (
-        LoccRound((0,), "computational:1", "B1"),
-        LoccRound((1,), "computational:1", "B2"),
+        StepSpec((0,), "computational:1", party="B1"),
+        StepSpec((1,), "computational:1", party="B2"),
     ))
     two = [("phi+", bell_states["phi+"]), ("psi+", bell_states["psi+"])]
-    ok2 = walgate_hardy_check(two, seq)
+    ok2 = run_discrimination(two, seq).success
     rows.append(ClaimRow(
         claim_id="locc/bell/two_candidates", kind="locc",
-        status=_verdict(ok2 is True),
+        status=_verdict(ok2),
         expected="two Bell states separable by single-qubit rounds",
         actual="success=%s" % ok2))
     four = [(lbl, bell_states[lbl]) for lbl in bell.labels]
-    ok4 = walgate_hardy_check(four, seq)
+    ok4 = run_discrimination(four, seq).success
     rows.append(ClaimRow(
         claim_id="locc/bell/four_candidates", kind="locc",
-        status=_verdict(ok4 is False),
+        status=_verdict(not ok4),
         expected="all four Bell states collide under the same rounds",
         actual="success=%s" % ok4))
     return rows
@@ -320,7 +317,7 @@ def _basis_rows() -> list[ClaimRow]:
         worst = max(worst, float(np.max(np.abs(gram - np.eye(len(mat))))))
     rows.append(ClaimRow(
         claim_id="bases/gram_identity", kind="basis",
-        status=_verdict(worst <= 1e-12),
+        status=_verdict(worst <= GRAM_TOL),
         expected="max |G-I| <= 1e-12 over %d bases" % len(names),
         actual="max |G-I| = %.2g" % worst))
 
@@ -347,7 +344,7 @@ def _basis_rows() -> list[ClaimRow]:
         if present:
             want = {k for k, v in corr.corrected.items() if v != 0}
             for lbl in labels:
-                terms = by_label[lbl].ket_terms(tol=1e-12)
+                terms = by_label[lbl].ket_terms(tol=AMP_TOL)
                 got = {k for k, _ in terms}
                 support_ok &= got == want
         changed = corr.printed is None or corr.printed != corr.corrected

@@ -28,13 +28,12 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .catalog import NamedState, make_basis, make_state
-from .measure import MeasurementPlan, MeasurementStep, enumerate_outcomes
-from .states import SIGMA, PureState, tensor
+from .catalog import NamedState, make_state
+from .measure import StepSpec, build_plan, enumerate_outcomes
+from .states import ASSERT_TOL, PERP_ALARM, SIGMA, VALUE_TOL, PureState, tensor
 
 __all__ = [
     "FamilySpec",
-    "StepSpec",
     "TeleportScenario",
     "Probe",
     "OutcomeReport",
@@ -45,8 +44,6 @@ __all__ = [
     "classical_cost",
 ]
 
-ASSERT_TOL = 1e-10
-PERP_ALARM = 1e-10
 NUM_RANDOM_PROBES = 20
 PAULI_ORDER = ("s0", "s1", "is2", "s3")
 
@@ -148,20 +145,6 @@ def build_probes(spec: FamilySpec, rng: np.random.Generator,
 
 
 @dataclass(frozen=True)
-class StepSpec:
-    """Measurement step in joint-register coordinates.
-
-    The joint register is the unknown state's qubits first, then the
-    resource qubits in catalog order.
-    """
-
-    qubits: tuple[int, ...]
-    basis: str
-    basis_params: Mapping[str, object] = field(default_factory=dict)
-    party: str = "Alice"
-
-
-@dataclass(frozen=True)
 class TeleportScenario:
     scenario_id: str
     resource: str
@@ -188,14 +171,6 @@ class TeleportScenario:
             return NamedState(name=self.resource, state=state,
                               note="inline resource")
         return make_state(self.resource, **dict(self.resource_params))
-
-    def plan(self) -> MeasurementPlan:
-        steps = tuple(
-            MeasurementStep(s.qubits, make_basis(s.basis, **dict(s.basis_params)),
-                            party=s.party)
-            for s in self.steps
-        )
-        return MeasurementPlan(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +263,7 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     rng = np.random.default_rng(seed)
     resource = scenario.resource_state().state
     probes = build_probes(scenario.family, rng, num_random)
-    plan = scenario.plan()
+    plan = build_plan(scenario.steps)
     k = scenario.family.num_qubits
 
     receiver_sorted = tuple(sorted(scenario.receiver))
@@ -321,7 +296,7 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
                 perp_here += b.probability
             nonzero.append(b.probability)
         max_perp = max(max_perp, perp_here)
-        if nonzero and max(nonzero) - min(nonzero) > 1e-9:
+        if nonzero and max(nonzero) - min(nonzero) > VALUE_TOL:
             uniform = False
 
     cert_idx = [i for i, p in enumerate(probes) if p.certifying]
@@ -358,13 +333,9 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
                 break
         gen_idx = rand_idx[-1] if rand_idx else firing[-1]
         prob = probs[key].get(gen_idx, 0.0)
-        if chosen is None:
-            feasible = False
-            reports.append(OutcomeReport(key, prob, None, 0.0, best,
-                                         key in perp_keys))
-        else:
-            reports.append(OutcomeReport(key, prob, chosen, chosen_min, best,
-                                         key in perp_keys))
+        feasible &= chosen is not None
+        reports.append(OutcomeReport(key, prob, chosen, chosen_min, best,
+                                     key in perp_keys))
 
     reason = ""
     if max_perp > PERP_ALARM:

@@ -81,6 +81,15 @@ def test_w_pqrs_requires_matching_norms():
         make_state("W_pqrs", p=1, q=1, r=1, s=1)
 
 
+def test_weighted_w_families_name_missing_parameters():
+    with pytest.raises(ValueError, match="W_mn is missing parameters: m, n"):
+        make_state("W_mn")
+    with pytest.raises(ValueError, match="W_mn is missing parameters: n"):
+        make_state("W_mn", m=1)
+    with pytest.raises(ValueError, match="W_pqrs is missing parameters: r, s"):
+        make_state("W_pqrs", p=1, q=1)
+
+
 def test_ghz_n_and_bell():
     ghz3 = dict(make_state("GHZ:3").state.ket_terms())
     assert set(ghz3) == {"000", "111"}
@@ -128,6 +137,14 @@ def test_dressed_bases_accept_indices():
     for i in range(4):
         for j in range(4):
             assert validate_orthonormal(make_basis("pi_2q", i=i, j=j))["ok"]
+
+
+def test_dressed_bases_reject_non_integer_indices():
+    for bad in (0.0, 1.5, True, "1"):
+        with pytest.raises(ValueError, match="Pauli index must be an integer"):
+            make_basis("pi_2q", i=bad)
+    with pytest.raises(ValueError, match="Pauli index must be 0..3"):
+        make_basis("omega34_3q", i=0, j=4)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ import os
 
 import pytest
 
+from quadproto import scenarios as reg
 from quadproto.cli import main
+from quadproto.measure import StepSpec
 from quadproto.scenario_io import dumps_scenario
 from quadproto.suite import ClaimRow, SuiteReport
-from quadproto.teleport import FamilySpec, StepSpec, TeleportScenario
+from quadproto.teleport import FamilySpec, TeleportScenario
 
 
 def _json_out(capsys, argv):
@@ -188,11 +190,40 @@ def test_teleport_exit_one_when_expectation_breaks(monkeypatch, capsys):
     ["locc", "--certificate", "nope"],
     ["suite", "--sections", "nope"],
     ["catalog", "--state", "W_mn", "--param", "m"],
+    ["densecode", "--state", "GHZ4", "--qubits", "0,0"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "0", "1", "5"])
+def test_tolerance_outside_unit_interval_exits_two(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["teleport", "--scenario", "q4_bob4_1q", "--tolerance", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tolerance: must be a finite number strictly between 0 and 1" \
+        in captured.err
+
+
+def test_missing_family_parameter_is_named(capsys):
+    assert main(["densecode", "--state", "W_mn", "--qubits", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "error: W_mn is missing parameters: m, n\n"
+
+
+def test_non_integer_dressing_in_file_exits_two(tmp_path, capsys):
+    doc = json.loads(dumps_scenario(reg.TELEPORT_SCENARIOS["ghz2_pi_00"]))
+    doc["steps"][0]["basis_params"]["i"] = 0.0
+    path = str(tmp_path / "float_index.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["teleport", "--file", path]) == 2
+    assert capsys.readouterr().err == \
+        "error: Pauli index must be an integer, got 0.0\n"
 
 
 def test_malformed_file_exits_two(tmp_path, capsys):

@@ -147,3 +147,11 @@ def test_bad_arguments_rejected():
         distinguishable_messages(st, (0,), paulis=("s0", "sx"))
     with pytest.raises(ValueError, match="out of range"):
         distinguishable_messages(st, (9,))
+
+
+def test_repeated_sender_qubit_rejected():
+    st = make_state("GHZ4").state
+    with pytest.raises(ValueError, match="repeated sender qubit"):
+        distinguishable_messages(st, (0, 0))
+    with pytest.raises(ValueError, match="repeated sender qubit"):
+        encoded_states(st, (1, 2, 1))

@@ -7,12 +7,11 @@ from quadproto import scenarios as reg
 from quadproto.catalog import make_basis
 from quadproto.locc import (
     LoccProtocol,
-    LoccRound,
     check_certificate,
     product_terms,
     run_discrimination,
-    walgate_hardy_check,
 )
+from quadproto.measure import StepSpec
 from quadproto.states import PureState, basis_state
 
 
@@ -56,8 +55,8 @@ def test_four_state_sets_separate():
 def test_collisions_reported_with_owners():
     two = [("a", _bell("phi+")), ("b", _bell("phi-"))]
     comp = LoccProtocol("comp", (
-        LoccRound((0,), "computational:1", "B1"),
-        LoccRound((1,), "computational:1", "B2"),
+        StepSpec((0,), "computational:1", party="B1"),
+        StepSpec((1,), "computational:1", party="B2"),
     ))
     res = run_discrimination(two, comp)
     assert not res.success
@@ -69,8 +68,8 @@ def test_cbits_exclude_final_party_rounds():
     # both rounds belong to the announcing party: zero relayed bits
     two = [("a", _bell("phi+")), ("b", _bell("psi+"))]
     same_party = LoccProtocol("solo", (
-        LoccRound((0,), "computational:1", "B1"),
-        LoccRound((1,), "computational:1", "B1"),
+        StepSpec((0,), "computational:1", party="B1"),
+        StepSpec((1,), "computational:1", party="B1"),
     ))
     res = run_discrimination(two, same_party)
     assert res.success and res.inter_receiver_cbits == 0
@@ -83,6 +82,12 @@ def test_sixteen_set_defeats_every_catalog_protocol():
     for protocol in reg.catalog_protocols():
         assert not run_discrimination(cands, protocol).success, \
             protocol.protocol_id
+
+
+def test_protocol_plan_is_built_once():
+    for protocol in reg.catalog_protocols():
+        assert protocol.plan is protocol.plan
+        assert [s.party for s in protocol.plan.steps] == ["B1", "B2"]
 
 
 def test_catalog_protocol_sweep_shape():
@@ -166,17 +171,17 @@ def test_certificate_flags_empty_support():
 
 def test_sequential_rounds_separate_two_bell_states():
     seq = LoccProtocol("seq", (
-        LoccRound((0,), "computational:1", "B1"),
-        LoccRound((1,), "computational:1", "B2"),
+        StepSpec((0,), "computational:1", party="B1"),
+        StepSpec((1,), "computational:1", party="B2"),
     ))
-    assert walgate_hardy_check(
-        [("phi+", _bell("phi+")), ("psi+", _bell("psi+"))], seq)
+    assert run_discrimination(
+        [("phi+", _bell("phi+")), ("psi+", _bell("psi+"))], seq).success
 
 
 def test_no_sequential_rounds_for_all_four_bell_states():
     seq = LoccProtocol("seq", (
-        LoccRound((0,), "computational:1", "B1"),
-        LoccRound((1,), "computational:1", "B2"),
+        StepSpec((0,), "computational:1", party="B1"),
+        StepSpec((1,), "computational:1", party="B2"),
     ))
     four = [(lbl, _bell(lbl)) for lbl in make_basis("bell").labels]
-    assert not walgate_hardy_check(four, seq)
+    assert not run_discrimination(four, seq).success

@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+from quadproto import scenarios as reg
 from quadproto.catalog import NamedBasis, make_basis, make_state
 from quadproto.measure import (
     MeasurementPlan,
     MeasurementStep,
+    StepSpec,
+    build_plan,
     complete_basis,
     enumerate_outcomes,
     perp_probability,
     sample_counts,
 )
 from quadproto.states import PureState, basis_state, random_state, tensor
+from quadproto.teleport import build_probes
 
 
 def _plan(*steps):
@@ -167,3 +171,60 @@ def test_negative_drop_tol_rejected():
     with pytest.raises(ValueError):
         enumerate_outcomes(make_state("GHZ4").state,
                            _plan(((0, 1), "bell")), drop_tol=-1.0)
+
+
+# --- plans built from named steps -----------------------------------------------
+
+def test_build_plan_resolves_names_and_completes_once():
+    plan = build_plan((StepSpec((0, 1, 2, 3), "pi_2q", {"i": 1, "j": 2}),
+                       StepSpec((4,), "plus_minus", party="Bob")))
+    first, second = plan.steps
+    assert first.basis.labels == make_basis("pi_2q", i=1, j=2).labels
+    assert len(first.completed.labels) == 16
+    assert first.completed.labels[:4] == first.basis.labels
+    assert second.party == "Bob"
+    assert second.completed is second.basis  # already complete
+
+
+def _separately_completed(steps):
+    """The plan a caller completing each basis by hand would build."""
+    return MeasurementPlan(tuple(
+        MeasurementStep(s.qubits,
+                        complete_basis(make_basis(s.basis, **dict(s.basis_params))),
+                        party=s.party)
+        for s in steps))
+
+
+def _assert_same_branches(state, steps, where):
+    got = enumerate_outcomes(state, build_plan(steps))
+    want = enumerate_outcomes(state, _separately_completed(steps))
+    assert [b.labels for b in got] == [b.labels for b in want], where
+    for a, b in zip(got, want):
+        assert a.probability == b.probability, (where, a.key)
+        assert a.kept_qubits == b.kept_qubits and a.perp == b.perp, where
+        if b.state is None:
+            assert a.state is None, where
+        else:
+            assert np.array_equal(a.state.amplitudes, b.state.amplitudes), \
+                (where, a.key)
+
+
+def test_completed_plans_match_separate_completion_for_scenarios():
+    scenarios = list(reg.TELEPORT_SCENARIOS.values())
+    scenarios += [sc for group in reg.negative_scenarios().values()
+                  for sc in group]
+    for sc in scenarios:
+        resource = sc.resource_state().state
+        probes = build_probes(sc.family, np.random.default_rng(3), num_random=2)
+        for probe in probes:
+            _assert_same_branches(tensor(probe.state, resource), sc.steps,
+                                  (sc.scenario_id, probe.label))
+
+
+def test_completed_plans_match_separate_completion_for_protocols():
+    protocols = reg.catalog_protocols() + list(reg.locc_protocols().values())
+    for protocol in protocols:
+        for set_name, candidates in reg.locc_candidate_sets().items():
+            for label, state in candidates:
+                _assert_same_branches(state, protocol.rounds,
+                                      (protocol.protocol_id, set_name, label))

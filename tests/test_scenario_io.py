@@ -1,10 +1,12 @@
 """Strict JSON interchange for teleportation scenarios."""
 
 import json
+import warnings
 
 import pytest
 
 from quadproto import scenarios as reg
+from quadproto.measure import StepSpec
 from quadproto.scenario_io import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -16,7 +18,7 @@ from quadproto.scenario_io import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from quadproto.teleport import FamilySpec, StepSpec, TeleportScenario
+from quadproto.teleport import FamilySpec, TeleportScenario
 
 
 def _inline():
@@ -41,6 +43,9 @@ def _doc(**overrides):
 def test_every_registered_scenario_round_trips():
     for sid, sc in reg.TELEPORT_SCENARIOS.items():
         assert loads_scenario(dumps_scenario(sc)) == sc, sid
+    for group in reg.negative_scenarios().values():
+        for sc in group:
+            assert loads_scenario(dumps_scenario(sc)) == sc, sc.scenario_id
 
 
 def test_inline_kets_round_trip():
@@ -126,6 +131,26 @@ def test_ket_validation():
                             "kets": [{"label": "00", "re": True, "im": 0}]}
     with pytest.raises(ScenarioFormatError, match="number"):
         scenario_from_dict(bool_amp)
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_numbers_rejected(bad):
+    kets = _doc()
+    kets["resource"] = {"name": "p", "kets": [{"label": "00", "re": 1, "im": 0},
+                                              {"label": "11", "re": 0, "im": 0}]}
+    kets["resource"]["kets"][1]["re"] = "@"
+    params = _doc()
+    params["resource"] = {"name": "W_mn", "params": {"m": "@", "n": 1}}
+    basis = _doc()
+    basis["steps"][0]["basis_params"] = {"i": "@"}
+    for doc, where in ((kets, r"resource\.kets\[1\]\.re"),
+                       (params, r"resource\.params\[m\]"),
+                       (basis, r"steps\[0\]\.basis_params\[i\]")):
+        text = json.dumps(doc).replace('"@"', bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioFormatError, match=where + " must be finite"):
+                loads_scenario(text)
 
 
 def test_scalar_type_checks():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from quadproto import scenarios as reg
+from quadproto.measure import StepSpec
 from quadproto.teleport import (
     FamilySpec,
-    StepSpec,
     TeleportScenario,
     build_probes,
     family_span,
