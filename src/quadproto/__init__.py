@@ -48,8 +48,6 @@ from .measure import (
     build_plan,
     complete_basis,
     enumerate_outcomes,
-    perp_probability,
-    sample_counts,
 )
 from .teleport import (
     FamilySpec,
@@ -106,8 +104,7 @@ __all__ = [
     "basis_names", "corrections_for", "make_basis", "make_state",
     "state_names", "validate_orthonormal",
     "MeasurementPlan", "MeasurementStep", "OutcomeBranch", "StepSpec",
-    "build_plan", "complete_basis", "enumerate_outcomes", "perp_probability",
-    "sample_counts",
+    "build_plan", "complete_basis", "enumerate_outcomes",
     "FamilySpec", "OutcomeReport", "Probe", "TeleportResult",
     "TeleportScenario", "build_probes", "family_span", "run_scenario",
     "DenseCodingResult", "best_over_subsets", "distinguishable_messages",

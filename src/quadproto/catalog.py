@@ -233,6 +233,9 @@ def make_state(name: str, **params) -> NamedState:
     ``W_pqrs`` (p, q, r, s with |p|^2+|q|^2+|r|^2=|s|^2), ``GHZ:n`` (n).
     """
     canonical = _STATE_ALIASES.get(name, name)
+    if params and canonical not in ("W_mn", "W_pqrs"):
+        raise ValueError("state %r takes no parameters, got %s"
+                         % (name, ", ".join(sorted(params))))
     if canonical == "GHZ4":
         return NamedState("GHZ4", _ghz(4), slocc=_SLOCC["GHZ4"])
     if canonical == "W4":

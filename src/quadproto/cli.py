@@ -57,14 +57,27 @@ def _emit(args, name: str, payload: dict, text: str) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _parse_params(items: list[str]) -> dict[str, float]:
-    out: dict[str, float] = {}
+def _parse_params(items: list[str]) -> dict[str, int | float]:
+    out: dict[str, int | float] = {}
     for item in items or []:
         if "=" not in item:
             raise ValueError("parameter %r is not key=value" % item)
         key, _, raw = item.partition("=")
-        out[key] = float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError("parameter %s must be a finite number, got %r"
+                             % (key, raw))
+        try:
+            out[key] = int(raw)
+        except ValueError:
+            out[key] = value
     return out
+
+
+def _params_json(params) -> dict:
+    """Parameters for JSON output, complex values written like kets."""
+    return {k: {"re": v.real, "im": v.imag} if isinstance(v, complex) else v
+            for k, v in params.items()}
 
 
 def _tolerance(text: str) -> float:
@@ -94,7 +107,7 @@ def _parse_qubits(text: str) -> tuple[int, ...]:
 def _cmd_catalog(args) -> int:
     if args.state:
         named = make_state(args.state, **_parse_params(args.param))
-        payload = {"name": named.name, "params": dict(named.params),
+        payload = {"name": named.name, "params": _params_json(named.params),
                    "slocc": named.slocc, "kets": _kets(named.state)}
         text = "%s (%d qubits)\n" % (named.name, named.num_qubits) + "".join(
             "  |%s>  %+.6f%+.6fi\n" % (k["label"], k["re"], k["im"])
@@ -120,7 +133,7 @@ def _cmd_catalog(args) -> int:
     if args.dump:
         payload = {
             "states": [
-                {"name": n.name, "params": dict(n.params), "slocc": n.slocc,
+                {"name": n.name, "params": _params_json(n.params), "slocc": n.slocc,
                  "kets": _kets(n.state)}
                 for n in (make_state(s) for s in state_names())
             ],

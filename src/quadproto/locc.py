@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -52,6 +52,13 @@ class DiscriminationResult:
     inter_receiver_cbits: int
     cbit_breakdown: Mapping[str, int]
 
+    def separates(self, labels: Collection[str]) -> bool:
+        """Whether the candidates named in ``labels`` get pairwise distinct
+        transcripts, i.e. no collision holds two of them."""
+        chosen = set(labels)
+        return all(len(chosen.intersection(owners)) < 2
+                   for _, owners in self.collisions)
+
 
 def run_discrimination(candidates: Sequence[tuple[str, PureState]],
                        protocol: LoccProtocol,
@@ -64,14 +71,11 @@ def run_discrimination(candidates: Sequence[tuple[str, PureState]],
     actually fire for some candidate).  The final party announces the
     verdict, which is not counted here.
     """
-    plan = protocol.plan
-    transcripts: dict[str, set[str]] = {}
-    fired_per_round: list[set[str]] = [set() for _ in protocol.rounds]
-    for label, state in candidates:
-        for branch in enumerate_outcomes(state, plan, drop_tol=tol):
-            transcripts.setdefault(branch.key, set()).add(label)
-            for i, outcome in enumerate(branch.labels):
-                fired_per_round[i].add(outcome)
+    labels = [label for label, _ in candidates]
+    branches = enumerate_outcomes([state for _, state in candidates],
+                                  protocol.plan, drop_tol=tol)
+    transcripts = {b.key: {labels[i] for i in np.flatnonzero(b.probabilities)}
+                   for b in branches}
     collisions = tuple(
         (key, tuple(sorted(owners)))
         for key, owners in sorted(transcripts.items())
@@ -80,9 +84,10 @@ def run_discrimination(candidates: Sequence[tuple[str, PureState]],
     final_party = protocol.rounds[-1].party
     breakdown: dict[str, int] = {}
     total = 0
-    for rnd, fired in zip(protocol.rounds, fired_per_round):
+    for i, rnd in enumerate(protocol.rounds):
         if rnd.party == final_party:
             continue
+        fired = {b.labels[i] for b in branches}
         bits = math.ceil(math.log2(len(fired))) if len(fired) > 1 else 0
         key = "round:%s" % rnd.party
         breakdown[key] = breakdown.get(key, 0) + bits

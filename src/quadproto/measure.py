@@ -4,8 +4,9 @@ A plan is an ordered list of steps; each step measures a disjoint set of
 qubits in a named basis.  Subspace bases are completed automatically with
 Gram-Schmidt vectors labeled ``perp0``, ``perp1``, ...  once, when the step
 is built.  Enumeration walks every outcome combination exactly (no
-sampling), returning normalized residual states together with the original
-indices of the surviving qubits.
+sampling) for a whole stack of input states at once, returning per-input
+probabilities and normalized residuals together with the original indices of
+the surviving qubits.
 
 Teleport scenarios and LOCC protocols both describe their measurements as
 ``StepSpec`` values (catalog basis names); ``build_plan`` resolves them.
@@ -29,8 +30,6 @@ __all__ = [
     "build_plan",
     "complete_basis",
     "enumerate_outcomes",
-    "perp_probability",
-    "sample_counts",
 ]
 
 
@@ -140,13 +139,18 @@ def build_plan(steps: Iterable[StepSpec]) -> MeasurementPlan:
     ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeBranch:
-    """One complete outcome combination of a plan."""
+    """One outcome combination of a plan, over a stack of B input states.
+
+    Row i of each array belongs to input i; where the branch does not fire
+    for it, its probability is exactly 0.0 and its residual row is zero.
+    """
 
     labels: tuple[str, ...]
-    probability: float
-    state: PureState | None         # None when every qubit was measured
+    probabilities: np.ndarray       # shape (B,)
+    residuals: np.ndarray | None    # (B, 2**len(kept_qubits)) normalized rows;
+                                    # None when every qubit was measured
     kept_qubits: tuple[int, ...]    # original indices, ascending
     perp: bool
 
@@ -155,66 +159,60 @@ class OutcomeBranch:
         return ",".join(self.labels)
 
 
-def _contract_step(vec: np.ndarray, num_qubits: int, positions: Sequence[int],
-                   basis_matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Project one step; rows of the result are unnormalized residuals."""
-    rest = [q for q in range(num_qubits) if q not in positions]
-    t = vec.reshape([2] * num_qubits)
-    t = t.transpose(list(positions) + rest)
-    t = t.reshape(basis_matrix.shape[1], -1)
-    return basis_matrix.conj() @ t, rest
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of every row of a stack; equals ``np.vdot`` bit for bit."""
+    return (rows.conj()[..., None, :] @ rows[..., :, None])[..., 0, 0].real
 
 
-def enumerate_outcomes(state: PureState, plan: MeasurementPlan,
+def enumerate_outcomes(states: Sequence[PureState], plan: MeasurementPlan,
                        drop_tol: float = DROP_TOL) -> list[OutcomeBranch]:
-    """All outcome branches with probability above ``drop_tol``.
+    """Measure a stack of states on one register in a single pass.
 
-    Probabilities always sum to one before dropping; the returned branches
-    carry normalized residual states on the unmeasured qubits.
+    Returns every branch whose probability exceeds ``drop_tol`` for at least
+    one input, in enumeration order (first step's labels outermost).  Each
+    input's probabilities sum to one before dropping, and each input's
+    branches are exactly those a one-state stack would give it.
     """
     if drop_tol < 0.0:
         raise ValueError("drop_tol must be nonnegative")
-    plan.validate_for(state.num_qubits)
+    if not states:
+        return []
+    n = states[0].num_qubits
+    if any(s.num_qubits != n for s in states):
+        raise ValueError("states in one stack must share a register size")
+    plan.validate_for(n)
 
+    vecs = np.array([s.amplitudes for s in states])
     # original index of the qubit at each current position
-    orig = list(range(state.num_qubits))
-    branches: list[tuple[tuple[str, ...], np.ndarray]] = [((), state.amplitudes)]
+    orig = list(range(n))
+    # (labels, unnormalized rows, probabilities); rows of inputs the branch
+    # has stopped firing for are zero, so they stay zero
+    branches = [((), vecs, _norms(vecs))]
     for step in plan.steps:
         basis = step.completed
+        conj = basis.matrix().conj()
         positions = [orig.index(q) for q in step.qubits]
-        matrix = basis.matrix()
-        nq = len(orig)
-        next_branches: list[tuple[tuple[str, ...], np.ndarray]] = []
-        for labels, vec in branches:
-            rows, rest = _contract_step(vec, nq, positions, matrix)
-            for label, row in zip(basis.labels, rows):
-                if float(np.vdot(row, row).real) > drop_tol:
-                    next_branches.append((labels + (label,), row))
+        rest = [p for p in range(len(orig)) if p not in positions]
+        axes = [0] + [1 + p for p in positions] + [1 + p for p in rest]
+        next_branches = []
+        for labels, vecs, _ in branches:
+            t = vecs.reshape([-1] + [2] * len(orig)).transpose(axes)
+            rows = conj @ t.reshape(len(states), conj.shape[1], -1)
+            probs = _norms(rows)
+            fires = probs > drop_tol
+            rows[~fires] = 0.0
+            probs = np.where(fires, probs, 0.0)
+            for i in np.flatnonzero(fires.any(axis=0)):
+                next_branches.append((labels + (basis.labels[i],), rows[:, i],
+                                      probs[:, i]))
         branches = next_branches
-        orig = [orig[p] for p in range(nq) if p not in positions]
+        orig = [orig[p] for p in rest]
 
     kept = tuple(orig)
     out: list[OutcomeBranch] = []
-    for labels, vec in branches:
-        p = float(np.vdot(vec, vec).real)
-        if p <= drop_tol:
-            continue
-        residual = PureState(vec / np.sqrt(p)) if vec.size > 1 else None
+    for labels, vecs, probs in branches:
+        residuals = (vecs / np.sqrt(np.where(probs > 0.0, probs, 1.0))[:, None]
+                     if vecs.shape[1] > 1 else None)
         perp = any(lbl.startswith("perp") for lbl in labels)
-        out.append(OutcomeBranch(labels, p, residual, kept, perp))
+        out.append(OutcomeBranch(labels, probs, residuals, kept, perp))
     return out
-
-
-def perp_probability(branches: Iterable[OutcomeBranch]) -> float:
-    """Total probability landing in auto-completed basis directions."""
-    return sum(b.probability for b in branches if b.perp)
-
-
-def sample_counts(state: PureState, plan: MeasurementPlan, shots: int,
-                  rng: np.random.Generator) -> dict[str, int]:
-    """Multinomial outcome counts keyed by comma-joined labels."""
-    branches = enumerate_outcomes(state, plan)
-    probs = np.array([b.probability for b in branches])
-    probs = probs / probs.sum()
-    draws = rng.multinomial(shots, probs)
-    return {b.key: int(c) for b, c in zip(branches, draws) if c}

@@ -209,15 +209,12 @@ def _locc_rows(tol: float) -> list[ClaimRow]:
         expected="product-block certificate cannot hold",
         actual="ok=%s cross=%.3f (%s)" % (rep.ok, rep.cross_overlap, rep.detail)))
 
-    found = None
-    for quad in itertools.combinations(range(len(sets["q4_8"])), 4):
-        cand = [sets["q4_8"][i] for i in quad]
-        for p in catalog:
-            if run_discrimination(cand, p).success:
-                found = (quad, p.protocol_id)
-                break
-        if found:
-            break
+    q4 = sets["q4_8"]
+    runs = [(p.protocol_id, run_discrimination(q4, p)) for p in catalog]
+    found = next(((quad, pid)
+                  for quad in itertools.combinations(range(len(q4)), 4)
+                  for pid, res in runs if res.separates([q4[i][0] for i in quad])),
+                 None)
     rows.append(ClaimRow(
         claim_id="locc/q4/four_subset_search", kind="locc_search",
         status="PASS" if found is None else "FAIL",

@@ -267,51 +267,34 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     k = scenario.family.num_qubits
 
     receiver_sorted = tuple(sorted(scenario.receiver))
-    key_order: list[str] = []
-    residuals: dict[str, dict[int, np.ndarray]] = {}
-    probs: dict[str, dict[int, float]] = {}
-    perp_keys: set[str] = set()
-    max_perp = 0.0
-    uniform = True
-    for idx, probe in enumerate(probes):
-        joint = tensor(probe.state, resource)
-        branches = enumerate_outcomes(joint, plan)
-        kept = branches[0].kept_qubits if branches else ()
-        if branches and kept != receiver_sorted:
-            raise ValueError(
-                "plan for %s leaves qubits %s but the receiver holds %s"
-                % (scenario.scenario_id, kept, receiver_sorted)
-            )
-        perp_here = 0.0
-        nonzero = []
-        for b in branches:
-            if b.key not in residuals:
-                key_order.append(b.key)
-                residuals[b.key] = {}
-                probs[b.key] = {}
-            residuals[b.key][idx] = b.state.amplitudes
-            probs[b.key][idx] = b.probability
-            if b.perp:
-                perp_keys.add(b.key)
-                perp_here += b.probability
-            nonzero.append(b.probability)
-        max_perp = max(max_perp, perp_here)
-        if nonzero and max(nonzero) - min(nonzero) > VALUE_TOL:
-            uniform = False
+    branches = enumerate_outcomes(
+        [tensor(probe.state, resource) for probe in probes], plan)
+    kept = branches[0].kept_qubits if branches else ()
+    if branches and kept != receiver_sorted:
+        raise ValueError(
+            "plan for %s leaves qubits %s but the receiver holds %s"
+            % (scenario.scenario_id, kept, receiver_sorted)
+        )
+    # branches are reported in the order the probes first fire them
+    probs = np.array([b.probabilities for b in branches])
+    firing = [np.flatnonzero(row) for row in probs]
+    order = sorted(range(len(branches)), key=lambda j: firing[j][0])
+    perp = sum((b.probabilities for b in branches if b.perp), np.zeros(len(probes)))
+    max_perp = float(perp.max())
+    lowest = np.where(probs > 0.0, probs, np.inf).min(axis=0)
+    uniform = not np.any(probs.max(axis=0) - lowest > VALUE_TOL)
 
-    cert_idx = [i for i, p in enumerate(probes) if p.certifying]
     rand_idx = [i for i, p in enumerate(probes) if not p.certifying]
     expected = np.array([p.state.amplitudes for p in probes])
 
     candidates = list(_iter_candidates(scenario.allowed_ops, k))
     reports: list[OutcomeReport] = []
     feasible = True
-    cert_set = set(cert_idx)
-    for key in key_order:
-        firing = sorted(residuals[key])
-        res_mat = np.array([residuals[key][i] for i in firing])
-        exp_mat = expected[firing]
-        cert_rows = [fi for fi, i in enumerate(firing) if i in cert_set]
+    for j in order:
+        branch, fired = branches[j], firing[j]
+        res_mat = branch.residuals[fired]
+        exp_mat = expected[fired]
+        cert_rows = [fi for fi, i in enumerate(fired) if probes[i].certifying]
         chosen = None
         chosen_min = 0.0
         best = 0.0
@@ -331,11 +314,10 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
                 chosen = desc
                 chosen_min = worst_all
                 break
-        gen_idx = rand_idx[-1] if rand_idx else firing[-1]
-        prob = probs[key].get(gen_idx, 0.0)
+        gen_idx = rand_idx[-1] if rand_idx else fired[-1]
         feasible &= chosen is not None
-        reports.append(OutcomeReport(key, prob, chosen, chosen_min, best,
-                                     key in perp_keys))
+        reports.append(OutcomeReport(branch.key, float(probs[j, gen_idx]), chosen,
+                                     chosen_min, best, branch.perp))
 
     reason = ""
     if max_perp > PERP_ALARM:
@@ -345,7 +327,7 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     best_worst = min((r.best_fidelity for r in reports), default=0.0)
     cost = breakdown = None
     if feasible:
-        cost, breakdown = classical_cost(scenario, reports, probs)
+        cost, breakdown = classical_cost(scenario, reports)
     return TeleportResult(
         scenario_id=scenario.scenario_id,
         feasible=feasible,
@@ -362,8 +344,7 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
 
 
 def classical_cost(scenario: TeleportScenario,
-                   reports: Sequence[OutcomeReport],
-                   probs: Mapping[str, Mapping[int, float]]) -> tuple[int, dict]:
+                   reports: Sequence[OutcomeReport]) -> tuple[int, dict]:
     """Classical bits sent, relay convention.
 
     Measuring parties other than the aggregator relay their raw outcomes

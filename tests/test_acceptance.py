@@ -247,9 +247,9 @@ def test_criterion_7_randomized_properties(_announce):
             cursor += width
         if not steps:
             continue
-        branches = enumerate_outcomes(st, MeasurementPlan(tuple(steps)),
+        branches = enumerate_outcomes([st], MeasurementPlan(tuple(steps)),
                                       drop_tol=0.0)
-        total = sum(b.probability for b in branches)
+        total = sum(b.probabilities[0] for b in branches)
         assert abs(total - 1.0) < SUM_TOL, case
 
     # refinement equivalence on the three-plus-one split
@@ -264,13 +264,13 @@ def test_criterion_7_randomized_properties(_announce):
     joint = NamedBasis("ghz3_x_pm", tuple(labels), tuple(vectors))
     for name in ("GHZ4", "W4", "Omega", "Q4", "Q5"):
         st = make_state(name).state
-        split = enumerate_outcomes(st, MeasurementPlan((
+        split = enumerate_outcomes([st], MeasurementPlan((
             MeasurementStep((0, 1, 2), ghz3),
             MeasurementStep((3,), pm))), drop_tol=0.0)
-        fused = enumerate_outcomes(st, MeasurementPlan((
+        fused = enumerate_outcomes([st], MeasurementPlan((
             MeasurementStep((0, 1, 2, 3), joint),)), drop_tol=0.0)
-        p_split = {b.key: b.probability for b in split}
-        p_fused = {b.key: b.probability for b in fused}
+        p_split = {b.key: b.probabilities[0] for b in split}
+        p_fused = {b.key: b.probabilities[0] for b in fused}
         for key in set(p_split) | set(p_fused):
             assert abs(p_split.get(key, 0.0)
                        - p_fused.get(key, 0.0)) < 1e-12, (name, key)

@@ -109,6 +109,15 @@ def test_unknown_state_rejected():
         make_state("nope")
 
 
+@pytest.mark.parametrize("name, params", [
+    ("GHZ4", {"m": 1}), ("GHZ:5", {"n": 3}), ("GHZ", {"n": 4}),
+    ("Bell:phi+", {"p": 1.0}), ("W3", {"m": 0.5}),
+])
+def test_fixed_name_states_reject_parameters(name, params):
+    with pytest.raises(ValueError, match="takes no parameters"):
+        make_state(name, **params)
+
+
 # ---------------------------------------------------------------------------
 # bases
 
@@ -199,7 +208,7 @@ def _branch_probabilities(probe_kets, resource_name, qubits, basis):
     probe = PureState.from_kets(probe_kets, normalize=True)
     joint = tensor(probe, make_state(resource_name).state)
     plan = MeasurementPlan((MeasurementStep(qubits, basis),))
-    return enumerate_outcomes(joint, plan, drop_tol=0.0)
+    return enumerate_outcomes([joint], plan, drop_tol=0.0)
 
 
 def test_tau_printed_pairs_are_protocol_dead():
@@ -215,21 +224,21 @@ def test_tau_printed_pairs_are_protocol_dead():
                                for s in (1, -1)))
     for probe in ({"0": 1}, {"1": 1}, {"0": 1, "1": 1}):
         branches = _branch_probabilities(probe, "Q4", (0, 1, 3, 4), printed)
-        leak = sum(b.probability for b in branches if b.perp)
+        leak = sum(b.probabilities[0] for b in branches if b.perp)
         assert abs(leak - 0.25) < 1e-12, probe
     # superposition input: the printed tau3 branch keeps only the alpha arm
     branches = _branch_probabilities({"0": 1, "1": 1}, "Q4", (0, 1, 3, 4),
                                      printed)
     tau3 = next(b for b in branches if b.key == "tau3+")
-    assert abs(abs(tau3.state.amplitudes[0]) - 1.0) < 1e-12  # residual |0>
-    assert abs(tau3.state.amplitudes[1]) < 1e-12
+    assert abs(abs(tau3.residuals[0][0]) - 1.0) < 1e-12  # residual |0>
+    assert abs(tau3.residuals[0][1]) < 1e-12
 
 
 def test_tau_corrected_basis_covers_all_branches():
     basis = make_basis("tau_q4")
     for probe in ({"0": 1}, {"1": 1}, {"0": 1, "1": 1j}):
         branches = _branch_probabilities(probe, "Q4", (0, 1, 3, 4), basis)
-        leak = sum(b.probability for b in branches if b.perp)
+        leak = sum(b.probabilities[0] for b in branches if b.perp)
         assert leak < 1e-12, probe
 
 
@@ -251,7 +260,7 @@ def test_omega34_printed_pair_has_zero_probability():
     for member in members:
         joint = tensor(member, make_state("Omega").state)
         plan = MeasurementPlan((MeasurementStep((0, 1, 2, 3), printed),))
-        branches = enumerate_outcomes(joint, plan, drop_tol=1e-12)
+        branches = enumerate_outcomes([joint], plan, drop_tol=1e-12)
         fired = {b.key for b in branches if not b.perp}
         assert "Omega4+" in fired and "Omega4-" in fired
         assert not fired & {"Omega3+", "Omega3-"}

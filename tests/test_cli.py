@@ -6,6 +6,7 @@ import os
 import pytest
 
 from quadproto import scenarios as reg
+from quadproto.catalog import make_basis
 from quadproto.cli import main
 from quadproto.measure import StepSpec
 from quadproto.scenario_io import dumps_scenario
@@ -191,6 +192,8 @@ def test_teleport_exit_one_when_expectation_breaks(monkeypatch, capsys):
     ["suite", "--sections", "nope"],
     ["catalog", "--state", "W_mn", "--param", "m"],
     ["densecode", "--state", "GHZ4", "--qubits", "0,0"],
+    ["catalog", "--state", "GHZ4", "--param", "m=1"],   # fixed-name states
+    ["catalog", "--state", "GHZ:5", "--param", "n=3"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     assert main(argv) == 2
@@ -207,6 +210,35 @@ def test_tolerance_outside_unit_interval_exits_two(value, capsys):
     assert captured.out == ""
     assert "--tolerance: must be a finite number strictly between 0 and 1" \
         in captured.err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+def test_non_finite_parameter_is_named(value, capsys):
+    argv = ["catalog", "--state", "W_mn", "--param", "m=" + value,
+            "--param", "n=1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "error: parameter m must be a finite number, got %r\n" % value
+
+
+def test_integer_parameter_reaches_dressed_basis(capsys):
+    rc, out = _json_out(capsys, ["catalog", "--basis", "pi_2q", "--param", "i=1"])
+    assert rc == 0
+    want = make_basis("pi_2q", i=1)
+    doc = json.loads(out)
+    assert doc["labels"] == list(want.labels)
+    got = [[complex(k["re"], k["im"]) for k in v["kets"]] for v in doc["vectors"]]
+    assert got == [[amp for _, amp in vec.ket_terms()] for vec in want.vectors]
+
+
+def test_complex_parameters_written_as_re_im(capsys):
+    rc, out = _json_out(capsys, ["catalog", "--state", "W_pqrs", "--param", "p=1",
+                                 "--param", "q=2", "--param", "r=2",
+                                 "--param", "s=3"])
+    assert rc == 0
+    params = json.loads(out)["params"]
+    assert params == {k: {"re": v, "im": 0.0}
+                      for k, v in zip("pqrs", (1.0, 2.0, 2.0, 3.0))}
 
 
 def test_missing_family_parameter_is_named(capsys):

@@ -1,5 +1,7 @@
 """LOCC discrimination and product-decomposition certificates."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,23 @@ def test_protocol_plan_is_built_once():
 def test_catalog_protocol_sweep_shape():
     ids = [p.protocol_id for p in reg.catalog_protocols()]
     assert len(ids) == len(set(ids)) == 20
+
+
+def test_one_run_per_protocol_decides_every_q4_subset():
+    # the suite's four-subset search reads each subset's verdict off one run
+    # over all eight candidates; it must agree with running the subset alone
+    q4 = reg.locc_candidate_sets()["q4_8"]
+    assert len({label for label, _ in q4}) == len(q4) == 8
+    verdicts = set()
+    for protocol in reg.catalog_protocols():
+        full = run_discrimination(q4, protocol)
+        for size in (2, 3, 4):
+            for subset in itertools.combinations(q4, size):
+                alone = run_discrimination(subset, protocol).success
+                derived = full.separates([label for label, _ in subset])
+                assert derived == alone, (protocol.protocol_id, subset)
+                verdicts.add(alone)
+    assert verdicts == {True, False}
 
 
 # --- product terms and certificates --------------------------------------------------

@@ -12,10 +12,8 @@ from quadproto.measure import (
     build_plan,
     complete_basis,
     enumerate_outcomes,
-    perp_probability,
-    sample_counts,
 )
-from quadproto.states import PureState, basis_state, random_state, tensor
+from quadproto.states import DROP_TOL, PureState, basis_state, random_state, tensor
 from quadproto.teleport import build_probes
 
 
@@ -34,7 +32,7 @@ def test_plan_rejects_overlap_and_range():
 
 def test_step_size_must_match_basis():
     with pytest.raises(ValueError):
-        enumerate_outcomes(make_state("GHZ4").state,
+        enumerate_outcomes([make_state("GHZ4").state],
                            _plan(((0,), "bell")))
 
 
@@ -55,8 +53,8 @@ def test_probability_sums_randomized():
                 steps.append((tuple(pair), str(rng.choice(two_q))))
             else:
                 steps.append(((qubits.pop(),), str(rng.choice(one_q))))
-        branches = enumerate_outcomes(st, _plan(*steps), drop_tol=0.0)
-        total = sum(b.probability for b in branches)
+        branches = enumerate_outcomes([st], _plan(*steps), drop_tol=0.0)
+        total = sum(b.probabilities[0] for b in branches)
         assert abs(total - 1.0) < 1e-10
         checked += 1
     assert checked == 200
@@ -67,8 +65,8 @@ def test_computational_plan_matches_amplitudes():
     rng = np.random.default_rng(17)
     st = random_state(4, rng)
     plan = _plan(((1,), "computational:1"), ((0, 2), "computational:2"))
-    probs = {b.key: b.probability for b in enumerate_outcomes(plan=plan, state=st,
-                                                              drop_tol=0.0)}
+    probs = {b.key: b.probabilities[0]
+             for b in enumerate_outcomes(plan=plan, states=[st], drop_tol=0.0)}
     amps = st.amplitudes.reshape((2, 2, 2, 2))
     for b1 in range(2):
         for b0 in range(2):
@@ -80,10 +78,10 @@ def test_computational_plan_matches_amplitudes():
 
 def test_residual_states_normalized_and_kept_indices():
     st = make_state("GHZ4").state
-    branches = enumerate_outcomes(st, _plan(((0, 1), "bell")))
+    branches = enumerate_outcomes([st], _plan(((0, 1), "bell")))
     for b in branches:
         assert b.kept_qubits == (2, 3)
-        assert abs(np.linalg.norm(b.state.amplitudes) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(b.residuals[0]) - 1.0) < 1e-12
 
 
 def test_refinement_equivalence_three_plus_one():
@@ -101,13 +99,13 @@ def test_refinement_equivalence_three_plus_one():
     for name in ("GHZ4", "W4", "Omega", "Q4", "Q5"):
         st = make_state(name).state
         two_step = enumerate_outcomes(
-            st, _plan(((0, 1, 2), "ghz3_full"), ((3,), "plus_minus")),
+            [st], _plan(((0, 1, 2), "ghz3_full"), ((3,), "plus_minus")),
             drop_tol=0.0)
         one_step = enumerate_outcomes(
-            st, MeasurementPlan((MeasurementStep((0, 1, 2, 3), joint_basis),)),
+            [st], MeasurementPlan((MeasurementStep((0, 1, 2, 3), joint_basis),)),
             drop_tol=0.0)
-        p2 = {b.key: b.probability for b in two_step}
-        p1 = {b.key: b.probability for b in one_step}
+        p2 = {b.key: b.probabilities[0] for b in two_step}
+        p1 = {b.key: b.probabilities[0] for b in one_step}
         for key in set(p1) | set(p2):
             assert abs(p1.get(key, 0.0) - p2.get(key, 0.0)) < 1e-12, (name, key)
 
@@ -132,10 +130,10 @@ def test_perp_probability_partial_basis():
     # W4 has no support on the omega measurement's named directions' span
     # complement being zero; check bookkeeping instead of a specific value
     st = make_state("W4").state
-    branches = enumerate_outcomes(st, _plan(((0, 1, 2, 3), "omega_meas")),
+    branches = enumerate_outcomes([st], _plan(((0, 1, 2, 3), "omega_meas")),
                                   drop_tol=0.0)
-    leak = perp_probability(branches)
-    named = sum(b.probability for b in branches if not b.perp)
+    leak = sum(b.probabilities[0] for b in branches if b.perp)
+    named = sum(b.probabilities[0] for b in branches if not b.perp)
     assert abs(leak + named - 1.0) < 1e-12
     assert leak > 0.5  # most of W4 lies outside the four named directions
 
@@ -144,33 +142,32 @@ def test_zero_probability_branches_dropped():
     # |0000> overlaps exactly two of the eight basis vectors; the other
     # six must be dropped even at drop_tol=0 (no NaN residuals).
     st = basis_state("0000")
-    branches = enumerate_outcomes(st, _plan(((0, 1, 2, 3), "ghz4_full")),
+    branches = enumerate_outcomes([st], _plan(((0, 1, 2, 3), "ghz4_full")),
                                   drop_tol=0.0)
     keys = {b.key for b in branches}
     assert keys == {"4GHZ1+", "4GHZ1-"}
-    assert all(abs(b.probability - 0.5) < 1e-12 for b in branches)
-    assert all(b.state is None for b in branches)  # nothing left unmeasured
-
-
-def test_sample_counts_seeded():
-    st = make_state("GHZ4").state
-    plan = _plan(((0, 1), "bell"), ((2, 3), "bell"))
-    counts = sample_counts(st, plan, shots=4000,
-                           rng=np.random.default_rng(5))
-    assert sum(counts.values()) == 4000
-    again = sample_counts(st, plan, shots=4000,
-                          rng=np.random.default_rng(5))
-    assert counts == again
-    # GHZ splits as (phi+ phi+ + phi- phi-)/sqrt(2): two branches at 1/2
-    assert set(counts) == {"phi+,phi+", "phi-,phi-"}
-    for key, c in counts.items():
-        assert abs(c - 2000) < 5 * np.sqrt(4000 * 0.5 * 0.5), (key, c)
+    assert all(abs(b.probabilities[0] - 0.5) < 1e-12 for b in branches)
+    assert all(b.residuals is None for b in branches)  # nothing left unmeasured
 
 
 def test_negative_drop_tol_rejected():
     with pytest.raises(ValueError):
-        enumerate_outcomes(make_state("GHZ4").state,
+        enumerate_outcomes([make_state("GHZ4").state],
                            _plan(((0, 1), "bell")), drop_tol=-1.0)
+
+
+def test_stack_boundaries():
+    plan = _plan(((0, 1), "bell"))
+    assert enumerate_outcomes([], plan) == []
+    with pytest.raises(ValueError):
+        enumerate_outcomes([make_state("GHZ4").state, basis_state("000")], plan)
+    # a branch that fires for one input only reads exactly 0.0 for the other
+    zero, ghz = basis_state("0000"), make_state("GHZ4").state
+    branches = enumerate_outcomes([zero, ghz],
+                                  _plan(((0, 1, 2, 3), "ghz4_full")), drop_tol=0.0)
+    for b in branches:
+        if b.key != "4GHZ1+":
+            assert b.probabilities[1] == 0.0, b.key
 
 
 # --- plans built from named steps -----------------------------------------------
@@ -195,36 +192,108 @@ def _separately_completed(steps):
         for s in steps))
 
 
-def _assert_same_branches(state, steps, where):
-    got = enumerate_outcomes(state, build_plan(steps))
-    want = enumerate_outcomes(state, _separately_completed(steps))
+def _assert_same_branches(states, steps, where):
+    got = enumerate_outcomes(states, build_plan(steps))
+    want = enumerate_outcomes(states, _separately_completed(steps))
     assert [b.labels for b in got] == [b.labels for b in want], where
     for a, b in zip(got, want):
-        assert a.probability == b.probability, (where, a.key)
+        assert np.array_equal(a.probabilities, b.probabilities), (where, a.key)
         assert a.kept_qubits == b.kept_qubits and a.perp == b.perp, where
-        if b.state is None:
-            assert a.state is None, where
+        if b.residuals is None:
+            assert a.residuals is None, where
         else:
-            assert np.array_equal(a.state.amplitudes, b.state.amplitudes), \
-                (where, a.key)
+            assert np.array_equal(a.residuals, b.residuals), (where, a.key)
 
 
-def test_completed_plans_match_separate_completion_for_scenarios():
+def _all_scenarios():
     scenarios = list(reg.TELEPORT_SCENARIOS.values())
-    scenarios += [sc for group in reg.negative_scenarios().values()
-                  for sc in group]
-    for sc in scenarios:
-        resource = sc.resource_state().state
-        probes = build_probes(sc.family, np.random.default_rng(3), num_random=2)
-        for probe in probes:
-            _assert_same_branches(tensor(probe.state, resource), sc.steps,
-                                  (sc.scenario_id, probe.label))
+    return scenarios + [sc for group in reg.negative_scenarios().values()
+                        for sc in group]
 
 
-def test_completed_plans_match_separate_completion_for_protocols():
+def _probe_stack(scenario, seed, num_random=20):
+    resource = scenario.resource_state().state
+    probes = build_probes(scenario.family, np.random.default_rng(seed),
+                          num_random=num_random)
+    return [tensor(probe.state, resource) for probe in probes]
+
+
+def _protocol_stacks():
     protocols = reg.catalog_protocols() + list(reg.locc_protocols().values())
     for protocol in protocols:
         for set_name, candidates in reg.locc_candidate_sets().items():
-            for label, state in candidates:
-                _assert_same_branches(state, protocol.rounds,
-                                      (protocol.protocol_id, set_name, label))
+            yield protocol, set_name, [state for _, state in candidates]
+
+
+def test_completed_plans_match_separate_completion_for_scenarios():
+    for sc in _all_scenarios():
+        _assert_same_branches(_probe_stack(sc, 3, num_random=2), sc.steps,
+                              sc.scenario_id)
+
+
+def test_completed_plans_match_separate_completion_for_protocols():
+    for protocol, set_name, states in _protocol_stacks():
+        _assert_same_branches(states, protocol.rounds,
+                              (protocol.protocol_id, set_name))
+
+
+# --- the batched kernel against one-state-at-a-time enumeration ---------------
+
+def _reference_outcomes(state, plan, drop_tol=DROP_TOL):
+    """Enumerate one state's branches a row at a time with ``np.vdot``.
+
+    This is the per-state walk the stacked kernel replaced; it returns
+    (labels, probability, normalized residual or None) per firing branch.
+    """
+    orig = list(range(state.num_qubits))
+    branches = [((), state.amplitudes)]
+    for step in plan.steps:
+        matrix = step.completed.matrix()
+        positions = [orig.index(q) for q in step.qubits]
+        rest = [p for p in range(len(orig)) if p not in positions]
+        next_branches = []
+        for labels, vec in branches:
+            t = vec.reshape([2] * len(orig)).transpose(positions + rest)
+            rows = matrix.conj() @ t.reshape(matrix.shape[1], -1)
+            for label, row in zip(step.completed.labels, rows):
+                if float(np.vdot(row, row).real) > drop_tol:
+                    next_branches.append((labels + (label,), row))
+        branches = next_branches
+        orig = [orig[p] for p in rest]
+    out = []
+    for labels, vec in branches:
+        p = float(np.vdot(vec, vec).real)
+        if p > drop_tol:
+            out.append((labels, p, vec / np.sqrt(p) if vec.size > 1 else None))
+    return out
+
+
+def _assert_matches_reference(states, plan, where):
+    got = enumerate_outcomes(states, plan)
+    assert got, where
+    for i, state in enumerate(states):
+        fired = [b for b in got if b.probabilities[i] != 0.0]
+        want = _reference_outcomes(state, plan)
+        assert [b.labels for b in fired] == [w[0] for w in want], (where, i)
+        for b, (labels, p, residual) in zip(fired, want):
+            assert b.probabilities[i] == p, (where, i, labels)
+            if residual is None:
+                assert b.residuals is None, (where, i, labels)
+            else:
+                assert np.array_equal(b.residuals[i], residual), \
+                    (where, i, labels)
+        for b in got:
+            if b.probabilities[i] == 0.0 and b.residuals is not None:
+                assert not b.residuals[i].any(), (where, i, b.key)
+
+
+def test_stacked_kernel_matches_per_state_reference_on_probe_stacks():
+    for sc in _all_scenarios():
+        _assert_matches_reference(_probe_stack(sc, 42), build_plan(sc.steps),
+                                  sc.scenario_id)
+
+
+def test_stacked_kernel_matches_per_state_reference_on_candidate_sets():
+    for protocol, set_name, states in _protocol_stacks():
+        _assert_matches_reference(states, protocol.plan,
+                                  (protocol.protocol_id, set_name))

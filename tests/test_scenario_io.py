@@ -61,7 +61,8 @@ def test_file_round_trip(tmp_path):
     save_scenario(sc, path)
     assert load_scenario(path) == sc
     # serialized form is deterministic: sorted keys, trailing newline
-    text = open(path).read()
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     assert text == dumps_scenario(sc)
     assert text.endswith("\n")
     assert json.loads(text)["format"] == FORMAT_NAME
