@@ -252,6 +252,10 @@ def make_state(name: str, **params) -> NamedState:
     if canonical == "W3":
         return NamedState("W3", _w3())
     if canonical == "W_mn":
+        imaginary = sorted(k for k, v in params.items() if isinstance(v, complex))
+        if imaginary:
+            raise ValueError("W_mn parameters must be real: %s"
+                             % ", ".join(imaginary))
         m, n = (float(v) for v in _take(params, "W_mn", "mn"))
         phases = {k: float(params.pop(k, 0.0)) for k in ("rho", "eta", "sigma")}
         if params:

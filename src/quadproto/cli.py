@@ -12,6 +12,7 @@ Exit codes: 0 success (all claims hold), 1 a checked claim failed,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -57,20 +58,27 @@ def _emit(args, name: str, payload: dict, text: str) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _parse_params(items: list[str]) -> dict[str, int | float]:
-    out: dict[str, int | float] = {}
+def _parse_params(items: list[str]) -> dict[str, int | float | complex]:
+    """``key=value`` pairs; values are Python int, real or complex literals."""
+    out: dict[str, int | float | complex] = {}
     for item in items or []:
         if "=" not in item:
             raise ValueError("parameter %r is not key=value" % item)
         key, _, raw = item.partition("=")
-        value = float(raw)
-        if not math.isfinite(value):
+        try:
+            finite = cmath.isfinite(complex(raw))
+        except ValueError:
+            raise ValueError("parameter %s must be an int, real or complex "
+                             "literal, got %r" % (key, raw)) from None
+        if not finite:
             raise ValueError("parameter %s must be a finite number, got %r"
                              % (key, raw))
-        try:
-            out[key] = int(raw)
-        except ValueError:
-            out[key] = value
+        for kind in (int, float, complex):
+            try:
+                out[key] = kind(raw)
+                break
+            except ValueError:
+                continue
     return out
 
 
@@ -195,8 +203,9 @@ def _teleport_payload(sc: TeleportScenario, res) -> dict:
 
 
 def _teleport_text(res) -> str:
-    worst = (res.worst_fidelity if res.worst_fidelity is not None
-             else res.best_worst_fidelity)
+    """Per-outcome table; outcomes with no correction, and the header of an
+    infeasible result, show the best fidelity any candidate reached."""
+    worst = res.worst_fidelity if res.feasible else res.best_worst_fidelity
     cost = "%d cbits" % res.classical_cost if res.classical_cost is not None else "-"
     lines = ["%s: feasible=%s worst_fidelity=%.12g cost=%s"
              % (res.scenario_id, res.feasible, worst, cost)]
@@ -206,7 +215,7 @@ def _teleport_text(res) -> str:
         corr = o.correction if o.correction is not None else "-"
         lines.append("  %-28s p=%-10.6g corr=%-22s fid=%.10g"
                      % (o.key, o.probability, corr,
-                        o.min_fidelity if o.min_fidelity is not None
+                        o.min_fidelity if o.correction is not None
                         else o.best_fidelity))
     return "\n".join(lines) + "\n"
 

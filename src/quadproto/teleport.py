@@ -14,7 +14,15 @@ Correction vocabularies:
 * ``paulis+cz``       optionally one controlled-phase on a receiver pair,
                       applied before the Pauli layer
 * ``paulis+diag``     optionally one diagonal sign mask on the whole
-                      receiver register, applied before the Pauli layer
+                      receiver register, applied before the Pauli layer;
+                      limited to 3 receiver qubits (``MAX_DIAG_QUBITS``),
+                      since k qubits have 2**(2**k - 1) masks
+
+A candidate is a prefix (identity, a CZ or a sign mask, stored as a row of
++-1 entries) followed by a Pauli product, stored as a signed permutation
+(a column index and a +-1 sign per row), so no candidate matrix is built.
+The scan runs prefix outer, Pauli inner, and stops at the first candidate
+that works; each step scores every Pauli product after one prefix at once.
 
 When no candidate works the result carries a certificate: per outcome, the
 best achievable worst-case fidelity over the probe set.
@@ -22,15 +30,16 @@ best achievable worst-case fidelity over the probe set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .catalog import NamedState, make_state
 from .measure import StepSpec, build_plan, enumerate_outcomes
-from .states import ASSERT_TOL, PERP_ALARM, SIGMA, VALUE_TOL, PureState, tensor
+from .states import ASSERT_TOL, PERP_ALARM, VALUE_TOL, PureState, tensor
 
 __all__ = [
     "FamilySpec",
@@ -46,6 +55,10 @@ __all__ = [
 
 NUM_RANDOM_PROBES = 20
 PAULI_ORDER = ("s0", "s1", "is2", "s3")
+# paulis+diag scans 2**(2**k - 1) sign masks: 128 at k = 3, 32,768 at k = 4
+MAX_DIAG_QUBITS = 3
+# complex entries in one scored block (rows x Pauli products x 2**k), 4 MiB
+_BLOCK_ELEMENTS = 2 ** 18
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +177,14 @@ class TeleportScenario:
             raise ValueError("unknown correction vocabulary %r" % self.allowed_ops)
         if len(self.receiver) != self.family.num_qubits:
             raise ValueError("receiver register size must match the family")
+        if (self.allowed_ops == "paulis+diag"
+                and self.family.num_qubits > MAX_DIAG_QUBITS):
+            raise ValueError(
+                "paulis+diag corrections are limited to %d receiver qubits, "
+                "got %d: the scan would try 2**(2**k - 1) sign masks per "
+                "Pauli product (solving for corrections instead of scanning "
+                "is open item 3 in ROADMAP.md)"
+                % (MAX_DIAG_QUBITS, self.family.num_qubits))
 
     def resource_state(self) -> NamedState:
         if self.resource_kets:
@@ -174,54 +195,99 @@ class TeleportScenario:
 
 
 # ---------------------------------------------------------------------------
-# correction candidates
+# correction vocabulary
 
 
-def _kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.eye(1, dtype=np.complex128)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
+@dataclass(frozen=True)
+class _Vocabulary:
+    """Every candidate correction of one vocabulary on k receiver qubits.
 
-
-def _cz_matrix(k: int, pair: tuple[int, int]) -> np.ndarray:
-    d = 2 ** k
-    diag = np.ones(d, dtype=np.complex128)
-    i, j = pair
-    for x in range(d):
-        if (x >> (k - 1 - i)) & 1 and (x >> (k - 1 - j)) & 1:
-            diag[x] = -1.0
-    return np.diag(diag)
-
-
-def _iter_candidates(allowed: str, k: int) -> Iterator[tuple[str, np.ndarray]]:
-    """Deterministic candidate stream: cheap corrections first.
-
-    Yields (descriptor, matrix) where the matrix acts on the receiver
-    register in kept-qubit order.
+    Candidate ``(p, t)`` is the matrix ``P_t @ diag(masks[p])``, scanned
+    prefix outer, Pauli inner; its descriptor is
+    ``prefixes[p] + paulis[t]``.  Each Pauli product ``P_t`` is a signed
+    permutation: row ``r`` holds ``sign[t, r]`` in column ``perm[t, r]``.
     """
+
+    prefixes: tuple[str, ...]
+    masks: np.ndarray             # (num_prefixes, 2**k), entries +-1
+    paulis: tuple[str, ...]
+    perm: np.ndarray              # (4**k, 2**k) column indices
+    sign: np.ndarray              # (4**k, 2**k), entries +-1
+
+
+def _bit(x: np.ndarray, k: int, qubit: int) -> np.ndarray:
+    """Bit of ``qubit`` in register index ``x`` (qubit 0 most significant)."""
+    return (x >> (k - 1 - qubit)) & 1
+
+
+@functools.lru_cache(maxsize=None)
+def _vocabulary(allowed: str, k: int) -> _Vocabulary:
     d = 2 ** k
-    prefixes: list[tuple[str, np.ndarray]] = [("", np.eye(d, dtype=np.complex128))]
+    rows = np.arange(d)
+    # Pauli product t has digit t_q (base 4, qubit 0 most significant) on
+    # qubit q: s1 and is2 flip the bit, is2 and s3 negate rows where it is 1
+    digits = [(np.arange(4 ** k) >> (2 * (k - 1 - q))) & 3 for q in range(k)]
+    flip = sum(((t ^ (t >> 1)) & 1) << (k - 1 - q) for q, t in enumerate(digits))
+    phase = sum((t >> 1) << (k - 1 - q) for q, t in enumerate(digits))
+    perm = rows[None, :] ^ flip[:, None]
+    parity = sum(_bit(rows[None, :] & phase[:, None], k, q) for q in range(k))
+    sign = 1.0 - 2.0 * (parity & 1)
+    paulis = tuple("*".join(PAULI_ORDER[t[i]] for t in digits)
+                   for i in range(4 ** k))
+
+    prefixes = [""]
+    masks = [np.ones(d)]
     if allowed == "paulis+cz":
         for i in range(k):
             for j in range(i + 1, k):
-                prefixes.append(("CZ(%d,%d);" % (i, j), _cz_matrix(k, (i, j))))
+                prefixes.append("CZ(%d,%d);" % (i, j))
+                masks.append(1.0 - 2.0 * (_bit(rows, k, i) & _bit(rows, k, j)))
     elif allowed == "paulis+diag":
+        # sign masks with a + on |0..0>, one per bit pattern of the rest
         for m in range(1, 2 ** (d - 1)):
-            mask = np.ones(d, dtype=np.complex128)
-            for b in range(1, d):
-                if (m >> (b - 1)) & 1:
-                    mask[b] = -1.0
-            desc = "D(%s);" % "".join("+" if s > 0 else "-" for s in mask.real)
-            prefixes.append((desc, np.diag(mask)))
-    pauli_mats = {name: SIGMA[name] for name in PAULI_ORDER}
-    tuples = [()]
-    for _ in range(k):
-        tuples = [t + (p,) for t in tuples for p in PAULI_ORDER]
-    for prefix_desc, prefix in prefixes:
-        for names in tuples:
-            mat = _kron_all([pauli_mats[n] for n in names]) @ prefix
-            yield prefix_desc + "*".join(names), mat
+            mask = np.ones(d)
+            mask[1:] = 1.0 - 2.0 * ((m >> (rows[1:] - 1)) & 1)
+            prefixes.append("D(%s);" % "".join("+" if s > 0 else "-" for s in mask))
+            masks.append(mask)
+    vocab = _Vocabulary(tuple(prefixes), np.array(masks), paulis, perm, sign)
+    for arr in (vocab.masks, vocab.perm, vocab.sign):
+        arr.flags.writeable = False
+    return vocab
+
+
+def _find_correction(vocab: _Vocabulary, residuals: np.ndarray,
+                     expected: np.ndarray, cert_rows: Sequence[int],
+                     tol: float) -> tuple[str | None, float, float]:
+    """First candidate mapping every residual row onto its expected input.
+
+    Returns (descriptor or None, worst fidelity over all rows of the chosen
+    candidate or 0.0, best worst certifying-row fidelity over the candidates
+    scanned up to and including the chosen one); with no certifying rows,
+    every row certifies.  Each block scores a run of Pauli products after
+    one prefix in one step.  A candidate is chosen when both the certifying
+    rows and all rows reach ``1 - tol``: a random member failing where the
+    certifying rows pass means the outcome map is not linear on the span,
+    so the scan goes on.
+    """
+    rows, d = residuals.shape
+    step = max(1, _BLOCK_ELEMENTS // (rows * d))
+    exp_conj = expected.conj()[:, None, :]
+    best = 0.0
+    for desc, mask in zip(vocab.prefixes, vocab.masks):
+        masked = residuals * mask
+        for lo in range(0, len(vocab.paulis), step):
+            perm, sign = vocab.perm[lo:lo + step], vocab.sign[lo:lo + step]
+            fids = np.abs(np.sum(exp_conj * (masked[:, perm] * sign), axis=2)) ** 2
+            worst_cert = (fids[cert_rows] if cert_rows else fids).min(axis=0)
+            worst_all = fids.min(axis=0)
+            hits = np.flatnonzero((worst_cert >= 1.0 - tol)
+                                  & (worst_all >= 1.0 - tol))
+            scanned = hits[0] + 1 if hits.size else len(perm)
+            best = max(best, float(worst_cert[:scanned].max()))
+            if hits.size:
+                return (desc + vocab.paulis[lo + hits[0]],
+                        float(worst_all[hits[0]]), best)
+    return None, 0.0, best
 
 
 # ---------------------------------------------------------------------------
@@ -287,33 +353,14 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     rand_idx = [i for i, p in enumerate(probes) if not p.certifying]
     expected = np.array([p.state.amplitudes for p in probes])
 
-    candidates = list(_iter_candidates(scenario.allowed_ops, k))
+    vocab = _vocabulary(scenario.allowed_ops, k)
     reports: list[OutcomeReport] = []
     feasible = True
     for j in order:
         branch, fired = branches[j], firing[j]
-        res_mat = branch.residuals[fired]
-        exp_mat = expected[fired]
         cert_rows = [fi for fi, i in enumerate(fired) if probes[i].certifying]
-        chosen = None
-        chosen_min = 0.0
-        best = 0.0
-        for desc, mat in candidates:
-            corrected = res_mat @ mat.T
-            fids = np.abs(np.sum(exp_mat.conj() * corrected, axis=1)) ** 2
-            worst_cert = float(np.min(fids[cert_rows])) if cert_rows else float(np.min(fids))
-            if worst_cert > best:
-                best = worst_cert
-            if worst_cert >= 1.0 - tol:
-                worst_all = float(np.min(fids))
-                if worst_all < 1.0 - tol:
-                    # certifying probes passed but a random member did not:
-                    # the outcome map is not linear on the span, so keep
-                    # searching
-                    continue
-                chosen = desc
-                chosen_min = worst_all
-                break
+        chosen, chosen_min, best = _find_correction(
+            vocab, branch.residuals[fired], expected[fired], cert_rows, tol)
         gen_idx = rand_idx[-1] if rand_idx else fired[-1]
         feasible &= chosen is not None
         reports.append(OutcomeReport(branch.key, float(probs[j, gen_idx]), chosen,

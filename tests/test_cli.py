@@ -11,7 +11,7 @@ from quadproto.cli import main
 from quadproto.measure import StepSpec
 from quadproto.scenario_io import dumps_scenario
 from quadproto.suite import ClaimRow, SuiteReport
-from quadproto.teleport import FamilySpec, TeleportScenario
+from quadproto.teleport import FamilySpec, TeleportScenario, run_scenario
 
 
 def _json_out(capsys, argv):
@@ -73,6 +73,20 @@ def test_teleport_negative_group_confirms_infeasible(capsys):
     doc = json.loads(out)
     assert len(doc["reports"]) == 9
     assert all(not r["feasible"] for r in doc["reports"])
+
+
+def test_teleport_text_shows_best_fidelity_without_correction(capsys):
+    sc = reg.negative_scenarios()["q4_bob4_1q"][1]
+    res = run_scenario(sc)
+    assert res.best_worst_fidelity > 0.4
+    assert main(["teleport", "--scenario", sc.scenario_id,
+                 "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert " worst_fidelity=%.12g " % res.best_worst_fidelity in lines[0]
+    rows = [line for line in lines if " corr=- " in line]
+    assert len(rows) == len(res.outcomes)
+    for line, o in zip(rows, res.outcomes):
+        assert line.endswith(" fid=%.10g" % o.best_fidelity), line
 
 
 def test_teleport_list(capsys):
@@ -239,6 +253,56 @@ def test_complex_parameters_written_as_re_im(capsys):
     params = json.loads(out)["params"]
     assert params == {k: {"re": v, "im": 0.0}
                       for k, v in zip("pqrs", (1.0, 2.0, 2.0, 3.0))}
+
+
+def test_complex_parameter_literal_accepted(capsys):
+    rc, out = _json_out(capsys, ["catalog", "--state", "W_pqrs", "--param", "p=1j",
+                                 "--param", "q=2", "--param", "r=2",
+                                 "--param", "s=3"])
+    assert rc == 0
+    params = json.loads(out)["params"]
+    assert params["p"] == {"re": 0.0, "im": 1.0}
+    assert params["q"] == {"re": 2.0, "im": 0.0}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["catalog", "--state", "W_pqrs", "--param", "p=1+nanj", "--param", "q=2",
+      "--param", "r=2", "--param", "s=3"],
+     "parameter p must be a finite number, got '1+nanj'"),
+    (["catalog", "--state", "W_pqrs", "--param", "p=infj", "--param", "q=2",
+      "--param", "r=2", "--param", "s=3"],
+     "parameter p must be a finite number, got 'infj'"),
+    (["catalog", "--state", "W_mn", "--param", "m=one", "--param", "n=1"],
+     "parameter m must be an int, real or complex literal, got 'one'"),
+    (["catalog", "--state", "W_mn", "--param", "m=1", "--param", "n=2j"],
+     "W_mn parameters must be real: n"),
+])
+def test_parameter_errors_are_named(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_oversized_diag_vocabulary_file_exits_two(tmp_path, capsys):
+    # four Bell pairs teleporting four qubits, a valid scenario with paulis
+    pairs = tuple((format(x, "04b") * 2, 1.0) for x in range(16))
+    sc = TeleportScenario(
+        scenario_id="bell4",
+        resource="four pairs",
+        family=FamilySpec("arbitrary", 4),
+        steps=tuple(StepSpec((q, q + 4), "bell") for q in range(4)),
+        receiver=(8, 9, 10, 11),
+        resource_kets=pairs,
+    )
+    doc = json.loads(dumps_scenario(sc))
+    doc["allowed_ops"] = "paulis+diag"
+    path = str(tmp_path / "diag4.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["teleport", "--file", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "limited to 3 receiver qubits" in captured.err
+    assert "ROADMAP.md" in captured.err
 
 
 def test_missing_family_parameter_is_named(capsys):

@@ -177,6 +177,10 @@ def test_semantic_errors_become_format_errors():
     doc2["family"] = {"kind": "mystery", "num_qubits": 1}
     with pytest.raises(ScenarioFormatError, match="family"):
         scenario_from_dict(doc2)
+    doc3 = _doc(allowed_ops="paulis+diag", receiver=[2, 3, 4, 5])
+    doc3["family"] = {"kind": "arbitrary", "num_qubits": 4}
+    with pytest.raises(ScenarioFormatError, match="limited to 3 receiver qubits"):
+        scenario_from_dict(doc3)
 
 
 def test_invalid_json_text():

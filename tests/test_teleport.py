@@ -1,16 +1,23 @@
 """Teleportation verification engine."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from quadproto import scenarios as reg
-from quadproto.measure import StepSpec
+from quadproto import teleport
+from quadproto.measure import StepSpec, build_plan, enumerate_outcomes
+from quadproto.states import ASSERT_TOL, PERP_ALARM, SIGMA, VALUE_TOL, tensor
 from quadproto.teleport import (
+    PAULI_ORDER,
     FamilySpec,
+    OutcomeReport,
+    TeleportResult,
     TeleportScenario,
     build_probes,
+    classical_cost,
     family_span,
     run_scenario,
 )
@@ -187,6 +194,11 @@ def test_scenario_validation():
                          (StepSpec((0, 1), "bell"),), (2,))
     with pytest.raises(ValueError):
         FamilySpec("mystery", 2)
+    # 32,768 sign masks at four receiver qubits: refused, not scanned
+    with pytest.raises(ValueError, match="limited to 3 receiver qubits"):
+        TeleportScenario("x", "GHZ:5", FamilySpec("arbitrary", 4),
+                         (StepSpec((0, 4), "bell"),), (5, 6, 7, 8),
+                         allowed_ops="paulis+diag")
 
 
 def test_receiver_mismatch_caught_at_runtime():
@@ -211,3 +223,184 @@ def test_every_registered_scenario_matches_its_cost():
         assert res.worst_fidelity >= 1.0 - TOL, sid
         assert res.perp_probability <= TOL, sid
         assert res.classical_cost == reg.TELEPORT_COSTS[sid], sid
+
+
+# --- reference scan: one dense candidate matrix at a time ------------------------
+
+def _kron_all(mats):
+    out = np.eye(1, dtype=np.complex128)
+    for m in mats:
+        out = np.kron(out, m)
+    return out
+
+
+def _cz_matrix(k, pair):
+    d = 2 ** k
+    diag = np.ones(d, dtype=np.complex128)
+    i, j = pair
+    for x in range(d):
+        if (x >> (k - 1 - i)) & 1 and (x >> (k - 1 - j)) & 1:
+            diag[x] = -1.0
+    return np.diag(diag)
+
+
+def _iter_candidates(allowed, k):
+    """(descriptor, matrix) pairs, prefix outer and Pauli inner."""
+    d = 2 ** k
+    prefixes = [("", np.eye(d, dtype=np.complex128))]
+    if allowed == "paulis+cz":
+        for i in range(k):
+            for j in range(i + 1, k):
+                prefixes.append(("CZ(%d,%d);" % (i, j), _cz_matrix(k, (i, j))))
+    elif allowed == "paulis+diag":
+        for m in range(1, 2 ** (d - 1)):
+            mask = np.ones(d, dtype=np.complex128)
+            for b in range(1, d):
+                if (m >> (b - 1)) & 1:
+                    mask[b] = -1.0
+            desc = "D(%s);" % "".join("+" if s > 0 else "-" for s in mask.real)
+            prefixes.append((desc, np.diag(mask)))
+    tuples = [()]
+    for _ in range(k):
+        tuples = [t + (p,) for t in tuples for p in PAULI_ORDER]
+    for prefix_desc, prefix in prefixes:
+        for names in tuples:
+            mat = _kron_all([SIGMA[n] for n in names]) @ prefix
+            yield prefix_desc + "*".join(names), mat
+
+
+@functools.lru_cache(maxsize=None)
+def _candidates(allowed, k):
+    return tuple(_iter_candidates(allowed, k))
+
+
+def _reference_find(candidates, res_mat, exp_mat, cert_rows, tol):
+    chosen = None
+    chosen_min = 0.0
+    best = 0.0
+    for desc, mat in candidates:
+        corrected = res_mat @ mat.T
+        fids = np.abs(np.sum(exp_mat.conj() * corrected, axis=1)) ** 2
+        worst_cert = float(np.min(fids[cert_rows])) if cert_rows else float(np.min(fids))
+        if worst_cert > best:
+            best = worst_cert
+        if worst_cert >= 1.0 - tol:
+            worst_all = float(np.min(fids))
+            if worst_all < 1.0 - tol:
+                continue
+            chosen = desc
+            chosen_min = worst_all
+            break
+    return chosen, chosen_min, best
+
+
+def _reference_run(scenario, seed=42, tol=ASSERT_TOL,
+                   num_random=teleport.NUM_RANDOM_PROBES):
+    """run_scenario with the correction scan done one dense matrix at a time."""
+    rng = np.random.default_rng(seed)
+    resource = scenario.resource_state().state
+    probes = build_probes(scenario.family, rng, num_random)
+    branches = enumerate_outcomes(
+        [tensor(probe.state, resource) for probe in probes],
+        build_plan(scenario.steps))
+    probs = np.array([b.probabilities for b in branches])
+    firing = [np.flatnonzero(row) for row in probs]
+    order = sorted(range(len(branches)), key=lambda j: firing[j][0])
+    perp = sum((b.probabilities for b in branches if b.perp), np.zeros(len(probes)))
+    max_perp = float(perp.max())
+    lowest = np.where(probs > 0.0, probs, np.inf).min(axis=0)
+    uniform = not np.any(probs.max(axis=0) - lowest > VALUE_TOL)
+    rand_idx = [i for i, p in enumerate(probes) if not p.certifying]
+    expected = np.array([p.state.amplitudes for p in probes])
+
+    candidates = _candidates(scenario.allowed_ops, scenario.family.num_qubits)
+    reports = []
+    feasible = True
+    for j in order:
+        branch, fired = branches[j], firing[j]
+        cert_rows = [fi for fi, i in enumerate(fired) if probes[i].certifying]
+        chosen, chosen_min, best = _reference_find(
+            candidates, branch.residuals[fired], expected[fired], cert_rows, tol)
+        gen_idx = rand_idx[-1] if rand_idx else fired[-1]
+        feasible &= chosen is not None
+        reports.append(OutcomeReport(branch.key, float(probs[j, gen_idx]), chosen,
+                                     chosen_min, best, branch.perp))
+
+    reason = ""
+    if max_perp > PERP_ALARM:
+        reason = "probability %.3e leaks into auto-completed directions" % max_perp
+        feasible = False
+    cost = breakdown = None
+    if feasible:
+        cost, breakdown = classical_cost(scenario, reports)
+    return TeleportResult(
+        scenario_id=scenario.scenario_id,
+        feasible=feasible,
+        outcomes=tuple(reports),
+        worst_fidelity=min((r.min_fidelity for r in reports if r.correction),
+                           default=0.0),
+        best_worst_fidelity=min((r.best_fidelity for r in reports), default=0.0),
+        perp_probability=max_perp,
+        uniform_nonzero=uniform,
+        classical_cost=cost,
+        cost_breakdown=breakdown,
+        num_probes=len(probes),
+        reason=reason,
+    )
+
+
+_ALL_SCENARIOS = list(reg.TELEPORT_SCENARIOS.values()) + [
+    sc for group in reg.negative_scenarios().values() for sc in group]
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_block_scan_matches_reference_scan(seed):
+    for sc in _ALL_SCENARIOS:
+        got = run_scenario(sc, seed=seed)
+        want = _reference_run(sc, seed=seed)
+        assert got == want, sc.scenario_id
+        assert repr(got) == repr(want), sc.scenario_id
+
+
+def test_split_blocks_match_reference_scan(monkeypatch):
+    # blocks of a few Pauli products, so hits and best fidelities are read
+    # across block boundaries within one prefix
+    monkeypatch.setattr(teleport, "_BLOCK_ELEMENTS", 1000)
+    for sc in _ALL_SCENARIOS:
+        if sc.family.num_qubits > 1:
+            got = run_scenario(sc)
+            assert repr(got) == repr(_reference_run(sc)), sc.scenario_id
+
+
+def test_find_correction_edge_cases():
+    vocab = teleport._vocabulary("paulis", 1)
+    e0 = np.array([1.0, 0.0], dtype=np.complex128)
+    r = np.array([0.6, 0.8j])
+    # s0 passes the certifying row, but only s3 also returns the random row
+    case1 = (np.array([e0, [0.6, -0.8j]]), np.array([e0, r]), [0], ASSERT_TOL)
+    # s0 passes a loose tolerance; the better s1 after it is not scanned
+    case2 = (np.array([[0.45 ** 0.5, 0.55 ** 0.5]], dtype=np.complex128),
+             np.array([e0]), [0], 0.6)
+    for res, exp, cert, tol in (case1, case2):
+        got = teleport._find_correction(vocab, res, exp, cert, tol)
+        assert got == _reference_find(_candidates("paulis", 1), res, exp, cert, tol)
+    assert teleport._find_correction(vocab, *case1) == ("s3", 1.0, 1.0)
+    chosen, _, best = teleport._find_correction(vocab, *case2)
+    assert chosen == "s0" and best == pytest.approx(0.45)
+
+
+@pytest.mark.parametrize("allowed", ["paulis", "paulis+cz", "paulis+diag"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_vocabulary_matches_dense_candidates(allowed, k):
+    vocab = teleport._vocabulary(allowed, k)
+    rows = np.arange(2 ** k)
+    entries = []
+    for prefix, mask in zip(vocab.prefixes, vocab.masks):
+        for name, perm, sign in zip(vocab.paulis, vocab.perm, vocab.sign):
+            pauli = np.zeros((2 ** k, 2 ** k), dtype=np.complex128)
+            pauli[rows, perm] = sign
+            entries.append((prefix + name, pauli @ np.diag(mask)))
+    reference = _candidates(allowed, k)
+    assert [desc for desc, _ in entries] == [desc for desc, _ in reference]
+    for (desc, mat), (_, want) in zip(entries, reference):
+        assert np.array_equal(mat, want), desc
