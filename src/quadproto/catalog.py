@@ -272,7 +272,11 @@ def make_state(name: str, **params) -> NamedState:
             params={k: v for k, v in zip("pqrs", vals)},
         )
     if canonical.startswith("GHZ:"):
-        n = int(canonical.split(":", 1)[1])
+        text = canonical.split(":", 1)[1]
+        try:
+            n = int(text)
+        except ValueError:
+            raise ValueError("GHZ:n needs an integer n, got %r" % text) from None
         if n < 2:
             raise ValueError("GHZ:n needs n >= 2")
         return NamedState(canonical, _ghz(n), params={"n": n})

@@ -7,10 +7,20 @@ only if the encoded states are mutually orthogonal, so the number of
 distinguishable messages is the size of a maximum clique in the
 orthogonality graph over the 4^k encoded states.
 
+The encodings are rows of one (4^k, 2^n) array, built with one broadcast
+matmul per sender qubit and already in lexicographic encoding order.  Every
+Pauli matrix has one nonzero entry (+-1 or +-i) per row, so each amplitude
+is one exact product.
+
 Encodings that produce the same state up to global phase are collapsed to
-one class first (they can never be distinguished); the clique search is
-exact and returns the lexicographically smallest maximum clique over the
-class representatives, so results are deterministic.
+one class first (they can never be distinguished): in encoding order, an
+encoding starts a new class unless abs(abs(overlap) - 1) < tol against a
+representative already found, tested as one matvec against those
+representatives.  The orthogonality graph is read off the Gram matrix of
+the representatives only; a Gram matrix over all 4^k encodings would grow
+with 16^k.  The clique search is exact and returns the lexicographically
+smallest maximum clique over the representatives, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import ASSERT_TOL, SIGMA, PureState, apply_local
+from .states import ASSERT_TOL, SIGMA, PureState
 
 __all__ = [
     "ENCODING_PAULIS",
@@ -34,34 +44,46 @@ __all__ = [
 ENCODING_PAULIS = ("s0", "s1", "is2", "s3")
 
 
+def _encode(resource: PureState, sender_qubits: tuple[int, ...],
+            paulis: tuple[str, ...]) -> np.ndarray:
+    """All len(paulis)^k encodings as rows, in lexicographic encoding order."""
+    if len(set(sender_qubits)) != len(sender_qubits):
+        raise ValueError("repeated sender qubit in %s" % (list(sender_qubits),))
+    n = resource.num_qubits
+    if any(q < 0 or q >= n for q in sender_qubits):
+        raise ValueError("target qubit out of range")
+    if not paulis:
+        raise ValueError("paulis must name at least one encoding Pauli")
+    mats = np.stack([SIGMA[name] for name in paulis])[None, :, None]
+    rows = resource.amplitudes[None]
+    for q in sender_qubits:
+        # (1, P, 1, 2, 2) @ (E, 1, 2^q, 2, rest) -> (E, P, 2^q, 2, rest)
+        rows = mats @ rows.reshape(len(rows), 1, 1 << q, 2, -1)
+        rows = rows.reshape(-1, resource.dim)
+    return rows
+
+
 def encoded_states(resource: PureState, sender_qubits: tuple[int, ...],
                    paulis: tuple[str, ...] = ENCODING_PAULIS,
                    ) -> list[tuple[tuple[str, ...], PureState]]:
     """All 4^k encoded states in lexicographic encoding order."""
-    if len(set(sender_qubits)) != len(sender_qubits):
-        raise ValueError("repeated sender qubit in %s" % (list(sender_qubits),))
-    out = []
-    for names in itertools.product(paulis, repeat=len(sender_qubits)):
-        st = resource
-        for qubit, name in zip(sender_qubits, names):
-            st = apply_local(st, SIGMA[name], [qubit])
-        out.append((names, st))
-    return out
+    sender_qubits = tuple(sender_qubits)
+    rows = _encode(resource, sender_qubits, paulis)
+    names = itertools.product(paulis, repeat=len(sender_qubits))
+    return [(label, PureState(row)) for label, row in zip(names, rows)]
 
 
-def _dedup(encoded, tol: float):
-    """Collapse encodings equal up to global phase; keep first-seen reps."""
-    reps: list[tuple[tuple[str, ...], PureState]] = []
-    class_sizes: list[int] = []
-    for names, st in encoded:
-        for idx, (_, rep) in enumerate(reps):
-            if abs(abs(np.vdot(rep.amplitudes, st.amplitudes)) - 1.0) < tol:
-                class_sizes[idx] += 1
-                break
-        else:
-            reps.append((names, st))
-            class_sizes.append(1)
-    return reps, class_sizes
+def _representatives(rows: np.ndarray, tol: float) -> list[int]:
+    """Row indices of the first member of each global-phase class."""
+    reps: list[int] = []
+    conj_reps = np.empty_like(rows)
+    for j, row in enumerate(rows):
+        r = len(reps)
+        if r and (np.abs(np.abs(conj_reps[:r] @ row) - 1.0) < tol).any():
+            continue
+        np.conjugate(row, out=conj_reps[r])
+        reps.append(j)
+    return reps
 
 
 def _max_clique_size(adj: list[int], cand: int, lower: int = 0) -> int:
@@ -131,22 +153,22 @@ def distinguishable_messages(resource: PureState, sender_qubits: tuple[int, ...]
                              tol: float = ASSERT_TOL,
                              paulis: tuple[str, ...] = ENCODING_PAULIS,
                              ) -> DenseCodingResult:
-    encoded = encoded_states(resource, tuple(sender_qubits), paulis)
-    reps, _ = _dedup(encoded, tol)
-    vecs = np.array([st.amplitudes for _, st in reps])
-    overlaps = np.abs(vecs.conj() @ vecs.T)
-    n = len(reps)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and overlaps[i, j] < tol:
-                adj[i] |= 1 << j
+    sender_qubits = tuple(sender_qubits)
+    rows = _encode(resource, sender_qubits, paulis)
+    rep_rows = _representatives(rows, tol)
+    reps = rows[rep_rows]
+    ortho = np.abs(reps.conj() @ reps.T) < tol
+    np.fill_diagonal(ortho, False)
+    adj = [int.from_bytes(bits.tobytes(), "little")
+           for bits in np.packbits(ortho, axis=1, bitorder="little")]
+    n = len(rep_rows)
     clique = _lex_smallest_maximum_clique(adj, n)
+    names = list(itertools.product(paulis, repeat=len(sender_qubits)))
     return DenseCodingResult(
-        sender_qubits=tuple(sender_qubits),
+        sender_qubits=sender_qubits,
         count=len(clique),
-        witness=tuple(reps[i][0] for i in clique),
-        num_encodings=len(encoded),
+        witness=tuple(names[rep_rows[i]] for i in clique),
+        num_encodings=len(rows),
         num_classes=n,
     )
 
@@ -155,12 +177,15 @@ def best_over_subsets(resource: PureState, k: int,
                       tol: float = ASSERT_TOL,
                       ) -> tuple[DenseCodingResult, dict[tuple[int, ...], int]]:
     """Best message count over all k-qubit sender subsets."""
+    n = resource.num_qubits
+    if not 0 <= k <= n:
+        raise ValueError("k = %r sender qubits is out of range for a %d-qubit "
+                         "resource" % (k, n))
     per_subset: dict[tuple[int, ...], int] = {}
     best: DenseCodingResult | None = None
-    for subset in itertools.combinations(range(resource.num_qubits), k):
+    for subset in itertools.combinations(range(n), k):
         res = distinguishable_messages(resource, subset, tol)
         per_subset[subset] = res.count
         if best is None or res.count > best.count:
             best = res
-    assert best is not None
     return best, per_subset

@@ -305,6 +305,14 @@ def test_oversized_diag_vocabulary_file_exits_two(tmp_path, capsys):
     assert "ROADMAP.md" in captured.err
 
 
+@pytest.mark.parametrize("text", ["x", "5.0", ""])
+def test_non_integer_ghz_size_is_named(text, capsys):
+    assert main(["catalog", "--state", "GHZ:" + text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: GHZ:n needs an integer n, got %r\n" % text
+
+
 def test_missing_family_parameter_is_named(capsys):
     assert main(["densecode", "--state", "W_mn", "--qubits", "0"]) == 2
     assert capsys.readouterr().err == \

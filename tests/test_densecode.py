@@ -1,16 +1,22 @@
 """Dense-coding message counting."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from quadproto import densecode
 from quadproto import scenarios as reg
 from quadproto.catalog import make_state
 from quadproto.densecode import (
     ENCODING_PAULIS,
+    DenseCodingResult,
+    _lex_smallest_maximum_clique,
     best_over_subsets,
     distinguishable_messages,
     encoded_states,
 )
+from quadproto.states import SIGMA, apply_local, random_state
 
 PRINCIPAL = ("GHZ4", "W4", "Omega", "Q4", "Q5")
 
@@ -147,6 +153,8 @@ def test_bad_arguments_rejected():
         distinguishable_messages(st, (0,), paulis=("s0", "sx"))
     with pytest.raises(ValueError, match="out of range"):
         distinguishable_messages(st, (9,))
+    with pytest.raises(ValueError, match="out of range"):
+        distinguishable_messages(st, (0, -1))
 
 
 def test_repeated_sender_qubit_rejected():
@@ -155,3 +163,121 @@ def test_repeated_sender_qubit_rejected():
         distinguishable_messages(st, (0, 0))
     with pytest.raises(ValueError, match="repeated sender qubit"):
         encoded_states(st, (1, 2, 1))
+
+
+def test_empty_pauli_set_rejected():
+    st = make_state("GHZ4").state
+    with pytest.raises(ValueError, match="at least one encoding Pauli"):
+        distinguishable_messages(st, (0,), paulis=())
+    with pytest.raises(ValueError, match="at least one encoding Pauli"):
+        encoded_states(st, (0, 1), paulis=())
+
+
+@pytest.mark.parametrize("k", [-1, 5, 9])
+def test_best_over_subsets_rejects_k_out_of_range(k):
+    st = make_state("GHZ4").state
+    with pytest.raises(ValueError, match=r"k = %d .* 4-qubit" % k):
+        best_over_subsets(st, k)
+
+
+def test_best_over_subsets_accepts_every_k_in_range():
+    st = make_state("GHZ4").state
+    assert best_over_subsets(st, 0)[1] == {(): 1}
+    assert best_over_subsets(st, 4)[1] == {(0, 1, 2, 3): 16}
+
+
+# --- the array kernel against the per-state path it replaced ---------------------
+
+def _reference_encoded(resource, sender_qubits, paulis):
+    out = []
+    for names in itertools.product(paulis, repeat=len(sender_qubits)):
+        st = resource
+        for qubit, name in zip(sender_qubits, names):
+            st = apply_local(st, SIGMA[name], [qubit])
+        out.append((names, st))
+    return out
+
+
+_CLIQUES = {}
+
+
+def _clique_once(adj, n):
+    # the clique search is a pure function of (adj, n); both paths share one
+    # result per graph, and a graph that differs is searched afresh
+    key = (tuple(adj), n)
+    if key not in _CLIQUES:
+        _CLIQUES[key] = _lex_smallest_maximum_clique(adj, n)
+    return list(_CLIQUES[key])
+
+
+def _reference_messages(encoded, sender_qubits, tol):
+    """The path the kernel replaced: states from an apply_local chain, a vdot
+    per (representative, encoding) pair for the phase classes and a double
+    loop for the adjacency."""
+    reps = []
+    for names, st in encoded:
+        for _, rep in reps:
+            if abs(abs(np.vdot(rep.amplitudes, st.amplitudes)) - 1.0) < tol:
+                break
+        else:
+            reps.append((names, st))
+    vecs = np.array([st.amplitudes for _, st in reps])
+    overlaps = np.abs(vecs.conj() @ vecs.T)
+    n = len(reps)
+    adj = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and overlaps[i, j] < tol:
+                adj[i] |= 1 << j
+    clique = _clique_once(adj, n)
+    return DenseCodingResult(
+        sender_qubits=tuple(sender_qubits),
+        count=len(clique),
+        witness=tuple(reps[i][0] for i in clique),
+        num_encodings=len(encoded),
+        num_classes=n,
+    )
+
+
+def _reference_cases():
+    """label -> (state, sender subsets): every subset of size 1..3, and
+    GHZ:5 at size 4."""
+    states = {name: make_state(name).state for name in PRINCIPAL + ("Q4_11",)}
+    states["W_mn(1,1)"] = make_state("W_mn", m=1, n=1).state
+    rng = np.random.default_rng(20261018)
+    for i in range(3):
+        states["haar4_%d" % i] = random_state(4, rng)
+    states["haar5"] = random_state(5, rng)
+    cases = {label: (st, [q for k in (1, 2, 3)
+                          for q in itertools.combinations(range(st.num_qubits), k)])
+             for label, st in states.items()}
+    cases["GHZ:5"] = (make_state("GHZ:5").state,
+                      list(itertools.combinations(range(5), 4)))
+    return cases
+
+
+_REFERENCE_CASES = _reference_cases()
+_PAULI_SETS = (ENCODING_PAULIS, ("s0", "s1", "s2", "s3"))
+_TOLERANCES = (1e-15, 1e-10, 0.3, 0.6, 0.9)
+
+
+@pytest.mark.parametrize("label", list(_REFERENCE_CASES))
+def test_kernel_matches_reference_path(label, monkeypatch):
+    monkeypatch.setattr(densecode, "_lex_smallest_maximum_clique", _clique_once)
+    st, subsets = _REFERENCE_CASES[label]
+    for subset in subsets:
+        for paulis in _PAULI_SETS:
+            encoded = _reference_encoded(st, subset, paulis)
+            got_states = encoded_states(st, subset, paulis)
+            assert [n for n, _ in got_states] == [n for n, _ in encoded]
+            for (names, a), (_, b) in zip(got_states, encoded):
+                assert np.array_equal(a.amplitudes, b.amplitudes), (subset, names)
+            for tol in _TOLERANCES:
+                got = distinguishable_messages(st, subset, tol=tol, paulis=paulis)
+                want = _reference_messages(encoded, subset, tol)
+                where = (subset, paulis, tol)
+                assert got.sender_qubits == want.sender_qubits, where
+                assert got.count == want.count, where
+                assert got.witness == want.witness, where
+                assert got.num_encodings == want.num_encodings, where
+                assert got.num_classes == want.num_classes, where
