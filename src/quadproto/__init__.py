@@ -43,7 +43,7 @@ from .catalog import (
 from .measure import (
     MeasurementPlan,
     MeasurementStep,
-    OutcomeBranch,
+    Outcomes,
     StepSpec,
     build_plan,
     complete_basis,
@@ -103,7 +103,7 @@ __all__ = [
     "CORRECTIONS", "BasisCorrection", "NamedBasis", "NamedState",
     "basis_names", "corrections_for", "make_basis", "make_state",
     "state_names", "validate_orthonormal",
-    "MeasurementPlan", "MeasurementStep", "OutcomeBranch", "StepSpec",
+    "MeasurementPlan", "MeasurementStep", "Outcomes", "StepSpec",
     "build_plan", "complete_basis", "enumerate_outcomes",
     "FamilySpec", "OutcomeReport", "Probe", "TeleportResult",
     "TeleportScenario", "build_probes", "family_span", "run_scenario",

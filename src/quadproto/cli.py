@@ -25,7 +25,7 @@ from .densecode import distinguishable_messages
 from .diagnostics import profile
 from .locc import check_certificate, run_discrimination
 from .scenario_io import ScenarioFormatError, load_scenario
-from .states import AMP_TOL, ASSERT_TOL, DROP_TOL
+from .states import AMP_TOL, ASSERT_TOL, DROP_TOL, check_tolerance
 from .suite import format_text, report_dict, run_suite, SECTIONS
 from .teleport import TeleportScenario, run_scenario
 
@@ -91,13 +91,11 @@ def _params_json(params) -> dict:
 def _tolerance(text: str) -> float:
     """argparse type for --tolerance: a finite number in (0, 1)."""
     try:
-        value = float(text)
+        return check_tolerance(float(text))
     except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and 0.0 < value < 1.0):
         raise argparse.ArgumentTypeError(
-            "must be a finite number strictly between 0 and 1, got %r" % text)
-    return value
+            "must be a finite number strictly between 0 and 1, got %r"
+            % text) from None
 
 
 def _parse_qubits(text: str) -> tuple[int, ...]:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import ASSERT_TOL, SIGMA, PureState
+from .states import ASSERT_TOL, SIGMA, PureState, check_tolerance
 
 __all__ = [
     "ENCODING_PAULIS",
@@ -153,6 +153,7 @@ def distinguishable_messages(resource: PureState, sender_qubits: tuple[int, ...]
                              tol: float = ASSERT_TOL,
                              paulis: tuple[str, ...] = ENCODING_PAULIS,
                              ) -> DenseCodingResult:
+    check_tolerance(tol)
     sender_qubits = tuple(sender_qubits)
     rows = _encode(resource, sender_qubits, paulis)
     rep_rows = _representatives(rows, tol)

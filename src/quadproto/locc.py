@@ -20,7 +20,7 @@ import numpy as np
 
 from .catalog import NamedBasis
 from .measure import MeasurementPlan, StepSpec, build_plan, enumerate_outcomes
-from .states import ASSERT_TOL, DROP_TOL, PureState
+from .states import ASSERT_TOL, DROP_TOL, PureState, check_tolerance
 
 __all__ = [
     "LoccProtocol",
@@ -71,23 +71,30 @@ def run_discrimination(candidates: Sequence[tuple[str, PureState]],
     actually fire for some candidate).  The final party announces the
     verdict, which is not counted here.
     """
+    check_tolerance(tol, allow_zero=True)
     labels = [label for label, _ in candidates]
-    branches = enumerate_outcomes([state for _, state in candidates],
-                                  protocol.plan, drop_tol=tol)
-    transcripts = {b.key: {labels[i] for i in np.flatnonzero(b.probabilities)}
-                   for b in branches}
-    collisions = tuple(
-        (key, tuple(sorted(owners)))
-        for key, owners in sorted(transcripts.items())
-        if len(owners) > 1
-    )
+    if len(set(labels)) != len(labels):
+        raise ValueError("candidate labels must be distinct, repeated: %s"
+                         % sorted({lbl for lbl in labels if labels.count(lbl) > 1}))
+    out = enumerate_outcomes([state for _, state in candidates],
+                             protocol.plan, drop_tol=tol)
+    # a branch's owners are the candidates it fires for
+    owners = dict(zip(out.keys, (out.probabilities > 0.0).tolist()))
+    transcript_map: dict[str, str] = {}
+    collisions = []
+    for key in sorted(owners):
+        who = list(itertools.compress(labels, owners[key]))
+        if len(who) > 1:
+            collisions.append((key, tuple(sorted(who))))
+        else:
+            transcript_map[key] = who[0]
     final_party = protocol.rounds[-1].party
     breakdown: dict[str, int] = {}
     total = 0
     for i, rnd in enumerate(protocol.rounds):
         if rnd.party == final_party:
             continue
-        fired = {b.labels[i] for b in branches}
+        fired = {combo[i] for combo in out.labels}
         bits = math.ceil(math.log2(len(fired))) if len(fired) > 1 else 0
         key = "round:%s" % rnd.party
         breakdown[key] = breakdown.get(key, 0) + bits
@@ -95,9 +102,8 @@ def run_discrimination(candidates: Sequence[tuple[str, PureState]],
     return DiscriminationResult(
         protocol_id=protocol.protocol_id,
         success=not collisions,
-        transcript_map={k: next(iter(v)) for k, v in sorted(transcripts.items())
-                        if len(v) == 1},
-        collisions=collisions,
+        transcript_map=transcript_map,
+        collisions=tuple(collisions),
         inter_receiver_cbits=total,
         cbit_breakdown=breakdown,
     )
@@ -163,6 +169,7 @@ def check_certificate(candidates: Sequence[tuple[str, PureState]],
     its retained terms, (b) no product outcome is shared by two candidates,
     and (c) every candidate retains at least one term.
     """
+    check_tolerance(tol)
     supports: dict[str, dict[tuple[str, ...], complex]] = {}
     recon_err = 0.0
     empty: list[str] = []

@@ -4,9 +4,12 @@ A plan is an ordered list of steps; each step measures a disjoint set of
 qubits in a named basis.  Subspace bases are completed automatically with
 Gram-Schmidt vectors labeled ``perp0``, ``perp1``, ...  once, when the step
 is built.  Enumeration walks every outcome combination exactly (no
-sampling) for a whole stack of input states at once, returning per-input
-probabilities and normalized residuals together with the original indices of
-the surviving qubits.
+sampling) for a whole stack of input states at once: the live branches of
+every input are one array, and each step is one contraction over all of
+them.  The result is one ``Outcomes`` record: per branch its labels, its
+comma-joined key and whether an auto-completed direction fired; per branch
+and input the probability and normalized residual; and the original
+indices of the surviving qubits.
 
 Teleport scenarios and LOCC protocols both describe their measurements as
 ``StepSpec`` values (catalog basis names); ``build_plan`` resolves them.
@@ -14,19 +17,21 @@ Teleport scenarios and LOCC protocols both describe their measurements as
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .catalog import NamedBasis, make_basis
-from .states import DROP_TOL, PureState
+from .states import DROP_TOL, PureState, check_tolerance
 
 __all__ = [
     "StepSpec",
     "MeasurementStep",
     "MeasurementPlan",
-    "OutcomeBranch",
+    "Outcomes",
     "build_plan",
     "complete_basis",
     "enumerate_outcomes",
@@ -88,13 +93,15 @@ class MeasurementStep:
 
     The i-th qubit of every basis vector corresponds to ``qubits[i]`` of the
     register being measured, so the tuple order is meaningful.  ``completed``
-    is ``basis`` extended to a full basis, computed once here.
+    is ``basis`` extended to a full basis and ``conj_matrix`` its conjugated
+    matrix (one row per label), both computed once here.
     """
 
     qubits: tuple[int, ...]
     basis: NamedBasis
     party: str = "Alice"
     completed: NamedBasis = field(init=False, repr=False, compare=False)
+    conj_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.qubits)) != len(self.qubits):
@@ -104,7 +111,11 @@ class MeasurementStep:
                 "basis %r is on %d qubits but the step names %d"
                 % (self.basis.name, self.basis.num_qubits, len(self.qubits))
             )
-        object.__setattr__(self, "completed", complete_basis(self.basis))
+        completed = complete_basis(self.basis)
+        conj = completed.matrix().conj()
+        conj.flags.writeable = False
+        object.__setattr__(self, "completed", completed)
+        object.__setattr__(self, "conj_matrix", conj)
 
 
 @dataclass(frozen=True)
@@ -123,6 +134,17 @@ class MeasurementPlan:
     def measured_qubits(self) -> tuple[int, ...]:
         return tuple(q for step in self.steps for q in step.qubits)
 
+    @functools.cached_property
+    def outcome_table(self) -> tuple[tuple[tuple[str, ...], ...], tuple[str, ...],
+                                     np.ndarray]:
+        """Labels, comma-joined key and perp flag of every outcome combination,
+        first step's labels outermost; built once, so results share the keys."""
+        labels = tuple(itertools.product(*(s.completed.labels for s in self.steps)))
+        keys = tuple(",".join(combo) for combo in labels)
+        perp = np.array([any(lbl.startswith("perp") for lbl in combo)
+                         for combo in labels], dtype=bool)
+        return labels, keys, perp
+
     def validate_for(self, num_qubits: int) -> None:
         bad = [q for q in self.measured_qubits if not 0 <= q < num_qubits]
         if bad:
@@ -140,23 +162,27 @@ def build_plan(steps: Iterable[StepSpec]) -> MeasurementPlan:
 
 
 @dataclass(frozen=True, eq=False)
-class OutcomeBranch:
-    """One outcome combination of a plan, over a stack of B input states.
+class Outcomes:
+    """Every firing outcome combination of a plan over a stack of B inputs.
 
-    Row i of each array belongs to input i; where the branch does not fire
-    for it, its probability is exactly 0.0 and its residual row is zero.
+    Branch j, in enumeration order (first step's labels outermost), has
+    labels ``labels[j]`` and key ``keys[j]`` (the labels comma-joined);
+    ``probabilities[j, i]`` is its probability for input i, exactly 0.0
+    where it does not fire for that input, and ``residuals[j, i]`` the
+    normalized post-measurement state, a zero row where it does not fire.
+    ``len()`` is the number of branches.
     """
 
-    labels: tuple[str, ...]
-    probabilities: np.ndarray       # shape (B,)
-    residuals: np.ndarray | None    # (B, 2**len(kept_qubits)) normalized rows;
-                                    # None when every qubit was measured
+    labels: tuple[tuple[str, ...], ...]
+    keys: tuple[str, ...]
+    probabilities: np.ndarray       # (nb, B)
+    residuals: np.ndarray | None    # (nb, B, 2**len(kept_qubits)); None when
+                                    # every qubit was measured
+    perp: np.ndarray                # (nb,) bool: an auto-completed label fired
     kept_qubits: tuple[int, ...]    # original indices, ascending
-    perp: bool
 
-    @property
-    def key(self) -> str:
-        return ",".join(self.labels)
+    def __len__(self) -> int:
+        return len(self.keys)
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -165,54 +191,54 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 
 def enumerate_outcomes(states: Sequence[PureState], plan: MeasurementPlan,
-                       drop_tol: float = DROP_TOL) -> list[OutcomeBranch]:
+                       drop_tol: float = DROP_TOL) -> Outcomes:
     """Measure a stack of states on one register in a single pass.
 
     Returns every branch whose probability exceeds ``drop_tol`` for at least
     one input, in enumeration order (first step's labels outermost).  Each
     input's probabilities sum to one before dropping, and each input's
-    branches are exactly those a one-state stack would give it.
+    branches are exactly those a one-state stack would give it.  Each step
+    is one contraction over the live branches of every input at once.
     """
-    if drop_tol < 0.0:
-        raise ValueError("drop_tol must be nonnegative")
+    check_tolerance(drop_tol, "drop_tol", allow_zero=True)
     if not states:
-        return []
+        return Outcomes((), (), np.zeros((0, 0)), None, np.zeros(0, dtype=bool), ())
     n = states[0].num_qubits
     if any(s.num_qubits != n for s in states):
         raise ValueError("states in one stack must share a register size")
     plan.validate_for(n)
 
-    vecs = np.array([s.amplitudes for s in states])
+    # live branches: unnormalized rows (nb, B, 2**m), probabilities (nb, B)
+    # and each branch's index into the plan's outcome table; rows of inputs
+    # a branch has stopped firing for are zero, so they stay zero
+    vecs = np.array([s.amplitudes for s in states])[None]
+    probs = _norms(vecs)
+    index = np.zeros(1, dtype=np.intp)
     # original index of the qubit at each current position
     orig = list(range(n))
-    # (labels, unnormalized rows, probabilities); rows of inputs the branch
-    # has stopped firing for are zero, so they stay zero
-    branches = [((), vecs, _norms(vecs))]
     for step in plan.steps:
-        basis = step.completed
-        conj = basis.matrix().conj()
+        conj = step.conj_matrix
         positions = [orig.index(q) for q in step.qubits]
         rest = [p for p in range(len(orig)) if p not in positions]
-        axes = [0] + [1 + p for p in positions] + [1 + p for p in rest]
-        next_branches = []
-        for labels, vecs, _ in branches:
-            t = vecs.reshape([-1] + [2] * len(orig)).transpose(axes)
-            rows = conj @ t.reshape(len(states), conj.shape[1], -1)
-            probs = _norms(rows)
-            fires = probs > drop_tol
-            rows[~fires] = 0.0
-            probs = np.where(fires, probs, 0.0)
-            for i in np.flatnonzero(fires.any(axis=0)):
-                next_branches.append((labels + (basis.labels[i],), rows[:, i],
-                                      probs[:, i]))
-        branches = next_branches
+        nb, b = probs.shape
+        t = vecs.reshape((nb, b) + (2,) * len(orig)).transpose(
+            [0, 1] + [2 + p for p in positions + rest])
+        rows = conj @ t.reshape(nb, b, conj.shape[1], 2 ** len(rest))
+        probs = _norms(rows)
+        fires = probs > drop_tol
+        rows[~fires] = 0.0
+        probs = np.where(fires, probs, 0.0)
+        # parent outer, outcome inner
+        parent, outcome = np.nonzero(fires.any(axis=1))
+        vecs = rows[parent, :, outcome]
+        probs = probs[parent, :, outcome]
+        index = index[parent] * conj.shape[0] + outcome
         orig = [orig[p] for p in rest]
 
-    kept = tuple(orig)
-    out: list[OutcomeBranch] = []
-    for labels, vecs, probs in branches:
-        residuals = (vecs / np.sqrt(np.where(probs > 0.0, probs, 1.0))[:, None]
-                     if vecs.shape[1] > 1 else None)
-        perp = any(lbl.startswith("perp") for lbl in labels)
-        out.append(OutcomeBranch(labels, probs, residuals, kept, perp))
-    return out
+    residuals = None
+    if vecs.shape[2] > 1:
+        residuals = vecs / np.sqrt(np.where(probs > 0.0, probs, 1.0))[..., None]
+    labels, keys, perp = plan.outcome_table
+    at = index.tolist()
+    return Outcomes(tuple(labels[i] for i in at), tuple(keys[i] for i in at),
+                    probs, residuals, perp[index], tuple(orig))

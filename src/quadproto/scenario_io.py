@@ -122,6 +122,8 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> TeleportScenario:
 
     res = doc["resource"]
     _require_keys(res, "resource", ("name",), ("params", "kets"))
+    if not isinstance(res["name"], str) or not res["name"]:
+        raise ScenarioFormatError("resource.name must be a nonempty string")
     if "kets" in res and "params" in res:
         raise ScenarioFormatError("resource takes params or kets, not both")
     kets: tuple[tuple[str, complex], ...] = ()

@@ -6,6 +6,7 @@ operators are immutable values; every operation returns a fresh object.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -26,6 +27,18 @@ PERP_ALARM = 1e-10      # probability leaking into auto-completed directions
 VALUE_TOL = 1e-9        # computed values against stated ones; uniform probabilities
 MIXED_TOL = 1e-6        # a reduction counts as mixed below purity 1 - MIXED_TOL
 NEGATIVE_GAP = 1e-3     # infeasible setups stay this far below unit fidelity
+
+
+def check_tolerance(tol: float, name: str = "tol", allow_zero: bool = False) -> float:
+    """Return ``tol`` if it is a finite number strictly between 0 and 1 (or
+    0 itself with ``allow_zero``, for drop tolerances); raise ValueError
+    otherwise, since any other value gives plausible but wrong verdicts."""
+    if not (math.isfinite(tol) and (0.0 <= tol if allow_zero else 0.0 < tol)
+            and tol < 1.0):
+        raise ValueError("%s must be a finite number %s, got %r"
+                         % (name, "in [0, 1)" if allow_zero
+                            else "strictly between 0 and 1", tol))
+    return tol
 
 
 class CapacityError(ValueError):

@@ -39,7 +39,8 @@ import numpy as np
 
 from .catalog import NamedState, make_state
 from .measure import StepSpec, build_plan, enumerate_outcomes
-from .states import ASSERT_TOL, PERP_ALARM, VALUE_TOL, PureState, tensor
+from .states import (ASSERT_TOL, PERP_ALARM, VALUE_TOL, PureState,
+                     check_tolerance, tensor)
 
 __all__ = [
     "FamilySpec",
@@ -84,6 +85,9 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.kind not in ("arbitrary", "ghz_diag", "omega_sub", "w_equal3"):
             raise ValueError("unknown family kind %r" % self.kind)
+        if any(not 0 <= i < len(PAULI_ORDER) for i in self.dressing):
+            raise ValueError("dressing lists Pauli indices 0..3, got %s"
+                             % list(self.dressing))
 
 
 def _dress_vec(vec: PureState, ops: Sequence[tuple[int, str]]) -> PureState:
@@ -326,6 +330,7 @@ class TeleportResult:
 def run_scenario(scenario: TeleportScenario, seed: int = 42,
                  tol: float = ASSERT_TOL,
                  num_random: int = NUM_RANDOM_PROBES) -> TeleportResult:
+    check_tolerance(tol)
     rng = np.random.default_rng(seed)
     resource = scenario.resource_state().state
     probes = build_probes(scenario.family, rng, num_random)
@@ -333,19 +338,19 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     k = scenario.family.num_qubits
 
     receiver_sorted = tuple(sorted(scenario.receiver))
-    branches = enumerate_outcomes(
+    out = enumerate_outcomes(
         [tensor(probe.state, resource) for probe in probes], plan)
-    kept = branches[0].kept_qubits if branches else ()
-    if branches and kept != receiver_sorted:
+    if len(out) and out.kept_qubits != receiver_sorted:
         raise ValueError(
             "plan for %s leaves qubits %s but the receiver holds %s"
-            % (scenario.scenario_id, kept, receiver_sorted)
+            % (scenario.scenario_id, out.kept_qubits, receiver_sorted)
         )
     # branches are reported in the order the probes first fire them
-    probs = np.array([b.probabilities for b in branches])
+    probs = out.probabilities
     firing = [np.flatnonzero(row) for row in probs]
-    order = sorted(range(len(branches)), key=lambda j: firing[j][0])
-    perp = sum((b.probabilities for b in branches if b.perp), np.zeros(len(probes)))
+    order = sorted(range(len(out)), key=lambda j: firing[j][0])
+    # row by row in enumeration order: the reported float depends on the order
+    perp = sum(probs[out.perp], np.zeros(len(probes)))
     max_perp = float(perp.max())
     lowest = np.where(probs > 0.0, probs, np.inf).min(axis=0)
     uniform = not np.any(probs.max(axis=0) - lowest > VALUE_TOL)
@@ -357,14 +362,14 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     reports: list[OutcomeReport] = []
     feasible = True
     for j in order:
-        branch, fired = branches[j], firing[j]
+        fired = firing[j]
         cert_rows = [fi for fi, i in enumerate(fired) if probes[i].certifying]
         chosen, chosen_min, best = _find_correction(
-            vocab, branch.residuals[fired], expected[fired], cert_rows, tol)
+            vocab, out.residuals[j, fired], expected[fired], cert_rows, tol)
         gen_idx = rand_idx[-1] if rand_idx else fired[-1]
         feasible &= chosen is not None
-        reports.append(OutcomeReport(branch.key, float(probs[j, gen_idx]), chosen,
-                                     chosen_min, best, branch.perp))
+        reports.append(OutcomeReport(out.keys[j], float(probs[j, gen_idx]), chosen,
+                                     chosen_min, best, bool(out.perp[j])))
 
     reason = ""
     if max_perp > PERP_ALARM:

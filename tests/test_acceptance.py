@@ -247,9 +247,9 @@ def test_criterion_7_randomized_properties(_announce):
             cursor += width
         if not steps:
             continue
-        branches = enumerate_outcomes([st], MeasurementPlan(tuple(steps)),
-                                      drop_tol=0.0)
-        total = sum(b.probabilities[0] for b in branches)
+        out = enumerate_outcomes([st], MeasurementPlan(tuple(steps)),
+                                 drop_tol=0.0)
+        total = sum(out.probabilities[:, 0])
         assert abs(total - 1.0) < SUM_TOL, case
 
     # refinement equivalence on the three-plus-one split
@@ -269,8 +269,8 @@ def test_criterion_7_randomized_properties(_announce):
             MeasurementStep((3,), pm))), drop_tol=0.0)
         fused = enumerate_outcomes([st], MeasurementPlan((
             MeasurementStep((0, 1, 2, 3), joint),)), drop_tol=0.0)
-        p_split = {b.key: b.probabilities[0] for b in split}
-        p_fused = {b.key: b.probabilities[0] for b in fused}
+        p_split = dict(zip(split.keys, split.probabilities[:, 0]))
+        p_fused = dict(zip(fused.keys, fused.probabilities[:, 0]))
         for key in set(p_split) | set(p_fused):
             assert abs(p_split.get(key, 0.0)
                        - p_fused.get(key, 0.0)) < 1e-12, (name, key)

@@ -223,22 +223,21 @@ def test_tau_printed_pairs_are_protocol_dead():
                                             ("0100", "1011"), ("0011", "1100"))
                                for s in (1, -1)))
     for probe in ({"0": 1}, {"1": 1}, {"0": 1, "1": 1}):
-        branches = _branch_probabilities(probe, "Q4", (0, 1, 3, 4), printed)
-        leak = sum(b.probabilities[0] for b in branches if b.perp)
+        out = _branch_probabilities(probe, "Q4", (0, 1, 3, 4), printed)
+        leak = sum(out.probabilities[out.perp, 0])
         assert abs(leak - 0.25) < 1e-12, probe
     # superposition input: the printed tau3 branch keeps only the alpha arm
-    branches = _branch_probabilities({"0": 1, "1": 1}, "Q4", (0, 1, 3, 4),
-                                     printed)
-    tau3 = next(b for b in branches if b.key == "tau3+")
-    assert abs(abs(tau3.residuals[0][0]) - 1.0) < 1e-12  # residual |0>
-    assert abs(tau3.residuals[0][1]) < 1e-12
+    out = _branch_probabilities({"0": 1, "1": 1}, "Q4", (0, 1, 3, 4), printed)
+    tau3 = out.residuals[out.keys.index("tau3+"), 0]
+    assert abs(abs(tau3[0]) - 1.0) < 1e-12  # residual |0>
+    assert abs(tau3[1]) < 1e-12
 
 
 def test_tau_corrected_basis_covers_all_branches():
     basis = make_basis("tau_q4")
     for probe in ({"0": 1}, {"1": 1}, {"0": 1, "1": 1j}):
-        branches = _branch_probabilities(probe, "Q4", (0, 1, 3, 4), basis)
-        leak = sum(b.probabilities[0] for b in branches if b.perp)
+        out = _branch_probabilities(probe, "Q4", (0, 1, 3, 4), basis)
+        leak = sum(out.probabilities[out.perp, 0])
         assert leak < 1e-12, probe
 
 
@@ -260,8 +259,8 @@ def test_omega34_printed_pair_has_zero_probability():
     for member in members:
         joint = tensor(member, make_state("Omega").state)
         plan = MeasurementPlan((MeasurementStep((0, 1, 2, 3), printed),))
-        branches = enumerate_outcomes([joint], plan, drop_tol=1e-12)
-        fired = {b.key for b in branches if not b.perp}
+        out = enumerate_outcomes([joint], plan, drop_tol=1e-12)
+        fired = {key for key, perp in zip(out.keys, out.perp) if not perp}
         assert "Omega4+" in fired and "Omega4-" in fired
         assert not fired & {"Omega3+", "Omega3-"}
 

@@ -165,6 +165,16 @@ def test_repeated_sender_qubit_rejected():
         encoded_states(st, (1, 2, 1))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, 1.0, 2.0])
+def test_bad_tolerance_rejected(tol):
+    # these used to answer N = 1 instead of failing
+    st = make_state("GHZ4").state
+    with pytest.raises(ValueError, match="tol must be a finite number"):
+        distinguishable_messages(st, (0, 1), tol=tol)
+    with pytest.raises(ValueError, match="tol must be a finite number"):
+        best_over_subsets(st, 1, tol=tol)
+
+
 def test_empty_pauli_set_rejected():
     st = make_state("GHZ4").state
     with pytest.raises(ValueError, match="at least one encoding Pauli"):

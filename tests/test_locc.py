@@ -1,20 +1,23 @@
 """LOCC discrimination and product-decomposition certificates."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from quadproto import locc
 from quadproto import scenarios as reg
 from quadproto.catalog import make_basis
 from quadproto.locc import (
+    DiscriminationResult,
     LoccProtocol,
     check_certificate,
     product_terms,
     run_discrimination,
 )
-from quadproto.measure import StepSpec
-from quadproto.states import PureState, basis_state
+from quadproto.measure import StepSpec, enumerate_outcomes
+from quadproto.states import DROP_TOL, PureState, basis_state
 
 
 def _bell(label):
@@ -78,6 +81,30 @@ def test_cbits_exclude_final_party_rounds():
     assert dict(res.cbit_breakdown) == {}
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-12, 1.0, 2.0])
+def test_bad_tolerance_rejected(tol):
+    # nan, inf and 2 used to report success with no transcripts at all
+    q4 = reg.locc_candidate_sets()["q4_8"]
+    protocol = reg.catalog_protocols()[0]
+    with pytest.raises(ValueError, match="tol must be a finite number"):
+        run_discrimination(q4, protocol, tol=tol)
+
+
+def test_zero_tolerance_accepted():
+    q4 = reg.locc_candidate_sets()["q4_8"]
+    protocol = reg.catalog_protocols()[0]
+    assert (run_discrimination(q4, protocol, tol=0.0)
+            == run_discrimination(q4, protocol))
+
+
+def test_repeated_candidate_labels_rejected():
+    # the owner set used to collapse: success with no collision
+    protocol = reg.catalog_protocols()[0]
+    q4 = reg.locc_candidate_sets()["q4_8"]
+    with pytest.raises(ValueError, match="repeated: \\['a'\\]"):
+        run_discrimination([("a", q4[0][1]), ("a", q4[1][1])], protocol)
+
+
 def test_sixteen_set_defeats_every_catalog_protocol():
     cands = reg.locc_candidate_sets()["omega16"]
     assert len(cands) == 16
@@ -112,6 +139,82 @@ def test_one_run_per_protocol_decides_every_q4_subset():
                 assert derived == alone, (protocol.protocol_id, subset)
                 verdicts.add(alone)
     assert verdicts == {True, False}
+
+
+# --- transcripts read off one firing matrix against per-branch owner sets -----------
+
+def _reference_discrimination(labels, protocol, out):
+    """``run_discrimination`` as it was before it read every branch's owners
+    off one firing matrix: one ``np.flatnonzero`` and one owner set per
+    branch of the kernel's output ``out``."""
+    branches = [(out.labels[j], out.keys[j], out.probabilities[j])
+                for j in range(len(out))]
+    transcripts = {key: {labels[i] for i in np.flatnonzero(probs)}
+                   for _, key, probs in branches}
+    collisions = tuple(
+        (key, tuple(sorted(owners)))
+        for key, owners in sorted(transcripts.items())
+        if len(owners) > 1
+    )
+    final_party = protocol.rounds[-1].party
+    breakdown = {}
+    total = 0
+    for i, rnd in enumerate(protocol.rounds):
+        if rnd.party == final_party:
+            continue
+        fired = {combo[i] for combo, _, _ in branches}
+        bits = math.ceil(math.log2(len(fired))) if len(fired) > 1 else 0
+        key = "round:%s" % rnd.party
+        breakdown[key] = breakdown.get(key, 0) + bits
+        total += bits
+    return DiscriminationResult(
+        protocol_id=protocol.protocol_id,
+        success=not collisions,
+        transcript_map={k: next(iter(v)) for k, v in sorted(transcripts.items())
+                        if len(v) == 1},
+        collisions=collisions,
+        inter_receiver_cbits=total,
+        cbit_breakdown=breakdown,
+    )
+
+
+def _oracle_candidate_sets():
+    sets_ = reg.locc_candidate_sets()
+    yield from sets_.items()
+    q4 = sets_["q4_8"]
+    for size in (2, 3, 4):
+        for idx in itertools.combinations(range(len(q4)), size):
+            yield "q4_8%s" % (idx,), [q4[i] for i in idx]
+    omega = sets_["omega16"]
+    rng = np.random.default_rng(16)
+    for size in range(2, 9):
+        for _ in range(10):
+            idx = sorted(int(i) for i in rng.choice(len(omega), size, replace=False))
+            yield "omega16%s" % (idx,), [omega[i] for i in idx]
+
+
+@pytest.mark.parametrize("tol", [DROP_TOL, 0.0, 1e-6])
+def test_discrimination_matches_per_branch_reference(tol, monkeypatch):
+    # the reference reads the same kernel output run_discrimination got; the
+    # kernel has its own oracle in test_measure.py
+    kernel_out = []
+
+    def recording(*args, **kwargs):
+        kernel_out.append(enumerate_outcomes(*args, **kwargs))
+        return kernel_out[-1]
+
+    monkeypatch.setattr(locc, "enumerate_outcomes", recording)
+    protocols = reg.catalog_protocols()
+    checked = 0
+    for name, candidates in _oracle_candidate_sets():
+        labels = [label for label, _ in candidates]
+        for protocol in protocols:
+            got = run_discrimination(candidates, protocol, tol=tol)
+            want = _reference_discrimination(labels, protocol, kernel_out.pop())
+            assert got == want, (name, protocol.protocol_id)
+            assert list(got.transcript_map) == sorted(got.transcript_map)
+            checked += 1
+    assert checked == 20 * (6 + 28 + 56 + 70 + 70)
 
 
 # --- product terms and certificates --------------------------------------------------
@@ -163,6 +266,14 @@ def test_ghz_minus_block_pairs_antisymmetric_terms():
     sets_ = reg.locc_candidate_sets()
     rep = check_certificate(sets_["ghz8"], reg.certificate_factors()["ghz8"])
     assert rep.blocks["4GHZ2-"] == (("psi+", "phi-"), ("psi-", "phi+"))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, 1.0, 2.0])
+def test_certificate_bad_tolerance_rejected(tol):
+    # these used to return a wrong detail instead of failing
+    with pytest.raises(ValueError, match="tol must be a finite number"):
+        check_certificate(reg.locc_candidate_sets()["ghz8"],
+                          reg.certificate_factors()["ghz8"], tol=tol)
 
 
 def test_certificate_flags_overcomplete_candidates():

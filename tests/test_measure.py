@@ -53,8 +53,8 @@ def test_probability_sums_randomized():
                 steps.append((tuple(pair), str(rng.choice(two_q))))
             else:
                 steps.append(((qubits.pop(),), str(rng.choice(one_q))))
-        branches = enumerate_outcomes([st], _plan(*steps), drop_tol=0.0)
-        total = sum(b.probabilities[0] for b in branches)
+        out = enumerate_outcomes([st], _plan(*steps), drop_tol=0.0)
+        total = sum(out.probabilities[:, 0])
         assert abs(total - 1.0) < 1e-10
         checked += 1
     assert checked == 200
@@ -65,8 +65,8 @@ def test_computational_plan_matches_amplitudes():
     rng = np.random.default_rng(17)
     st = random_state(4, rng)
     plan = _plan(((1,), "computational:1"), ((0, 2), "computational:2"))
-    probs = {b.key: b.probabilities[0]
-             for b in enumerate_outcomes(plan=plan, states=[st], drop_tol=0.0)}
+    out = enumerate_outcomes(plan=plan, states=[st], drop_tol=0.0)
+    probs = dict(zip(out.keys, out.probabilities[:, 0]))
     amps = st.amplitudes.reshape((2, 2, 2, 2))
     for b1 in range(2):
         for b0 in range(2):
@@ -78,10 +78,11 @@ def test_computational_plan_matches_amplitudes():
 
 def test_residual_states_normalized_and_kept_indices():
     st = make_state("GHZ4").state
-    branches = enumerate_outcomes([st], _plan(((0, 1), "bell")))
-    for b in branches:
-        assert b.kept_qubits == (2, 3)
-        assert abs(np.linalg.norm(b.residuals[0]) - 1.0) < 1e-12
+    out = enumerate_outcomes([st], _plan(((0, 1), "bell")))
+    assert len(out) > 0 and out.kept_qubits == (2, 3)
+    assert out.residuals.shape == (len(out), 1, 4)
+    for residual in out.residuals[:, 0]:
+        assert abs(np.linalg.norm(residual) - 1.0) < 1e-12
 
 
 def test_refinement_equivalence_three_plus_one():
@@ -104,8 +105,8 @@ def test_refinement_equivalence_three_plus_one():
         one_step = enumerate_outcomes(
             [st], MeasurementPlan((MeasurementStep((0, 1, 2, 3), joint_basis),)),
             drop_tol=0.0)
-        p2 = {b.key: b.probabilities[0] for b in two_step}
-        p1 = {b.key: b.probabilities[0] for b in one_step}
+        p2 = dict(zip(two_step.keys, two_step.probabilities[:, 0]))
+        p1 = dict(zip(one_step.keys, one_step.probabilities[:, 0]))
         for key in set(p1) | set(p2):
             assert abs(p1.get(key, 0.0) - p2.get(key, 0.0)) < 1e-12, (name, key)
 
@@ -130,10 +131,11 @@ def test_perp_probability_partial_basis():
     # W4 has no support on the omega measurement's named directions' span
     # complement being zero; check bookkeeping instead of a specific value
     st = make_state("W4").state
-    branches = enumerate_outcomes([st], _plan(((0, 1, 2, 3), "omega_meas")),
-                                  drop_tol=0.0)
-    leak = sum(b.probabilities[0] for b in branches if b.perp)
-    named = sum(b.probabilities[0] for b in branches if not b.perp)
+    out = enumerate_outcomes([st], _plan(((0, 1, 2, 3), "omega_meas")),
+                             drop_tol=0.0)
+    assert list(out.perp) == [key.startswith("perp") for key in out.keys]
+    leak = sum(out.probabilities[out.perp, 0])
+    named = sum(out.probabilities[~out.perp, 0])
     assert abs(leak + named - 1.0) < 1e-12
     assert leak > 0.5  # most of W4 lies outside the four named directions
 
@@ -142,32 +144,36 @@ def test_zero_probability_branches_dropped():
     # |0000> overlaps exactly two of the eight basis vectors; the other
     # six must be dropped even at drop_tol=0 (no NaN residuals).
     st = basis_state("0000")
-    branches = enumerate_outcomes([st], _plan(((0, 1, 2, 3), "ghz4_full")),
-                                  drop_tol=0.0)
-    keys = {b.key for b in branches}
-    assert keys == {"4GHZ1+", "4GHZ1-"}
-    assert all(abs(b.probabilities[0] - 0.5) < 1e-12 for b in branches)
-    assert all(b.residuals is None for b in branches)  # nothing left unmeasured
+    out = enumerate_outcomes([st], _plan(((0, 1, 2, 3), "ghz4_full")),
+                             drop_tol=0.0)
+    assert set(out.keys) == {"4GHZ1+", "4GHZ1-"}
+    assert all(abs(p - 0.5) < 1e-12 for p in out.probabilities[:, 0])
+    assert out.residuals is None  # nothing left unmeasured
 
 
 def test_negative_drop_tol_rejected():
     with pytest.raises(ValueError):
         enumerate_outcomes([make_state("GHZ4").state],
                            _plan(((0, 1), "bell")), drop_tol=-1.0)
+    for bad in (float("nan"), float("inf"), 1.0):
+        with pytest.raises(ValueError, match="drop_tol must be a finite number"):
+            enumerate_outcomes([make_state("GHZ4").state],
+                               _plan(((0, 1), "bell")), drop_tol=bad)
 
 
 def test_stack_boundaries():
     plan = _plan(((0, 1), "bell"))
-    assert enumerate_outcomes([], plan) == []
+    assert len(enumerate_outcomes([], plan)) == 0
     with pytest.raises(ValueError):
         enumerate_outcomes([make_state("GHZ4").state, basis_state("000")], plan)
     # a branch that fires for one input only reads exactly 0.0 for the other
     zero, ghz = basis_state("0000"), make_state("GHZ4").state
-    branches = enumerate_outcomes([zero, ghz],
-                                  _plan(((0, 1, 2, 3), "ghz4_full")), drop_tol=0.0)
-    for b in branches:
-        if b.key != "4GHZ1+":
-            assert b.probabilities[1] == 0.0, b.key
+    out = enumerate_outcomes([zero, ghz],
+                             _plan(((0, 1, 2, 3), "ghz4_full")), drop_tol=0.0)
+    assert out.probabilities.shape == (len(out), 2)
+    for key, probs in zip(out.keys, out.probabilities):
+        if key != "4GHZ1+":
+            assert probs[1] == 0.0, key
 
 
 # --- plans built from named steps -----------------------------------------------
@@ -195,14 +201,14 @@ def _separately_completed(steps):
 def _assert_same_branches(states, steps, where):
     got = enumerate_outcomes(states, build_plan(steps))
     want = enumerate_outcomes(states, _separately_completed(steps))
-    assert [b.labels for b in got] == [b.labels for b in want], where
-    for a, b in zip(got, want):
-        assert np.array_equal(a.probabilities, b.probabilities), (where, a.key)
-        assert a.kept_qubits == b.kept_qubits and a.perp == b.perp, where
-        if b.residuals is None:
-            assert a.residuals is None, where
-        else:
-            assert np.array_equal(a.residuals, b.residuals), (where, a.key)
+    assert got.labels == want.labels and got.keys == want.keys, where
+    assert np.array_equal(got.probabilities, want.probabilities), where
+    assert got.kept_qubits == want.kept_qubits, where
+    assert np.array_equal(got.perp, want.perp), where
+    if want.residuals is None:
+        assert got.residuals is None, where
+    else:
+        assert np.array_equal(got.residuals, want.residuals), where
 
 
 def _all_scenarios():
@@ -270,21 +276,31 @@ def _reference_outcomes(state, plan, drop_tol=DROP_TOL):
 
 def _assert_matches_reference(states, plan, where):
     got = enumerate_outcomes(states, plan)
-    assert got, where
+    assert len(got), where
+    assert got.probabilities.shape == (len(got), len(states)), where
+    assert got.keys == tuple(",".join(labels) for labels in got.labels), where
+    assert list(got.perp) == [any(lbl.startswith("perp") for lbl in labels)
+                              for labels in got.labels], where
+    # the old per-branch kernel gave one branch per outcome that fires for
+    # at least one input: no more, no fewer
+    branches = set()
     for i, state in enumerate(states):
-        fired = [b for b in got if b.probabilities[i] != 0.0]
+        fired = np.flatnonzero(got.probabilities[:, i])
         want = _reference_outcomes(state, plan)
-        assert [b.labels for b in fired] == [w[0] for w in want], (where, i)
-        for b, (labels, p, residual) in zip(fired, want):
-            assert b.probabilities[i] == p, (where, i, labels)
+        branches.update(w[0] for w in want)
+        assert [got.labels[j] for j in fired] == [w[0] for w in want], (where, i)
+        for j, (labels, p, residual) in zip(fired, want):
+            assert got.probabilities[j, i] == p, (where, i, labels)
             if residual is None:
-                assert b.residuals is None, (where, i, labels)
+                assert got.residuals is None, (where, i, labels)
             else:
-                assert np.array_equal(b.residuals[i], residual), \
+                assert np.array_equal(got.residuals[j, i], residual), \
                     (where, i, labels)
-        for b in got:
-            if b.probabilities[i] == 0.0 and b.residuals is not None:
-                assert not b.residuals[i].any(), (where, i, b.key)
+        if got.residuals is not None:
+            for j in np.flatnonzero(got.probabilities[:, i] == 0.0):
+                assert not got.residuals[j, i].any(), (where, i, got.keys[j])
+    assert len(got) == len(branches) == len(set(got.labels)), where
+    assert set(got.labels) == branches, where
 
 
 def test_stacked_kernel_matches_per_state_reference_on_probe_stacks():

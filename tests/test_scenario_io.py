@@ -183,6 +183,22 @@ def test_semantic_errors_become_format_errors():
         scenario_from_dict(doc3)
 
 
+def test_resource_name_and_dressing_checked():
+    # both used to escape as AttributeError / IndexError tracebacks
+    for name in (1.5, None, ""):
+        doc = _doc()
+        doc["resource"] = {"name": name, "params": {}}
+        with pytest.raises(ScenarioFormatError, match="resource.name"):
+            scenario_from_dict(doc)
+    doc = _doc(receiver=[4, 5])
+    doc["resource"] = {"name": "GHZ4", "params": {}}
+    doc["family"] = {"kind": "ghz_diag", "num_qubits": 2, "dressing": [0, 7]}
+    with pytest.raises(ScenarioFormatError, match="Pauli indices 0..3"):
+        scenario_from_dict(doc)
+    with pytest.raises(ValueError, match="Pauli indices 0..3"):
+        FamilySpec("ghz_diag", 2, (-1, 0))
+
+
 def test_invalid_json_text():
     with pytest.raises(ScenarioFormatError, match="JSON"):
         loads_scenario("{not json")

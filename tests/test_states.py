@@ -9,6 +9,7 @@ from quadproto.states import (
     PureState,
     apply_local,
     basis_state,
+    check_tolerance,
     controlled_phase,
     fidelity,
     inner,
@@ -174,3 +175,20 @@ def test_amplitudes_locked():
     st = basis_state("01")
     with pytest.raises(ValueError):
         st.amplitudes[0] = 1.0
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                   -1.0, 0.0, 1.0, 2.0])
+def test_check_tolerance_rejects_outside_open_unit_interval(value):
+    with pytest.raises(ValueError, match="tol must be a finite number"):
+        check_tolerance(value)
+
+
+def test_check_tolerance_accepts_zero_only_for_drop_tolerances():
+    for value in (1e-300, 1e-12, 0.5, 0.999):
+        assert check_tolerance(value) == value
+        assert check_tolerance(value, allow_zero=True) == value
+    assert check_tolerance(0.0, "drop_tol", allow_zero=True) == 0.0
+    for value in (-1e-300, 1.0, float("nan")):
+        with pytest.raises(ValueError, match=r"drop_tol .* in \[0, 1\)"):
+            check_tolerance(value, "drop_tol", allow_zero=True)

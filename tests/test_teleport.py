@@ -214,6 +214,13 @@ def test_receiver_mismatch_caught_at_runtime():
         run_scenario(sc)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, 1.0, 2.0])
+def test_bad_tolerance_rejected(tol):
+    # tol=2.0 used to report w3_sigma feasible with fidelity 0.25
+    with pytest.raises(ValueError, match="tol must be a finite number"):
+        run_scenario(reg.TELEPORT_SCENARIOS["w3_sigma"], tol=tol)
+
+
 # --- registry-wide sweep --------------------------------------------------------
 
 def test_every_registered_scenario_matches_its_cost():
@@ -300,13 +307,16 @@ def _reference_run(scenario, seed=42, tol=ASSERT_TOL,
     rng = np.random.default_rng(seed)
     resource = scenario.resource_state().state
     probes = build_probes(scenario.family, rng, num_random)
-    branches = enumerate_outcomes(
+    out = enumerate_outcomes(
         [tensor(probe.state, resource) for probe in probes],
         build_plan(scenario.steps))
-    probs = np.array([b.probabilities for b in branches])
+    probs = out.probabilities
     firing = [np.flatnonzero(row) for row in probs]
-    order = sorted(range(len(branches)), key=lambda j: firing[j][0])
-    perp = sum((b.probabilities for b in branches if b.perp), np.zeros(len(probes)))
+    order = sorted(range(len(out)), key=lambda j: firing[j][0])
+    perp = np.zeros(len(probes))
+    for j in range(len(out)):
+        if out.perp[j]:
+            perp = perp + probs[j]
     max_perp = float(perp.max())
     lowest = np.where(probs > 0.0, probs, np.inf).min(axis=0)
     uniform = not np.any(probs.max(axis=0) - lowest > VALUE_TOL)
@@ -317,14 +327,14 @@ def _reference_run(scenario, seed=42, tol=ASSERT_TOL,
     reports = []
     feasible = True
     for j in order:
-        branch, fired = branches[j], firing[j]
+        fired = firing[j]
         cert_rows = [fi for fi, i in enumerate(fired) if probes[i].certifying]
         chosen, chosen_min, best = _reference_find(
-            candidates, branch.residuals[fired], expected[fired], cert_rows, tol)
+            candidates, out.residuals[j][fired], expected[fired], cert_rows, tol)
         gen_idx = rand_idx[-1] if rand_idx else fired[-1]
         feasible &= chosen is not None
-        reports.append(OutcomeReport(branch.key, float(probs[j, gen_idx]), chosen,
-                                     chosen_min, best, branch.perp))
+        reports.append(OutcomeReport(out.keys[j], float(probs[j, gen_idx]), chosen,
+                                     chosen_min, best, bool(out.perp[j])))
 
     reason = ""
     if max_perp > PERP_ALARM:
