@@ -215,7 +215,7 @@ def test_usage_errors_exit_two(argv, capsys):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("value", ["-1", "nan", "inf", "0", "1", "5"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "0", "1", "5", "1e400", ""])
 def test_tolerance_outside_unit_interval_exits_two(value, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["teleport", "--scenario", "q4_bob4_1q", "--tolerance", value])

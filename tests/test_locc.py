@@ -90,13 +90,6 @@ def test_bad_tolerance_rejected(tol):
         run_discrimination(q4, protocol, tol=tol)
 
 
-def test_zero_tolerance_accepted():
-    q4 = reg.locc_candidate_sets()["q4_8"]
-    protocol = reg.catalog_protocols()[0]
-    assert (run_discrimination(q4, protocol, tol=0.0)
-            == run_discrimination(q4, protocol))
-
-
 def test_repeated_candidate_labels_rejected():
     # the owner set used to collapse: success with no collision
     protocol = reg.catalog_protocols()[0]
@@ -193,6 +186,20 @@ def _oracle_candidate_sets():
             yield "omega16%s" % (idx,), [omega[i] for i in idx]
 
 
+def _oracle_cases():
+    protocols = reg.catalog_protocols()
+    for name, candidates in _oracle_candidate_sets():
+        for protocol in protocols:
+            yield name, candidates, protocol
+    # the registered protocols, and one whose enumeration order is not the
+    # sorted key order ("perp10" sorts before "perp2")
+    extra = list(reg.locc_protocols().values()) + [LoccProtocol(
+        "omega_meas_completed", (StepSpec((0, 1, 2, 3), "omega_meas", party="B1"),))]
+    for name, candidates in reg.locc_candidate_sets().items():
+        for protocol in extra:
+            yield name, candidates, protocol
+
+
 @pytest.mark.parametrize("tol", [DROP_TOL, 0.0, 1e-6])
 def test_discrimination_matches_per_branch_reference(tol, monkeypatch):
     # the reference reads the same kernel output run_discrimination got; the
@@ -204,17 +211,15 @@ def test_discrimination_matches_per_branch_reference(tol, monkeypatch):
         return kernel_out[-1]
 
     monkeypatch.setattr(locc, "enumerate_outcomes", recording)
-    protocols = reg.catalog_protocols()
     checked = 0
-    for name, candidates in _oracle_candidate_sets():
+    for name, candidates, protocol in _oracle_cases():
         labels = [label for label, _ in candidates]
-        for protocol in protocols:
-            got = run_discrimination(candidates, protocol, tol=tol)
-            want = _reference_discrimination(labels, protocol, kernel_out.pop())
-            assert got == want, (name, protocol.protocol_id)
-            assert list(got.transcript_map) == sorted(got.transcript_map)
-            checked += 1
-    assert checked == 20 * (6 + 28 + 56 + 70 + 70)
+        got = run_discrimination(candidates, protocol, tol=tol)
+        want = _reference_discrimination(labels, protocol, kernel_out.pop())
+        assert got == want, (name, protocol.protocol_id)
+        assert list(got.transcript_map) == sorted(got.transcript_map)
+        checked += 1
+    assert checked == 20 * (6 + 28 + 56 + 70 + 70) + 6 * 6
 
 
 # --- product terms and certificates --------------------------------------------------
