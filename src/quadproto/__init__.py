@@ -11,6 +11,7 @@ certificates).
 
 from .states import (
     MAX_QUBITS,
+    PAULI_ORDER,
     PureState,
     DensityMatrix,
     LocalUnitary,
@@ -21,6 +22,8 @@ from .states import (
     fidelity,
     inner,
     pauli,
+    pauli_products,
+    pauli_table,
     permute_qubits,
     purity,
     random_state,
@@ -96,10 +99,10 @@ from .suite import ClaimRow, SuiteReport, format_text, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAX_QUBITS", "PureState", "DensityMatrix", "LocalUnitary", "SIGMA",
-    "apply_local", "basis_state", "controlled_phase", "fidelity", "inner",
-    "pauli", "permute_qubits", "purity", "random_state", "random_unitary",
-    "reduced_density", "tensor",
+    "MAX_QUBITS", "PAULI_ORDER", "PureState", "DensityMatrix", "LocalUnitary",
+    "SIGMA", "apply_local", "basis_state", "controlled_phase", "fidelity",
+    "inner", "pauli", "pauli_products", "pauli_table", "permute_qubits",
+    "purity", "random_state", "random_unitary", "reduced_density", "tensor",
     "CORRECTIONS", "BasisCorrection", "NamedBasis", "NamedState",
     "basis_names", "corrections_for", "make_basis", "make_state",
     "state_names", "validate_orthonormal",

@@ -14,16 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .states import ASSERT_TOL, GRAM_TOL, PureState, apply_local, pauli
-
-
-def from_kets_unnormalized(kets: Mapping[str, complex]) -> PureState:
-    """Ket-term constructor that absorbs the overall normalization."""
-    return PureState.from_kets(kets, normalize=True)
 
 __all__ = [
     "NamedState",
@@ -139,44 +134,30 @@ class BasisCorrection:
 # states
 
 
-def _ghz(n: int) -> PureState:
-    return from_kets_unnormalized({"0" * n: 1.0, "1" * n: 1.0})
-
-
-def _w4() -> PureState:
-    return from_kets_unnormalized({"0001": 1.0, "0010": 1.0, "0100": 1.0, "1000": 1.0})
-
-
-def _omega() -> PureState:
+# fixed-name states: ket terms (normalized when built), SLOCC class, note
+_FIXED_STATES = {
+    "GHZ4": ({"0000": 1.0, "1111": 1.0}, "G_abcd", ""),
+    "W4": ({"0001": 1.0, "0010": 1.0, "0100": 1.0, "1000": 1.0}, "L_ab3", ""),
     # |0>|phi+>|0> + |1>|phi->|1>, all over sqrt(2)
-    return from_kets_unnormalized({"0000": 1.0, "0110": 1.0, "1001": 1.0, "1111": -1.0})
-
-
-def _q4() -> PureState:
-    return from_kets_unnormalized({"0000": 1.0, "0101": 1.0, "1000": 1.0, "1110": 1.0})
-
-
-def _q5() -> PureState:
-    return from_kets_unnormalized({"0000": 1.0, "1011": 1.0, "1101": 1.0, "1110": 1.0})
-
-
-def _q4_11() -> PureState:
-    return from_kets_unnormalized(
-        {"0000": 1.0, "1000": 1.0, "1110": 1.0, "0101": SQ3}
-    )
+    "Omega": ({"0000": 1.0, "0110": 1.0, "1001": 1.0, "1111": -1.0}, "G_abcd",
+              "cluster state"),
+    "Q4": ({"0000": 1.0, "0101": 1.0, "1000": 1.0, "1110": 1.0}, "L_0_{5+3bar}", ""),
+    "Q5": ({"0000": 1.0, "1011": 1.0, "1101": 1.0, "1110": 1.0}, "L_0_{7+1bar}", ""),
+    "Q4_11": ({"0000": 1.0, "1000": 1.0, "1110": 1.0, "0101": SQ3}, None,
+              "teleport-capable member of the Q4 class"),
+    "W3": ({"001": 1.0, "010": 1.0, "100": 1.0}, None, ""),
+}
 
 
 def _w_mn(m: float, n: float, rho: float = 0.0, eta: float = 0.0, sigma: float = 0.0) -> PureState:
     if m < 0 or n < 0:
         raise ValueError("W_mn weights must be nonnegative")
-    return from_kets_unnormalized(
-        {
-            "1000": 1.0,
-            "0100": math.sqrt(m) * np.exp(1j * rho),
-            "0010": math.sqrt(n) * np.exp(1j * eta),
-            "0001": math.sqrt(m + n + 1.0) * np.exp(1j * sigma),
-        }
-    )
+    return PureState.from_kets({
+        "1000": 1.0,
+        "0100": math.sqrt(m) * np.exp(1j * rho),
+        "0010": math.sqrt(n) * np.exp(1j * eta),
+        "0001": math.sqrt(m + n + 1.0) * np.exp(1j * sigma),
+    }, normalize=True)
 
 
 def _w_pqrs(p: complex, q: complex, r: complex, s: complex) -> PureState:
@@ -186,27 +167,16 @@ def _w_pqrs(p: complex, q: complex, r: complex, s: complex) -> PureState:
             "teleportation-capable W family needs |p|^2+|q|^2+|r|^2 = |s|^2 "
             "(got residual %.3e)" % gap
         )
-    return from_kets_unnormalized({"1000": p, "0100": q, "0010": r, "0001": s})
-
-
-def _w3() -> PureState:
-    return from_kets_unnormalized({"001": 1.0, "010": 1.0, "100": 1.0})
+    return PureState.from_kets({"1000": p, "0100": q, "0010": r, "0001": s},
+                               normalize=True)
 
 
 def _bell(kind: str) -> PureState:
     sign = 1.0 if kind.endswith("+") else -1.0
     if kind.startswith("phi"):
-        return from_kets_unnormalized({"00": 1.0, "11": sign})
-    return from_kets_unnormalized({"01": 1.0, "10": sign})
+        return PureState.from_kets({"00": 1.0, "11": sign}, normalize=True)
+    return PureState.from_kets({"01": 1.0, "10": sign}, normalize=True)
 
-
-_SLOCC = {
-    "GHZ4": "G_abcd",
-    "Omega": "G_abcd",
-    "W4": "L_ab3",
-    "Q4": "L_0_{5+3bar}",
-    "Q5": "L_0_{7+1bar}",
-}
 
 _STATE_ALIASES = {
     "Q1": "GHZ4",
@@ -236,21 +206,10 @@ def make_state(name: str, **params) -> NamedState:
     if params and canonical not in ("W_mn", "W_pqrs"):
         raise ValueError("state %r takes no parameters, got %s"
                          % (name, ", ".join(sorted(params))))
-    if canonical == "GHZ4":
-        return NamedState("GHZ4", _ghz(4), slocc=_SLOCC["GHZ4"])
-    if canonical == "W4":
-        return NamedState("W4", _w4(), slocc=_SLOCC["W4"])
-    if canonical == "Omega":
-        return NamedState("Omega", _omega(), slocc=_SLOCC["Omega"],
-                          note="cluster state")
-    if canonical == "Q4":
-        return NamedState("Q4", _q4(), slocc=_SLOCC["Q4"])
-    if canonical == "Q5":
-        return NamedState("Q5", _q5(), slocc=_SLOCC["Q5"])
-    if canonical == "Q4_11":
-        return NamedState("Q4_11", _q4_11(), note="teleport-capable member of the Q4 class")
-    if canonical == "W3":
-        return NamedState("W3", _w3())
+    if canonical in _FIXED_STATES:
+        kets, slocc, note = _FIXED_STATES[canonical]
+        return NamedState(canonical, PureState.from_kets(kets, normalize=True),
+                          slocc=slocc, note=note)
     if canonical == "W_mn":
         imaginary = sorted(k for k, v in params.items() if isinstance(v, complex))
         if imaginary:
@@ -279,7 +238,8 @@ def make_state(name: str, **params) -> NamedState:
             raise ValueError("GHZ:n needs an integer n, got %r" % text) from None
         if n < 2:
             raise ValueError("GHZ:n needs n >= 2")
-        return NamedState(canonical, _ghz(n), params={"n": n})
+        ghz = PureState.from_kets({"0" * n: 1.0, "1" * n: 1.0}, normalize=True)
+        return NamedState(canonical, ghz, params={"n": n})
     if canonical.startswith("Bell:"):
         kind = canonical.split(":", 1)[1]
         if kind not in ("phi+", "phi-", "psi+", "psi-"):
@@ -303,7 +263,7 @@ def state_names() -> list[str]:
 
 def _basis(name: str, entries: Sequence[tuple[str, Mapping[str, complex]]]) -> NamedBasis:
     labels = tuple(label for label, _ in entries)
-    vectors = tuple(from_kets_unnormalized(kets) for _, kets in entries)
+    vectors = tuple(PureState.from_kets(kets, normalize=True) for _, kets in entries)
     return NamedBasis(name, labels, vectors)
 
 

@@ -7,10 +7,13 @@ only if the encoded states are mutually orthogonal, so the number of
 distinguishable messages is the size of a maximum clique in the
 orthogonality graph over the 4^k encoded states.
 
-The encodings are rows of one (4^k, 2^n) array, built with one broadcast
-matmul per sender qubit and already in lexicographic encoding order.  Every
-Pauli matrix has one nonzero entry (+-1 or +-i) per row, so each amplitude
-is one exact product.
+The encodings are rows of one (4^k, 2^n) array in lexicographic encoding
+order (first sender qubit slowest), built by one gather: with the sender
+axes moved to the front in the caller's order, every Pauli product is a row
+of the signed-permutation table ``states.pauli_table`` that teleport
+corrections also read, so each amplitude is one exact +-1 multiple.  A query
+whose array would exceed ``MAX_ENCODED_ENTRIES`` amplitudes is refused
+before anything is allocated.
 
 Encodings that produce the same state up to global phase are collapsed to
 one class first (they can never be distinguished): in encoding order, an
@@ -31,45 +34,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import ASSERT_TOL, SIGMA, PureState, check_tolerance
+from .states import ASSERT_TOL, PureState, check_tolerance, pauli_table
 
 __all__ = [
-    "ENCODING_PAULIS",
     "DenseCodingResult",
     "encoded_states",
     "distinguishable_messages",
     "best_over_subsets",
 ]
 
-ENCODING_PAULIS = ("s0", "s1", "is2", "s3")
+# complex entries of one encoding array, 4^k x 2^n: 256 MiB
+MAX_ENCODED_ENTRIES = 2 ** 24
 
 
-def _encode(resource: PureState, sender_qubits: tuple[int, ...],
-            paulis: tuple[str, ...]) -> np.ndarray:
-    """All len(paulis)^k encodings as rows, in lexicographic encoding order."""
+def _encode(resource: PureState, sender_qubits: tuple[int, ...]) -> np.ndarray:
+    """All 4^k encodings as rows, in lexicographic encoding order."""
     if len(set(sender_qubits)) != len(sender_qubits):
         raise ValueError("repeated sender qubit in %s" % (list(sender_qubits),))
     n = resource.num_qubits
     if any(q < 0 or q >= n for q in sender_qubits):
         raise ValueError("target qubit out of range")
-    if not paulis:
-        raise ValueError("paulis must name at least one encoding Pauli")
-    mats = np.stack([SIGMA[name] for name in paulis])[None, :, None]
-    rows = resource.amplitudes[None]
-    for q in sender_qubits:
-        # (1, P, 1, 2, 2) @ (E, 1, 2^q, 2, rest) -> (E, P, 2^q, 2, rest)
-        rows = mats @ rows.reshape(len(rows), 1, 1 << q, 2, -1)
-        rows = rows.reshape(-1, resource.dim)
-    return rows
+    k = len(sender_qubits)
+    if 4 ** k << n > MAX_ENCODED_ENTRIES:
+        raise ValueError(
+            "%d sender qubits of a %d-qubit resource need 4^%d x 2^%d encoded "
+            "amplitudes, over the limit of 2^%d"
+            % (k, n, k, n, MAX_ENCODED_ENTRIES.bit_length() - 1))
+    _, perm, sign = pauli_table(k)
+    axes = list(sender_qubits) + [q for q in range(n) if q not in sender_qubits]
+    psi_t = resource.amplitudes.reshape((2,) * n).transpose(axes).reshape(1 << k, -1)
+    rows = psi_t[perm]
+    rows *= sign[:, :, None]
+    back = [0] + [1 + a for a in np.argsort(axes)]
+    return rows.reshape((len(rows),) + (2,) * n).transpose(back).reshape(len(rows), -1)
 
 
 def encoded_states(resource: PureState, sender_qubits: tuple[int, ...],
-                   paulis: tuple[str, ...] = ENCODING_PAULIS,
                    ) -> list[tuple[tuple[str, ...], PureState]]:
     """All 4^k encoded states in lexicographic encoding order."""
     sender_qubits = tuple(sender_qubits)
-    rows = _encode(resource, sender_qubits, paulis)
-    names = itertools.product(paulis, repeat=len(sender_qubits))
+    rows = _encode(resource, sender_qubits)
+    names = pauli_table(len(sender_qubits)).names
     return [(label, PureState(row)) for label, row in zip(names, rows)]
 
 
@@ -150,12 +155,10 @@ class DenseCodingResult:
 
 
 def distinguishable_messages(resource: PureState, sender_qubits: tuple[int, ...],
-                             tol: float = ASSERT_TOL,
-                             paulis: tuple[str, ...] = ENCODING_PAULIS,
-                             ) -> DenseCodingResult:
+                             tol: float = ASSERT_TOL) -> DenseCodingResult:
     check_tolerance(tol)
     sender_qubits = tuple(sender_qubits)
-    rows = _encode(resource, sender_qubits, paulis)
+    rows = _encode(resource, sender_qubits)
     rep_rows = _representatives(rows, tol)
     reps = rows[rep_rows]
     ortho = np.abs(reps.conj() @ reps.T) < tol
@@ -164,7 +167,7 @@ def distinguishable_messages(resource: PureState, sender_qubits: tuple[int, ...]
            for bits in np.packbits(ortho, axis=1, bitorder="little")]
     n = len(rep_rows)
     clique = _lex_smallest_maximum_clique(adj, n)
-    names = list(itertools.product(paulis, repeat=len(sender_qubits)))
+    names = pauli_table(len(sender_qubits)).names
     return DenseCodingResult(
         sender_qubits=sender_qubits,
         count=len(clique),

@@ -10,7 +10,6 @@ product outcomes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,9 +36,9 @@ class LoccProtocol:
     protocol_id: str
     rounds: tuple[StepSpec, ...]
 
-    @functools.cached_property
+    @property
     def plan(self) -> MeasurementPlan:
-        """Built on first use and kept: one protocol serves many candidate sets."""
+        """The memoized plan of ``rounds``, shared by every candidate set."""
         return build_plan(self.rounds)
 
 

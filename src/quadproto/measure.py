@@ -153,11 +153,21 @@ class MeasurementPlan:
 
 
 def build_plan(steps: Iterable[StepSpec]) -> MeasurementPlan:
-    """Resolve named steps against the catalog into a measurement plan."""
+    """Resolve named steps against the catalog into a measurement plan,
+    memoized by value; each parameter is keyed with its type, so ``i=1.0``
+    never reuses the plan of ``i=1``, whose builder wants an integer."""
+    return _plan(tuple([(tuple(s.qubits), s.basis, s.party,
+                         tuple([(k, type(v), v) for k, v in s.basis_params.items()])
+                         if s.basis_params else ())
+                        for s in steps]))
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(key: tuple) -> MeasurementPlan:
     return MeasurementPlan(tuple(
-        MeasurementStep(s.qubits, make_basis(s.basis, **dict(s.basis_params)),
-                        party=s.party)
-        for s in steps
+        MeasurementStep(qubits, make_basis(basis, **{k: v for k, _, v in params}),
+                        party=party)
+        for qubits, basis, party, params in key
     ))
 
 

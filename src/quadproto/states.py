@@ -6,9 +6,11 @@ operators are immutable values; every operation returns a fresh object.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -181,6 +183,44 @@ for _m in SIGMA.values():
     _m.setflags(write=False)
 
 CZ_MATRIX = _lock(np.diag([1, 1, 1, -1]).astype(np.complex128))
+
+# Pauli indices 0..3 of corrections, dense-coding encodings and dressings
+PAULI_ORDER = ("s0", "s1", "is2", "s3")
+
+
+def pauli_products(words: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Signed permutations of Pauli products given as (m, k) ``PAULI_ORDER``
+    indices, one per qubit: product ``t`` maps amplitudes ``x`` to
+    ``sign[t] * x[perm[t]]``; both arrays are (m, 2**k)."""
+    words = np.asarray(words, dtype=np.intp)
+    k = words.shape[1]
+    weights = 1 << np.arange(k - 1, -1, -1)
+    rows = np.arange(2 ** k)[None, :]
+    # s1 and is2 flip the bit, is2 and s3 negate rows where it is 1
+    flip = ((words ^ words >> 1) & 1) @ weights
+    negated = rows & ((words >> 1) @ weights)[:, None]
+    parity = np.zeros_like(negated)
+    for q in range(k):
+        parity ^= negated >> q
+    return rows ^ flip[:, None], 1.0 - 2.0 * (parity & 1)
+
+
+class PauliTable(NamedTuple):
+    """All 4**k products, qubit 0 slowest: product ``t`` is named
+    ``names[t]`` and maps amplitudes ``x`` to ``sign[t] * x[perm[t]]``."""
+
+    names: tuple[tuple[str, ...], ...]
+    perm: np.ndarray              # (4**k, 2**k) column indices
+    sign: np.ndarray              # (4**k, 2**k), entries +-1.0
+
+
+@functools.lru_cache(maxsize=None)
+def pauli_table(k: int) -> PauliTable:
+    """The read-only table of all 4**k Pauli products on k qubits."""
+    words = np.arange(4 ** k)[:, None] >> 2 * np.arange(k - 1, -1, -1) & 3
+    perm, sign = pauli_products(words)
+    return PauliTable(tuple(itertools.product(PAULI_ORDER, repeat=k)),
+                      _lock(perm), _lock(sign))
 
 
 def pauli(name: str) -> LocalUnitary:

@@ -19,10 +19,12 @@ Correction vocabularies:
                       since k qubits have 2**(2**k - 1) masks
 
 A candidate is a prefix (identity, a CZ or a sign mask, stored as a row of
-+-1 entries) followed by a Pauli product, stored as a signed permutation
-(a column index and a +-1 sign per row), so no candidate matrix is built.
-The scan runs prefix outer, Pauli inner, and stops at the first candidate
-that works; each step scores every Pauli product after one prefix at once.
++-1 entries) followed by a Pauli product, a row of the signed-permutation
+table ``states.pauli_table`` (a column index and a +-1 sign per row), so no
+candidate matrix is built.  Dense coding and the Pauli dressing of the
+``ghz_diag`` and ``omega_sub`` input families read the same table.  The
+scan runs prefix outer, Pauli inner, and stops at the first candidate that
+works; each step scores every Pauli product after one prefix at once.
 
 When no candidate works the result carries a certificate: per outcome, the
 best achievable worst-case fidelity over the probe set.
@@ -39,8 +41,8 @@ import numpy as np
 
 from .catalog import NamedState, make_state
 from .measure import StepSpec, build_plan, enumerate_outcomes
-from .states import (ASSERT_TOL, PERP_ALARM, VALUE_TOL, PureState,
-                     check_tolerance, tensor)
+from .states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, VALUE_TOL, PureState,
+                     check_tolerance, pauli_products, pauli_table, tensor)
 
 __all__ = [
     "FamilySpec",
@@ -55,7 +57,6 @@ __all__ = [
 ]
 
 NUM_RANDOM_PROBES = 20
-PAULI_ORDER = ("s0", "s1", "is2", "s3")
 # paulis+diag scans 2**(2**k - 1) sign masks: 128 at k = 3, 32,768 at k = 4
 MAX_DIAG_QUBITS = 3
 # complex entries in one scored block (rows x Pauli products x 2**k), 4 MiB
@@ -75,7 +76,8 @@ class FamilySpec:
       * ``ghz_diag``   D(alpha|0..0> + beta|1..1>) for fixed Pauli dressing D
       * ``omega_sub``  D(alpha phi+|1> + beta phi-|0>) on three qubits
       * ``w_equal3``   the single state (|001>+|010>+|100>+|000>)/2
-    ``dressing`` lists Pauli indices 0..3; its meaning depends on the kind.
+    ``dressing`` lists ``PAULI_ORDER`` indices 0..3; for ``ghz_diag`` one
+    per qubit, for ``omega_sub`` the Paulis on qubits 0 and 2.
     """
 
     kind: str
@@ -90,12 +92,12 @@ class FamilySpec:
                              % list(self.dressing))
 
 
-def _dress_vec(vec: PureState, ops: Sequence[tuple[int, str]]) -> PureState:
-    from .states import apply_local, pauli
-
-    for qubit, name in ops:
-        vec = apply_local(vec, pauli(name), [qubit])
-    return vec
+def _dressed(word: Sequence[int], *kets: Mapping[str, float]) -> tuple[PureState, ...]:
+    """The normalized ket states with Pauli ``PAULI_ORDER[word[q]]`` on qubit
+    q: one signed permutation, the row of ``pauli_table`` for ``word``."""
+    (perm,), (sign,) = pauli_products([word])
+    return tuple(PureState(sign * PureState.from_kets(terms, normalize=True)
+                           .amplitudes[perm]) for terms in kets)
 
 
 def family_span(spec: FamilySpec) -> tuple[tuple[str, ...], tuple[PureState, ...]]:
@@ -108,19 +110,12 @@ def family_span(spec: FamilySpec) -> tuple[tuple[str, ...], tuple[PureState, ...
     if spec.kind == "ghz_diag":
         if len(d) != k:
             raise ValueError("ghz_diag dressing needs one Pauli index per qubit")
-        ops = [(q, PAULI_ORDER[i]) for q, i in enumerate(d)]
-        lo = _dress_vec(PureState.from_kets({"0" * k: 1.0}), ops)
-        hi = _dress_vec(PureState.from_kets({"1" * k: 1.0}), ops)
-        return ("D|0..0>", "D|1..1>"), (lo, hi)
+        return ("D|0..0>", "D|1..1>"), _dressed(d, {"0" * k: 1.0}, {"1" * k: 1.0})
     if spec.kind == "omega_sub":
         if len(d) != 2:
             raise ValueError("omega_sub dressing needs two Pauli indices")
-        ops = [(0, PAULI_ORDER[d[0]]), (2, PAULI_ORDER[d[1]])]
-        u1 = _dress_vec(PureState.from_kets({"001": 1.0, "111": 1.0},
-                                            normalize=True), ops)
-        u2 = _dress_vec(PureState.from_kets({"000": 1.0, "110": -1.0},
-                                            normalize=True), ops)
-        return ("D phi+|1>", "D phi-|0>"), (u1, u2)
+        return ("D phi+|1>", "D phi-|0>"), _dressed(
+            (d[0], 0, d[1]), {"001": 1.0, "111": 1.0}, {"000": 1.0, "110": -1.0})
     # w_equal3
     w = PureState.from_kets({"001": 1.0, "010": 1.0, "100": 1.0, "000": 1.0},
                             normalize=True)
@@ -208,8 +203,8 @@ class _Vocabulary:
 
     Candidate ``(p, t)`` is the matrix ``P_t @ diag(masks[p])``, scanned
     prefix outer, Pauli inner; its descriptor is
-    ``prefixes[p] + paulis[t]``.  Each Pauli product ``P_t`` is a signed
-    permutation: row ``r`` holds ``sign[t, r]`` in column ``perm[t, r]``.
+    ``prefixes[p] + paulis[t]``.  The Pauli products are those of
+    ``pauli_table(k)``, their names joined by ``*``.
     """
 
     prefixes: tuple[str, ...]
@@ -219,33 +214,19 @@ class _Vocabulary:
     sign: np.ndarray              # (4**k, 2**k), entries +-1
 
 
-def _bit(x: np.ndarray, k: int, qubit: int) -> np.ndarray:
-    """Bit of ``qubit`` in register index ``x`` (qubit 0 most significant)."""
-    return (x >> (k - 1 - qubit)) & 1
-
-
 @functools.lru_cache(maxsize=None)
 def _vocabulary(allowed: str, k: int) -> _Vocabulary:
     d = 2 ** k
     rows = np.arange(d)
-    # Pauli product t has digit t_q (base 4, qubit 0 most significant) on
-    # qubit q: s1 and is2 flip the bit, is2 and s3 negate rows where it is 1
-    digits = [(np.arange(4 ** k) >> (2 * (k - 1 - q))) & 3 for q in range(k)]
-    flip = sum(((t ^ (t >> 1)) & 1) << (k - 1 - q) for q, t in enumerate(digits))
-    phase = sum((t >> 1) << (k - 1 - q) for q, t in enumerate(digits))
-    perm = rows[None, :] ^ flip[:, None]
-    parity = sum(_bit(rows[None, :] & phase[:, None], k, q) for q in range(k))
-    sign = 1.0 - 2.0 * (parity & 1)
-    paulis = tuple("*".join(PAULI_ORDER[t[i]] for t in digits)
-                   for i in range(4 ** k))
-
     prefixes = [""]
     masks = [np.ones(d)]
     if allowed == "paulis+cz":
         for i in range(k):
             for j in range(i + 1, k):
                 prefixes.append("CZ(%d,%d);" % (i, j))
-                masks.append(1.0 - 2.0 * (_bit(rows, k, i) & _bit(rows, k, j)))
+                # qubit 0 is the most significant bit
+                both = (rows >> (k - 1 - i)) & (rows >> (k - 1 - j)) & 1
+                masks.append(1.0 - 2.0 * both)
     elif allowed == "paulis+diag":
         # sign masks with a + on |0..0>, one per bit pattern of the rest
         for m in range(1, 2 ** (d - 1)):
@@ -253,10 +234,12 @@ def _vocabulary(allowed: str, k: int) -> _Vocabulary:
             mask[1:] = 1.0 - 2.0 * ((m >> (rows[1:] - 1)) & 1)
             prefixes.append("D(%s);" % "".join("+" if s > 0 else "-" for s in mask))
             masks.append(mask)
-    vocab = _Vocabulary(tuple(prefixes), np.array(masks), paulis, perm, sign)
-    for arr in (vocab.masks, vocab.perm, vocab.sign):
-        arr.flags.writeable = False
-    return vocab
+    masks = np.array(masks)
+    masks.flags.writeable = False
+    table = pauli_table(k)
+    return _Vocabulary(tuple(prefixes), masks,
+                       tuple("*".join(names) for names in table.names),
+                       table.perm, table.sign)
 
 
 def _find_correction(vocab: _Vocabulary, residuals: np.ndarray,

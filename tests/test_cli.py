@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from quadproto import densecode
 from quadproto import scenarios as reg
 from quadproto.catalog import make_basis
 from quadproto.cli import main
@@ -280,6 +281,21 @@ def test_complex_parameter_literal_accepted(capsys):
 def test_parameter_errors_are_named(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("qubits", ["0,1,2,3,4,5,6", ",".join(map(str, range(12)))])
+def test_oversized_densecode_query_exits_two(qubits, monkeypatch, capsys):
+    # 4.3 GB and 1.1 TB of encodings: refused before the Pauli table is built
+    def no_table(k):
+        raise AssertionError("the Pauli table was built for k = %d" % k)
+
+    monkeypatch.setattr(densecode, "pauli_table", no_table)
+    assert main(["densecode", "--state", "GHZ:12", "--qubits", qubits]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: %d sender qubits of a 12-qubit resource"
+                                   % len(qubits.split(",")))
+    assert "over the limit of 2^24" in captured.err
 
 
 def test_oversized_diag_vocabulary_file_exits_two(tmp_path, capsys):

@@ -9,14 +9,14 @@ from quadproto import densecode
 from quadproto import scenarios as reg
 from quadproto.catalog import make_state
 from quadproto.densecode import (
-    ENCODING_PAULIS,
+    MAX_ENCODED_ENTRIES,
     DenseCodingResult,
     _lex_smallest_maximum_clique,
     best_over_subsets,
     distinguishable_messages,
     encoded_states,
 )
-from quadproto.states import SIGMA, apply_local, random_state
+from quadproto.states import ASSERT_TOL, PAULI_ORDER, SIGMA, apply_local, random_state
 
 PRINCIPAL = ("GHZ4", "W4", "Omega", "Q4", "Q5")
 
@@ -31,7 +31,7 @@ def _count(name, qubits, **state_params):
 def test_encoding_enumeration_is_lexicographic():
     st = make_state("Bell:phi+").state
     enc = encoded_states(st, (0,))
-    assert [names for names, _ in enc] == [(p,) for p in ENCODING_PAULIS]
+    assert [names for names, _ in enc] == [(p,) for p in PAULI_ORDER]
     enc2 = encoded_states(st, (0, 1))
     assert len(enc2) == 16
     assert enc2[0][0] == ("s0", "s0") and enc2[-1][0] == ("s3", "s3")
@@ -52,7 +52,6 @@ def test_witness_states_are_mutually_orthogonal():
         for names in res.witness:
             enc = st
             for qubit, p in zip((0, 1), names):
-                from quadproto.states import SIGMA, apply_local
                 enc = apply_local(enc, SIGMA[p], [qubit])
             vecs.append(enc.amplitudes)
         g = np.abs(np.conj(vecs) @ np.transpose(vecs))
@@ -67,16 +66,6 @@ def test_witness_is_deterministic_and_lex_smallest():
     # the all-identity encoding is always in some maximum clique, and the
     # lex-smallest clique must therefore start with it
     assert a.witness[0] == ("s0", "s0")
-
-
-def test_antisymmetric_pauli_phase_is_immaterial():
-    # swapping i*sigma2 for plain sigma2 changes phases only
-    for name in PRINCIPAL:
-        st = make_state(name).state
-        with_is2 = distinguishable_messages(st, (0, 1))
-        with_s2 = distinguishable_messages(st, (0, 1),
-                                           paulis=("s0", "s1", "s2", "s3"))
-        assert with_is2.count == with_s2.count, name
 
 
 def test_class_counts_bounded_by_encodings():
@@ -149,8 +138,6 @@ def test_distribution_dependence_counterexamples():
 
 def test_bad_arguments_rejected():
     st = make_state("GHZ4").state
-    with pytest.raises(KeyError):
-        distinguishable_messages(st, (0,), paulis=("s0", "sx"))
     with pytest.raises(ValueError, match="out of range"):
         distinguishable_messages(st, (9,))
     with pytest.raises(ValueError, match="out of range"):
@@ -175,12 +162,29 @@ def test_bad_tolerance_rejected(tol):
         best_over_subsets(st, 1, tol=tol)
 
 
-def test_empty_pauli_set_rejected():
+@pytest.mark.parametrize("k", [7, 12])
+def test_oversized_query_rejected_before_allocation(k, monkeypatch):
+    # 4^7 x 2^12 amplitudes would take 4.3 GB, 4^12 x 2^12 1.1 TB
+    def no_table(k):
+        raise AssertionError("the Pauli table was built for k = %d" % k)
+
+    monkeypatch.setattr(densecode, "pauli_table", no_table)
+    st = make_state("GHZ:12").state
+    assert 4 ** k * st.dim > MAX_ENCODED_ENTRIES
+    for call in (distinguishable_messages, encoded_states):
+        with pytest.raises(ValueError, match=r"over the limit of 2\^24"):
+            call(st, tuple(range(k)))
+
+
+def test_query_at_the_limit_is_answered(monkeypatch):
+    # the bound admits GHZ:12 with sender 0..5, 4^6 x 2^12 amplitudes; the
+    # same boundary is checked here at a size that is cheap to run
+    assert 4 ** 6 * 2 ** 12 == MAX_ENCODED_ENTRIES
+    monkeypatch.setattr(densecode, "MAX_ENCODED_ENTRIES", 4 ** 2 * 2 ** 4)
     st = make_state("GHZ4").state
-    with pytest.raises(ValueError, match="at least one encoding Pauli"):
-        distinguishable_messages(st, (0,), paulis=())
-    with pytest.raises(ValueError, match="at least one encoding Pauli"):
-        encoded_states(st, (0, 1), paulis=())
+    assert distinguishable_messages(st, (1, 0)).count == 8
+    with pytest.raises(ValueError, match="3 sender qubits of a 4-qubit"):
+        distinguishable_messages(st, (0, 1, 2))
 
 
 @pytest.mark.parametrize("k", [-1, 5, 9])
@@ -198,9 +202,9 @@ def test_best_over_subsets_accepts_every_k_in_range():
 
 # --- the array kernel against the per-state path it replaced ---------------------
 
-def _reference_encoded(resource, sender_qubits, paulis):
+def _reference_encoded(resource, sender_qubits):
     out = []
-    for names in itertools.product(paulis, repeat=len(sender_qubits)):
+    for names in itertools.product(PAULI_ORDER, repeat=len(sender_qubits)):
         st = resource
         for qubit, name in zip(sender_qubits, names):
             st = apply_local(st, SIGMA[name], [qubit])
@@ -267,8 +271,24 @@ def _reference_cases():
 
 
 _REFERENCE_CASES = _reference_cases()
-_PAULI_SETS = (ENCODING_PAULIS, ("s0", "s1", "s2", "s3"))
 _TOLERANCES = (1e-15, 1e-10, 0.3, 0.6, 0.9)
+
+
+def _assert_matches_reference(st, subset, tolerances):
+    encoded = _reference_encoded(st, subset)
+    got_states = encoded_states(st, subset)
+    assert [n for n, _ in got_states] == [n for n, _ in encoded]
+    for (names, a), (_, b) in zip(got_states, encoded):
+        assert np.array_equal(a.amplitudes, b.amplitudes), (subset, names)
+    for tol in tolerances:
+        got = distinguishable_messages(st, subset, tol=tol)
+        want = _reference_messages(encoded, subset, tol)
+        where = (subset, tol)
+        assert got.sender_qubits == want.sender_qubits, where
+        assert got.count == want.count, where
+        assert got.witness == want.witness, where
+        assert got.num_encodings == want.num_encodings, where
+        assert got.num_classes == want.num_classes, where
 
 
 @pytest.mark.parametrize("label", list(_REFERENCE_CASES))
@@ -276,18 +296,9 @@ def test_kernel_matches_reference_path(label, monkeypatch):
     monkeypatch.setattr(densecode, "_lex_smallest_maximum_clique", _clique_once)
     st, subsets = _REFERENCE_CASES[label]
     for subset in subsets:
-        for paulis in _PAULI_SETS:
-            encoded = _reference_encoded(st, subset, paulis)
-            got_states = encoded_states(st, subset, paulis)
-            assert [n for n, _ in got_states] == [n for n, _ in encoded]
-            for (names, a), (_, b) in zip(got_states, encoded):
-                assert np.array_equal(a.amplitudes, b.amplitudes), (subset, names)
-            for tol in _TOLERANCES:
-                got = distinguishable_messages(st, subset, tol=tol, paulis=paulis)
-                want = _reference_messages(encoded, subset, tol)
-                where = (subset, paulis, tol)
-                assert got.sender_qubits == want.sender_qubits, where
-                assert got.count == want.count, where
-                assert got.witness == want.witness, where
-                assert got.num_encodings == want.num_encodings, where
-                assert got.num_classes == want.num_classes, where
+        _assert_matches_reference(st, subset, _TOLERANCES)
+        # the kernel moves the sender axes to the front in the caller's order
+        # and back: a reversed and a rotated order, at the default tolerance
+        for order in dict.fromkeys((subset[::-1], subset[1:] + subset[:1])):
+            if order != subset:
+                _assert_matches_reference(st, order, (ASSERT_TOL,))

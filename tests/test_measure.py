@@ -13,6 +13,7 @@ from quadproto.measure import (
     complete_basis,
     enumerate_outcomes,
 )
+from quadproto.scenario_io import dumps_scenario, loads_scenario
 from quadproto.states import DROP_TOL, PureState, basis_state, random_state, tensor
 from quadproto.teleport import build_probes
 
@@ -187,6 +188,24 @@ def test_build_plan_resolves_names_and_completes_once():
     assert first.completed.labels[:4] == first.basis.labels
     assert second.party == "Bob"
     assert second.completed is second.basis  # already complete
+
+
+def test_build_plan_memoized_by_value():
+    # a JSON round trip gives equal steps in new objects: one plan serves both
+    for sc in reg.TELEPORT_SCENARIOS.values():
+        loaded = loads_scenario(dumps_scenario(sc))
+        assert loaded.steps is not sc.steps
+        assert build_plan(loaded.steps) is build_plan(sc.steps), sc.scenario_id
+    assert build_plan([StepSpec((0, 1), "bell", party="B")]) is not \
+        build_plan([StepSpec((0, 1), "bell")])
+
+
+def test_build_plan_cache_keeps_parameter_types():
+    plan = build_plan([StepSpec((0, 1, 2, 3), "pi_2q", {"i": 1})])
+    assert plan is build_plan([StepSpec((0, 1, 2, 3), "pi_2q", {"i": 1})])
+    for bad in (1.0, True):
+        with pytest.raises(ValueError, match="Pauli index must be an integer"):
+            build_plan([StepSpec((0, 1, 2, 3), "pi_2q", {"i": bad})])
 
 
 def _separately_completed(steps):

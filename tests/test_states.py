@@ -1,10 +1,14 @@
 """Core state container and operator plumbing."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from quadproto.states import (
     MAX_QUBITS,
+    PAULI_ORDER,
+    SIGMA,
     CapacityError,
     PureState,
     apply_local,
@@ -14,6 +18,8 @@ from quadproto.states import (
     fidelity,
     inner,
     pauli,
+    pauli_products,
+    pauli_table,
     permute_qubits,
     purity,
     random_state,
@@ -192,3 +198,32 @@ def test_check_tolerance_accepts_zero_only_for_drop_tolerances():
     for value in (-1e-300, 1.0, float("nan")):
         with pytest.raises(ValueError, match=r"drop_tol .* in \[0, 1\)"):
             check_tolerance(value, "drop_tol", allow_zero=True)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_pauli_table_matches_dense_kron(k):
+    table = pauli_table(k)
+    assert pauli_table(k) is table
+    assert table.names == tuple(itertools.product(PAULI_ORDER, repeat=k))
+    assert table.perm.shape == table.sign.shape == (4 ** k, 2 ** k)
+    assert not table.perm.flags.writeable and not table.sign.flags.writeable
+    rows = np.arange(2 ** k)
+    for names, perm, sign in zip(*table):
+        want = np.ones((1, 1), dtype=np.complex128)
+        for name in names:
+            want = np.kron(want, SIGMA[name])
+        got = np.zeros((2 ** k, 2 ** k), dtype=np.complex128)
+        got[rows, perm] = sign
+        assert np.array_equal(got, want), names
+
+
+def test_single_pauli_products_are_table_rows():
+    for k in (0, 1, 2, 3):
+        table = pauli_table(k)
+        words = list(itertools.product(range(4), repeat=k))
+        perm, sign = pauli_products(words)
+        assert np.array_equal(perm, table.perm) and np.array_equal(sign, table.sign)
+        for t, word in enumerate(words):
+            (one_perm,), (one_sign,) = pauli_products([word])
+            assert np.array_equal(one_perm, table.perm[t]), word
+            assert np.array_equal(one_sign, table.sign[t]), word

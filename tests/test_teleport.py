@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ import pytest
 from quadproto import scenarios as reg
 from quadproto import teleport
 from quadproto.measure import StepSpec, build_plan, enumerate_outcomes
-from quadproto.states import ASSERT_TOL, PERP_ALARM, SIGMA, VALUE_TOL, tensor
+from quadproto.states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, SIGMA, VALUE_TOL,
+                              PureState, apply_local, tensor)
 from quadproto.teleport import (
-    PAULI_ORDER,
     FamilySpec,
     OutcomeReport,
     TeleportResult,
@@ -50,6 +51,39 @@ def test_single_member_family_has_no_superpositions():
     assert labels == ("w_equal",)
     probes = build_probes(FamilySpec("w_equal3", 3), np.random.default_rng(0))
     assert len(probes) == 1 and probes[0].certifying
+
+
+def _reference_span(spec):
+    """Dressed family members from an apply_local chain, one Pauli per qubit."""
+    if spec.kind == "ghz_diag":
+        kets = ({"0" * spec.num_qubits: 1.0}, {"1" * spec.num_qubits: 1.0})
+        ops = list(enumerate(spec.dressing))
+    else:
+        kets = ({"001": 1.0, "111": 1.0}, {"000": 1.0, "110": -1.0})
+        ops = [(0, spec.dressing[0]), (2, spec.dressing[1])]
+    out = []
+    for terms in kets:
+        st = PureState.from_kets(terms, normalize=True)
+        for qubit, i in ops:
+            st = apply_local(st, SIGMA[PAULI_ORDER[i]], [qubit])
+        out.append(st)
+    return out
+
+
+def test_dressed_spans_match_apply_local_chain():
+    specs = [FamilySpec("ghz_diag", k, d) for k in (1, 2, 3)
+             for d in itertools.product(range(4), repeat=k)]
+    specs += [FamilySpec("omega_sub", 3, d)
+              for d in itertools.product(range(4), repeat=2)]
+    registered = [sc.family for sc in _ALL_SCENARIOS
+                  if sc.family.kind in ("ghz_diag", "omega_sub")]
+    assert registered
+    for spec in specs + registered:
+        _, span = family_span(spec)
+        want = _reference_span(spec)
+        assert len(span) == len(want) == 2
+        for got, ref in zip(span, want):
+            assert np.array_equal(got.amplitudes, ref.amplitudes), spec
 
 
 def test_probes_deterministic_per_seed():
