@@ -24,6 +24,21 @@ the representatives only; a Gram matrix over all 4^k encodings would grow
 with 16^k.  The clique search is exact and returns the lexicographically
 smallest maximum clique over the representatives, so results are
 deterministic.
+
+The search first finds c0, one more than the largest clique in vertex 0's
+neighbourhood, so the largest clique through the identity encoding.  The
+maximum is c0 when c0 reaches the greedy-colouring bound of the whole graph
+(edgeless and complete graphs), or when the graph is certified to be a
+Cayley graph of the Pauli group modulo the identity's class: the XOR of two
+encoding indices is their Pauli product up to phase, and |<P_a psi|P_b psi>|
+= |<psi|P_(a xor b)|psi>|.  The certificate is read off the classes and the
+thresholded adjacency alone (class 0 closed under XOR, every class one of
+its cosets, every edge i-j equal to the edge from 0 to the class of
+rep_i xor rep_j), so it adds no floating-point comparison and cannot change
+a result; it is built only when the colouring bound leaves the question
+open.  A Cayley graph is vertex-transitive, so some maximum clique contains
+vertex 0.  Otherwise the bound is searched over the whole graph, starting
+from c0.
 """
 
 from __future__ import annotations
@@ -31,6 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -78,21 +94,75 @@ def encoded_states(resource: PureState, sender_qubits: tuple[int, ...],
     return [(label, PureState(row)) for label, row in zip(names, rows)]
 
 
-def _representatives(rows: np.ndarray, tol: float) -> list[int]:
-    """Row indices of the first member of each global-phase class."""
+def _representatives(rows: np.ndarray, tol: float) -> tuple[list[int], np.ndarray]:
+    """Row indices of the first member of each global-phase class, and the
+    class of every row: a representative's own class index, or the first
+    representative the row matched."""
     reps: list[int] = []
+    cls = np.empty(len(rows), dtype=np.intp)
     conj_reps = np.empty_like(rows)
     for j, row in enumerate(rows):
         r = len(reps)
-        if r and (np.abs(np.abs(conj_reps[:r] @ row) - 1.0) < tol).any():
-            continue
+        if r:
+            hits = np.abs(np.abs(conj_reps[:r] @ row) - 1.0) < tol
+            first = hits.argmax()
+            if hits[first]:
+                cls[j] = first
+                continue
         np.conjugate(row, out=conj_reps[r])
+        cls[j] = r
         reps.append(j)
-    return reps
+    return reps, cls
+
+
+def _is_cayley(cls: np.ndarray, rep_rows: list[int], ortho: np.ndarray) -> bool:
+    """Whether the orthogonality graph is a Cayley graph, hence
+    vertex-transitive, proved from the classes and adjacency alone.
+
+    The XOR of two encoding indices is their Pauli product up to phase.  With
+    S the rows of class 0 (the identity's), the classes are exactly the
+    cosets of S when S is closed under XOR, the n classes hold 4^k / n rows
+    each and every coset r ^ S lies in r's class.  The graph is then a
+    Cayley graph on the quotient group when each edge i-j reads the same as
+    the edge from 0 to the class of rep_i ^ rep_j."""
+    s = np.flatnonzero(cls == 0)
+    basis: list[int] = []   # distinct leading bits, largest first
+    for x in s.tolist():
+        for b in basis:
+            x = min(x, x ^ b)
+        if x:
+            basis.append(x)
+            basis.sort(reverse=True)
+    n = len(rep_rows)
+    if len(s) != 1 << len(basis) or len(s) * n != len(cls):
+        return False
+    reps = np.asarray(rep_rows)
+    if not (cls[reps[:, None] ^ s] == cls[reps][:, None]).all():
+        return False
+    return bool((ortho == ortho[0, cls[reps[:, None] ^ reps]]).all())
+
+
+def _greedy_colouring(adj: list[int], pool: int) -> list[tuple[int, int]]:
+    """(vertex, colour) pairs of a greedy colouring of the pool, colours
+    assigned in index order; no clique in the pool exceeds the last colour."""
+    order: list[tuple[int, int]] = []
+    uncolored = pool
+    color = 0
+    while uncolored:
+        color += 1
+        avail = uncolored
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            order.append((v, color))
+            avail &= ~adj[v]
+            avail &= ~(1 << v)
+            uncolored &= ~(1 << v)
+    return order
 
 
 def _max_clique_size(adj: list[int], cand: int, lower: int = 0) -> int:
-    """Exact maximum clique size within the candidate bitmask."""
+    """Exact maximum clique size within the candidate bitmask, or ``lower``
+    when no clique there is larger."""
     best = lower
 
     def expand(size: int, pool: int) -> None:
@@ -101,20 +171,7 @@ def _max_clique_size(adj: list[int], cand: int, lower: int = 0) -> int:
             if size > best:
                 best = size
             return
-        # greedy coloring upper bound; colors assigned in index order
-        order: list[tuple[int, int]] = []
-        uncolored = pool
-        color = 0
-        while uncolored:
-            color += 1
-            avail = uncolored
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                order.append((v, color))
-                avail &= ~adj[v]
-                avail &= ~(1 << v)
-                uncolored &= ~(1 << v)
-        for v, bound in reversed(order):
+        for v, bound in reversed(_greedy_colouring(adj, pool)):
             if size + bound <= best:
                 return
             expand(size + 1, pool & adj[v])
@@ -124,20 +181,28 @@ def _max_clique_size(adj: list[int], cand: int, lower: int = 0) -> int:
     return best
 
 
-def _lex_smallest_maximum_clique(adj: list[int], n: int) -> list[int]:
+def _lex_smallest_maximum_clique(adj: list[int], n: int,
+                                 transitive: Callable[[], bool]) -> list[int]:
+    """The lexicographically smallest maximum clique.  ``transitive`` is asked,
+    only when the cheap bounds leave it open, whether the graph is known to be
+    vertex-transitive, so that vertex 0 lies in a maximum clique."""
     full = (1 << n) - 1
-    target = _max_clique_size(adj, full)
-    chosen: list[int] = []
-    pool = full
-    for v in range(n):
+    c0 = 1 + _max_clique_size(adj, adj[0])
+    if c0 >= _greedy_colouring(adj, full)[-1][1] or transitive():
+        target = c0
+    else:
+        target = _max_clique_size(adj, full, lower=c0)
+    chosen = [0] if c0 == target else []
+    pool = adj[0] if chosen else full
+    for v in range(1, n):
+        if len(chosen) == target:
+            break
         if not (pool >> v) & 1:
             continue
         inner = pool & adj[v]
         if len(chosen) + 1 + _max_clique_size(adj, inner) >= target:
             chosen.append(v)
             pool = inner
-            if len(chosen) == target:
-                break
     return chosen
 
 
@@ -159,14 +224,15 @@ def distinguishable_messages(resource: PureState, sender_qubits: tuple[int, ...]
     check_tolerance(tol)
     sender_qubits = tuple(sender_qubits)
     rows = _encode(resource, sender_qubits)
-    rep_rows = _representatives(rows, tol)
+    rep_rows, cls = _representatives(rows, tol)
     reps = rows[rep_rows]
     ortho = np.abs(reps.conj() @ reps.T) < tol
     np.fill_diagonal(ortho, False)
     adj = [int.from_bytes(bits.tobytes(), "little")
            for bits in np.packbits(ortho, axis=1, bitorder="little")]
     n = len(rep_rows)
-    clique = _lex_smallest_maximum_clique(adj, n)
+    clique = _lex_smallest_maximum_clique(
+        adj, n, lambda: _is_cayley(cls, rep_rows, ortho))
     names = pauli_table(len(sender_qubits)).names
     return DenseCodingResult(
         sender_qubits=sender_qubits,

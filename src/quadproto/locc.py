@@ -10,6 +10,7 @@ product outcomes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,9 +37,11 @@ class LoccProtocol:
     protocol_id: str
     rounds: tuple[StepSpec, ...]
 
-    @property
+    @functools.cached_property
     def plan(self) -> MeasurementPlan:
-        """The memoized plan of ``rounds``, shared by every candidate set."""
+        """The memoized plan of ``rounds``, shared by every candidate set and
+        by every equal protocol; kept on the protocol, so the by-value key
+        is built once."""
         return build_plan(self.rounds)
 
 

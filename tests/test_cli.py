@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import hashlib
 import json
 import os
 
@@ -129,6 +130,15 @@ def test_densecode_all(capsys):
     assert rc == 0
     rows = json.loads(out)["capacities"]
     assert any(r["claim"] == "omega_dc2" and r["N"] == 16 for r in rows)
+
+
+def test_densecode_all_json_bytes_pinned(capsys):
+    # integers and labels only, so the bytes do not depend on the BLAS build;
+    # a faster clique search must leave every count and witness as it was
+    rc, out = _json_out(capsys, ["densecode", "--all"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "43c9796250d0c5fe5a3d3fc8b703c984b93eadbaece29bacb622a154fc127104"
 
 
 def test_locc_single_run(capsys):

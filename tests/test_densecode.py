@@ -212,15 +212,62 @@ def _reference_encoded(resource, sender_qubits):
     return out
 
 
+def _reference_max_clique_size(adj, cand):
+    """Exact maximum clique size within the candidate bitmask: the search as
+    it was before the Cayley shortcut, kept verbatim as the oracle."""
+    best = 0
+
+    def expand(size, pool):
+        nonlocal best
+        if pool == 0:
+            if size > best:
+                best = size
+            return
+        order = []
+        uncolored = pool
+        color = 0
+        while uncolored:
+            color += 1
+            avail = uncolored
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                order.append((v, color))
+                avail &= ~adj[v]
+                avail &= ~(1 << v)
+                uncolored &= ~(1 << v)
+        for v, bound in reversed(order):
+            if size + bound <= best:
+                return
+            expand(size + 1, pool & adj[v])
+            pool &= ~(1 << v)
+
+    expand(0, cand)
+    return best
+
+
 _CLIQUES = {}
 
 
-def _clique_once(adj, n):
-    # the clique search is a pure function of (adj, n); both paths share one
-    # result per graph, and a graph that differs is searched afresh
+def _reference_lex_clique(adj, n):
+    """The lexicographically smallest maximum clique, with the first bound
+    searched over the whole graph; cached by graph, since the reference path
+    meets the same graph under several orders and tolerances."""
     key = (tuple(adj), n)
     if key not in _CLIQUES:
-        _CLIQUES[key] = _lex_smallest_maximum_clique(adj, n)
+        full = (1 << n) - 1
+        target = _reference_max_clique_size(adj, full)
+        chosen = []
+        pool = full
+        for v in range(n):
+            if not (pool >> v) & 1:
+                continue
+            inner = pool & adj[v]
+            if len(chosen) + 1 + _reference_max_clique_size(adj, inner) >= target:
+                chosen.append(v)
+                pool = inner
+                if len(chosen) == target:
+                    break
+        _CLIQUES[key] = chosen
     return list(_CLIQUES[key])
 
 
@@ -243,7 +290,7 @@ def _reference_messages(encoded, sender_qubits, tol):
         for j in range(n):
             if i != j and overlaps[i, j] < tol:
                 adj[i] |= 1 << j
-    clique = _clique_once(adj, n)
+    clique = _reference_lex_clique(adj, n)
     return DenseCodingResult(
         sender_qubits=tuple(sender_qubits),
         count=len(clique),
@@ -292,8 +339,7 @@ def _assert_matches_reference(st, subset, tolerances):
 
 
 @pytest.mark.parametrize("label", list(_REFERENCE_CASES))
-def test_kernel_matches_reference_path(label, monkeypatch):
-    monkeypatch.setattr(densecode, "_lex_smallest_maximum_clique", _clique_once)
+def test_kernel_matches_reference_path(label):
     st, subsets = _REFERENCE_CASES[label]
     for subset in subsets:
         _assert_matches_reference(st, subset, _TOLERANCES)
@@ -302,3 +348,187 @@ def test_kernel_matches_reference_path(label, monkeypatch):
         for order in dict.fromkeys((subset[::-1], subset[1:] + subset[:1])):
             if order != subset:
                 _assert_matches_reference(st, order, (ASSERT_TOL,))
+
+
+# --- the Cayley certificate and the clique search against the reference ----------
+
+def _graph(st, qubits, tol=ASSERT_TOL):
+    """(cls, rep_rows, ortho) as ``distinguishable_messages`` builds them."""
+    rows = densecode._encode(st, qubits)
+    rep_rows, cls = densecode._representatives(rows, tol)
+    reps = rows[rep_rows]
+    ortho = np.abs(reps.conj() @ reps.T) < tol
+    np.fill_diagonal(ortho, False)
+    return cls, rep_rows, ortho
+
+
+def _adj(ortho):
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in ortho]
+
+
+@pytest.mark.parametrize("name", ["GHZ4", "Q4", "Q4_11"])
+def test_catalog_graphs_are_certified_cayley(name):
+    st = make_state(name).state
+    for k in (1, 2, 3):
+        for qubits in itertools.combinations(range(4), k):
+            cls, rep_rows, ortho = _graph(st, qubits)
+            assert densecode._is_cayley(cls, rep_rows, ortho), qubits
+
+
+def test_certificate_is_not_built_when_the_colouring_bound_decides(monkeypatch):
+    # complete GHZ graphs and edgeless Haar graphs: c0 meets the greedy
+    # colouring bound, so cheap queries never pay for the certificate
+    def no_certificate(*args):
+        raise AssertionError("the certificate was built")
+
+    monkeypatch.setattr(densecode, "_is_cayley", no_certificate)
+    assert distinguishable_messages(make_state("GHZ4").state, (0, 1, 2)).count == 16
+    haar = random_state(4, np.random.default_rng(3))
+    assert distinguishable_messages(haar, (0, 1), tol=1e-15).count == 1
+
+
+def test_representatives_take_the_first_matching_class():
+    # at a loose tolerance a row can match several representatives; its class
+    # is the first of them, as in the sequential rule
+    rng = np.random.default_rng(7)
+    multiple = 0
+    for st in (random_state(4, rng), make_state("W4").state):
+        for tol in (0.6, 0.9):
+            rows = densecode._encode(st, (0, 1, 2))
+            rep_rows, cls = densecode._representatives(rows, tol)
+            reps = []
+            for j, row in enumerate(rows):
+                hits = [i for i, r in enumerate(reps)
+                        if abs(abs(np.vdot(rows[r], row)) - 1.0) < tol]
+                multiple += len(hits) > 1
+                if hits:
+                    assert cls[j] == hits[0], (tol, j)
+                else:
+                    assert cls[j] == len(reps), (tol, j)
+                    reps.append(j)
+            assert rep_rows == reps
+    assert multiple
+
+
+def _cosets_of_s(s, reps):
+    """cls over the 16 rows of k = 2 for classes r ^ s, one per
+    representative r."""
+    cls = np.full(16, -1)
+    for c, r in enumerate(reps):
+        cls[[r ^ x for x in s]] = c
+    assert (cls >= 0).all()
+    return cls
+
+
+def _complete(n):
+    return ~np.eye(n, dtype=bool)
+
+
+def test_certificate_holds_on_a_hand_built_quotient():
+    cls = _cosets_of_s([0, 1, 2, 3], [0, 4, 8, 12])
+    assert densecode._is_cayley(cls, [0, 4, 8, 12], _complete(4))
+    # a 4-cycle 0-4-12-8: adjacency set {4, 8} in the quotient
+    cycle = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]], bool)
+    assert densecode._is_cayley(cls, [0, 4, 8, 12], cycle)
+
+
+def test_certificate_refuses_merged_cosets():
+    # class 3 folded into class 1: S is still a subgroup, every coset of a
+    # representative lies in its class and the graph is complete, but three
+    # classes of four rows cannot be the cosets of 16 rows
+    cls = _cosets_of_s([0, 1, 2, 3], [0, 4, 8, 12])
+    cls[cls == 3] = 1
+    assert not densecode._is_cayley(cls, [0, 4, 8], _complete(3))
+
+
+def test_certificate_refuses_an_s_not_closed():
+    # {0, 1, 2, 4} tiles the 16 rows by translates, yet 1 ^ 2 = 3 lies outside
+    cls = _cosets_of_s([0, 1, 2, 4], [0, 7, 8, 15])
+    assert not densecode._is_cayley(cls, [0, 7, 8, 15], _complete(4))
+
+
+def test_certificate_refuses_classes_that_are_not_cosets():
+    # rows 5 and 9 swap classes: sizes and adjacency still fit, but the
+    # coset 4 ^ S = {4, 5, 6, 7} no longer lies in one class
+    cls = _cosets_of_s([0, 1, 2, 3], [0, 4, 8, 12])
+    cls[5], cls[9] = cls[9], cls[5]
+    assert not densecode._is_cayley(cls, [0, 4, 8, 12], _complete(4))
+
+
+def test_certificate_refuses_a_flipped_edge():
+    for name, qubits in (("Q4", (0, 1, 2)), ("Q4_11", (0, 2, 3))):
+        cls, rep_rows, ortho = _graph(make_state(name).state, qubits)
+        assert densecode._is_cayley(cls, rep_rows, ortho)
+        ortho[1, 2] = ortho[2, 1] = not ortho[1, 2]
+        assert not densecode._is_cayley(cls, rep_rows, ortho), name
+
+
+def _spied_search(monkeypatch, adj, n, transitive):
+    """The search's clique, whether it asked ``transitive`` and every
+    (candidate, lower) pair it searched."""
+    searched = []
+    asked = []
+    real = densecode._max_clique_size
+
+    def spy(adj_, cand, lower=0):
+        searched.append((cand, lower))
+        return real(adj_, cand, lower)
+
+    def ask():
+        asked.append(True)
+        return transitive
+
+    monkeypatch.setattr(densecode, "_max_clique_size", spy)
+    return _lex_smallest_maximum_clique(adj, n, ask), bool(asked), searched
+
+
+@pytest.mark.parametrize("edges,n,want", [
+    # vertex 0 isolated next to the triangle 1-2-3
+    ([(1, 2), (1, 3), (2, 3)], 4, [1, 2, 3]),
+    # the path 0-2-3-1: greedy colouring in index order needs three colours
+    ([(0, 2), (2, 3), (3, 1)], 4, [0, 2]),
+])
+def test_search_falls_back_to_the_full_graph(edges, n, want, monkeypatch):
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    got, asked, searched = _spied_search(monkeypatch, adj, n, False)
+    assert got == _reference_lex_clique(adj, n) == want
+    assert asked
+    c0 = 1 + densecode._max_clique_size(adj, adj[0])
+    assert ((1 << n) - 1, c0) in searched
+
+
+def test_search_matches_reference_on_random_graphs(monkeypatch):
+    rng = np.random.default_rng(20261018)
+    branches = set()
+    for _ in range(200):
+        n = int(rng.integers(1, 25))
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
+        adj = _adj(upper | upper.T)
+        got, asked, searched = _spied_search(monkeypatch, adj, n, False)
+        assert got == _reference_lex_clique(adj, n), adj
+        branches.add((asked, any(cand == (1 << n) - 1 for cand, _ in searched)))
+    # both the colouring shortcut and the full search were taken
+    assert (False, False) in branches and (True, True) in branches
+
+
+def test_search_trusts_the_certificate_on_cayley_graphs(monkeypatch):
+    # random Cayley graphs on XOR groups of 2..32 elements: the certificate
+    # holds, and the clique taken through vertex 0 is the reference clique
+    rng = np.random.default_rng(11)
+    asked_any = False
+    for _ in range(60):
+        m = int(rng.integers(1, 6))
+        size = 1 << m
+        conn = rng.random(size) < rng.uniform(0.2, 0.8)
+        conn[0] = False
+        ortho = conn[np.bitwise_xor.outer(np.arange(size), np.arange(size))]
+        assert densecode._is_cayley(np.arange(size), list(range(size)), ortho)
+        adj = _adj(ortho)
+        got, asked, searched = _spied_search(monkeypatch, adj, size, True)
+        assert got == _reference_lex_clique(adj, size)
+        assert all(cand != (1 << size) - 1 for cand, _ in searched)
+        asked_any |= asked
+    assert asked_any

@@ -1,5 +1,6 @@
 """LOCC discrimination and product-decomposition certificates."""
 
+import dataclasses
 import itertools
 import math
 
@@ -16,7 +17,7 @@ from quadproto.locc import (
     product_terms,
     run_discrimination,
 )
-from quadproto.measure import StepSpec, enumerate_outcomes
+from quadproto.measure import StepSpec, build_plan, enumerate_outcomes
 from quadproto.states import DROP_TOL, PureState, basis_state
 
 
@@ -106,10 +107,26 @@ def test_sixteen_set_defeats_every_catalog_protocol():
             protocol.protocol_id
 
 
-def test_protocol_plan_is_built_once():
+def test_protocol_plan_is_built_once(monkeypatch):
+    # the plan is kept on the protocol, and equal protocols share the
+    # memoized plan; each protocol asks build_plan once
+    calls = []
+
+    def counting_build_plan(rounds):
+        calls.append(rounds)
+        return build_plan(rounds)
+
+    monkeypatch.setattr(locc, "build_plan", counting_build_plan)
     for protocol in reg.catalog_protocols():
         assert protocol.plan is protocol.plan
         assert [s.party for s in protocol.plan.steps] == ["B1", "B2"]
+        twin = LoccProtocol(protocol.protocol_id,
+                            tuple(dataclasses.replace(s) for s in protocol.rounds))
+        assert twin.rounds[0] is not protocol.rounds[0] and twin == protocol
+        assert twin.plan is twin.plan is protocol.plan
+        assert twin == protocol
+        assert calls == [protocol.rounds, protocol.rounds]
+        calls.clear()
 
 
 def test_catalog_protocol_sweep_shape():
