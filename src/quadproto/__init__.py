@@ -55,7 +55,6 @@ from .measure import (
 from .teleport import (
     FamilySpec,
     OutcomeReport,
-    Probe,
     TeleportResult,
     TeleportScenario,
     build_probes,
@@ -108,7 +107,7 @@ __all__ = [
     "state_names", "validate_orthonormal",
     "MeasurementPlan", "MeasurementStep", "Outcomes", "StepSpec",
     "build_plan", "complete_basis", "enumerate_outcomes",
-    "FamilySpec", "OutcomeReport", "Probe", "TeleportResult",
+    "FamilySpec", "OutcomeReport", "TeleportResult",
     "TeleportScenario", "build_probes", "family_span", "run_scenario",
     "DenseCodingResult", "best_over_subsets", "distinguishable_messages",
     "encoded_states",

@@ -528,10 +528,6 @@ def basis_names() -> list[str]:
 # used; "method" names the derivation that fixes it and is re-run by the
 # test suite as the certificate.
 
-def _k(**kets: float) -> dict[str, complex]:
-    return {label: complex(c) for label, c in kets.items()}
-
-
 CORRECTIONS: tuple[BasisCorrection, ...] = (
     BasisCorrection(
         basis="omega16",

@@ -44,18 +44,16 @@ def _dumps(payload: dict) -> str:
 
 
 def _emit(args, name: str, payload: dict, text: str) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if args.format in ("json", "both"):
         sys.stdout.write(_dumps(payload))
     if args.format in ("text", "both"):
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, name + ".json"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(_dumps(payload))
-        with open(os.path.join(args.out, name + ".txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        for ext, body in ((".json", _dumps(payload)), (".txt", text)):
+            with open(os.path.join(args.out, name + ext), "w", encoding="utf-8") as fh:
+                fh.write(body)
 
 
 def _parse_params(items: list[str]) -> dict[str, int | float | complex]:
@@ -112,6 +110,7 @@ def _parse_qubits(text: str) -> tuple[int, ...]:
 
 def _cmd_catalog(args) -> int:
     if args.state:
+        _refuse(args, "catalog --state", "basis", "dump")
         named = make_state(args.state, **_parse_params(args.param))
         payload = {"name": named.name, "params": _params_json(named.params),
                    "slocc": named.slocc, "kets": _kets(named.state)}
@@ -121,6 +120,7 @@ def _cmd_catalog(args) -> int:
         _emit(args, "catalog_%s" % named.name, payload, text)
         return 0
     if args.basis:
+        _refuse(args, "catalog --basis", "dump")
         basis = make_basis(args.basis, **_parse_params(args.param))
         payload = {
             "name": basis.name,
@@ -136,6 +136,7 @@ def _cmd_catalog(args) -> int:
             basis.name, len(basis.labels), basis.num_qubits)
         _emit(args, "catalog_%s" % basis.name, payload, text)
         return 0
+    _refuse(args, "catalog without --state or --basis", "param")
     if args.dump:
         payload = {
             "states": [
@@ -218,8 +219,16 @@ def _teleport_text(res) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _refuse(args, mode: str, *flags: str) -> None:
+    """Refuse each of ``flags`` given alongside ``mode``, which ignores it."""
+    given = ["--" + f for f in flags if getattr(args, f) not in (None, False, [])]
+    if given:
+        raise ValueError("%s does not take %s" % (mode, ", ".join(given)))
+
+
 def _cmd_teleport(args) -> int:
     if args.list:
+        _refuse(args, "teleport --list", "scenario", "file")
         ids = sorted(reg.TELEPORT_SCENARIOS)
         neg = sorted(reg.negative_scenarios())
         payload = {"scenarios": ids, "negative_groups": neg}
@@ -228,6 +237,7 @@ def _cmd_teleport(args) -> int:
         _emit(args, "teleport_list", payload, text)
         return 0
     if args.file:
+        _refuse(args, "teleport --file", "scenario")
         jobs = [(load_scenario(args.file), None)]
     elif args.scenario:
         jobs = _resolve_teleport(args.scenario)
@@ -255,6 +265,7 @@ def _cmd_teleport(args) -> int:
 
 def _cmd_densecode(args) -> int:
     if args.all:
+        _refuse(args, "densecode --all", "state", "qubits", "param")
         rows = []
         for cid, state_name, params, subsets, want, cmp_op in reg.CAPACITY_TABLE:
             state = make_state(state_name, **params).state
@@ -300,7 +311,11 @@ def _cmd_densecode(args) -> int:
 
 def _cmd_locc(args) -> int:
     sets = reg.locc_candidate_sets()
-    if args.set and args.protocol:
+    if args.certificate is not None:
+        _refuse(args, "locc --certificate", "set", "protocol")
+    elif (args.set is None) != (args.protocol is None):
+        raise ValueError("locc needs --set and --protocol together")
+    if args.set is not None:
         protocols = reg.locc_protocols()
         if args.set not in sets:
             raise KeyError("unknown candidate set %r (have: %s)"
@@ -323,7 +338,7 @@ def _cmd_locc(args) -> int:
                    res.inter_receiver_cbits, len(res.collisions)))
         _emit(args, "locc_%s_%s" % (args.set, args.protocol), payload, text)
         return 0
-    if args.certificate:
+    if args.certificate is not None:
         factors = reg.certificate_factors()
         if args.certificate not in factors:
             raise KeyError("no certificate declared for %r (have: %s)"
@@ -351,6 +366,8 @@ def _cmd_locc(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    if args.all:
+        _refuse(args, "diagnose --all", "state")
     names = ["GHZ4", "W4", "Omega", "Q4", "Q5"] if args.all else [args.state]
     if not names[0]:
         raise ValueError("diagnose needs --state or --all")

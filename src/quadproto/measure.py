@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .catalog import NamedBasis, make_basis
-from .states import DROP_TOL, PureState, check_tolerance
+from .states import DROP_TOL, NORM_TOL, PureState, check_tolerance, qubit_count
 
 __all__ = [
     "StepSpec",
@@ -130,7 +131,7 @@ class MeasurementPlan:
                 raise ValueError("qubits %s measured twice" % sorted(overlap))
             seen.update(step.qubits)
 
-    @property
+    @functools.cached_property
     def measured_qubits(self) -> tuple[int, ...]:
         return tuple(q for step in self.steps for q in step.qubits)
 
@@ -200,29 +201,38 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return (rows.conj()[..., None, :] @ rows[..., :, None])[..., 0, 0].real
 
 
-def enumerate_outcomes(states: Sequence[PureState], plan: MeasurementPlan,
+def enumerate_outcomes(amplitudes: np.ndarray, plan: MeasurementPlan,
                        drop_tol: float = DROP_TOL) -> Outcomes:
     """Measure a stack of states on one register in a single pass.
 
-    Returns every branch whose probability exceeds ``drop_tol`` for at least
-    one input, in enumeration order (first step's labels outermost).  Each
-    input's probabilities sum to one before dropping, and each input's
-    branches are exactly those a one-state stack would give it.  Each step
-    is one contraction over the live branches of every input at once.
+    ``amplitudes`` is a (B, 2**n) array, one input state per row; every row
+    must be finite with unit norm within ``NORM_TOL``.  Returns every branch
+    whose probability exceeds ``drop_tol`` for at least one input, in
+    enumeration order (first step's labels outermost).  Each input's
+    probabilities sum to one before dropping, and each input's branches are
+    exactly those a one-row stack would give it.  Each step is one
+    contraction over the live branches of every input at once.
     """
     check_tolerance(drop_tol, "drop_tol", allow_zero=True)
-    if not states:
-        return Outcomes((), (), np.zeros((0, 0)), None, np.zeros(0, dtype=bool), ())
-    n = states[0].num_qubits
-    if any(s.num_qubits != n for s in states):
-        raise ValueError("states in one stack must share a register size")
+    vecs = np.asarray(amplitudes)
+    if vecs.ndim != 2:
+        raise ValueError("enumerate_outcomes takes a (B, 2**n) amplitude array, "
+                         "got %d dimensions" % vecs.ndim)
+    n = qubit_count(vecs.shape[1])  # before anything is allocated
     plan.validate_for(n)
+    if not len(vecs):
+        return Outcomes((), (), np.zeros((0, 0)), None, np.zeros(0, dtype=bool), ())
 
     # live branches: unnormalized rows (nb, B, 2**m), probabilities (nb, B)
     # and each branch's index into the plan's outcome table; rows of inputs
     # a branch has stopped firing for are zero, so they stay zero
-    vecs = np.array([s.amplitudes for s in states])[None]
+    vecs = vecs.astype(np.complex128, copy=False)[None]
     probs = _norms(vecs)
+    # a plain loop: cheaper than numpy calls on the few rows of a LOCC stack
+    bad = [(i, math.sqrt(p)) for i, p in enumerate(probs[0].tolist())
+           if not abs(math.sqrt(p) - 1.0) <= NORM_TOL]  # NaN fails too
+    if bad:
+        raise ValueError("row %d has norm %r, not 1 within %g" % (*bad[0], NORM_TOL))
     index = np.zeros(1, dtype=np.intp)
     # original index of the qubit at each current position
     orig = list(range(n))

@@ -52,10 +52,13 @@ def _lock(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _qubit_count(dim: int) -> int:
+def qubit_count(dim: int) -> int:
+    """n for a dimension of 2**n; raise unless n is at most MAX_QUBITS."""
     n = dim.bit_length() - 1
     if dim <= 0 or dim != 1 << n:
         raise ValueError(f"dimension {dim} is not a power of two")
+    if n > MAX_QUBITS:
+        raise CapacityError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit capacity")
     return n
 
 
@@ -69,9 +72,7 @@ class PureState:
         arr = np.array(self.amplitudes, dtype=np.complex128)
         if arr.ndim != 1:
             raise ValueError("amplitudes must be a flat vector")
-        n = _qubit_count(arr.size)
-        if n > MAX_QUBITS:
-            raise CapacityError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit capacity")
+        qubit_count(arr.size)
         norm = float(np.linalg.norm(arr))
         # written so NaN fails too
         if not abs(norm - 1.0) <= NORM_TOL:
@@ -133,7 +134,7 @@ class LocalUnitary:
         mat = np.array(self.matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("unitary must be square")
-        _qubit_count(mat.shape[0])
+        qubit_count(mat.shape[0])
         dev = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
         if dev > UNITARY_TOL:
             raise ValueError(f"matrix fails unitarity by {dev:.3e}")
@@ -155,7 +156,7 @@ class DensityMatrix:
         mat = np.array(self.matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
-        _qubit_count(mat.shape[0])
+        qubit_count(mat.shape[0])
         if np.abs(mat - mat.conj().T).max() > HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         trace = np.trace(mat)
@@ -240,19 +241,13 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return PureState(np.kron(a.amplitudes, b.amplitudes))
 
 
-def _resolve_matrix(u: LocalUnitary | np.ndarray) -> np.ndarray:
-    if isinstance(u, LocalUnitary):
-        return u.matrix
-    return LocalUnitary(np.asarray(u)).matrix
-
-
 def apply_local(state: PureState, u: LocalUnitary | np.ndarray,
                 targets: Sequence[int]) -> PureState:
     """Apply a unitary to the listed qubits, identity elsewhere.
 
     The order of targets fixes which qubit each tensor factor of u acts on.
     """
-    mat = _resolve_matrix(u)
+    mat = u.matrix if isinstance(u, LocalUnitary) else LocalUnitary(np.asarray(u)).matrix
     targets = tuple(targets)
     n = state.num_qubits
     if len(set(targets)) != len(targets):

@@ -16,7 +16,6 @@ as-printed forms stay distinguishable from the operative ones.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np

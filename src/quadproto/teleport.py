@@ -1,12 +1,13 @@
 """Teleportation protocol verification.
 
 A scenario fixes a resource state, a family of unknown input states, a
-measurement plan over the sender-side qubits, and the receiver's qubits.
-The engine enumerates every measurement outcome for a finite probe set that
-certifies the whole family (family basis states, pairwise superpositions
-with and without a relative i, and seeded random members), then searches a
-deterministic candidate list for a local correction per outcome that maps
-the residual back onto the input with fidelity one.
+measurement plan over the sender-side qubits, and the receiver's qubits
+(ascending).  The engine enumerates every measurement outcome for a finite
+probe stack that certifies the whole family (family basis states, pairwise
+superpositions with and without a relative i, and seeded random members;
+one amplitude row each, tensored with the resource in one step), then
+searches a deterministic candidate list for a local correction per outcome
+that maps the residual back onto the input with fidelity one.
 
 Correction vocabularies:
 
@@ -42,12 +43,11 @@ import numpy as np
 from .catalog import NamedState, make_state
 from .measure import StepSpec, build_plan, enumerate_outcomes
 from .states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, VALUE_TOL, PureState,
-                     check_tolerance, pauli_products, pauli_table, tensor)
+                     check_tolerance, pauli_products, pauli_table)
 
 __all__ = [
     "FamilySpec",
     "TeleportScenario",
-    "Probe",
     "OutcomeReport",
     "TeleportResult",
     "family_span",
@@ -92,64 +92,56 @@ class FamilySpec:
                              % list(self.dressing))
 
 
-def _dressed(word: Sequence[int], *kets: Mapping[str, float]) -> tuple[PureState, ...]:
-    """The normalized ket states with Pauli ``PAULI_ORDER[word[q]]`` on qubit
-    q: one signed permutation, the row of ``pauli_table`` for ``word``."""
-    (perm,), (sign,) = pauli_products([word])
-    return tuple(PureState(sign * PureState.from_kets(terms, normalize=True)
-                           .amplitudes[perm]) for terms in kets)
-
-
-def family_span(spec: FamilySpec) -> tuple[tuple[str, ...], tuple[PureState, ...]]:
-    """Orthonormal basis of the family's span, with member labels."""
+def family_span(spec: FamilySpec) -> np.ndarray:
+    """Orthonormal basis of the family's span, one member per row of a
+    (d, 2**num_qubits) array."""
     k = spec.num_qubits
     d = spec.dressing
     if spec.kind == "arbitrary":
-        labels = tuple(format(i, "0%db" % k) for i in range(2 ** k))
-        return labels, tuple(PureState.from_kets({s: 1.0}) for s in labels)
-    if spec.kind == "ghz_diag":
+        return np.eye(2 ** k, dtype=np.complex128)
+    if spec.kind == "w_equal3":
+        kets, word = [{"001": 1.0, "010": 1.0, "100": 1.0, "000": 1.0}], (0, 0, 0)
+    elif spec.kind == "ghz_diag":
         if len(d) != k:
             raise ValueError("ghz_diag dressing needs one Pauli index per qubit")
-        return ("D|0..0>", "D|1..1>"), _dressed(d, {"0" * k: 1.0}, {"1" * k: 1.0})
-    if spec.kind == "omega_sub":
+        kets, word = [{"0" * k: 1.0}, {"1" * k: 1.0}], d
+    else:  # omega_sub
         if len(d) != 2:
             raise ValueError("omega_sub dressing needs two Pauli indices")
-        return ("D phi+|1>", "D phi-|0>"), _dressed(
-            (d[0], 0, d[1]), {"001": 1.0, "111": 1.0}, {"000": 1.0, "110": -1.0})
-    # w_equal3
-    w = PureState.from_kets({"001": 1.0, "010": 1.0, "100": 1.0, "000": 1.0},
-                            normalize=True)
-    return ("w_equal",), (w,)
-
-
-@dataclass(frozen=True)
-class Probe:
-    label: str
-    state: PureState
-    certifying: bool  # basis/pair probes certify; randoms cross-check
+        kets = [{"001": 1.0, "111": 1.0}, {"000": 1.0, "110": -1.0}]
+        word = (d[0], 0, d[1])
+    # Pauli PAULI_ORDER[word[q]] on qubit q: one signed permutation, the row
+    # of pauli_table for word
+    (perm,), (sign,) = pauli_products([word])
+    return np.array([sign * PureState.from_kets(terms, normalize=True).amplitudes[perm]
+                     for terms in kets])
 
 
 def build_probes(spec: FamilySpec, rng: np.random.Generator,
-                 num_random: int = NUM_RANDOM_PROBES) -> list[Probe]:
-    """Family basis states, pair superpositions, and random members."""
-    _, span = family_span(spec)
-    probes: list[Probe] = []
-    for i, v in enumerate(span):
-        probes.append(Probe("b%d" % i, v, True))
-    n = len(span)
-    for i in range(n):
-        for j in range(i + 1, n):
-            plus = PureState((span[i].amplitudes + span[j].amplitudes) / math.sqrt(2))
-            phase = PureState((span[i].amplitudes + 1j * span[j].amplitudes) / math.sqrt(2))
-            probes.append(Probe("p%d%d+" % (i, j), plus, True))
-            probes.append(Probe("p%d%di" % (i, j), phase, True))
+                 num_random: int = NUM_RANDOM_PROBES) -> tuple[np.ndarray, np.ndarray]:
+    """The probe stack of a family, one probe per row, and which rows certify.
+
+    Rows are the span members, then per pair i < j the superpositions
+    (s_i + s_j)/sqrt(2) and (s_i + i s_j)/sqrt(2), all certifying; then,
+    when the span has more than one member, ``num_random`` seeded random
+    members, which only cross-check.
+    """
+    span = family_span(spec)
+    n, dim = span.shape
+    i, j = np.triu_indices(n, 1)
+    pairs = np.stack([span[i] + span[j], span[i] + 1j * span[j]], axis=1) / math.sqrt(2)
+    rows = [span, pairs.reshape(-1, dim)]
     if n > 1:
-        for t in range(num_random):
-            coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            coeff /= np.linalg.norm(coeff)
-            vec = sum(c * v.amplitudes for c, v in zip(coeff, span))
-            probes.append(Probe("r%d" % t, PureState(np.asarray(vec)), False))
-    return probes
+        # one draw, in the order of per-member real then imaginary draws
+        z = rng.standard_normal((num_random, 2, n))
+        coeff = z[:, 0] + 1j * z[:, 1]
+        for c in coeff:
+            c /= np.linalg.norm(c)
+        # term by term from 0, member 0 first, as a per-probe sum adds them,
+        # so the rows do not depend on how a matrix product would round
+        rows.append(sum(coeff[:, m, None] * span[m] for m in range(n)))
+    vectors = np.concatenate(rows)
+    return vectors, np.arange(len(vectors)) < n + 2 * len(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +168,10 @@ class TeleportScenario:
             raise ValueError("unknown correction vocabulary %r" % self.allowed_ops)
         if len(self.receiver) != self.family.num_qubits:
             raise ValueError("receiver register size must match the family")
+        # the engine and the correction names read the receiver in ascending order
+        if list(self.receiver) != sorted(set(self.receiver)):
+            raise ValueError("receiver qubits must be strictly ascending, got %s"
+                             % list(self.receiver))
         if (self.allowed_ops == "paulis+diag"
                 and self.family.num_qubits > MAX_DIAG_QUBITS):
             raise ValueError(
@@ -265,7 +261,7 @@ def _find_correction(vocab: _Vocabulary, residuals: np.ndarray,
         for lo in range(0, len(vocab.paulis), step):
             perm, sign = vocab.perm[lo:lo + step], vocab.sign[lo:lo + step]
             fids = np.abs(np.sum(exp_conj * (masked[:, perm] * sign), axis=2)) ** 2
-            worst_cert = (fids[cert_rows] if cert_rows else fids).min(axis=0)
+            worst_cert = (fids[cert_rows] if len(cert_rows) else fids).min(axis=0)
             worst_all = fids.min(axis=0)
             hits = np.flatnonzero((worst_cert >= 1.0 - tol)
                                   & (worst_all >= 1.0 - tol))
@@ -316,40 +312,35 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     check_tolerance(tol)
     rng = np.random.default_rng(seed)
     resource = scenario.resource_state().state
-    probes = build_probes(scenario.family, rng, num_random)
-    plan = build_plan(scenario.steps)
-    k = scenario.family.num_qubits
-
-    receiver_sorted = tuple(sorted(scenario.receiver))
-    out = enumerate_outcomes(
-        [tensor(probe.state, resource) for probe in probes], plan)
-    if len(out) and out.kept_qubits != receiver_sorted:
+    vectors, certifying = build_probes(scenario.family, rng, num_random)
+    joint = (vectors[:, :, None] * resource.amplitudes).reshape(len(vectors), -1)
+    out = enumerate_outcomes(joint, build_plan(scenario.steps))
+    if len(out) and out.kept_qubits != tuple(scenario.receiver):
         raise ValueError(
             "plan for %s leaves qubits %s but the receiver holds %s"
-            % (scenario.scenario_id, out.kept_qubits, receiver_sorted)
+            % (scenario.scenario_id, out.kept_qubits, scenario.receiver)
         )
     # branches are reported in the order the probes first fire them
     probs = out.probabilities
     firing = [np.flatnonzero(row) for row in probs]
     order = sorted(range(len(out)), key=lambda j: firing[j][0])
     # row by row in enumeration order: the reported float depends on the order
-    perp = sum(probs[out.perp], np.zeros(len(probes)))
+    perp = sum(probs[out.perp], np.zeros(len(vectors)))
     max_perp = float(perp.max())
     lowest = np.where(probs > 0.0, probs, np.inf).min(axis=0)
     uniform = not np.any(probs.max(axis=0) - lowest > VALUE_TOL)
 
-    rand_idx = [i for i, p in enumerate(probes) if not p.certifying]
-    expected = np.array([p.state.amplitudes for p in probes])
+    rand_idx = np.flatnonzero(~certifying)
 
-    vocab = _vocabulary(scenario.allowed_ops, k)
+    vocab = _vocabulary(scenario.allowed_ops, scenario.family.num_qubits)
     reports: list[OutcomeReport] = []
     feasible = True
     for j in order:
         fired = firing[j]
-        cert_rows = [fi for fi, i in enumerate(fired) if probes[i].certifying]
         chosen, chosen_min, best = _find_correction(
-            vocab, out.residuals[j, fired], expected[fired], cert_rows, tol)
-        gen_idx = rand_idx[-1] if rand_idx else fired[-1]
+            vocab, out.residuals[j, fired], vectors[fired],
+            np.flatnonzero(certifying[fired]), tol)
+        gen_idx = rand_idx[-1] if rand_idx.size else fired[-1]
         feasible &= chosen is not None
         reports.append(OutcomeReport(out.keys[j], float(probs[j, gen_idx]), chosen,
                                      chosen_min, best, bool(out.perp[j])))
@@ -373,7 +364,7 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
         uniform_nonzero=uniform,
         classical_cost=cost,
         cost_breakdown=breakdown,
-        num_probes=len(probes),
+        num_probes=len(vectors),
         reason=reason,
     )
 

@@ -247,7 +247,7 @@ def test_criterion_7_randomized_properties(_announce):
             cursor += width
         if not steps:
             continue
-        out = enumerate_outcomes([st], MeasurementPlan(tuple(steps)),
+        out = enumerate_outcomes(st.amplitudes[None], MeasurementPlan(tuple(steps)),
                                  drop_tol=0.0)
         total = sum(out.probabilities[:, 0])
         assert abs(total - 1.0) < SUM_TOL, case
@@ -264,10 +264,10 @@ def test_criterion_7_randomized_properties(_announce):
     joint = NamedBasis("ghz3_x_pm", tuple(labels), tuple(vectors))
     for name in ("GHZ4", "W4", "Omega", "Q4", "Q5"):
         st = make_state(name).state
-        split = enumerate_outcomes([st], MeasurementPlan((
+        split = enumerate_outcomes(st.amplitudes[None], MeasurementPlan((
             MeasurementStep((0, 1, 2), ghz3),
             MeasurementStep((3,), pm))), drop_tol=0.0)
-        fused = enumerate_outcomes([st], MeasurementPlan((
+        fused = enumerate_outcomes(st.amplitudes[None], MeasurementPlan((
             MeasurementStep((0, 1, 2, 3), joint),)), drop_tol=0.0)
         p_split = dict(zip(split.keys, split.probabilities[:, 0]))
         p_fused = dict(zip(fused.keys, fused.probabilities[:, 0]))

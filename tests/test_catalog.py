@@ -208,7 +208,7 @@ def _branch_probabilities(probe_kets, resource_name, qubits, basis):
     probe = PureState.from_kets(probe_kets, normalize=True)
     joint = tensor(probe, make_state(resource_name).state)
     plan = MeasurementPlan((MeasurementStep(qubits, basis),))
-    return enumerate_outcomes([joint], plan, drop_tol=0.0)
+    return enumerate_outcomes(joint.amplitudes[None], plan, drop_tol=0.0)
 
 
 def test_tau_printed_pairs_are_protocol_dead():
@@ -255,11 +255,10 @@ def test_omega34_printed_pair_has_zero_probability():
                          printed_pair + (by_label["Omega4+"],
                                          by_label["Omega4-"]))
     from quadproto.teleport import FamilySpec, family_span
-    _, members = family_span(FamilySpec("omega_sub", 3, (0, 0)))
-    for member in members:
-        joint = tensor(member, make_state("Omega").state)
+    for member in family_span(FamilySpec("omega_sub", 3, (0, 0))):
+        joint = tensor(PureState(member), make_state("Omega").state)
         plan = MeasurementPlan((MeasurementStep((0, 1, 2, 3), printed),))
-        out = enumerate_outcomes([joint], plan, drop_tol=1e-12)
+        out = enumerate_outcomes(joint.amplitudes[None], plan, drop_tol=1e-12)
         fired = {key for key, perp in zip(out.keys, out.perp) if not perp}
         assert "Omega4+" in fired and "Omega4-" in fired
         assert not fired & {"Omega3+", "Omega3-"}

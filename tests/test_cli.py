@@ -219,8 +219,28 @@ def test_teleport_exit_one_when_expectation_breaks(monkeypatch, capsys):
     ["densecode", "--state", "GHZ4", "--qubits", "0,0"],
     ["catalog", "--state", "GHZ4", "--param", "m=1"],   # fixed-name states
     ["catalog", "--state", "GHZ:5", "--param", "n=3"],
+    # flags the chosen mode would ignore
+    ["locc", "--set", "ghz8"],
+    ["locc", "--protocol", "ghz_bell_bell"],
+    ["locc", "--certificate", "ghz8", "--set", "ghz8"],
+    ["locc", "--certificate", "ghz8", "--protocol", "ghz_bell_bell"],
+    ["teleport", "--file", "scenario.json", "--scenario", "ghz1_ghz4basis"],
+    ["teleport", "--list", "--scenario", "ghz1_ghz4basis"],
+    ["teleport", "--list", "--file", "scenario.json"],
+    ["densecode", "--all", "--state", "GHZ4"],
+    ["densecode", "--all", "--qubits", "0,1"],
+    ["densecode", "--all", "--param", "m=1"],
+    ["diagnose", "--all", "--state", "GHZ4"],
+    ["catalog", "--state", "GHZ4", "--basis", "bell"],
+    ["catalog", "--state", "GHZ4", "--dump"],
+    ["catalog", "--basis", "bell", "--dump"],
+    ["catalog", "--dump", "--param", "m=1"],
 ])
-def test_usage_errors_exit_two(argv, capsys):
+def test_usage_errors_exit_two(argv, capsys, tmp_path, monkeypatch):
+    # a valid scenario file, so a --file case fails on its flags alone
+    (tmp_path / "scenario.json").write_text(
+        dumps_scenario(reg.TELEPORT_SCENARIOS["ghz1_ghz4basis"]))
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")

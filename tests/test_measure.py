@@ -13,8 +13,9 @@ from quadproto.measure import (
     complete_basis,
     enumerate_outcomes,
 )
+from quadproto.locc import LoccProtocol, run_discrimination
 from quadproto.scenario_io import dumps_scenario, loads_scenario
-from quadproto.states import DROP_TOL, PureState, basis_state, random_state, tensor
+from quadproto.states import DROP_TOL, MAX_QUBITS, basis_state, random_state, tensor
 from quadproto.teleport import build_probes
 
 
@@ -33,7 +34,7 @@ def test_plan_rejects_overlap_and_range():
 
 def test_step_size_must_match_basis():
     with pytest.raises(ValueError):
-        enumerate_outcomes([make_state("GHZ4").state],
+        enumerate_outcomes(make_state("GHZ4").state.amplitudes[None],
                            _plan(((0,), "bell")))
 
 
@@ -54,7 +55,7 @@ def test_probability_sums_randomized():
                 steps.append((tuple(pair), str(rng.choice(two_q))))
             else:
                 steps.append(((qubits.pop(),), str(rng.choice(one_q))))
-        out = enumerate_outcomes([st], _plan(*steps), drop_tol=0.0)
+        out = enumerate_outcomes(st.amplitudes[None], _plan(*steps), drop_tol=0.0)
         total = sum(out.probabilities[:, 0])
         assert abs(total - 1.0) < 1e-10
         checked += 1
@@ -66,7 +67,8 @@ def test_computational_plan_matches_amplitudes():
     rng = np.random.default_rng(17)
     st = random_state(4, rng)
     plan = _plan(((1,), "computational:1"), ((0, 2), "computational:2"))
-    out = enumerate_outcomes(plan=plan, states=[st], drop_tol=0.0)
+    out = enumerate_outcomes(plan=plan, amplitudes=st.amplitudes[None],
+                             drop_tol=0.0)
     probs = dict(zip(out.keys, out.probabilities[:, 0]))
     amps = st.amplitudes.reshape((2, 2, 2, 2))
     for b1 in range(2):
@@ -79,7 +81,7 @@ def test_computational_plan_matches_amplitudes():
 
 def test_residual_states_normalized_and_kept_indices():
     st = make_state("GHZ4").state
-    out = enumerate_outcomes([st], _plan(((0, 1), "bell")))
+    out = enumerate_outcomes(st.amplitudes[None], _plan(((0, 1), "bell")))
     assert len(out) > 0 and out.kept_qubits == (2, 3)
     assert out.residuals.shape == (len(out), 1, 4)
     for residual in out.residuals[:, 0]:
@@ -99,12 +101,12 @@ def test_refinement_equivalence_three_plus_one():
     joint_basis = NamedBasis("ghz3_x_pm", tuple(labels), tuple(vectors))
 
     for name in ("GHZ4", "W4", "Omega", "Q4", "Q5"):
-        st = make_state(name).state
+        st = make_state(name).state.amplitudes[None]
         two_step = enumerate_outcomes(
-            [st], _plan(((0, 1, 2), "ghz3_full"), ((3,), "plus_minus")),
+            st, _plan(((0, 1, 2), "ghz3_full"), ((3,), "plus_minus")),
             drop_tol=0.0)
         one_step = enumerate_outcomes(
-            [st], MeasurementPlan((MeasurementStep((0, 1, 2, 3), joint_basis),)),
+            st, MeasurementPlan((MeasurementStep((0, 1, 2, 3), joint_basis),)),
             drop_tol=0.0)
         p2 = dict(zip(two_step.keys, two_step.probabilities[:, 0]))
         p1 = dict(zip(one_step.keys, one_step.probabilities[:, 0]))
@@ -132,8 +134,8 @@ def test_perp_probability_partial_basis():
     # W4 has no support on the omega measurement's named directions' span
     # complement being zero; check bookkeeping instead of a specific value
     st = make_state("W4").state
-    out = enumerate_outcomes([st], _plan(((0, 1, 2, 3), "omega_meas")),
-                             drop_tol=0.0)
+    out = enumerate_outcomes(st.amplitudes[None],
+                             _plan(((0, 1, 2, 3), "omega_meas")), drop_tol=0.0)
     assert list(out.perp) == [key.startswith("perp") for key in out.keys]
     leak = sum(out.probabilities[out.perp, 0])
     named = sum(out.probabilities[~out.perp, 0])
@@ -145,8 +147,8 @@ def test_zero_probability_branches_dropped():
     # |0000> overlaps exactly two of the eight basis vectors; the other
     # six must be dropped even at drop_tol=0 (no NaN residuals).
     st = basis_state("0000")
-    out = enumerate_outcomes([st], _plan(((0, 1, 2, 3), "ghz4_full")),
-                             drop_tol=0.0)
+    out = enumerate_outcomes(st.amplitudes[None],
+                             _plan(((0, 1, 2, 3), "ghz4_full")), drop_tol=0.0)
     assert set(out.keys) == {"4GHZ1+", "4GHZ1-"}
     assert all(abs(p - 0.5) < 1e-12 for p in out.probabilities[:, 0])
     assert out.residuals is None  # nothing left unmeasured
@@ -154,22 +156,37 @@ def test_zero_probability_branches_dropped():
 
 def test_negative_drop_tol_rejected():
     with pytest.raises(ValueError):
-        enumerate_outcomes([make_state("GHZ4").state],
+        enumerate_outcomes(make_state("GHZ4").state.amplitudes[None],
                            _plan(((0, 1), "bell")), drop_tol=-1.0)
     for bad in (float("nan"), float("inf"), 1.0):
         with pytest.raises(ValueError, match="drop_tol must be a finite number"):
-            enumerate_outcomes([make_state("GHZ4").state],
+            enumerate_outcomes(make_state("GHZ4").state.amplitudes[None],
                                _plan(((0, 1), "bell")), drop_tol=bad)
 
 
 def test_stack_boundaries():
     plan = _plan(((0, 1), "bell"))
-    assert len(enumerate_outcomes([], plan)) == 0
-    with pytest.raises(ValueError):
-        enumerate_outcomes([make_state("GHZ4").state, basis_state("000")], plan)
+    empty = enumerate_outcomes(np.zeros((0, 16), dtype=np.complex128), plan)
+    assert len(empty) == 0 and empty.residuals is None
+    ghz = make_state("GHZ4").state.amplitudes
+    bad_stacks = [
+        (ghz, "amplitude array, got 1 dimensions"),
+        (np.full((1, 12), 12 ** -0.5), "dimension 12 is not a power of two"),
+        # a zero-stride view: the width is refused before any row is read
+        (np.broadcast_to(ghz[:1], (1, 2 ** (MAX_QUBITS + 1))),
+         "%d qubits exceeds the %d-qubit capacity" % (MAX_QUBITS + 1, MAX_QUBITS)),
+        (np.stack([ghz, np.full(16, 0.5)]), "row 1 has norm 2.0, not 1"),
+        (np.stack([ghz, np.full(16, np.nan)]), "row 1 has norm nan, not 1"),
+    ]
+    for stack, message in bad_stacks:
+        with pytest.raises(ValueError, match=message):
+            enumerate_outcomes(stack, plan)
+    with pytest.raises(ValueError, match="one or more states on one register"):
+        run_discrimination([("a", make_state("GHZ4").state),
+                            ("b", basis_state("000"))],
+                           LoccProtocol("bell", (StepSpec((0, 1), "bell"),)))
     # a branch that fires for one input only reads exactly 0.0 for the other
-    zero, ghz = basis_state("0000"), make_state("GHZ4").state
-    out = enumerate_outcomes([zero, ghz],
+    out = enumerate_outcomes(np.array([basis_state("0000").amplitudes, ghz]),
                              _plan(((0, 1, 2, 3), "ghz4_full")), drop_tol=0.0)
     assert out.probabilities.shape == (len(out), 2)
     for key, probs in zip(out.keys, out.probabilities):
@@ -217,9 +234,9 @@ def _separately_completed(steps):
         for s in steps))
 
 
-def _assert_same_branches(states, steps, where):
-    got = enumerate_outcomes(states, build_plan(steps))
-    want = enumerate_outcomes(states, _separately_completed(steps))
+def _assert_same_branches(stack, steps, where):
+    got = enumerate_outcomes(stack, build_plan(steps))
+    want = enumerate_outcomes(stack, _separately_completed(steps))
     assert got.labels == want.labels and got.keys == want.keys, where
     assert np.array_equal(got.probabilities, want.probabilities), where
     assert got.kept_qubits == want.kept_qubits, where
@@ -238,16 +255,17 @@ def _all_scenarios():
 
 def _probe_stack(scenario, seed, num_random=20):
     resource = scenario.resource_state().state
-    probes = build_probes(scenario.family, np.random.default_rng(seed),
-                          num_random=num_random)
-    return [tensor(probe.state, resource) for probe in probes]
+    vectors, _ = build_probes(scenario.family, np.random.default_rng(seed),
+                              num_random=num_random)
+    return np.array([np.kron(v, resource.amplitudes) for v in vectors])
 
 
 def _protocol_stacks():
     protocols = reg.catalog_protocols() + list(reg.locc_protocols().values())
     for protocol in protocols:
         for set_name, candidates in reg.locc_candidate_sets().items():
-            yield protocol, set_name, [state for _, state in candidates]
+            yield protocol, set_name, np.array([state.amplitudes
+                                                for _, state in candidates])
 
 
 def test_completed_plans_match_separate_completion_for_scenarios():
@@ -257,21 +275,21 @@ def test_completed_plans_match_separate_completion_for_scenarios():
 
 
 def test_completed_plans_match_separate_completion_for_protocols():
-    for protocol, set_name, states in _protocol_stacks():
-        _assert_same_branches(states, protocol.rounds,
+    for protocol, set_name, stack in _protocol_stacks():
+        _assert_same_branches(stack, protocol.rounds,
                               (protocol.protocol_id, set_name))
 
 
 # --- the batched kernel against one-state-at-a-time enumeration ---------------
 
-def _reference_outcomes(state, plan, drop_tol=DROP_TOL):
+def _reference_outcomes(amplitudes, plan, drop_tol=DROP_TOL):
     """Enumerate one state's branches a row at a time with ``np.vdot``.
 
     This is the per-state walk the stacked kernel replaced; it returns
     (labels, probability, normalized residual or None) per firing branch.
     """
-    orig = list(range(state.num_qubits))
-    branches = [((), state.amplitudes)]
+    orig = list(range(amplitudes.size.bit_length() - 1))
+    branches = [((), amplitudes)]
     for step in plan.steps:
         matrix = step.completed.matrix()
         positions = [orig.index(q) for q in step.qubits]
@@ -293,19 +311,19 @@ def _reference_outcomes(state, plan, drop_tol=DROP_TOL):
     return out
 
 
-def _assert_matches_reference(states, plan, where):
-    got = enumerate_outcomes(states, plan)
+def _assert_matches_reference(stack, plan, where):
+    got = enumerate_outcomes(stack, plan)
     assert len(got), where
-    assert got.probabilities.shape == (len(got), len(states)), where
+    assert got.probabilities.shape == (len(got), len(stack)), where
     assert got.keys == tuple(",".join(labels) for labels in got.labels), where
     assert list(got.perp) == [any(lbl.startswith("perp") for lbl in labels)
                               for labels in got.labels], where
     # the old per-branch kernel gave one branch per outcome that fires for
     # at least one input: no more, no fewer
     branches = set()
-    for i, state in enumerate(states):
+    for i, amplitudes in enumerate(stack):
         fired = np.flatnonzero(got.probabilities[:, i])
-        want = _reference_outcomes(state, plan)
+        want = _reference_outcomes(amplitudes, plan)
         branches.update(w[0] for w in want)
         assert [got.labels[j] for j in fired] == [w[0] for w in want], (where, i)
         for j, (labels, p, residual) in zip(fired, want):
@@ -329,6 +347,6 @@ def test_stacked_kernel_matches_per_state_reference_on_probe_stacks():
 
 
 def test_stacked_kernel_matches_per_state_reference_on_candidate_sets():
-    for protocol, set_name, states in _protocol_stacks():
-        _assert_matches_reference(states, protocol.plan,
+    for protocol, set_name, stack in _protocol_stacks():
+        _assert_matches_reference(stack, protocol.plan,
                                   (protocol.protocol_id, set_name))

@@ -181,6 +181,10 @@ def test_semantic_errors_become_format_errors():
     doc3["family"] = {"kind": "arbitrary", "num_qubits": 4}
     with pytest.raises(ScenarioFormatError, match="limited to 3 receiver qubits"):
         scenario_from_dict(doc3)
+    doc4 = scenario_to_dict(reg.TELEPORT_SCENARIOS["ghz2_pi_01"])
+    doc4["receiver"] = [5, 4]
+    with pytest.raises(ScenarioFormatError, match="strictly ascending"):
+        scenario_from_dict(doc4)
 
 
 def test_resource_name_and_dressing_checked():

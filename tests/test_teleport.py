@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -32,25 +33,68 @@ def _run(sid, **kw):
 
 # --- probe construction ------------------------------------------------------
 
+def _reference_probes(spec, rng, num_random=teleport.NUM_RANDOM_PROBES):
+    """The one-probe-at-a-time construction ``build_probes`` replaced: (label,
+    state, certifying) per probe, the span members, then per pair the plus
+    and phase superpositions, then the seeded random members."""
+    span = [PureState(row) for row in family_span(spec)]
+    probes = [("b%d" % i, v, True) for i, v in enumerate(span)]
+    n = len(span)
+    for i in range(n):
+        for j in range(i + 1, n):
+            plus = PureState((span[i].amplitudes + span[j].amplitudes) / math.sqrt(2))
+            phase = PureState((span[i].amplitudes + 1j * span[j].amplitudes)
+                              / math.sqrt(2))
+            probes.append(("p%d%d+" % (i, j), plus, True))
+            probes.append(("p%d%di" % (i, j), phase, True))
+    if n > 1:
+        for t in range(num_random):
+            coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            coeff /= np.linalg.norm(coeff)
+            vec = sum(c * v.amplitudes for c, v in zip(coeff, span))
+            probes.append(("r%d" % t, PureState(np.asarray(vec)), False))
+    return probes
+
+
 def test_probe_labels_and_flags():
     rng = np.random.default_rng(0)
-    probes = build_probes(FamilySpec("arbitrary", 2), rng, num_random=5)
-    labels = [p.label for p in probes]
+    vectors, certifying = build_probes(FamilySpec("arbitrary", 2), rng, num_random=5)
+    labels = [label for label, _, _ in
+              _reference_probes(FamilySpec("arbitrary", 2), np.random.default_rng(0), 5)]
     # 4 basis members, C(4,2) pairs twice over (plus and phase), 5 randoms
-    assert labels[:4] == ["b0", "b1", "b2", "b3"]
-    assert "p01+" in labels and "p01i" in labels and "p23i" in labels
-    assert labels[-5:] == ["r0", "r1", "r2", "r3", "r4"]
-    assert len(probes) == 4 + 12 + 5
-    for p in probes:
-        assert p.certifying == (not p.label.startswith("r"))
-        assert abs(np.linalg.norm(p.state.amplitudes) - 1.0) < 1e-12
+    assert labels[:6] == ["b0", "b1", "b2", "b3", "p01+", "p01i"]
+    assert labels[-6:] == ["p23i", "r0", "r1", "r2", "r3", "r4"]
+    assert vectors.shape == (4 + 12 + 5, 4)
+    assert certifying.tolist() == [not label.startswith("r") for label in labels]
+    assert np.array_equal(vectors[:4], np.eye(4))
+    assert np.allclose(vectors[4], [2 ** -0.5, 2 ** -0.5, 0, 0], atol=1e-15)
+    assert np.allclose(vectors[15], [0, 0, 2 ** -0.5, 1j * 2 ** -0.5], atol=1e-15)
+    assert np.allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-12)
 
 
 def test_single_member_family_has_no_superpositions():
-    labels, span = family_span(FamilySpec("w_equal3", 3))
-    assert labels == ("w_equal",)
-    probes = build_probes(FamilySpec("w_equal3", 3), np.random.default_rng(0))
-    assert len(probes) == 1 and probes[0].certifying
+    w = PureState.from_kets({"001": 1, "010": 1, "100": 1, "000": 1}, normalize=True)
+    assert np.array_equal(family_span(FamilySpec("w_equal3", 3)), [w.amplitudes])
+    vectors, certifying = build_probes(FamilySpec("w_equal3", 3),
+                                       np.random.default_rng(0))
+    assert vectors.shape == (1, 8) and certifying.tolist() == [True]
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_build_probes_matches_reference(seed):
+    specs = list(dict.fromkeys(sc.family for sc in _ALL_SCENARIOS))
+    assert {spec.kind for spec in specs} == {"arbitrary", "ghz_diag", "omega_sub",
+                                             "w_equal3"}
+    for spec in specs:
+        for num_random in (0, 1, 20):
+            vectors, certifying = build_probes(spec, np.random.default_rng(seed),
+                                               num_random)
+            want = _reference_probes(spec, np.random.default_rng(seed), num_random)
+            assert np.array_equal(
+                vectors, np.array([state.amplitudes for _, state, _ in want])), \
+                (spec, num_random)
+            assert np.array_equal(certifying, [cert for _, _, cert in want]), \
+                (spec, num_random)
 
 
 def _reference_span(spec):
@@ -79,19 +123,18 @@ def test_dressed_spans_match_apply_local_chain():
                   if sc.family.kind in ("ghz_diag", "omega_sub")]
     assert registered
     for spec in specs + registered:
-        _, span = family_span(spec)
+        span = family_span(spec)
         want = _reference_span(spec)
         assert len(span) == len(want) == 2
         for got, ref in zip(span, want):
-            assert np.array_equal(got.amplitudes, ref.amplitudes), spec
+            assert np.array_equal(got, ref.amplitudes), spec
 
 
 def test_probes_deterministic_per_seed():
     spec = FamilySpec("arbitrary", 1)
-    a = build_probes(spec, np.random.default_rng(7))
-    b = build_probes(spec, np.random.default_rng(7))
-    for x, y in zip(a, b):
-        assert np.array_equal(x.state.amplitudes, y.state.amplitudes)
+    a, _ = build_probes(spec, np.random.default_rng(7))
+    b, _ = build_probes(spec, np.random.default_rng(7))
+    assert np.array_equal(a, b)
 
 
 # --- frozen correction tables -------------------------------------------------
@@ -233,6 +276,10 @@ def test_scenario_validation():
         TeleportScenario("x", "GHZ:5", FamilySpec("arbitrary", 4),
                          (StepSpec((0, 4), "bell"),), (5, 6, 7, 8),
                          allowed_ops="paulis+diag")
+    # the correction names read the receiver in ascending qubit order
+    for receiver in ((5, 4), (4, 4)):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            dataclasses.replace(reg.TELEPORT_SCENARIOS["ghz2_pi_01"], receiver=receiver)
 
 
 def test_receiver_mismatch_caught_at_runtime():
@@ -340,9 +387,9 @@ def _reference_run(scenario, seed=42, tol=ASSERT_TOL,
     """run_scenario with the correction scan done one dense matrix at a time."""
     rng = np.random.default_rng(seed)
     resource = scenario.resource_state().state
-    probes = build_probes(scenario.family, rng, num_random)
+    probes = _reference_probes(scenario.family, rng, num_random)
     out = enumerate_outcomes(
-        [tensor(probe.state, resource) for probe in probes],
+        np.array([tensor(state, resource).amplitudes for _, state, _ in probes]),
         build_plan(scenario.steps))
     probs = out.probabilities
     firing = [np.flatnonzero(row) for row in probs]
@@ -354,15 +401,15 @@ def _reference_run(scenario, seed=42, tol=ASSERT_TOL,
     max_perp = float(perp.max())
     lowest = np.where(probs > 0.0, probs, np.inf).min(axis=0)
     uniform = not np.any(probs.max(axis=0) - lowest > VALUE_TOL)
-    rand_idx = [i for i, p in enumerate(probes) if not p.certifying]
-    expected = np.array([p.state.amplitudes for p in probes])
+    rand_idx = [i for i, (_, _, cert) in enumerate(probes) if not cert]
+    expected = np.array([state.amplitudes for _, state, _ in probes])
 
     candidates = _candidates(scenario.allowed_ops, scenario.family.num_qubits)
     reports = []
     feasible = True
     for j in order:
         fired = firing[j]
-        cert_rows = [fi for fi, i in enumerate(fired) if probes[i].certifying]
+        cert_rows = [fi for fi, i in enumerate(fired) if probes[i][2]]
         chosen, chosen_min, best = _reference_find(
             candidates, out.residuals[j][fired], expected[fired], cert_rows, tol)
         gen_idx = rand_idx[-1] if rand_idx else fired[-1]
