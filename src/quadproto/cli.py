@@ -44,16 +44,18 @@ def _dumps(payload: dict) -> str:
 
 
 def _emit(args, name: str, payload: dict, text: str) -> None:
-    text = text if text.endswith("\n") else text + "\n"
     if args.format in ("json", "both"):
         sys.stdout.write(_dumps(payload))
     if args.format in ("text", "both"):
-        sys.stdout.write(text)
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        for ext, body in ((".json", _dumps(payload)), (".txt", text)):
-            with open(os.path.join(args.out, name + ext), "w", encoding="utf-8") as fh:
-                fh.write(body)
+        with open(os.path.join(args.out, name + ".json"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(_dumps(payload))
+        with open(os.path.join(args.out, name + ".txt"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
 
 
 def _parse_params(items: list[str]) -> dict[str, int | float | complex]:

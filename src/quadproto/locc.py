@@ -133,15 +133,24 @@ def product_terms(state: PureState,
     label_sets = [f.labels for _, f in factors]
     for combo in itertools.product(*[range(len(ls)) for ls in label_sets]):
         vec = np.ones(1, dtype=np.complex128)
-        for (_, basis), idx in zip(factors, combo):
+        order: list[int] = []
+        for (qubits, basis), idx in zip(factors, combo):
             vec = np.kron(vec, basis.vectors[idx].amplitudes)
-        # axis i of the product is qubit covered[i]; move it to position covered[i]
-        vec = np.moveaxis(vec.reshape([2] * n), range(n), covered).reshape(-1)
-        coeff = complex(np.vdot(vec, state.amplitudes))
+            order.extend(qubits)
+        coeff = complex(np.vdot(_align(vec, order, n), state.amplitudes))
         if abs(coeff) > tol:
             labels = tuple(label_sets[i][combo[i]] for i in range(len(factors)))
             out[labels] = coeff
     return out
+
+
+def _align(vec: np.ndarray, order: Sequence[int], n: int) -> np.ndarray:
+    """Reorder a tensor laid out qubit-by-qubit in ``order`` to 0..n-1."""
+    t = vec.reshape([2] * n)
+    # axis i of t is qubit order[i]; move it to position order[i]
+    dest = list(order)
+    t = np.moveaxis(t, range(n), dest)
+    return t.reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -131,7 +130,7 @@ class MeasurementPlan:
                 raise ValueError("qubits %s measured twice" % sorted(overlap))
             seen.update(step.qubits)
 
-    @functools.cached_property
+    @property
     def measured_qubits(self) -> tuple[int, ...]:
         return tuple(q for step in self.steps for q in step.qubits)
 
@@ -228,11 +227,11 @@ def enumerate_outcomes(amplitudes: np.ndarray, plan: MeasurementPlan,
     # a branch has stopped firing for are zero, so they stay zero
     vecs = vecs.astype(np.complex128, copy=False)[None]
     probs = _norms(vecs)
-    # a plain loop: cheaper than numpy calls on the few rows of a LOCC stack
-    bad = [(i, math.sqrt(p)) for i, p in enumerate(probs[0].tolist())
-           if not abs(math.sqrt(p) - 1.0) <= NORM_TOL]  # NaN fails too
-    if bad:
-        raise ValueError("row %d has norm %r, not 1 within %g" % (*bad[0], NORM_TOL))
+    norms = np.sqrt(probs[0])
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))  # NaN fails too
+    if bad.size:
+        raise ValueError("row %d has norm %r, not 1 within %g"
+                         % (bad[0], float(norms[bad[0]]), NORM_TOL))
     index = np.zeros(1, dtype=np.intp)
     # original index of the qubit at each current position
     orig = list(range(n))

@@ -241,13 +241,19 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return PureState(np.kron(a.amplitudes, b.amplitudes))
 
 
+def _resolve_matrix(u: LocalUnitary | np.ndarray) -> np.ndarray:
+    if isinstance(u, LocalUnitary):
+        return u.matrix
+    return LocalUnitary(np.asarray(u)).matrix
+
+
 def apply_local(state: PureState, u: LocalUnitary | np.ndarray,
                 targets: Sequence[int]) -> PureState:
     """Apply a unitary to the listed qubits, identity elsewhere.
 
     The order of targets fixes which qubit each tensor factor of u acts on.
     """
-    mat = u.matrix if isinstance(u, LocalUnitary) else LocalUnitary(np.asarray(u)).matrix
+    mat = _resolve_matrix(u)
     targets = tuple(targets)
     n = state.num_qubits
     if len(set(targets)) != len(targets):

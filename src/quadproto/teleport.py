@@ -43,7 +43,7 @@ import numpy as np
 from .catalog import NamedState, make_state
 from .measure import StepSpec, build_plan, enumerate_outcomes
 from .states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, VALUE_TOL, PureState,
-                     check_tolerance, pauli_products, pauli_table)
+                     check_tolerance, pauli_products, pauli_table, qubit_count)
 
 __all__ = [
     "FamilySpec",
@@ -312,6 +312,8 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     check_tolerance(tol)
     rng = np.random.default_rng(seed)
     resource = scenario.resource_state().state
+    # refuse a joint register above MAX_QUBITS before any probe is built
+    qubit_count(2 ** scenario.family.num_qubits * resource.dim)
     vectors, certifying = build_probes(scenario.family, rng, num_random)
     joint = (vectors[:, :, None] * resource.amplitudes).reshape(len(vectors), -1)
     out = enumerate_outcomes(joint, build_plan(scenario.steps))

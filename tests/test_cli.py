@@ -235,11 +235,15 @@ def test_teleport_exit_one_when_expectation_breaks(monkeypatch, capsys):
     ["catalog", "--state", "GHZ4", "--dump"],
     ["catalog", "--basis", "bell", "--dump"],
     ["catalog", "--dump", "--param", "m=1"],
+    ["teleport", "--file", "wide.json"],     # 1 + 12 joint qubits
 ])
 def test_usage_errors_exit_two(argv, capsys, tmp_path, monkeypatch):
     # a valid scenario file, so a --file case fails on its flags alone
     (tmp_path / "scenario.json").write_text(
         dumps_scenario(reg.TELEPORT_SCENARIOS["ghz1_ghz4basis"]))
+    (tmp_path / "wide.json").write_text(dumps_scenario(TeleportScenario(
+        "too_wide", "GHZ:12", FamilySpec("arbitrary", 1),
+        (StepSpec((0, 1), "bell"),), (2,))))
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err

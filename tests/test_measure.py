@@ -181,10 +181,11 @@ def test_stack_boundaries():
     for stack, message in bad_stacks:
         with pytest.raises(ValueError, match=message):
             enumerate_outcomes(stack, plan)
-    with pytest.raises(ValueError, match="one or more states on one register"):
-        run_discrimination([("a", make_state("GHZ4").state),
-                            ("b", basis_state("000"))],
-                           LoccProtocol("bell", (StepSpec((0, 1), "bell"),)))
+    bell = LoccProtocol("bell", (StepSpec((0, 1), "bell"),))
+    # mixed sizes, and an empty set, which used to report success
+    for candidates in ([("a", make_state("GHZ4").state), ("b", basis_state("000"))], []):
+        with pytest.raises(ValueError, match="one or more states on one register"):
+            run_discrimination(candidates, bell)
     # a branch that fires for one input only reads exactly 0.0 for the other
     out = enumerate_outcomes(np.array([basis_state("0000").amplitudes, ghz]),
                              _plan(((0, 1, 2, 3), "ghz4_full")), drop_tol=0.0)

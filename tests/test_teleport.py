@@ -12,7 +12,7 @@ from quadproto import scenarios as reg
 from quadproto import teleport
 from quadproto.measure import StepSpec, build_plan, enumerate_outcomes
 from quadproto.states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, SIGMA, VALUE_TOL,
-                              PureState, apply_local, tensor)
+                              CapacityError, PureState, apply_local, tensor)
 from quadproto.teleport import (
     FamilySpec,
     OutcomeReport,
@@ -292,6 +292,15 @@ def test_receiver_mismatch_caught_at_runtime():
         resource_kets=(("00", 1.0), ("11", 1.0)),
     )
     with pytest.raises(ValueError, match="receiver"):
+        run_scenario(sc)
+
+
+def test_joint_register_above_capacity_refused(monkeypatch):
+    # 1 + 12 qubits: refused from the widths, before any probe is built
+    sc = TeleportScenario("too_wide", "GHZ:12", FamilySpec("arbitrary", 1),
+                          (StepSpec((0, 1), "bell"),), (2,))
+    monkeypatch.setattr("quadproto.teleport.build_probes", None)
+    with pytest.raises(CapacityError, match="13 qubits exceeds the 12-qubit capacity"):
         run_scenario(sc)
 
 
