@@ -51,6 +51,8 @@ from typing import Callable
 import numpy as np
 
 from .states import ASSERT_TOL, PureState, check_tolerance, pauli_table
+# the shared stack limit, under the name dense coding exports
+from .states import MAX_STACK_ENTRIES as MAX_ENCODED_ENTRIES
 
 __all__ = [
     "DenseCodingResult",
@@ -58,9 +60,6 @@ __all__ = [
     "distinguishable_messages",
     "best_over_subsets",
 ]
-
-# complex entries of one encoding array, 4^k x 2^n: 256 MiB
-MAX_ENCODED_ENTRIES = 2 ** 24
 
 
 def _encode(resource: PureState, sender_qubits: tuple[int, ...]) -> np.ndarray:

@@ -12,8 +12,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .states import (MIXED_TOL, SIGMA, DensityMatrix, PureState, purity,
-                     reduced_density)
+from .states import (MIXED_TOL, SIGMA, DensityMatrix, PureState,
+                     check_tolerance, purity, reduced_density)
 
 __all__ = [
     "wootters_concurrence",
@@ -83,7 +83,12 @@ def genuine_multipartite(state: PureState, tol: float = MIXED_TOL) -> bool:
 
     A pure reduction would mean the state factorizes across that cut.
     """
-    return all(p < 1.0 - tol for p in purity_profile(state).values())
+    check_tolerance(tol)
+    return _all_mixed(purity_profile(state), tol)
+
+
+def _all_mixed(purities: Mapping[tuple[int, ...], float], tol: float) -> bool:
+    return all(p < 1.0 - tol for p in purities.values())
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,6 @@ def profile(name: str, state: PureState) -> EntanglementProfile:
         num_qubits=state.num_qubits,
         purities=purities,
         pair_concurrences=pairs,
-        genuine=genuine_multipartite(state),
+        genuine=_all_mixed(purities, MIXED_TOL),
         max_reduction_purity=max(purities.values()),
     )

@@ -6,6 +6,15 @@ candidate set is distinguished when no two candidates can produce the same
 transcript.  Certificates decompose each candidate over a declared product
 of factor bases and check that the candidates occupy disjoint blocks of
 product outcomes.
+
+Discrimination and certificates read their candidates the same way: one
+check refuses an empty list, repeated labels and mixed register sizes, and
+the states become one (B, 2**n) amplitude stack.  The decomposition is one
+contraction over that stack: it is transposed once into factor order, and
+each factor basis is then applied in turn, ``conj @ c.reshape(B, done, d,
+rest)`` as in the measurement kernel, giving one coefficient per product
+label (first factor outermost) and candidate.  No product vector is built.
+A certificate reads every field off which coefficients exceed ``tol``.
 """
 
 from __future__ import annotations
@@ -62,6 +71,19 @@ class DiscriminationResult:
                    for _, owners in self.collisions)
 
 
+def _candidate_stack(candidates: Sequence[tuple[str, PureState]],
+                     ) -> tuple[list[str], np.ndarray]:
+    """Labels and (B, 2**n) amplitude stack of a candidate list, which must
+    be non-empty, with distinct labels, on one register."""
+    labels = [label for label, _ in candidates]
+    if len(set(labels)) != len(labels):
+        raise ValueError("candidate labels must be distinct, repeated: %s"
+                         % sorted({lbl for lbl in labels if labels.count(lbl) > 1}))
+    if len({state.dim for _, state in candidates}) != 1:
+        raise ValueError("candidates must be one or more states on one register")
+    return labels, np.array([state.amplitudes for _, state in candidates])
+
+
 def run_discrimination(candidates: Sequence[tuple[str, PureState]],
                        protocol: LoccProtocol,
                        tol: float = DROP_TOL) -> DiscriminationResult:
@@ -74,14 +96,8 @@ def run_discrimination(candidates: Sequence[tuple[str, PureState]],
     verdict, which is not counted here.
     """
     check_tolerance(tol, allow_zero=True)
-    labels = [label for label, _ in candidates]
-    if len(set(labels)) != len(labels):
-        raise ValueError("candidate labels must be distinct, repeated: %s"
-                         % sorted({lbl for lbl in labels if labels.count(lbl) > 1}))
-    if len({state.dim for _, state in candidates}) != 1:
-        raise ValueError("candidates must be one or more states on one register")
-    out = enumerate_outcomes(np.array([state.amplitudes for _, state in candidates]),
-                             protocol.plan, drop_tol=tol)
+    labels, amplitudes = _candidate_stack(candidates)
+    out = enumerate_outcomes(amplitudes, protocol.plan, drop_tol=tol)
     # a branch's owners are the candidates it fires for
     owners = dict(zip(out.keys, (out.probabilities > 0.0).tolist()))
     transcript_map: dict[str, str] = {}
@@ -117,40 +133,43 @@ def run_discrimination(candidates: Sequence[tuple[str, PureState]],
 # product-decomposition certificates
 
 
+def _coefficients(amplitudes: np.ndarray,
+                  factors: Sequence[tuple[tuple[int, ...], NamedBasis]],
+                  ) -> tuple[list[tuple[str, ...]], np.ndarray]:
+    """Product labels, first factor outermost, and the (labels, B) matrix of
+    every row's coefficient over each product of factor basis vectors."""
+    b, dim = amplitudes.shape
+    n = dim.bit_length() - 1
+    order = [q for qubits, _ in factors for q in qubits]
+    if sorted(order) != list(range(n)):
+        raise ValueError("factors must partition the qubit set")
+    for qubits, basis in factors:
+        if basis.num_qubits != len(qubits):
+            raise ValueError("basis %r is on %d qubits but the factor names %d"
+                             % (basis.name, basis.num_qubits, len(qubits)))
+    c = amplitudes.reshape((b,) + (2,) * n).transpose([0] + [1 + q for q in order])
+    done = 1
+    for _, basis in factors:
+        conj = basis.matrix().conj()
+        c = conj @ c.reshape(b, done, conj.shape[1], -1)
+        done *= conj.shape[0]
+    labels = list(itertools.product(*(basis.labels for _, basis in factors)))
+    return labels, c.reshape(b, done).T
+
+
 def product_terms(state: PureState,
                   factors: Sequence[tuple[tuple[int, ...], NamedBasis]],
                   tol: float = ASSERT_TOL) -> dict[tuple[str, ...], complex]:
     """Expansion coefficients of a state over a product of factor bases.
 
-    Factors must cover every qubit exactly once.  Only coefficients with
-    magnitude above tol are returned.
+    Factors must cover every qubit exactly once, each with a basis on as
+    many qubits as it names.  Only coefficients with magnitude above tol
+    are returned, in label order (first factor outermost).
     """
-    n = state.num_qubits
-    covered = [q for qubits, _ in factors for q in qubits]
-    if sorted(covered) != list(range(n)):
-        raise ValueError("factors must partition the qubit set")
-    out: dict[tuple[str, ...], complex] = {}
-    label_sets = [f.labels for _, f in factors]
-    for combo in itertools.product(*[range(len(ls)) for ls in label_sets]):
-        vec = np.ones(1, dtype=np.complex128)
-        order: list[int] = []
-        for (qubits, basis), idx in zip(factors, combo):
-            vec = np.kron(vec, basis.vectors[idx].amplitudes)
-            order.extend(qubits)
-        coeff = complex(np.vdot(_align(vec, order, n), state.amplitudes))
-        if abs(coeff) > tol:
-            labels = tuple(label_sets[i][combo[i]] for i in range(len(factors)))
-            out[labels] = coeff
-    return out
-
-
-def _align(vec: np.ndarray, order: Sequence[int], n: int) -> np.ndarray:
-    """Reorder a tensor laid out qubit-by-qubit in ``order`` to 0..n-1."""
-    t = vec.reshape([2] * n)
-    # axis i of t is qubit order[i]; move it to position order[i]
-    dest = list(order)
-    t = np.moveaxis(t, range(n), dest)
-    return t.reshape(-1)
+    check_tolerance(tol)
+    labels, coeffs = _coefficients(state.amplitudes[None], factors)
+    return {labels[j]: complex(coeffs[j, 0])
+            for j in np.flatnonzero(np.abs(coeffs[:, 0]) > tol)}
 
 
 @dataclass(frozen=True)
@@ -174,23 +193,15 @@ def check_certificate(candidates: Sequence[tuple[str, PureState]],
     and (c) every candidate retains at least one term.
     """
     check_tolerance(tol)
-    supports: dict[str, dict[tuple[str, ...], complex]] = {}
-    recon_err = 0.0
-    empty: list[str] = []
-    for label, state in candidates:
-        terms = product_terms(state, factors, tol=tol)
-        supports[label] = terms
-        weight = sum(abs(c) ** 2 for c in terms.values())
-        recon_err = max(recon_err, abs(1.0 - weight))
-        if not terms:
-            empty.append(label)
-    cross = 0.0
-    labels = [lbl for lbl, _ in candidates]
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            shared = set(supports[a]) & set(supports[b])
-            for term in shared:
-                cross = max(cross, abs(supports[a][term]), abs(supports[b][term]))
+    labels, amplitudes = _candidate_stack(candidates)
+    terms, coeffs = _coefficients(amplitudes, factors)
+    mags = np.abs(coeffs)
+    kept = mags > tol
+    # term by term in label order, as a per-candidate sum adds them
+    weights = np.cumsum(np.where(kept, mags ** 2, 0.0), axis=0)[-1]
+    recon_err = float(np.abs(1.0 - weights).max())
+    empty = list(itertools.compress(labels, ~kept.any(axis=0)))
+    cross = float(mags[kept.sum(axis=1) > 1].max(initial=0.0))
     ok = recon_err < tol and cross == 0.0 and not empty
     detail = ""
     if cross > 0.0:
@@ -204,6 +215,7 @@ def check_certificate(candidates: Sequence[tuple[str, PureState]],
         reconstruction_error=recon_err,
         cross_overlap=cross,
         empty_supports=tuple(empty),
-        blocks={lbl: tuple(sorted(supports[lbl])) for lbl in labels},
+        blocks={lbl: tuple(sorted(terms[j] for j in np.flatnonzero(col)))
+                for lbl, col in zip(labels, kept.T)},
         detail=detail,
     )

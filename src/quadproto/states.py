@@ -15,6 +15,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 MAX_QUBITS = 12
+# complex entries of one stacked amplitude array (dense-coding encodings,
+# teleport probes tensored with the resource): 256 MiB
+MAX_STACK_ENTRIES = 2 ** 24
 
 # Tolerances.  Every module imports these; none defines its own.
 NORM_TOL = 1e-12        # |norm - 1| of a PureState
@@ -113,6 +116,7 @@ class PureState:
 
     def ket_terms(self, tol: float = AMP_TOL) -> list[tuple[str, complex]]:
         """Nonzero (label, amplitude) pairs in label order."""
+        check_tolerance(tol, allow_zero=True)
         n = self.num_qubits
         return [(format(i, f"0{n}b") if n else "", complex(a))
                 for i, a in enumerate(self.amplitudes) if abs(a) > tol]

@@ -27,7 +27,7 @@ from .diagnostics import profile, three_tangle_pure
 from .locc import LoccProtocol, check_certificate, run_discrimination
 from .measure import StepSpec
 from .states import (AMP_TOL, ASSERT_TOL, GRAM_TOL, NEGATIVE_GAP, VALUE_TOL,
-                     apply_local, pauli)
+                     apply_local, check_tolerance, pauli)
 from .teleport import run_scenario
 
 __all__ = ["ClaimRow", "SuiteReport", "run_suite", "format_text", "report_dict",
@@ -375,6 +375,7 @@ SECTIONS = {
 
 def run_suite(seed: int = 42, tol: float = ASSERT_TOL,
               sections: tuple[str, ...] | None = None) -> SuiteReport:
+    check_tolerance(tol)
     picked = sections or tuple(SECTIONS)
     unknown = [s for s in picked if s not in SECTIONS]
     if unknown:

@@ -42,8 +42,9 @@ import numpy as np
 
 from .catalog import NamedState, make_state
 from .measure import StepSpec, build_plan, enumerate_outcomes
-from .states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, VALUE_TOL, PureState,
-                     check_tolerance, pauli_products, pauli_table, qubit_count)
+from .states import (ASSERT_TOL, MAX_STACK_ENTRIES, PAULI_ORDER, PERP_ALARM,
+                     VALUE_TOL, CapacityError, PureState, check_tolerance,
+                     pauli_products, pauli_table, qubit_count)
 
 __all__ = [
     "FamilySpec",
@@ -312,9 +313,18 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     check_tolerance(tol)
     rng = np.random.default_rng(seed)
     resource = scenario.resource_state().state
-    # refuse a joint register above MAX_QUBITS before any probe is built
-    qubit_count(2 ** scenario.family.num_qubits * resource.dim)
-    vectors, certifying = build_probes(scenario.family, rng, num_random)
+    # refuse a joint register above MAX_QUBITS, and a joint probe stack above
+    # MAX_STACK_ENTRIES, from the sizes alone, before any probe is built
+    family = scenario.family
+    n = qubit_count(2 ** family.num_qubits * resource.dim)
+    span = {"arbitrary": 2 ** family.num_qubits, "w_equal3": 1}.get(family.kind, 2)
+    rows = span ** 2 + (num_random if span > 1 else 0)
+    if rows << n > MAX_STACK_ENTRIES:
+        raise CapacityError(
+            "%d probes of a %d-qubit joint register need %d x 2^%d amplitudes, "
+            "over the limit of 2^%d"
+            % (rows, n, rows, n, MAX_STACK_ENTRIES.bit_length() - 1))
+    vectors, certifying = build_probes(family, rng, num_random)
     joint = (vectors[:, :, None] * resource.amplitudes).reshape(len(vectors), -1)
     out = enumerate_outcomes(joint, build_plan(scenario.steps))
     if len(out) and out.kept_qubits != tuple(scenario.receiver):
@@ -334,7 +344,7 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
 
     rand_idx = np.flatnonzero(~certifying)
 
-    vocab = _vocabulary(scenario.allowed_ops, scenario.family.num_qubits)
+    vocab = _vocabulary(scenario.allowed_ops, family.num_qubits)
     reports: list[OutcomeReport] = []
     feasible = True
     for j in order:

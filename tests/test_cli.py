@@ -8,6 +8,7 @@ import pytest
 
 from quadproto import densecode
 from quadproto import scenarios as reg
+from quadproto import teleport
 from quadproto.catalog import make_basis
 from quadproto.cli import main
 from quadproto.measure import StepSpec
@@ -353,6 +354,27 @@ def test_oversized_diag_vocabulary_file_exits_two(tmp_path, capsys):
     assert captured.out == ""
     assert "limited to 3 receiver qubits" in captured.err
     assert "ROADMAP.md" in captured.err
+
+
+def test_oversized_probe_stack_file_exits_two(tmp_path, monkeypatch, capsys):
+    # an 8-qubit arbitrary family with GHZ4 asks for 65,556 probes of 4,096
+    # amplitudes: refused before any probe is built
+    sc = TeleportScenario("wide_family", "GHZ4", FamilySpec("arbitrary", 8),
+                          tuple(StepSpec((q,), "computational:1") for q in range(4)),
+                          tuple(range(4, 12)))
+    path = str(tmp_path / "wide.json")
+    with open(path, "w") as fh:
+        fh.write(dumps_scenario(sc))
+
+    def no_probes(*args):
+        raise AssertionError("build_probes was called")
+
+    monkeypatch.setattr(teleport, "build_probes", no_probes)
+    assert main(["teleport", "--file", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 65556 probes of a 12-qubit joint register")
+    assert "over the limit of 2^24" in captured.err
 
 
 @pytest.mark.parametrize("text", ["x", "5.0", ""])

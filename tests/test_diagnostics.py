@@ -1,12 +1,16 @@
 """Entanglement diagnostics: concurrence, tangle, purity structure."""
 
 import itertools
+import hashlib
 
 import numpy as np
 import pytest
 
+from quadproto import diagnostics
+
 from quadproto import scenarios as reg
 from quadproto.catalog import make_state
+from quadproto.cli import main
 from quadproto.diagnostics import (
     genuine_multipartite,
     pair_concurrence,
@@ -134,6 +138,30 @@ def test_factorizable_states_flagged():
     bell_pairs = tensor(make_state("Bell:phi+").state,
                         make_state("Bell:phi+").state)
     assert not genuine_multipartite(bell_pairs)
+
+
+def test_profile_computes_the_purities_once(monkeypatch):
+    # genuine is read off the purities profile already has
+    calls = []
+
+    def counting(state):
+        calls.append(state)
+        return purity_profile(state)
+
+    monkeypatch.setattr(diagnostics, "purity_profile", counting)
+    states = [make_state(name).state for name in ("GHZ4", "W4", "Omega", "Q4", "Q5")]
+    states += [basis_state("0000"), tensor(make_state("GHZ:3").state, basis_state("0"))]
+    for st in states:
+        prof = profile("x", st)
+        assert len(calls) == 1
+        assert prof.genuine == genuine_multipartite(st)
+        calls.clear()
+
+
+def test_diagnose_all_json_bytes_pinned(capsys):
+    assert main(["diagnose", "--all", "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "1aad2b65f19b9eca719495da945a42a964b179f2803824194776d076ff7f5c72"
 
 
 def test_reduced_density_agrees_with_partial_trace_oracle():

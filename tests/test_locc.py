@@ -9,7 +9,7 @@ import pytest
 
 from quadproto import locc
 from quadproto import scenarios as reg
-from quadproto.catalog import make_basis
+from quadproto.catalog import NamedBasis, make_basis
 from quadproto.locc import (
     DiscriminationResult,
     LoccProtocol,
@@ -18,7 +18,7 @@ from quadproto.locc import (
     run_discrimination,
 )
 from quadproto.measure import StepSpec, build_plan, enumerate_outcomes
-from quadproto.states import DROP_TOL, PureState, basis_state
+from quadproto.states import ASSERT_TOL, DROP_TOL, PureState, basis_state, random_state
 
 
 def _bell(label):
@@ -267,6 +267,14 @@ def test_product_terms_require_partition():
         product_terms(st, [((0,), comp1)])
     with pytest.raises(ValueError):
         product_terms(st, [((0,), comp1), ((0,), comp1)])
+    # a 3-qubit factor with a 2-qubit basis used to fail in a reshape
+    ghz8 = reg.locc_candidate_sets()["ghz8"]
+    factors = [((0, 1, 2), make_basis("bell")), ((3,), comp1)]
+    message = "basis 'bell' is on 2 qubits but the factor names 3"
+    with pytest.raises(ValueError, match=message):
+        product_terms(ghz8[0][1], factors)
+    with pytest.raises(ValueError, match=message):
+        check_certificate(ghz8, factors)
 
 
 def test_certificates_hold_for_shipped_decompositions():
@@ -317,6 +325,166 @@ def test_certificate_flags_empty_support():
     assert not rep.ok
     assert rep.reconstruction_error > 0.4
     assert "residual" in rep.detail or rep.empty_supports
+
+
+def test_certificate_refuses_bad_candidate_lists():
+    ghz8 = reg.locc_candidate_sets()["ghz8"]
+    factors = reg.certificate_factors()["ghz8"]
+    # an empty list used to hold as an empty verdict
+    with pytest.raises(ValueError, match="one or more states on one register"):
+        check_certificate([], factors)
+    # two different states with disjoint supports under one label used to
+    # share product outcomes in a single block
+    assert check_certificate(ghz8[:2], factors).ok
+    with pytest.raises(ValueError, match="repeated: \\['x'\\]"):
+        check_certificate([("x", ghz8[0][1]), ("x", ghz8[1][1])], factors)
+    with pytest.raises(ValueError, match="one or more states on one register"):
+        check_certificate([("a", ghz8[0][1]), ("b", basis_state("000"))], factors)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, 1.0])
+def test_product_terms_bad_tolerance_rejected(tol):
+    # nan used to return no term, -1 all 16, zeros included
+    with pytest.raises(ValueError, match="tol must be a finite number"):
+        product_terms(reg.locc_candidate_sets()["ghz8"][0][1],
+                      reg.certificate_factors()["ghz8"], tol=tol)
+
+
+# --- one contraction against the per-combination kron chain ------------------------
+
+def _reference_product_terms(state, factors, tol=ASSERT_TOL):
+    """``product_terms`` as it was before the one contraction: each product
+    vector is a chain of ``np.kron`` calls, reordered into qubit order with
+    ``np.moveaxis``, and projected on its own."""
+    n = state.num_qubits
+    covered = [q for qubits, _ in factors for q in qubits]
+    if sorted(covered) != list(range(n)):
+        raise ValueError("factors must partition the qubit set")
+    out = {}
+    label_sets = [f.labels for _, f in factors]
+    for combo in itertools.product(*[range(len(ls)) for ls in label_sets]):
+        vec = np.ones(1, dtype=np.complex128)
+        order = []
+        for (qubits, basis), idx in zip(factors, combo):
+            vec = np.kron(vec, basis.vectors[idx].amplitudes)
+            order.extend(qubits)
+        # axis i of the product tensor is qubit order[i]; move it there
+        aligned = np.moveaxis(vec.reshape([2] * n), range(n), order).reshape(-1)
+        coeff = complex(np.vdot(aligned, state.amplitudes))
+        if abs(coeff) > tol:
+            out[tuple(label_sets[i][combo[i]] for i in range(len(factors)))] = coeff
+    return out
+
+
+def _reference_certificate(candidates, factors, tol=ASSERT_TOL):
+    """``check_certificate`` as it was before the one contraction: one term
+    dict per candidate, compared pair by pair."""
+    supports = {}
+    recon_err = 0.0
+    empty = []
+    for label, state in candidates:
+        terms = _reference_product_terms(state, factors, tol=tol)
+        supports[label] = terms
+        weight = sum(abs(c) ** 2 for c in terms.values())
+        recon_err = max(recon_err, abs(1.0 - weight))
+        if not terms:
+            empty.append(label)
+    cross = 0.0
+    labels = [lbl for lbl, _ in candidates]
+    for i, a in enumerate(labels):
+        for b in labels[i + 1:]:
+            for term in set(supports[a]) & set(supports[b]):
+                cross = max(cross, abs(supports[a][term]), abs(supports[b][term]))
+    detail = ""
+    if cross > 0.0:
+        detail = "candidates share product outcomes"
+    elif empty:
+        detail = "empty support for %s" % ", ".join(empty)
+    elif recon_err >= tol:
+        detail = "reconstruction residual %.3e" % recon_err
+    return locc.CertificateReport(
+        ok=recon_err < tol and cross == 0.0 and not empty,
+        reconstruction_error=recon_err,
+        cross_overlap=cross,
+        empty_supports=tuple(empty),
+        blocks={lbl: tuple(sorted(supports[lbl])) for lbl in labels},
+        detail=detail,
+    )
+
+
+def _certificate_cases():
+    sets_ = reg.locc_candidate_sets()
+    for fname, factors in reg.certificate_factors().items():
+        for sname, candidates in sets_.items():
+            yield "%s/%s" % (sname, fname), candidates, factors
+    comp1 = make_basis("computational:1")
+    bell = make_basis("bell")
+    phi = NamedBasis("phi_only", ("phi+", "phi-"), bell.vectors[:2])
+    rng = np.random.default_rng(45)
+    haar4 = [("h%d" % i, random_state(4, rng)) for i in range(4)]
+    for order in (((2,), (0, 3), (1,)), ((3,), (2,), (1,), (0,)),
+                  ((3, 1), (2, 0))):
+        factors = [(qubits, bell if len(qubits) == 2 else comp1) for qubits in order]
+        yield "haar4 %s" % (order,), haar4, factors
+        # a subspace factor basis leaves weight out and may leave supports empty
+        sub = [(qubits, phi if len(qubits) == 2 else comp1) for qubits in order]
+        yield "haar4 phi %s" % (order,), haar4, sub
+        yield "haar4 phi alone %s" % (order,), haar4[:1], sub
+    yield "empty", [("e", basis_state("0110"))], [((0, 1), phi), ((2, 3), phi)]
+    haar5 = [("h%d" % i, random_state(5, rng)) for i in range(3)]
+    yield "haar5 reversed", haar5, [((q,), comp1) for q in range(4, -1, -1)]
+    yield "haar5 omega_meas", haar5, [((3,), comp1),
+                                      ((4, 0, 2, 1), make_basis("omega_meas"))]
+    yield "haar5 mixed", haar5, [((4, 1), bell), ((3,), make_basis("plus_minus")),
+                                 ((0, 2), phi)]
+
+
+@pytest.mark.parametrize("tol", [1e-10, 0.3])
+def test_product_terms_match_kron_reference(tol):
+    for name, candidates, factors in _certificate_cases():
+        for label, state in candidates:
+            got = product_terms(state, factors, tol=tol)
+            want = _reference_product_terms(state, factors, tol=tol)
+            assert list(got) == list(want), (name, label)
+            for key, coeff in want.items():
+                assert abs(got[key] - coeff) < 1e-12, (name, label, key)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 0.3])
+def test_certificate_matches_pairwise_reference(tol):
+    outcomes = set()
+    for name, candidates, factors in _certificate_cases():
+        got = check_certificate(candidates, factors, tol=tol)
+        want = _reference_certificate(candidates, factors, tol=tol)
+        assert (got.ok, got.detail, got.empty_supports) == \
+            (want.ok, want.detail, want.empty_supports), name
+        assert got.blocks == want.blocks, name
+        assert list(got.blocks) == list(want.blocks), name
+        assert abs(got.reconstruction_error - want.reconstruction_error) <= 1e-15, name
+        # the declared sets agree bit for bit; a Haar coefficient summed in
+        # another order may differ in its last place
+        if name.startswith("haar"):
+            assert abs(got.cross_overlap - want.cross_overlap) <= 1e-15, name
+        else:
+            assert got.cross_overlap == want.cross_overlap, name
+            assert got.reconstruction_error == want.reconstruction_error, name
+        outcomes.add(got.detail.split(" ")[0])
+    # the cases reach every verdict
+    assert outcomes == {"", "candidates", "empty", "reconstruction"}
+
+
+def test_certificate_contracts_once(monkeypatch):
+    calls = []
+
+    def counting(amplitudes, factors):
+        calls.append(len(amplitudes))
+        return coefficients(amplitudes, factors)
+
+    coefficients = locc._coefficients
+    monkeypatch.setattr(locc, "_coefficients", counting)
+    check_certificate(reg.locc_candidate_sets()["omega16"],
+                      reg.certificate_factors()["omega16"])
+    assert calls == [16]
 
 
 # --- two-vs-four Bell discrimination ---------------------------------------------------

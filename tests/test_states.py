@@ -1,9 +1,13 @@
 """Core state container and operator plumbing."""
 
 import itertools
+import inspect
 
 import numpy as np
 import pytest
+
+import quadproto
+from quadproto import scenarios as reg
 
 from quadproto.states import (
     MAX_QUBITS,
@@ -198,6 +202,61 @@ def test_check_tolerance_accepts_zero_only_for_drop_tolerances():
     for value in (-1e-300, 1.0, float("nan")):
         with pytest.raises(ValueError, match=r"drop_tol .* in \[0, 1\)"):
             check_tolerance(value, "drop_tol", allow_zero=True)
+
+
+def _valid_arguments():
+    """Positional and keyword arguments, all but the tolerance, of every
+    exported callable that takes one; each call is cheap once the tolerance
+    is accepted."""
+    ghz4 = quadproto.make_state("GHZ4").state
+    ghz8 = reg.locc_candidate_sets()["ghz8"]
+    bell = quadproto.build_plan([quadproto.StepSpec((0, 1), "bell")])
+    return {
+        "PureState.ket_terms": ((ghz4,), {}),
+        "enumerate_outcomes": ((ghz4.amplitudes[None], bell), {}),
+        "run_scenario": ((reg.TELEPORT_SCENARIOS["ghz2_pi_01"],), {}),
+        "distinguishable_messages": ((ghz4, (0,)), {}),
+        "best_over_subsets": ((ghz4, 1), {}),
+        "run_discrimination": ((ghz8, reg.locc_protocols()["ghz_bell_bell"]), {}),
+        "product_terms": ((ghz8[0][1], reg.certificate_factors()["ghz8"]), {}),
+        "check_certificate": ((ghz8, reg.certificate_factors()["ghz8"]), {}),
+        "genuine_multipartite": ((ghz4,), {}),
+        "run_suite": ((), {"sections": ("bases",)}),
+    }
+
+
+def _exported_tolerance_parameters():
+    """(name, callable, parameter) for every parameter named tol or drop_tol
+    of a function in ``quadproto.__all__`` or a method of an exported class."""
+    found = []
+    for name in quadproto.__all__:
+        obj = getattr(quadproto, name)
+        if inspect.isclass(obj):
+            members = [("%s.%s" % (name, attr), getattr(obj, attr))
+                       for attr in vars(obj)]
+        else:
+            members = [(name, obj)]
+        for qualname, member in members:
+            if not (inspect.isfunction(member) or inspect.ismethod(member)
+                    or inspect.isfunction(inspect.unwrap(member))):
+                continue
+            for param in inspect.signature(member).parameters:
+                if param in ("tol", "drop_tol"):
+                    found.append((qualname, member, param))
+    return found
+
+
+def test_every_exported_tolerance_refuses_nan():
+    valid = _valid_arguments()
+    found = _exported_tolerance_parameters()
+    names = [qualname for qualname, _, _ in found]
+    assert sorted(names) == sorted(valid), \
+        "give valid arguments for each callable that takes a tolerance"
+    for qualname, member, param in found:
+        args, kwargs = valid[qualname]
+        kwargs = {**kwargs, param: float("nan")}
+        with pytest.raises(ValueError, match="%s must be a finite number" % param):
+            member(*args, **kwargs)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])

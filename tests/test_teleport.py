@@ -304,6 +304,50 @@ def test_joint_register_above_capacity_refused(monkeypatch):
         run_scenario(sc)
 
 
+def _no_probes(*args):
+    raise AssertionError("build_probes was called")
+
+
+def test_probe_stack_above_limit_refused(monkeypatch):
+    # 65,556 probes of an 8-qubit family tensored with GHZ4 would take
+    # 4.3 GB: refused from the family and resource sizes alone
+    sc = TeleportScenario("wide_family", "GHZ4", FamilySpec("arbitrary", 8),
+                          tuple(StepSpec((q,), "computational:1") for q in range(4)),
+                          tuple(range(4, 12)))
+    monkeypatch.setattr(teleport, "build_probes", _no_probes)
+    with pytest.raises(CapacityError, match=r"65556 probes of a 12-qubit joint "
+                                            r"register .* over the limit of 2\^24"):
+        run_scenario(sc)
+
+
+def test_probe_stack_limit_is_exact_for_registered_families(monkeypatch):
+    # the row count read off the family's size is the one build_probes
+    # makes: the limit admits exactly that stack and refuses one entry less
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    scenarios = list(reg.TELEPORT_SCENARIOS.values())
+    scenarios += [sc for group in reg.negative_scenarios().values() for sc in group]
+    largest = 0
+    for sc in scenarios:
+        rows = len(build_probes(sc.family, np.random.default_rng(0))[0])
+        entries = rows * 2 ** sc.family.num_qubits * sc.resource_state().state.dim
+        largest = max(largest, entries)
+        monkeypatch.setattr(teleport, "build_probes", reached)
+        monkeypatch.setattr(teleport, "MAX_STACK_ENTRIES", entries)
+        with pytest.raises(Reached):
+            run_scenario(sc)
+        monkeypatch.setattr(teleport, "build_probes", _no_probes)
+        monkeypatch.setattr(teleport, "MAX_STACK_ENTRIES", entries - 1)
+        with pytest.raises(CapacityError, match="over the limit"):
+            run_scenario(sc)
+        monkeypatch.undo()
+    assert largest == 3072
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, 1.0, 2.0])
 def test_bad_tolerance_rejected(tol):
     # tol=2.0 used to report w3_sigma feasible with fidelity 0.25
