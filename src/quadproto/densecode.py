@@ -5,40 +5,40 @@ message by applying one Pauli from {sigma0, sigma1, i*sigma2, sigma3} to
 each held qubit.  The receiver, holding everything, can read the message
 only if the encoded states are mutually orthogonal, so the number of
 distinguishable messages is the size of a maximum clique in the
-orthogonality graph over the 4^k encoded states.
+orthogonality graph over the 4^k encoded states, in lexicographic encoding
+order (first sender qubit slowest).
 
-The encodings are rows of one (4^k, 2^n) array in lexicographic encoding
-order (first sender qubit slowest), built by one gather: with the sender
-axes moved to the front in the caller's order, every Pauli product is a row
-of the signed-permutation table ``states.pauli_table`` that teleport
-corrections also read, so each amplitude is one exact +-1 multiple.  A query
-whose array would exceed ``MAX_ENCODED_ENTRIES`` amplitudes is refused
-before anything is allocated.
+The XOR of two encoding indices is their Pauli product up to phase, so
+|<P_a psi|P_b psi>| = |Tr(P_(a xor b) rho_S)| with rho_S the reduction of
+psi to the sender qubits.  A query reads everything off the 4^k numbers
+mag = |Tr(P_x rho_S)|, one gather of ``states.pauli_coefficients`` over
+the signed-permutation table ``states.pauli_table`` that teleport
+corrections also read; no encoded state is built.  That gather is a
+(4^k, 2^k) array, so a query with 8^k above ``MAX_ENCODED_ENTRIES`` (k of 9
+or more, whatever the resource size) is refused before the table is built.
+``encoded_states`` alone builds the encodings, as rows of one (4^k, 2^n)
+array, and refuses 4^k x 2^n above the same limit.
 
 Encodings that produce the same state up to global phase are collapsed to
 one class first (they can never be distinguished): in encoding order, an
-encoding starts a new class unless abs(abs(overlap) - 1) < tol against a
-representative already found, tested as one matvec against those
-representatives.  The orthogonality graph is read off the Gram matrix of
-the representatives only; a Gram matrix over all 4^k encodings would grow
-with 16^k.  The clique search is exact and returns the lexicographically
-smallest maximum clique over the representatives, so results are
-deterministic.
+encoding j starts a new class unless abs(mag[r xor j] - 1) < tol for a
+representative r already found.  Representatives i and j are adjacent when
+mag[i xor j] < tol.  The clique search is exact and returns the
+lexicographically smallest maximum clique over the representatives, so
+results are deterministic.
 
 The search first finds c0, one more than the largest clique in vertex 0's
 neighbourhood, so the largest clique through the identity encoding.  The
 maximum is c0 when c0 reaches the greedy-colouring bound of the whole graph
 (edgeless and complete graphs), or when the graph is certified to be a
-Cayley graph of the Pauli group modulo the identity's class: the XOR of two
-encoding indices is their Pauli product up to phase, and |<P_a psi|P_b psi>|
-= |<psi|P_(a xor b)|psi>|.  The certificate is read off the classes and the
-thresholded adjacency alone (class 0 closed under XOR, every class one of
-its cosets, every edge i-j equal to the edge from 0 to the class of
-rep_i xor rep_j), so it adds no floating-point comparison and cannot change
-a result; it is built only when the colouring bound leaves the question
-open.  A Cayley graph is vertex-transitive, so some maximum clique contains
-vertex 0.  Otherwise the bound is searched over the whole graph, starting
-from c0.
+Cayley graph of the Pauli group modulo the identity's class.  The
+certificate is read off the classes and the thresholded adjacency alone
+(class 0 closed under XOR, every class one of its cosets, every edge i-j
+equal to the edge from 0 to the class of rep_i xor rep_j), so it adds no
+floating-point comparison and cannot change a result; it is built only
+when the colouring bound leaves the question open.  A Cayley graph is
+vertex-transitive, so some maximum clique contains vertex 0.  Otherwise
+the bound is searched over the whole graph, starting from c0.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ from typing import Callable
 
 import numpy as np
 
-from .states import ASSERT_TOL, PureState, check_tolerance, pauli_table
+from .states import (ASSERT_TOL, PureState, check_tolerance,
+                     pauli_coefficients, pauli_table)
 # the shared stack limit, under the name dense coding exports
 from .states import MAX_STACK_ENTRIES as MAX_ENCODED_ENTRIES
 
@@ -62,22 +63,33 @@ __all__ = [
 ]
 
 
-def _encode(resource: PureState, sender_qubits: tuple[int, ...]) -> np.ndarray:
-    """All 4^k encodings as rows, in lexicographic encoding order."""
+def _sender_major(resource: PureState, sender_qubits: tuple[int, ...],
+                  width: int, what: str) -> tuple[np.ndarray, list[int]]:
+    """The resource as a (2^k, 2^(n-k)) matrix with the sender axes first in
+    the caller's order, and that axis order.  Refuses repeated or
+    out-of-range senders, and a query whose 4^k x 2^width ``what`` exceed
+    ``MAX_ENCODED_ENTRIES``."""
     if len(set(sender_qubits)) != len(sender_qubits):
         raise ValueError("repeated sender qubit in %s" % (list(sender_qubits),))
     n = resource.num_qubits
     if any(q < 0 or q >= n for q in sender_qubits):
         raise ValueError("target qubit out of range")
     k = len(sender_qubits)
-    if 4 ** k << n > MAX_ENCODED_ENTRIES:
+    if 4 ** k << width > MAX_ENCODED_ENTRIES:
         raise ValueError(
-            "%d sender qubits of a %d-qubit resource need 4^%d x 2^%d encoded "
-            "amplitudes, over the limit of 2^%d"
-            % (k, n, k, n, MAX_ENCODED_ENTRIES.bit_length() - 1))
-    _, perm, sign = pauli_table(k)
+            "%d sender qubits of a %d-qubit resource need 4^%d x 2^%d %s, "
+            "over the limit of 2^%d"
+            % (k, n, k, width, what, MAX_ENCODED_ENTRIES.bit_length() - 1))
     axes = list(sender_qubits) + [q for q in range(n) if q not in sender_qubits]
     psi_t = resource.amplitudes.reshape((2,) * n).transpose(axes).reshape(1 << k, -1)
+    return psi_t, axes
+
+
+def _encode(resource: PureState, sender_qubits: tuple[int, ...]) -> np.ndarray:
+    """All 4^k encodings as rows, in lexicographic encoding order."""
+    n = resource.num_qubits
+    psi_t, axes = _sender_major(resource, sender_qubits, n, "encoded amplitudes")
+    _, perm, sign = pauli_table(len(sender_qubits))
     rows = psi_t[perm]
     rows *= sign[:, :, None]
     back = [0] + [1 + a for a in np.argsort(axes)]
@@ -93,25 +105,25 @@ def encoded_states(resource: PureState, sender_qubits: tuple[int, ...],
     return [(label, PureState(row)) for label, row in zip(names, rows)]
 
 
-def _representatives(rows: np.ndarray, tol: float) -> tuple[list[int], np.ndarray]:
-    """Row indices of the first member of each global-phase class, and the
-    class of every row: a representative's own class index, or the first
-    representative the row matched."""
-    reps: list[int] = []
-    cls = np.empty(len(rows), dtype=np.intp)
-    conj_reps = np.empty_like(rows)
-    for j, row in enumerate(rows):
-        r = len(reps)
+def _representatives(mag: np.ndarray, tol: float) -> tuple[list[int], np.ndarray]:
+    """Encoding indices of the first member of each global-phase class, and
+    the class of every encoding: a representative's own class index, or the
+    first representative it matched.  ``mag[x]`` is |<psi|P_x|psi>|."""
+    same = np.abs(mag - 1.0) < tol
+    reps = np.empty(len(mag), dtype=np.intp)
+    cls = np.empty(len(mag), dtype=np.intp)
+    r = 0
+    for j in range(len(mag)):
         if r:
-            hits = np.abs(np.abs(conj_reps[:r] @ row) - 1.0) < tol
+            hits = same[reps[:r] ^ j]
             first = hits.argmax()
             if hits[first]:
                 cls[j] = first
                 continue
-        np.conjugate(row, out=conj_reps[r])
+        reps[r] = j
         cls[j] = r
-        reps.append(j)
-    return reps, cls
+        r += 1
+    return reps[:r].tolist(), cls
 
 
 def _is_cayley(cls: np.ndarray, rep_rows: list[int], ortho: np.ndarray) -> bool:
@@ -222,22 +234,24 @@ def distinguishable_messages(resource: PureState, sender_qubits: tuple[int, ...]
                              tol: float = ASSERT_TOL) -> DenseCodingResult:
     check_tolerance(tol)
     sender_qubits = tuple(sender_qubits)
-    rows = _encode(resource, sender_qubits)
-    rep_rows, cls = _representatives(rows, tol)
-    reps = rows[rep_rows]
-    ortho = np.abs(reps.conj() @ reps.T) < tol
+    k = len(sender_qubits)
+    psi_t, _ = _sender_major(resource, sender_qubits, k, "Pauli table entries")
+    mag = np.abs(pauli_coefficients(psi_t @ psi_t.conj().T))
+    rep_rows, cls = _representatives(mag, tol)
+    reps = np.asarray(rep_rows)
+    ortho = mag[reps[:, None] ^ reps] < tol
     np.fill_diagonal(ortho, False)
     adj = [int.from_bytes(bits.tobytes(), "little")
            for bits in np.packbits(ortho, axis=1, bitorder="little")]
     n = len(rep_rows)
     clique = _lex_smallest_maximum_clique(
         adj, n, lambda: _is_cayley(cls, rep_rows, ortho))
-    names = pauli_table(len(sender_qubits)).names
+    names = pauli_table(k).names
     return DenseCodingResult(
         sender_qubits=sender_qubits,
         count=len(clique),
         witness=tuple(names[rep_rows[i]] for i in clique),
-        num_encodings=len(rows),
+        num_encodings=len(mag),
         num_classes=n,
     )
 

@@ -15,8 +15,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 MAX_QUBITS = 12
-# complex entries of one stacked amplitude array (dense-coding encodings,
-# teleport probes tensored with the resource): 256 MiB
+# complex entries of one stacked array (dense-coding encodings or Pauli-table
+# gathers, teleport probes tensored with the resource): 256 MiB
 MAX_STACK_ENTRIES = 2 ** 24
 
 # Tolerances.  Every module imports these; none defines its own.
@@ -226,6 +226,17 @@ def pauli_table(k: int) -> PauliTable:
     perm, sign = pauli_products(words)
     return PauliTable(tuple(itertools.product(PAULI_ORDER, repeat=k)),
                       _lock(perm), _lock(sign))
+
+
+def pauli_coefficients(a: np.ndarray) -> np.ndarray:
+    """Tr(P_x a) for every product P_x of ``pauli_table(k)``, in table order,
+    of a (2**k, 2**k) matrix: P_x has entry sign[x, t] at (t, perm[x, t]), so
+    the traces are one gather over the table."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    _, perm, sign = pauli_table(qubit_count(len(a)))
+    return (a[perm, np.arange(len(a))] * sign).sum(1)
 
 
 def pauli(name: str) -> LocalUnitary:

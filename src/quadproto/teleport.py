@@ -179,7 +179,7 @@ class TeleportScenario:
                 "paulis+diag corrections are limited to %d receiver qubits, "
                 "got %d: the scan would try 2**(2**k - 1) sign masks per "
                 "Pauli product (solving for corrections instead of scanning "
-                "is open item 3 in ROADMAP.md)"
+                "is an open item in ROADMAP.md)"
                 % (MAX_DIAG_QUBITS, self.family.num_qubits))
 
     def resource_state(self) -> NamedState:

@@ -20,6 +20,9 @@ TEMPLATES = (
     ["teleport", "--scenario", "ghz1_ghz4basis", "--format", "json"],
     ["teleport", "--scenario", "w4_plain_1q", "--format", "text"],
     ["densecode", "--state", "GHZ4", "--qubits", "0,1"],
+    # refused for its 4^9 x 2^9 Pauli table; mutated qubit lists hold at
+    # most four senders
+    ["densecode", "--state", "GHZ:12", "--qubits", "0,1,2,3,4,5,6,7,8"],
     ["densecode", "--state", "W_mn", "--param", "m=1", "--param", "n=2",
      "--qubits", "1"],
     ["locc", "--set", "ghz8", "--protocol", "ghz_bell_bell"],
@@ -96,6 +99,16 @@ def _assert_fails_closed(code, err, case):
     assert "Traceback" not in err, case
     if code == 2:
         assert "error:" in err, case
+
+
+def test_templates_fail_closed(capsys):
+    # unmutated, so a template that is refused by design is refused once
+    codes = set()
+    for argv in TEMPLATES:
+        code, err = _run(capsys, argv)
+        _assert_fails_closed(code, err, argv)
+        codes.add(code)
+    assert codes == {0, 2}
 
 
 def test_mutated_arguments_fail_closed(capsys):

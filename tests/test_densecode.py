@@ -16,7 +16,8 @@ from quadproto.densecode import (
     distinguishable_messages,
     encoded_states,
 )
-from quadproto.states import ASSERT_TOL, PAULI_ORDER, SIGMA, apply_local, random_state
+from quadproto.states import (ASSERT_TOL, PAULI_ORDER, SIGMA, apply_local,
+                              pauli_coefficients, random_state)
 
 PRINCIPAL = ("GHZ4", "W4", "Omega", "Q4", "Q5")
 
@@ -162,29 +163,43 @@ def test_bad_tolerance_rejected(tol):
         best_over_subsets(st, 1, tol=tol)
 
 
-@pytest.mark.parametrize("k", [7, 12])
+@pytest.mark.parametrize("k", [9, 12])
 def test_oversized_query_rejected_before_allocation(k, monkeypatch):
-    # 4^7 x 2^12 amplitudes would take 4.3 GB, 4^12 x 2^12 1.1 TB
+    # a query gathers a 4^k x 2^k Pauli table, 2.1 GB at k = 9 whatever the
+    # resource size; the encodings of 4^k x 2^12 amplitudes are larger still
     def no_table(k):
         raise AssertionError("the Pauli table was built for k = %d" % k)
 
     monkeypatch.setattr(densecode, "pauli_table", no_table)
     st = make_state("GHZ:12").state
-    assert 4 ** k * st.dim > MAX_ENCODED_ENTRIES
+    assert 8 ** k > MAX_ENCODED_ENTRIES
     for call in (distinguishable_messages, encoded_states):
         with pytest.raises(ValueError, match=r"over the limit of 2\^24"):
             call(st, tuple(range(k)))
+    # 4^7 x 2^12 encoded amplitudes would take 1.1 GB
+    with pytest.raises(ValueError, match=r"4\^7 x 2\^12 encoded amplitudes"):
+        encoded_states(st, tuple(range(7)))
 
 
 def test_query_at_the_limit_is_answered(monkeypatch):
-    # the bound admits GHZ:12 with sender 0..5, 4^6 x 2^12 amplitudes; the
-    # same boundary is checked here at a size that is cheap to run
-    assert 4 ** 6 * 2 ** 12 == MAX_ENCODED_ENTRIES
-    monkeypatch.setattr(densecode, "MAX_ENCODED_ENTRIES", 4 ** 2 * 2 ** 4)
+    # the bound admits a query on 8 sender qubits, 4^8 x 2^8 table entries,
+    # and the encodings of GHZ:12 with sender 0..5, 4^6 x 2^12 amplitudes; the
+    # same boundaries are checked here at sizes that are cheap to run
+    assert 8 ** 8 == 4 ** 6 * 2 ** 12 == MAX_ENCODED_ENTRIES
+    monkeypatch.setattr(densecode, "MAX_ENCODED_ENTRIES", 8 ** 2)
     st = make_state("GHZ4").state
     assert distinguishable_messages(st, (1, 0)).count == 8
     with pytest.raises(ValueError, match="3 sender qubits of a 4-qubit"):
         distinguishable_messages(st, (0, 1, 2))
+    assert len(encoded_states(st, (1,))) == 4
+    with pytest.raises(ValueError, match="2 sender qubits of a 4-qubit"):
+        encoded_states(st, (1, 0))
+
+
+def test_twelve_qubit_cat_with_six_senders_is_answered():
+    # once refused for its 4^6 x 2^12 encodings, which a query no longer builds
+    res = distinguishable_messages(make_state("GHZ:12").state, tuple(range(6)))
+    assert (res.count, res.num_classes, res.num_encodings) == (128, 128, 4096)
 
 
 @pytest.mark.parametrize("k", [-1, 5, 9])
@@ -352,14 +367,46 @@ def test_kernel_matches_reference_path(label):
 
 # --- the Cayley certificate and the clique search against the reference ----------
 
+def _mag(st, qubits):
+    """|Tr(P_x rho_S)| over every encoding x, as ``distinguishable_messages``
+    reads it."""
+    psi_t, _ = densecode._sender_major(st, qubits, len(qubits), "entries")
+    return np.abs(pauli_coefficients(psi_t @ psi_t.conj().T))
+
+
 def _graph(st, qubits, tol=ASSERT_TOL):
     """(cls, rep_rows, ortho) as ``distinguishable_messages`` builds them."""
-    rows = densecode._encode(st, qubits)
-    rep_rows, cls = densecode._representatives(rows, tol)
-    reps = rows[rep_rows]
-    ortho = np.abs(reps.conj() @ reps.T) < tol
+    mag = _mag(st, qubits)
+    rep_rows, cls = densecode._representatives(mag, tol)
+    reps = np.asarray(rep_rows)
+    ortho = mag[reps[:, None] ^ reps] < tol
     np.fill_diagonal(ortho, False)
     return cls, rep_rows, ortho
+
+
+@pytest.mark.parametrize("label", list(_REFERENCE_CASES))
+def test_gram_matrix_is_the_pauli_table_read_by_xor(label):
+    # |<P_a psi|P_b psi>| = |Tr(P_(a xor b) rho_S)| on the oracle's states
+    st, subsets = _REFERENCE_CASES[label]
+    for subset in subsets:
+        vecs = np.array([enc.amplitudes
+                         for _, enc in _reference_encoded(st, subset)])
+        gram = np.abs(vecs.conj() @ vecs.T)
+        index = np.arange(len(vecs))
+        mag = _mag(st, subset)
+        assert np.abs(gram - mag[index[:, None] ^ index]).max() <= 1e-15, subset
+
+
+def test_query_builds_no_encoded_state(monkeypatch):
+    def no_encoding(*args):
+        raise AssertionError("the encodings were built")
+
+    monkeypatch.setattr(densecode, "_encode", no_encoding)
+    for name in PRINCIPAL:
+        st = make_state(name).state
+        for k in (1, 2, 3):
+            best_over_subsets(st, k)
+    assert _count("GHZ:5", (0, 1, 2, 3)) == 32
 
 
 def _adj(ortho):
@@ -393,9 +440,10 @@ def test_representatives_take_the_first_matching_class():
     rng = np.random.default_rng(7)
     multiple = 0
     for st in (random_state(4, rng), make_state("W4").state):
+        rows = [enc.amplitudes for _, enc in encoded_states(st, (0, 1, 2))]
+        mag = _mag(st, (0, 1, 2))
         for tol in (0.6, 0.9):
-            rows = densecode._encode(st, (0, 1, 2))
-            rep_rows, cls = densecode._representatives(rows, tol)
+            rep_rows, cls = densecode._representatives(mag, tol)
             reps = []
             for j, row in enumerate(rows):
                 hits = [i for i, r in enumerate(reps)

@@ -22,6 +22,7 @@ from quadproto.states import (
     fidelity,
     inner,
     pauli,
+    pauli_coefficients,
     pauli_products,
     pauli_table,
     permute_qubits,
@@ -286,3 +287,26 @@ def test_single_pauli_products_are_table_rows():
             (one_perm,), (one_sign,) = pauli_products([word])
             assert np.array_equal(one_perm, table.perm[t]), word
             assert np.array_equal(one_sign, table.sign[t]), word
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pauli_coefficients_are_traces_against_dense_kron(k):
+    rng = np.random.default_rng(k)
+    d = 2 ** k
+    # complex and not Hermitian, so a transposed or conjugated gather shows
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    got = pauli_coefficients(a)
+    want = []
+    for names in pauli_table(k).names:
+        mat = np.ones((1, 1), dtype=np.complex128)
+        for name in names:
+            mat = np.kron(mat, SIGMA[name])
+        want.append(np.trace(mat @ a))
+    assert got.shape == (4 ** k,)
+    assert np.abs(got - want).max() < 1e-12
+
+
+def test_pauli_coefficients_reject_a_matrix_that_is_not_square():
+    for bad in (np.zeros(4), np.zeros((2, 4)), np.zeros((3, 3))):
+        with pytest.raises(ValueError):
+            pauli_coefficients(bad)

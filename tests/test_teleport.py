@@ -548,3 +548,37 @@ def test_vocabulary_matches_dense_candidates(allowed, k):
     assert [desc for desc, _ in entries] == [desc for desc, _ in reference]
     for (desc, mat), (_, want) in zip(entries, reference):
         assert np.array_equal(mat, want), desc
+
+
+def test_best_fidelity_of_a_corrected_outcome_is_the_chosen_candidates_own(
+        monkeypatch):
+    # no candidate scanned before the chosen one certifies better than it, so
+    # a corrected outcome's best_fidelity is the chosen candidate's own worst
+    # certifying fidelity, bit for bit
+    calls = []
+    real = teleport._find_correction
+
+    def spy(vocab, residuals, expected, cert_rows, tol):
+        got = real(vocab, residuals, expected, cert_rows, tol)
+        calls.append((vocab, residuals, expected, cert_rows, got))
+        return got
+
+    monkeypatch.setattr(teleport, "_find_correction", spy)
+    for seed in (42, 7):
+        for sc in _ALL_SCENARIOS:
+            run_scenario(sc, seed=seed)
+    corrected = 0
+    for vocab, residuals, expected, cert_rows, (desc, _, best) in calls:
+        if desc is None:
+            continue
+        prefix, _, pauli = desc.rpartition(";")
+        p = vocab.prefixes.index(prefix + ";" if prefix else "")
+        t = vocab.paulis.index(pauli)
+        perm, sign = vocab.perm[t:t + 1], vocab.sign[t:t + 1]
+        fids = np.abs(np.sum(expected.conj()[:, None, :]
+                             * ((residuals * vocab.masks[p])[:, perm] * sign),
+                             axis=2)) ** 2
+        own = (fids[cert_rows] if len(cert_rows) else fids).min()
+        assert best == float(own), desc
+        corrected += 1
+    assert corrected
