@@ -9,12 +9,11 @@ product outcomes.
 
 Discrimination and certificates read their candidates the same way: one
 check refuses an empty list, repeated labels and mixed register sizes, and
-the states become one (B, 2**n) amplitude stack.  The decomposition is one
-contraction over that stack: it is transposed once into factor order, and
-each factor basis is then applied in turn, ``conj @ c.reshape(B, done, d,
-rest)`` as in the measurement kernel, giving one coefficient per product
-label (first factor outermost) and candidate.  No product vector is built.
-A certificate reads every field off which coefficients exceed ``tol``.
+the states become one (B, 2**n) amplitude stack.  The decomposition is
+``measure.contract``, the contraction that measures every plan, with the
+declared factor bases as its steps: one coefficient per product label
+(first factor outermost) and candidate.  No product vector is built.  A
+certificate reads every field off which coefficients exceed ``tol``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from .catalog import NamedBasis
-from .measure import MeasurementPlan, StepSpec, build_plan, enumerate_outcomes
+from .measure import (MeasurementPlan, StepSpec, build_plan, contract,
+                      enumerate_outcomes)
 from .states import ASSERT_TOL, DROP_TOL, PureState, check_tolerance
 
 __all__ = [
@@ -138,23 +138,17 @@ def _coefficients(amplitudes: np.ndarray,
                   ) -> tuple[list[tuple[str, ...]], np.ndarray]:
     """Product labels, first factor outermost, and the (labels, B) matrix of
     every row's coefficient over each product of factor basis vectors."""
-    b, dim = amplitudes.shape
-    n = dim.bit_length() - 1
     order = [q for qubits, _ in factors for q in qubits]
-    if sorted(order) != list(range(n)):
+    if sorted(order) != list(range(amplitudes.shape[1].bit_length() - 1)):
         raise ValueError("factors must partition the qubit set")
     for qubits, basis in factors:
         if basis.num_qubits != len(qubits):
             raise ValueError("basis %r is on %d qubits but the factor names %d"
                              % (basis.name, basis.num_qubits, len(qubits)))
-    c = amplitudes.reshape((b,) + (2,) * n).transpose([0] + [1 + q for q in order])
-    done = 1
-    for _, basis in factors:
-        conj = basis.matrix().conj()
-        c = conj @ c.reshape(b, done, conj.shape[1], -1)
-        done *= conj.shape[0]
+    c, _ = contract(amplitudes, [(qubits, basis.matrix().conj())
+                                 for qubits, basis in factors])
     labels = list(itertools.product(*(basis.labels for _, basis in factors)))
-    return labels, c.reshape(b, done).T
+    return labels, c[:, :, 0].T
 
 
 def product_terms(state: PureState,

@@ -4,12 +4,12 @@ A plan is an ordered list of steps; each step measures a disjoint set of
 qubits in a named basis.  Subspace bases are completed automatically with
 Gram-Schmidt vectors labeled ``perp0``, ``perp1``, ...  once, when the step
 is built.  Enumeration walks every outcome combination exactly (no
-sampling) for a whole stack of input states at once: the live branches of
-every input are one array, and each step is one contraction over all of
-them.  The result is one ``Outcomes`` record: per branch its labels, its
-comma-joined key and whether an auto-completed direction fired; per branch
-and input the probability and normalized residual; and the original
-indices of the surviving qubits.
+sampling) for a stack of inputs with one contraction, ``contract``, which
+LOCC certificates share; branches are dropped once, at the end.  The
+result is one ``Outcomes`` record: per branch its labels, its comma-joined
+key and whether an auto-completed direction fired; per branch and input
+the probability and normalized residual; and the original indices of the
+surviving qubits.
 
 Teleport scenarios and LOCC protocols both describe their measurements as
 ``StepSpec`` values (catalog basis names); ``build_plan`` resolves them.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "Outcomes",
     "build_plan",
     "complete_basis",
+    "contract",
     "enumerate_outcomes",
 ]
 
@@ -130,10 +131,6 @@ class MeasurementPlan:
                 raise ValueError("qubits %s measured twice" % sorted(overlap))
             seen.update(step.qubits)
 
-    @property
-    def measured_qubits(self) -> tuple[int, ...]:
-        return tuple(q for step in self.steps for q in step.qubits)
-
     @functools.cached_property
     def outcome_table(self) -> tuple[tuple[tuple[str, ...], ...], tuple[str, ...],
                                      np.ndarray]:
@@ -146,7 +143,8 @@ class MeasurementPlan:
         return labels, keys, perp
 
     def validate_for(self, num_qubits: int) -> None:
-        bad = [q for q in self.measured_qubits if not 0 <= q < num_qubits]
+        bad = [q for step in self.steps for q in step.qubits
+               if not 0 <= q < num_qubits]
         if bad:
             raise ValueError("plan touches qubits %s outside a %d-qubit register"
                              % (bad, num_qubits))
@@ -200,6 +198,26 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return (rows.conj()[..., None, :] @ rows[..., :, None])[..., 0, 0].real
 
 
+def contract(amplitudes: np.ndarray,
+             steps: Sequence[tuple[tuple[int, ...], np.ndarray]],
+             ) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(B, outcomes, 2**r) coefficients of a (B, 2**n) stack, first step's
+    labels outermost, and the r unmeasured qubits, ascending.  Each step is
+    its qubits and conjugated basis matrix; the stack is transposed once
+    (measured qubits in step order, then the rest) and each step applied
+    as ``conj @ c.reshape(B, done, d_in, -1)``."""
+    b, n = len(amplitudes), amplitudes.shape[1].bit_length() - 1
+    measured = [q for qubits, _ in steps for q in qubits]
+    kept = [q for q in range(n) if q not in measured]
+    c = amplitudes.reshape((b,) + (2,) * n).transpose(
+        [0] + [1 + q for q in measured + kept])
+    done = 1
+    for _, conj in steps:
+        c = conj @ c.reshape(b, done, conj.shape[1], -1)
+        done *= conj.shape[0]
+    return c.reshape(b, done, -1), tuple(kept)
+
+
 def enumerate_outcomes(amplitudes: np.ndarray, plan: MeasurementPlan,
                        drop_tol: float = DROP_TOL) -> Outcomes:
     """Measure a stack of states on one register in a single pass.
@@ -209,8 +227,8 @@ def enumerate_outcomes(amplitudes: np.ndarray, plan: MeasurementPlan,
     whose probability exceeds ``drop_tol`` for at least one input, in
     enumeration order (first step's labels outermost).  Each input's
     probabilities sum to one before dropping, and each input's branches are
-    exactly those a one-row stack would give it.  Each step is one
-    contraction over the live branches of every input at once.
+    exactly those a one-row stack would give it.  Dropping once, at the
+    end, keeps what pruning each step would: no outcome outweighs its parent.
     """
     check_tolerance(drop_tol, "drop_tol", allow_zero=True)
     vecs = np.asarray(amplitudes)
@@ -222,42 +240,25 @@ def enumerate_outcomes(amplitudes: np.ndarray, plan: MeasurementPlan,
     if not len(vecs):
         return Outcomes((), (), np.zeros((0, 0)), None, np.zeros(0, dtype=bool), ())
 
-    # live branches: unnormalized rows (nb, B, 2**m), probabilities (nb, B)
-    # and each branch's index into the plan's outcome table; rows of inputs
-    # a branch has stopped firing for are zero, so they stay zero
-    vecs = vecs.astype(np.complex128, copy=False)[None]
-    probs = _norms(vecs)
-    norms = np.sqrt(probs[0])
+    vecs = vecs.astype(np.complex128, copy=False)
+    norms = np.sqrt(_norms(vecs))
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))  # NaN fails too
     if bad.size:
         raise ValueError("row %d has norm %r, not 1 within %g"
                          % (bad[0], float(norms[bad[0]]), NORM_TOL))
-    index = np.zeros(1, dtype=np.intp)
-    # original index of the qubit at each current position
-    orig = list(range(n))
-    for step in plan.steps:
-        conj = step.conj_matrix
-        positions = [orig.index(q) for q in step.qubits]
-        rest = [p for p in range(len(orig)) if p not in positions]
-        nb, b = probs.shape
-        t = vecs.reshape((nb, b) + (2,) * len(orig)).transpose(
-            [0, 1] + [2 + p for p in positions + rest])
-        rows = conj @ t.reshape(nb, b, conj.shape[1], 2 ** len(rest))
-        probs = _norms(rows)
-        fires = probs > drop_tol
-        rows[~fires] = 0.0
-        probs = np.where(fires, probs, 0.0)
-        # parent outer, outcome inner
-        parent, outcome = np.nonzero(fires.any(axis=1))
-        vecs = rows[parent, :, outcome]
-        probs = probs[parent, :, outcome]
-        index = index[parent] * conj.shape[0] + outcome
-        orig = [orig[p] for p in rest]
-
+    c, kept = contract(vecs, [(step.qubits, step.conj_matrix)
+                              for step in plan.steps])
+    probs = _norms(c)
+    fires = probs > drop_tol
+    index = np.flatnonzero(fires.any(axis=0))
+    fires = fires[:, index].T  # (branches, B): 0.0 and zero rows if not fired
+    probs = np.where(fires, probs[:, index].T, 0.0)
     residuals = None
-    if vecs.shape[2] > 1:
-        residuals = vecs / np.sqrt(np.where(probs > 0.0, probs, 1.0))[..., None]
+    if c.shape[2] > 1:
+        residuals = c.transpose(1, 0, 2)[index]
+        residuals[~fires] = 0.0
+        residuals /= np.sqrt(np.where(fires, probs, 1.0))[..., None]
     labels, keys, perp = plan.outcome_table
     at = index.tolist()
     return Outcomes(tuple(labels[i] for i in at), tuple(keys[i] for i in at),
-                    probs, residuals, perp[index], tuple(orig))
+                    probs, residuals, perp[index], kept)

@@ -11,9 +11,11 @@ from quadproto import scenarios as reg
 from quadproto import teleport
 from quadproto.catalog import make_basis
 from quadproto.cli import main
+from quadproto.locc import check_certificate
 from quadproto.measure import StepSpec
 from quadproto.scenario_io import dumps_scenario
-from quadproto.suite import ClaimRow, SuiteReport
+from quadproto.states import ASSERT_TOL
+from quadproto.suite import ClaimRow, SuiteReport, run_suite
 from quadproto.teleport import FamilySpec, TeleportScenario, run_scenario
 
 
@@ -142,6 +144,20 @@ def test_densecode_all_json_bytes_pinned(capsys):
         "43c9796250d0c5fe5a3d3fc8b703c984b93eadbaece29bacb622a154fc127104"
 
 
+def test_locc_set_protocol_json_bytes_pinned(capsys):
+    # transcripts, collisions and bit counts only, so the bytes do not depend
+    # on the BLAS build; the measurement kernel must leave every run as it was
+    out = ""
+    for set_name in sorted(reg.locc_candidate_sets()):
+        for protocol in sorted(reg.locc_protocols()):
+            rc, text = _json_out(capsys, ["locc", "--set", set_name,
+                                          "--protocol", protocol])
+            assert rc == 0
+            out += text
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "21be9dcb3e63901fc7a16bd2371a4c10b010a7add015bedccb1c4338f2b7c170"
+
+
 def test_locc_single_run(capsys):
     rc, out = _json_out(capsys, ["locc", "--set", "ghz8",
                                  "--protocol", "ghz_bell_bell"])
@@ -155,6 +171,22 @@ def test_locc_certificate(capsys):
     assert rc == 0  # reporting a failed certificate is not a claim failure
     doc = json.loads(out)
     assert doc["ok"] is False and doc["cross_overlap"] == 0.5
+
+
+def test_locc_certificate_reads_tolerance(capsys):
+    # ghz8's certificate holds at the default tolerance and fails at 0.75
+    candidates = reg.locc_candidate_sets()["ghz8"]
+    factors = reg.certificate_factors()["ghz8"]
+    for flags, tol, ok in (([], ASSERT_TOL, True),
+                           (["--tolerance", "0.75"], 0.75, False)):
+        rep = check_certificate(candidates, factors, tol=tol)
+        rc, out = _json_out(capsys, ["locc", "--certificate", "ghz8"] + flags)
+        assert rc == 0
+        doc = json.loads(out)
+        assert rep.ok is ok and doc["ok"] is ok, tol
+        assert doc["detail"] == rep.detail
+        assert doc["blocks"] == {lbl: [list(t) for t in terms]
+                                 for lbl, terms in rep.blocks.items()}
 
 
 def test_diagnose(capsys):
@@ -187,6 +219,39 @@ def test_suite_exit_one_on_failure(monkeypatch, capsys):
     monkeypatch.setattr("quadproto.cli.run_suite", lambda **kw: fake)
     assert main(["suite", "--format", "json"]) == 1
     assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_densecode_all_exit_one_when_a_row_misses(monkeypatch, capsys):
+    assert main(["densecode", "--all", "--format", "json"]) == 0
+    capsys.readouterr()
+    # ghz_dc1 has N = 4; claim == 5 instead
+    table = [entry[:4] + (5,) + entry[5:] if entry[0] == "ghz_dc1" else entry
+             for entry in reg.CAPACITY_TABLE]
+    monkeypatch.setattr(reg, "CAPACITY_TABLE", tuple(table))
+    assert main(["densecode", "--all", "--format", "text"]) == 1
+    assert "expected == 5" in capsys.readouterr().out
+    rows = {r.claim_id: r.status for r in run_suite(sections=("densecode",)).rows}
+    assert rows["densecode/ghz_dc1"] == "FAIL"
+
+
+@pytest.mark.parametrize("scenario, claim_id, patch", [
+    ("ghz1_ghz4basis", "teleport/ghz1_ghz4basis",
+     lambda mp: mp.setitem(reg.TELEPORT_COSTS, "ghz1_ghz4basis", 3)),
+    ("q4_bob4_1q", "teleport/negative/q4_bob4_1q",
+     lambda mp: mp.setattr("quadproto.suite.NEGATIVE_GAP", 0.6)),
+], ids=["positive", "negative_group"])
+def test_teleport_scenario_exit_code_is_the_suite_verdict(scenario, claim_id, patch,
+                                                          monkeypatch, capsys):
+    # the CLI and the suite row agree before and after the claim is broken
+    for want_rc, want_status in ((0, "PASS"), (1, "FAIL")):
+        if want_rc:
+            patch(monkeypatch)
+        rows = {r.claim_id: r.status
+                for r in run_suite(sections=("teleport",)).rows}
+        assert rows[claim_id] == want_status
+        assert main(["teleport", "--scenario", scenario, "--format", "json"]) \
+            == want_rc
+        capsys.readouterr()
 
 
 def test_teleport_exit_one_when_expectation_breaks(monkeypatch, capsys):

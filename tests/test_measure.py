@@ -312,9 +312,10 @@ def _reference_outcomes(amplitudes, plan, drop_tol=DROP_TOL):
     return out
 
 
-def _assert_matches_reference(stack, plan, where):
-    got = enumerate_outcomes(stack, plan)
-    assert len(got), where
+def _assert_matches_reference(stack, plan, where, drop_tol=DROP_TOL):
+    got = enumerate_outcomes(stack, plan, drop_tol=drop_tol)
+    # at a large drop_tol every branch of a spread-out input may drop
+    assert len(got) or drop_tol > DROP_TOL, where
     assert got.probabilities.shape == (len(got), len(stack)), where
     assert got.keys == tuple(",".join(labels) for labels in got.labels), where
     assert list(got.perp) == [any(lbl.startswith("perp") for lbl in labels)
@@ -324,7 +325,7 @@ def _assert_matches_reference(stack, plan, where):
     branches = set()
     for i, amplitudes in enumerate(stack):
         fired = np.flatnonzero(got.probabilities[:, i])
-        want = _reference_outcomes(amplitudes, plan)
+        want = _reference_outcomes(amplitudes, plan, drop_tol)
         branches.update(w[0] for w in want)
         assert [got.labels[j] for j in fired] == [w[0] for w in want], (where, i)
         for j, (labels, p, residual) in zip(fired, want):
@@ -351,3 +352,59 @@ def test_stacked_kernel_matches_per_state_reference_on_candidate_sets():
     for protocol, set_name, stack in _protocol_stacks():
         _assert_matches_reference(stack, protocol.plan,
                                   (protocol.protocol_id, set_name))
+
+
+_RANDOM_PLAN_BASES = {
+    1: ("computational:1", "plus_minus"),
+    2: ("bell", "computational:2"),
+    3: ("ghz3_full", "omega3_q5"),
+    4: ("ghz4_full", "omega16", "omega_meas", "tau_q4", "sigma_w"),
+}
+
+
+def _random_partial_plan(rng, n):
+    """One to three catalog steps on 1-4 qubits each, in a random qubit
+    order, leaving at least one of the n qubits unmeasured."""
+    qubits = [int(q) for q in rng.permutation(n)]
+    steps = []
+    while len(qubits) > 1 and len(steps) < 3:
+        k = int(rng.integers(1, min(4, len(qubits) - 1) + 1))
+        on = tuple(qubits.pop() for _ in range(k))
+        steps.append(MeasurementStep(on, make_basis(str(rng.choice(_RANDOM_PLAN_BASES[k])))))
+        if rng.random() < 0.3:
+            break
+    return MeasurementPlan(tuple(steps))
+
+
+def _sparse_stack(rng, n):
+    """One to five inputs, each on one to four random computational terms,
+    so a branch often dies at one step for some inputs and fires for others;
+    the last term is scaled by 1e-4 to 0.3, so outcomes straddle the tested
+    drop tolerances."""
+    rows = np.zeros((int(rng.integers(1, 6)), 2 ** n), dtype=np.complex128)
+    for row in rows:
+        at = rng.choice(2 ** n, size=min(2 ** n, int(rng.integers(1, 5))), replace=False)
+        row[at] = rng.normal(size=at.size) + 1j * rng.normal(size=at.size)
+        row[at[-1]] *= 10.0 ** rng.uniform(-4.0, -0.5)
+        row /= np.linalg.norm(row)
+    return rows
+
+
+@pytest.mark.parametrize("drop_tol", [0.0, 1e-12, 1e-6, 1e-3, 0.05, 0.2])
+def test_stacked_kernel_matches_per_state_reference_on_random_partial_plans(drop_tol):
+    # one drop at the end of the plan must keep exactly the branches the
+    # per-state walk keeps when it prunes after every step
+    rng = np.random.default_rng(1207)
+    died_mid_plan = 0
+    for case in range(40):
+        n = int(rng.integers(2, 8))
+        plan = _random_partial_plan(rng, n)
+        stack = _sparse_stack(rng, n)
+        _assert_matches_reference(stack, plan, (case, n, drop_tol), drop_tol)
+        if len(plan.steps) > 1:
+            # a first-step branch (each fires for some input) that does not
+            # fire for every input
+            first = enumerate_outcomes(stack, MeasurementPlan(plan.steps[:1]),
+                                       drop_tol=drop_tol).probabilities > 0.0
+            died_mid_plan += bool((~first.all(axis=1)).any())
+    assert died_mid_plan >= 5
