@@ -25,7 +25,7 @@ from .densecode import distinguishable_messages
 from .diagnostics import profile
 from .locc import check_certificate, run_discrimination
 from .scenario_io import ScenarioFormatError, load_scenario
-from .states import AMP_TOL, ASSERT_TOL, DROP_TOL, check_tolerance
+from .states import AMP_TOL, ASSERT_TOL, check_tolerance
 from .suite import (SECTIONS, capacity_holds, format_text, report_dict,
                     run_suite, teleport_claim_holds)
 from .teleport import TeleportScenario, run_scenario
@@ -324,8 +324,7 @@ def _cmd_locc(args) -> int:
         if args.protocol not in protocols:
             raise KeyError("unknown protocol %r (have: %s)"
                            % (args.protocol, ", ".join(sorted(protocols))))
-        res = run_discrimination(sets[args.set], protocols[args.protocol],
-                                 tol=DROP_TOL)
+        res = run_discrimination(sets[args.set], protocols[args.protocol])
         payload = {
             "set": args.set, "protocol": args.protocol,
             "success": res.success,

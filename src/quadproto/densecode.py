@@ -178,11 +178,12 @@ def _max_clique_size(adj: list[int], cand: int, lower: int = 0) -> int:
 
     def expand(size: int, pool: int) -> None:
         nonlocal best
-        if pool == 0:
-            if size > best:
-                best = size
+        colouring = _greedy_colouring(adj, pool)
+        # one colour per vertex exactly when the pool is a clique (or empty)
+        if len(colouring) == (colouring[-1][1] if colouring else 0):
+            best = max(best, size + len(colouring))
             return
-        for v, bound in reversed(_greedy_colouring(adj, pool)):
+        for v, bound in reversed(colouring):
             if size + bound <= best:
                 return
             expand(size + 1, pool & adj[v])

@@ -29,7 +29,7 @@ import numpy as np
 from .catalog import NamedBasis
 from .measure import (MeasurementPlan, StepSpec, build_plan, contract,
                       enumerate_outcomes)
-from .states import ASSERT_TOL, DROP_TOL, PureState, check_tolerance
+from .states import ASSERT_TOL, PureState, check_tolerance
 
 __all__ = [
     "LoccProtocol",
@@ -85,9 +85,9 @@ def _candidate_stack(candidates: Sequence[tuple[str, PureState]],
 
 
 def run_discrimination(candidates: Sequence[tuple[str, PureState]],
-                       protocol: LoccProtocol,
-                       tol: float = DROP_TOL) -> DiscriminationResult:
-    """Check whether the protocol's transcripts separate the candidates.
+                       protocol: LoccProtocol) -> DiscriminationResult:
+    """Check whether the protocol's transcripts separate the candidates; a
+    branch fires for a candidate above ``DROP_TOL``, the kernel's default.
 
     Classical cost convention: every round whose party differs from the
     final round's party reports its raw outcome, so the inter-receiver
@@ -95,9 +95,8 @@ def run_discrimination(candidates: Sequence[tuple[str, PureState]],
     actually fire for some candidate).  The final party announces the
     verdict, which is not counted here.
     """
-    check_tolerance(tol, allow_zero=True)
     labels, amplitudes = _candidate_stack(candidates)
-    out = enumerate_outcomes(amplitudes, protocol.plan, drop_tol=tol)
+    out = enumerate_outcomes(amplitudes, protocol.plan)
     # a branch's owners are the candidates it fires for
     owners = dict(zip(out.keys, (out.probabilities > 0.0).tolist()))
     transcript_map: dict[str, str] = {}

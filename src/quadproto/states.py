@@ -15,8 +15,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 MAX_QUBITS = 12
-# complex entries of one stacked array (dense-coding encodings or Pauli-table
-# gathers, teleport probes tensored with the resource): 256 MiB
+# complex entries of one stacked array (dense-coding encodings, the Pauli-table
+# gather of pauli_coefficients, teleport probes tensored with the resource and
+# one correction prefix's scores, probes x 4^k x 2^k): 256 MiB
 MAX_STACK_ENTRIES = 2 ** 24
 
 # Tolerances.  Every module imports these; none defines its own.
@@ -230,13 +231,17 @@ def pauli_table(k: int) -> PauliTable:
 
 def pauli_coefficients(a: np.ndarray) -> np.ndarray:
     """Tr(P_x a) for every product P_x of ``pauli_table(k)``, in table order,
-    of a (2**k, 2**k) matrix: P_x has entry sign[x, t] at (t, perm[x, t]), so
-    the traces are one gather over the table."""
+    of a (2**k, 2**k) matrix or of each matrix of a (..., 2**k, 2**k) stack.
+    P_x has entry sign[x, t] at (t, t ^ f) with f = perm[x, 0], so the traces
+    are signed sums along the 2**k diagonals a[t ^ f, t], gathered once."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("matrix must be square")
-    _, perm, sign = pauli_table(qubit_count(len(a)))
-    return (a[perm, np.arange(len(a))] * sign).sum(1)
+    _, perm, sign = pauli_table(qubit_count(a.shape[-1]))
+    t = np.arange(a.shape[-1])
+    terms = np.take(a[..., t ^ t[:, None], t], perm[:, 0], axis=-2)
+    terms *= sign
+    return terms.sum(-1)
 
 
 def pauli(name: str) -> LocalUnitary:

@@ -19,13 +19,13 @@ Correction vocabularies:
                       limited to 3 receiver qubits (``MAX_DIAG_QUBITS``),
                       since k qubits have 2**(2**k - 1) masks
 
-A candidate is a prefix (identity, a CZ or a sign mask, stored as a row of
-+-1 entries) followed by a Pauli product, a row of the signed-permutation
-table ``states.pauli_table`` (a column index and a +-1 sign per row), so no
-candidate matrix is built.  Dense coding and the Pauli dressing of the
-``ghz_diag`` and ``omega_sub`` input families read the same table.  The
-scan runs prefix outer, Pauli inner, and stops at the first candidate that
-works; each step scores every Pauli product after one prefix at once.
+A candidate is a prefix D (identity, a CZ or a sign mask, stored as a row
+of +-1 entries) followed by a Pauli product P_x of ``states.pauli_table``.
+Probe i's fidelity under P_x D is |Tr(P_x D r_i v_i^dagger)|**2 (r_i its
+residual, v_i its input), so one ``states.pauli_coefficients`` call scores
+every Pauli product after one prefix; the scan runs prefix outer and stops
+at the first candidate that works.  Those scores take probes x 4^k x 2^k
+entries, so a family above ``MAX_STACK_ENTRIES`` is refused from the sizes.
 
 When no candidate works the result carries a certificate: per outcome, the
 best achievable worst-case fidelity over the probe set.
@@ -44,7 +44,8 @@ from .catalog import NamedState, make_state
 from .measure import StepSpec, build_plan, enumerate_outcomes
 from .states import (ASSERT_TOL, MAX_STACK_ENTRIES, PAULI_ORDER, PERP_ALARM,
                      VALUE_TOL, CapacityError, PureState, check_tolerance,
-                     pauli_products, pauli_table, qubit_count)
+                     pauli_coefficients, pauli_products, pauli_table,
+                     qubit_count)
 
 __all__ = [
     "FamilySpec",
@@ -60,8 +61,6 @@ __all__ = [
 NUM_RANDOM_PROBES = 20
 # paulis+diag scans 2**(2**k - 1) sign masks: 128 at k = 3, 32,768 at k = 4
 MAX_DIAG_QUBITS = 3
-# complex entries in one scored block (rows x Pauli products x 2**k), 4 MiB
-_BLOCK_ELEMENTS = 2 ** 18
 
 
 # ---------------------------------------------------------------------------
@@ -194,25 +193,15 @@ class TeleportScenario:
 # correction vocabulary
 
 
-@dataclass(frozen=True)
-class _Vocabulary:
-    """Every candidate correction of one vocabulary on k receiver qubits.
-
-    Candidate ``(p, t)`` is the matrix ``P_t @ diag(masks[p])``, scanned
-    prefix outer, Pauli inner; its descriptor is
-    ``prefixes[p] + paulis[t]``.  The Pauli products are those of
-    ``pauli_table(k)``, their names joined by ``*``.
-    """
-
-    prefixes: tuple[str, ...]
-    masks: np.ndarray             # (num_prefixes, 2**k), entries +-1
-    paulis: tuple[str, ...]
-    perm: np.ndarray              # (4**k, 2**k) column indices
-    sign: np.ndarray              # (4**k, 2**k), entries +-1
-
-
 @functools.lru_cache(maxsize=None)
-def _vocabulary(allowed: str, k: int) -> _Vocabulary:
+def _prefixes(allowed: str, k: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """Descriptors and (num_prefixes, 2**k) +-1 masks of the diagonal
+    prefixes of one vocabulary on k receiver qubits, identity first.
+
+    Candidate ``(p, x)`` is the matrix ``P_x @ diag(masks[p])``, scanned
+    prefix outer, Pauli inner; its descriptor is the prefix's followed by
+    the names of ``pauli_table(k)`` product x joined by ``*``.
+    """
     d = 2 ** k
     rows = np.arange(d)
     prefixes = [""]
@@ -233,44 +222,39 @@ def _vocabulary(allowed: str, k: int) -> _Vocabulary:
             masks.append(mask)
     masks = np.array(masks)
     masks.flags.writeable = False
-    table = pauli_table(k)
-    return _Vocabulary(tuple(prefixes), masks,
-                       tuple("*".join(names) for names in table.names),
-                       table.perm, table.sign)
+    return tuple(prefixes), masks
 
 
-def _find_correction(vocab: _Vocabulary, residuals: np.ndarray,
-                     expected: np.ndarray, cert_rows: Sequence[int],
+def _find_correction(prefixes: tuple[tuple[str, ...], np.ndarray],
+                     residuals: np.ndarray, expected: np.ndarray,
+                     cert_rows: Sequence[int],
                      tol: float) -> tuple[str | None, float, float]:
     """First candidate mapping every residual row onto its expected input.
 
     Returns (descriptor or None, worst fidelity over all rows of the chosen
     candidate or 0.0, best worst certifying-row fidelity over the candidates
     scanned up to and including the chosen one); with no certifying rows,
-    every row certifies.  Each block scores a run of Pauli products after
-    one prefix in one step.  A candidate is chosen when both the certifying
-    rows and all rows reach ``1 - tol``: a random member failing where the
-    certifying rows pass means the outcome map is not linear on the span,
-    so the scan goes on.
+    every row certifies.  Each prefix scores every Pauli product in one
+    step.  A candidate is chosen when both the certifying rows and all rows
+    reach ``1 - tol``: a random member failing where the certifying rows
+    pass means the outcome map is not linear on the span, so the scan goes
+    on.
     """
-    rows, d = residuals.shape
-    step = max(1, _BLOCK_ELEMENTS // (rows * d))
+    names = pauli_table(qubit_count(residuals.shape[1])).names
     exp_conj = expected.conj()[:, None, :]
     best = 0.0
-    for desc, mask in zip(vocab.prefixes, vocab.masks):
-        masked = residuals * mask
-        for lo in range(0, len(vocab.paulis), step):
-            perm, sign = vocab.perm[lo:lo + step], vocab.sign[lo:lo + step]
-            fids = np.abs(np.sum(exp_conj * (masked[:, perm] * sign), axis=2)) ** 2
-            worst_cert = (fids[cert_rows] if len(cert_rows) else fids).min(axis=0)
-            worst_all = fids.min(axis=0)
-            hits = np.flatnonzero((worst_cert >= 1.0 - tol)
-                                  & (worst_all >= 1.0 - tol))
-            scanned = hits[0] + 1 if hits.size else len(perm)
-            best = max(best, float(worst_cert[:scanned].max()))
-            if hits.size:
-                return (desc + vocab.paulis[lo + hits[0]],
-                        float(worst_all[hits[0]]), best)
+    for desc, mask in zip(*prefixes):
+        outer = exp_conj * (residuals * mask)[:, :, None]
+        fids = np.abs(pauli_coefficients(outer)) ** 2
+        worst_cert = (fids[cert_rows] if len(cert_rows) else fids).min(axis=0)
+        worst_all = fids.min(axis=0)
+        hits = np.flatnonzero((worst_cert >= 1.0 - tol)
+                              & (worst_all >= 1.0 - tol))
+        scanned = hits[0] + 1 if hits.size else len(worst_cert)
+        best = max(best, float(worst_cert[:scanned].max()))
+        if hits.size:
+            return (desc + "*".join(names[hits[0]]),
+                    float(worst_all[hits[0]]), best)
     return None, 0.0, best
 
 
@@ -313,17 +297,21 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     check_tolerance(tol)
     rng = np.random.default_rng(seed)
     resource = scenario.resource_state().state
-    # refuse a joint register above MAX_QUBITS, and a joint probe stack above
+    # refuse a joint register above MAX_QUBITS, and a joint probe stack or one
+    # prefix's correction scores (rows x 4^k Pauli products x 2^k) above
     # MAX_STACK_ENTRIES, from the sizes alone, before any probe is built
     family = scenario.family
-    n = qubit_count(2 ** family.num_qubits * resource.dim)
-    span = {"arbitrary": 2 ** family.num_qubits, "w_equal3": 1}.get(family.kind, 2)
+    k = family.num_qubits
+    n = qubit_count(2 ** k * resource.dim)
+    span = {"arbitrary": 2 ** k, "w_equal3": 1}.get(family.kind, 2)
     rows = span ** 2 + (num_random if span > 1 else 0)
+    limit = "over the limit of 2^%d" % (MAX_STACK_ENTRIES.bit_length() - 1)
     if rows << n > MAX_STACK_ENTRIES:
-        raise CapacityError(
-            "%d probes of a %d-qubit joint register need %d x 2^%d amplitudes, "
-            "over the limit of 2^%d"
-            % (rows, n, rows, n, MAX_STACK_ENTRIES.bit_length() - 1))
+        raise CapacityError("%d probes of a %d-qubit joint register need %d x "
+                            "2^%d amplitudes, %s" % (rows, n, rows, n, limit))
+    if rows << 3 * k > MAX_STACK_ENTRIES:
+        raise CapacityError("%d probes of a %d-qubit family need %d x 4^%d x "
+                            "2^%d correction scores, %s" % (rows, k, rows, k, k, limit))
     vectors, certifying = build_probes(family, rng, num_random)
     joint = (vectors[:, :, None] * resource.amplitudes).reshape(len(vectors), -1)
     out = enumerate_outcomes(joint, build_plan(scenario.steps))
@@ -344,13 +332,13 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
 
     rand_idx = np.flatnonzero(~certifying)
 
-    vocab = _vocabulary(scenario.allowed_ops, family.num_qubits)
+    prefixes = _prefixes(scenario.allowed_ops, k)
     reports: list[OutcomeReport] = []
     feasible = True
     for j in order:
         fired = firing[j]
         chosen, chosen_min, best = _find_correction(
-            vocab, out.residuals[j, fired], vectors[fired],
+            prefixes, out.residuals[j, fired], vectors[fired],
             np.flatnonzero(certifying[fired]), tol)
         gen_idx = rand_idx[-1] if rand_idx.size else fired[-1]
         feasible &= chosen is not None

@@ -158,6 +158,31 @@ def test_locc_set_protocol_json_bytes_pinned(capsys):
         "21be9dcb3e63901fc7a16bd2371a4c10b010a7add015bedccb1c4338f2b7c170"
 
 
+def test_suite_json_bytes_pinned(capsys):
+    # every section's verdicts and reported values; a refactor of any layer
+    # must leave them as they were
+    rc, out = _json_out(capsys, ["suite"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e61053cabd6f823fc56b586e18d9c1a17367ee645ede6cb8e8bccd26a9b0ea99"
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (42, "cafea8eba39156e105e4c2bcc9c4650b2ea7105a75e523c2ae554151d7b7250e"),
+    (7, "cbbfc896252ab02357869b0cfb9287aa9c4fd5c404bb131775ed71f060c89ee7"),
+])
+def test_teleport_json_and_text_bytes_pinned(seed, digest, capsys):
+    # every registered scenario and negative group, corrections, fidelities
+    # and costs; the correction search must leave every report as it was
+    out = ""
+    for scenario in sorted(reg.TELEPORT_SCENARIOS) + sorted(reg.negative_scenarios()):
+        rc = main(["teleport", "--scenario", scenario, "--seed", str(seed),
+                   "--format", "both"])
+        assert rc == 0, scenario
+        out += capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_locc_single_run(capsys):
     rc, out = _json_out(capsys, ["locc", "--set", "ghz8",
                                  "--protocol", "ghz_bell_bell"])

@@ -8,9 +8,13 @@ and no traceback escapes: bad input fails closed with a message.
 import json
 import random
 
+import pytest
+
 from quadproto import scenarios as reg
 from quadproto.cli import main
+from quadproto.measure import StepSpec
 from quadproto.scenario_io import dumps_scenario
+from quadproto.teleport import FamilySpec, TeleportScenario
 
 SEED = 20261018
 NUM_ARGV_CASES = 250
@@ -46,6 +50,18 @@ BAD_FIELDS = (None, "x", "", 1.5, -1, 0, 7, 10 ** 6, [], {}, [0], ["x"],
               {"a": 1}, True, float("nan"), float("inf"), -float("inf"),
               "0101", "GHZ4", "bell", "paulis+cz")
 FILE_SOURCES = ("ghz1_ghz4basis", "ghz2_pi_01", "w3_sigma")
+
+
+@pytest.fixture
+def templates(tmp_path):
+    """TEMPLATES and a scenario file with an arbitrary five-qubit family,
+    refused for its 1,044 x 4^5 x 2^5 correction scores."""
+    wide = TeleportScenario("arbitrary5", "GHZ:5", FamilySpec("arbitrary", 5),
+                            tuple(StepSpec((q,), "computational:1") for q in range(5)),
+                            tuple(range(5, 10)))
+    path = tmp_path / "arbitrary5.json"
+    path.write_text(dumps_scenario(wide), encoding="utf-8")
+    return TEMPLATES + (["teleport", "--file", str(path), "--format", "json"],)
 
 
 def _mutate_argv(rng, argv):
@@ -101,21 +117,23 @@ def _assert_fails_closed(code, err, case):
         assert "error:" in err, case
 
 
-def test_templates_fail_closed(capsys):
+def test_templates_fail_closed(capsys, templates):
     # unmutated, so a template that is refused by design is refused once
     codes = set()
-    for argv in TEMPLATES:
+    for argv in templates:
         code, err = _run(capsys, argv)
         _assert_fails_closed(code, err, argv)
         codes.add(code)
     assert codes == {0, 2}
+    assert (code, err) == (2, "error: 1044 probes of a 5-qubit family need 1044 x "
+                              "4^5 x 2^5 correction scores, over the limit of 2^24\n")
 
 
-def test_mutated_arguments_fail_closed(capsys):
+def test_mutated_arguments_fail_closed(capsys, templates):
     rng = random.Random(SEED)
     codes = set()
     for _ in range(NUM_ARGV_CASES):
-        argv = _mutate_argv(rng, rng.choice(TEMPLATES))
+        argv = _mutate_argv(rng, rng.choice(templates))
         code, err = _run(capsys, argv)
         _assert_fails_closed(code, err, argv)
         codes.add(code)

@@ -580,3 +580,19 @@ def test_search_trusts_the_certificate_on_cayley_graphs(monkeypatch):
         assert all(cand != (1 << size) - 1 for cand, _ in searched)
         asked_any |= asked
     assert asked_any
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 128])
+def test_complete_graph_walk_colours_each_pool_once(n, monkeypatch):
+    # every pool the walk meets is a clique, which its colouring shows at once
+    calls = []
+    real = densecode._greedy_colouring
+
+    def counting(adj_, pool):
+        calls.append(pool)
+        return real(adj_, pool)
+
+    monkeypatch.setattr(densecode, "_greedy_colouring", counting)
+    adj = _adj(_complete(n))
+    assert _lex_smallest_maximum_clique(adj, n, lambda: True) == list(range(n))
+    assert len(calls) <= n + 1

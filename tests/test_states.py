@@ -218,7 +218,6 @@ def _valid_arguments():
         "run_scenario": ((reg.TELEPORT_SCENARIOS["ghz2_pi_01"],), {}),
         "distinguishable_messages": ((ghz4, (0,)), {}),
         "best_over_subsets": ((ghz4, 1), {}),
-        "run_discrimination": ((ghz8, reg.locc_protocols()["ghz_bell_bell"]), {}),
         "product_terms": ((ghz8[0][1], reg.certificate_factors()["ghz8"]), {}),
         "check_certificate": ((ghz8, reg.certificate_factors()["ghz8"]), {}),
         "genuine_multipartite": ((ghz4,), {}),
@@ -306,7 +305,28 @@ def test_pauli_coefficients_are_traces_against_dense_kron(k):
     assert np.abs(got - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_pauli_coefficients_are_per_matrix_calls(k):
+    rng = np.random.default_rng(10 + k)
+    d = 2 ** k
+    stack = rng.normal(size=(3, 2, d, d)) + 1j * rng.normal(size=(3, 2, d, d))
+    got = pauli_coefficients(stack)
+    assert got.shape == (3, 2, 4 ** k)
+    paulis = []
+    for names in pauli_table(k).names:
+        mat = np.ones((1, 1), dtype=np.complex128)
+        for name in names:
+            mat = np.kron(mat, SIGMA[name])
+        paulis.append(mat)
+    for i, j in itertools.product(range(3), range(2)):
+        a = stack[i, j]
+        assert np.array_equal(got[i, j], pauli_coefficients(a)), (i, j)
+        want = [np.trace(mat @ a) for mat in paulis]
+        assert np.abs(got[i, j] - want).max() < 1e-12, (i, j)
+
+
 def test_pauli_coefficients_reject_a_matrix_that_is_not_square():
-    for bad in (np.zeros(4), np.zeros((2, 4)), np.zeros((3, 3))):
+    for bad in (np.zeros(4), np.zeros((2, 4)), np.zeros((3, 3)),
+                np.zeros((5, 2, 4)), np.zeros((5, 3, 3))):
         with pytest.raises(ValueError):
             pauli_coefficients(bad)

@@ -12,7 +12,8 @@ from quadproto import scenarios as reg
 from quadproto import teleport
 from quadproto.measure import StepSpec, build_plan, enumerate_outcomes
 from quadproto.states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, SIGMA, VALUE_TOL,
-                              CapacityError, PureState, apply_local, tensor)
+                              CapacityError, PureState, apply_local, pauli_table,
+                              tensor)
 from quadproto.teleport import (
     FamilySpec,
     OutcomeReport,
@@ -320,32 +321,64 @@ def test_probe_stack_above_limit_refused(monkeypatch):
         run_scenario(sc)
 
 
+class _Reached(Exception):
+    pass
+
+
+def _reached(*args):
+    raise _Reached
+
+
 def test_probe_stack_limit_is_exact_for_registered_families(monkeypatch):
     # the row count read off the family's size is the one build_probes
-    # makes: the limit admits exactly that stack and refuses one entry less
-    class Reached(Exception):
-        pass
-
-    def reached(*args):
-        raise Reached
-
+    # makes: the limit admits exactly the larger of that stack and one
+    # prefix's correction scores (rows x 4^k x 2^k), and refuses one entry less
     scenarios = list(reg.TELEPORT_SCENARIOS.values())
     scenarios += [sc for group in reg.negative_scenarios().values() for sc in group]
-    largest = 0
+    largest = largest_scores = 0
     for sc in scenarios:
         rows = len(build_probes(sc.family, np.random.default_rng(0))[0])
-        entries = rows * 2 ** sc.family.num_qubits * sc.resource_state().state.dim
+        k = sc.family.num_qubits
+        entries = rows * 2 ** k * sc.resource_state().state.dim
+        scores = rows * 8 ** k
         largest = max(largest, entries)
-        monkeypatch.setattr(teleport, "build_probes", reached)
-        monkeypatch.setattr(teleport, "MAX_STACK_ENTRIES", entries)
-        with pytest.raises(Reached):
+        largest_scores = max(largest_scores, scores)
+        monkeypatch.setattr(teleport, "build_probes", _reached)
+        monkeypatch.setattr(teleport, "MAX_STACK_ENTRIES", max(entries, scores))
+        with pytest.raises(_Reached):
             run_scenario(sc)
         monkeypatch.setattr(teleport, "build_probes", _no_probes)
-        monkeypatch.setattr(teleport, "MAX_STACK_ENTRIES", entries - 1)
+        monkeypatch.setattr(teleport, "MAX_STACK_ENTRIES", max(entries, scores) - 1)
         with pytest.raises(CapacityError, match="over the limit"):
             run_scenario(sc)
         monkeypatch.undo()
     assert largest == 3072
+    assert largest_scores == 12288
+
+
+def test_correction_scores_above_limit_refused(monkeypatch):
+    # ghz3_pi_000 probes 24 rows of a 7-qubit joint register (3,072
+    # amplitudes) but scores 24 x 4^3 x 2^3 = 12,288 entries per prefix
+    sc = reg.TELEPORT_SCENARIOS["ghz3_pi_000"]
+    monkeypatch.setattr(teleport, "MAX_STACK_ENTRIES", 12288)
+    monkeypatch.setattr(teleport, "build_probes", _reached)
+    with pytest.raises(_Reached):
+        run_scenario(sc)
+    monkeypatch.setattr(teleport, "MAX_STACK_ENTRIES", 12287)
+    monkeypatch.setattr(teleport, "build_probes", _no_probes)
+    with pytest.raises(CapacityError, match=r"^24 probes of a 3-qubit family need "
+                                            r"24 x 4\^3 x 2\^3 correction scores"):
+        run_scenario(sc)
+    # at the real limit: an arbitrary five-qubit family's 10-qubit probe
+    # stack fits (1,044 x 2^10), its 1,044 x 4^5 x 2^5 scores do not
+    wide = TeleportScenario("arbitrary5", "GHZ:5", FamilySpec("arbitrary", 5),
+                            tuple(StepSpec((q,), "computational:1") for q in range(5)),
+                            tuple(range(5, 10)))
+    monkeypatch.undo()
+    monkeypatch.setattr(teleport, "build_probes", _no_probes)
+    with pytest.raises(CapacityError, match=r"1044 x 4\^5 x 2\^5 correction scores, "
+                                            r"over the limit of 2\^24"):
+        run_scenario(wide)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, 1.0, 2.0])
@@ -506,18 +539,8 @@ def test_block_scan_matches_reference_scan(seed):
         assert repr(got) == repr(want), sc.scenario_id
 
 
-def test_split_blocks_match_reference_scan(monkeypatch):
-    # blocks of a few Pauli products, so hits and best fidelities are read
-    # across block boundaries within one prefix
-    monkeypatch.setattr(teleport, "_BLOCK_ELEMENTS", 1000)
-    for sc in _ALL_SCENARIOS:
-        if sc.family.num_qubits > 1:
-            got = run_scenario(sc)
-            assert repr(got) == repr(_reference_run(sc)), sc.scenario_id
-
-
 def test_find_correction_edge_cases():
-    vocab = teleport._vocabulary("paulis", 1)
+    prefixes = teleport._prefixes("paulis", 1)
     e0 = np.array([1.0, 0.0], dtype=np.complex128)
     r = np.array([0.6, 0.8j])
     # s0 passes the certifying row, but only s3 also returns the random row
@@ -526,24 +549,23 @@ def test_find_correction_edge_cases():
     case2 = (np.array([[0.45 ** 0.5, 0.55 ** 0.5]], dtype=np.complex128),
              np.array([e0]), [0], 0.6)
     for res, exp, cert, tol in (case1, case2):
-        got = teleport._find_correction(vocab, res, exp, cert, tol)
+        got = teleport._find_correction(prefixes, res, exp, cert, tol)
         assert got == _reference_find(_candidates("paulis", 1), res, exp, cert, tol)
-    assert teleport._find_correction(vocab, *case1) == ("s3", 1.0, 1.0)
-    chosen, _, best = teleport._find_correction(vocab, *case2)
+    assert teleport._find_correction(prefixes, *case1) == ("s3", 1.0, 1.0)
+    chosen, _, best = teleport._find_correction(prefixes, *case2)
     assert chosen == "s0" and best == pytest.approx(0.45)
 
 
 @pytest.mark.parametrize("allowed", ["paulis", "paulis+cz", "paulis+diag"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_vocabulary_matches_dense_candidates(allowed, k):
-    vocab = teleport._vocabulary(allowed, k)
     rows = np.arange(2 ** k)
     entries = []
-    for prefix, mask in zip(vocab.prefixes, vocab.masks):
-        for name, perm, sign in zip(vocab.paulis, vocab.perm, vocab.sign):
+    for prefix, mask in zip(*teleport._prefixes(allowed, k)):
+        for names, perm, sign in zip(*pauli_table(k)):
             pauli = np.zeros((2 ** k, 2 ** k), dtype=np.complex128)
             pauli[rows, perm] = sign
-            entries.append((prefix + name, pauli @ np.diag(mask)))
+            entries.append((prefix + "*".join(names), pauli @ np.diag(mask)))
     reference = _candidates(allowed, k)
     assert [desc for desc, _ in entries] == [desc for desc, _ in reference]
     for (desc, mat), (_, want) in zip(entries, reference):
@@ -558,9 +580,9 @@ def test_best_fidelity_of_a_corrected_outcome_is_the_chosen_candidates_own(
     calls = []
     real = teleport._find_correction
 
-    def spy(vocab, residuals, expected, cert_rows, tol):
-        got = real(vocab, residuals, expected, cert_rows, tol)
-        calls.append((vocab, residuals, expected, cert_rows, got))
+    def spy(prefixes, residuals, expected, cert_rows, tol):
+        got = real(prefixes, residuals, expected, cert_rows, tol)
+        calls.append((prefixes, residuals, expected, cert_rows, got))
         return got
 
     monkeypatch.setattr(teleport, "_find_correction", spy)
@@ -568,15 +590,16 @@ def test_best_fidelity_of_a_corrected_outcome_is_the_chosen_candidates_own(
         for sc in _ALL_SCENARIOS:
             run_scenario(sc, seed=seed)
     corrected = 0
-    for vocab, residuals, expected, cert_rows, (desc, _, best) in calls:
+    for (descs, masks), residuals, expected, cert_rows, (desc, _, best) in calls:
         if desc is None:
             continue
         prefix, _, pauli = desc.rpartition(";")
-        p = vocab.prefixes.index(prefix + ";" if prefix else "")
-        t = vocab.paulis.index(pauli)
-        perm, sign = vocab.perm[t:t + 1], vocab.sign[t:t + 1]
+        p = descs.index(prefix + ";" if prefix else "")
+        table = pauli_table(residuals.shape[1].bit_length() - 1)
+        t = table.names.index(tuple(pauli.split("*")))
+        perm, sign = table.perm[t:t + 1], table.sign[t:t + 1]
         fids = np.abs(np.sum(expected.conj()[:, None, :]
-                             * ((residuals * vocab.masks[p])[:, perm] * sign),
+                             * ((residuals * masks[p])[:, perm] * sign),
                              axis=2)) ** 2
         own = (fids[cert_rows] if len(cert_rows) else fids).min()
         assert best == float(own), desc
