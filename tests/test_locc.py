@@ -208,14 +208,17 @@ def _oracle_cases():
             yield name, candidates, protocol
 
 
-def test_discrimination_matches_per_branch_reference(monkeypatch):
+@pytest.mark.parametrize("tol", [DROP_TOL, 0.0, 1e-6])
+def test_discrimination_matches_per_branch_reference(tol, monkeypatch):
     # the reference reads the same kernel output run_discrimination got; the
-    # kernel has its own oracle in test_measure.py
+    # kernel has its own oracle in test_measure.py.  run_discrimination asks
+    # for the default drop tolerance; the kernel is run at ``tol`` so the
+    # owner logic also meets outputs that keep more branches (0.0) or fewer
     kernel_out = []
 
     def recording(*args, **kwargs):
-        assert kwargs.get("drop_tol", DROP_TOL) == DROP_TOL
-        kernel_out.append(enumerate_outcomes(*args, **kwargs))
+        assert kwargs.pop("drop_tol", DROP_TOL) == DROP_TOL
+        kernel_out.append(enumerate_outcomes(*args, drop_tol=tol, **kwargs))
         return kernel_out[-1]
 
     monkeypatch.setattr(locc, "enumerate_outcomes", recording)
