@@ -22,7 +22,6 @@ from .states import (
     fidelity,
     inner,
     pauli,
-    pauli_products,
     pauli_table,
     permute_qubits,
     purity,
@@ -100,7 +99,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MAX_QUBITS", "PAULI_ORDER", "PureState", "DensityMatrix", "LocalUnitary",
     "SIGMA", "apply_local", "basis_state", "controlled_phase", "fidelity",
-    "inner", "pauli", "pauli_products", "pauli_table", "permute_qubits",
+    "inner", "pauli", "pauli_table", "permute_qubits",
     "purity", "random_state", "random_unitary", "reduced_density", "tensor",
     "CORRECTIONS", "BasisCorrection", "NamedBasis", "NamedState",
     "basis_names", "corrections_for", "make_basis", "make_state",

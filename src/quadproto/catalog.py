@@ -152,6 +152,9 @@ _FIXED_STATES = {
 def _w_mn(m: float, n: float, rho: float = 0.0, eta: float = 0.0, sigma: float = 0.0) -> PureState:
     if m < 0 or n < 0:
         raise ValueError("W_mn weights must be nonnegative")
+    if not math.isfinite(m + n + 1.0):
+        raise ValueError("W_mn needs m + n + 1 within the float range, got "
+                         "m=%r, n=%r" % (m, n))
     return PureState.from_kets({
         "1000": 1.0,
         "0100": math.sqrt(m) * np.exp(1j * rho),
@@ -161,7 +164,12 @@ def _w_mn(m: float, n: float, rho: float = 0.0, eta: float = 0.0, sigma: float =
 
 
 def _w_pqrs(p: complex, q: complex, r: complex, s: complex) -> PureState:
-    gap = abs(p) ** 2 + abs(q) ** 2 + abs(r) ** 2 - abs(s) ** 2
+    try:
+        gap = abs(p) ** 2 + abs(q) ** 2 + abs(r) ** 2 - abs(s) ** 2
+    except OverflowError:
+        raise ValueError("W_pqrs needs |p|^2, |q|^2, |r|^2 and |s|^2 within the "
+                         "float range, got p=%r, q=%r, r=%r, s=%r"
+                         % (p, q, r, s)) from None
     if abs(gap) > ASSERT_TOL:
         raise ValueError(
             "teleportation-capable W family needs |p|^2+|q|^2+|r|^2 = |s|^2 "

@@ -45,18 +45,17 @@ def _dumps(payload: dict) -> str:
 
 
 def _emit(args, name: str, payload: dict, text: str) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if args.format in ("json", "both"):
         sys.stdout.write(_dumps(payload))
     if args.format in ("text", "both"):
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, name + ".json"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(_dumps(payload))
-        with open(os.path.join(args.out, name + ".txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        for ext, body in ((".json", _dumps(payload)), (".txt", text)):
+            with open(os.path.join(args.out, name + ext), "w",
+                      encoding="utf-8") as fh:
+                fh.write(body)
 
 
 def _parse_params(items: list[str]) -> dict[str, int | float | complex]:
@@ -111,12 +110,22 @@ def _parse_qubits(text: str) -> tuple[int, ...]:
 # commands
 
 
+def _state_payload(named) -> dict:
+    return {"name": named.name, "params": _params_json(named.params),
+            "slocc": named.slocc, "kets": _kets(named.state)}
+
+
+def _basis_payload(basis) -> dict:
+    return {"name": basis.name, "labels": list(basis.labels),
+            "vectors": [{"label": lbl, "kets": _kets(vec)}
+                        for lbl, vec in zip(basis.labels, basis.vectors)]}
+
+
 def _cmd_catalog(args) -> int:
     if args.state:
         _refuse(args, "catalog --state", "basis", "dump")
         named = make_state(args.state, **_parse_params(args.param))
-        payload = {"name": named.name, "params": _params_json(named.params),
-                   "slocc": named.slocc, "kets": _kets(named.state)}
+        payload = _state_payload(named)
         text = "%s (%d qubits)\n" % (named.name, named.num_qubits) + "".join(
             "  |%s>  %+.6f%+.6fi\n" % (k["label"], k["re"], k["im"])
             for k in payload["kets"])
@@ -125,16 +134,11 @@ def _cmd_catalog(args) -> int:
     if args.basis:
         _refuse(args, "catalog --basis", "dump")
         basis = make_basis(args.basis, **_parse_params(args.param))
-        payload = {
-            "name": basis.name,
-            "labels": list(basis.labels),
-            "vectors": [{ "label": lbl, "kets": _kets(vec)}
-                        for lbl, vec in zip(basis.labels, basis.vectors)],
-            "corrections": [
-                {"label": c.label, "method": c.method, "note": c.note}
-                for c in corrections_for(args.basis)
-            ],
-        }
+        payload = _basis_payload(basis)
+        payload["corrections"] = [
+            {"label": c.label, "method": c.method, "note": c.note}
+            for c in corrections_for(args.basis)
+        ]
         text = "%s: %d vectors on %d qubits\n" % (
             basis.name, len(basis.labels), basis.num_qubits)
         _emit(args, "catalog_%s" % basis.name, payload, text)
@@ -142,17 +146,8 @@ def _cmd_catalog(args) -> int:
     _refuse(args, "catalog without --state or --basis", "param")
     if args.dump:
         payload = {
-            "states": [
-                {"name": n.name, "params": _params_json(n.params), "slocc": n.slocc,
-                 "kets": _kets(n.state)}
-                for n in (make_state(s) for s in state_names())
-            ],
-            "bases": [
-                {"name": b.name, "labels": list(b.labels),
-                 "vectors": [{"label": lbl, "kets": _kets(vec)}
-                             for lbl, vec in zip(b.labels, b.vectors)]}
-                for b in (make_basis(s) for s in basis_names())
-            ],
+            "states": [_state_payload(make_state(s)) for s in state_names()],
+            "bases": [_basis_payload(make_basis(s)) for s in basis_names()],
         }
         text = "%d states, %d bases\n" % (len(payload["states"]),
                                           len(payload["bases"]))
@@ -261,6 +256,12 @@ def _cmd_teleport(args) -> int:
     return 0 if teleport_claim_holds(args.scenario, results, args.tolerance) else 1
 
 
+def _capacity_payload(state_name: str, res) -> dict:
+    return {"state": state_name, "scenario": "DC%d" % len(res.sender_qubits),
+            "distribution": list(res.sender_qubits), "N": res.count,
+            "cbits": math.log2(res.count)}
+
+
 def _cmd_densecode(args) -> int:
     if args.all:
         _refuse(args, "densecode --all", "state", "qubits", "param")
@@ -272,14 +273,9 @@ def _cmd_densecode(args) -> int:
                 res = distinguishable_messages(state, subset, tol=args.tolerance)
                 if not capacity_holds(res.count, want, cmp_op):
                     status = 1
-                rows.append({
-                    "claim": cid, "state": state_name,
-                    "scenario": "DC%d" % len(subset),
-                    "distribution": list(subset),
-                    "N": res.count, "cbits": math.log2(res.count),
-                    "expected": ("== %d" % want if cmp_op == "==" else
-                                 "< %d" % want),
-                })
+                rows.append({**_capacity_payload(state_name, res), "claim": cid,
+                             "expected": ("== %d" % want if cmp_op == "==" else
+                                          "< %d" % want)})
         payload = {"capacities": rows}
         text = "".join(
             "%-18s %-6s %-12s N=%-3d cbits=%-4g expected %s\n"
@@ -293,16 +289,9 @@ def _cmd_densecode(args) -> int:
     qubits = _parse_qubits(args.qubits)
     named = make_state(args.state, **_parse_params(args.param))
     res = distinguishable_messages(named.state, qubits, tol=args.tolerance)
-    payload = {
-        "state": named.name,
-        "scenario": "DC%d" % len(qubits),
-        "distribution": list(qubits),
-        "N": res.count,
-        "cbits": math.log2(res.count),
-        "num_encodings": res.num_encodings,
-        "num_classes": res.num_classes,
-        "witness_labels": ["*".join(names) for names in res.witness],
-    }
+    payload = {**_capacity_payload(named.name, res),
+               "num_encodings": res.num_encodings, "num_classes": res.num_classes,
+               "witness_labels": ["*".join(names) for names in res.witness]}
     text = ("%s DC%d on qubits %s: N=%d (%.3g cbits)\n  witness: %s\n"
             % (named.name, len(qubits), list(qubits), res.count,
                payload["cbits"], ", ".join(payload["witness_labels"])))

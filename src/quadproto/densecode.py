@@ -11,8 +11,8 @@ order (first sender qubit slowest).
 The XOR of two encoding indices is their Pauli product up to phase, so
 |<P_a psi|P_b psi>| = |Tr(P_(a xor b) rho_S)| with rho_S the reduction of
 psi to the sender qubits.  A query reads everything off the 4^k numbers
-mag = |Tr(P_x rho_S)|, one gather of ``states.pauli_coefficients`` over
-the signed-permutation table ``states.pauli_table`` that teleport
+mag = |Tr(P_x rho_S)|, one gather of ``states.pauli_coefficients`` by the
+flip masks and int8 signs of ``states.pauli_table``, which teleport
 corrections also read; no encoded state is built.  That gather is a
 (4^k, 2^k) array, so a query with 8^k above ``MAX_ENCODED_ENTRIES`` (k of 9
 or more, whatever the resource size) is refused before the table is built.
@@ -89,8 +89,8 @@ def _encode(resource: PureState, sender_qubits: tuple[int, ...]) -> np.ndarray:
     """All 4^k encodings as rows, in lexicographic encoding order."""
     n = resource.num_qubits
     psi_t, axes = _sender_major(resource, sender_qubits, n, "encoded amplitudes")
-    _, perm, sign = pauli_table(len(sender_qubits))
-    rows = psi_t[perm]
+    _, flip, sign = pauli_table(len(sender_qubits))
+    rows = psi_t[np.arange(len(psi_t)) ^ flip[:, None]]
     rows *= sign[:, :, None]
     back = [0] + [1 + a for a in np.argsort(axes)]
     return rows.reshape((len(rows),) + (2,) * n).transpose(back).reshape(len(rows), -1)

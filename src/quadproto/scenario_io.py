@@ -9,7 +9,7 @@ no parser-dependent notation.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from typing import Any, Mapping
 
 from .measure import StepSpec
@@ -50,7 +50,7 @@ def _int_tuple(value: Any, where: str) -> tuple[int, ...]:
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError("%s must be a number" % where)
-    if isinstance(value, float) and not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, inf and ints beyond floats
         raise ScenarioFormatError("%s must be finite, got %r" % (where, value))
     return value
 

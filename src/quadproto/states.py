@@ -17,7 +17,8 @@ import numpy as np
 MAX_QUBITS = 12
 # complex entries of one stacked array (dense-coding encodings, the Pauli-table
 # gather of pauli_coefficients, teleport probes tensored with the resource and
-# one correction prefix's scores, probes x 4^k x 2^k): 256 MiB
+# one correction prefix's scores, probes x 4^k x 2^k): 256 MiB.  The Pauli table
+# keeps 4^k x 2^k int8 signs under it too, so k <= 8 (16 MiB)
 MAX_STACK_ENTRIES = 2 ** 24
 
 # Tolerances.  Every module imports these; none defines its own.
@@ -109,7 +110,10 @@ class PureState:
                 raise ValueError(f"bad ket label {label!r}")
             vec[int(label, 2)] += amp
         if normalize:
-            norm = np.linalg.norm(vec)
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(vec)
+            if not math.isfinite(norm):
+                raise ValueError("ket terms overflow the float range")
             if norm < NORM_TOL:
                 raise ValueError("cannot normalize the zero vector")
             vec = vec / norm
@@ -194,52 +198,49 @@ CZ_MATRIX = _lock(np.diag([1, 1, 1, -1]).astype(np.complex128))
 PAULI_ORDER = ("s0", "s1", "is2", "s3")
 
 
-def pauli_products(words: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Signed permutations of Pauli products given as (m, k) ``PAULI_ORDER``
-    indices, one per qubit: product ``t`` maps amplitudes ``x`` to
-    ``sign[t] * x[perm[t]]``; both arrays are (m, 2**k)."""
-    words = np.asarray(words, dtype=np.intp)
-    k = words.shape[1]
-    weights = 1 << np.arange(k - 1, -1, -1)
-    rows = np.arange(2 ** k)[None, :]
-    # s1 and is2 flip the bit, is2 and s3 negate rows where it is 1
-    flip = ((words ^ words >> 1) & 1) @ weights
-    negated = rows & ((words >> 1) @ weights)[:, None]
-    parity = np.zeros_like(negated)
-    for q in range(k):
-        parity ^= negated >> q
-    return rows ^ flip[:, None], 1.0 - 2.0 * (parity & 1)
-
-
 class PauliTable(NamedTuple):
-    """All 4**k products, qubit 0 slowest: product ``t`` is named
-    ``names[t]`` and maps amplitudes ``x`` to ``sign[t] * x[perm[t]]``."""
+    """All 4**k products, qubit 0 slowest: product ``x`` is named
+    ``names[x]`` and maps amplitudes ``a`` to ``sign[x, t] * a[t ^ flip[x]]``
+    at each row ``t``."""
 
     names: tuple[tuple[str, ...], ...]
-    perm: np.ndarray              # (4**k, 2**k) column indices
-    sign: np.ndarray              # (4**k, 2**k), entries +-1.0
+    flip: np.ndarray              # (4**k,) bits each product flips
+    sign: np.ndarray              # (4**k, 2**k) int8, entries +-1
 
 
 @functools.lru_cache(maxsize=None)
 def pauli_table(k: int) -> PauliTable:
-    """The read-only table of all 4**k Pauli products on k qubits."""
+    """The read-only table of all 4**k Pauli products on k qubits, in the
+    binary (x, z) form: s1 and is2 flip their qubit's bit, is2 and s3 negate
+    rows where it is 1, so ``sign[x, t]`` is -1 to the parity of z_x & t.
+    Refuses k with 8**k above ``MAX_STACK_ENTRIES``."""
+    if 8 ** k > MAX_STACK_ENTRIES:
+        raise CapacityError("a Pauli table on %d qubits needs 8^%d signs, over the "
+                            "limit of 2^%d" % (k, k, MAX_STACK_ENTRIES.bit_length() - 1))
     words = np.arange(4 ** k)[:, None] >> 2 * np.arange(k - 1, -1, -1) & 3
-    perm, sign = pauli_products(words)
+    weights = 1 << np.arange(k - 1, -1, -1)
+    t = np.arange(2 ** k)
+    # k <= 8, so three XOR folds leave the parity of z & t in bit 0
+    parity = t[:, None] & t
+    for shift in 1, 2, 4:
+        parity ^= parity >> shift
+    signs = (1 - 2 * (parity & 1)).astype(np.int8)
     return PauliTable(tuple(itertools.product(PAULI_ORDER, repeat=k)),
-                      _lock(perm), _lock(sign))
+                      _lock(((words ^ words >> 1) & 1) @ weights),
+                      _lock(signs[(words >> 1) @ weights]))
 
 
 def pauli_coefficients(a: np.ndarray) -> np.ndarray:
     """Tr(P_x a) for every product P_x of ``pauli_table(k)``, in table order,
     of a (2**k, 2**k) matrix or of each matrix of a (..., 2**k, 2**k) stack.
-    P_x has entry sign[x, t] at (t, t ^ f) with f = perm[x, 0], so the traces
-    are signed sums along the 2**k diagonals a[t ^ f, t], gathered once."""
+    P_x has entry sign[x, t] at (t, t ^ flip[x]), so the traces are signed
+    sums along the 2**k diagonals a[t ^ f, t], one per flip f, gathered once."""
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("matrix must be square")
-    _, perm, sign = pauli_table(qubit_count(a.shape[-1]))
+    _, flip, sign = pauli_table(qubit_count(a.shape[-1]))
     t = np.arange(a.shape[-1])
-    terms = np.take(a[..., t ^ t[:, None], t], perm[:, 0], axis=-2)
+    terms = np.take(a[..., t ^ t[:, None], t], flip, axis=-2)
     terms *= sign
     return terms.sum(-1)
 

@@ -44,8 +44,7 @@ from .catalog import NamedState, make_state
 from .measure import StepSpec, build_plan, enumerate_outcomes
 from .states import (ASSERT_TOL, MAX_STACK_ENTRIES, PAULI_ORDER, PERP_ALARM,
                      VALUE_TOL, CapacityError, PureState, check_tolerance,
-                     pauli_coefficients, pauli_products, pauli_table,
-                     qubit_count)
+                     pauli_coefficients, pauli_table, qubit_count)
 
 __all__ = [
     "FamilySpec",
@@ -110,11 +109,13 @@ def family_span(spec: FamilySpec) -> np.ndarray:
             raise ValueError("omega_sub dressing needs two Pauli indices")
         kets = [{"001": 1.0, "111": 1.0}, {"000": 1.0, "110": -1.0}]
         word = (d[0], 0, d[1])
-    # Pauli PAULI_ORDER[word[q]] on qubit q: one signed permutation, the row
-    # of pauli_table for word
-    (perm,), (sign,) = pauli_products([word])
-    return np.array([sign * PureState.from_kets(terms, normalize=True).amplitudes[perm]
+    # Pauli PAULI_ORDER[word[q]] on qubit q: row x of pauli_table, x the
+    # word's base-4 digits, qubit 0 first
+    _, flip, sign = pauli_table(len(word))
+    x = sum(w << 2 * q for q, w in enumerate(reversed(word)))
+    span = np.array([PureState.from_kets(terms, normalize=True).amplitudes
                      for terms in kets])
+    return sign[x] * span[:, np.arange(span.shape[1]) ^ flip[x]]
 
 
 def build_probes(spec: FamilySpec, rng: np.random.Generator,

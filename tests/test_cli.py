@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -165,6 +166,21 @@ def test_suite_json_bytes_pinned(capsys):
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "e61053cabd6f823fc56b586e18d9c1a17367ee645ede6cb8e8bccd26a9b0ea99"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["catalog", "--dump"],
+     "b6ed6dbc4de2cb6a3f1c3e3156f84172bae38740e31e6936919f3318d7702ed6"),
+    (["locc"], "4908845147c61ca79c5173ef59a5e08feca601c1f84683750f51ceb1821e31d2"),
+    (["diagnose", "--all"],
+     "1aad2b65f19b9eca719495da945a42a964b179f2803824194776d076ff7f5c72"),
+])
+def test_catalog_locc_and_diagnose_json_bytes_pinned(argv, digest, capsys):
+    # every catalog amplitude, the LOCC section's verdicts and the five
+    # entanglement profiles; a refactor of any layer must leave them as they were
+    rc, out = _json_out(capsys, argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("seed, digest", [
@@ -402,8 +418,22 @@ def test_complex_parameter_literal_accepted(capsys):
      "parameter m must be an int, real or complex literal, got 'one'"),
     (["catalog", "--state", "W_mn", "--param", "m=1", "--param", "n=2j"],
      "W_mn parameters must be real: n"),
+    # finite parameters whose squares overflow
+    (["catalog", "--state", "W_pqrs", "--param", "p=1e200", "--param", "q=0",
+      "--param", "r=0", "--param", "s=1e200"],
+     "W_pqrs needs |p|^2, |q|^2, |r|^2 and |s|^2 within the float range, got "
+     "p=(1e+200+0j), q=0j, r=0j, s=(1e+200+0j)"),
+    (["catalog", "--state", "W_mn", "--param", "m=1e308", "--param", "n=1e308"],
+     "W_mn needs m + n + 1 within the float range, got m=1e+308, n=1e+308"),
+    (["teleport", "--file", "overflow.json"],
+     "W_pqrs needs |p|^2, |q|^2, |r|^2 and |s|^2 within the float range, got "
+     "p=(1e+200+0j), q=0j, r=0j, s=(1e+200+0j)"),
 ])
-def test_parameter_errors_are_named(argv, message, capsys):
+def test_parameter_errors_are_named(argv, message, capsys, tmp_path, monkeypatch):
+    (tmp_path / "overflow.json").write_text(dumps_scenario(dataclasses.replace(
+        reg.TELEPORT_SCENARIOS["w_pqrs_1223"],
+        resource_params={"p": 1e200, "q": 0.0, "r": 0.0, "s": 1e200})))
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
 

@@ -154,6 +154,25 @@ def test_non_finite_numbers_rejected(bad):
                 loads_scenario(text)
 
 
+def test_integers_beyond_the_float_range_rejected():
+    # JSON integers parse exactly, so one past 2**1024 would overflow later
+    big = "1" + "0" * 400
+    kets = _doc()
+    kets["resource"]["kets"][1]["re"] = "@"
+    params = _doc()
+    params["resource"] = {"name": "W_pqrs",
+                          "params": {"p": "@", "q": 0, "r": 0, "s": "@"}}
+    basis = _doc()
+    basis["steps"][0]["basis_params"] = {"i": "@"}
+    for doc, where in ((kets, r"resource\.kets\[1\]\.re"),
+                       (params, r"resource\.params\[p\]"),
+                       (basis, r"steps\[0\]\.basis_params\[i\]")):
+        text = json.dumps(doc).replace('"@"', big)
+        with pytest.raises(ScenarioFormatError,
+                           match=where + " must be finite, got 1000"):
+            loads_scenario(text)
+
+
 def test_scalar_type_checks():
     with pytest.raises(ScenarioFormatError, match="integers"):
         scenario_from_dict(_doc(receiver=[2.0]))

@@ -2,12 +2,14 @@
 
 import itertools
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import quadproto
 from quadproto import scenarios as reg
+from quadproto.teleport import FamilySpec, family_span
 
 from quadproto.states import (
     MAX_QUBITS,
@@ -23,7 +25,6 @@ from quadproto.states import (
     inner,
     pauli,
     pauli_coefficients,
-    pauli_products,
     pauli_table,
     permute_qubits,
     purity,
@@ -42,6 +43,14 @@ def test_from_kets_round_trip():
 def test_from_kets_normalize_drops_prefactor():
     st = PureState.from_kets({"00": 1, "11": 1}, normalize=True)
     assert abs(st.amplitudes[0] - 1 / np.sqrt(2)) < 1e-15
+
+
+def test_from_kets_refuses_a_norm_beyond_the_float_range():
+    # each square is finite, their sum is not; warnings are errors here
+    with pytest.raises(ValueError, match="overflow the float range"):
+        PureState.from_kets({"00": 1e154, "11": 1e154}, normalize=True)
+    st = PureState.from_kets({"00": 1e153, "11": 1e153}, normalize=True)
+    assert np.abs(st.amplitudes - [2 ** -0.5, 0, 0, 2 ** -0.5]).max() < 1e-15
 
 
 def test_from_kets_accumulates_duplicate_labels():
@@ -259,33 +268,76 @@ def test_every_exported_tolerance_refuses_nan():
             member(*args, **kwargs)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def _dense_product(names):
+    mat = np.ones((1, 1), dtype=np.complex128)
+    for name in names:
+        mat = np.kron(mat, SIGMA[name])
+    return mat
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
 def test_pauli_table_matches_dense_kron(k):
     table = pauli_table(k)
     assert pauli_table(k) is table
     assert table.names == tuple(itertools.product(PAULI_ORDER, repeat=k))
-    assert table.perm.shape == table.sign.shape == (4 ** k, 2 ** k)
-    assert not table.perm.flags.writeable and not table.sign.flags.writeable
+    assert table.flip.shape == (4 ** k,)
+    assert table.sign.shape == (4 ** k, 2 ** k) and table.sign.dtype == np.int8
+    assert not table.flip.flags.writeable and not table.sign.flags.writeable
+    # one byte per sign: no index or float array of the table's size is kept
+    assert table.flip.nbytes + table.sign.nbytes <= 4 ** k * 2 ** k + 8 * 4 ** k
     rows = np.arange(2 ** k)
-    for names, perm, sign in zip(*table):
-        want = np.ones((1, 1), dtype=np.complex128)
-        for name in names:
-            want = np.kron(want, SIGMA[name])
+    for names, flip, sign in zip(*table):
         got = np.zeros((2 ** k, 2 ** k), dtype=np.complex128)
-        got[rows, perm] = sign
-        assert np.array_equal(got, want), names
+        got[rows, rows ^ flip] = sign
+        assert np.array_equal(got, _dense_product(names)), names
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_pauli_table_signs_are_parities_read_off_the_names(k):
+    # up to the largest admitted k, on a sample of rows: s1 and is2 flip their
+    # qubit's bit, is2 and s3 negate where it is 1
+    table = pauli_table(k)
+    t = np.arange(2 ** k)
+    bits = [1 << k - 1 - q for q in range(k)]
+    for x in range(0, 4 ** k, 1 + 4 ** k // 300):
+        names = table.names[x]
+        flip = sum(b for b, name in zip(bits, names) if name in ("s1", "is2"))
+        z = sum(b for b, name in zip(bits, names) if name in ("is2", "s3"))
+        parity = np.array([bin(z & col).count("1") & 1 for col in t])
+        assert table.flip[x] == flip, names
+        assert np.array_equal(table.sign[x], 1 - 2 * parity), names
+
+
+def test_pauli_table_builds_no_wide_product_array():
+    # an int64 index or float64 sign array of 4^7 x 2^7 entries alone is 16 MiB
+    k = 7
+    tracemalloc.start()
+    try:
+        table = pauli_table.__wrapped__(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.sign.nbytes == 4 ** k * 2 ** k
+    assert peak < 4 * 4 ** k * 2 ** k
+
+
+def test_pauli_table_above_the_stack_limit_is_refused():
+    with pytest.raises(CapacityError, match="over the limit of 2"):
+        pauli_table(9)
 
 
 def test_single_pauli_products_are_table_rows():
-    for k in (0, 1, 2, 3):
-        table = pauli_table(k)
-        words = list(itertools.product(range(4), repeat=k))
-        perm, sign = pauli_products(words)
-        assert np.array_equal(perm, table.perm) and np.array_equal(sign, table.sign)
-        for t, word in enumerate(words):
-            (one_perm,), (one_sign,) = pauli_products([word])
-            assert np.array_equal(one_perm, table.perm[t]), word
-            assert np.array_equal(one_sign, table.sign[t]), word
+    # a dressed family's span is the undressed span under the dense product
+    # of its PAULI_ORDER matrices, which family_span reads off pauli_table
+    cases = [("ghz_diag", k, word) for k in (1, 2, 3)
+             for word in itertools.product(range(4), repeat=k)]
+    cases += [("omega_sub", 3, pair) for pair in itertools.product(range(4), repeat=2)]
+    for kind, k, dressing in cases:
+        bare = family_span(FamilySpec(kind, k, (0,) * len(dressing)))
+        word = dressing if kind == "ghz_diag" else (dressing[0], 0, dressing[1])
+        want = bare @ _dense_product(PAULI_ORDER[i] for i in word).T
+        got = family_span(FamilySpec(kind, k, dressing))
+        assert np.array_equal(got, want), (kind, dressing)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -297,10 +349,7 @@ def test_pauli_coefficients_are_traces_against_dense_kron(k):
     got = pauli_coefficients(a)
     want = []
     for names in pauli_table(k).names:
-        mat = np.ones((1, 1), dtype=np.complex128)
-        for name in names:
-            mat = np.kron(mat, SIGMA[name])
-        want.append(np.trace(mat @ a))
+        want.append(np.trace(_dense_product(names) @ a))
     assert got.shape == (4 ** k,)
     assert np.abs(got - want).max() < 1e-12
 
@@ -312,12 +361,7 @@ def test_stacked_pauli_coefficients_are_per_matrix_calls(k):
     stack = rng.normal(size=(3, 2, d, d)) + 1j * rng.normal(size=(3, 2, d, d))
     got = pauli_coefficients(stack)
     assert got.shape == (3, 2, 4 ** k)
-    paulis = []
-    for names in pauli_table(k).names:
-        mat = np.ones((1, 1), dtype=np.complex128)
-        for name in names:
-            mat = np.kron(mat, SIGMA[name])
-        paulis.append(mat)
+    paulis = [_dense_product(names) for names in pauli_table(k).names]
     for i, j in itertools.product(range(3), range(2)):
         a = stack[i, j]
         assert np.array_equal(got[i, j], pauli_coefficients(a)), (i, j)

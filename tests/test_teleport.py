@@ -562,9 +562,9 @@ def test_vocabulary_matches_dense_candidates(allowed, k):
     rows = np.arange(2 ** k)
     entries = []
     for prefix, mask in zip(*teleport._prefixes(allowed, k)):
-        for names, perm, sign in zip(*pauli_table(k)):
+        for names, flip, sign in zip(*pauli_table(k)):
             pauli = np.zeros((2 ** k, 2 ** k), dtype=np.complex128)
-            pauli[rows, perm] = sign
+            pauli[rows, rows ^ flip] = sign
             entries.append((prefix + "*".join(names), pauli @ np.diag(mask)))
     reference = _candidates(allowed, k)
     assert [desc for desc, _ in entries] == [desc for desc, _ in reference]
@@ -597,7 +597,8 @@ def test_best_fidelity_of_a_corrected_outcome_is_the_chosen_candidates_own(
         p = descs.index(prefix + ";" if prefix else "")
         table = pauli_table(residuals.shape[1].bit_length() - 1)
         t = table.names.index(tuple(pauli.split("*")))
-        perm, sign = table.perm[t:t + 1], table.sign[t:t + 1]
+        perm = np.arange(residuals.shape[1])[None] ^ table.flip[t]
+        sign = table.sign[t:t + 1]
         fids = np.abs(np.sum(expected.conj()[:, None, :]
                              * ((residuals * masks[p])[:, perm] * sign),
                              axis=2)) ** 2
