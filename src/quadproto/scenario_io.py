@@ -207,6 +207,10 @@ def loads_scenario(text: str) -> TeleportScenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError("invalid JSON: %s" % exc) from exc
+    except ValueError as exc:  # int() refuses a literal past the digit limit
+        raise ScenarioFormatError(
+            "invalid JSON: an integer literal is too long (over %d digits)"
+            % sys.get_int_max_str_digits()) from exc
     return scenario_from_dict(doc)
 
 
@@ -217,4 +221,8 @@ def save_scenario(sc: TeleportScenario, path: str) -> None:
 
 def load_scenario(path: str) -> TeleportScenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_scenario(fh.read())
+        text = fh.read()
+    try:
+        return loads_scenario(text)
+    except ScenarioFormatError as exc:
+        raise ScenarioFormatError("%s: %s" % (path, exc)) from exc

@@ -23,9 +23,11 @@ A candidate is a prefix D (identity, a CZ or a sign mask, stored as a row
 of +-1 entries) followed by a Pauli product P_x of ``states.pauli_table``.
 Probe i's fidelity under P_x D is |Tr(P_x D r_i v_i^dagger)|**2 (r_i its
 residual, v_i its input), so one ``states.pauli_coefficients`` call scores
-every Pauli product after one prefix; the scan runs prefix outer and stops
-at the first candidate that works.  Those scores take probes x 4^k x 2^k
-entries, so a family above ``MAX_STACK_ENTRIES`` is refused from the sizes.
+every Pauli product after one prefix for every outcome still open; the scan
+runs prefix outer and an outcome leaves it at its first candidate that
+works.  One outcome's scores take probes x 4^k x 2^k entries, so a family
+above ``MAX_STACK_ENTRIES`` is refused from the sizes, and the open
+outcomes are scored in slices that stay within it.
 
 When no candidate works the result carries a certificate: per outcome, the
 best achievable worst-case fidelity over the probe set.
@@ -136,8 +138,11 @@ def build_probes(spec: FamilySpec, rng: np.random.Generator,
         # one draw, in the order of per-member real then imaginary draws
         z = rng.standard_normal((num_random, 2, n))
         coeff = z[:, 0] + 1j * z[:, 1]
-        for c in coeff:
-            c /= np.linalg.norm(c)
+        # each row's norm as np.linalg.norm forms it, bit for bit: the dot
+        # of the real parts plus the dot of the imaginary parts
+        re, im = coeff.real, coeff.imag
+        coeff /= np.sqrt((re[:, None, :] @ re[:, :, None])
+                         + (im[:, None, :] @ im[:, :, None]))[:, 0]
         # term by term from 0, member 0 first, as a per-probe sum adds them,
         # so the rows do not depend on how a matrix product would round
         rows.append(sum(coeff[:, m, None] * span[m] for m in range(n)))
@@ -226,37 +231,61 @@ def _prefixes(allowed: str, k: int) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(prefixes), masks
 
 
-def _find_correction(prefixes: tuple[tuple[str, ...], np.ndarray],
-                     residuals: np.ndarray, expected: np.ndarray,
-                     cert_rows: Sequence[int],
-                     tol: float) -> tuple[str | None, float, float]:
-    """First candidate mapping every residual row onto its expected input.
+def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
+                      residuals: np.ndarray, expected: np.ndarray,
+                      fired: np.ndarray, certifying: np.ndarray,
+                      tol: float) -> tuple[list[str | None], np.ndarray, np.ndarray]:
+    """First candidate per outcome mapping every row it fires onto its input.
 
-    Returns (descriptor or None, worst fidelity over all rows of the chosen
-    candidate or 0.0, best worst certifying-row fidelity over the candidates
-    scanned up to and including the chosen one); with no certifying rows,
-    every row certifies.  Each prefix scores every Pauli product in one
-    step.  A candidate is chosen when both the certifying rows and all rows
-    reach ``1 - tol``: a random member failing where the certifying rows
-    pass means the outcome map is not linear on the span, so the scan goes
-    on.
+    ``residuals`` is the (nb, rows, 2**k) stack of every outcome, ``fired``
+    its (nb, rows) firing mask, ``expected`` the (rows, 2**k) inputs and
+    ``certifying`` which rows certify; an outcome no certifying row fires
+    is certified by every row it fires.  Returns per outcome the descriptor
+    or None, the worst fidelity over its fired rows of the chosen candidate
+    or 0.0, and the best worst certifying fidelity over the candidates
+    scanned up to and including the chosen one.  A candidate is chosen when
+    both the certifying rows and all fired rows reach ``1 - tol``: a random
+    member failing where the certifying rows pass means the outcome map is
+    not linear on the span, so the scan goes on.
+
+    Per prefix, one Pauli transform scores every product for every outcome
+    still open, in slices that keep it within ``MAX_STACK_ENTRIES``;
+    outcomes leave the open set at their first hit.
     """
-    names = pauli_table(qubit_count(residuals.shape[1])).names
+    nb, rows, dim = residuals.shape
+    k = qubit_count(dim)
+    names = pauli_table(k).names
+    cert = fired & certifying
+    cert = np.where(cert.any(axis=1, keepdims=True), cert, fired)[..., None]
+    fired = fired[..., None]
     exp_conj = expected.conj()[:, None, :]
-    best = 0.0
+    chosen: list[str | None] = [None] * nb
+    min_fid = np.zeros(nb)
+    best = np.zeros(nb)
+    step = MAX_STACK_ENTRIES // (rows << 3 * k)
+    open_ = np.arange(nb)
     for desc, mask in zip(*prefixes):
-        outer = exp_conj * (residuals * mask)[:, :, None]
-        fids = np.abs(pauli_coefficients(outer)) ** 2
-        worst_cert = (fids[cert_rows] if len(cert_rows) else fids).min(axis=0)
-        worst_all = fids.min(axis=0)
-        hits = np.flatnonzero((worst_cert >= 1.0 - tol)
-                              & (worst_all >= 1.0 - tol))
-        scanned = hits[0] + 1 if hits.size else len(worst_cert)
-        best = max(best, float(worst_cert[:scanned].max()))
-        if hits.size:
-            return (desc + "*".join(names[hits[0]]),
-                    float(worst_all[hits[0]]), best)
-    return None, 0.0, best
+        resolved = np.zeros(len(open_), dtype=bool)
+        for lo in range(0, len(open_), step):
+            js = open_[lo:lo + step]
+            outer = exp_conj * (residuals[js] * mask)[..., None]
+            fids = np.abs(pauli_coefficients(outer)) ** 2
+            worst_cert = fids.min(axis=1, where=cert[js], initial=np.inf)
+            worst_all = fids.min(axis=1, where=fired[js], initial=np.inf)
+            ok = (worst_cert >= 1.0 - tol) & (worst_all >= 1.0 - tol)
+            hit = ok.any(axis=1)
+            last = np.where(hit, ok.argmax(axis=1), ok.shape[1] - 1)
+            at = np.arange(len(js))
+            scanned = np.maximum.accumulate(worst_cert, axis=1)[at, last]
+            best[js] = np.maximum(best[js], scanned)
+            for i in np.flatnonzero(hit):
+                chosen[js[i]] = desc + "*".join(names[last[i]])
+            min_fid[js[hit]] = worst_all[at[hit], last[hit]]
+            resolved[lo:lo + step] = hit
+        open_ = open_[~resolved]
+        if not open_.size:
+            break
+    return chosen, min_fid, best
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +328,9 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     rng = np.random.default_rng(seed)
     resource = scenario.resource_state().state
     # refuse a joint register above MAX_QUBITS, and a joint probe stack or one
-    # prefix's correction scores (rows x 4^k Pauli products x 2^k) above
-    # MAX_STACK_ENTRIES, from the sizes alone, before any probe is built
+    # outcome's correction scores after a prefix (rows x 4^k Pauli products x
+    # 2^k) above MAX_STACK_ENTRIES, from the sizes alone, before any probe is
+    # built
     family = scenario.family
     k = family.num_qubits
     n = qubit_count(2 ** k * resource.dim)
@@ -332,19 +362,16 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     uniform = not np.any(probs.max(axis=0) - lowest > VALUE_TOL)
 
     rand_idx = np.flatnonzero(~certifying)
-
-    prefixes = _prefixes(scenario.allowed_ops, k)
+    chosen, min_fid, best = _find_corrections(
+        _prefixes(scenario.allowed_ops, k), out.residuals, vectors,
+        probs > 0.0, certifying, tol)
     reports: list[OutcomeReport] = []
-    feasible = True
     for j in order:
-        fired = firing[j]
-        chosen, chosen_min, best = _find_correction(
-            prefixes, out.residuals[j, fired], vectors[fired],
-            np.flatnonzero(certifying[fired]), tol)
-        gen_idx = rand_idx[-1] if rand_idx.size else fired[-1]
-        feasible &= chosen is not None
-        reports.append(OutcomeReport(out.keys[j], float(probs[j, gen_idx]), chosen,
-                                     chosen_min, best, bool(out.perp[j])))
+        gen_idx = rand_idx[-1] if rand_idx.size else firing[j][-1]
+        reports.append(OutcomeReport(out.keys[j], float(probs[j, gen_idx]), chosen[j],
+                                     float(min_fid[j]), float(best[j]),
+                                     bool(out.perp[j])))
+    feasible = all(r.correction is not None for r in reports)
 
     reason = ""
     if max_perp > PERP_ALARM:

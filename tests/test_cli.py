@@ -530,6 +530,19 @@ def test_malformed_file_exits_two(tmp_path, capsys):
     assert "missing keys" in capsys.readouterr().err
 
 
+def test_overlong_integer_in_file_exits_two(tmp_path, capsys):
+    # 5,000 digits, past Python's default limit of 4,300 for int()
+    doc = json.loads(dumps_scenario(reg.TELEPORT_SCENARIOS["w_pqrs_1223"]))
+    doc["resource"]["params"]["p"] = "@"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc).replace('"@"', "1" * 5000), encoding="utf-8")
+    assert main(["teleport", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: %s: invalid JSON: an integer literal is too "
+                            "long (over 4300 digits)\n" % path)
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["teleport", "--file", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()

@@ -45,10 +45,13 @@ BAD_VALUES = ("nope", "", " ", "nan", "inf", "-inf", "1e400", "-1", "0", "2",
 FLAGS = ("--bogus", "--tolerance", "--seed", "--format", "--state",
          "--qubits", "--param", "--set", "--protocol", "--certificate",
          "--scenario", "--basis", "--all", "--list", "--sections")
-# retyped and non-finite field values for scenario documents
+# retyped and non-finite field values for scenario documents; HUGE_INT
+# stands for an integer literal past Python's 4,300-digit conversion limit,
+# spliced into the text because json.dumps cannot write one
+HUGE_INT = "@huge-int@"
 BAD_FIELDS = (None, "x", "", 1.5, -1, 0, 7, 10 ** 6, [], {}, [0], ["x"],
               {"a": 1}, True, float("nan"), float("inf"), -float("inf"),
-              "0101", "GHZ4", "bell", "paulis+cz")
+              "0101", "GHZ4", "bell", "paulis+cz", HUGE_INT)
 FILE_SOURCES = ("ghz1_ghz4basis", "ghz2_pi_01", "w3_sigma")
 
 
@@ -149,7 +152,8 @@ def test_mutated_scenario_files_fail_closed(capsys, tmp_path):
             reg.TELEPORT_SCENARIOS[rng.choice(FILE_SOURCES)]))
         for _ in range(rng.randint(1, 2)):
             _mutate_doc(rng, doc)
-        text = json.dumps(doc)  # writes NaN and Infinity for non-finite values
+        # writes NaN and Infinity for non-finite values
+        text = json.dumps(doc).replace('"%s"' % HUGE_INT, "1" * 5000)
         path.write_text(text, encoding="utf-8")
         code, err = _run(capsys, ["teleport", "--file", str(path),
                                   "--format", "json"])

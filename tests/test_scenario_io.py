@@ -1,6 +1,7 @@
 """Strict JSON interchange for teleportation scenarios."""
 
 import json
+import sys
 import warnings
 
 import pytest
@@ -171,6 +172,24 @@ def test_integers_beyond_the_float_range_rejected():
         with pytest.raises(ScenarioFormatError,
                            match=where + " must be finite, got 1000"):
             loads_scenario(text)
+
+
+def test_overlong_integer_literal_rejected(tmp_path):
+    # Python refuses to convert an integer literal past its digit limit
+    # (4,300 by default); the refusal names neither a Python call nor a field
+    doc = _doc()
+    doc["resource"] = {"name": "W_pqrs", "params": {"p": "@", "q": 0, "r": 0, "s": 1}}
+    text = json.dumps(doc).replace('"@"', "1" * 5000)
+    message = ("invalid JSON: an integer literal is too long (over %d digits)"
+               % sys.get_int_max_str_digits())
+    with pytest.raises(ScenarioFormatError) as info:
+        loads_scenario(text)
+    assert str(info.value) == message
+    path = tmp_path / "huge.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ScenarioFormatError) as info:
+        load_scenario(str(path))
+    assert str(info.value) == "%s: %s" % (path, message)
 
 
 def test_scalar_type_checks():

@@ -83,7 +83,11 @@ def test_single_member_family_has_no_superpositions():
 
 @pytest.mark.parametrize("seed", [42, 7])
 def test_build_probes_matches_reference(seed):
-    specs = list(dict.fromkeys(sc.family for sc in _ALL_SCENARIOS))
+    # the registered families reach span sizes 1, 2 and 4; an arbitrary
+    # three-qubit family adds 8
+    specs = list(dict.fromkeys([sc.family for sc in _ALL_SCENARIOS]
+                               + [FamilySpec("arbitrary", 3)]))
+    assert {len(family_span(spec)) for spec in specs} == {1, 2, 4, 8}
     assert {spec.kind for spec in specs} == {"arbitrary", "ghz_diag", "omega_sub",
                                              "w_equal3"}
     for spec in specs:
@@ -539,21 +543,109 @@ def test_block_scan_matches_reference_scan(seed):
         assert repr(got) == repr(want), sc.scenario_id
 
 
+def _reference_find_each(allowed, residuals, expected, fired, certifying, tol):
+    """_reference_find per outcome of a batch, on the rows that outcome fires."""
+    out = []
+    for res, rows in zip(residuals, fired):
+        cert_rows = np.flatnonzero(certifying[rows]).tolist()
+        out.append(_reference_find(_candidates(allowed, expected.shape[1].bit_length() - 1),
+                                   res[rows], expected[rows], cert_rows, tol))
+    return out
+
+
+def _find_each(allowed, residuals, expected, fired, certifying, tol):
+    k = expected.shape[1].bit_length() - 1
+    chosen, min_fid, best = teleport._find_corrections(
+        teleport._prefixes(allowed, k), residuals, expected, fired, certifying, tol)
+    return [(c, float(m), float(b)) for c, m, b in zip(chosen, min_fid, best)]
+
+
 def test_find_correction_edge_cases():
-    prefixes = teleport._prefixes("paulis", 1)
     e0 = np.array([1.0, 0.0], dtype=np.complex128)
     r = np.array([0.6, 0.8j])
     # s0 passes the certifying row, but only s3 also returns the random row
-    case1 = (np.array([e0, [0.6, -0.8j]]), np.array([e0, r]), [0], ASSERT_TOL)
+    case1 = (np.array([[e0, [0.6, -0.8j]]]), np.array([e0, r]),
+             np.array([[True, True]]), np.array([True, False]), ASSERT_TOL)
     # s0 passes a loose tolerance; the better s1 after it is not scanned
-    case2 = (np.array([[0.45 ** 0.5, 0.55 ** 0.5]], dtype=np.complex128),
-             np.array([e0]), [0], 0.6)
-    for res, exp, cert, tol in (case1, case2):
-        got = teleport._find_correction(prefixes, res, exp, cert, tol)
-        assert got == _reference_find(_candidates("paulis", 1), res, exp, cert, tol)
-    assert teleport._find_correction(prefixes, *case1) == ("s3", 1.0, 1.0)
-    chosen, _, best = teleport._find_correction(prefixes, *case2)
+    case2 = (np.array([[[0.45 ** 0.5, 0.55 ** 0.5]]], dtype=np.complex128),
+             np.array([e0]), np.array([[True]]), np.array([True]), 0.6)
+    for case in (case1, case2):
+        assert _find_each("paulis", *case) == _reference_find_each("paulis", *case)
+    assert _find_each("paulis", *case1) == [("s3", 1.0, 1.0)]
+    [(chosen, _, best)] = _find_each("paulis", *case2)
     assert chosen == "s0" and best == pytest.approx(0.45)
+
+
+def test_find_corrections_resolves_a_mixed_batch(monkeypatch):
+    # six outcomes over the 18 probes of an arbitrary two-qubit family
+    expected, certifying = build_probes(FamilySpec("arbitrary", 2),
+                                        np.random.default_rng(3), num_random=2)
+    rows = len(expected)
+    pauli = dict(_candidates("paulis", 2))
+    cz = _cz_matrix(2, (0, 1))
+    rng = np.random.default_rng(11)
+    garbage = rng.standard_normal((rows, 4)) + 1j * rng.standard_normal((rows, 4))
+    # a small X rotation on qubit 0 after s3*s3 and CZ(0,1): no candidate
+    # works, and the best one, with fidelity at least cos(0.1)^2, is s3*s3
+    # after CZ, past the identity prefix
+    theta = 0.1
+    tilt = np.kron(math.cos(theta) * np.eye(2) - 1j * math.sin(theta) * SIGMA["s1"],
+                   np.eye(2))
+    rotated = cz @ pauli["s3*s3"] @ tilt
+    # P_x C r = v needs r = C P_x^dagger v, CZ being its own inverse
+    maps = [pauli["s1*s3"].conj().T,        # a Pauli at the identity prefix
+            cz @ pauli["is2*s1"].conj().T,   # a Pauli after CZ(0,1)
+            rotated,                         # no candidate, best after CZ
+            pauli["s3*s1"] @ tilt,           # no candidate, best at the identity
+            pauli["s3*s0"].conj().T,         # fired by a strict subset of rows
+            pauli["s0*s1"].conj().T]         # fired by random members only
+    fired = np.ones((len(maps), rows), dtype=bool)
+    fired[4] = np.arange(rows) % 3 != 1
+    fired[5] = ~certifying
+    assert fired[4, ~certifying].any() and not fired[4].all()
+    residuals = np.where(fired[..., None],
+                         np.einsum("mab,ib->mia", np.array(maps), expected),
+                         garbage)
+    got = _find_each("paulis+cz", residuals, expected, fired, certifying, ASSERT_TOL)
+    assert got == _reference_find_each("paulis+cz", residuals, expected, fired,
+                                       certifying, ASSERT_TOL)
+    assert [c for c, _, _ in got] == ["s1*s3", "CZ(0,1);is2*s1", None, None,
+                                      "s3*s0", "s0*s1"]
+    for _, min_fid, best in got[2:4]:
+        assert math.cos(theta) ** 2 - 1e-12 <= best < 1.0 - 1e-3
+        assert min_fid == 0.0
+    # the best of the first open outcome lies past the identity prefix, that
+    # of the second at it: best is a maximum over every prefix
+    [(_, _, first), (_, _, second)] = _find_each(
+        "paulis", residuals[2:4], expected, fired[2:4], certifying, ASSERT_TOL)
+    assert first < got[2][2] and second == got[3][2]
+    # slices of two outcomes: three at the identity prefix, two after CZ(0,1)
+    monkeypatch.setattr(teleport, "MAX_STACK_ENTRIES", 2 * rows * 4 ** 3)
+    assert _find_each("paulis+cz", residuals, expected, fired, certifying,
+                      ASSERT_TOL) == got
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_sliced_scan_matches_the_unsliced_one(seed, monkeypatch):
+    # 36 probes of a two-qubit family: one outcome's scores are 36 x 4^2 x
+    # 2^2 entries, so a limit of three of them splits the 16 outcomes into
+    # six slices, and still admits the 36 x 2^6 joint stack
+    sc = reg.TELEPORT_SCENARIOS["omega2_bellbell_cz"]
+    want = run_scenario(sc, seed=seed)
+    assert len(want.outcomes) == 16 and want.num_probes == 36
+    limit = 3 * 36 * 64
+    entries = []
+    real = teleport.pauli_coefficients
+
+    def spy(a):
+        entries.append(a.size * a.shape[-1])  # the gathered rows x 4^k x 2^k
+        return real(a)
+
+    monkeypatch.setattr(teleport, "pauli_coefficients", spy)
+    monkeypatch.setattr(teleport, "MAX_STACK_ENTRIES", limit)
+    got = run_scenario(sc, seed=seed)
+    assert got == want and repr(got) == repr(want)
+    assert max(entries) == limit and len(entries) > len(teleport._prefixes("paulis+cz", 2)[0])
 
 
 @pytest.mark.parametrize("allowed", ["paulis", "paulis+cz", "paulis+diag"])
@@ -578,31 +670,34 @@ def test_best_fidelity_of_a_corrected_outcome_is_the_chosen_candidates_own(
     # a corrected outcome's best_fidelity is the chosen candidate's own worst
     # certifying fidelity, bit for bit
     calls = []
-    real = teleport._find_correction
+    real = teleport._find_corrections
 
-    def spy(prefixes, residuals, expected, cert_rows, tol):
-        got = real(prefixes, residuals, expected, cert_rows, tol)
-        calls.append((prefixes, residuals, expected, cert_rows, got))
+    def spy(prefixes, residuals, expected, fired, certifying, tol):
+        got = real(prefixes, residuals, expected, fired, certifying, tol)
+        calls.append((prefixes, residuals, expected, fired, certifying, got))
         return got
 
-    monkeypatch.setattr(teleport, "_find_correction", spy)
+    monkeypatch.setattr(teleport, "_find_corrections", spy)
     for seed in (42, 7):
         for sc in _ALL_SCENARIOS:
             run_scenario(sc, seed=seed)
+    assert len(calls) == 2 * len(_ALL_SCENARIOS)
     corrected = 0
-    for (descs, masks), residuals, expected, cert_rows, (desc, _, best) in calls:
-        if desc is None:
-            continue
-        prefix, _, pauli = desc.rpartition(";")
-        p = descs.index(prefix + ";" if prefix else "")
-        table = pauli_table(residuals.shape[1].bit_length() - 1)
-        t = table.names.index(tuple(pauli.split("*")))
-        perm = np.arange(residuals.shape[1])[None] ^ table.flip[t]
-        sign = table.sign[t:t + 1]
-        fids = np.abs(np.sum(expected.conj()[:, None, :]
-                             * ((residuals * masks[p])[:, perm] * sign),
-                             axis=2)) ** 2
-        own = (fids[cert_rows] if len(cert_rows) else fids).min()
-        assert best == float(own), desc
-        corrected += 1
+    for (descs, masks), residuals, expected, fired, certifying, got in calls:
+        table = pauli_table(expected.shape[1].bit_length() - 1)
+        for res, rows, desc, best in zip(residuals, fired, got[0], got[2]):
+            if desc is None:
+                continue
+            prefix, _, pauli = desc.rpartition(";")
+            p = descs.index(prefix + ";" if prefix else "")
+            t = table.names.index(tuple(pauli.split("*")))
+            perm = np.arange(res.shape[1])[None] ^ table.flip[t]
+            sign = table.sign[t:t + 1]
+            fids = np.abs(np.sum(expected[rows].conj()[:, None, :]
+                                 * ((res[rows] * masks[p])[:, perm] * sign),
+                                 axis=2)) ** 2
+            cert = certifying[rows]
+            own = (fids[cert] if cert.any() else fids).min()
+            assert best == own, desc
+            corrected += 1
     assert corrected
