@@ -98,6 +98,19 @@ def _tolerance(text: str) -> float:
             % text) from None
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: a non-negative integer, as numpy's
+    generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            "must be a non-negative integer, got %r" % text)
+    return seed
+
+
 def _parse_qubits(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -401,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="verify teleportation, dense coding, and LOCC "
                     "discrimination claims on four-qubit resource states")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42,
+    common.add_argument("--seed", type=_seed, default=42,
                         help="seed for randomized probes (default 42)")
     common.add_argument("--tolerance", type=_tolerance, default=ASSERT_TOL,
                         help="assertion tolerance, strictly between 0 and 1 "

@@ -20,6 +20,10 @@ MAX_QUBITS = 12
 # one correction prefix's scores, probes x 4^k x 2^k): 256 MiB.  The Pauli table
 # keeps 4^k x 2^k int8 signs under it too, so k <= 8 (16 MiB)
 MAX_STACK_ENTRIES = 2 ** 24
+# entries of one slice of a stack worked in slices (the teleport correction
+# scores of the open outcomes): 32 MiB, so a slice stays cache- and RSS-sized
+# although one outcome may take up to MAX_STACK_ENTRIES
+SLICE_ENTRIES = 2 ** 21
 
 # Tolerances.  Every module imports these; none defines its own.
 NORM_TOL = 1e-12        # |norm - 1| of a PureState
@@ -230,18 +234,32 @@ def pauli_table(k: int) -> PauliTable:
                       _lock(signs[(words >> 1) @ weights]))
 
 
+@functools.lru_cache(maxsize=None)
+def _pauli_diagonals(k: int) -> np.ndarray:
+    """(4**k, 2**k) flat indices (t ^ flip[x]) * 2**k + t of the entries
+    product x of ``pauli_table(k)`` picks from a (2**k, 2**k) matrix.  Left
+    writeable, since ``np.take`` copies a read-only index on every call;
+    only ``pauli_coefficients`` reads it."""
+    t = np.arange(2 ** k)
+    index = t ^ pauli_table(k).flip[:, None]
+    index <<= k
+    index |= t
+    return index
+
+
 def pauli_coefficients(a: np.ndarray) -> np.ndarray:
     """Tr(P_x a) for every product P_x of ``pauli_table(k)``, in table order,
     of a (2**k, 2**k) matrix or of each matrix of a (..., 2**k, 2**k) stack.
-    P_x has entry sign[x, t] at (t, t ^ flip[x]), so the traces are signed
-    sums along the 2**k diagonals a[t ^ f, t], one per flip f, gathered once."""
+    P_x has entry sign[x, t] at (t, t ^ flip[x]), so each trace is a signed
+    sum along the diagonal a[t ^ flip[x], t], gathered by one ``np.take``
+    into a fresh C-contiguous array: the sum over t then rounds the same way
+    whatever the memory layout of ``a``."""
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("matrix must be square")
-    _, flip, sign = pauli_table(qubit_count(a.shape[-1]))
-    t = np.arange(a.shape[-1])
-    terms = np.take(a[..., t ^ t[:, None], t], flip, axis=-2)
-    terms *= sign
+    k = qubit_count(a.shape[-1])
+    terms = np.take(a.reshape(a.shape[:-2] + (4 ** k,)), _pauli_diagonals(k), axis=-1)
+    terms *= pauli_table(k).sign
     return terms.sum(-1)
 
 

@@ -389,6 +389,9 @@ def run_suite(seed: int = 42, tol: float = ASSERT_TOL,
     unknown = [s for s in picked if s not in SECTIONS]
     if unknown:
         raise ValueError("unknown suite sections: %s" % ", ".join(unknown))
+    repeated = [s for s in dict.fromkeys(picked) if picked.count(s) > 1]
+    if repeated:
+        raise ValueError("repeated suite sections: %s" % ", ".join(repeated))
     rows: list[ClaimRow] = []
     for name in picked:
         rows.extend(SECTIONS[name](seed, tol))

@@ -27,7 +27,14 @@ every Pauli product after one prefix for every outcome still open; the scan
 runs prefix outer and an outcome leaves it at its first candidate that
 works.  One outcome's scores take probes x 4^k x 2^k entries, so a family
 above ``MAX_STACK_ENTRIES`` is refused from the sizes, and the open
-outcomes are scored in slices that stay within it.
+outcomes are scored in slices of at most ``SLICE_ENTRIES`` (2^21) scores,
+one outcome per slice when its own scores are more.
+
+What does not depend on the probe seed is built once per value: the
+resource state (keyed by name, each parameter with its type, and inline
+kets), the family span and the certifying probe rows (keyed by
+``FamilySpec``), each in a bounded memo holding read-only arrays.  Only
+the random probe members are drawn per call.
 
 When no candidate works the result carries a certificate: per outcome, the
 best achievable worst-case fidelity over the probe set.
@@ -45,8 +52,8 @@ import numpy as np
 from .catalog import NamedState, make_state
 from .measure import StepSpec, build_plan, enumerate_outcomes
 from .states import (ASSERT_TOL, MAX_STACK_ENTRIES, PAULI_ORDER, PERP_ALARM,
-                     VALUE_TOL, CapacityError, PureState, check_tolerance,
-                     pauli_coefficients, pauli_table, qubit_count)
+                     SLICE_ENTRIES, VALUE_TOL, CapacityError, PureState,
+                     check_tolerance, pauli_coefficients, pauli_table, qubit_count)
 
 __all__ = [
     "FamilySpec",
@@ -93,31 +100,48 @@ class FamilySpec:
                              % list(self.dressing))
 
 
+@functools.lru_cache(maxsize=1024)
 def family_span(spec: FamilySpec) -> np.ndarray:
     """Orthonormal basis of the family's span, one member per row of a
-    (d, 2**num_qubits) array."""
+    read-only (d, 2**num_qubits) array, memoized by value."""
     k = spec.num_qubits
     d = spec.dressing
     if spec.kind == "arbitrary":
-        return np.eye(2 ** k, dtype=np.complex128)
-    if spec.kind == "w_equal3":
-        kets, word = [{"001": 1.0, "010": 1.0, "100": 1.0, "000": 1.0}], (0, 0, 0)
-    elif spec.kind == "ghz_diag":
-        if len(d) != k:
-            raise ValueError("ghz_diag dressing needs one Pauli index per qubit")
-        kets, word = [{"0" * k: 1.0}, {"1" * k: 1.0}], d
-    else:  # omega_sub
-        if len(d) != 2:
-            raise ValueError("omega_sub dressing needs two Pauli indices")
-        kets = [{"001": 1.0, "111": 1.0}, {"000": 1.0, "110": -1.0}]
-        word = (d[0], 0, d[1])
-    # Pauli PAULI_ORDER[word[q]] on qubit q: row x of pauli_table, x the
-    # word's base-4 digits, qubit 0 first
-    _, flip, sign = pauli_table(len(word))
-    x = sum(w << 2 * q for q, w in enumerate(reversed(word)))
-    span = np.array([PureState.from_kets(terms, normalize=True).amplitudes
-                     for terms in kets])
-    return sign[x] * span[:, np.arange(span.shape[1]) ^ flip[x]]
+        span = np.eye(2 ** k, dtype=np.complex128)
+    else:
+        if spec.kind == "w_equal3":
+            kets, word = [{"001": 1.0, "010": 1.0, "100": 1.0, "000": 1.0}], (0, 0, 0)
+        elif spec.kind == "ghz_diag":
+            if len(d) != k:
+                raise ValueError("ghz_diag dressing needs one Pauli index per qubit")
+            kets, word = [{"0" * k: 1.0}, {"1" * k: 1.0}], d
+        else:  # omega_sub
+            if len(d) != 2:
+                raise ValueError("omega_sub dressing needs two Pauli indices")
+            kets = [{"001": 1.0, "111": 1.0}, {"000": 1.0, "110": -1.0}]
+            word = (d[0], 0, d[1])
+        # Pauli PAULI_ORDER[word[q]] on qubit q: row x of pauli_table, x the
+        # word's base-4 digits, qubit 0 first
+        _, flip, sign = pauli_table(len(word))
+        x = sum(w << 2 * q for q, w in enumerate(reversed(word)))
+        bare = np.array([PureState.from_kets(terms, normalize=True).amplitudes
+                         for terms in kets])
+        span = sign[x] * bare[:, np.arange(bare.shape[1]) ^ flip[x]]
+    span.flags.writeable = False
+    return span
+
+
+@functools.lru_cache(maxsize=1024)
+def _certifying_rows(spec: FamilySpec) -> np.ndarray:
+    """The certifying probes of a family, one read-only row each: the span
+    members, then per pair i < j (s_i + s_j)/sqrt(2) and (s_i + i s_j)/sqrt(2)."""
+    span = family_span(spec)
+    n, dim = span.shape
+    i, j = np.triu_indices(n, 1)
+    pairs = np.stack([span[i] + span[j], span[i] + 1j * span[j]], axis=1) / math.sqrt(2)
+    rows = np.concatenate([span, pairs.reshape(-1, dim)])
+    rows.flags.writeable = False
+    return rows
 
 
 def build_probes(spec: FamilySpec, rng: np.random.Generator,
@@ -125,15 +149,14 @@ def build_probes(spec: FamilySpec, rng: np.random.Generator,
     """The probe stack of a family, one probe per row, and which rows certify.
 
     Rows are the span members, then per pair i < j the superpositions
-    (s_i + s_j)/sqrt(2) and (s_i + i s_j)/sqrt(2), all certifying; then,
-    when the span has more than one member, ``num_random`` seeded random
-    members, which only cross-check.
+    (s_i + s_j)/sqrt(2) and (s_i + i s_j)/sqrt(2), all certifying and
+    memoized by value; then, when the span has more than one member,
+    ``num_random`` seeded random members, drawn per call, which only
+    cross-check.
     """
     span = family_span(spec)
-    n, dim = span.shape
-    i, j = np.triu_indices(n, 1)
-    pairs = np.stack([span[i] + span[j], span[i] + 1j * span[j]], axis=1) / math.sqrt(2)
-    rows = [span, pairs.reshape(-1, dim)]
+    n = len(span)
+    rows = [_certifying_rows(spec)]
     if n > 1:
         # one draw, in the order of per-member real then imaginary draws
         z = rng.standard_normal((num_random, 2, n))
@@ -147,7 +170,7 @@ def build_probes(spec: FamilySpec, rng: np.random.Generator,
         # so the rows do not depend on how a matrix product would round
         rows.append(sum(coeff[:, m, None] * span[m] for m in range(n)))
     vectors = np.concatenate(rows)
-    return vectors, np.arange(len(vectors)) < n + 2 * len(pairs)
+    return vectors, np.arange(len(vectors)) < len(rows[0])
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +211,25 @@ class TeleportScenario:
                 % (MAX_DIAG_QUBITS, self.family.num_qubits))
 
     def resource_state(self) -> NamedState:
-        if self.resource_kets:
-            state = PureState.from_kets(dict(self.resource_kets), normalize=True)
-            return NamedState(name=self.resource, state=state,
-                              note="inline resource")
-        return make_state(self.resource, **dict(self.resource_params))
+        state, (name, params, slocc, note) = _resource(
+            self.resource,
+            tuple([(k, type(v), v) for k, v in self.resource_params.items()]),
+            self.resource_kets)
+        return NamedState(name, state, dict(params), slocc, note)
+
+
+@functools.lru_cache(maxsize=1024)
+def _resource(name: str, params: tuple, kets: tuple) -> tuple[PureState, tuple]:
+    """A scenario's resource state and its catalog name, parameter items,
+    SLOCC class and note, memoized by value; each parameter is keyed with its
+    type, as ``measure.build_plan`` keys them, so ``m=1`` never reuses the
+    entry of ``m=1.0``."""
+    if kets:
+        return (PureState.from_kets(dict(kets), normalize=True),
+                (name, (), None, "inline resource"))
+    named = make_state(name, **{k: v for k, _, v in params})
+    return named.state, (named.name, tuple(named.params.items()), named.slocc,
+                         named.note)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +286,9 @@ def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
     not linear on the span, so the scan goes on.
 
     Per prefix, one Pauli transform scores every product for every outcome
-    still open, in slices that keep it within ``MAX_STACK_ENTRIES``;
-    outcomes leave the open set at their first hit.
+    still open, in slices of at most ``SLICE_ENTRIES`` scores (one outcome
+    when its scores alone exceed that); outcomes leave the open set at their
+    first hit.
     """
     nb, rows, dim = residuals.shape
     k = qubit_count(dim)
@@ -262,7 +300,7 @@ def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
     chosen: list[str | None] = [None] * nb
     min_fid = np.zeros(nb)
     best = np.zeros(nb)
-    step = MAX_STACK_ENTRIES // (rows << 3 * k)
+    step = max(1, SLICE_ENTRIES // (rows << 3 * k))
     open_ = np.arange(nb)
     for desc, mask in zip(*prefixes):
         resolved = np.zeros(len(open_), dtype=bool)
@@ -351,26 +389,26 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
             "plan for %s leaves qubits %s but the receiver holds %s"
             % (scenario.scenario_id, out.kept_qubits, scenario.receiver)
         )
-    # branches are reported in the order the probes first fire them
+    # branches are reported in the order the probes first fire them; every
+    # branch fires for some probe
     probs = out.probabilities
-    firing = [np.flatnonzero(row) for row in probs]
-    order = sorted(range(len(out)), key=lambda j: firing[j][0])
+    fired = probs > 0.0
+    first = fired.argmax(axis=1)
+    last = fired.shape[1] - 1 - fired[:, ::-1].argmax(axis=1)
     # row by row in enumeration order: the reported float depends on the order
     perp = sum(probs[out.perp], np.zeros(len(vectors)))
     max_perp = float(perp.max())
-    lowest = np.where(probs > 0.0, probs, np.inf).min(axis=0)
+    lowest = np.where(fired, probs, np.inf).min(axis=0)
     uniform = not np.any(probs.max(axis=0) - lowest > VALUE_TOL)
 
-    rand_idx = np.flatnonzero(~certifying)
+    # the generic probe: the last random member, else the last probe that fires
+    gen_idx = np.where(certifying.all(), last, len(vectors) - 1)
     chosen, min_fid, best = _find_corrections(
         _prefixes(scenario.allowed_ops, k), out.residuals, vectors,
-        probs > 0.0, certifying, tol)
-    reports: list[OutcomeReport] = []
-    for j in order:
-        gen_idx = rand_idx[-1] if rand_idx.size else firing[j][-1]
-        reports.append(OutcomeReport(out.keys[j], float(probs[j, gen_idx]), chosen[j],
-                                     float(min_fid[j]), float(best[j]),
-                                     bool(out.perp[j])))
+        fired, certifying, tol)
+    reports = [OutcomeReport(out.keys[j], float(probs[j, gen_idx[j]]), chosen[j],
+                             float(min_fid[j]), float(best[j]), bool(out.perp[j]))
+               for j in np.argsort(first, kind="stable")]
     feasible = all(r.correction is not None for r in reports)
 
     reason = ""

@@ -199,6 +199,24 @@ def test_teleport_json_and_text_bytes_pinned(seed, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_teleport_json_bytes_pinned(capsys):
+    # JSON only, every registered scenario and every negative scenario by its
+    # own id at two seeds; memoized scenario inputs must leave every report
+    # as it was
+    ids = sorted(reg.TELEPORT_SCENARIOS) + sorted(
+        sc.scenario_id for group in reg.negative_scenarios().values() for sc in group)
+    assert len(ids) == len(set(ids)) == 68
+    digest = hashlib.sha256()
+    for seed in (42, 7):
+        for sid in ids:
+            rc, out = _json_out(capsys, ["teleport", "--scenario", sid,
+                                         "--seed", str(seed)])
+            assert rc == 0, sid
+            digest.update(out.encode())
+    assert digest.hexdigest() == \
+        "c8f39ed7b8b612381ca91f92c73de051c438ba82f942265eb313f2470a9d2aec"
+
+
 def test_locc_single_run(capsys):
     rc, out = _json_out(capsys, ["locc", "--set", "ghz8",
                                  "--protocol", "ghz_bell_bell"])
@@ -343,6 +361,7 @@ def test_teleport_exit_one_when_expectation_breaks(monkeypatch, capsys):
     ["catalog", "--basis", "bell", "--dump"],
     ["catalog", "--dump", "--param", "m=1"],
     ["teleport", "--file", "wide.json"],     # 1 + 12 joint qubits
+    ["suite", "--sections", "teleport,teleport"],
 ])
 def test_usage_errors_exit_two(argv, capsys, tmp_path, monkeypatch):
     # a valid scenario file, so a --file case fails on its flags alone
@@ -366,6 +385,30 @@ def test_tolerance_outside_unit_interval_exits_two(value, capsys):
     assert captured.out == ""
     assert "--tolerance: must be a finite number strictly between 0 and 1" \
         in captured.err
+
+
+@pytest.mark.parametrize("command", ["teleport", "suite"])
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_negative_or_non_integer_seed_is_refused_by_name(command, value, capsys):
+    argv = [command] + (["--scenario", "ghz1_ghz4basis"] if command == "teleport" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0] + "\n"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == usage + (
+        "quadproto %s: error: argument --seed: must be a non-negative integer, "
+        "got %r\n" % (command, value))
+
+
+def test_repeated_suite_sections_exit_two(capsys):
+    assert main(["suite", "--sections", "teleport,bases,teleport"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: repeated suite sections: "
+                                                "teleport\n")
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])

@@ -34,6 +34,8 @@ TEMPLATES = (
     ["catalog", "--state", "W_mn", "--param", "m=1", "--param", "n=1"],
     ["catalog", "--basis", "pi_2q", "--param", "i=1", "--param", "j=2"],
     ["diagnose", "--state", "GHZ4"],
+    # refused: a section named twice
+    ["suite", "--sections", "bases,bases", "--format", "json"],
     ["teleport", "--list"],
 )
 # bad ids, repeated or out-of-range qubits, non-finite and overflowing

@@ -369,6 +369,28 @@ def test_stacked_pauli_coefficients_are_per_matrix_calls(k):
         assert np.abs(got[i, j] - want).max() < 1e-12, (i, j)
 
 
+def _two_step_pauli_coefficients(a):
+    """The two-gather form the one ``np.take`` replaced: the 2**k flip
+    diagonals a[..., t ^ f, t] first, then one row per product by its flip."""
+    _, flip, sign = pauli_table(a.shape[-1].bit_length() - 1)
+    t = np.arange(a.shape[-1])
+    terms = np.take(a[..., t ^ t[:, None], t], flip, axis=-2)
+    terms *= sign
+    return terms.sum(-1)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_one_gather_matches_the_two_step_gather(k):
+    # bit for bit, whatever the layout: the sum over t must round as before
+    rng = np.random.default_rng(20 + k)
+    d = 2 ** k
+    base = rng.normal(size=(3, 4, d, d)) + 1j * rng.normal(size=(3, 4, d, d))
+    stacks = [base, base[1, 2], base.transpose(1, 0, 3, 2), base[::-1, ::2],
+              base[..., ::-1, :], np.asfortranarray(base), base.real]
+    for i, a in enumerate(stacks):
+        assert np.array_equal(pauli_coefficients(a), _two_step_pauli_coefficients(a)), i
+
+
 def test_pauli_coefficients_reject_a_matrix_that_is_not_square():
     for bad in (np.zeros(4), np.zeros((2, 4)), np.zeros((3, 3)),
                 np.zeros((5, 2, 4)), np.zeros((5, 3, 3))):

@@ -47,6 +47,12 @@ def test_unknown_section_rejected():
         run_suite(sections=("teleport", "nope"))
 
 
+def test_repeated_sections_rejected():
+    # each section once: a repeat would print its claim ids twice
+    with pytest.raises(ValueError, match=r"^repeated suite sections: teleport, bases$"):
+        run_suite(sections=("teleport", "bases", "teleport", "diagnostics", "bases"))
+
+
 def test_text_rendering(full_report):
     text = format_text(full_report)
     lines = text.strip().splitlines()

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ import pytest
 from quadproto import scenarios as reg
 from quadproto import teleport
 from quadproto.measure import StepSpec, build_plan, enumerate_outcomes
-from quadproto.states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, SIGMA, VALUE_TOL,
-                              CapacityError, PureState, apply_local, pauli_table,
-                              tensor)
+from quadproto.scenario_io import dumps_scenario, loads_scenario
+from quadproto.states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, SIGMA,
+                              SLICE_ENTRIES, VALUE_TOL, CapacityError, PureState,
+                              apply_local, pauli_table, tensor)
 from quadproto.teleport import (
     FamilySpec,
     OutcomeReport,
@@ -140,6 +142,74 @@ def test_probes_deterministic_per_seed():
     a, _ = build_probes(spec, np.random.default_rng(7))
     b, _ = build_probes(spec, np.random.default_rng(7))
     assert np.array_equal(a, b)
+
+
+# --- seed-independent inputs, memoized by value --------------------------------
+
+def test_round_tripped_scenario_builds_its_resource_once(monkeypatch):
+    # a scenario read back from its JSON is a new object of equal value, so
+    # its second run reuses the resource its first run built
+    sc = loads_scenario(dumps_scenario(reg.TELEPORT_SCENARIOS["w11_etazeta"]))
+    real = teleport.make_state
+    calls = []
+
+    def spy(name, **params):
+        calls.append((name, params))
+        return real(name, **params)
+
+    monkeypatch.setattr(teleport, "make_state", spy)
+    teleport._resource.cache_clear()
+    first = run_scenario(sc, seed=3)
+    second = run_scenario(sc, seed=3)
+    named = sc.resource_state()
+    assert calls == [("W_mn", {"m": 1, "n": 1})]
+    assert repr(first) == repr(second)
+    # the wrapper carries what the catalog returned
+    want = real("W_mn", m=1, n=1)
+    assert np.array_equal(named.state.amplitudes, want.state.amplitudes)
+    assert ((named.name, named.params, named.slocc, named.note)
+            == (want.name, want.params, want.slocc, want.note))
+
+
+def test_resource_parameters_are_keyed_with_their_type():
+    # m=1 and m=1.0 name the same state but get separate entries, as
+    # build_plan keys its parameters
+    base = reg.TELEPORT_SCENARIOS["w11_etazeta"]
+    teleport._resource.cache_clear()
+    states = [dataclasses.replace(base, resource_params={"m": m, "n": 1}).resource_state()
+              for m in (1, 1.0, 1)]
+    info = teleport._resource.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (2, 1, 2)
+    assert np.array_equal(states[0].state.amplitudes, states[1].state.amplitudes)
+    # inline kets are part of the key
+    pair = TeleportScenario("pair", "pair", FamilySpec("arbitrary", 1),
+                            (StepSpec((0, 1), "bell"),), (2,),
+                            resource_kets=(("00", 1.0), ("11", 1.0)))
+    minus = dataclasses.replace(pair, resource_kets=(("00", 1.0), ("11", -1.0)))
+    assert pair.resource_state().state.amplitudes[3] > 0
+    assert minus.resource_state().state.amplitudes[3] < 0
+
+
+def test_memoized_inputs_are_read_only():
+    spec = FamilySpec("ghz_diag", 2, (1, 3))
+    sc = reg.TELEPORT_SCENARIOS["w11_etazeta"]
+    for arr in (family_span(spec), teleport._certifying_rows(spec),
+                sc.resource_state().state.amplitudes):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert family_span(spec) is family_span(FamilySpec("ghz_diag", 2, (1, 3)))
+    # the probe stack and the NamedState are built per call, the caller's own
+    vectors, _ = build_probes(spec, np.random.default_rng(0))
+    vectors[:] = 0
+    again, _ = build_probes(spec, np.random.default_rng(0))
+    assert np.array_equal(again[:2], family_span(spec))
+    sc.resource_state().params["m"] = 99.0
+    assert sc.resource_state().params["m"] == 1.0
+    # exceptions are not cached: a bad family is refused on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="one Pauli index per qubit"):
+            family_span(FamilySpec("ghz_diag", 3, (0,)))
 
 
 # --- frozen correction tables -------------------------------------------------
@@ -620,7 +690,7 @@ def test_find_corrections_resolves_a_mixed_batch(monkeypatch):
         "paulis", residuals[2:4], expected, fired[2:4], certifying, ASSERT_TOL)
     assert first < got[2][2] and second == got[3][2]
     # slices of two outcomes: three at the identity prefix, two after CZ(0,1)
-    monkeypatch.setattr(teleport, "MAX_STACK_ENTRIES", 2 * rows * 4 ** 3)
+    monkeypatch.setattr(teleport, "SLICE_ENTRIES", 2 * rows * 4 ** 3)
     assert _find_each("paulis+cz", residuals, expected, fired, certifying,
                       ASSERT_TOL) == got
 
@@ -628,8 +698,8 @@ def test_find_corrections_resolves_a_mixed_batch(monkeypatch):
 @pytest.mark.parametrize("seed", [42, 7])
 def test_sliced_scan_matches_the_unsliced_one(seed, monkeypatch):
     # 36 probes of a two-qubit family: one outcome's scores are 36 x 4^2 x
-    # 2^2 entries, so a limit of three of them splits the 16 outcomes into
-    # six slices, and still admits the 36 x 2^6 joint stack
+    # 2^2 entries, so a slice budget of three of them splits the 16 outcomes
+    # into six slices
     sc = reg.TELEPORT_SCENARIOS["omega2_bellbell_cz"]
     want = run_scenario(sc, seed=seed)
     assert len(want.outcomes) == 16 and want.num_probes == 36
@@ -642,10 +712,48 @@ def test_sliced_scan_matches_the_unsliced_one(seed, monkeypatch):
         return real(a)
 
     monkeypatch.setattr(teleport, "pauli_coefficients", spy)
-    monkeypatch.setattr(teleport, "MAX_STACK_ENTRIES", limit)
+    monkeypatch.setattr(teleport, "SLICE_ENTRIES", limit)
     got = run_scenario(sc, seed=seed)
     assert got == want and repr(got) == repr(want)
     assert max(entries) == limit and len(entries) > len(teleport._prefixes("paulis+cz", 2)[0])
+
+
+def test_four_qubit_scan_stays_within_the_slice_budget(monkeypatch):
+    # five outcomes over the 276 probes of an arbitrary four-qubit family:
+    # one outcome's scores are 276 x 4^4 x 2^4 entries (18 MB), so the budget
+    # scores them one at a time; slices sized by MAX_STACK_ENTRIES took all
+    # five at once, and took four Bell pairs teleporting four qubits to 377 MB
+    expected, certifying = build_probes(FamilySpec("arbitrary", 4),
+                                        np.random.default_rng(5))
+    rows = len(expected)
+    rng = np.random.default_rng(6)
+    residuals = (rng.standard_normal((5, rows, 16))
+                 + 1j * rng.standard_normal((5, rows, 16)))
+    residuals /= np.linalg.norm(residuals, axis=2, keepdims=True)
+    residuals[0] = expected  # the identity corrects outcome 0
+    fired = np.ones((5, rows), dtype=bool)
+    entries = []
+    real = teleport.pauli_coefficients
+
+    def spy(a):
+        entries.append(a.size * a.shape[-1])  # the gathered rows x 4^k x 2^k
+        return real(a)
+
+    monkeypatch.setattr(teleport, "pauli_coefficients", spy)
+    prefixes = teleport._prefixes("paulis", 4)
+    real(residuals[:1, :1, :, None] * expected[:1].conj())  # tables built untraced
+    tracemalloc.start()
+    try:
+        chosen, _, _ = teleport._find_corrections(prefixes, residuals, expected,
+                                                  fired, certifying, ASSERT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chosen == ["s0*s0*s0*s0"] + [None] * 4
+    assert entries == [rows * 8 ** 4] * 5
+    assert max(entries) <= SLICE_ENTRIES
+    # one slice's complex scores at the full budget: 32 MiB
+    assert peak < 16 * SLICE_ENTRIES
 
 
 @pytest.mark.parametrize("allowed", ["paulis", "paulis+cz", "paulis+diag"])
