@@ -22,10 +22,12 @@ array, and refuses 4^k x 2^n above the same limit.
 Encodings that produce the same state up to global phase are collapsed to
 one class first (they can never be distinguished): in encoding order, an
 encoding j starts a new class unless abs(mag[r xor j] - 1) < tol for a
-representative r already found.  Representatives i and j are adjacent when
-mag[i xor j] < tol.  The clique search is exact and returns the
-lexicographically smallest maximum clique over the representatives, so
-results are deterministic.
+representative r already found.  One claiming pass applies that rule: an
+unclaimed j starts a class and at once claims every unclaimed j xor s with
+abs(mag[s] - 1) < tol, so the earliest matching representative claims each
+row first.  Representatives i and j are adjacent when mag[i xor j] < tol.
+The clique search is exact and returns the lexicographically smallest
+maximum clique over the representatives, so results are deterministic.
 
 The search first finds c0, one more than the largest clique in vertex 0's
 neighbourhood, so the largest clique through the identity encoding.  The
@@ -37,8 +39,11 @@ certificate is read off the classes and the thresholded adjacency alone
 equal to the edge from 0 to the class of rep_i xor rep_j), so it adds no
 floating-point comparison and cannot change a result; it is built only
 when the colouring bound leaves the question open.  A Cayley graph is
-vertex-transitive, so some maximum clique contains vertex 0.  Otherwise
-the bound is searched over the whole graph, starting from c0.
+vertex-transitive, so some maximum clique contains vertex 0, and its
+clique number is at most floor(n / alpha) with alpha its independence
+number (the clique-coclique bound): the search through vertex 0 stops as
+soon as it reaches that bound, and otherwise runs to the end.  Without the
+certificate the whole graph is searched, starting from c0.
 """
 
 from __future__ import annotations
@@ -108,22 +113,23 @@ def encoded_states(resource: PureState, sender_qubits: tuple[int, ...],
 def _representatives(mag: np.ndarray, tol: float) -> tuple[list[int], np.ndarray]:
     """Encoding indices of the first member of each global-phase class, and
     the class of every encoding: a representative's own class index, or the
-    first representative it matched.  ``mag[x]`` is |<psi|P_x|psi>|."""
-    same = np.abs(mag - 1.0) < tol
-    reps = np.empty(len(mag), dtype=np.intp)
-    cls = np.empty(len(mag), dtype=np.intp)
-    r = 0
-    for j in range(len(mag)):
-        if r:
-            hits = same[reps[:r] ^ j]
-            first = hits.argmax()
-            if hits[first]:
-                cls[j] = first
-                continue
-        reps[r] = j
-        cls[j] = r
-        r += 1
-    return reps[:r].tolist(), cls
+    first representative it matched.  ``mag[x]`` is |<psi|P_x|psi>|.
+
+    Encodings are walked in order; an unclaimed j starts a class and at once
+    claims every unclaimed j ^ s with abs(mag[s] - 1) < tol.  The earliest
+    matching representative claims a row first, so this is the sequential
+    first-match rule, at one step per (representative, s) pair."""
+    same = np.flatnonzero(np.abs(mag - 1.0) < tol).tolist()
+    cls = [-1] * len(mag)
+    reps: list[int] = []
+    for j, c in enumerate(cls):
+        if c < 0:
+            c = cls[j] = len(reps)
+            reps.append(j)
+            for s in same:
+                if cls[j ^ s] < 0:
+                    cls[j ^ s] = c
+    return reps, np.array(cls, dtype=np.intp)
 
 
 def _is_cayley(cls: np.ndarray, rep_rows: list[int], ortho: np.ndarray) -> bool:
@@ -171,9 +177,11 @@ def _greedy_colouring(adj: list[int], pool: int) -> list[tuple[int, int]]:
     return order
 
 
-def _max_clique_size(adj: list[int], cand: int, lower: int = 0) -> int:
+def _max_clique_size(adj: list[int], cand: int, lower: int = 0,
+                     upper: float = math.inf) -> int:
     """Exact maximum clique size within the candidate bitmask, or ``lower``
-    when no clique there is larger."""
+    when no clique there is larger.  ``upper`` is a known bound on it: the
+    search stops as soon as it finds a clique that large."""
     best = lower
 
     def expand(size: int, pool: int) -> None:
@@ -184,7 +192,7 @@ def _max_clique_size(adj: list[int], cand: int, lower: int = 0) -> int:
             best = max(best, size + len(colouring))
             return
         for v, bound in reversed(colouring):
-            if size + bound <= best:
+            if size + bound <= best or best >= upper:
                 return
             expand(size + 1, pool & adj[v])
             pool &= ~(1 << v)
@@ -196,11 +204,35 @@ def _max_clique_size(adj: list[int], cand: int, lower: int = 0) -> int:
 def _lex_smallest_maximum_clique(adj: list[int], n: int,
                                  transitive: Callable[[], bool]) -> list[int]:
     """The lexicographically smallest maximum clique.  ``transitive`` is asked,
-    only when the cheap bounds leave it open, whether the graph is known to be
-    vertex-transitive, so that vertex 0 lies in a maximum clique."""
+    only when the greedy-colouring bound leaves the size open, whether the
+    graph is known to be vertex-transitive, so that vertex 0 lies in a
+    maximum clique.
+
+    The bound starts as the colour count of a greedy colouring of the whole
+    graph.  For a vertex-transitive graph on n vertices it becomes
+    floor(n / alpha), alpha the independence number, found as the largest
+    clique of the complement: a clique and an independent set share at most
+    one vertex, and averaging over the automorphisms that move the clique
+    around the graph gives omega * alpha <= n (the clique-coclique bound;
+    Godsil & Royle, Algebraic Graph Theory, Springer 2001).  It never exceeds
+    the colouring bound, whose colour classes are independent sets.  The
+    search through vertex 0 stops once it reaches the bound and otherwise
+    runs to the end, so c0 is exact either way.  When the graph is not known
+    to be vertex-transitive and c0 falls short of the colouring bound, the
+    whole graph is searched from c0 up."""
     full = (1 << n) - 1
-    c0 = 1 + _max_clique_size(adj, adj[0])
-    if c0 >= _greedy_colouring(adj, full)[-1][1] or transitive():
+    bound = _greedy_colouring(adj, full)[-1][1]
+    # asked before c0 when c0 cannot reach the bound: the graph is neither
+    # edgeless nor complete, and c0 is at most 1 + the colour count of vertex
+    # 0's neighbourhood; otherwise asked only if c0 falls short
+    early = 1 < bound < n and (
+        not adj[0] or 1 + _greedy_colouring(adj, adj[0])[-1][1] < bound)
+    cayley = early and transitive()
+    if cayley:
+        coclique = [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
+        bound = n // _max_clique_size(coclique, full)
+    c0 = 1 + _max_clique_size(adj, adj[0], upper=bound - 1)
+    if c0 >= bound or cayley or not early and transitive():
         target = c0
     else:
         target = _max_clique_size(adj, full, lower=c0)

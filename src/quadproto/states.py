@@ -234,17 +234,21 @@ def pauli_table(k: int) -> PauliTable:
                       _lock(signs[(words >> 1) @ weights]))
 
 
-@functools.lru_cache(maxsize=None)
-def _pauli_diagonals(k: int) -> np.ndarray:
-    """(4**k, 2**k) flat indices (t ^ flip[x]) * 2**k + t of the entries
-    product x of ``pauli_table(k)`` picks from a (2**k, 2**k) matrix.  Left
-    writeable, since ``np.take`` copies a read-only index on every call;
-    only ``pauli_coefficients`` reads it."""
+def _pauli_diagonals(k: int, products: slice = slice(None)) -> np.ndarray:
+    """(len(products), 2**k) flat indices (t ^ flip[x]) * 2**k + t of the
+    entries each product x of ``pauli_table(k)`` in ``products`` picks from a
+    (2**k, 2**k) matrix.  Left writeable, since ``np.take`` copies a
+    read-only index on every call; only ``pauli_coefficients`` reads it."""
     t = np.arange(2 ** k)
-    index = t ^ pauli_table(k).flip[:, None]
+    index = t ^ pauli_table(k).flip[products, None]
     index <<= k
     index |= t
     return index
+
+
+# the whole index of every k whose 8**k entries fit SLICE_ENTRIES (k <= 7,
+# 16 MiB); a k = 8 index is built per call, a slice at a time, and not kept
+_cached_pauli_diagonals = functools.lru_cache(maxsize=None)(_pauli_diagonals)
 
 
 def pauli_coefficients(a: np.ndarray) -> np.ndarray:
@@ -253,14 +257,24 @@ def pauli_coefficients(a: np.ndarray) -> np.ndarray:
     P_x has entry sign[x, t] at (t, t ^ flip[x]), so each trace is a signed
     sum along the diagonal a[t ^ flip[x], t], gathered by one ``np.take``
     into a fresh C-contiguous array: the sum over t then rounds the same way
-    whatever the memory layout of ``a``."""
+    whatever the memory layout of ``a``.  Products are gathered in slices of
+    ``SLICE_ENTRIES`` index entries, which is one slice up to k = 7; each
+    row's sum is the same whatever the slicing."""
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("matrix must be square")
     k = qubit_count(a.shape[-1])
-    terms = np.take(a.reshape(a.shape[:-2] + (4 ** k,)), _pauli_diagonals(k), axis=-1)
-    terms *= pauli_table(k).sign
-    return terms.sum(-1)
+    flat = a.reshape(a.shape[:-2] + (4 ** k,))
+    sign = pauli_table(k).sign
+    step = SLICE_ENTRIES >> k
+    parts = []
+    for lo in range(0, 4 ** k, step):
+        index = (_cached_pauli_diagonals(k) if step >= 4 ** k
+                 else _pauli_diagonals(k, slice(lo, lo + step)))
+        terms = np.take(flat, index, axis=-1)
+        terms *= sign[lo:lo + step]
+        parts.append(terms.sum(-1))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
 def pauli(name: str) -> LocalUnitary:

@@ -2,8 +2,11 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -143,6 +146,24 @@ def test_densecode_all_json_bytes_pinned(capsys):
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "43c9796250d0c5fe5a3d3fc8b703c984b93eadbaece29bacb622a154fc127104"
+
+
+def test_densecode_per_state_json_bytes_pinned(capsys):
+    # counts, class counts and witness labels of every ordered sender tuple of
+    # 1-4 qubits on the catalog states: a faster clique search or phase-class
+    # pass must leave each query as it was
+    out = ""
+    for state, params in (("GHZ4", []), ("W4", []), ("Omega", []), ("Q4", []),
+                          ("Q5", []), ("Q4_11", []),
+                          ("W_mn", ["--param", "m=1", "--param", "n=1"])):
+        for size in range(1, 5):
+            for qubits in itertools.permutations(range(4), size):
+                rc, text = _json_out(capsys, ["densecode", "--state", state, "--qubits",
+                                              ",".join(map(str, qubits))] + params)
+                assert rc == 0
+                out += text
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "679cc33fc586c5c77c954e2e992113900e77633d1cd382d9561f96f818afa6ee"
 
 
 def test_locc_set_protocol_json_bytes_pinned(capsys):
@@ -625,3 +646,18 @@ def test_seed_and_tolerance_flags_accepted(capsys):
                                  "--seed", "7", "--tolerance", "1e-9"])
     assert rc == 0
     assert json.loads(out)["feasible"] is True
+
+
+def test_python_dash_m_runs_the_cli():
+    # ``python -m quadproto`` is the console script: its exit code included
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    ok = subprocess.run([sys.executable, "-m", "quadproto", "catalog", "--format", "json"],
+                        env=env, capture_output=True, text=True, timeout=120)
+    assert ok.returncode == 0, ok.stderr
+    assert "GHZ4" in json.loads(ok.stdout)["states"]
+    bad = subprocess.run([sys.executable, "-m", "quadproto", "densecode"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert bad.returncode == 2
+    assert bad.stderr == "error: densecode needs --state and --qubits (or --all)\n"

@@ -1,12 +1,15 @@
 """Dense-coding message counting."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from quadproto import densecode
 from quadproto import scenarios as reg
+from quadproto import states
 from quadproto.catalog import make_state
 from quadproto.densecode import (
     MAX_ENCODED_ENTRIES,
@@ -200,6 +203,27 @@ def test_twelve_qubit_cat_with_six_senders_is_answered():
     # once refused for its 4^6 x 2^12 encodings, which a query no longer builds
     res = distinguishable_messages(make_state("GHZ:12").state, tuple(range(6)))
     assert (res.count, res.num_classes, res.num_encodings) == (128, 128, 4096)
+
+
+def test_eight_sender_query_keeps_no_pauli_index():
+    # the k = 8 gather index, 4^8 x 2^8 int64, would take 128 MiB: it is built
+    # per call, a slice of SLICE_ENTRIES at a time, and not cached
+    assert 8 ** 7 <= states.SLICE_ENTRIES < 8 ** 8
+    states._cached_pauli_diagonals.cache_clear()
+    res = distinguishable_messages(make_state("GHZ:8").state, tuple(range(8)))
+    assert (res.count, res.num_classes, res.num_encodings) == (256, 256, 65536)
+    assert states._cached_pauli_diagonals.cache_info().currsize == 0
+    rho = np.diag(np.full(256, 1 / 256)).astype(complex)
+    tracemalloc.start()
+    try:
+        mag = pauli_coefficients(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the traceless products of a maximally mixed state
+    assert mag[0] == 1 and np.count_nonzero(mag) == 1
+    # under the 128 MiB of the whole index; the unsliced gather took 384 MiB
+    assert peak < 2 ** 27
 
 
 @pytest.mark.parametrize("k", [-1, 5, 9])
@@ -458,6 +482,54 @@ def test_representatives_take_the_first_matching_class():
     assert multiple
 
 
+def _sequential_representatives(mag, tol):
+    """The row-by-row rule the claiming pass replaced, kept as its oracle."""
+    same = np.abs(mag - 1.0) < tol
+    reps = np.empty(len(mag), dtype=np.intp)
+    cls = np.empty(len(mag), dtype=np.intp)
+    r = 0
+    for j in range(len(mag)):
+        if r:
+            hits = same[reps[:r] ^ j]
+            first = hits.argmax()
+            if hits[first]:
+                cls[j] = first
+                continue
+        reps[r] = j
+        cls[j] = r
+        r += 1
+    return reps[:r].tolist(), cls
+
+
+def _assert_same_representatives(mag, tol):
+    """Whether some row matched more than one representative."""
+    want_reps, want_cls = _sequential_representatives(mag, tol)
+    got_reps, got_cls = densecode._representatives(mag, tol)
+    assert got_reps == want_reps, tol
+    assert got_cls.dtype == want_cls.dtype and np.array_equal(got_cls, want_cls), tol
+    same = np.abs(mag - 1.0) < tol
+    return any(same[np.asarray(want_reps) ^ j].sum() > 1 for j in range(len(mag)))
+
+
+def test_claiming_pass_matches_the_sequential_rule():
+    # random magnitudes, a fifth of them exactly 1 as whole cosets give, so
+    # at loose tolerances rows match several representatives; mag[0] is
+    # often outside the tolerance, so a representative may not match itself
+    rng = np.random.default_rng(20261019)
+    multiple = 0
+    for k in (1, 2, 3, 4):
+        for _ in range(10):
+            mag = rng.random(4 ** k)
+            mag[rng.random(4 ** k) < 0.2] = 1.0
+            for tol in (1e-10, 1e-2, 0.3, 0.9):
+                multiple += _assert_same_representatives(mag, tol)
+    assert multiple
+    # a cat state with every qubit sending: 16,384 rows in 128 cosets
+    mag = _mag(make_state("GHZ:7").state, tuple(range(7)))
+    _assert_same_representatives(mag, ASSERT_TOL)
+    assert len(densecode._representatives(mag, ASSERT_TOL)[0]) == 128
+
+
 def _cosets_of_s(s, reps):
     """cls over the 16 rows of k = 2 for classes r ^ s, one per
     representative r."""
@@ -512,22 +584,28 @@ def test_certificate_refuses_a_flipped_edge():
 
 
 def _spied_search(monkeypatch, adj, n, transitive):
-    """The search's clique, whether it asked ``transitive`` and every
-    (candidate, lower) pair it searched."""
+    """The search's clique, whether it asked ``transitive``, every
+    (candidate, lower) pair it searched in ``adj`` and every candidate it
+    searched in another adjacency (the complement's, for the
+    clique-coclique bound)."""
     searched = []
+    elsewhere = []
     asked = []
     real = densecode._max_clique_size
 
-    def spy(adj_, cand, lower=0):
-        searched.append((cand, lower))
-        return real(adj_, cand, lower)
+    def spy(adj_, cand, lower=0, upper=math.inf):
+        if adj_ is adj:
+            searched.append((cand, lower))
+        else:
+            elsewhere.append(cand)
+        return real(adj_, cand, lower, upper)
 
     def ask():
         asked.append(True)
         return transitive
 
     monkeypatch.setattr(densecode, "_max_clique_size", spy)
-    return _lex_smallest_maximum_clique(adj, n, ask), bool(asked), searched
+    return _lex_smallest_maximum_clique(adj, n, ask), bool(asked), searched, elsewhere
 
 
 @pytest.mark.parametrize("edges,n,want", [
@@ -541,7 +619,7 @@ def test_search_falls_back_to_the_full_graph(edges, n, want, monkeypatch):
     for a, b in edges:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    got, asked, searched = _spied_search(monkeypatch, adj, n, False)
+    got, asked, searched, _ = _spied_search(monkeypatch, adj, n, False)
     assert got == _reference_lex_clique(adj, n) == want
     assert asked
     c0 = 1 + densecode._max_clique_size(adj, adj[0])
@@ -555,7 +633,7 @@ def test_search_matches_reference_on_random_graphs(monkeypatch):
         n = int(rng.integers(1, 25))
         upper = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
         adj = _adj(upper | upper.T)
-        got, asked, searched = _spied_search(monkeypatch, adj, n, False)
+        got, asked, searched, _ = _spied_search(monkeypatch, adj, n, False)
         assert got == _reference_lex_clique(adj, n), adj
         branches.add((asked, any(cand == (1 << n) - 1 for cand, _ in searched)))
     # both the colouring shortcut and the full search were taken
@@ -575,11 +653,53 @@ def test_search_trusts_the_certificate_on_cayley_graphs(monkeypatch):
         ortho = conn[np.bitwise_xor.outer(np.arange(size), np.arange(size))]
         assert densecode._is_cayley(np.arange(size), list(range(size)), ortho)
         adj = _adj(ortho)
-        got, asked, searched = _spied_search(monkeypatch, adj, size, True)
+        got, asked, searched, _ = _spied_search(monkeypatch, adj, size, True)
         assert got == _reference_lex_clique(adj, size)
         assert all(cand != (1 << size) - 1 for cand, _ in searched)
         asked_any |= asked
     assert asked_any
+
+
+def test_clique_coclique_bound_left_open_on_the_clebsch_graph(monkeypatch):
+    # the Clebsch graph, a Cayley graph on Z2^4 with connection set
+    # {1, 2, 4, 8, 15}: omega = 2 and alpha = 5, so the bound floor(16 / 5) = 3
+    # is never reached and the search through vertex 0 runs to the end
+    ortho = np.isin(np.bitwise_xor.outer(np.arange(16), np.arange(16)),
+                    [1, 2, 4, 8, 15])
+    assert densecode._is_cayley(np.arange(16), list(range(16)), ortho)
+    adj = _adj(ortho)
+    full = (1 << 16) - 1
+    assert _reference_max_clique_size(_adj(~ortho & ~np.eye(16, dtype=bool)), full) == 5
+    got, asked, searched, elsewhere = _spied_search(monkeypatch, adj, 16, True)
+    assert got == _reference_lex_clique(adj, 16)
+    assert len(got) == 2 < 16 // 5
+    assert asked and elsewhere == [full]
+    assert all(cand != full for cand, _ in searched)
+
+
+@pytest.mark.parametrize("name,qubits", [
+    ("Q4", (0, 1, 2)), ("Q4_11", (0, 2, 3)), ("W4", (0, 1, 2))])
+def test_clique_coclique_bound_settles_the_heavy_cayley_graphs(name, qubits, monkeypatch):
+    # 64 classes, greedy colouring bound 16: the largest independent set has
+    # 8 vertices, so floor(64 / 8) = 8 = omega, and the search through vertex
+    # 0 stops at its first clique of 7 neighbours
+    st = make_state(name).state
+    adj = _adj(_graph(st, qubits)[2])
+    full = (1 << len(adj)) - 1
+    assert densecode._greedy_colouring(adj, full)[-1][1] == 16
+    calls = []
+    real = densecode._max_clique_size
+
+    def spy(adj_, cand, lower=0, upper=math.inf):
+        got = real(adj_, cand, lower, upper)
+        calls.append((adj_ == adj, cand, upper, got))
+        return got
+
+    monkeypatch.setattr(densecode, "_max_clique_size", spy)
+    res = distinguishable_messages(st, qubits)
+    assert res.count == 8
+    assert calls[:2] == [(False, full, math.inf, 8), (True, adj[0], 7, 7)]
+    assert not any(same and cand == full for same, cand, _, _ in calls)
 
 
 @pytest.mark.parametrize("n", [1, 2, 16, 128])

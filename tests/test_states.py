@@ -9,6 +9,7 @@ import pytest
 
 import quadproto
 from quadproto import scenarios as reg
+from quadproto import states
 from quadproto.teleport import FamilySpec, family_span
 
 from quadproto.states import (
@@ -380,15 +381,20 @@ def _two_step_pauli_coefficients(a):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
-def test_one_gather_matches_the_two_step_gather(k):
-    # bit for bit, whatever the layout: the sum over t must round as before
+def test_one_gather_matches_the_two_step_gather(k, monkeypatch):
+    # bit for bit, whatever the layout: the sum over t must round as before,
+    # also gathered two products per slice, as a k = 8 gather is sliced
     rng = np.random.default_rng(20 + k)
     d = 2 ** k
     base = rng.normal(size=(3, 4, d, d)) + 1j * rng.normal(size=(3, 4, d, d))
     stacks = [base, base[1, 2], base.transpose(1, 0, 3, 2), base[::-1, ::2],
               base[..., ::-1, :], np.asfortranarray(base), base.real]
     for i, a in enumerate(stacks):
-        assert np.array_equal(pauli_coefficients(a), _two_step_pauli_coefficients(a)), i
+        want = _two_step_pauli_coefficients(a)
+        assert np.array_equal(pauli_coefficients(a), want), i
+        with monkeypatch.context() as patch:
+            patch.setattr(states, "SLICE_ENTRIES", 2 << k)
+            assert np.array_equal(pauli_coefficients(a), want), i
 
 
 def test_pauli_coefficients_reject_a_matrix_that_is_not_square():
