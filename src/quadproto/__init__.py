@@ -17,11 +17,10 @@ from .states import (
     LocalUnitary,
     SIGMA,
     apply_local,
+    apply_paulis,
     basis_state,
-    controlled_phase,
     fidelity,
     inner,
-    pauli,
     pauli_table,
     permute_qubits,
     purity,
@@ -98,8 +97,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MAX_QUBITS", "PAULI_ORDER", "PureState", "DensityMatrix", "LocalUnitary",
-    "SIGMA", "apply_local", "basis_state", "controlled_phase", "fidelity",
-    "inner", "pauli", "pauli_table", "permute_qubits",
+    "SIGMA", "apply_local", "apply_paulis", "basis_state", "fidelity",
+    "inner", "pauli_table", "permute_qubits",
     "purity", "random_state", "random_unitary", "reduced_density", "tensor",
     "CORRECTIONS", "BasisCorrection", "NamedBasis", "NamedState",
     "basis_names", "corrections_for", "make_basis", "make_state",

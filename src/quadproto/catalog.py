@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .states import ASSERT_TOL, GRAM_TOL, PureState, apply_local, pauli
+from .states import ASSERT_TOL, GRAM_TOL, PureState, apply_paulis
 
 __all__ = [
     "NamedState",
@@ -424,17 +424,6 @@ def _omega16() -> NamedBasis:
     return _basis("omega16", entries)
 
 
-def _dress(basis: NamedBasis, name: str,
-           ops: Sequence[tuple[int, str]]) -> NamedBasis:
-    """Apply single-qubit Paulis to every vector of a basis."""
-    vectors = []
-    for v in basis.vectors:
-        for qubit, op in ops:
-            v = apply_local(v, pauli(op), [qubit])
-        vectors.append(v)
-    return NamedBasis(name, basis.labels, tuple(vectors))
-
-
 _PAULI_NAMES = ("s0", "s1", "s2", "s3")
 
 
@@ -446,17 +435,23 @@ def _check_pauli_index(i: int) -> str:
     return _PAULI_NAMES[i]
 
 
+def _dress(basis: NamedBasis, name: str, *indices: int) -> NamedBasis:
+    """Apply Pauli ``indices[q]`` of s0..s3 to qubit q of every vector of a
+    basis, s0 to the qubits past the last index."""
+    word = [_check_pauli_index(i) for i in indices]
+    word += ["s0"] * (basis.num_qubits - len(word))
+    return NamedBasis(name, basis.labels,
+                      tuple(map(PureState, apply_paulis(basis.matrix(), word))))
+
+
 def _pi_2q(i: int = 0, j: int = 0) -> NamedBasis:
     base = _pair_basis("", "pi", [("0000", "1111"), ("0011", "1100")])
-    return _dress(base, "pi_2q",
-                  [(0, _check_pauli_index(i)), (1, _check_pauli_index(j))])
+    return _dress(base, "pi_2q", i, j)
 
 
 def _pi_3q(i: int = 0, j: int = 0, k: int = 0) -> NamedBasis:
     base = _pair_basis("", "pi", [("0000", "1111"), ("0001", "1110")], start=3)
-    return _dress(base, "pi_3q", [(0, _check_pauli_index(i)),
-                                  (1, _check_pauli_index(j)),
-                                  (2, _check_pauli_index(k))])
+    return _dress(base, "pi_3q", i, j, k)
 
 
 def _omega34_3q(i: int = 0, j: int = 0) -> NamedBasis:
@@ -468,8 +463,7 @@ def _omega34_3q(i: int = 0, j: int = 0) -> NamedBasis:
         ("Omega4+", {"0011": 1.0, "1111": 1.0, "0000": 1.0, "1100": -1.0}),
         ("Omega4-", {"0011": 1.0, "1111": 1.0, "0000": -1.0, "1100": 1.0}),
     ])
-    return _dress(base, "omega34_3q",
-                  [(0, _check_pauli_index(i)), (2, _check_pauli_index(j))])
+    return _dress(base, "omega34_3q", i, 0, j)
 
 
 def _sigma_w() -> NamedBasis:

@@ -274,8 +274,10 @@ def distinguishable_messages(resource: PureState, sender_qubits: tuple[int, ...]
     reps = np.asarray(rep_rows)
     ortho = mag[reps[:, None] ^ reps] < tol
     np.fill_diagonal(ortho, False)
-    adj = [int.from_bytes(bits.tobytes(), "little")
-           for bits in np.packbits(ortho, axis=1, bitorder="little")]
+    packed = np.packbits(ortho, axis=1, bitorder="little")
+    flat, width = packed.tobytes(), packed.shape[1]
+    adj = [int.from_bytes(flat[i:i + width], "little")
+           for i in range(0, len(flat), width)]
     n = len(rep_rows)
     clique = _lex_smallest_maximum_clique(
         adj, n, lambda: _is_cayley(cls, rep_rows, ortho))

@@ -171,12 +171,12 @@ class DensityMatrix:
             raise ValueError("density matrix must be square")
         qubit_count(mat.shape[0])
         if np.abs(mat - mat.conj().T).max() > HERMITIAN_TOL:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
+            raise ValueError("density matrix is not Hermitian within %g" % HERMITIAN_TOL)
         trace = np.trace(mat)
         if abs(trace.real - 1.0) > HERMITIAN_TOL or abs(trace.imag) > HERMITIAN_TOL:
             raise ValueError("density matrix trace deviates from 1")
         if np.linalg.eigvalsh(mat).min() < -PSD_TOL:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
+            raise ValueError("density matrix has an eigenvalue below %g" % -PSD_TOL)
         object.__setattr__(self, "matrix", _lock(mat))
 
     @property
@@ -195,8 +195,6 @@ SIGMA = {
 }
 for _m in SIGMA.values():
     _m.setflags(write=False)
-
-CZ_MATRIX = _lock(np.diag([1, 1, 1, -1]).astype(np.complex128))
 
 # Pauli indices 0..3 of corrections, dense-coding encodings and dressings
 PAULI_ORDER = ("s0", "s1", "is2", "s3")
@@ -277,14 +275,22 @@ def pauli_coefficients(a: np.ndarray) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
-def pauli(name: str) -> LocalUnitary:
-    """One of s0, s1, s2, is2, s3 as a LocalUnitary."""
-    return LocalUnitary(SIGMA[name], name=name)
-
-
-def controlled_phase() -> LocalUnitary:
-    """Two-qubit controlled phase, diag(1, 1, 1, -1)."""
-    return LocalUnitary(CZ_MATRIX, name="cz")
+def apply_paulis(rows: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    """The product of ``SIGMA[names[q]]`` on each qubit q, applied to each
+    row of a (..., 2**k) stack: row x of ``pauli_table(k)``, so entry t is
+    ``sign[x, t] * rows[..., t ^ flip[x]]``, times (-i)**m for the m names
+    that are s2 = -i is2.  ``+ 0.0`` turns every -0.0 into 0.0, so each part
+    of a nonzero amplitude has the sign the dense matrices give it."""
+    rows = np.asarray(rows)
+    k = qubit_count(rows.shape[-1])
+    if len(names) != k:
+        raise ValueError("%d Pauli names for %d qubits" % (len(names), k))
+    x = 0
+    for name in names:
+        x = x << 2 | PAULI_ORDER.index("is2" if name == "s2" else name)
+    _, flip, sign = pauli_table(k)
+    phase = (1, -1j, -1, 1j)[names.count("s2") % 4]
+    return phase * sign[x] * rows[..., np.arange(2 ** k) ^ flip[x]] + 0.0
 
 
 def tensor(a: PureState, b: PureState) -> PureState:

@@ -27,7 +27,7 @@ from .diagnostics import profile, three_tangle_pure
 from .locc import LoccProtocol, check_certificate, run_discrimination
 from .measure import StepSpec
 from .states import (AMP_TOL, ASSERT_TOL, GRAM_TOL, NEGATIVE_GAP, VALUE_TOL,
-                     apply_local, check_tolerance, pauli)
+                     apply_paulis, check_tolerance)
 from .teleport import TeleportResult, run_scenario
 
 __all__ = ["ClaimRow", "SuiteReport", "run_suite", "format_text", "report_dict",
@@ -137,10 +137,10 @@ def _densecode_rows(tol: float) -> list[ClaimRow]:
         base = make_state(state_name).state
         vecs = []
         for row in encodings:
-            st = base
+            word = ["s0"] * base.num_qubits
             for q, p in zip(qubits, row):
-                st = apply_local(st, pauli(p), (q,))
-            vecs.append(st.amplitudes)
+                word[q] = p
+            vecs.append(apply_paulis(base.amplitudes, word))
         gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
         off = float(np.max(np.abs(gram - np.eye(len(vecs)))))
         engine = distinguishable_messages(base, qubits, tol=tol).count

@@ -53,7 +53,8 @@ from .catalog import NamedState, make_state
 from .measure import StepSpec, build_plan, enumerate_outcomes
 from .states import (ASSERT_TOL, MAX_STACK_ENTRIES, PAULI_ORDER, PERP_ALARM,
                      SLICE_ENTRIES, VALUE_TOL, CapacityError, PureState,
-                     check_tolerance, pauli_coefficients, pauli_table, qubit_count)
+                     apply_paulis, check_tolerance, pauli_coefficients,
+                     pauli_table, qubit_count)
 
 __all__ = [
     "FamilySpec",
@@ -120,13 +121,9 @@ def family_span(spec: FamilySpec) -> np.ndarray:
                 raise ValueError("omega_sub dressing needs two Pauli indices")
             kets = [{"001": 1.0, "111": 1.0}, {"000": 1.0, "110": -1.0}]
             word = (d[0], 0, d[1])
-        # Pauli PAULI_ORDER[word[q]] on qubit q: row x of pauli_table, x the
-        # word's base-4 digits, qubit 0 first
-        _, flip, sign = pauli_table(len(word))
-        x = sum(w << 2 * q for q, w in enumerate(reversed(word)))
         bare = np.array([PureState.from_kets(terms, normalize=True).amplitudes
                          for terms in kets])
-        span = sign[x] * bare[:, np.arange(bare.shape[1]) ^ flip[x]]
+        span = apply_paulis(bare, [PAULI_ORDER[w] for w in word])
     span.flags.writeable = False
     return span
 

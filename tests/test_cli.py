@@ -204,6 +204,22 @@ def test_catalog_locc_and_diagnose_json_bytes_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_dressed_basis_json_bytes_pinned(capsys):
+    # every Pauli dressing of pi_2q, pi_3q and omega34_3q, indices 0..3 in
+    # lexicographic order; `catalog --dump` sees only the identity dressings
+    digest = hashlib.sha256()
+    for name, params in (("pi_2q", "ij"), ("pi_3q", "ijk"), ("omega34_3q", "ij")):
+        for word in itertools.product(range(4), repeat=len(params)):
+            argv = ["catalog", "--basis", name]
+            for p, i in zip(params, word):
+                argv += ["--param", "%s=%d" % (p, i)]
+            rc, out = _json_out(capsys, argv)
+            assert rc == 0, argv
+            digest.update(out.encode())
+    assert digest.hexdigest() == \
+        "6cbd81005fb51d05cd782a9107610e75ad046c882206a65141fd7b4122616610"
+
+
 @pytest.mark.parametrize("seed, digest", [
     (42, "cafea8eba39156e105e4c2bcc9c4650b2ea7105a75e523c2ae554151d7b7250e"),
     (7, "cbbfc896252ab02357869b0cfb9287aa9c4fd5c404bb131775ed71f060c89ee7"),

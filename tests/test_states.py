@@ -19,12 +19,11 @@ from quadproto.states import (
     CapacityError,
     PureState,
     apply_local,
+    apply_paulis,
     basis_state,
     check_tolerance,
-    controlled_phase,
     fidelity,
     inner,
-    pauli,
     pauli_coefficients,
     pauli_table,
     permute_qubits,
@@ -82,9 +81,9 @@ def test_capacity_cap():
 
 def test_big_endian_labeling():
     # qubit 0 is the leftmost symbol: |10> flips qubit 0, not qubit 1
-    st = apply_local(basis_state("00"), pauli("s1"), (0,))
+    st = apply_local(basis_state("00"), SIGMA["s1"], (0,))
     assert dict(st.ket_terms()) == {"10": (1 + 0j)}
-    st = apply_local(basis_state("00"), pauli("s1"), (1,))
+    st = apply_local(basis_state("00"), SIGMA["s1"], (1,))
     assert dict(st.ket_terms()) == {"01": (1 + 0j)}
 
 
@@ -106,7 +105,7 @@ def test_apply_local_matches_dense_kron():
 def test_apply_local_two_qubit_nonadjacent():
     rng = np.random.default_rng(11)
     st = random_state(3, rng)
-    cz = controlled_phase()
+    cz = np.diag([1, 1, 1, -1])
     a = apply_local(st, cz, (0, 2))
     # oracle: permute target pair to the front, apply, permute back
     b = permute_qubits(st, (0, 2, 1))
@@ -151,9 +150,42 @@ def test_reduced_density_entangled_half():
 
 
 def test_pauli_algebra():
-    s1, s2, s3 = (pauli(n).matrix for n in ("s1", "s2", "s3"))
+    s1, s2, s3 = (SIGMA[n] for n in ("s1", "s2", "s3"))
     assert np.allclose(s1 @ s2, 1j * s3)
-    assert np.allclose(pauli("is2").matrix, 1j * s2)
+    assert np.allclose(SIGMA["is2"], 1j * s2)
+
+
+def test_apply_paulis_matches_dense_oracle():
+    # the same values as the dense SIGMA matrices, and the same sign on every
+    # real and imaginary part of a nonzero amplitude (what a ket listing
+    # prints), over all five names, s2 included, on seeded random stacks and
+    # on real basis kets like the catalog's; a zero amplitude may come out of
+    # the dense product as -0.0, so its signs are not compared
+    rng = np.random.default_rng(18)
+    names = tuple(SIGMA)
+    for k in range(1, 5):
+        kets = np.eye(2 ** k, dtype=np.complex128)
+        for stack in (np.array([random_state(k, rng).amplitudes for _ in range(3)]),
+                      kets, -kets):
+            words = itertools.product(names, repeat=k) if k <= 3 else \
+                [[names[i] for i in rng.integers(0, 5, size=k)] for _ in range(40)]
+            for word in words:
+                got = apply_paulis(stack, word)
+                want = []
+                for row in stack:
+                    st = PureState(row)
+                    for q, name in enumerate(word):
+                        st = apply_local(st, SIGMA[name], (q,))
+                    want.append(st.amplitudes)
+                want = np.array(want)
+                assert np.array_equal(got, want), word
+                listed = want != 0
+                for part in (np.real, np.imag):
+                    assert np.array_equal(np.signbit(part(got[listed])),
+                                          np.signbit(part(want[listed]))), word
+    for word in (["s1"], ["s1", "s4"]):
+        with pytest.raises(ValueError):
+            apply_paulis(np.eye(4), word)
 
 
 def test_randomized_core_consistency():
