@@ -18,7 +18,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .states import ASSERT_TOL, GRAM_TOL, PureState, apply_paulis
+from .states import (ASSERT_TOL, GRAM_TOL, PureState, apply_paulis, ket_vector,
+                     qubit_count)
 
 __all__ = [
     "NamedState",
@@ -52,27 +53,32 @@ class NamedState:
         return self.state.num_qubits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NamedBasis:
-    """Ordered orthonormal vectors with outcome labels.
+    """Ordered orthonormal vectors with outcome labels: row i of the
+    read-only (m, 2**q) ``matrix`` is the vector labeled ``labels[i]``.
 
-    ``vectors`` may span a proper subspace; measurement plans complete the
+    The rows may span a proper subspace; measurement plans complete the
     set before use.  ``complete`` is True only when the count equals the
-    full dimension.
+    full dimension.  Bases compare by identity, as their arrays cannot hash.
     """
 
     name: str
     labels: tuple[str, ...]
-    vectors: tuple[PureState, ...]
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.labels) != len(self.vectors):
+        mat = np.array(self.matrix, dtype=np.complex128)
+        if mat.ndim != 2 or not mat.size:
+            raise ValueError("basis %r needs a non-empty (m, 2**q) matrix, got "
+                             "shape %s" % (self.name, mat.shape))
+        if len(self.labels) != len(mat):
             raise ValueError("label/vector count mismatch")
-        if not self.vectors:
-            raise ValueError("empty basis")
-        n = self.vectors[0].num_qubits
-        if any(v.num_qubits != n for v in self.vectors):
-            raise ValueError("mixed vector sizes in basis %r" % self.name)
+        qubit_count(mat.shape[1])
+        mat.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
+        # one Gram check: unit diagonals to GRAM_TOL are unit norms to half
+        # of it, tighter than NORM_TOL, and NaN fails both comparisons
         rep = validate_orthonormal(self)
         if not rep["ok"]:
             raise ValueError(
@@ -83,24 +89,25 @@ class NamedBasis:
 
     @property
     def num_qubits(self) -> int:
-        return self.vectors[0].num_qubits
+        return self.dim.bit_length() - 1
 
     @property
     def dim(self) -> int:
-        return self.vectors[0].dim
+        return self.matrix.shape[1]
 
     @property
     def complete(self) -> bool:
-        return len(self.vectors) == self.dim
+        return len(self.matrix) == self.dim
 
-    def matrix(self) -> np.ndarray:
-        """Vectors stacked as rows."""
-        return np.array([v.amplitudes for v in self.vectors])
+    @property
+    def vectors(self) -> tuple[PureState, ...]:
+        """Each row as a ``PureState``, for callers at the API boundary."""
+        return tuple(map(PureState, self.matrix))
 
 
 def validate_orthonormal(basis: NamedBasis) -> dict:
     """Gram-matrix report: max off-diagonal, max norm deviation, completeness."""
-    m = basis.matrix()
+    m = basis.matrix
     gram = m.conj() @ m.T
     k = gram.shape[0]
     off = gram - np.diag(np.diag(gram))
@@ -270,9 +277,8 @@ def state_names() -> list[str]:
 
 
 def _basis(name: str, entries: Sequence[tuple[str, Mapping[str, complex]]]) -> NamedBasis:
-    labels = tuple(label for label, _ in entries)
-    vectors = tuple(PureState.from_kets(kets, normalize=True) for _, kets in entries)
-    return NamedBasis(name, labels, vectors)
+    return NamedBasis(name, tuple(label for label, _ in entries),
+                      [ket_vector(kets, normalize=True) for _, kets in entries])
 
 
 def _pair_basis(name: str, prefix: str, pairs: Sequence[tuple[str, str]],
@@ -440,8 +446,7 @@ def _dress(basis: NamedBasis, name: str, *indices: int) -> NamedBasis:
     basis, s0 to the qubits past the last index."""
     word = [_check_pauli_index(i) for i in indices]
     word += ["s0"] * (basis.num_qubits - len(word))
-    return NamedBasis(name, basis.labels,
-                      tuple(map(PureState, apply_paulis(basis.matrix(), word))))
+    return NamedBasis(name, basis.labels, apply_paulis(basis.matrix, word))
 
 
 def _pi_2q(i: int = 0, j: int = 0) -> NamedBasis:

@@ -418,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized probes (default 42)")
     common.add_argument("--tolerance", type=_tolerance, default=ASSERT_TOL,
                         help="assertion tolerance, strictly between 0 and 1 "
-                             "(default 1e-10)")
+                             "(default %g)" % ASSERT_TOL)
     common.add_argument("--format", choices=("json", "text", "both"),
                         default="both", help="output style (default both)")
     common.add_argument("--out", default=None,

@@ -144,7 +144,7 @@ def _coefficients(amplitudes: np.ndarray,
         if basis.num_qubits != len(qubits):
             raise ValueError("basis %r is on %d qubits but the factor names %d"
                              % (basis.name, basis.num_qubits, len(qubits)))
-    c, _ = contract(amplitudes, [(qubits, basis.matrix().conj())
+    c, _ = contract(amplitudes, [(qubits, basis.matrix.conj())
                                  for qubits, basis in factors])
     labels = list(itertools.product(*(basis.labels for _, basis in factors)))
     return labels, c[:, :, 0].T

@@ -25,7 +25,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .catalog import NamedBasis, make_basis
-from .states import DROP_TOL, NORM_TOL, PureState, check_tolerance, qubit_count
+from .states import (COMPLETION_MIN, COMPLETION_PICK, DROP_TOL, NORM_TOL,
+                     check_tolerance, qubit_count)
 
 __all__ = [
     "StepSpec",
@@ -43,18 +44,16 @@ def complete_basis(basis: NamedBasis) -> NamedBasis:
     """Extend a subspace basis to a complete one.
 
     Computational unit vectors are Gram-Schmidt orthogonalized against the
-    declared vectors (and each other) in index order; survivors are appended
+    declared rows (and each other) in index order; survivors are appended
     with labels perp0, perp1, ...
     """
     if basis.complete:
         return basis
     d = basis.dim
-    rows = [v.amplitudes for v in basis.vectors]
+    rows = list(basis.matrix)
     labels = list(basis.labels)
     k = 0
-    # 0.5 keeps the selection far from roundoff ambiguity; the second pass
-    # falls back to accepting any numerically independent column
-    for threshold in (0.5, 1e-6):
+    for threshold in (COMPLETION_PICK, COMPLETION_MIN):
         for i in range(d):
             if len(rows) == d:
                 break
@@ -69,8 +68,7 @@ def complete_basis(basis: NamedBasis) -> NamedBasis:
                 k += 1
     if len(rows) != d:
         raise ValueError("failed to complete basis %r" % basis.name)
-    return NamedBasis(basis.name, tuple(labels),
-                      tuple(PureState(r) for r in rows))
+    return NamedBasis(basis.name, tuple(labels), rows)
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ class MeasurementStep:
                 % (self.basis.name, self.basis.num_qubits, len(self.qubits))
             )
         completed = complete_basis(self.basis)
-        conj = completed.matrix().conj()
+        conj = completed.matrix.conj()
         conj.flags.writeable = False
         object.__setattr__(self, "completed", completed)
         object.__setattr__(self, "conj_matrix", conj)

@@ -35,6 +35,8 @@ AMP_TOL = 1e-12         # smaller amplitudes are left out of ket listings
 DROP_TOL = 1e-12        # outcome branches at or below this probability never fire
 ASSERT_TOL = 1e-10      # default tolerance of every checked claim (CLI --tolerance)
 PERP_ALARM = 1e-10      # probability leaking into auto-completed directions
+COMPLETION_PICK = 0.5   # complete_basis keeps residuals above this, clear of roundoff,
+COMPLETION_MIN = 1e-6   # then, in a second pass, any numerically independent one
 VALUE_TOL = 1e-9        # computed values against stated ones; uniform probabilities
 MIXED_TOL = 1e-6        # a reduction counts as mixed below purity 1 - MIXED_TOL
 NEGATIVE_GAP = 1e-3     # infeasible setups stay this far below unit fidelity
@@ -99,29 +101,8 @@ class PureState:
     @classmethod
     def from_kets(cls, terms: Mapping[str, complex] | Iterable[tuple[str, complex]],
                   normalize: bool = False) -> "PureState":
-        """Build a state from {label: amplitude} ket terms.
-
-        Labels are bit strings of one common length.  With normalize=True the
-        vector is rescaled to unit norm, so printed prefactors can be ignored.
-        """
-        items = list(terms.items()) if isinstance(terms, Mapping) else list(terms)
-        if not items:
-            raise ValueError("at least one ket term is required")
-        width = len(items[0][0])
-        vec = np.zeros(1 << width, dtype=np.complex128)
-        for label, amp in items:
-            if len(label) != width or set(label) - {"0", "1"}:
-                raise ValueError(f"bad ket label {label!r}")
-            vec[int(label, 2)] += amp
-        if normalize:
-            with np.errstate(over="ignore"):
-                norm = np.linalg.norm(vec)
-            if not math.isfinite(norm):
-                raise ValueError("ket terms overflow the float range")
-            if norm < NORM_TOL:
-                raise ValueError("cannot normalize the zero vector")
-            vec = vec / norm
-        return cls(vec)
+        """Build a state from {label: amplitude} ket terms; see ``ket_vector``."""
+        return cls(ket_vector(terms, normalize))
 
     def ket_terms(self, tol: float = AMP_TOL) -> list[tuple[str, complex]]:
         """Nonzero (label, amplitude) pairs in label order."""
@@ -129,6 +110,37 @@ class PureState:
         n = self.num_qubits
         return [(format(i, f"0{n}b") if n else "", complex(a))
                 for i, a in enumerate(self.amplitudes) if abs(a) > tol]
+
+
+def ket_vector(terms: Mapping[str, complex] | Iterable[tuple[str, complex]],
+               normalize: bool = False) -> np.ndarray:
+    """The amplitude vector of {label: amplitude} ket terms, duplicate labels
+    summed.
+
+    Labels are bit strings of one common length, at most ``MAX_QUBITS``: a
+    wider label is refused before the vector is allocated.  With
+    normalize=True the vector is rescaled to unit norm, so printed
+    prefactors can be ignored.
+    """
+    items = list(terms.items()) if isinstance(terms, Mapping) else list(terms)
+    if not items:
+        raise ValueError("at least one ket term is required")
+    width = len(items[0][0])
+    qubit_count(1 << width)
+    vec = np.zeros(1 << width, dtype=np.complex128)
+    for label, amp in items:
+        if len(label) != width or set(label) - {"0", "1"}:
+            raise ValueError(f"bad ket label {label!r}")
+        vec[int(label, 2)] += amp
+    if normalize:
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(vec)
+        if not math.isfinite(norm):
+            raise ValueError("ket terms overflow the float range")
+        if norm < NORM_TOL:
+            raise ValueError("cannot normalize the zero vector")
+        vec = vec / norm
+    return vec
 
 
 def basis_state(label: str) -> PureState:

@@ -317,13 +317,13 @@ def _basis_rows() -> list[ClaimRow]:
     names = basis_names()
     for name in names:
         basis = make_basis(name)
-        mat = basis.matrix()
+        mat = basis.matrix
         gram = mat @ mat.conj().T
         worst = max(worst, float(np.max(np.abs(gram - np.eye(len(mat))))))
     rows.append(ClaimRow(
         claim_id="bases/gram_identity", kind="basis",
         status=_verdict(worst <= GRAM_TOL),
-        expected="max |G-I| <= 1e-12 over %d bases" % len(names),
+        expected="max |G-I| <= %g over %d bases" % (GRAM_TOL, len(names)),
         actual="max |G-I| = %.2g" % worst))
 
     expected_registry = {

@@ -53,8 +53,8 @@ from .catalog import NamedState, make_state
 from .measure import StepSpec, build_plan, enumerate_outcomes
 from .states import (ASSERT_TOL, MAX_STACK_ENTRIES, PAULI_ORDER, PERP_ALARM,
                      SLICE_ENTRIES, VALUE_TOL, CapacityError, PureState,
-                     apply_paulis, check_tolerance, pauli_coefficients,
-                     pauli_table, qubit_count)
+                     apply_paulis, check_tolerance, ket_vector,
+                     pauli_coefficients, pauli_table, qubit_count)
 
 __all__ = [
     "FamilySpec",
@@ -121,8 +121,7 @@ def family_span(spec: FamilySpec) -> np.ndarray:
                 raise ValueError("omega_sub dressing needs two Pauli indices")
             kets = [{"001": 1.0, "111": 1.0}, {"000": 1.0, "110": -1.0}]
             word = (d[0], 0, d[1])
-        bare = np.array([PureState.from_kets(terms, normalize=True).amplitudes
-                         for terms in kets])
+        bare = np.array([ket_vector(terms, normalize=True) for terms in kets])
         span = apply_paulis(bare, [PAULI_ORDER[w] for w in word])
     span.flags.writeable = False
     return span

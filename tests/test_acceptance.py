@@ -35,7 +35,6 @@ from quadproto.states import (
     random_state,
     random_unitary,
     reduced_density,
-    tensor,
 )
 from quadproto.suite import run_suite
 from quadproto.teleport import run_scenario
@@ -256,12 +255,12 @@ def test_criterion_7_randomized_properties(_announce):
     from quadproto.catalog import NamedBasis
     ghz3 = make_basis("ghz3_full")
     pm = make_basis("plus_minus")
-    labels, vectors = [], []
-    for l3, v3 in zip(ghz3.labels, ghz3.vectors):
-        for l1, v1 in zip(pm.labels, pm.vectors):
+    labels, rows = [], []
+    for l3, v3 in zip(ghz3.labels, ghz3.matrix):
+        for l1, v1 in zip(pm.labels, pm.matrix):
             labels.append("%s,%s" % (l3, l1))
-            vectors.append(tensor(v3, v1))
-    joint = NamedBasis("ghz3_x_pm", tuple(labels), tuple(vectors))
+            rows.append(np.kron(v3, v1))
+    joint = NamedBasis("ghz3_x_pm", tuple(labels), np.array(rows))
     for name in ("GHZ4", "W4", "Omega", "Q4", "Q5"):
         st = make_state(name).state
         split = enumerate_outcomes(st.amplitudes[None], MeasurementPlan((

@@ -5,6 +5,8 @@ completion by brute force, Gram defects of the as-printed vectors, and
 zero-probability branches that would kill the protocol.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from quadproto.catalog import (
     validate_orthonormal,
 )
 from quadproto.measure import MeasurementPlan, MeasurementStep, enumerate_outcomes
-from quadproto.states import PureState, inner, purity, reduced_density, tensor
+from quadproto.states import (GRAM_TOL, NORM_TOL, CapacityError, PureState, inner,
+                              ket_vector, purity, reduced_density, tensor)
 
 S2 = 1 / np.sqrt(2)
 
@@ -98,6 +101,22 @@ def test_ghz_n_and_bell():
     assert abs(psi_minus["10"] + S2) < 1e-12
 
 
+def test_wide_ghz_is_refused_before_allocating():
+    # GHZ:40 fails fast whatever the order, as its 16 TiB vector cannot be
+    # allocated; only after it is refused by name is GHZ:24 (256 MiB) tried
+    with pytest.raises(CapacityError, match="^40 qubits exceeds the 12-qubit capacity$"):
+        make_state("GHZ:40")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError,
+                           match="^24 qubits exceeds the 12-qubit capacity$"):
+            make_state("GHZ:24")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_state_names_constructible():
     for name in state_names():
         named = make_state(name)
@@ -140,6 +159,56 @@ def test_eta_zeta_w_needs_params():
         make_basis("eta_zeta_w")
     basis = make_basis("eta_zeta_w", p=1, q=2, r=2, s=3)
     assert validate_orthonormal(basis)["ok"]
+
+
+def test_named_basis_holds_one_read_only_copy():
+    bell = make_basis("bell")
+    rows = bell.matrix.copy()
+    basis = NamedBasis("copy", bell.labels, rows)
+    rows[0] = 0.0
+    assert np.array_equal(basis.matrix, bell.matrix)
+    assert basis.matrix.dtype == np.complex128 and basis.matrix.shape == (4, 4)
+    assert not basis.matrix.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        basis.matrix[0, 0] = 0.0
+    # the boundary view: one PureState per row
+    assert [np.array_equal(v.amplitudes, row)
+            for v, row in zip(basis.vectors, basis.matrix)] == [True] * 4
+    # compared by identity, so hashable although an array cannot hash
+    same = NamedBasis("copy", bell.labels, bell.matrix)
+    assert basis == basis and basis != same and hash(basis) != hash(same)
+
+
+def test_named_basis_refuses_malformed_matrices():
+    bell = make_basis("bell").matrix
+    nan_row = np.vstack([bell[:1], np.full((1, 4), np.nan)])
+    cases = [
+        ((), np.zeros((0, 4)), "non-empty"),
+        (("a",), np.zeros((1, 0)), "non-empty"),
+        (("a",), bell[0], "non-empty"),
+        (("a", "b"), bell[:1], "label/vector count mismatch"),
+        (("a",), bell[:2], "label/vector count mismatch"),
+        (("a",), np.full((1, 3), 3 ** -0.5), "dimension 3 is not a power of two"),
+        (("a", "b"), bell[[0, 0]], "not orthonormal"),
+        (("a", "b"), bell[:2] * 2, "not orthonormal"),
+        (("a", "b"), nan_row, "not orthonormal"),
+        (("a",), nan_row[1:], "not orthonormal"),
+    ]
+    for labels, matrix, message in cases:
+        with pytest.raises(ValueError, match=message):
+            NamedBasis("bad", labels, matrix)
+    with pytest.raises(CapacityError):
+        NamedBasis("wide", ("a",), np.eye(1, 2 ** 13))
+
+
+def test_named_basis_gram_check_is_tighter_than_the_state_check():
+    # a row off unit norm by 0.8 NORM_TOL passes as a PureState, but its
+    # Gram diagonal is off by twice that, beyond GRAM_TOL
+    assert GRAM_TOL == NORM_TOL
+    row = make_basis("plus_minus").matrix[0] * (1 + 0.8 * NORM_TOL)
+    PureState(row)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        NamedBasis("long", ("+",), row[None])
 
 
 def test_dressed_bases_accept_indices():
@@ -217,11 +286,10 @@ def test_tau_printed_pairs_are_protocol_dead():
     # input) and a quarter of the probability leaks off the declared basis
     printed = NamedBasis("tau_printed", ("tau1+", "tau1-", "tau2+", "tau2-",
                                          "tau3+", "tau3-", "tau4+", "tau4-"),
-                         tuple(PureState.from_kets({a: 1, b: s},
-                                                   normalize=True)
-                               for a, b in (("0000", "1001"), ("0001", "1000"),
-                                            ("0100", "1011"), ("0011", "1100"))
-                               for s in (1, -1)))
+                         np.array([ket_vector({a: 1, b: s}, normalize=True)
+                                   for a, b in (("0000", "1001"), ("0001", "1000"),
+                                                ("0100", "1011"), ("0011", "1100"))
+                                   for s in (1, -1)]))
     for probe in ({"0": 1}, {"1": 1}, {"0": 1, "1": 1}):
         out = _branch_probabilities(probe, "Q4", (0, 1, 3, 4), printed)
         leak = sum(out.probabilities[out.perp, 0])
@@ -245,15 +313,14 @@ def test_omega34_printed_pair_has_zero_probability():
     # the printed third pair pairs the phi+ component with |00>/|11> on the
     # trailing qubits, which the expansion never populates
     corrected = make_basis("omega34_3q", i=0, j=0)
-    by_label = dict(zip(corrected.labels, corrected.vectors))
-    printed_pair = tuple(
-        PureState.from_kets({"0000": 1, "1100": 1, "0011": s, "1111": -s},
-                            normalize=True)
-        for s in (1, -1))
+    by_label = dict(zip(corrected.labels, corrected.matrix))
+    printed_pair = [ket_vector({"0000": 1, "1100": 1, "0011": s, "1111": -s},
+                               normalize=True)
+                    for s in (1, -1)]
     printed = NamedBasis("omega3_printed", ("Omega3+", "Omega3-",
                                             "Omega4+", "Omega4-"),
-                         printed_pair + (by_label["Omega4+"],
-                                         by_label["Omega4-"]))
+                         np.array(printed_pair + [by_label["Omega4+"],
+                                                  by_label["Omega4-"]]))
     from quadproto.teleport import FamilySpec, family_span
     for member in family_span(FamilySpec("omega_sub", 3, (0, 0))):
         joint = tensor(PureState(member), make_state("Omega").state)

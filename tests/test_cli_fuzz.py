@@ -33,6 +33,8 @@ TEMPLATES = (
     ["locc", "--certificate", "omega16"],
     ["catalog", "--state", "W_mn", "--param", "m=1", "--param", "n=1"],
     ["catalog", "--basis", "pi_2q", "--param", "i=1", "--param", "j=2"],
+    # refused before its 16 TiB vector is allocated
+    ["catalog", "--state", "GHZ:40"],
     ["diagnose", "--state", "GHZ4"],
     # refused: a section named twice
     ["suite", "--sections", "bases,bases", "--format", "json"],
@@ -59,14 +61,22 @@ FILE_SOURCES = ("ghz1_ghz4basis", "ghz2_pi_01", "w3_sigma")
 
 @pytest.fixture
 def templates(tmp_path):
-    """TEMPLATES and a scenario file with an arbitrary five-qubit family,
-    refused for its 1,044 x 4^5 x 2^5 correction scores."""
+    """TEMPLATES and two scenario files: one whose inline resource kets have
+    40-bit labels, refused before any amplitude is allocated, then one with
+    an arbitrary five-qubit family, refused for its 1,044 x 4^5 x 2^5
+    correction scores."""
+    wide_kets = TeleportScenario("wide_kets", "inline", FamilySpec("arbitrary", 1),
+                                 (StepSpec((0, 1), "bell"),), (40,),
+                                 resource_kets=(("0" * 40, 1.0), ("1" * 40, 1.0)))
     wide = TeleportScenario("arbitrary5", "GHZ:5", FamilySpec("arbitrary", 5),
                             tuple(StepSpec((q,), "computational:1") for q in range(5)),
                             tuple(range(5, 10)))
-    path = tmp_path / "arbitrary5.json"
-    path.write_text(dumps_scenario(wide), encoding="utf-8")
-    return TEMPLATES + (["teleport", "--file", str(path), "--format", "json"],)
+    files = []
+    for sc in wide_kets, wide:
+        path = tmp_path / ("%s.json" % sc.scenario_id)
+        path.write_text(dumps_scenario(sc), encoding="utf-8")
+        files.append(["teleport", "--file", str(path), "--format", "json"])
+    return TEMPLATES + tuple(files)
 
 
 def _mutate_argv(rng, argv):
@@ -132,6 +142,12 @@ def test_templates_fail_closed(capsys, templates):
     assert codes == {0, 2}
     assert (code, err) == (2, "error: 1044 probes of a 5-qubit family need 1044 x "
                               "4^5 x 2^5 correction scores, over the limit of 2^24\n")
+
+
+def test_wide_ket_labels_are_refused_by_name(capsys, templates):
+    for argv in ["catalog", "--state", "GHZ:40"], templates[-2]:
+        assert _run(capsys, argv) == (
+            2, "error: 40 qubits exceeds the 12-qubit capacity\n"), argv
 
 
 def test_mutated_arguments_fail_closed(capsys, templates):

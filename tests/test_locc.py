@@ -313,8 +313,7 @@ def test_certificate_flags_empty_support():
     # a factor family too small to see the state: project onto |1>|1> only
     one = make_basis("computational:1")
     from quadproto.catalog import NamedBasis
-    partial = NamedBasis(name="one_only", labels=("1",),
-                         vectors=(one.vectors[1],))
+    partial = NamedBasis(name="one_only", labels=("1",), matrix=one.matrix[1:])
     rep = check_certificate(cands, [((0,), partial), ((1,), partial)])
     assert not rep.ok
     assert rep.reconstruction_error > 0.4
@@ -413,7 +412,7 @@ def _certificate_cases():
             yield "%s/%s" % (sname, fname), candidates, factors
     comp1 = make_basis("computational:1")
     bell = make_basis("bell")
-    phi = NamedBasis("phi_only", ("phi+", "phi-"), bell.vectors[:2])
+    phi = NamedBasis("phi_only", ("phi+", "phi-"), bell.matrix[:2])
     rng = np.random.default_rng(45)
     haar4 = [("h%d" % i, random_state(4, rng)) for i in range(4)]
     for order in (((2,), (0, 3), (1,)), ((3,), (2,), (1,), (0,)),

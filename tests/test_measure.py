@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quadproto import measure
 from quadproto import scenarios as reg
 from quadproto.catalog import NamedBasis, make_basis, make_state
 from quadproto.measure import (
@@ -15,7 +16,7 @@ from quadproto.measure import (
 )
 from quadproto.locc import LoccProtocol, run_discrimination
 from quadproto.scenario_io import dumps_scenario, loads_scenario
-from quadproto.states import DROP_TOL, MAX_QUBITS, basis_state, random_state, tensor
+from quadproto.states import DROP_TOL, MAX_QUBITS, PureState, basis_state, random_state
 from quadproto.teleport import build_probes
 
 
@@ -93,12 +94,12 @@ def test_refinement_equivalence_three_plus_one():
     ghz3 = make_basis("ghz3_full")
     pm = make_basis("plus_minus")
     labels = []
-    vectors = []
-    for l3, v3 in zip(ghz3.labels, ghz3.vectors):
-        for l1, v1 in zip(pm.labels, pm.vectors):
+    rows = []
+    for l3, v3 in zip(ghz3.labels, ghz3.matrix):
+        for l1, v1 in zip(pm.labels, pm.matrix):
             labels.append("%s,%s" % (l3, l1))
-            vectors.append(tensor(v3, v1))
-    joint_basis = NamedBasis("ghz3_x_pm", tuple(labels), tuple(vectors))
+            rows.append(np.kron(v3, v1))
+    joint_basis = NamedBasis("ghz3_x_pm", tuple(labels), np.array(rows))
 
     for name in ("GHZ4", "W4", "Omega", "Q4", "Q5"):
         st = make_state(name).state.amplitudes[None]
@@ -120,7 +121,7 @@ def test_complete_basis_extends_orthonormally():
     assert len(full.labels) == 16
     assert full.labels[:4] == partial.labels
     assert sum(1 for lbl in full.labels if lbl.startswith("perp")) == 12
-    mat = full.matrix()
+    mat = full.matrix
     assert np.allclose(mat @ mat.conj().T, np.eye(16), atol=1e-12)
 
 
@@ -281,6 +282,73 @@ def test_completed_plans_match_separate_completion_for_protocols():
                               (protocol.protocol_id, set_name))
 
 
+# --- completion on the basis matrix against the state-by-state path ---------------
+
+def _registered_plan_steps():
+    """The steps of every registered teleport scenario and LOCC protocol."""
+    protocols = reg.catalog_protocols() + list(reg.locc_protocols().values())
+    return ([sc.steps for sc in _all_scenarios()]
+            + [protocol.rounds for protocol in protocols])
+
+
+def _reference_completion(basis):
+    """Labels and rows of ``basis`` completed by the Gram-Schmidt that walked
+    ``PureState``s: unit vectors in index order, kept while their residual
+    exceeds 0.5, then 1e-6, each survivor rebuilt as a state."""
+    d = basis.dim
+    rows = [v.amplitudes for v in basis.vectors]
+    labels = list(basis.labels)
+    k = 0
+    for threshold in (0.5, 1e-6):
+        for i in range(d):
+            if len(rows) == d:
+                break
+            cand = np.zeros(d, dtype=np.complex128)
+            cand[i] = 1.0
+            for r in rows:
+                cand -= np.vdot(r, cand) * r
+            norm = np.linalg.norm(cand)
+            if norm > threshold:
+                rows.append(cand / norm)
+                labels.append("perp%d" % k)
+                k += 1
+    assert len(rows) == d, basis.name
+    return tuple(labels), np.array([PureState(r).amplitudes for r in rows])
+
+
+def test_complete_basis_matches_the_state_by_state_reference():
+    # the perp rows feed the printed perp_probability, so they must agree
+    # bit for bit on every basis a registered plan measures
+    keys = {(s.basis, tuple(sorted(s.basis_params.items())))
+            for steps in _registered_plan_steps() for s in steps}
+    assert len(keys) == 40
+    for name, params in sorted(keys):
+        basis = make_basis(name, **dict(params))
+        labels, rows = _reference_completion(basis)
+        full = complete_basis(basis)
+        assert full.labels == labels, (name, params)
+        assert np.array_equal(full.matrix, rows), (name, params)
+
+
+def test_building_every_registered_plan_constructs_no_pure_state(monkeypatch):
+    plans = _registered_plan_steps()
+    built = []
+    original = PureState.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PureState, "__post_init__", counting)
+    measure._plan.cache_clear()
+    for steps in plans:
+        build_plan(steps)
+    assert measure._plan.cache_info().currsize == 68  # distinct plans, all rebuilt
+    assert built == []
+    basis_state("0")  # the count does see a construction
+    assert len(built) == 1
+
+
 # --- the batched kernel against one-state-at-a-time enumeration ---------------
 
 def _reference_outcomes(amplitudes, plan, drop_tol=DROP_TOL):
@@ -292,7 +360,7 @@ def _reference_outcomes(amplitudes, plan, drop_tol=DROP_TOL):
     orig = list(range(amplitudes.size.bit_length() - 1))
     branches = [((), amplitudes)]
     for step in plan.steps:
-        matrix = step.completed.matrix()
+        matrix = step.completed.matrix
         positions = [orig.index(q) for q in step.qubits]
         rest = [p for p in range(len(orig)) if p not in positions]
         next_branches = []

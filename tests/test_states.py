@@ -24,6 +24,7 @@ from quadproto.states import (
     check_tolerance,
     fidelity,
     inner,
+    ket_vector,
     pauli_coefficients,
     pauli_table,
     permute_qubits,
@@ -70,6 +71,26 @@ def test_bad_labels_rejected():
         PureState.from_kets({"0x": 1.0})
     with pytest.raises(ValueError):
         PureState.from_kets({"0": 1.0, "00": 1.0})
+
+
+def test_ket_labels_wider_than_capacity_are_refused_before_allocation():
+    # a 40-qubit vector (16 TiB) could never be allocated, so only a check
+    # made before the allocation refuses it by name
+    for terms in ({"0" * 40: 1.0}, [("1" * 40, 1.0), ("0" * 40, 1.0)]):
+        with pytest.raises(CapacityError,
+                           match="^40 qubits exceeds the 12-qubit capacity$"):
+            ket_vector(terms, normalize=True)
+        with pytest.raises(CapacityError,
+                           match="^40 qubits exceeds the 12-qubit capacity$"):
+            PureState.from_kets(terms)
+
+
+def test_from_kets_wraps_the_ket_vector():
+    terms = [("011", 0.5), ("110", -1j), ("011", 0.25)]
+    vec = ket_vector(terms, normalize=True)
+    assert vec.flags.writeable
+    assert np.array_equal(PureState.from_kets(terms, normalize=True).amplitudes, vec)
+    assert np.array_equal(ket_vector(terms)[[3, 6]], [0.75, -1j])
 
 
 def test_capacity_cap():
