@@ -12,8 +12,11 @@ as-corrected.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -40,13 +43,16 @@ SQ6 = math.sqrt(6.0)
 
 @dataclass(frozen=True)
 class NamedState:
-    """A catalog state: resolved name, parameters, and the state itself."""
+    """A catalog state: resolved name, read-only parameters, and the state."""
 
     name: str
     state: PureState
     params: Mapping[str, float] = field(default_factory=dict)
     slocc: str | None = None
     note: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     @property
     def num_qubits(self) -> int:
@@ -211,8 +217,10 @@ def _take(params: dict, family: str, names: str) -> list:
     return [params.pop(k) for k in names]
 
 
-def make_state(name: str, **params) -> NamedState:
-    """Construct a catalog state by name.
+@functools.lru_cache(maxsize=1024, typed=True)
+def make_state(name: str, /, **params) -> NamedState:
+    """Construct a catalog state by name, memoized by value, each parameter
+    keyed with its type.
 
     Parametric families: ``W_mn`` (m, n, optional phases rho/eta/sigma),
     ``W_pqrs`` (p, q, r, s with |p|^2+|q|^2+|r|^2=|s|^2), ``GHZ:n`` (n).
@@ -504,8 +512,10 @@ _BASIS_BUILDERS: dict[str, Callable[..., NamedBasis]] = {
 }
 
 
-def make_basis(name: str, **params) -> NamedBasis:
-    """Construct a catalog basis by name.
+@functools.lru_cache(maxsize=1024, typed=True)
+def make_basis(name: str, /, **params) -> NamedBasis:
+    """Construct a catalog basis by name, memoized by value, each parameter
+    keyed with its type, so ``i=1.0`` is still refused after ``i=1``.
 
     Parametric bases: ``pi_2q(i, j)``, ``pi_3q(i, j, k)``,
     ``omega34_3q(i, j)`` take Pauli dressing indices 0..3;
@@ -515,6 +525,15 @@ def make_basis(name: str, **params) -> NamedBasis:
         builder = _BASIS_BUILDERS[name]
     except KeyError:
         raise ValueError("unknown basis name %r" % name) from None
+    signature = inspect.signature(builder)
+    try:
+        signature.bind(**params)
+    except TypeError:
+        takes = [str(p.replace(annotation=p.empty))
+                 for p in signature.parameters.values()]
+        raise ValueError("basis %r takes %s, got %s" % (
+            name, "parameters " + ", ".join(takes) if takes else "no parameters",
+            ", ".join(params) or "none")) from None
     return builder(**params)
 
 

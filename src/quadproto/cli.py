@@ -484,7 +484,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe is seen here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left; the flush at exit writes to devnull, not the pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write("error: standard output was closed before the "
+                         "output was written\n")
+        return 2
     except (ScenarioFormatError, FileNotFoundError, KeyError, TypeError,
             ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)

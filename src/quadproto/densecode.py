@@ -77,8 +77,10 @@ def _sender_major(resource: PureState, sender_qubits: tuple[int, ...],
     if len(set(sender_qubits)) != len(sender_qubits):
         raise ValueError("repeated sender qubit in %s" % (list(sender_qubits),))
     n = resource.num_qubits
-    if any(q < 0 or q >= n for q in sender_qubits):
-        raise ValueError("target qubit out of range")
+    for q in sender_qubits:
+        if not 0 <= q < n:
+            raise ValueError("sender qubit %d is out of range for a %d-qubit "
+                             "resource" % (q, n))
     k = len(sender_qubits)
     if 4 ** k << width > MAX_ENCODED_ENTRIES:
         raise ValueError(

@@ -49,8 +49,8 @@ class LoccProtocol:
     @functools.cached_property
     def plan(self) -> MeasurementPlan:
         """The memoized plan of ``rounds``, shared by every candidate set and
-        by every equal protocol; kept on the protocol, so the by-value key
-        is built once."""
+        by every equal protocol; kept on the protocol, so its steps are
+        resolved against the catalog once."""
         return build_plan(self.rounds)
 
 

@@ -2,9 +2,9 @@
 
 A plan is an ordered list of steps; each step measures a disjoint set of
 qubits in a named basis.  Subspace bases are completed automatically with
-Gram-Schmidt vectors labeled ``perp0``, ``perp1``, ...  once, when the step
-is built.  Enumeration walks every outcome combination exactly (no
-sampling) for a stack of inputs with one contraction, ``contract``, which
+Gram-Schmidt vectors labeled ``perp0``, ``perp1``, ...  once per basis.
+Enumeration walks every outcome combination exactly (no sampling) for a
+stack of inputs with one contraction, ``contract``, which
 LOCC certificates share; branches are dropped once, at the end.  The
 result is one ``Outcomes`` record: per branch its labels, its comma-joined
 key and whether an auto-completed direction fired; per branch and input
@@ -40,8 +40,9 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=1024)
 def complete_basis(basis: NamedBasis) -> NamedBasis:
-    """Extend a subspace basis to a complete one.
+    """Extend a subspace basis to a complete one, memoized on the basis.
 
     Computational unit vectors are Gram-Schmidt orthogonalized against the
     declared rows (and each other) in index order; survivors are appended
@@ -150,21 +151,16 @@ class MeasurementPlan:
 
 def build_plan(steps: Iterable[StepSpec]) -> MeasurementPlan:
     """Resolve named steps against the catalog into a measurement plan,
-    memoized by value; each parameter is keyed with its type, so ``i=1.0``
-    never reuses the plan of ``i=1``, whose builder wants an integer."""
-    return _plan(tuple([(tuple(s.qubits), s.basis, s.party,
-                         tuple([(k, type(v), v) for k, v in s.basis_params.items()])
-                         if s.basis_params else ())
-                        for s in steps]))
+    memoized on the resolved (qubits, basis, party) steps: ``make_basis``
+    shares one basis per name and typed parameters, so equal steps share
+    one plan and its ``outcome_table``."""
+    return _plan(tuple([(tuple(s.qubits), make_basis(s.basis, **s.basis_params),
+                         s.party) for s in steps]))
 
 
 @functools.lru_cache(maxsize=1024)
 def _plan(key: tuple) -> MeasurementPlan:
-    return MeasurementPlan(tuple(
-        MeasurementStep(qubits, make_basis(basis, **{k: v for k, _, v in params}),
-                        party=party)
-        for qubits, basis, party, params in key
-    ))
+    return MeasurementPlan(tuple(MeasurementStep(*step) for step in key))
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,10 +31,10 @@ outcomes are scored in slices of at most ``SLICE_ENTRIES`` (2^21) scores,
 one outcome per slice when its own scores are more.
 
 What does not depend on the probe seed is built once per value: the
-resource state (keyed by name, each parameter with its type, and inline
-kets), the family span and the certifying probe rows (keyed by
-``FamilySpec``), each in a bounded memo holding read-only arrays.  Only
-the random probe members are drawn per call.
+catalog memoizes the resource state (``make_state``), and the family span
+and the certifying probe rows are memoized by ``FamilySpec``, each in a
+bounded memo holding read-only arrays.  An inline resource and the random
+probe members are built per call.
 
 When no candidate works the result carries a certificate: per outcome, the
 best achievable worst-case fidelity over the probe set.
@@ -207,25 +207,10 @@ class TeleportScenario:
                 % (MAX_DIAG_QUBITS, self.family.num_qubits))
 
     def resource_state(self) -> NamedState:
-        state, (name, params, slocc, note) = _resource(
-            self.resource,
-            tuple([(k, type(v), v) for k, v in self.resource_params.items()]),
-            self.resource_kets)
-        return NamedState(name, state, dict(params), slocc, note)
-
-
-@functools.lru_cache(maxsize=1024)
-def _resource(name: str, params: tuple, kets: tuple) -> tuple[PureState, tuple]:
-    """A scenario's resource state and its catalog name, parameter items,
-    SLOCC class and note, memoized by value; each parameter is keyed with its
-    type, as ``measure.build_plan`` keys them, so ``m=1`` never reuses the
-    entry of ``m=1.0``."""
-    if kets:
-        return (PureState.from_kets(dict(kets), normalize=True),
-                (name, (), None, "inline resource"))
-    named = make_state(name, **{k: v for k, _, v in params})
-    return named.state, (named.name, tuple(named.params.items()), named.slocc,
-                         named.note)
+        if self.resource_kets:
+            return NamedState(self.resource, PureState.from_kets(
+                dict(self.resource_kets), normalize=True), note="inline resource")
+        return make_state(self.resource, **self.resource_params)
 
 
 # ---------------------------------------------------------------------------

@@ -155,10 +155,35 @@ def test_completeness_flags():
 
 
 def test_eta_zeta_w_needs_params():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"^basis 'eta_zeta_w' takes parameters "
+                                         r"p, q, r, s, got none$"):
         make_basis("eta_zeta_w")
     basis = make_basis("eta_zeta_w", p=1, q=2, r=2, s=3)
     assert validate_orthonormal(basis)["ok"]
+
+
+def test_basis_parameters_are_checked_by_name():
+    cases = [("bell", {"x": 1}, "'bell' takes no parameters, got x"),
+             ("pi_2q", {"i": 1, "k": 0}, "'pi_2q' takes parameters i=0, j=0, got i, k"),
+             ("eta_zeta_w", {"p": 1}, "'eta_zeta_w' takes parameters p, q, r, s, got p"),
+             ("plus_minus", {"name": 1}, "'plus_minus' takes no parameters, got name")]
+    for name, params, message in cases:
+        with pytest.raises(ValueError) as err:
+            make_basis(name, **params)
+        assert str(err.value) == "basis " + message
+
+
+def test_basis_memo_keys_parameters_with_their_type():
+    make_basis.cache_clear()
+    pi = make_basis("pi_2q", i=1)
+    assert make_basis("pi_2q", i=1) is pi
+    # the float and the bool compare equal to the cached int, and are still
+    # refused; a refused call is not memoized, so it is refused again
+    for bad in (1.0, True, 1.0):
+        with pytest.raises(ValueError, match="Pauli index must be an integer"):
+            make_basis("pi_2q", i=bad)
+    info = make_basis.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 1, 4)
 
 
 def test_named_basis_holds_one_read_only_copy():

@@ -664,11 +664,22 @@ def test_seed_and_tolerance_flags_accepted(capsys):
     assert json.loads(out)["feasible"] is True
 
 
-def test_python_dash_m_runs_the_cli():
-    # ``python -m quadproto`` is the console script: its exit code included
+def _cli_env(**overrides):
+    """The environment of a ``python -m quadproto`` child, with ``src`` on
+    its path; an override of None unsets the variable."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for key, value in overrides.items():
+        env.pop(key, None)
+        if value is not None:
+            env[key] = value
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
+    # ``python -m quadproto`` is the console script: its exit code included
+    env = _cli_env()
     ok = subprocess.run([sys.executable, "-m", "quadproto", "catalog", "--format", "json"],
                         env=env, capture_output=True, text=True, timeout=120)
     assert ok.returncode == 0, ok.stderr
@@ -677,3 +688,23 @@ def test_python_dash_m_runs_the_cli():
                          env=env, capture_output=True, text=True, timeout=120)
     assert bad.returncode == 2
     assert bad.stderr == "error: densecode needs --state and --qubits (or --all)\n"
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    (["catalog", "--dump"], "1"),             # the write in _emit fails
+    (["catalog", "--state", "GHZ4"], None),   # the output sits in the buffer
+])
+def test_closed_output_pipe_exits_two_without_traceback(argv, unbuffered):
+    # the read end is closed before the child starts, as when the reader of
+    # ``quadproto ... | head`` has already exited
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "quadproto"] + argv,
+                              env=_cli_env(PYTHONUNBUFFERED=unbuffered),
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: standard output was closed before the output was written\n")

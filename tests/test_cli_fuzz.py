@@ -33,6 +33,9 @@ TEMPLATES = (
     ["locc", "--certificate", "omega16"],
     ["catalog", "--state", "W_mn", "--param", "m=1", "--param", "n=1"],
     ["catalog", "--basis", "pi_2q", "--param", "i=1", "--param", "j=2"],
+    # refused: a parameter the basis does not take, and missing parameters
+    ["catalog", "--basis", "bell", "--param", "x=1"],
+    ["catalog", "--basis", "eta_zeta_w"],
     # refused before its 16 TiB vector is allocated
     ["catalog", "--state", "GHZ:40"],
     ["diagnose", "--state", "GHZ4"],
@@ -148,6 +151,16 @@ def test_wide_ket_labels_are_refused_by_name(capsys, templates):
     for argv in ["catalog", "--state", "GHZ:40"], templates[-2]:
         assert _run(capsys, argv) == (
             2, "error: 40 qubits exceeds the 12-qubit capacity\n"), argv
+
+
+def test_basis_parameters_are_refused_by_name(capsys):
+    assert _run(capsys, ["catalog", "--basis", "bell", "--param", "x=1"]) == (
+        2, "error: basis 'bell' takes no parameters, got x\n")
+    assert _run(capsys, ["catalog", "--basis", "eta_zeta_w"]) == (
+        2, "error: basis 'eta_zeta_w' takes parameters p, q, r, s, got none\n")
+    # the catalog name is positional only, so a parameter may share its name
+    assert _run(capsys, ["catalog", "--state", "GHZ4", "--param", "name=1"]) == (
+        2, "error: state 'GHZ4' takes no parameters, got name\n")
 
 
 def test_mutated_arguments_fail_closed(capsys, templates):

@@ -142,10 +142,11 @@ def test_distribution_dependence_counterexamples():
 
 def test_bad_arguments_rejected():
     st = make_state("GHZ4").state
-    with pytest.raises(ValueError, match="out of range"):
-        distinguishable_messages(st, (9,))
-    with pytest.raises(ValueError, match="out of range"):
-        distinguishable_messages(st, (0, -1))
+    for query in distinguishable_messages, encoded_states:
+        for senders, bad in ((9,), 9), ((0, 7), 7), ((0, -1), -1):
+            with pytest.raises(ValueError, match=r"^sender qubit %d is out of range "
+                                                 r"for a 4-qubit resource$" % bad):
+                query(st, senders)
 
 
 def test_repeated_sender_qubit_rejected():

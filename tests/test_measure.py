@@ -349,6 +349,22 @@ def test_building_every_registered_plan_constructs_no_pure_state(monkeypatch):
     assert len(built) == 1
 
 
+def test_each_registered_basis_is_built_and_completed_once():
+    # the catalog shares one basis per name and typed parameters, and each
+    # shared basis is completed once, however many plans measure it
+    keys = {(s.basis, tuple((k, type(v), v) for k, v in s.basis_params.items()))
+            for steps in _registered_plan_steps() for s in steps}
+    for memo in make_basis, complete_basis, measure._plan:
+        memo.cache_clear()
+    for _ in range(2):
+        for steps in _registered_plan_steps():
+            build_plan(steps)
+        measure._plan.cache_clear()
+    assert len(keys) == 40
+    assert make_basis.cache_info().misses == len(keys)
+    assert complete_basis.cache_info().misses == len(keys)
+
+
 # --- the batched kernel against one-state-at-a-time enumeration ---------------
 
 def _reference_outcomes(amplitudes, plan, drop_tol=DROP_TOL):

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from quadproto import catalog
 from quadproto import scenarios as reg
 from quadproto import teleport
 from quadproto.measure import StepSpec, build_plan, enumerate_outcomes
@@ -148,46 +149,52 @@ def test_probes_deterministic_per_seed():
 
 def test_round_tripped_scenario_builds_its_resource_once(monkeypatch):
     # a scenario read back from its JSON is a new object of equal value, so
-    # its second run reuses the resource its first run built
-    sc = loads_scenario(dumps_scenario(reg.TELEPORT_SCENARIOS["w11_etazeta"]))
-    real = teleport.make_state
+    # its second run reuses the resource the catalog built for its first
+    base = reg.TELEPORT_SCENARIOS["w11_etazeta"]
+    sc = loads_scenario(dumps_scenario(base))
+    real = catalog._w_mn
     calls = []
 
-    def spy(name, **params):
-        calls.append((name, params))
-        return real(name, **params)
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(teleport, "make_state", spy)
-    teleport._resource.cache_clear()
+    monkeypatch.setattr(catalog, "_w_mn", spy)
+    catalog.make_state.cache_clear()
     first = run_scenario(sc, seed=3)
     second = run_scenario(sc, seed=3)
-    named = sc.resource_state()
-    assert calls == [("W_mn", {"m": 1, "n": 1})]
     assert repr(first) == repr(second)
-    # the wrapper carries what the catalog returned
-    want = real("W_mn", m=1, n=1)
-    assert np.array_equal(named.state.amplitudes, want.state.amplitudes)
-    assert ((named.name, named.params, named.slocc, named.note)
-            == (want.name, want.params, want.slocc, want.note))
+    # the scenario hands out the catalog's own state, as does the original
+    assert sc.resource_state() is catalog.make_state("W_mn", m=1, n=1)
+    assert base.resource_state() is sc.resource_state()
+    assert calls == [(1.0, 1.0)]
 
 
 def test_resource_parameters_are_keyed_with_their_type():
-    # m=1 and m=1.0 name the same state but get separate entries, as
-    # build_plan keys its parameters
+    # m=1 and m=1.0 name the same state but are separate catalog entries
     base = reg.TELEPORT_SCENARIOS["w11_etazeta"]
-    teleport._resource.cache_clear()
+    catalog.make_state.cache_clear()
     states = [dataclasses.replace(base, resource_params={"m": m, "n": 1}).resource_state()
               for m in (1, 1.0, 1)]
-    info = teleport._resource.cache_info()
+    info = catalog.make_state.cache_info()
     assert (info.currsize, info.hits, info.misses) == (2, 1, 2)
+    assert states[0] is states[2] and states[0] is not states[1]
     assert np.array_equal(states[0].state.amplitudes, states[1].state.amplitudes)
-    # inline kets are part of the key
+    # a refused resource is refused again
+    bad = dataclasses.replace(base, resource_params={"m": -1, "n": 1})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="nonnegative"):
+            bad.resource_state()
+    # inline kets bypass the catalog
     pair = TeleportScenario("pair", "pair", FamilySpec("arbitrary", 1),
                             (StepSpec((0, 1), "bell"),), (2,),
                             resource_kets=(("00", 1.0), ("11", 1.0)))
     minus = dataclasses.replace(pair, resource_kets=(("00", 1.0), ("11", -1.0)))
     assert pair.resource_state().state.amplitudes[3] > 0
     assert minus.resource_state().state.amplitudes[3] < 0
+    named = pair.resource_state()
+    assert (named.name, dict(named.params), named.slocc, named.note) == \
+        ("pair", {}, None, "inline resource")
 
 
 def test_memoized_inputs_are_read_only():
@@ -199,12 +206,14 @@ def test_memoized_inputs_are_read_only():
         with pytest.raises(ValueError):
             arr[0] = 0
     assert family_span(spec) is family_span(FamilySpec("ghz_diag", 2, (1, 3)))
-    # the probe stack and the NamedState are built per call, the caller's own
+    # the probe stack is built per call, the caller's own
     vectors, _ = build_probes(spec, np.random.default_rng(0))
     vectors[:] = 0
     again, _ = build_probes(spec, np.random.default_rng(0))
     assert np.array_equal(again[:2], family_span(spec))
-    sc.resource_state().params["m"] = 99.0
+    # the catalog shares one NamedState, whose parameters are read-only
+    with pytest.raises(TypeError):
+        sc.resource_state().params["m"] = 99.0
     assert sc.resource_state().params["m"] == 1.0
     # exceptions are not cached: a bad family is refused on every call
     for _ in range(2):
