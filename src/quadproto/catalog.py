@@ -219,8 +219,7 @@ def _take(params: dict, family: str, names: str) -> list:
 
 @functools.lru_cache(maxsize=1024, typed=True)
 def make_state(name: str, /, **params) -> NamedState:
-    """Construct a catalog state by name, memoized by value, each parameter
-    keyed with its type.
+    """Construct a catalog state by name; memoized on the call as written.
 
     Parametric families: ``W_mn`` (m, n, optional phases rho/eta/sigma),
     ``W_pqrs`` (p, q, r, s with |p|^2+|q|^2+|r|^2=|s|^2), ``GHZ:n`` (n).
@@ -238,14 +237,14 @@ def make_state(name: str, /, **params) -> NamedState:
         if imaginary:
             raise ValueError("W_mn parameters must be real: %s"
                              % ", ".join(imaginary))
-        m, n = (float(v) for v in _take(params, "W_mn", "mn"))
-        phases = {k: float(params.pop(k, 0.0)) for k in ("rho", "eta", "sigma")}
+        m, n = (float(v) + 0.0 for v in _take(params, "W_mn", "mn"))
+        phases = {k: float(params.pop(k, 0.0)) + 0.0 for k in ("rho", "eta", "sigma")}
         if params:
             raise ValueError("unknown W_mn parameters: %s" % sorted(params))
         st = _w_mn(m, n, **phases)
         return NamedState("W_mn", st, params={"m": m, "n": n, **phases})
     if canonical == "W_pqrs":
-        vals = [complex(v) for v in _take(params, "W_pqrs", "pqrs")]
+        vals = [complex(v) + 0j for v in _take(params, "W_pqrs", "pqrs")]
         if params:
             raise ValueError("unknown W_pqrs parameters: %s" % sorted(params))
         st = _w_pqrs(*vals)
@@ -514,8 +513,7 @@ _BASIS_BUILDERS: dict[str, Callable[..., NamedBasis]] = {
 
 @functools.lru_cache(maxsize=1024, typed=True)
 def make_basis(name: str, /, **params) -> NamedBasis:
-    """Construct a catalog basis by name, memoized by value, each parameter
-    keyed with its type, so ``i=1.0`` is still refused after ``i=1``.
+    """Construct a catalog basis by name; memoized on the call as written.
 
     Parametric bases: ``pi_2q(i, j)``, ``pi_3q(i, j, k)``,
     ``omega34_3q(i, j)`` take Pauli dressing indices 0..3;
@@ -525,15 +523,12 @@ def make_basis(name: str, /, **params) -> NamedBasis:
         builder = _BASIS_BUILDERS[name]
     except KeyError:
         raise ValueError("unknown basis name %r" % name) from None
-    signature = inspect.signature(builder)
-    try:
-        signature.bind(**params)
-    except TypeError:
-        takes = [str(p.replace(annotation=p.empty))
-                 for p in signature.parameters.values()]
+    takes = inspect.signature(builder).parameters
+    required = {k for k, p in takes.items() if p.default is p.empty}
+    if not required <= set(params) <= set(takes):
         raise ValueError("basis %r takes %s, got %s" % (
             name, "parameters " + ", ".join(takes) if takes else "no parameters",
-            ", ".join(params) or "none")) from None
+            ", ".join(params) or "none"))
     return builder(**params)
 
 

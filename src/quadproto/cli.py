@@ -485,13 +485,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()  # so a closed pipe is seen here, not at exit
+        sys.stdout.flush()  # a closed pipe raises here; the exit flush then hits devnull
         return code
     except BrokenPipeError:
-        # the reader left; the flush at exit writes to devnull, not the pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.stderr.write("error: standard output was closed before the "
-                         "output was written\n")
+        sys.stderr.write("error: standard output was closed before the output was written\n")
         return 2
     except (ScenarioFormatError, FileNotFoundError, KeyError, TypeError,
             ValueError) as exc:

@@ -77,10 +77,9 @@ def _sender_major(resource: PureState, sender_qubits: tuple[int, ...],
     if len(set(sender_qubits)) != len(sender_qubits):
         raise ValueError("repeated sender qubit in %s" % (list(sender_qubits),))
     n = resource.num_qubits
-    for q in sender_qubits:
-        if not 0 <= q < n:
-            raise ValueError("sender qubit %d is out of range for a %d-qubit "
-                             "resource" % (q, n))
+    bad = [q for q in sender_qubits if not 0 <= q < n]
+    if bad:
+        raise ValueError("sender qubit %d is out of range for a %d-qubit resource" % (bad[0], n))
     k = len(sender_qubits)
     if 4 ** k << width > MAX_ENCODED_ENTRIES:
         raise ValueError(

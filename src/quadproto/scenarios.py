@@ -266,10 +266,7 @@ def locc_candidate_sets() -> dict[str, list]:
     sets["ghz8"] = list(zip(g.labels, g.vectors))
 
     def images(name, encodings):
-        resource = make_state(name).state
-        by_label = dict()
-        for names, st in encoded_states(resource, (0, 1)):
-            by_label[names] = st
+        by_label = dict(encoded_states(make_state(name).state, (0, 1)))
         return [("*".join(n), by_label[n]) for n in encodings]
 
     sets["omega4"] = images("Omega", [("s0", "s0"), ("s0", "s1"),
@@ -279,15 +276,9 @@ def locc_candidate_sets() -> dict[str, list]:
     sets["q5_4"] = images("Q5", [("s0", "s0"), ("s1", "s0"),
                                  ("s0", "s1"), ("s1", "s1")])
 
-    omega = make_state("Omega").state
-    res = distinguishable_messages(omega, (0, 1))
-    by_label = dict(encoded_states(omega, (0, 1)))
-    sets["omega16"] = [("*".join(n), by_label[n]) for n in res.witness]
-
-    q4 = make_state("Q4").state
-    res = distinguishable_messages(q4, (0, 1))
-    by_label = dict(encoded_states(q4, (0, 1)))
-    sets["q4_8"] = [("*".join(n), by_label[n]) for n in res.witness]
+    for key, name in (("omega16", "Omega"), ("q4_8", "Q4")):
+        witness = distinguishable_messages(make_state(name).state, (0, 1)).witness
+        sets[key] = images(name, witness)
     return sets
 
 

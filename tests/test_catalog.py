@@ -164,7 +164,7 @@ def test_eta_zeta_w_needs_params():
 
 def test_basis_parameters_are_checked_by_name():
     cases = [("bell", {"x": 1}, "'bell' takes no parameters, got x"),
-             ("pi_2q", {"i": 1, "k": 0}, "'pi_2q' takes parameters i=0, j=0, got i, k"),
+             ("pi_2q", {"i": 1, "k": 0}, "'pi_2q' takes parameters i, j, got i, k"),
              ("eta_zeta_w", {"p": 1}, "'eta_zeta_w' takes parameters p, q, r, s, got p"),
              ("plus_minus", {"name": 1}, "'plus_minus' takes no parameters, got name")]
     for name, params, message in cases:
@@ -184,6 +184,27 @@ def test_basis_memo_keys_parameters_with_their_type():
             make_basis("pi_2q", i=bad)
     info = make_basis.cache_info()
     assert (info.currsize, info.hits, info.misses) == (1, 1, 4)
+
+
+def test_the_sign_of_zero_does_not_reach_a_catalog_entry():
+    # -0.0 == 0.0, so both signs share one memo entry: what the first call
+    # builds, parameters echoed and amplitude signs alike, must not depend
+    # on the sign of a zero
+    cases = [(make_state, "W_mn", {"n": 1.0}, "m", (0.0, -0.0)),
+             (make_state, "W_mn", {"m": 1.0, "n": 1.0}, "rho", (0.0, -0.0)),
+             (make_state, "W_pqrs", {"q": 1.0, "r": 1.0, "s": 2 ** 0.5}, "p",
+              (0.0, -0.0, complex(-0.0, -0.0))),
+             (make_basis, "eta_zeta_w", {"q": 1.0, "r": 1.0, "s": 2 ** 0.5}, "p",
+              (0.0, -0.0, complex(-0.0, -0.0)))]
+    for make, name, params, key, zeros in cases:
+        seen = set()
+        for zero in zeros:
+            make.cache_clear()
+            built = make(name, **params, **{key: zero})
+            rows = built.state.amplitudes if make is make_state else built.matrix
+            seen.add((repr(dict(getattr(built, "params", {}))),
+                      np.signbit(rows.real).tobytes(), np.signbit(rows.imag).tobytes()))
+        assert len(seen) == 1, name
 
 
 def test_named_basis_holds_one_read_only_copy():

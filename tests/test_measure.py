@@ -340,10 +340,12 @@ def test_building_every_registered_plan_constructs_no_pure_state(monkeypatch):
         original(self)
 
     monkeypatch.setattr(PureState, "__post_init__", counting)
-    measure._plan.cache_clear()
+    for memo in make_basis, complete_basis, measure._plan:
+        memo.cache_clear()  # so every basis is built and completed while counted
     for steps in plans:
         build_plan(steps)
     assert measure._plan.cache_info().currsize == 68  # distinct plans, all rebuilt
+    assert complete_basis.cache_info().misses == 40
     assert built == []
     basis_state("0")  # the count does see a construction
     assert len(built) == 1
