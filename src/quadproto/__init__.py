@@ -13,8 +13,6 @@ from .states import (
     MAX_QUBITS,
     PAULI_ORDER,
     PureState,
-    DensityMatrix,
-    LocalUnitary,
     SIGMA,
     apply_local,
     apply_paulis,
@@ -96,7 +94,7 @@ from .suite import ClaimRow, SuiteReport, format_text, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAX_QUBITS", "PAULI_ORDER", "PureState", "DensityMatrix", "LocalUnitary",
+    "MAX_QUBITS", "PAULI_ORDER", "PureState",
     "SIGMA", "apply_local", "apply_paulis", "basis_state", "fidelity",
     "inner", "pauli_table", "permute_qubits",
     "purity", "random_state", "random_unitary", "reduced_density", "tensor",

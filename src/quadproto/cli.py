@@ -370,7 +370,7 @@ def _cmd_locc(args) -> int:
 def _cmd_diagnose(args) -> int:
     if args.all:
         _refuse(args, "diagnose --all", "state")
-    names = ["GHZ4", "W4", "Omega", "Q4", "Q5"] if args.all else [args.state]
+    names = list(reg.REDUCTION_PURITY_TABLE) if args.all else [args.state]
     if not names[0]:
         raise ValueError("diagnose needs --state or --all")
     profiles = []
@@ -491,8 +491,10 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.stderr.write("error: standard output was closed before the output was written\n")
         return 2
-    except (ScenarioFormatError, FileNotFoundError, KeyError, TypeError,
-            ValueError) as exc:
+    except OSError as exc:
+        sys.stderr.write("error: %s: %s\n" % (exc.filename, exc.strerror))
+        return 2
+    except (ScenarioFormatError, KeyError, TypeError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         sys.stderr.write("error: %s\n" % message)
         return 2

@@ -12,8 +12,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .states import (MIXED_TOL, SIGMA, DensityMatrix, PureState,
-                     check_tolerance, purity, reduced_density)
+from .states import (MIXED_TOL, SIGMA, PureState, check_tolerance, purity,
+                     reduced_density)
 
 __all__ = [
     "wootters_concurrence",
@@ -26,13 +26,13 @@ __all__ = [
 ]
 
 
-def wootters_concurrence(rho: DensityMatrix | np.ndarray) -> float:
+def wootters_concurrence(rho: np.ndarray) -> float:
     """Concurrence of a two-qubit density matrix.
 
     C = max(0, l1 - l2 - l3 - l4) where l_i are the decreasingly sorted
     square roots of the eigenvalues of rho (s2 x s2) rho* (s2 x s2).
     """
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    mat = np.asarray(rho)
     if mat.shape != (4, 4):
         raise ValueError("concurrence is defined for two qubits")
     yy = np.kron(SIGMA["s2"], SIGMA["s2"])
@@ -49,7 +49,7 @@ def pair_concurrence(state: PureState, i: int, j: int) -> float:
 
 def _one_to_rest_concurrence_sq(state: PureState, i: int) -> float:
     # pure bipartite qubit-vs-rest: C^2 = 4 det(rho_i) = 2 (1 - purity)
-    rho = reduced_density(state, [i]).matrix
+    rho = reduced_density(state, [i])
     det = np.linalg.det(rho).real
     return float(max(0.0, 4.0 * det))
 

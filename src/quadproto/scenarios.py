@@ -32,6 +32,7 @@ __all__ = [
     "locc_protocols",
     "certificate_factors",
     "catalog_protocols",
+    "REDUCTION_PURITY_TABLE",
     "PAIR_CONCURRENCE_TABLE",
     "UNVERIFIED_CLAIMS",
 ]
@@ -353,6 +354,11 @@ def certificate_factors() -> dict[str, list]:
 
 
 # --- diagnostics ---------------------------------------------------------------
+
+# the profiled states, in report order, each with its expected largest purity
+# over the proper reductions
+REDUCTION_PURITY_TABLE = {"GHZ4": 0.5, "W4": 0.625, "Omega": 0.5,
+                          "Q4": 0.625, "Q5": 0.625}
 
 # expected pairwise concurrences, 0-based qubit pairs
 PAIR_CONCURRENCE_TABLE = {

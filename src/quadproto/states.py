@@ -1,8 +1,9 @@
 """Exact pure-state linear algebra for small qubit registers.
 
 Big-endian labeling throughout: qubit 0 is the leftmost symbol of a ket
-label, so in |011> qubit 0 is |0> and qubits 1, 2 are |1>.  States and
-operators are immutable values; every operation returns a fresh object.
+label, so in |011> qubit 0 is |0> and qubits 1, 2 are |1>.  States are
+immutable values; reductions and unitaries are plain read-only arrays.  Every
+operation returns a fresh object.
 """
 from __future__ import annotations
 
@@ -27,9 +28,7 @@ SLICE_ENTRIES = 2 ** 21
 
 # Tolerances.  Every module imports these; none defines its own.
 NORM_TOL = 1e-12        # |norm - 1| of a PureState
-UNITARY_TOL = 1e-12     # max |U^dag U - I| of a LocalUnitary
-HERMITIAN_TOL = 1e-12   # DensityMatrix hermiticity and unit trace
-PSD_TOL = 1e-10         # most negative DensityMatrix eigenvalue allowed
+UNITARY_TOL = 1e-12     # max |U^dag U - I| of a matrix apply_local applies
 GRAM_TOL = 1e-12        # max |G - I| of a catalog basis
 AMP_TOL = 1e-12         # smaller amplitudes are left out of ket listings
 DROP_TOL = 1e-12        # outcome branches at or below this probability never fire
@@ -148,54 +147,6 @@ def basis_state(label: str) -> PureState:
     return PureState.from_kets({label: 1.0})
 
 
-@dataclass(frozen=True, eq=False)
-class LocalUnitary:
-    """Unitary matrix on a small register, checked to UNITARY_TOL."""
-
-    matrix: np.ndarray
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("unitary must be square")
-        qubit_count(mat.shape[0])
-        dev = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
-        if dev > UNITARY_TOL:
-            raise ValueError(f"matrix fails unitarity by {dev:.3e}")
-        object.__setattr__(self, "matrix", _lock(mat))
-        object.__setattr__(self, "name", str(self.name))
-
-    @property
-    def num_qubits(self) -> int:
-        return self.matrix.shape[0].bit_length() - 1
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("density matrix must be square")
-        qubit_count(mat.shape[0])
-        if np.abs(mat - mat.conj().T).max() > HERMITIAN_TOL:
-            raise ValueError("density matrix is not Hermitian within %g" % HERMITIAN_TOL)
-        trace = np.trace(mat)
-        if abs(trace.real - 1.0) > HERMITIAN_TOL or abs(trace.imag) > HERMITIAN_TOL:
-            raise ValueError("density matrix trace deviates from 1")
-        if np.linalg.eigvalsh(mat).min() < -PSD_TOL:
-            raise ValueError("density matrix has an eigenvalue below %g" % -PSD_TOL)
-        object.__setattr__(self, "matrix", _lock(mat))
-
-    @property
-    def num_qubits(self) -> int:
-        return self.matrix.shape[0].bit_length() - 1
-
-
 # Single-qubit constants.  is2 denotes i*sigma_2, the real rotation used in
 # correction tables so that every allowed operation has real entries.
 SIGMA = {
@@ -312,19 +263,16 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return PureState(np.kron(a.amplitudes, b.amplitudes))
 
 
-def _resolve_matrix(u: LocalUnitary | np.ndarray) -> np.ndarray:
-    if isinstance(u, LocalUnitary):
-        return u.matrix
-    return LocalUnitary(np.asarray(u)).matrix
-
-
-def apply_local(state: PureState, u: LocalUnitary | np.ndarray,
+def apply_local(state: PureState, u: np.ndarray,
                 targets: Sequence[int]) -> PureState:
-    """Apply a unitary to the listed qubits, identity elsewhere.
+    """Apply a unitary matrix to the listed qubits, identity elsewhere.
 
     The order of targets fixes which qubit each tensor factor of u acts on.
+    u must be square and unitary within ``UNITARY_TOL``.
     """
-    mat = _resolve_matrix(u)
+    mat = np.asarray(u, dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError("unitary must be square")
     targets = tuple(targets)
     n = state.num_qubits
     if len(set(targets)) != len(targets):
@@ -333,6 +281,9 @@ def apply_local(state: PureState, u: LocalUnitary | np.ndarray,
         raise ValueError("target qubit out of range")
     if mat.shape[0] != 1 << len(targets):
         raise ValueError("operator size does not match target count")
+    dev = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
+    if not dev <= UNITARY_TOL:  # written so NaN fails too
+        raise ValueError(f"matrix fails unitarity by {dev:.3e}")
     rest = [i for i in range(n) if i not in targets]
     perm = list(targets) + rest
     psi = state.amplitudes.reshape([2] * n).transpose(perm)
@@ -364,8 +315,9 @@ def fidelity(a: PureState, b: PureState) -> float:
     return float(abs(inner(a, b)) ** 2)
 
 
-def reduced_density(state: PureState, keep: Sequence[int]) -> DensityMatrix:
-    """Partial trace onto the kept qubits, ordered as listed."""
+def reduced_density(state: PureState, keep: Sequence[int]) -> np.ndarray:
+    """Partial trace onto the kept qubits, ordered as listed, as a read-only
+    (2**k, 2**k) array."""
     keep = tuple(keep)
     n = state.num_qubits
     if not keep or len(set(keep)) != len(keep):
@@ -375,12 +327,12 @@ def reduced_density(state: PureState, keep: Sequence[int]) -> DensityMatrix:
     env = [i for i in range(n) if i not in keep]
     psi = state.amplitudes.reshape([2] * n).transpose(list(keep) + env)
     psi = psi.reshape(1 << len(keep), -1)
-    return DensityMatrix(psi @ psi.conj().T)
+    return _lock(psi @ psi.conj().T)
 
 
-def purity(rho: DensityMatrix | np.ndarray) -> float:
+def purity(rho: np.ndarray) -> float:
     """Tr(rho**2); equals 1 exactly for pure states."""
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    mat = np.asarray(rho)
     return float(np.trace(mat @ mat).real)
 
 
@@ -390,10 +342,10 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> PureState:
     return PureState(vec / np.linalg.norm(vec))
 
 
-def random_unitary(num_qubits: int, rng: np.random.Generator) -> LocalUnitary:
-    """Haar-distributed unitary via QR of a Ginibre matrix."""
+def random_unitary(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix, read-only."""
     dim = 1 << num_qubits
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return LocalUnitary(q)
+    return _lock(q)

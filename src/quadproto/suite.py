@@ -259,16 +259,13 @@ def _locc_rows(tol: float) -> list[ClaimRow]:
 
 def _diagnostics_rows() -> list[ClaimRow]:
     rows: list[ClaimRow] = []
-    reduction_purity = {"GHZ4": 0.5, "W4": 0.625, "Omega": 0.5,
-                        "Q4": 0.625, "Q5": 0.625}
-    for name in ("GHZ4", "W4", "Omega", "Q4", "Q5"):
+    for name, want_purity in reg.REDUCTION_PURITY_TABLE.items():
         prof = profile(name, make_state(name).state)
         rows.append(ClaimRow(
             claim_id="diagnostics/genuine/%s" % name, kind="diagnostics",
             status=_verdict(prof.genuine),
             expected="every proper reduction is mixed",
             actual="max reduction purity %.6f" % prof.max_reduction_purity))
-        want_purity = reduction_purity[name]
         rows.append(ClaimRow(
             claim_id="diagnostics/reduction_purity/%s" % name, kind="diagnostics",
             status=_verdict(abs(prof.max_reduction_purity - want_purity) <= VALUE_TOL),

@@ -223,7 +223,7 @@ def test_criterion_7_randomized_properties(_announce):
         after = np.vdot(ua.amplitudes, ub.amplitudes)
         assert abs(before - after) < 1e-11, case
         keep = [q]
-        rho = reduced_density(ua, keep).matrix
+        rho = reduced_density(ua, keep)
         purity = float(np.trace(rho @ rho).real)
         assert 0.5 - 1e-12 <= purity <= 1.0 + 1e-12, case
 

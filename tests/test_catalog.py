@@ -74,7 +74,7 @@ def test_w_mn_marginal_of_last_qubit_is_maximally_mixed():
     # the weighted-W family keeps qubit 4 at rho = I/2 for every m, n
     for m, n in ((1, 1), (1, 2), (3, 2)):
         state = make_state("W_mn", m=m, n=n).state
-        rho = reduced_density(state, (3,)).matrix
+        rho = reduced_density(state, (3,))
         assert np.allclose(rho, np.eye(2) / 2, atol=1e-12), (m, n)
 
 

@@ -624,8 +624,24 @@ def test_overlong_integer_in_file_exits_two(tmp_path, capsys):
 
 
 def test_missing_file_exits_two(tmp_path, capsys):
-    assert main(["teleport", "--file", str(tmp_path / "absent.json")]) == 2
-    capsys.readouterr()
+    path = str(tmp_path / "absent.json")
+    assert main(["teleport", "--file", path]) == 2
+    assert capsys.readouterr().err == "error: %s: No such file or directory\n" % path
+
+
+@pytest.mark.parametrize("argv, path, reason", [
+    (["catalog", "--state", "GHZ4", "--out", "afile"], "afile", "File exists"),
+    (["catalog", "--state", "GHZ4", "--out", "afile/sub"], "afile/sub",
+     "Not a directory"),
+    (["teleport", "--file", "adir"], "adir", "Is a directory"),
+])
+def test_file_errors_name_the_path(argv, path, reason, tmp_path, monkeypatch, capsys):
+    # an OSError is a usage error (exit 2), not a failed claim (exit 1)
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "adir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: %s: %s\n" % (path, reason)
 
 
 # --- output plumbing ----------------------------------------------------------------

@@ -20,6 +20,7 @@ from quadproto.diagnostics import (
     wootters_concurrence,
 )
 from quadproto.states import (
+    NORM_TOL,
     PureState,
     apply_local,
     basis_state,
@@ -164,9 +165,28 @@ def test_diagnose_all_json_bytes_pinned(capsys):
         "1aad2b65f19b9eca719495da945a42a964b179f2803824194776d076ff7f5c72"
 
 
+@pytest.mark.parametrize("name", ["GHZ4", "W4", "GHZ:3"])
+def test_a_state_within_norm_tol_of_unit_norm_is_profiled(name):
+    # its reductions have a trace up to 2 NORM_TOL off 1, and are still valid
+    exact = make_state(name).state
+    st = PureState(exact.amplitudes * (1 + 0.9 * NORM_TOL))
+    for keep in [(0,), (1, 2), (0, 2)]:
+        assert np.max(np.abs(reduced_density(st, keep)
+                             - reduced_density(exact, keep))) < 1e-11, keep
+    want = purity_profile(exact)
+    got = purity_profile(st)
+    assert got.keys() == want.keys()
+    assert all(abs(got[k] - want[k]) < 1e-11 for k in want)
+    prof = profile(name, st)
+    assert prof.genuine
+    assert abs(prof.max_reduction_purity - max(want.values())) < 1e-11
+    if st.num_qubits == 3:
+        assert abs(three_tangle_pure(st) - three_tangle_pure(exact)) < 1e-9
+
+
 def test_reduced_density_agrees_with_partial_trace_oracle():
     st = make_state("Q5").state
     amp = st.amplitudes.reshape([2] * 4)
     rho = np.einsum("abcd,ebcd->ae", amp, amp.conj())
-    got = reduced_density(st, [0]).matrix
+    got = reduced_density(st, [0])
     assert np.max(np.abs(got - rho)) < 1e-12

@@ -1,7 +1,9 @@
 """Core state container and operator plumbing."""
 
+import ast
 import itertools
 import inspect
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -116,7 +118,7 @@ def test_apply_local_matches_dense_kron():
         target = int(rng.integers(0, n))
         u = random_unitary(1, rng)
         moved = apply_local(st, u, (target,))
-        mats = [u.matrix if q == target else np.eye(2) for q in range(n)]
+        mats = [u if q == target else np.eye(2) for q in range(n)]
         full = mats[0]
         for m in mats[1:]:
             full = np.kron(full, m)
@@ -133,6 +135,23 @@ def test_apply_local_two_qubit_nonadjacent():
     b = apply_local(b, cz, (0, 1))
     b = permute_qubits(b, (0, 2, 1))
     assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-12)
+
+
+@pytest.mark.parametrize("u, targets, message", [
+    (np.eye(2)[:1], (0,), "unitary must be square"),
+    (np.ones(2), (0,), "unitary must be square"),
+    (np.diag([1.0, 2.0]), (0,), "fails unitarity"),
+    ((1 + 2e-12) * np.eye(2), (0,), "fails unitarity"),
+    (np.full((2, 2), np.nan), (0,), "fails unitarity"),
+    (np.eye(4), (0,), "operator size does not match target count"),
+    (np.eye(2), (0, 1), "operator size does not match target count"),
+    (np.eye(4), (1, 1), "duplicate target qubit"),
+    (np.eye(2), (2,), "target qubit out of range"),
+    (np.eye(2), (-1,), "target qubit out of range"),
+])
+def test_apply_local_refuses_a_bad_matrix_or_target(u, targets, message):
+    with pytest.raises(ValueError, match=message):
+        apply_local(basis_state("00"), u, targets)
 
 
 def test_permute_round_trip():
@@ -161,13 +180,21 @@ def test_reduced_density_pure_product():
                                                       normalize=True))
     rho = reduced_density(st, (1,))
     assert abs(purity(rho) - 1.0) < 1e-12
-    assert np.allclose(rho.matrix, np.full((2, 2), 0.5), atol=1e-12)
+    assert np.allclose(rho, np.full((2, 2), 0.5), atol=1e-12)
 
 
 def test_reduced_density_entangled_half():
     bell = PureState.from_kets({"00": 1, "11": 1}, normalize=True)
     rho = reduced_density(bell, (0,))
     assert abs(purity(rho) - 0.5) < 1e-12
+
+
+def test_reduced_density_is_a_read_only_array():
+    rho = reduced_density(basis_state("01"), (1, 0))
+    assert type(rho) is np.ndarray and rho.shape == (4, 4)
+    assert np.array_equal(rho, np.diag([0, 0, 1, 0]))
+    with pytest.raises(ValueError):
+        rho[0, 0] = 1.0
 
 
 def test_pauli_algebra():
@@ -241,8 +268,9 @@ def test_random_state_seeded_determinism():
 def test_random_unitary_is_unitary():
     rng = np.random.default_rng(13)
     for n in (1, 2):
-        u = random_unitary(n, rng).matrix
+        u = random_unitary(n, rng)
         assert np.allclose(u @ u.conj().T, np.eye(2 ** n), atol=1e-12)
+        assert not u.flags.writeable
 
 
 def test_amplitudes_locked():
@@ -320,6 +348,26 @@ def test_every_exported_tolerance_refuses_nan():
         kwargs = {**kwargs, param: float("nan")}
         with pytest.raises(ValueError, match="%s must be a finite number" % param):
             member(*args, **kwargs)
+
+
+def test_every_tolerance_in_the_table_is_read():
+    # a tolerance whose last reader is gone would still look like a setting
+    lines = inspect.getsource(states).splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("# Tolerances."))
+    table = []
+    for line in lines[start + 1:]:
+        if not line:
+            break
+        table.append(line.split(" = ")[0])
+    assert table[0] == "NORM_TOL" and table[-1] == "NEGATIVE_GAP"
+    read = set()
+    for path in pathlib.Path(states.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert [name for name in table if name not in read] == []
 
 
 def _dense_product(names):
