@@ -29,21 +29,25 @@ row first.  Representatives i and j are adjacent when mag[i xor j] < tol.
 The clique search is exact and returns the lexicographically smallest
 maximum clique over the representatives, so results are deterministic.
 
-The search first finds c0, one more than the largest clique in vertex 0's
-neighbourhood, so the largest clique through the identity encoding.  The
-maximum is c0 when c0 reaches the greedy-colouring bound of the whole graph
-(edgeless and complete graphs), or when the graph is certified to be a
-Cayley graph of the Pauli group modulo the identity's class.  The
-certificate is read off the classes and the thresholded adjacency alone
-(class 0 closed under XOR, every class one of its cosets, every edge i-j
-equal to the edge from 0 to the class of rep_i xor rep_j), so it adds no
-floating-point comparison and cannot change a result; it is built only
-when the colouring bound leaves the question open.  A Cayley graph is
-vertex-transitive, so some maximum clique contains vertex 0, and its
-clique number is at most floor(n / alpha) with alpha its independence
+The search first completes {0} smallest-first, each pick the smallest
+vertex adjacent to all picked so far, and returns that clique when it
+reaches the greedy-colouring bound of the whole graph.  Otherwise it finds
+c0, one more than the largest clique in vertex 0's neighbourhood, so the
+largest clique through the identity encoding.  The maximum is c0 when c0
+reaches the greedy-colouring bound of the whole graph, or when the graph is
+certified to be a Cayley graph of the Pauli group modulo the identity's
+class.  The certificate is read off the classes and the thresholded
+adjacency alone (class 0 closed under XOR, every class one of its cosets,
+every edge i-j equal to the edge from 0 to the class of rep_i xor rep_j),
+so it adds no floating-point comparison and cannot change a result; it is
+built only when the colouring bound leaves the question open.  A Cayley
+graph is vertex-transitive, so some maximum clique contains vertex 0, and
+its clique number is at most floor(n / alpha) with alpha its independence
 number (the clique-coclique bound): the search through vertex 0 stops as
 soon as it reaches that bound, and otherwise runs to the end.  Without the
-certificate the whole graph is searched, starting from c0.
+certificate the whole graph is searched, starting from c0.  The witness is
+then walked smallest vertex first; a step probes its vertex with an exact
+search only where the smallest-first completion of its pool falls short.
 """
 
 from __future__ import annotations
@@ -202,12 +206,31 @@ def _max_clique_size(adj: list[int], cand: int, lower: int = 0,
     return best
 
 
+def _smallest_first(adj: list[int], pool: int) -> list[int]:
+    """A maximal clique of the pool, grown by taking the pool's smallest
+    vertex and keeping only its neighbours, until the pool is empty."""
+    clique = []
+    while pool:
+        v = (pool & -pool).bit_length() - 1
+        clique.append(v)
+        pool &= adj[v]
+    return clique
+
+
 def _lex_smallest_maximum_clique(adj: list[int], n: int,
                                  transitive: Callable[[], bool]) -> list[int]:
     """The lexicographically smallest maximum clique.  ``transitive`` is asked,
     only when the greedy-colouring bound leaves the size open, whether the
     graph is known to be vertex-transitive, so that vertex 0 lies in a
     maximum clique.
+
+    Before any search, {0} is completed smallest-first: each pick is the
+    smallest vertex adjacent to all picked so far.  When that clique reaches
+    the greedy-colouring bound of the whole graph it is returned at once.  A
+    clique as large as an upper bound is a maximum clique; a maximum clique
+    through 0 makes the lexicographically smallest one start at 0; and each
+    pick is the smallest vertex of its pool, which the completion itself
+    proves extends to a maximum clique, exactly the rule of the walk below.
 
     The bound starts as the colour count of a greedy colouring of the whole
     graph.  For a vertex-transitive graph on n vertices it becomes
@@ -220,14 +243,22 @@ def _lex_smallest_maximum_clique(adj: list[int], n: int,
     search through vertex 0 stops once it reaches the bound and otherwise
     runs to the end, so c0 is exact either way.  When the graph is not known
     to be vertex-transitive and c0 falls short of the colouring bound, the
-    whole graph is searched from c0 up."""
+    whole graph is searched from c0 up.
+
+    The witness is then walked vertex by vertex, smallest first.  Each step
+    first completes the current pool smallest-first and stops there if that
+    reaches the target; only where it falls short is the pool's smallest
+    vertex probed with an exact search of its neighbourhood in the pool."""
     full = (1 << n) - 1
     bound = _greedy_colouring(adj, full)[-1][1]
-    # asked before c0 when c0 cannot reach the bound: the graph is neither
-    # edgeless nor complete, and c0 is at most 1 + the colour count of vertex
-    # 0's neighbourhood; otherwise asked only if c0 falls short
-    early = 1 < bound < n and (
-        not adj[0] or 1 + _greedy_colouring(adj, adj[0])[-1][1] < bound)
+    first = [0] + _smallest_first(adj, adj[0])
+    if len(first) >= bound:
+        return first
+    # asked before c0 when c0 cannot reach the bound, since c0 is at most 1 +
+    # the colour count of vertex 0's neighbourhood; otherwise asked only if
+    # c0 falls short.  Past the exit above the graph is neither edgeless nor
+    # complete (a greedy colouring of n colours means a complete graph)
+    early = not adj[0] or 1 + _greedy_colouring(adj, adj[0])[-1][1] < bound
     cayley = early and transitive()
     if cayley:
         coclique = [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
@@ -237,17 +268,20 @@ def _lex_smallest_maximum_clique(adj: list[int], n: int,
         target = c0
     else:
         target = _max_clique_size(adj, full, lower=c0)
+    # vertex 0 is left out of the pool when no maximum clique holds it
     chosen = [0] if c0 == target else []
-    pool = adj[0] if chosen else full
-    for v in range(1, n):
-        if len(chosen) == target:
-            break
-        if not (pool >> v) & 1:
-            continue
+    pool = adj[0] if chosen else full ^ 1
+    while len(chosen) < target:
+        rest = _smallest_first(adj, pool)
+        if len(chosen) + len(rest) >= target:
+            return chosen + rest
+        v = rest[0]
         inner = pool & adj[v]
         if len(chosen) + 1 + _max_clique_size(adj, inner) >= target:
             chosen.append(v)
             pool = inner
+        else:
+            pool ^= 1 << v
     return chosen
 
 

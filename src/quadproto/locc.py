@@ -53,8 +53,17 @@ class LoccProtocol:
         resolved against the catalog once."""
         return build_plan(self.rounds)
 
+    @functools.cached_property
+    def _reported_rounds(self) -> tuple[tuple[int, str], ...]:
+        """(round index, ``"round:<party>"`` key) of every round whose party
+        differs from the final round's, built once per protocol so every
+        result's ``cbit_breakdown`` shares the key strings."""
+        final_party = self.rounds[-1].party
+        return tuple((i, "round:%s" % rnd.party)
+                     for i, rnd in enumerate(self.rounds) if rnd.party != final_party)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class DiscriminationResult:
     protocol_id: str
     success: bool
@@ -101,21 +110,19 @@ def run_discrimination(candidates: Sequence[tuple[str, PureState]],
     owners = dict(zip(out.keys, (out.probabilities > 0.0).tolist()))
     transcript_map: dict[str, str] = {}
     collisions = []
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}   # one tuple per owner set
     for key in sorted(owners):
         who = list(itertools.compress(labels, owners[key]))
         if len(who) > 1:
-            collisions.append((key, tuple(sorted(who))))
+            who = tuple(sorted(who))
+            collisions.append((key, shared.setdefault(who, who)))
         else:
             transcript_map[key] = who[0]
-    final_party = protocol.rounds[-1].party
     breakdown: dict[str, int] = {}
     total = 0
-    for i, rnd in enumerate(protocol.rounds):
-        if rnd.party == final_party:
-            continue
+    for i, key in protocol._reported_rounds:
         fired = {combo[i] for combo in out.labels}
         bits = math.ceil(math.log2(len(fired))) if len(fired) > 1 else 0
-        key = "round:%s" % rnd.party
         breakdown[key] = breakdown.get(key, 0) + bits
         total += bits
     return DiscriminationResult(

@@ -268,7 +268,10 @@ def apply_local(state: PureState, u: np.ndarray,
     """Apply a unitary matrix to the listed qubits, identity elsewhere.
 
     The order of targets fixes which qubit each tensor factor of u acts on.
-    u must be square and unitary within ``UNITARY_TOL``.
+    u must be square and unitary within ``UNITARY_TOL``.  The state's norm
+    deviation and the matrix's add up in the output, so an output that only
+    the two together push past ``NORM_TOL`` is rescaled to unit norm, not
+    refused; every other output is returned as computed.
     """
     mat = np.asarray(u, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -289,6 +292,9 @@ def apply_local(state: PureState, u: np.ndarray,
     psi = state.amplitudes.reshape([2] * n).transpose(perm)
     psi = mat @ psi.reshape(1 << len(targets), -1)
     psi = psi.reshape([2] * n).transpose(np.argsort(perm)).reshape(-1)
+    norm = np.linalg.norm(psi)
+    if not abs(norm - 1.0) <= NORM_TOL:
+        psi /= norm
     return PureState(psi)
 
 

@@ -586,19 +586,23 @@ def test_certificate_refuses_a_flipped_edge():
 
 def _spied_search(monkeypatch, adj, n, transitive):
     """The search's clique, whether it asked ``transitive``, every
-    (candidate, lower) pair it searched in ``adj`` and every candidate it
-    searched in another adjacency (the complement's, for the
-    clique-coclique bound)."""
+    (candidate, lower) pair it searched in ``adj`` for the size, every
+    candidate it searched in another adjacency (the complement's, for the
+    clique-coclique bound) and every candidate the walk probed.  The
+    walk's probes are the searches in ``adj`` given neither bound."""
     searched = []
     elsewhere = []
+    probes = []
     asked = []
     real = densecode._max_clique_size
 
     def spy(adj_, cand, lower=0, upper=math.inf):
-        if adj_ is adj:
-            searched.append((cand, lower))
-        else:
+        if adj_ is not adj:
             elsewhere.append(cand)
+        elif lower == 0 and upper == math.inf:
+            probes.append(cand)
+        else:
+            searched.append((cand, lower))
         return real(adj_, cand, lower, upper)
 
     def ask():
@@ -606,7 +610,8 @@ def _spied_search(monkeypatch, adj, n, transitive):
         return transitive
 
     monkeypatch.setattr(densecode, "_max_clique_size", spy)
-    return _lex_smallest_maximum_clique(adj, n, ask), bool(asked), searched, elsewhere
+    got = _lex_smallest_maximum_clique(adj, n, ask)
+    return got, bool(asked), searched, elsewhere, probes
 
 
 @pytest.mark.parametrize("edges,n,want", [
@@ -620,7 +625,7 @@ def test_search_falls_back_to_the_full_graph(edges, n, want, monkeypatch):
     for a, b in edges:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    got, asked, searched, _ = _spied_search(monkeypatch, adj, n, False)
+    got, asked, searched, _, _ = _spied_search(monkeypatch, adj, n, False)
     assert got == _reference_lex_clique(adj, n) == want
     assert asked
     c0 = 1 + densecode._max_clique_size(adj, adj[0])
@@ -630,15 +635,24 @@ def test_search_falls_back_to_the_full_graph(edges, n, want, monkeypatch):
 def test_search_matches_reference_on_random_graphs(monkeypatch):
     rng = np.random.default_rng(20261018)
     branches = set()
+    exits = set()
     for _ in range(200):
         n = int(rng.integers(1, 25))
         upper = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
         adj = _adj(upper | upper.T)
-        got, asked, searched, _ = _spied_search(monkeypatch, adj, n, False)
+        got, asked, searched, elsewhere, probes = _spied_search(
+            monkeypatch, adj, n, False)
         assert got == _reference_lex_clique(adj, n), adj
         branches.add((asked, any(cand == (1 << n) - 1 for cand, _ in searched)))
+        if not (asked or searched or elsewhere or probes):
+            exits.add("colouring bound")
+        else:
+            exits.add("probe" if probes else "walk completion")
     # both the colouring shortcut and the full search were taken
     assert (False, False) in branches and (True, True) in branches
+    # some graphs stop at the completion of {0}, some at the walk's first
+    # completion and some need a probe before a completion reaches the size
+    assert exits == {"colouring bound", "walk completion", "probe"}
 
 
 def test_search_trusts_the_certificate_on_cayley_graphs(monkeypatch):
@@ -654,7 +668,7 @@ def test_search_trusts_the_certificate_on_cayley_graphs(monkeypatch):
         ortho = conn[np.bitwise_xor.outer(np.arange(size), np.arange(size))]
         assert densecode._is_cayley(np.arange(size), list(range(size)), ortho)
         adj = _adj(ortho)
-        got, asked, searched, _ = _spied_search(monkeypatch, adj, size, True)
+        got, asked, searched, _, _ = _spied_search(monkeypatch, adj, size, True)
         assert got == _reference_lex_clique(adj, size)
         assert all(cand != (1 << size) - 1 for cand, _ in searched)
         asked_any |= asked
@@ -671,7 +685,7 @@ def test_clique_coclique_bound_left_open_on_the_clebsch_graph(monkeypatch):
     adj = _adj(ortho)
     full = (1 << 16) - 1
     assert _reference_max_clique_size(_adj(~ortho & ~np.eye(16, dtype=bool)), full) == 5
-    got, asked, searched, elsewhere = _spied_search(monkeypatch, adj, 16, True)
+    got, asked, searched, elsewhere, _ = _spied_search(monkeypatch, adj, 16, True)
     assert got == _reference_lex_clique(adj, 16)
     assert len(got) == 2 < 16 // 5
     assert asked and elsewhere == [full]
@@ -705,7 +719,8 @@ def test_clique_coclique_bound_settles_the_heavy_cayley_graphs(name, qubits, mon
 
 @pytest.mark.parametrize("n", [1, 2, 16, 128])
 def test_complete_graph_walk_colours_each_pool_once(n, monkeypatch):
-    # every pool the walk meets is a clique, which its colouring shows at once
+    # a complete graph is a clique: the completion of {0} meets the colouring
+    # bound, so no pool is searched
     calls = []
     real = densecode._greedy_colouring
 
@@ -717,3 +732,26 @@ def test_complete_graph_walk_colours_each_pool_once(n, monkeypatch):
     adj = _adj(_complete(n))
     assert _lex_smallest_maximum_clique(adj, n, lambda: True) == list(range(n))
     assert len(calls) <= n + 1
+
+
+def test_capacity_queries_colour_few_pools(monkeypatch):
+    # the 26 CAPACITY_TABLE and CAPACITY_REFUTATIONS queries: 24 stop at the
+    # smallest-first completion of {0}, and W4 and Q4 with senders 0, 1, 2 at
+    # the walk's first completion.  51 colourings, against 569 when the walk
+    # probed vertex by vertex
+    calls = []
+    real = densecode._greedy_colouring
+
+    def counting(adj_, pool):
+        calls.append(pool)
+        return real(adj_, pool)
+
+    monkeypatch.setattr(densecode, "_greedy_colouring", counting)
+    queries = [(name, params, qubits) for _, name, params, subsets, _, _
+               in reg.CAPACITY_TABLE for qubits in subsets]
+    queries += [(name, params, qubits) for _, name, params, qubits, _, _
+                in reg.CAPACITY_REFUTATIONS]
+    assert len(queries) == 26
+    for name, params, qubits in queries:
+        distinguishable_messages(make_state(name, **dict(params)).state, qubits)
+    assert len(calls) < 100

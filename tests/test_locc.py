@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,27 @@ def test_discrimination_matches_per_branch_reference(tol, monkeypatch):
         assert list(got.transcript_map) == sorted(got.transcript_map)
         checked += 1
     assert checked == 20 * (6 + 28 + 56 + 70 + 70) + 6 * 6
+
+
+def test_results_hold_little_memory():
+    # one result per q4_8 subset of 2, 3 or 4 states and catalog protocol; a
+    # first round fills the plan memos, so only what the results hold counts.
+    # Slotted results, one tuple per owner set and one set of "round:<party>"
+    # keys per protocol hold about 1.32 KB each here, against 1.75 KB without
+    q4 = reg.locc_candidate_sets()["q4_8"]
+    cases = [([q4[i] for i in idx], protocol)
+             for size in (2, 3, 4) for idx in itertools.combinations(range(8), size)
+             for protocol in reg.catalog_protocols()]
+    for candidates, protocol in cases:
+        run_discrimination(candidates, protocol)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results = [run_discrimination(c, p) for c, p in cases]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / len(results) < 1500
 
 
 # --- product terms and certificates --------------------------------------------------

@@ -154,6 +154,23 @@ def test_apply_local_refuses_a_bad_matrix_or_target(u, targets, message):
         apply_local(basis_state("00"), u, targets)
 
 
+def test_apply_local_takes_a_state_and_a_matrix_each_within_tolerance():
+    # norm 1 + 0.9e-12 passes NORM_TOL and U = (1 + 0.45e-12) I passes
+    # UNITARY_TOL (U^dag U - I = 0.9e-12), but the two deviations add to an
+    # output norm of 1 + 1.35e-12: that output is rescaled, not refused
+    st = PureState(np.array([1 + 0.9e-12, 0.0]))
+    out = apply_local(st, (1 + 0.45e-12) * np.eye(2), (0,))
+    assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= states.NORM_TOL
+    assert out.amplitudes[1] == 0 and out.amplitudes[0].real > 0
+    # an output within NORM_TOL is returned as computed
+    assert np.array_equal(apply_local(st, np.eye(2), (0,)).amplitudes, st.amplitudes)
+    # a matrix or a state off by more than its own tolerance is still refused
+    with pytest.raises(ValueError, match="fails unitarity"):
+        apply_local(st, (1 + 0.6e-12) * np.eye(2), (0,))
+    with pytest.raises(ValueError, match="state norm"):
+        PureState(np.array([1 + 1.1e-12, 0.0]))
+
+
 def test_permute_round_trip():
     rng = np.random.default_rng(3)
     st = random_state(4, rng)
