@@ -98,22 +98,29 @@ def _tolerance(text: str) -> float:
             % text) from None
 
 
+def _decimal(text: str) -> int:
+    """A non-negative integer written in ASCII decimal digits, spaces around
+    it allowed.  ``int`` alone would also read ``1_0`` as 10 and digits of
+    other scripts, answering a different query than the one typed."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("not a decimal integer: %r" % text)
+    return int(digits)
+
+
 def _seed(text: str) -> int:
     """argparse type for --seed: a non-negative integer, as numpy's
     generators take."""
     try:
-        seed = int(text)
+        return _decimal(text)
     except ValueError:
-        seed = -1
-    if seed < 0:
         raise argparse.ArgumentTypeError(
-            "must be a non-negative integer, got %r" % text)
-    return seed
+            "must be a non-negative integer, got %r" % text) from None
 
 
 def _parse_qubits(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(_decimal(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError("qubit list %r is not comma-separated integers"
                          % text) from exc

@@ -19,6 +19,18 @@ or more, whatever the resource size) is refused before the table is built.
 ``encoded_states`` alone builds the encodings, as rows of one (4^k, 2^n)
 array, and refuses 4^k x 2^n above the same limit.
 
+A query has two parts.  The front end takes a list of sender subsets,
+stacks their sender-major amplitudes and runs one ``psi @ psi^dag`` and one
+``pauli_coefficients`` over the stack, giving one mag row per subset; the
+stack is worked in slices of at most ``SLICE_ENTRIES`` gathered entries (8^k
+per subset) and stacked amplitudes (2^n per subset), and of at least one
+subset.  The answer reads the classes, the adjacency, the clique and the
+witness off one row.  ``distinguishable_messages`` is the one-subset case;
+``best_over_subsets`` sends all C(n, k) subsets through the front end at
+once, and answers each distinct row once: the answer reads nothing but the
+row, k and tol, and bitwise-equal rows (every subset of a symmetric state)
+share it for the length of the call.
+
 Encodings that produce the same state up to global phase are collapsed to
 one class first (they can never be distinguished): in encoding order, an
 encoding j starts a new class unless abs(mag[r xor j] - 1) < tol for a
@@ -59,7 +71,7 @@ from typing import Callable
 
 import numpy as np
 
-from .states import (ASSERT_TOL, PureState, check_tolerance,
+from .states import (ASSERT_TOL, SLICE_ENTRIES, PureState, check_tolerance,
                      pauli_coefficients, pauli_table)
 # the shared stack limit, under the name dense coding exports
 from .states import MAX_STACK_ENTRIES as MAX_ENCODED_ENTRIES
@@ -70,6 +82,21 @@ __all__ = [
     "distinguishable_messages",
     "best_over_subsets",
 ]
+
+
+def _check_integer(value, what: str) -> None:
+    """Refuse anything but a Python or numpy integer, bools included, which
+    would otherwise be read as 0 and 1 or fail inside numpy."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+
+
+def _senders(sender_qubits) -> tuple[int, ...]:
+    """The caller's sender qubits as a tuple, each checked to be an integer."""
+    sender_qubits = tuple(sender_qubits)
+    for q in sender_qubits:
+        _check_integer(q, "sender qubit")
+    return sender_qubits
 
 
 def _sender_major(resource: PureState, sender_qubits: tuple[int, ...],
@@ -109,7 +136,7 @@ def _encode(resource: PureState, sender_qubits: tuple[int, ...]) -> np.ndarray:
 def encoded_states(resource: PureState, sender_qubits: tuple[int, ...],
                    ) -> list[tuple[tuple[str, ...], PureState]]:
     """All 4^k encoded states in lexicographic encoding order."""
-    sender_qubits = tuple(sender_qubits)
+    sender_qubits = _senders(sender_qubits)
     rows = _encode(resource, sender_qubits)
     names = pauli_table(len(sender_qubits)).names
     return [(label, PureState(row)) for label, row in zip(names, rows)]
@@ -298,13 +325,31 @@ class DenseCodingResult:
         return math.log2(self.count)
 
 
-def distinguishable_messages(resource: PureState, sender_qubits: tuple[int, ...],
-                             tol: float = ASSERT_TOL) -> DenseCodingResult:
-    check_tolerance(tol)
-    sender_qubits = tuple(sender_qubits)
-    k = len(sender_qubits)
-    psi_t, _ = _sender_major(resource, sender_qubits, k, "Pauli table entries")
-    mag = np.abs(pauli_coefficients(psi_t @ psi_t.conj().T))
+def _pauli_magnitudes(resource: PureState, subsets: list[tuple[int, ...]],
+                      k: int) -> np.ndarray:
+    """The (S, 4^k) table of mag = |Tr(P_x rho_S)|, one row per k-qubit sender
+    subset, from one stacked ``psi @ psi^dag`` and one ``pauli_coefficients``
+    per slice.  A slice holds at least one subset and otherwise at most
+    ``SLICE_ENTRIES`` of both the gather (8^k per subset) and the stacked
+    amplitudes (2^n per subset).  Each subset is checked by ``_sender_major``
+    before its amplitudes are stacked."""
+    step = max(1, SLICE_ENTRIES // max(8 ** k, 1 << resource.num_qubits))
+    parts = []
+    for lo in range(0, len(subsets), step):
+        psi = np.stack([_sender_major(resource, s, k, "Pauli table entries")[0]
+                        for s in subsets[lo:lo + step]])
+        parts.append(np.abs(pauli_coefficients(psi @ psi.conj().transpose(0, 2, 1))))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+# the witness of a query and its number of phase classes
+_Answer = tuple[tuple[tuple[str, ...], ...], int]
+
+
+def _answer(mag: np.ndarray, k: int, tol: float) -> _Answer:
+    """The witness of one Pauli table row ``mag`` and its number of phase
+    classes.  They read nothing but ``mag``, ``k`` and ``tol``, so sender
+    subsets with bitwise-equal rows share one answer."""
     rep_rows, cls = _representatives(mag, tol)
     reps = np.asarray(rep_rows)
     ortho = mag[reps[:, None] ^ reps] < tol
@@ -317,28 +362,48 @@ def distinguishable_messages(resource: PureState, sender_qubits: tuple[int, ...]
     clique = _lex_smallest_maximum_clique(
         adj, n, lambda: _is_cayley(cls, rep_rows, ortho))
     names = pauli_table(k).names
-    return DenseCodingResult(
-        sender_qubits=sender_qubits,
-        count=len(clique),
-        witness=tuple(names[rep_rows[i]] for i in clique),
-        num_encodings=len(mag),
-        num_classes=n,
-    )
+    return tuple(names[rep_rows[i]] for i in clique), n
+
+
+def _result(sender_qubits: tuple[int, ...], k: int,
+            answer: _Answer) -> DenseCodingResult:
+    witness, num_classes = answer
+    return DenseCodingResult(sender_qubits=sender_qubits, count=len(witness),
+                             witness=witness, num_encodings=4 ** k,
+                             num_classes=num_classes)
+
+
+def distinguishable_messages(resource: PureState, sender_qubits: tuple[int, ...],
+                             tol: float = ASSERT_TOL) -> DenseCodingResult:
+    check_tolerance(tol)
+    sender_qubits = _senders(sender_qubits)
+    k = len(sender_qubits)
+    mag, = _pauli_magnitudes(resource, [sender_qubits], k)
+    return _result(sender_qubits, k, _answer(mag, k, tol))
 
 
 def best_over_subsets(resource: PureState, k: int,
                       tol: float = ASSERT_TOL,
                       ) -> tuple[DenseCodingResult, dict[tuple[int, ...], int]]:
-    """Best message count over all k-qubit sender subsets."""
+    """Best message count over all k-qubit sender subsets, the first maximal
+    subset in ``itertools.combinations`` order, and every subset's count.
+    All subsets go through one stacked transform, and subsets whose Pauli
+    table rows are bitwise equal share one answer."""
+    _check_integer(k, "k")
     n = resource.num_qubits
     if not 0 <= k <= n:
         raise ValueError("k = %r sender qubits is out of range for a %d-qubit "
                          "resource" % (k, n))
+    check_tolerance(tol)
+    subsets = list(itertools.combinations(range(n), k))
+    answers: dict[bytes, _Answer] = {}
     per_subset: dict[tuple[int, ...], int] = {}
     best: DenseCodingResult | None = None
-    for subset in itertools.combinations(range(n), k):
-        res = distinguishable_messages(resource, subset, tol)
-        per_subset[subset] = res.count
-        if best is None or res.count > best.count:
-            best = res
+    for subset, mag in zip(subsets, _pauli_magnitudes(resource, subsets, k)):
+        key = mag.tobytes()
+        if key not in answers:
+            answers[key] = _answer(mag, k, tol)
+        per_subset[subset] = len(answers[key][0])
+        if best is None or per_subset[subset] > best.count:
+            best = _result(subset, k, answers[key])
     return best, per_subset

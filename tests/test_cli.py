@@ -132,6 +132,25 @@ def test_densecode_single(capsys):
     assert doc["witness_labels"][0] == "s0*s0"
 
 
+@pytest.mark.parametrize("qubits", ["0, 1", " 0,1 ", "0 ,\t1"])
+def test_spaces_around_sender_qubits_are_allowed(qubits, capsys):
+    assert _json_out(capsys, ["densecode", "--state", "Q4", "--qubits", qubits]) == \
+        _json_out(capsys, ["densecode", "--state", "Q4", "--qubits", "0,1"])
+
+
+@pytest.mark.parametrize("qubits", [
+    "0_1,2",         # int() reads 0_1 as 1: the senders (1, 2) were answered
+    "\u0663",        # an Arabic-Indic 3, which int() reads as qubit 3
+    "1,\uff12",      # a fullwidth 2
+    "+1", "-1", "1.0", "0x1", "1 2", ""])
+def test_sender_qubits_must_be_ascii_decimal_digits(qubits, capsys):
+    assert main(["densecode", "--state", "W4", "--qubits", "0," + qubits]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: qubit list %r is not comma-separated integers\n"
+                            % ("0," + qubits))
+
+
 def test_densecode_all(capsys):
     rc, out = _json_out(capsys, ["densecode", "--all"])
     assert rc == 0
@@ -425,7 +444,8 @@ def test_tolerance_outside_unit_interval_exits_two(value, capsys):
 
 
 @pytest.mark.parametrize("command", ["teleport", "suite"])
-@pytest.mark.parametrize("value", ["-1", "x"])
+# int() reads 1_0 as 10 and other scripts' digits as numbers
+@pytest.mark.parametrize("value", ["-1", "x", "1_0", "\u0663", "+1", "1.0"])
 def test_negative_or_non_integer_seed_is_refused_by_name(command, value, capsys):
     argv = [command] + (["--scenario", "ghz1_ghz4basis"] if command == "teleport" else [])
     with pytest.raises(SystemExit) as exc:
@@ -678,6 +698,11 @@ def test_seed_and_tolerance_flags_accepted(capsys):
                                  "--seed", "7", "--tolerance", "1e-9"])
     assert rc == 0
     assert json.loads(out)["feasible"] is True
+
+
+def test_seed_may_have_spaces_around_it(capsys):
+    argv = ["teleport", "--scenario", "ghz1_ghz4basis", "--seed"]
+    assert _json_out(capsys, argv + [" 7 "]) == _json_out(capsys, argv + ["7"])
 
 
 def _cli_env(**overrides):

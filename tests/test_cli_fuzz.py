@@ -29,6 +29,11 @@ TEMPLATES = (
     ["densecode", "--state", "GHZ:12", "--qubits", "0,1,2,3,4,5,6,7,8"],
     ["densecode", "--state", "W_mn", "--param", "m=1", "--param", "n=2",
      "--qubits", "1"],
+    # refused: int() would read 0_1 as qubit 1, 1_0 as seed 10 and an
+    # Arabic-Indic digit as qubit 3
+    ["densecode", "--state", "W4", "--qubits", "0_1,2"],
+    ["densecode", "--state", "W4", "--qubits", "0,\u0663"],
+    ["teleport", "--scenario", "ghz1_ghz4basis", "--seed", "1_0"],
     ["locc", "--set", "ghz8", "--protocol", "ghz_bell_bell"],
     ["locc", "--certificate", "omega16"],
     ["catalog", "--state", "W_mn", "--param", "m=1", "--param", "n=1"],

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from quadproto.densecode import (
     encoded_states,
 )
 from quadproto.states import (ASSERT_TOL, PAULI_ORDER, SIGMA, apply_local,
-                              pauli_coefficients, random_state)
+                              pauli_coefficients, pauli_table, random_state)
 
 PRINCIPAL = ("GHZ4", "W4", "Omega", "Q4", "Q5")
 
@@ -755,3 +756,185 @@ def test_capacity_queries_colour_few_pools(monkeypatch):
     for name, params, qubits in queries:
         distinguishable_messages(make_state(name, **dict(params)).state, qubits)
     assert len(calls) < 100
+
+
+# --- the stacked sweep against the per-subset loop it replaced --------------------
+
+def _reference_best_over_subsets(resource, k, tol=ASSERT_TOL):
+    """Best message count over all k-qubit sender subsets: one query per
+    subset, as the sweep ran before its stacked transform, kept verbatim as
+    the oracle."""
+    n = resource.num_qubits
+    if not 0 <= k <= n:
+        raise ValueError("k = %r sender qubits is out of range for a %d-qubit "
+                         "resource" % (k, n))
+    per_subset = {}
+    best = None
+    for subset in itertools.combinations(range(n), k):
+        res = distinguishable_messages(resource, subset, tol)
+        per_subset[subset] = res.count
+        if best is None or res.count > best.count:
+            best = res
+    return best, per_subset
+
+
+def _assert_sweep_matches_reference(st, k, tol):
+    best, per_subset = best_over_subsets(st, k, tol=tol)
+    want_best, want_per = _reference_best_over_subsets(st, k, tol)
+    where = (k, tol)
+    # the first maximal subset in combinations order, and the dict's order
+    assert best == want_best, where
+    assert list(per_subset.items()) == list(want_per.items()), where
+
+
+def _first_completion(adj, n, transitive):
+    return densecode._smallest_first(adj, (1 << n) - 1)
+
+
+@pytest.mark.parametrize("label", list(_REFERENCE_CASES))
+def test_sweep_matches_per_subset_loop(label, monkeypatch):
+    st, _ = _REFERENCE_CASES[label]
+    for k in range(st.num_qubits + 1):
+        for tol in _TOLERANCES + (ASSERT_TOL,):
+            with monkeypatch.context() as m:
+                # on a Haar state at k >= 4 and tol 0.3 the exact search over
+                # 128-1,024 near-random classes takes seconds (haar4) to more
+                # than minutes (haar5) a query; both paths then take the
+                # smallest-first completion of {0}, which still checks the
+                # stacking, the sharing and the best-subset rule
+                if label.startswith("haar") and k >= 4 and tol == 0.3:
+                    m.setattr(densecode, "_lex_smallest_maximum_clique",
+                              _first_completion)
+                _assert_sweep_matches_reference(st, k, tol)
+
+
+@pytest.mark.parametrize("label", list(_REFERENCE_CASES))
+def test_stacked_rows_are_the_one_subset_rows(label):
+    # a row of the stacked transform is bit for bit the 2-D transform of its
+    # own subset, so the shared answers are the answers of one-subset queries
+    st, _ = _REFERENCE_CASES[label]
+    for k in range(st.num_qubits + 1):
+        subsets = list(itertools.combinations(range(st.num_qubits), k))
+        rows = densecode._pauli_magnitudes(st, subsets, k)
+        assert rows.shape == (len(subsets), 4 ** k)
+        for subset, row in zip(subsets, rows):
+            assert row.tobytes() == _mag(st, subset).tobytes(), subset
+            one, = densecode._pauli_magnitudes(st, [subset], k)
+            assert one.tobytes() == row.tobytes(), subset
+
+
+def test_equal_tables_are_answered_once(monkeypatch):
+    # the four sender subsets of W4 at k = 3 have bitwise-equal Pauli tables
+    calls = []
+    real = densecode._lex_smallest_maximum_clique
+
+    def spy(adj, n, transitive):
+        calls.append(n)
+        return real(adj, n, transitive)
+
+    monkeypatch.setattr(densecode, "_lex_smallest_maximum_clique", spy)
+    st = make_state("W4").state
+    best, per_subset = best_over_subsets(st, 3)
+    assert len(calls) == 1
+    assert per_subset == dict.fromkeys(itertools.combinations(range(4), 3), 8)
+    assert best.sender_qubits == (0, 1, 2)
+    # a second sweep shares nothing with the first
+    best_over_subsets(st, 3)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert (best, per_subset) == _reference_best_over_subsets(st, 3)
+
+
+def test_tables_equal_only_to_rounding_are_answered_apart():
+    # an even-parity 3-qubit state has diagonal one-qubit reductions, so each
+    # sender's row is (1, 0, 0, |<Z>|); <Z> of qubits 0 and 1 lies 1e-9 below
+    # and above tol, so their rows agree to 8 decimals and their graphs differ
+    delta, tol = 1e-9, 0.3
+    amps = np.zeros(8)
+    amps[[0b000, 0b011, 0b101, 0b110]] = np.sqrt(
+        [0.45 - delta / 2, 0.2, 0.2 + delta, 0.15 - delta / 2])
+    st = states.PureState(amps)
+    rows = densecode._pauli_magnitudes(st, [(0,), (1,)], 1)
+    assert np.allclose(rows[0], rows[1], rtol=0, atol=1e-8)
+    assert rows[0].tobytes() != rows[1].tobytes()
+    best, per_subset = best_over_subsets(st, 1, tol=tol)
+    assert per_subset == {(0,): 4, (1,): 2, (2,): 4}
+    assert (best, per_subset) == _reference_best_over_subsets(st, 1, tol)
+
+
+def _record_stacks(monkeypatch):
+    """The shapes of every stack the sweep hands to ``pauli_coefficients``."""
+    shapes = []
+    real = densecode.pauli_coefficients
+
+    def spy(a):
+        shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(densecode, "pauli_coefficients", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("entries", [1, 8 ** 2, 3 * 8 ** 2, 2 ** 9])
+def test_sweep_results_do_not_depend_on_the_slicing(entries, monkeypatch):
+    st = make_state("W_mn", m=1, n=1).state
+    haar = _REFERENCE_CASES["haar5"][0]
+    want = {(s, k): best_over_subsets(s, k) for s in (st, haar)
+            for k in range(s.num_qubits + 1)}
+    monkeypatch.setattr(densecode, "SLICE_ENTRIES", entries)
+    shapes = _record_stacks(monkeypatch)
+    for (s, k), (best, per_subset) in want.items():
+        shapes.clear()
+        got_best, got_per = best_over_subsets(s, k)
+        assert got_best == best and list(got_per.items()) == list(per_subset.items())
+        per = max(8 ** k, 2 ** s.num_qubits)
+        assert sum(shape[0] for shape in shapes) == math.comb(s.num_qubits, k)
+        assert all(size == 1 or size * per <= entries for size, *_ in shapes), shapes
+        # a slice is full unless it is the last one
+        assert all(size == max(1, entries // per) for size, *_ in shapes[:-1])
+
+
+def test_many_subset_sweep_stays_within_the_slice_budget(monkeypatch):
+    # GHZ:10 at k = 5: 252 subsets, whose stacked gather in one piece would be
+    # 252 x 8^5 complex entries, 132 MB; sliced, each gather holds 64 subsets
+    # (32 MiB)
+    st = make_state("GHZ:10").state
+    shapes = _record_stacks(monkeypatch)
+    states._cached_pauli_diagonals(5)
+    pauli_table(5)
+    tracemalloc.start()
+    try:
+        best, per_subset = best_over_subsets(st, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (best.count, len(per_subset)) == (64, 252)
+    assert set(per_subset.values()) == {64}
+    assert [shape[0] for shape in shapes] == [64, 64, 64, 60]
+    assert all(shape[0] * 8 ** 5 <= states.SLICE_ENTRIES for shape in shapes)
+    assert peak < 3 * states.SLICE_ENTRIES * 16 // 2
+
+
+def test_non_integer_k_and_senders_are_refused_before_anything_is_built(monkeypatch):
+    def nothing(*args):
+        raise AssertionError("a Pauli table was built")
+
+    st = make_state("GHZ4").state
+    monkeypatch.setattr(densecode, "pauli_table", nothing)
+    monkeypatch.setattr(densecode, "pauli_coefficients", nothing)
+    for k in (True, False, 1.5, 1.0, "1", None, np.bool_(True)):
+        with pytest.raises(ValueError, match=r"^k must be an integer, got %s$"
+                                             % re.escape(repr(k))):
+            best_over_subsets(st, k)
+    for senders, bad in (((True,), True), ([1.0], 1.0), ((0, np.float64(1)), np.float64(1)),
+                         (("0",), "0"), ((None,), None), ((2, np.bool_(False)), np.bool_(False))):
+        for query in distinguishable_messages, encoded_states:
+            with pytest.raises(ValueError, match=r"^sender qubit must be an integer, "
+                                                 r"got %s$" % re.escape(repr(bad))):
+                query(st, senders)
+    monkeypatch.undo()
+    # numpy integers stay accepted
+    assert best_over_subsets(st, np.int64(2)) == best_over_subsets(st, 2)
+    assert (distinguishable_messages(st, (np.int8(0), np.uint64(1)))
+            == distinguishable_messages(st, (0, 1)))
+    assert len(encoded_states(st, np.array([2, 3]))) == 16
