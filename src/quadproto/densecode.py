@@ -41,6 +41,22 @@ row first.  Representatives i and j are adjacent when mag[i xor j] < tol.
 The clique search is exact and returns the lexicographically smallest
 maximum clique over the representatives, so results are deterministic.
 
+Two shapes of the row are decided before any graph is built, with the
+answer the claiming pass and the search would give.  When no encoding but
+the identity has abs(mag - 1) < tol, every encoding is its own class and
+the pass is skipped.  When no entry of the row is below tol, no XOR of two
+representatives is either, so the graph has no edge and the witness is the
+identity alone: a generic state, such as a Haar-random one, has no Pauli
+expectation near 0, so its rows end there.
+
+A count is read at the tolerance it was asked at: N encodings whose states
+pairwise overlap by less than tol.  A loose tol can admit more such states
+than their dimension holds, so every witness must pass a Gershgorin check
+on its Gram matrix, whose entries are mag[w_i xor w_j]: the query is refused
+with ``ValueError`` unless (N - 1) times the largest pair value is below 1,
+which shows the N states independent.  When (N - 1) * tol < 1 this holds
+without reading the table, so a query at the default tolerance pays nothing.
+
 The search first completes {0} smallest-first, each pick the smallest
 vertex adjacent to all picked so far, and returns that clique when it
 reaches the greedy-colouring bound of the whole graph.  Otherwise it finds
@@ -152,6 +168,9 @@ def _representatives(mag: np.ndarray, tol: float) -> tuple[list[int], np.ndarray
     matching representative claims a row first, so this is the sequential
     first-match rule, at one step per (representative, s) pair."""
     same = np.flatnonzero(np.abs(mag - 1.0) < tol).tolist()
+    if not same or same == [0]:
+        # no encoding matches another: each is its own class
+        return list(range(len(mag))), np.arange(len(mag), dtype=np.intp)
     cls = [-1] * len(mag)
     reps: list[int] = []
     for j, c in enumerate(cls):
@@ -349,8 +368,15 @@ _Answer = tuple[tuple[tuple[str, ...], ...], int]
 def _answer(mag: np.ndarray, k: int, tol: float) -> _Answer:
     """The witness of one Pauli table row ``mag`` and its number of phase
     classes.  They read nothing but ``mag``, ``k`` and ``tol``, so sender
-    subsets with bitwise-equal rows share one answer."""
+    subsets with bitwise-equal rows share one answer.  Raises ``ValueError``
+    when the witness fails ``_check_independent``."""
     rep_rows, cls = _representatives(mag, tol)
+    n = len(rep_rows)
+    names = pauli_table(k).names
+    if not (mag < tol).any():
+        # no two classes are orthogonal: the identity, the first
+        # representative, is the lexicographically smallest maximum clique
+        return (names[0],), n
     reps = np.asarray(rep_rows)
     ortho = mag[reps[:, None] ^ reps] < tol
     np.fill_diagonal(ortho, False)
@@ -358,11 +384,34 @@ def _answer(mag: np.ndarray, k: int, tol: float) -> _Answer:
     flat, width = packed.tobytes(), packed.shape[1]
     adj = [int.from_bytes(flat[i:i + width], "little")
            for i in range(0, len(flat), width)]
-    n = len(rep_rows)
     clique = _lex_smallest_maximum_clique(
         adj, n, lambda: _is_cayley(cls, rep_rows, ortho))
-    names = pauli_table(k).names
-    return tuple(names[rep_rows[i]] for i in clique), n
+    witness = [rep_rows[i] for i in clique]
+    _check_independent(mag, witness, tol)
+    return tuple(names[x] for x in witness), n
+
+
+def _check_independent(mag: np.ndarray, witness: list[int], tol: float) -> None:
+    """Refuse a witness of N encodings unless Gershgorin shows their states
+    linearly independent, so that N cannot exceed the dimension they live in.
+
+    The Gram matrix of the witness has a unit diagonal and off-diagonal
+    magnitudes mag[w_i ^ w_j]; it is positive definite when (N - 1) times
+    the largest of them is below 1.  Every witness pair is below ``tol``, so
+    (N - 1) * tol < 1 settles this without reading the table."""
+    n = len(witness)
+    if (n - 1) * tol < 1:
+        return
+    w = np.asarray(witness)
+    gram = mag[w[:, None] ^ w]
+    np.fill_diagonal(gram, 0.0)
+    worst = float(gram.max())
+    if (n - 1) * worst >= 1:
+        raise ValueError(
+            "tolerance %g counts N = %d messages, but their encoded states "
+            "overlap by up to %.3g and (N - 1) x %.3g = %.3g is not below 1, so "
+            "they are not shown to be independent; use a smaller tolerance"
+            % (tol, n, worst, worst, (n - 1) * worst))
 
 
 def _result(sender_qubits: tuple[int, ...], k: int,
@@ -388,7 +437,9 @@ def best_over_subsets(resource: PureState, k: int,
     """Best message count over all k-qubit sender subsets, the first maximal
     subset in ``itertools.combinations`` order, and every subset's count.
     All subsets go through one stacked transform, and subsets whose Pauli
-    table rows are bitwise equal share one answer."""
+    table rows are bitwise equal share one answer.  The first subset, in
+    that order, whose count fails the Gram check refuses the whole sweep
+    with ``ValueError``."""
     _check_integer(k, "k")
     n = resource.num_qubits
     if not 0 <= k <= n:

@@ -151,6 +151,31 @@ def test_sender_qubits_must_be_ascii_decimal_digits(qubits, capsys):
                             % ("0," + qubits))
 
 
+_Q4_11_DC3 = ["densecode", "--state", "Q4_11", "--qubits", "0,1,2"]
+_N32_REFUSAL = ("error: tolerance 0.6 counts N = 32 messages, but their encoded "
+                "states overlap by up to 0.333 and (N - 1) x 0.333 = 10.3 is not "
+                "below 1, so they are not shown to be independent; use a smaller "
+                "tolerance\n")
+
+
+@pytest.mark.parametrize("argv", [
+    _Q4_11_DC3,
+    ["densecode", "--state", "W_mn", "--param", "m=1", "--param", "n=1",
+     "--qubits", "0,1,2"]])
+def test_loose_tolerance_count_past_the_dimension_exits_two(argv, capsys):
+    # 32 encodings of a 16-dimensional span used to be answered N=32 (5 cbits)
+    assert main(argv + ["--tolerance", "0.6"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", _N32_REFUSAL)
+
+
+def test_loose_tolerance_count_within_the_dimension_is_answered(capsys):
+    assert main(_Q4_11_DC3 + ["--tolerance", "0.3", "--format", "text"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("Q4_11 DC3 on qubits [0, 1, 2]: N=16 (4 cbits)\n")
+
+
 def test_densecode_all(capsys):
     rc, out = _json_out(capsys, ["densecode", "--all"])
     assert rc == 0

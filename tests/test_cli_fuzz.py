@@ -29,6 +29,10 @@ TEMPLATES = (
     ["densecode", "--state", "GHZ:12", "--qubits", "0,1,2,3,4,5,6,7,8"],
     ["densecode", "--state", "W_mn", "--param", "m=1", "--param", "n=2",
      "--qubits", "1"],
+    # refused at 0.6, where 32 encodings of a 16-dimensional span pass as
+    # orthogonal; answered N = 16 at 0.3
+    ["densecode", "--state", "Q4_11", "--qubits", "0,1,2", "--tolerance", "0.6"],
+    ["densecode", "--state", "Q4_11", "--qubits", "0,1,2", "--tolerance", "0.3"],
     # refused: int() would read 0_1 as qubit 1, 1_0 as seed 10 and an
     # Arabic-Indic digit as qubit 3
     ["densecode", "--state", "W4", "--qubits", "0_1,2"],

@@ -168,6 +168,39 @@ def test_bad_tolerance_rejected(tol):
         best_over_subsets(st, 1, tol=tol)
 
 
+@pytest.mark.parametrize("name,params", [("Q4_11", {}), ("W_mn", {"m": 1, "n": 1})])
+def test_counts_past_the_dimension_are_refused(name, params):
+    # at tol 0.6, 32 encodings of a 16-dimensional span pass as orthogonal:
+    # their Gram matrix has off-diagonal magnitudes up to 1/3, and 31 / 3 >= 1
+    st = make_state(name, **params).state
+    message = (r"^tolerance 0\.6 counts N = 32 messages, but their encoded states "
+               r"overlap by up to 0\.333 and \(N - 1\) x 0\.333 = 10\.3 is not below 1")
+    with pytest.raises(ValueError, match=message):
+        distinguishable_messages(st, (0, 1, 2), tol=0.6)
+    with pytest.raises(ValueError, match=message):
+        best_over_subsets(st, 3, tol=0.6)
+
+
+def test_count_within_the_dimension_passes_the_gram_check():
+    # Q4_11 at tol 0.3: N = 16, and the witness pairs are below 1e-16
+    st = make_state("Q4_11").state
+    res = distinguishable_messages(st, (0, 1, 2), tol=0.3)
+    assert res.count == 16
+    rows = _witness_rows(res.witness)
+    gram = _mag(st, (0, 1, 2))[rows[:, None] ^ rows]
+    np.fill_diagonal(gram, 0.0)
+    assert 15 * 0.3 >= 1 and gram.max() < 1e-16
+
+
+def test_gram_check_reads_nothing_when_the_tolerance_settles_it():
+    # (N - 1) * tol < 1 bounds every witness pair: a table of ones, which
+    # fails the check whenever it is read, is never read
+    ones = np.ones(16)
+    densecode._check_independent(ones, [0, 5, 10, 15], 0.3)
+    with pytest.raises(ValueError, match=r"^tolerance 0\.4 counts N = 4 messages"):
+        densecode._check_independent(ones, [0, 5, 10, 15], 0.4)
+
+
 @pytest.mark.parametrize("k", [9, 12])
 def test_oversized_query_rejected_before_allocation(k, monkeypatch):
     # a query gathers a 4^k x 2^k Pauli table, 2.1 GB at k = 9 whatever the
@@ -368,10 +401,24 @@ def _assert_matches_reference(st, subset, tolerances):
     assert [n for n, _ in got_states] == [n for n, _ in encoded]
     for (names, a), (_, b) in zip(got_states, encoded):
         assert np.array_equal(a.amplitudes, b.amplitudes), (subset, names)
+    amplitudes = {names: enc.amplitudes for names, enc in encoded}
     for tol in tolerances:
-        got = distinguishable_messages(st, subset, tol=tol)
         want = _reference_messages(encoded, subset, tol)
         where = (subset, tol)
+        # the kernel refuses exactly the counts whose witness Gram matrix,
+        # built densely from the reference witness, fails Gershgorin
+        vecs = np.array([amplitudes[names] for names in want.witness])
+        gram = np.abs(vecs.conj() @ vecs.T)
+        np.fill_diagonal(gram, 0.0)
+        unproven = (want.count - 1) * gram.max() >= 1
+        try:
+            got = distinguishable_messages(st, subset, tol=tol)
+        except ValueError as exc:
+            assert unproven, where
+            assert str(exc).startswith("tolerance %g counts N = %d messages, "
+                                       % (tol, want.count)), where
+            continue
+        assert not unproven, where
         assert got.sender_qubits == want.sender_qubits, where
         assert got.count == want.count, where
         assert got.witness == want.witness, where
@@ -449,8 +496,8 @@ def test_catalog_graphs_are_certified_cayley(name):
 
 
 def test_certificate_is_not_built_when_the_colouring_bound_decides(monkeypatch):
-    # complete GHZ graphs and edgeless Haar graphs: c0 meets the greedy
-    # colouring bound, so cheap queries never pay for the certificate
+    # complete GHZ graphs: c0 meets the greedy colouring bound, so cheap
+    # queries never pay for the certificate; Haar rows build no graph at all
     def no_certificate(*args):
         raise AssertionError("the certificate was built")
 
@@ -530,6 +577,161 @@ def test_claiming_pass_matches_the_sequential_rule():
     mag = _mag(make_state("GHZ:7").state, tuple(range(7)))
     _assert_same_representatives(mag, ASSERT_TOL)
     assert len(densecode._representatives(mag, ASSERT_TOL)[0]) == 128
+
+
+# --- rows decided from the table alone, against the graph path -----------------
+
+def _claiming_representatives(mag, tol):
+    """The claiming pass as it was before the identity-only shortcut, kept
+    verbatim as the oracle."""
+    same = np.flatnonzero(np.abs(mag - 1.0) < tol).tolist()
+    cls = [-1] * len(mag)
+    reps = []
+    for j, c in enumerate(cls):
+        if c < 0:
+            c = cls[j] = len(reps)
+            reps.append(j)
+            for s in same:
+                if cls[j ^ s] < 0:
+                    cls[j ^ s] = c
+    return reps, np.array(cls, dtype=np.intp)
+
+
+def _graph_answer(mag, k, tol):
+    """The answer as it was before the edgeless shortcut and the Gram check:
+    classes, adjacency, clique search and witness for every row, kept
+    verbatim as the oracle."""
+    rep_rows, cls = _claiming_representatives(mag, tol)
+    reps = np.asarray(rep_rows)
+    ortho = mag[reps[:, None] ^ reps] < tol
+    np.fill_diagonal(ortho, False)
+    packed = np.packbits(ortho, axis=1, bitorder="little")
+    flat, width = packed.tobytes(), packed.shape[1]
+    adj = [int.from_bytes(flat[i:i + width], "little")
+           for i in range(0, len(flat), width)]
+    n = len(rep_rows)
+    clique = _lex_smallest_maximum_clique(
+        adj, n, lambda: densecode._is_cayley(cls, rep_rows, ortho))
+    names = pauli_table(k).names
+    return tuple(names[rep_rows[i]] for i in clique), n
+
+
+def _witness_rows(witness):
+    """The encoding index of each witness entry: its Pauli labels read as
+    base-4 digits, first sender slowest."""
+    return np.array([int("".join("%d" % PAULI_ORDER.index(p) for p in names), 4)
+                     for names in witness])
+
+
+def _assert_same_answer(mag, k, tol):
+    """The shortcut path against the graph path on one row; where the Gram
+    check refuses, the graph path's witness must fail it too."""
+    want_reps, want_cls = _claiming_representatives(mag, tol)
+    got_reps, got_cls = densecode._representatives(mag, tol)
+    assert got_reps == want_reps, tol
+    assert got_cls.dtype == want_cls.dtype and np.array_equal(got_cls, want_cls), tol
+    want = _graph_answer(mag, k, tol)
+    rows = _witness_rows(want[0])
+    gram = mag[rows[:, None] ^ rows]
+    np.fill_diagonal(gram, 0.0)
+    try:
+        got = densecode._answer(mag, k, tol)
+    except ValueError:
+        assert (len(rows) - 1) * gram.max() >= 1, tol
+        return
+    assert got == want, tol
+
+
+# 1e-300 sits below the rounding of mag[0] = |Tr rho_S| on most rows, which
+# then leaves no encoding matching the identity at all
+_ANSWER_TOLERANCES = (1e-300,) + _TOLERANCES
+
+
+@pytest.mark.parametrize("label", list(_REFERENCE_CASES))
+def test_table_decided_rows_match_the_graph_path(label):
+    st, subsets = _REFERENCE_CASES[label]
+    for subset in subsets:
+        mag = _mag(st, subset)
+        for tol in _ANSWER_TOLERANCES:
+            _assert_same_answer(mag, len(subset), tol)
+
+
+def _spy_claims(monkeypatch):
+    """A list that grows by one for each claiming pass ``_representatives``
+    runs, seen through its ``enumerate`` over the classes."""
+    passes = []
+
+    def spy(seq):
+        passes.append(len(seq))
+        return enumerate(seq)
+
+    monkeypatch.setattr(densecode, "enumerate", spy, raising=False)
+    return passes
+
+
+def test_one_non_identity_match_takes_the_claiming_pass(monkeypatch):
+    # mag[0] one ulp below 1 misses tol 1e-300, so the only match is row 3
+    # and the rows pair up as {0, 3} and {1, 2}
+    mag = np.array([1.0 - 2.0 ** -53, 0.5, 0.5, 1.0])
+    passes = _spy_claims(monkeypatch)
+    reps, cls = densecode._representatives(mag, 1e-300)
+    assert passes == [4]
+    assert reps == [0, 1] and cls.tolist() == [0, 1, 1, 0]
+    monkeypatch.undo()
+    _assert_same_answer(mag, 1, 1e-300)
+
+
+def test_an_entry_below_tol_between_no_representatives_builds_the_graph(monkeypatch):
+    # row 1 matches the identity, so the classes are {0, 1} and {2, 3}; row 3
+    # is below tol but is no XOR of the representatives 0 and 2, so the graph
+    # is built and has no edge
+    mag = np.array([1.0, 1.0, 0.5, 0.0])
+    calls = []
+    real = densecode._lex_smallest_maximum_clique
+
+    def spy(adj, n, transitive):
+        calls.append(list(adj))
+        return real(adj, n, transitive)
+
+    monkeypatch.setattr(densecode, "_lex_smallest_maximum_clique", spy)
+    assert densecode._answer(mag, 1, 0.3) == ((("s0",),), 2)
+    assert calls == [[0, 0]]
+    monkeypatch.undo()
+    _assert_same_answer(mag, 1, 0.3)
+
+
+def test_haar_rows_are_answered_from_the_table(monkeypatch):
+    # a Haar state's rows have no entry below tol and only the identity near
+    # 1, at every k: no claiming pass, no adjacency and no clique search
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    queries = [(st, k) for label, (st, _) in _REFERENCE_CASES.items()
+               if label.startswith("haar") for k in range(st.num_qubits + 1)]
+    want = [_reference_best_over_subsets(st, k) for st, k in queries]
+    passes = _spy_claims(monkeypatch)
+    monkeypatch.setattr(densecode, "_lex_smallest_maximum_clique", no_graph)
+    monkeypatch.setattr(densecode, "_is_cayley", no_graph)
+    monkeypatch.setattr(np, "packbits", no_graph)
+    for (st, k), expected in zip(queries, want):
+        best, per_subset = best_over_subsets(st, k)
+        assert (best, per_subset) == expected, k
+        assert best.count == 1 and best.num_classes == 4 ** k
+    assert passes == []
+
+
+def test_identity_only_rows_skip_the_claiming_pass(monkeypatch):
+    # W4's one-qubit reduction diag(3/4, 1/4) gives the row (1, 0, 0, 1/2):
+    # no class to merge, but an edge, so the graph is still searched
+    mag = _mag(make_state("W4").state, (0,))
+    np.testing.assert_allclose(mag, [1, 0, 0, 0.5], atol=1e-15)
+    passes = _spy_claims(monkeypatch)
+    reps, cls = densecode._representatives(mag, ASSERT_TOL)
+    assert passes == []
+    assert reps == [0, 1, 2, 3] and cls.dtype == np.intp and cls.tolist() == reps
+    monkeypatch.undo()
+    assert distinguishable_messages(make_state("W4").state, (0,)).count == 2
+    _assert_same_answer(mag, 1, ASSERT_TOL)
 
 
 def _cosets_of_s(s, reps):
@@ -778,10 +980,24 @@ def _reference_best_over_subsets(resource, k, tol=ASSERT_TOL):
     return best, per_subset
 
 
+def _sweep_or_refusal(sweep, st, k, tol):
+    try:
+        return sweep(st, k, tol)
+    except ValueError as exc:
+        return str(exc)
+
+
 def _assert_sweep_matches_reference(st, k, tol):
-    best, per_subset = best_over_subsets(st, k, tol=tol)
-    want_best, want_per = _reference_best_over_subsets(st, k, tol)
+    got = _sweep_or_refusal(best_over_subsets, st, k, tol)
+    want = _sweep_or_refusal(_reference_best_over_subsets, st, k, tol)
     where = (k, tol)
+    # both refuse at the first subset, in combinations order, whose count the
+    # Gram check does not certify, and with the same message
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want, where
+        return
+    best, per_subset = got
+    want_best, want_per = want
     # the first maximal subset in combinations order, and the dict's order
     assert best == want_best, where
     assert list(per_subset.items()) == list(want_per.items()), where
