@@ -19,13 +19,20 @@ or more, whatever the resource size) is refused before the table is built.
 ``encoded_states`` alone builds the encodings, as rows of one (4^k, 2^n)
 array, and refuses 4^k x 2^n above the same limit.
 
-A query has two parts.  The front end takes a list of sender subsets,
-stacks their sender-major amplitudes and runs one ``psi @ psi^dag`` and one
-``pauli_coefficients`` over the stack, giving one mag row per subset; the
-stack is worked in slices of at most ``SLICE_ENTRIES`` gathered entries (8^k
-per subset) and stacked amplitudes (2^n per subset), and of at least one
-subset.  The answer reads the classes, the adjacency, the clique and the
-witness off one row.  ``distinguishable_messages`` is the one-subset case;
+A query has two parts.  The front end takes a list of sender subsets and
+reads their sender-major amplitudes (sender qubits first, in the caller's
+order, the others ascending) with one gather through a flat index, then
+runs one ``psi @ psi^dag`` and one ``pauli_coefficients`` over the stack,
+giving one mag row per subset.  The stack is worked in slices of at most
+``SLICE_ENTRIES`` gathered entries (8^k per subset) and stacked amplitudes
+(2^n per subset), and of at least one subset.  The index depends on n and
+the subsets alone, so a query's whole index is memoized by value when it
+has at most ``INDEX_MEMO_ENTRIES`` (2^16) entries; a larger one is built a
+slice at a time and not kept.  The subsets are checked once per query,
+before anything is built: ``distinguishable_messages`` and
+``encoded_states`` check their one subset, and ``best_over_subsets``,
+whose combinations are valid, only the size.  The answer reads the
+classes, the adjacency, the clique and the witness off one row.  ``distinguishable_messages`` is the one-subset case;
 ``best_over_subsets`` sends all C(n, k) subsets through the front end at
 once, and answers each distinct row once: the answer reads nothing but the
 row, k and tol, and bitwise-equal rows (every subset of a symmetric state)
@@ -76,10 +83,16 @@ soon as it reaches that bound, and otherwise runs to the end.  Without the
 certificate the whole graph is searched, starting from c0.  The witness is
 then walked smallest vertex first; a step probes its vertex with an exact
 search only where the smallest-first completion of its pool falls short.
+Every greedy colouring of one search counts against ``MAX_COLOURINGS``
+(10,000, 40 times the 245 of the heaviest pinned query); one more refuses
+the query with ``CapacityError`` naming the limit, k and tol, as a
+near-random graph at a loose tolerance would otherwise search for seconds
+to minutes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -87,8 +100,8 @@ from typing import Callable
 
 import numpy as np
 
-from .states import (ASSERT_TOL, SLICE_ENTRIES, PureState, check_tolerance,
-                     pauli_coefficients, pauli_table)
+from .states import (ASSERT_TOL, MAX_COLOURINGS, SLICE_ENTRIES, CapacityError,
+                     PureState, check_tolerance, pauli_coefficients, pauli_table)
 # the shared stack limit, under the name dense coding exports
 from .states import MAX_STACK_ENTRIES as MAX_ENCODED_ENTRIES
 
@@ -115,38 +128,59 @@ def _senders(sender_qubits) -> tuple[int, ...]:
     return sender_qubits
 
 
-def _sender_major(resource: PureState, sender_qubits: tuple[int, ...],
-                  width: int, what: str) -> tuple[np.ndarray, list[int]]:
-    """The resource as a (2^k, 2^(n-k)) matrix with the sender axes first in
-    the caller's order, and that axis order.  Refuses repeated or
-    out-of-range senders, and a query whose 4^k x 2^width ``what`` exceed
-    ``MAX_ENCODED_ENTRIES``."""
-    if len(set(sender_qubits)) != len(sender_qubits):
-        raise ValueError("repeated sender qubit in %s" % (list(sender_qubits),))
-    n = resource.num_qubits
-    bad = [q for q in sender_qubits if not 0 <= q < n]
-    if bad:
-        raise ValueError("sender qubit %d is out of range for a %d-qubit resource" % (bad[0], n))
-    k = len(sender_qubits)
+def _check_size(k: int, n: int, width: int, what: str) -> None:
+    """Refuse a query whose 4^k x 2^width ``what`` exceed
+    ``MAX_ENCODED_ENTRIES``, from the sizes alone."""
     if 4 ** k << width > MAX_ENCODED_ENTRIES:
         raise ValueError(
             "%d sender qubits of a %d-qubit resource need 4^%d x 2^%d %s, "
             "over the limit of 2^%d"
             % (k, n, k, width, what, MAX_ENCODED_ENTRIES.bit_length() - 1))
-    axes = list(sender_qubits) + [q for q in range(n) if q not in sender_qubits]
-    psi_t = resource.amplitudes.reshape((2,) * n).transpose(axes).reshape(1 << k, -1)
-    return psi_t, axes
+
+
+def _check_senders(sender_qubits: tuple[int, ...], n: int, width: int,
+                   what: str) -> None:
+    """Refuse repeated or out-of-range senders, then an oversized query."""
+    if len(set(sender_qubits)) != len(sender_qubits):
+        raise ValueError("repeated sender qubit in %s" % (list(sender_qubits),))
+    bad = [q for q in sender_qubits if not 0 <= q < n]
+    if bad:
+        raise ValueError("sender qubit %d is out of range for a %d-qubit resource" % (bad[0], n))
+    _check_size(len(sender_qubits), n, width, what)
+
+
+def _sender_index(n: int, subsets: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """The read-only (S, 2^k, 2^(n-k)) gather of every subset's sender-major
+    matrix: entry [i, t_s, t_r] is the flat amplitude index where subset i's
+    qubits, in its order, read t_s and the other qubits, ascending, read t_r.
+    Each subset is valid, distinct qubits in range, and all have k of them."""
+    flat = np.arange(1 << n, dtype=np.intp).reshape((2,) * n)
+    index = np.stack([flat.transpose(list(s) + [q for q in range(n) if q not in s])
+                      .reshape(1 << len(s), -1) for s in subsets])
+    index.setflags(write=False)
+    return index
+
+
+# a query's whole index is kept, by value, when it has at most
+# INDEX_MEMO_ENTRIES entries (512 KiB; 256 indices, 128 MiB at most); a
+# larger one is built per call, a slice at a time, and not kept
+INDEX_MEMO_ENTRIES = 2 ** 16
+_cached_sender_index = functools.lru_cache(maxsize=256)(_sender_index)
 
 
 def _encode(resource: PureState, sender_qubits: tuple[int, ...]) -> np.ndarray:
     """All 4^k encodings as rows, in lexicographic encoding order."""
     n = resource.num_qubits
-    psi_t, axes = _sender_major(resource, sender_qubits, n, "encoded amplitudes")
+    _check_senders(sender_qubits, n, n, "encoded amplitudes")
+    # one subset's index holds 2^n <= 2^MAX_QUBITS entries, within the memo
+    index, = _cached_sender_index(n, (sender_qubits,))
     _, flip, sign = pauli_table(len(sender_qubits))
+    psi_t = resource.amplitudes[index]
     rows = psi_t[np.arange(len(psi_t)) ^ flip[:, None]]
     rows *= sign[:, :, None]
-    back = [0] + [1 + a for a in np.argsort(axes)]
-    return rows.reshape((len(rows),) + (2,) * n).transpose(back).reshape(len(rows), -1)
+    out = np.empty((len(rows), 1 << n), dtype=rows.dtype)
+    out[:, index] = rows
+    return out
 
 
 def encoded_states(resource: PureState, sender_qubits: tuple[int, ...],
@@ -229,15 +263,18 @@ def _greedy_colouring(adj: list[int], pool: int) -> list[tuple[int, int]]:
 
 
 def _max_clique_size(adj: list[int], cand: int, lower: int = 0,
-                     upper: float = math.inf) -> int:
+                     upper: float = math.inf,
+                     colour: Callable[[list[int], int], list[tuple[int, int]]]
+                     = _greedy_colouring) -> int:
     """Exact maximum clique size within the candidate bitmask, or ``lower``
     when no clique there is larger.  ``upper`` is a known bound on it: the
-    search stops as soon as it finds a clique that large."""
+    search stops as soon as it finds a clique that large.  ``colour``
+    colours each pool: ``_greedy_colouring``, or a wrapper that counts it."""
     best = lower
 
     def expand(size: int, pool: int) -> None:
         nonlocal best
-        colouring = _greedy_colouring(adj, pool)
+        colouring = colour(adj, pool)
         # one colour per vertex exactly when the pool is a clique (or empty)
         if len(colouring) == (colouring[-1][1] if colouring else 0):
             best = max(best, size + len(colouring))
@@ -294,9 +331,22 @@ def _lex_smallest_maximum_clique(adj: list[int], n: int,
     The witness is then walked vertex by vertex, smallest first.  Each step
     first completes the current pool smallest-first and stops there if that
     reaches the target; only where it falls short is the pool's smallest
-    vertex probed with an exact search of its neighbourhood in the pool."""
+    vertex probed with an exact search of its neighbourhood in the pool.
+
+    Every greedy colouring, the searches' included, counts against
+    ``MAX_COLOURINGS``: one more raises ``CapacityError``."""
+    spent = 0
+
+    def colour(adj_: list[int], pool: int) -> list[tuple[int, int]]:
+        nonlocal spent
+        spent += 1
+        if spent > MAX_COLOURINGS:
+            raise CapacityError("the clique search needs more than MAX_COLOURINGS "
+                                "= %d greedy colourings" % MAX_COLOURINGS)
+        return _greedy_colouring(adj_, pool)
+
     full = (1 << n) - 1
-    bound = _greedy_colouring(adj, full)[-1][1]
+    bound = colour(adj, full)[-1][1]
     first = [0] + _smallest_first(adj, adj[0])
     if len(first) >= bound:
         return first
@@ -304,16 +354,16 @@ def _lex_smallest_maximum_clique(adj: list[int], n: int,
     # the colour count of vertex 0's neighbourhood; otherwise asked only if
     # c0 falls short.  Past the exit above the graph is neither edgeless nor
     # complete (a greedy colouring of n colours means a complete graph)
-    early = not adj[0] or 1 + _greedy_colouring(adj, adj[0])[-1][1] < bound
+    early = not adj[0] or 1 + colour(adj, adj[0])[-1][1] < bound
     cayley = early and transitive()
     if cayley:
         coclique = [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
-        bound = n // _max_clique_size(coclique, full)
-    c0 = 1 + _max_clique_size(adj, adj[0], upper=bound - 1)
+        bound = n // _max_clique_size(coclique, full, colour=colour)
+    c0 = 1 + _max_clique_size(adj, adj[0], upper=bound - 1, colour=colour)
     if c0 >= bound or cayley or not early and transitive():
         target = c0
     else:
-        target = _max_clique_size(adj, full, lower=c0)
+        target = _max_clique_size(adj, full, lower=c0, colour=colour)
     # vertex 0 is left out of the pool when no maximum clique holds it
     chosen = [0] if c0 == target else []
     pool = adj[0] if chosen else full ^ 1
@@ -323,7 +373,7 @@ def _lex_smallest_maximum_clique(adj: list[int], n: int,
             return chosen + rest
         v = rest[0]
         inner = pool & adj[v]
-        if len(chosen) + 1 + _max_clique_size(adj, inner) >= target:
+        if len(chosen) + 1 + _max_clique_size(adj, inner, colour=colour) >= target:
             chosen.append(v)
             pool = inner
         else:
@@ -350,13 +400,16 @@ def _pauli_magnitudes(resource: PureState, subsets: list[tuple[int, ...]],
     subset, from one stacked ``psi @ psi^dag`` and one ``pauli_coefficients``
     per slice.  A slice holds at least one subset and otherwise at most
     ``SLICE_ENTRIES`` of both the gather (8^k per subset) and the stacked
-    amplitudes (2^n per subset).  Each subset is checked by ``_sender_major``
-    before its amplitudes are stacked."""
-    step = max(1, SLICE_ENTRIES // max(8 ** k, 1 << resource.num_qubits))
+    amplitudes (2^n per subset); its amplitudes are read by one gather
+    through ``_sender_index``.  The caller has checked the subsets."""
+    n = resource.num_qubits
+    step = max(1, SLICE_ENTRIES // max(8 ** k, 1 << n))
+    cached = len(subsets) << n <= INDEX_MEMO_ENTRIES
     parts = []
     for lo in range(0, len(subsets), step):
-        psi = np.stack([_sender_major(resource, s, k, "Pauli table entries")[0]
-                        for s in subsets[lo:lo + step]])
+        index = (_cached_sender_index(n, tuple(subsets))[lo:lo + step] if cached
+                 else _sender_index(n, tuple(subsets[lo:lo + step])))
+        psi = resource.amplitudes[index]
         parts.append(np.abs(pauli_coefficients(psi @ psi.conj().transpose(0, 2, 1))))
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -369,7 +422,8 @@ def _answer(mag: np.ndarray, k: int, tol: float) -> _Answer:
     """The witness of one Pauli table row ``mag`` and its number of phase
     classes.  They read nothing but ``mag``, ``k`` and ``tol``, so sender
     subsets with bitwise-equal rows share one answer.  Raises ``ValueError``
-    when the witness fails ``_check_independent``."""
+    when the witness fails ``_check_independent``, and ``CapacityError``,
+    naming k and tol, when the search runs past ``MAX_COLOURINGS``."""
     rep_rows, cls = _representatives(mag, tol)
     n = len(rep_rows)
     names = pauli_table(k).names
@@ -384,8 +438,12 @@ def _answer(mag: np.ndarray, k: int, tol: float) -> _Answer:
     flat, width = packed.tobytes(), packed.shape[1]
     adj = [int.from_bytes(flat[i:i + width], "little")
            for i in range(0, len(flat), width)]
-    clique = _lex_smallest_maximum_clique(
-        adj, n, lambda: _is_cayley(cls, rep_rows, ortho))
+    try:
+        clique = _lex_smallest_maximum_clique(
+            adj, n, lambda: _is_cayley(cls, rep_rows, ortho))
+    except CapacityError as exc:
+        raise CapacityError("%d sender qubits at tolerance %g: %s"
+                            % (k, tol, exc)) from None
     witness = [rep_rows[i] for i in clique]
     _check_independent(mag, witness, tol)
     return tuple(names[x] for x in witness), n
@@ -427,6 +485,7 @@ def distinguishable_messages(resource: PureState, sender_qubits: tuple[int, ...]
     check_tolerance(tol)
     sender_qubits = _senders(sender_qubits)
     k = len(sender_qubits)
+    _check_senders(sender_qubits, resource.num_qubits, k, "Pauli table entries")
     mag, = _pauli_magnitudes(resource, [sender_qubits], k)
     return _result(sender_qubits, k, _answer(mag, k, tol))
 
@@ -446,6 +505,7 @@ def best_over_subsets(resource: PureState, k: int,
         raise ValueError("k = %r sender qubits is out of range for a %d-qubit "
                          "resource" % (k, n))
     check_tolerance(tol)
+    _check_size(k, n, k, "Pauli table entries")
     subsets = list(itertools.combinations(range(n), k))
     answers: dict[bytes, _Answer] = {}
     per_subset: dict[tuple[int, ...], int] = {}

@@ -25,6 +25,10 @@ MAX_STACK_ENTRIES = 2 ** 24
 # scores of the open outcomes): 32 MiB, so a slice stays cache- and RSS-sized
 # although one outcome may take up to MAX_STACK_ENTRIES
 SLICE_ENTRIES = 2 ** 21
+# greedy colourings one dense-coding clique search may run before it is
+# refused: 40x the 245 of the heaviest pinned, suite or benchmark query
+# (Q4_11 with senders 1, 0, 3, 2), about 0.2 s of search
+MAX_COLOURINGS = 10_000
 
 # Tolerances.  Every module imports these; none defines its own.
 NORM_TOL = 1e-12        # |norm - 1| of a PureState

@@ -176,6 +176,20 @@ def test_loose_tolerance_count_within_the_dimension_is_answered(capsys):
     assert captured.out.startswith("Q4_11 DC3 on qubits [0, 1, 2]: N=16 (4 cbits)\n")
 
 
+def test_search_past_the_colouring_budget_exits_two(monkeypatch, capsys):
+    # Q4_11 with senders 1, 0, 3, 2 takes 245 greedy colourings, the most of
+    # any pinned query; one fewer allowed refuses it
+    argv = ["densecode", "--state", "Q4_11", "--qubits", "1,0,3,2"]
+    monkeypatch.setattr(densecode, "MAX_COLOURINGS", 244)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: 4 sender qubits at tolerance 1e-10: the clique search needs "
+            "more than MAX_COLOURINGS = 244 greedy colourings\n")
+    monkeypatch.setattr(densecode, "MAX_COLOURINGS", 245)
+    assert main(argv) == 0
+
+
 def test_densecode_all(capsys):
     rc, out = _json_out(capsys, ["densecode", "--all"])
     assert rc == 0

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -152,10 +153,17 @@ def test_bad_arguments_rejected():
 
 def test_repeated_sender_qubit_rejected():
     st = make_state("GHZ4").state
-    with pytest.raises(ValueError, match="repeated sender qubit"):
+    with pytest.raises(ValueError, match=r"^repeated sender qubit in \[0, 0\]$"):
         distinguishable_messages(st, (0, 0))
-    with pytest.raises(ValueError, match="repeated sender qubit"):
+    with pytest.raises(ValueError, match=r"^repeated sender qubit in \[1, 2, 1\]$"):
         encoded_states(st, (1, 2, 1))
+    # a repeat is named before a sender out of range, and that before the size
+    for query in distinguishable_messages, encoded_states:
+        with pytest.raises(ValueError, match=r"^repeated sender qubit in \[9, 9\]$"):
+            query(st, (9, 9))
+        with pytest.raises(ValueError, match=r"^sender qubit 12 is out of range "
+                                             r"for a 12-qubit resource$"):
+            query(make_state("GHZ:12").state, tuple(range(8)) + (12,))
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, 1.0, 2.0])
@@ -209,11 +217,20 @@ def test_oversized_query_rejected_before_allocation(k, monkeypatch):
         raise AssertionError("the Pauli table was built for k = %d" % k)
 
     monkeypatch.setattr(densecode, "pauli_table", no_table)
+    monkeypatch.setattr(densecode, "_sender_index", no_table)
+    monkeypatch.setattr(densecode, "_cached_sender_index", no_table)
     st = make_state("GHZ:12").state
     assert 8 ** k > MAX_ENCODED_ENTRIES
-    for call in (distinguishable_messages, encoded_states):
-        with pytest.raises(ValueError, match=r"over the limit of 2\^24"):
-            call(st, tuple(range(k)))
+    table = (r"^%d sender qubits of a 12-qubit resource need 4\^%d x 2\^%d Pauli "
+             r"table entries, over the limit of 2\^24$" % (k, k, k))
+    with pytest.raises(ValueError, match=table):
+        distinguishable_messages(st, tuple(range(k)))
+    with pytest.raises(ValueError, match=table):
+        best_over_subsets(st, k)
+    with pytest.raises(ValueError, match=r"^%d sender qubits of a 12-qubit resource "
+                                         r"need 4\^%d x 2\^12 encoded amplitudes, "
+                                         r"over the limit of 2\^24$" % (k, k)):
+        encoded_states(st, tuple(range(k)))
     # 4^7 x 2^12 encoded amplitudes would take 1.1 GB
     with pytest.raises(ValueError, match=r"4\^7 x 2\^12 encoded amplitudes"):
         encoded_states(st, tuple(range(7)))
@@ -229,6 +246,9 @@ def test_query_at_the_limit_is_answered(monkeypatch):
     assert distinguishable_messages(st, (1, 0)).count == 8
     with pytest.raises(ValueError, match="3 sender qubits of a 4-qubit"):
         distinguishable_messages(st, (0, 1, 2))
+    assert best_over_subsets(st, 2)[0].count == 8
+    with pytest.raises(ValueError, match="3 sender qubits of a 4-qubit"):
+        best_over_subsets(st, 3)
     assert len(encoded_states(st, (1,))) == 4
     with pytest.raises(ValueError, match="2 sender qubits of a 4-qubit"):
         encoded_states(st, (1, 0))
@@ -440,11 +460,63 @@ def test_kernel_matches_reference_path(label):
 
 # --- the Cayley certificate and the clique search against the reference ----------
 
+def _sender_major(st, qubits):
+    """The resource as a (2^k, 2^(n-k)) matrix, sender axes first in the
+    caller's order: the reshape/transpose the index gather replaced, kept
+    as the oracle."""
+    n = st.num_qubits
+    axes = list(qubits) + [q for q in range(n) if q not in qubits]
+    return st.amplitudes.reshape((2,) * n).transpose(axes).reshape(1 << len(qubits), -1)
+
+
 def _mag(st, qubits):
     """|Tr(P_x rho_S)| over every encoding x, as ``distinguishable_messages``
-    reads it."""
-    psi_t, _ = densecode._sender_major(st, qubits, len(qubits), "entries")
+    reads it, from the reshape/transpose path."""
+    psi_t = _sender_major(st, qubits)
     return np.abs(pauli_coefficients(psi_t @ psi_t.conj().T))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gather_is_the_reshape_transpose_path(n):
+    # every ordered tuple of distinct qubits, k = 0..n, one at a time and
+    # stacked: the gathered matrices are bit for bit the transposed ones
+    st = random_state(n, np.random.default_rng(n))
+    for k in range(n + 1):
+        subsets = tuple(itertools.permutations(range(n), k))
+        index = densecode._sender_index(n, subsets)
+        assert index.dtype == np.intp and not index.flags.writeable
+        assert index.shape == (len(subsets), 2 ** k, 2 ** (n - k))
+        want = np.stack([_sender_major(st, s) for s in subsets])
+        assert np.array_equal(st.amplitudes[index], want), k
+        for s, stacked in zip(subsets, index):
+            one, = densecode._sender_index(n, (s,))
+            assert np.array_equal(one, stacked), s
+
+
+def test_sender_index_memo_keeps_only_small_indices(monkeypatch):
+    # GHZ:10 at k = 5: the 252 x 2^10 index (258,048 entries) is over the memo
+    # cap, so it is built per slice of 64 subsets and none of it is kept
+    assert 252 * 2 ** 10 > densecode.INDEX_MEMO_ENTRIES >= 64 * 2 ** 10
+    densecode._cached_sender_index.cache_clear()
+    built = []
+    real = densecode._sender_index
+
+    def spy(n, subsets):
+        built.append(len(subsets))
+        return real(n, subsets)
+
+    monkeypatch.setattr(densecode, "_sender_index", spy)
+    best, _ = best_over_subsets(make_state("GHZ:10").state, 5)
+    assert best.count == 64
+    assert built == [64, 64, 64, 60]
+    assert densecode._cached_sender_index.cache_info().currsize == 0
+    # a small sweep's whole index is kept, and the next sweep reads it
+    st = make_state("GHZ4").state
+    best_over_subsets(st, 2)
+    best_over_subsets(st, 2)
+    info = densecode._cached_sender_index.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+    assert len(built) == 4
 
 
 def _graph(st, qubits, tol=ASSERT_TOL):
@@ -799,14 +871,14 @@ def _spied_search(monkeypatch, adj, n, transitive):
     asked = []
     real = densecode._max_clique_size
 
-    def spy(adj_, cand, lower=0, upper=math.inf):
+    def spy(adj_, cand, lower=0, upper=math.inf, **colour):
         if adj_ is not adj:
             elsewhere.append(cand)
         elif lower == 0 and upper == math.inf:
             probes.append(cand)
         else:
             searched.append((cand, lower))
-        return real(adj_, cand, lower, upper)
+        return real(adj_, cand, lower, upper, **colour)
 
     def ask():
         asked.append(True)
@@ -908,8 +980,8 @@ def test_clique_coclique_bound_settles_the_heavy_cayley_graphs(name, qubits, mon
     calls = []
     real = densecode._max_clique_size
 
-    def spy(adj_, cand, lower=0, upper=math.inf):
-        got = real(adj_, cand, lower, upper)
+    def spy(adj_, cand, lower=0, upper=math.inf, **colour):
+        got = real(adj_, cand, lower, upper, **colour)
         calls.append((adj_ == adj, cand, upper, got))
         return got
 
@@ -958,6 +1030,66 @@ def test_capacity_queries_colour_few_pools(monkeypatch):
     for name, params, qubits in queries:
         distinguishable_messages(make_state(name, **dict(params)).state, qubits)
     assert len(calls) < 100
+
+
+def _counting_colourings(monkeypatch):
+    """The greedy colourings of each clique search, one count per search."""
+    counts = []
+    colour = densecode._greedy_colouring
+    search = densecode._lex_smallest_maximum_clique
+
+    def counting(adj_, pool):
+        counts[-1] += 1
+        return colour(adj_, pool)
+
+    def spy(adj, n, transitive):
+        counts.append(0)
+        return search(adj, n, transitive)
+
+    monkeypatch.setattr(densecode, "_greedy_colouring", counting)
+    monkeypatch.setattr(densecode, "_lex_smallest_maximum_clique", spy)
+    return counts
+
+
+def test_pinned_queries_stay_far_under_the_colouring_budget(monkeypatch):
+    # every ordered sender tuple of the CLI's per-state pin: the heaviest,
+    # Q4_11 with senders 1, 0, 3, 2, takes 245 colourings, 1/40 of the budget
+    counts = _counting_colourings(monkeypatch)
+    for name, params in (("GHZ4", {}), ("W4", {}), ("Omega", {}), ("Q4", {}),
+                         ("Q5", {}), ("Q4_11", {}), ("W_mn", {"m": 1, "n": 1})):
+        st = make_state(name, **params).state
+        for size in range(1, 5):
+            for qubits in itertools.permutations(range(4), size):
+                distinguishable_messages(st, qubits)
+    assert 20 * max(counts) <= densecode.MAX_COLOURINGS
+
+
+def test_colouring_budget_counts_every_colouring(monkeypatch):
+    st = make_state("Q4_11").state
+    counts = _counting_colourings(monkeypatch)
+    want = distinguishable_messages(st, (1, 0, 3, 2))
+    spent, = counts
+    monkeypatch.setattr(densecode, "MAX_COLOURINGS", spent)
+    assert distinguishable_messages(st, (1, 0, 3, 2)) == want
+    monkeypatch.setattr(densecode, "MAX_COLOURINGS", spent - 1)
+    with pytest.raises(states.CapacityError, match=r"^4 sender qubits at tolerance "
+                       r"1e-10: the clique search needs more than MAX_COLOURINGS "
+                       r"= %d greedy colourings$" % (spent - 1)):
+        distinguishable_messages(st, (1, 0, 3, 2))
+
+
+def test_search_past_the_colouring_budget_is_refused_quickly():
+    # haar4_1 with all four senders at tol 0.3 spent 2.6 s and 112,900
+    # colourings before the Gram check refused its N = 20
+    st = _REFERENCE_CASES["haar4_1"][0]
+    message = (r"^4 sender qubits at tolerance 0\.3: the clique search needs more "
+               r"than MAX_COLOURINGS = 10000 greedy colourings$")
+    for query in (lambda: distinguishable_messages(st, (0, 1, 2, 3), tol=0.3),
+                  lambda: best_over_subsets(st, 4, tol=0.3)):
+        start = time.perf_counter()
+        with pytest.raises(states.CapacityError, match=message):
+            query()
+        assert time.perf_counter() - start < 0.5
 
 
 # --- the stacked sweep against the per-subset loop it replaced --------------------
