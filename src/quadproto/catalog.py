@@ -21,8 +21,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .states import (ASSERT_TOL, GRAM_TOL, PureState, apply_paulis, ket_vector,
-                     qubit_count)
+from .states import (ASSERT_TOL, GRAM_TOL, PureState, apply_paulis, check_integer,
+                     ket_vector, qubit_count)
 
 __all__ = [
     "NamedState",
@@ -217,6 +217,16 @@ def _take(params: dict, family: str, names: str) -> list:
     return [params.pop(k) for k in names]
 
 
+def read_decimal(text: str) -> int:
+    """A non-negative integer written in ASCII decimal digits alone.  ``int``
+    would also read ``1_0`` as 10, a sign, spaces around the digits and
+    digits of other scripts, answering a different query than the one
+    typed."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("not a decimal integer: %r" % text)
+    return int(text)
+
+
 @functools.lru_cache(maxsize=1024, typed=True)
 def make_state(name: str, /, **params) -> NamedState:
     """Construct a catalog state by name; memoized on the call as written.
@@ -255,7 +265,7 @@ def make_state(name: str, /, **params) -> NamedState:
     if canonical.startswith("GHZ:"):
         text = canonical.split(":", 1)[1]
         try:
-            n = int(text)
+            n = read_decimal(text)
         except ValueError:
             raise ValueError("GHZ:n needs an integer n, got %r" % text) from None
         if n < 2:
@@ -441,8 +451,7 @@ _PAULI_NAMES = ("s0", "s1", "s2", "s3")
 
 
 def _check_pauli_index(i: int) -> str:
-    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-        raise ValueError("Pauli index must be an integer, got %r" % (i,))
+    check_integer("Pauli index", i)
     if i not in (0, 1, 2, 3):
         raise ValueError("Pauli index must be 0..3, got %r" % i)
     return _PAULI_NAMES[i]

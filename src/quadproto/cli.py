@@ -20,7 +20,7 @@ import sys
 
 from . import scenarios as reg
 from .catalog import (basis_names, corrections_for, make_basis, make_state,
-                      state_names)
+                      read_decimal, state_names)
 from .densecode import distinguishable_messages
 from .diagnostics import profile
 from .locc import check_certificate, run_discrimination
@@ -98,21 +98,11 @@ def _tolerance(text: str) -> float:
             % text) from None
 
 
-def _decimal(text: str) -> int:
-    """A non-negative integer written in ASCII decimal digits, spaces around
-    it allowed.  ``int`` alone would also read ``1_0`` as 10 and digits of
-    other scripts, answering a different query than the one typed."""
-    digits = text.strip()
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError("not a decimal integer: %r" % text)
-    return int(digits)
-
-
 def _seed(text: str) -> int:
     """argparse type for --seed: a non-negative integer, as numpy's
     generators take."""
     try:
-        return _decimal(text)
+        return read_decimal(text.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(
             "must be a non-negative integer, got %r" % text) from None
@@ -120,7 +110,7 @@ def _seed(text: str) -> int:
 
 def _parse_qubits(text: str) -> tuple[int, ...]:
     try:
-        return tuple(_decimal(part) for part in text.split(","))
+        return tuple(read_decimal(part.strip()) for part in text.split(","))
     except ValueError as exc:
         raise ValueError("qubit list %r is not comma-separated integers"
                          % text) from exc

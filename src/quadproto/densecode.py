@@ -14,25 +14,25 @@ psi to the sender qubits.  A query reads everything off the 4^k numbers
 mag = |Tr(P_x rho_S)|, one gather of ``states.pauli_coefficients`` by the
 flip masks and int8 signs of ``states.pauli_table``, which teleport
 corrections also read; no encoded state is built.  That gather is a
-(4^k, 2^k) array, so a query with 8^k above ``MAX_ENCODED_ENTRIES`` (k of 9
+(4^k, 2^k) array, so a query with 8^k above ``MAX_STACK_ENTRIES`` (k of 9
 or more, whatever the resource size) is refused before the table is built.
 ``encoded_states`` alone builds the encodings, as rows of one (4^k, 2^n)
 array, and refuses 4^k x 2^n above the same limit.
 
-A query has two parts.  The front end takes a list of sender subsets and
-reads their sender-major amplitudes (sender qubits first, in the caller's
-order, the others ascending) with one gather through a flat index, then
-runs one ``psi @ psi^dag`` and one ``pauli_coefficients`` over the stack,
-giving one mag row per subset.  The stack is worked in slices of at most
-``SLICE_ENTRIES`` gathered entries (8^k per subset) and stacked amplitudes
-(2^n per subset), and of at least one subset.  The index depends on n and
-the subsets alone, so a query's whole index is memoized by value when it
-has at most ``INDEX_MEMO_ENTRIES`` (2^16) entries; a larger one is built a
-slice at a time and not kept.  The subsets are checked once per query,
-before anything is built: ``distinguishable_messages`` and
-``encoded_states`` check their one subset, and ``best_over_subsets``,
-whose combinations are valid, only the size.  The answer reads the
-classes, the adjacency, the clique and the witness off one row.  ``distinguishable_messages`` is the one-subset case;
+A query has two parts.  The front end takes a list of sender subsets,
+reads their reductions rho_S with one ``states.reduced_densities`` (one
+gather through the memoized sender-major index of ``states.sender_index``,
+then one stacked ``psi @ psi^dag``) and runs one ``pauli_coefficients``
+over the stack, giving one mag row per subset.  The stack is worked in
+slices of at most ``SLICE_ENTRIES`` gathered entries (8^k per subset) and
+stacked amplitudes (2^n per subset), and of at least one subset.  The
+subsets are checked once per query, before anything is built:
+``distinguishable_messages`` and ``encoded_states`` check their one
+subset, and ``best_over_subsets``, whose combinations are valid, only the
+size.
+
+The answer reads the classes, the adjacency, the clique and the witness off
+one row.  ``distinguishable_messages`` is the one-subset case;
 ``best_over_subsets`` sends all C(n, k) subsets through the front end at
 once, and answers each distinct row once: the answer reads nothing but the
 row, k and tol, and bitwise-equal rows (every subset of a symmetric state)
@@ -92,7 +92,6 @@ to minutes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -100,10 +99,9 @@ from typing import Callable
 
 import numpy as np
 
-from .states import (ASSERT_TOL, MAX_COLOURINGS, SLICE_ENTRIES, CapacityError,
-                     PureState, check_tolerance, pauli_coefficients, pauli_table)
-# the shared stack limit, under the name dense coding exports
-from .states import MAX_STACK_ENTRIES as MAX_ENCODED_ENTRIES
+from .states import (ASSERT_TOL, MAX_COLOURINGS, MAX_STACK_ENTRIES, SLICE_ENTRIES,
+                     CapacityError, PureState, check_integer, check_tolerance,
+                     pauli_coefficients, pauli_table, reduced_densities, sender_index)
 
 __all__ = [
     "DenseCodingResult",
@@ -113,83 +111,44 @@ __all__ = [
 ]
 
 
-def _check_integer(value, what: str) -> None:
-    """Refuse anything but a Python or numpy integer, bools included, which
-    would otherwise be read as 0 and 1 or fail inside numpy."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError("%s must be an integer, got %r" % (what, value))
-
-
-def _senders(sender_qubits) -> tuple[int, ...]:
-    """The caller's sender qubits as a tuple, each checked to be an integer."""
-    sender_qubits = tuple(sender_qubits)
-    for q in sender_qubits:
-        _check_integer(q, "sender qubit")
-    return sender_qubits
-
-
 def _check_size(k: int, n: int, width: int, what: str) -> None:
     """Refuse a query whose 4^k x 2^width ``what`` exceed
-    ``MAX_ENCODED_ENTRIES``, from the sizes alone."""
-    if 4 ** k << width > MAX_ENCODED_ENTRIES:
+    ``MAX_STACK_ENTRIES``, from the sizes alone."""
+    if 4 ** k << width > MAX_STACK_ENTRIES:
         raise ValueError(
             "%d sender qubits of a %d-qubit resource need 4^%d x 2^%d %s, "
             "over the limit of 2^%d"
-            % (k, n, k, width, what, MAX_ENCODED_ENTRIES.bit_length() - 1))
+            % (k, n, k, width, what, MAX_STACK_ENTRIES.bit_length() - 1))
 
 
-def _check_senders(sender_qubits: tuple[int, ...], n: int, width: int,
-                   what: str) -> None:
-    """Refuse repeated or out-of-range senders, then an oversized query."""
+def _check_senders(sender_qubits, n: int) -> tuple[int, ...]:
+    """The caller's sender qubits as a tuple, each checked to be an integer;
+    refuses repeated, then out-of-range senders."""
+    sender_qubits = tuple(sender_qubits)
+    check_integer("sender qubit", *sender_qubits)
     if len(set(sender_qubits)) != len(sender_qubits):
         raise ValueError("repeated sender qubit in %s" % (list(sender_qubits),))
     bad = [q for q in sender_qubits if not 0 <= q < n]
     if bad:
         raise ValueError("sender qubit %d is out of range for a %d-qubit resource" % (bad[0], n))
-    _check_size(len(sender_qubits), n, width, what)
-
-
-def _sender_index(n: int, subsets: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """The read-only (S, 2^k, 2^(n-k)) gather of every subset's sender-major
-    matrix: entry [i, t_s, t_r] is the flat amplitude index where subset i's
-    qubits, in its order, read t_s and the other qubits, ascending, read t_r.
-    Each subset is valid, distinct qubits in range, and all have k of them."""
-    flat = np.arange(1 << n, dtype=np.intp).reshape((2,) * n)
-    index = np.stack([flat.transpose(list(s) + [q for q in range(n) if q not in s])
-                      .reshape(1 << len(s), -1) for s in subsets])
-    index.setflags(write=False)
-    return index
-
-
-# a query's whole index is kept, by value, when it has at most
-# INDEX_MEMO_ENTRIES entries (512 KiB; 256 indices, 128 MiB at most); a
-# larger one is built per call, a slice at a time, and not kept
-INDEX_MEMO_ENTRIES = 2 ** 16
-_cached_sender_index = functools.lru_cache(maxsize=256)(_sender_index)
-
-
-def _encode(resource: PureState, sender_qubits: tuple[int, ...]) -> np.ndarray:
-    """All 4^k encodings as rows, in lexicographic encoding order."""
-    n = resource.num_qubits
-    _check_senders(sender_qubits, n, n, "encoded amplitudes")
-    # one subset's index holds 2^n <= 2^MAX_QUBITS entries, within the memo
-    index, = _cached_sender_index(n, (sender_qubits,))
-    _, flip, sign = pauli_table(len(sender_qubits))
-    psi_t = resource.amplitudes[index]
-    rows = psi_t[np.arange(len(psi_t)) ^ flip[:, None]]
-    rows *= sign[:, :, None]
-    out = np.empty((len(rows), 1 << n), dtype=rows.dtype)
-    out[:, index] = rows
-    return out
+    return sender_qubits
 
 
 def encoded_states(resource: PureState, sender_qubits: tuple[int, ...],
                    ) -> list[tuple[tuple[str, ...], PureState]]:
     """All 4^k encoded states in lexicographic encoding order."""
-    sender_qubits = _senders(sender_qubits)
-    rows = _encode(resource, sender_qubits)
-    names = pauli_table(len(sender_qubits)).names
-    return [(label, PureState(row)) for label, row in zip(names, rows)]
+    n = resource.num_qubits
+    sender_qubits = _check_senders(sender_qubits, n)
+    k = len(sender_qubits)
+    _check_size(k, n, n, "encoded amplitudes")
+    index, = sender_index(n, (sender_qubits,))
+    names, flip, sign = pauli_table(k)
+    psi_t = resource.amplitudes[index]
+    rows = psi_t[np.arange(len(psi_t)) ^ flip[:, None]]
+    rows *= sign[:, :, None]
+    out = np.empty((len(rows), 1 << n), dtype=rows.dtype)
+    out[:, index] = rows
+    return [(label, PureState(row)) for label, row in zip(names, out)]
 
 
 def _representatives(mag: np.ndarray, tol: float) -> tuple[list[int], np.ndarray]:
@@ -394,23 +353,17 @@ class DenseCodingResult:
         return math.log2(self.count)
 
 
-def _pauli_magnitudes(resource: PureState, subsets: list[tuple[int, ...]],
+def _pauli_magnitudes(resource: PureState, subsets: tuple[tuple[int, ...], ...],
                       k: int) -> np.ndarray:
     """The (S, 4^k) table of mag = |Tr(P_x rho_S)|, one row per k-qubit sender
-    subset, from one stacked ``psi @ psi^dag`` and one ``pauli_coefficients``
-    per slice.  A slice holds at least one subset and otherwise at most
+    subset, from one ``reduced_densities`` and one ``pauli_coefficients`` per
+    slice.  A slice holds at least one subset and otherwise at most
     ``SLICE_ENTRIES`` of both the gather (8^k per subset) and the stacked
-    amplitudes (2^n per subset); its amplitudes are read by one gather
-    through ``_sender_index``.  The caller has checked the subsets."""
-    n = resource.num_qubits
-    step = max(1, SLICE_ENTRIES // max(8 ** k, 1 << n))
-    cached = len(subsets) << n <= INDEX_MEMO_ENTRIES
-    parts = []
-    for lo in range(0, len(subsets), step):
-        index = (_cached_sender_index(n, tuple(subsets))[lo:lo + step] if cached
-                 else _sender_index(n, tuple(subsets[lo:lo + step])))
-        psi = resource.amplitudes[index]
-        parts.append(np.abs(pauli_coefficients(psi @ psi.conj().transpose(0, 2, 1))))
+    amplitudes (2^n per subset).  The caller has checked the subsets."""
+    step = max(1, SLICE_ENTRIES // max(8 ** k, resource.dim))
+    parts = [np.abs(pauli_coefficients(
+                 reduced_densities(resource.amplitudes, subsets[lo:lo + step])))
+             for lo in range(0, len(subsets), step)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -483,10 +436,11 @@ def _result(sender_qubits: tuple[int, ...], k: int,
 def distinguishable_messages(resource: PureState, sender_qubits: tuple[int, ...],
                              tol: float = ASSERT_TOL) -> DenseCodingResult:
     check_tolerance(tol)
-    sender_qubits = _senders(sender_qubits)
+    n = resource.num_qubits
+    sender_qubits = _check_senders(sender_qubits, n)
     k = len(sender_qubits)
-    _check_senders(sender_qubits, resource.num_qubits, k, "Pauli table entries")
-    mag, = _pauli_magnitudes(resource, [sender_qubits], k)
+    _check_size(k, n, k, "Pauli table entries")
+    mag, = _pauli_magnitudes(resource, (sender_qubits,), k)
     return _result(sender_qubits, k, _answer(mag, k, tol))
 
 
@@ -499,14 +453,14 @@ def best_over_subsets(resource: PureState, k: int,
     table rows are bitwise equal share one answer.  The first subset, in
     that order, whose count fails the Gram check refuses the whole sweep
     with ``ValueError``."""
-    _check_integer(k, "k")
+    check_integer("k", k)
     n = resource.num_qubits
     if not 0 <= k <= n:
         raise ValueError("k = %r sender qubits is out of range for a %d-qubit "
                          "resource" % (k, n))
     check_tolerance(tol)
     _check_size(k, n, k, "Pauli table entries")
-    subsets = list(itertools.combinations(range(n), k))
+    subsets = tuple(itertools.combinations(range(n), k))
     answers: dict[bytes, _Answer] = {}
     per_subset: dict[tuple[int, ...], int] = {}
     best: DenseCodingResult | None = None

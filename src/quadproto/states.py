@@ -58,7 +58,18 @@ def check_tolerance(tol: float, name: str = "tol", allow_zero: bool = False) -> 
 
 
 class CapacityError(ValueError):
-    """A register would exceed the supported qubit count."""
+    """A query would exceed a supported size: a register past ``MAX_QUBITS``,
+    a Pauli table or a teleport probe or score stack past
+    ``MAX_STACK_ENTRIES``, or a clique search past ``MAX_COLOURINGS``."""
+
+
+def check_integer(what: str, *values) -> None:
+    """Refuse the first of ``values`` that is not a Python or numpy integer,
+    bools included, which would otherwise be read as 0 and 1, fail inside
+    numpy, or share a memo entry with an equal integer."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError("%s must be an integer, got %r" % (what, value))
 
 
 def _lock(arr: np.ndarray) -> np.ndarray:
@@ -260,6 +271,41 @@ def apply_paulis(rows: np.ndarray, names: Sequence[str]) -> np.ndarray:
     return phase * sign[x] * rows[..., np.arange(2 ** k) ^ flip[x]] + 0.0
 
 
+def _sender_index(n: int, subsets: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """The read-only (S, 2^k, 2^(n-k)) gather of every subset's sender-major
+    matrix: entry [i, t_s, t_r] is the flat amplitude index where subset i's
+    qubits, in its order, read t_s and the other qubits, ascending, read t_r.
+    Each subset is valid, distinct qubits in range, and all have k of them."""
+    flat = np.arange(1 << n, dtype=np.intp).reshape((2,) * n)
+    return _lock(np.stack([flat.transpose(list(s) + [q for q in range(n) if q not in s])
+                           .reshape(1 << len(s), -1) for s in subsets]))
+
+
+# an index of at most INDEX_MEMO_ENTRIES entries (512 KiB) is kept, by value,
+# 256 of them at most (128 MiB); a larger one is built per call and not kept
+INDEX_MEMO_ENTRIES = 2 ** 16
+_cached_sender_index = functools.lru_cache(maxsize=256)(_sender_index)
+
+
+def sender_index(n: int, subsets: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """``_sender_index(n, subsets)``, memoized when it has at most
+    ``INDEX_MEMO_ENTRIES`` entries.  Every reduction, local unitary, qubit
+    permutation and dense-coding encoding reads amplitudes through it."""
+    if len(subsets) << n <= INDEX_MEMO_ENTRIES:
+        return _cached_sender_index(n, subsets)
+    return _sender_index(n, subsets)
+
+
+def reduced_densities(amplitudes: np.ndarray,
+                      subsets: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """The (S, 2^k, 2^k) stack of the reductions of a state's amplitudes onto
+    each k-qubit subset, its qubits in the listed order, from one gather
+    through ``sender_index`` and one stacked psi @ psi^dag.  Each subset is
+    valid, distinct qubits in range, and all have k of them."""
+    psi = amplitudes[sender_index(amplitudes.size.bit_length() - 1, subsets)]
+    return psi @ psi.conj().transpose(0, 2, 1)
+
+
 def tensor(a: PureState, b: PureState) -> PureState:
     """Kronecker product; a's qubits occupy the leading label positions."""
     if a.num_qubits + b.num_qubits > MAX_QUBITS:
@@ -282,6 +328,7 @@ def apply_local(state: PureState, u: np.ndarray,
         raise ValueError("unitary must be square")
     targets = tuple(targets)
     n = state.num_qubits
+    check_integer("target qubit", *targets)
     if len(set(targets)) != len(targets):
         raise ValueError("duplicate target qubit")
     if any(t < 0 or t >= n for t in targets):
@@ -291,11 +338,9 @@ def apply_local(state: PureState, u: np.ndarray,
     dev = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
     if not dev <= UNITARY_TOL:  # written so NaN fails too
         raise ValueError(f"matrix fails unitarity by {dev:.3e}")
-    rest = [i for i in range(n) if i not in targets]
-    perm = list(targets) + rest
-    psi = state.amplitudes.reshape([2] * n).transpose(perm)
-    psi = mat @ psi.reshape(1 << len(targets), -1)
-    psi = psi.reshape([2] * n).transpose(np.argsort(perm)).reshape(-1)
+    index, = sender_index(n, (targets,))
+    psi = np.empty_like(state.amplitudes)
+    psi[index] = mat @ state.amplitudes[index]
     norm = np.linalg.norm(psi)
     if not abs(norm - 1.0) <= NORM_TOL:
         psi /= norm
@@ -308,9 +353,9 @@ def permute_qubits(state: PureState, perm: Sequence[int]) -> PureState:
     perm = tuple(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError("perm must be a permutation of range(num_qubits)")
-    inverse = np.argsort(perm)
-    out = state.amplitudes.reshape([2] * n).transpose(inverse).reshape(-1)
-    return PureState(out)
+    # output qubit j reads input qubit inverse[j]
+    inverse = tuple(sorted(range(n), key=perm.__getitem__))
+    return PureState(state.amplitudes[sender_index(n, (inverse,))].reshape(-1))
 
 
 def inner(a: PureState, b: PureState) -> complex:
@@ -330,14 +375,13 @@ def reduced_density(state: PureState, keep: Sequence[int]) -> np.ndarray:
     (2**k, 2**k) array."""
     keep = tuple(keep)
     n = state.num_qubits
+    check_integer("kept qubit", *keep)
     if not keep or len(set(keep)) != len(keep):
         raise ValueError("keep must be a nonempty set of distinct qubits")
     if any(q < 0 or q >= n for q in keep):
         raise ValueError("kept qubit out of range")
-    env = [i for i in range(n) if i not in keep]
-    psi = state.amplitudes.reshape([2] * n).transpose(list(keep) + env)
-    psi = psi.reshape(1 << len(keep), -1)
-    return _lock(psi @ psi.conj().T)
+    rho, = reduced_densities(state.amplitudes, (keep,))
+    return _lock(rho)
 
 
 def purity(rho: np.ndarray) -> float:

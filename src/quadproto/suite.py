@@ -159,7 +159,7 @@ def _densecode_rows(tol: float) -> list[ClaimRow]:
             claim_id="densecode/%s" % cid, kind="densecode_refutation",
             status=status,
             expected="stated ceiling contradicted by N = %d" % count,
-            actual="N = %d at qubits %s" % (res.count, (subset,)[0].__repr__()),
+            actual="N = %d at qubits %r" % (res.count, subset),
             detail=text))
     return rows
 

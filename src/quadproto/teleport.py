@@ -53,7 +53,7 @@ from .catalog import NamedState, make_state
 from .measure import StepSpec, build_plan, enumerate_outcomes
 from .states import (ASSERT_TOL, MAX_STACK_ENTRIES, PAULI_ORDER, PERP_ALARM,
                      SLICE_ENTRIES, VALUE_TOL, CapacityError, PureState,
-                     apply_paulis, check_tolerance, ket_vector,
+                     apply_paulis, check_integer, check_tolerance, ket_vector,
                      pauli_coefficients, pauli_table, qubit_count)
 
 __all__ = [
@@ -96,6 +96,7 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.kind not in ("arbitrary", "ghz_diag", "omega_sub", "w_equal3"):
             raise ValueError("unknown family kind %r" % self.kind)
+        check_integer("Pauli index", *self.dressing)
         if any(not 0 <= i < len(PAULI_ORDER) for i in self.dressing):
             raise ValueError("dressing lists Pauli indices 0..3, got %s"
                              % list(self.dressing))

@@ -5,6 +5,7 @@ completion by brute force, Gram defects of the as-printed vectors, and
 zero-probability branches that would kill the protocol.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -99,6 +100,18 @@ def test_ghz_n_and_bell():
     psi_minus = dict(make_state("Bell:psi-").state.ket_terms())
     assert abs(psi_minus["01"] - S2) < 1e-12
     assert abs(psi_minus["10"] + S2) < 1e-12
+
+
+@pytest.mark.parametrize("n", ["1_0", "\u0663", " 3", "3 ", "+4", "-3", "3.0",
+                               "0x3", "", "x"])
+def test_ghz_n_needs_ascii_decimal_digits(n):
+    # int() read 1_0 as a 10-qubit cat and an Arabic-Indic 3 as 3
+    with pytest.raises(ValueError, match=r"^GHZ:n needs an integer n, got %s$"
+                                         % re.escape(repr(n))):
+        make_state("GHZ:" + n)
+    assert make_state("GHZ:5").state.num_qubits == 5
+    with pytest.raises(ValueError, match=r"^GHZ:n needs n >= 2$"):
+        make_state("GHZ:1")
 
 
 def test_wide_ghz_is_refused_before_allocating():

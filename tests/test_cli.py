@@ -151,6 +151,18 @@ def test_sender_qubits_must_be_ascii_decimal_digits(qubits, capsys):
                             % ("0," + qubits))
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--state", "GHZ:1_0"],           # was a 10-qubit cat
+    ["catalog", "--state", "GHZ:\u0663"],        # was a 3-qubit cat
+    ["catalog", "--state", "GHZ: 3"],
+    ["densecode", "--state", "GHZ:+4", "--qubits", "0,1"]])
+def test_ghz_n_must_be_ascii_decimal_digits(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: GHZ:n needs an integer n, got %r\n" % argv[2][4:]
+
+
 _Q4_11_DC3 = ["densecode", "--state", "Q4_11", "--qubits", "0,1,2"]
 _N32_REFUSAL = ("error: tolerance 0.6 counts N = 32 messages, but their encoded "
                 "states overlap by up to 0.333 and (N - 1) x 0.333 = 10.3 is not "

@@ -38,6 +38,11 @@ TEMPLATES = (
     ["densecode", "--state", "W4", "--qubits", "0_1,2"],
     ["densecode", "--state", "W4", "--qubits", "0,\u0663"],
     ["teleport", "--scenario", "ghz1_ghz4basis", "--seed", "1_0"],
+    # refused: int() would read GHZ:1_0 as a 10-qubit cat, the Arabic-Indic
+    # GHZ:3 as a 3-qubit one and GHZ:+4 as a 4-qubit one
+    ["catalog", "--state", "GHZ:1_0"],
+    ["catalog", "--state", "GHZ:\u0663"],
+    ["densecode", "--state", "GHZ:+4", "--qubits", "0"],
     ["locc", "--set", "ghz8", "--protocol", "ghz_bell_bell"],
     ["locc", "--certificate", "omega16"],
     ["catalog", "--state", "W_mn", "--param", "m=1", "--param", "n=1"],

@@ -1,5 +1,6 @@
 """Dense-coding message counting."""
 
+import functools
 import itertools
 import math
 import re
@@ -14,15 +15,15 @@ from quadproto import scenarios as reg
 from quadproto import states
 from quadproto.catalog import make_state
 from quadproto.densecode import (
-    MAX_ENCODED_ENTRIES,
     DenseCodingResult,
     _lex_smallest_maximum_clique,
     best_over_subsets,
     distinguishable_messages,
     encoded_states,
 )
-from quadproto.states import (ASSERT_TOL, PAULI_ORDER, SIGMA, apply_local,
-                              pauli_coefficients, pauli_table, random_state)
+from quadproto.states import (ASSERT_TOL, MAX_STACK_ENTRIES, PAULI_ORDER, SIGMA,
+                              apply_local, pauli_coefficients, pauli_table,
+                              random_state)
 
 PRINCIPAL = ("GHZ4", "W4", "Omega", "Q4", "Q5")
 
@@ -217,10 +218,10 @@ def test_oversized_query_rejected_before_allocation(k, monkeypatch):
         raise AssertionError("the Pauli table was built for k = %d" % k)
 
     monkeypatch.setattr(densecode, "pauli_table", no_table)
-    monkeypatch.setattr(densecode, "_sender_index", no_table)
-    monkeypatch.setattr(densecode, "_cached_sender_index", no_table)
+    monkeypatch.setattr(states, "_sender_index", no_table)
+    monkeypatch.setattr(states, "_cached_sender_index", no_table)
     st = make_state("GHZ:12").state
-    assert 8 ** k > MAX_ENCODED_ENTRIES
+    assert 8 ** k > MAX_STACK_ENTRIES
     table = (r"^%d sender qubits of a 12-qubit resource need 4\^%d x 2\^%d Pauli "
              r"table entries, over the limit of 2\^24$" % (k, k, k))
     with pytest.raises(ValueError, match=table):
@@ -240,8 +241,8 @@ def test_query_at_the_limit_is_answered(monkeypatch):
     # the bound admits a query on 8 sender qubits, 4^8 x 2^8 table entries,
     # and the encodings of GHZ:12 with sender 0..5, 4^6 x 2^12 amplitudes; the
     # same boundaries are checked here at sizes that are cheap to run
-    assert 8 ** 8 == 4 ** 6 * 2 ** 12 == MAX_ENCODED_ENTRIES
-    monkeypatch.setattr(densecode, "MAX_ENCODED_ENTRIES", 8 ** 2)
+    assert 8 ** 8 == 4 ** 6 * 2 ** 12 == MAX_STACK_ENTRIES
+    monkeypatch.setattr(densecode, "MAX_STACK_ENTRIES", 8 ** 2)
     st = make_state("GHZ4").state
     assert distinguishable_messages(st, (1, 0)).count == 8
     with pytest.raises(ValueError, match="3 sender qubits of a 4-qubit"):
@@ -483,40 +484,54 @@ def test_gather_is_the_reshape_transpose_path(n):
     st = random_state(n, np.random.default_rng(n))
     for k in range(n + 1):
         subsets = tuple(itertools.permutations(range(n), k))
-        index = densecode._sender_index(n, subsets)
+        index = states._sender_index(n, subsets)
         assert index.dtype == np.intp and not index.flags.writeable
         assert index.shape == (len(subsets), 2 ** k, 2 ** (n - k))
         want = np.stack([_sender_major(st, s) for s in subsets])
         assert np.array_equal(st.amplitudes[index], want), k
         for s, stacked in zip(subsets, index):
-            one, = densecode._sender_index(n, (s,))
+            one, = states._sender_index(n, (s,))
             assert np.array_equal(one, stacked), s
 
 
 def test_sender_index_memo_keeps_only_small_indices(monkeypatch):
-    # GHZ:10 at k = 5: the 252 x 2^10 index (258,048 entries) is over the memo
-    # cap, so it is built per slice of 64 subsets and none of it is kept
-    assert 252 * 2 ** 10 > densecode.INDEX_MEMO_ENTRIES >= 64 * 2 ** 10
-    densecode._cached_sender_index.cache_clear()
+    # GHZ:10 at k = 5: the whole 252 x 2^10 index would be over the memo cap,
+    # but each call reads one slice of 64 subsets, 64 x 2^10 entries, within
+    # it: the four slice indices are kept, and a second sweep builds none
+    assert 252 * 2 ** 10 > states.INDEX_MEMO_ENTRIES >= 64 * 2 ** 10
+    states._cached_sender_index.cache_clear()
     built = []
-    real = densecode._sender_index
+    real = states._sender_index
 
     def spy(n, subsets):
         built.append(len(subsets))
         return real(n, subsets)
 
-    monkeypatch.setattr(densecode, "_sender_index", spy)
-    best, _ = best_over_subsets(make_state("GHZ:10").state, 5)
-    assert best.count == 64
+    monkeypatch.setattr(states, "_sender_index", spy)
+    monkeypatch.setattr(states, "_cached_sender_index",
+                        functools.lru_cache(maxsize=256)(spy))
+    ghz10 = make_state("GHZ:10").state
+    for _ in range(2):
+        best, _ = best_over_subsets(ghz10, 5)
+        assert best.count == 64
     assert built == [64, 64, 64, 60]
-    assert densecode._cached_sender_index.cache_info().currsize == 0
-    # a small sweep's whole index is kept, and the next sweep reads it
+    info = states._cached_sender_index.cache_info()
+    assert (info.currsize, info.hits) == (4, 4)
+    # GHZ:11 at k = 3: one slice of all 165 subsets, 165 x 2^11 entries, is
+    # over the cap, so it is built on each call and not kept
+    assert 165 * 2 ** 11 > states.INDEX_MEMO_ENTRIES
+    ghz11 = make_state("GHZ:11").state
+    for _ in range(2):
+        assert best_over_subsets(ghz11, 3)[0].count == 16
+    assert built[4:] == [165, 165]
+    assert states._cached_sender_index.cache_info().currsize == 4
+    # a small sweep's index is kept, and the next sweep reads it
     st = make_state("GHZ4").state
     best_over_subsets(st, 2)
     best_over_subsets(st, 2)
-    info = densecode._cached_sender_index.cache_info()
-    assert (info.currsize, info.hits) == (1, 1)
-    assert len(built) == 4
+    info = states._cached_sender_index.cache_info()
+    assert (info.currsize, info.hits) == (5, 5)
+    assert len(built) == 7
 
 
 def _graph(st, qubits, tol=ASSERT_TOL):
@@ -546,7 +561,8 @@ def test_query_builds_no_encoded_state(monkeypatch):
     def no_encoding(*args):
         raise AssertionError("the encodings were built")
 
-    monkeypatch.setattr(densecode, "_encode", no_encoding)
+    monkeypatch.setattr(densecode, "encoded_states", no_encoding)
+    monkeypatch.setattr(densecode, "PureState", no_encoding)
     for name in PRINCIPAL:
         st = make_state(name).state
         for k in (1, 2, 3):
@@ -1162,12 +1178,12 @@ def test_stacked_rows_are_the_one_subset_rows(label):
     # own subset, so the shared answers are the answers of one-subset queries
     st, _ = _REFERENCE_CASES[label]
     for k in range(st.num_qubits + 1):
-        subsets = list(itertools.combinations(range(st.num_qubits), k))
+        subsets = tuple(itertools.combinations(range(st.num_qubits), k))
         rows = densecode._pauli_magnitudes(st, subsets, k)
         assert rows.shape == (len(subsets), 4 ** k)
         for subset, row in zip(subsets, rows):
             assert row.tobytes() == _mag(st, subset).tobytes(), subset
-            one, = densecode._pauli_magnitudes(st, [subset], k)
+            one, = densecode._pauli_magnitudes(st, (subset,), k)
             assert one.tobytes() == row.tobytes(), subset
 
 
@@ -1202,7 +1218,7 @@ def test_tables_equal_only_to_rounding_are_answered_apart():
     amps[[0b000, 0b011, 0b101, 0b110]] = np.sqrt(
         [0.45 - delta / 2, 0.2, 0.2 + delta, 0.15 - delta / 2])
     st = states.PureState(amps)
-    rows = densecode._pauli_magnitudes(st, [(0,), (1,)], 1)
+    rows = densecode._pauli_magnitudes(st, ((0,), (1,)), 1)
     assert np.allclose(rows[0], rows[1], rtol=0, atol=1e-8)
     assert rows[0].tobytes() != rows[1].tobytes()
     best, per_subset = best_over_subsets(st, 1, tol=tol)

@@ -1,9 +1,11 @@
 """Core state container and operator plumbing."""
 
 import ast
+import functools
 import itertools
 import inspect
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -154,6 +156,27 @@ def test_apply_local_refuses_a_bad_matrix_or_target(u, targets, message):
         apply_local(basis_state("00"), u, targets)
 
 
+def test_non_integer_qubits_are_refused_whatever_the_index_memo_holds():
+    # the sender-index memo is keyed by value, where 1.0 == 1 == True: a
+    # float or bool qubit would be answered once the equal int was asked
+    st = random_state(3, np.random.default_rng(4))
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    apply_local(st, h, (1,))
+    reduced_density(st, (1,))
+    for bad in (1.0, True, np.float64(1), np.bool_(True), "1", None):
+        with pytest.raises(ValueError, match=r"^target qubit must be an integer, "
+                                             r"got %s$" % re.escape(repr(bad))):
+            apply_local(st, h, (bad,))
+        with pytest.raises(ValueError, match=r"^kept qubit must be an integer, "
+                                             r"got %s$" % re.escape(repr(bad))):
+            reduced_density(st, (bad,))
+    # numpy integers stay accepted
+    assert np.array_equal(apply_local(st, h, (np.int64(1),)).amplitudes,
+                          apply_local(st, h, (1,)).amplitudes)
+    assert np.array_equal(reduced_density(st, np.array([2, 0])),
+                          reduced_density(st, (2, 0)))
+
+
 def test_apply_local_takes_a_state_and_a_matrix_each_within_tolerance():
     # norm 1 + 0.9e-12 passes NORM_TOL and U = (1 + 0.45e-12) I passes
     # UNITARY_TOL (U^dag U - I = 0.9e-12), but the two deviations add to an
@@ -212,6 +235,114 @@ def test_reduced_density_is_a_read_only_array():
     assert np.array_equal(rho, np.diag([0, 0, 1, 0]))
     with pytest.raises(ValueError):
         rho[0, 0] = 1.0
+
+
+# --- the sender-major index against the reshape/transpose forms it replaced --
+
+def _reduced_density_by_transpose(st, keep):
+    n = st.num_qubits
+    env = [i for i in range(n) if i not in keep]
+    psi = st.amplitudes.reshape([2] * n).transpose(list(keep) + env)
+    psi = psi.reshape(1 << len(keep), -1)
+    return psi @ psi.conj().T
+
+
+def _apply_local_by_transpose(st, u, targets):
+    n = st.num_qubits
+    perm = list(targets) + [i for i in range(n) if i not in targets]
+    psi = st.amplitudes.reshape([2] * n).transpose(perm)
+    psi = u @ psi.reshape(1 << len(targets), -1)
+    psi = psi.reshape([2] * n).transpose(np.argsort(perm)).reshape(-1)
+    norm = np.linalg.norm(psi)
+    if not abs(norm - 1.0) <= states.NORM_TOL:
+        psi /= norm
+    return psi
+
+
+def _permute_by_transpose(st, perm):
+    n = st.num_qubits
+    return st.amplitudes.reshape([2] * n).transpose(np.argsort(perm)).reshape(-1)
+
+
+def _ordered_subsets(n):
+    """Every ordered tuple of distinct qubits of an n-qubit register, by size."""
+    return [tuple(itertools.permutations(range(n), k)) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_reduced_densities_are_the_transpose_path(n):
+    # every ordered subset, k = 0..n, stacked in chunks of 32 and one at a
+    # time: the gathered reductions are bit for bit the transposed ones
+    st = random_state(n, np.random.default_rng(100 + n))
+    for subsets in _ordered_subsets(n):
+        want = [_reduced_density_by_transpose(st, s) for s in subsets]
+        for lo in range(0, len(subsets), 32):
+            stack = states.reduced_densities(st.amplitudes, subsets[lo:lo + 32])
+            assert stack.shape == (len(subsets[lo:lo + 32]),) + want[0].shape
+            for s, got, w in zip(subsets[lo:lo + 32], stack, want[lo:lo + 32]):
+                assert got.tobytes() == w.tobytes(), s
+        # reduced_density is the one-subset case; it refuses k = 0
+        for s, w in zip(subsets, want):
+            if s:
+                assert reduced_density(st, s).tobytes() == w.tobytes(), s
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_apply_local_is_the_transpose_path(n):
+    # every ordered target tuple, k = 0..n, one Haar unitary per k
+    rng = np.random.default_rng(200 + n)
+    st = random_state(n, rng)
+    for subsets in _ordered_subsets(n):
+        u = random_unitary(len(subsets[0]), rng)
+        for s in subsets:
+            want = _apply_local_by_transpose(st, u, s)
+            assert apply_local(st, u, s).amplitudes.tobytes() == want.tobytes(), s
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_permute_qubits_is_the_transpose_path(n):
+    st = random_state(n, np.random.default_rng(300 + n))
+    for perm in itertools.permutations(range(n)):
+        want = _permute_by_transpose(st, perm)
+        assert permute_qubits(st, perm).amplitudes.tobytes() == want.tobytes(), perm
+
+
+def test_sender_index_is_memoized_per_call(monkeypatch):
+    # an index of at most INDEX_MEMO_ENTRIES entries is kept by value; a
+    # larger one is built on every call and never kept
+    built = []
+    real = states._sender_index
+
+    def spy(n, subsets):
+        built.append(len(subsets))
+        return real(n, subsets)
+
+    monkeypatch.setattr(states, "_sender_index", spy)
+    monkeypatch.setattr(states, "_cached_sender_index",
+                        functools.lru_cache(maxsize=256)(spy))
+    n = 12
+    small = tuple(itertools.permutations(range(3), 2))[:4] * 4
+    large = small + ((5, 7),)
+    assert len(small) << n == states.INDEX_MEMO_ENTRIES < len(large) << n
+    amps = states.ket_vector({"0" * n: 1.0, "1" * n: 1.0}, normalize=True)
+    for _ in range(2):
+        assert states.reduced_densities(amps, small).shape == (16, 4, 4)
+        assert states.reduced_densities(amps, large).shape == (17, 4, 4)
+    index = states.sender_index(n, small)
+    assert index is states.sender_index(n, small) and not index.flags.writeable
+    assert states.sender_index(n, large) is not states.sender_index(n, large)
+    assert built == [16, 17, 17, 17, 17]
+    info = states._cached_sender_index.cache_info()
+    assert (info.currsize, info.hits) == (1, 3)
+    # one subset's index holds 2^n <= 2^MAX_QUBITS entries, so a reduction,
+    # a local unitary and a permutation of the same register share one entry
+    st = PureState(amps)
+    reduced_density(st, (3, 1))
+    apply_local(st, np.eye(4), (3, 1))
+    assert built[5:] == [1]
+    permute_qubits(st, tuple(range(n)))
+    assert built[6:] == [1]
+    assert states._cached_sender_index.cache_info().currsize == 3
 
 
 def test_pauli_algebra():

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -82,6 +83,21 @@ def test_single_member_family_has_no_superpositions():
     vectors, certifying = build_probes(FamilySpec("w_equal3", 3),
                                        np.random.default_rng(0))
     assert vectors.shape == (1, 8) and certifying.tolist() == [True]
+
+
+def test_family_spec_refuses_bool_and_non_integer_dressings():
+    # True was read as s1, and 1.0 reused the span memoized for an equal (1,)
+    family_span(FamilySpec("ghz_diag", 1, (1,)))
+    for bad in (True, 1.0, np.float64(1), "1", None, np.bool_(False)):
+        with pytest.raises(ValueError, match=r"^Pauli index must be an integer, "
+                                             r"got %s$" % re.escape(repr(bad))):
+            FamilySpec("ghz_diag", 1, (bad,))
+    with pytest.raises(ValueError, match=r"^Pauli index must be an integer"):
+        FamilySpec("omega_sub", 3, (0, 2.0))
+    # numpy integers stay accepted, and read as the equal int
+    for i in range(4):
+        assert np.array_equal(family_span(FamilySpec("ghz_diag", 2, (np.int64(i), np.uint8(1)))),
+                              family_span(FamilySpec("ghz_diag", 2, (i, 1))))
 
 
 @pytest.mark.parametrize("seed", [42, 7])
