@@ -268,6 +268,9 @@ def make_state(name: str, /, **params) -> NamedState:
             n = read_decimal(text)
         except ValueError:
             raise ValueError("GHZ:n needs an integer n, got %r" % text) from None
+        if text != str(n):
+            # GHZ:03 would be a second memo entry, named apart from GHZ:3
+            raise ValueError("GHZ:n needs n without leading zeros, got %r" % text)
         if n < 2:
             raise ValueError("GHZ:n needs n >= 2")
         ghz = PureState.from_kets({"0" * n: 1.0, "1" * n: 1.0}, normalize=True)

@@ -31,20 +31,23 @@ subsets are checked once per query, before anything is built:
 subset, and ``best_over_subsets``, whose combinations are valid, only the
 size.
 
-The answer reads the classes, the adjacency, the clique and the witness off
-one row.  ``distinguishable_messages`` is the one-subset case;
-``best_over_subsets`` sends all C(n, k) subsets through the front end at
-once, and answers each distinct row once: the answer reads nothing but the
-row, k and tol, and bitwise-equal rows (every subset of a symmetric state)
-share it for the length of the call.
+A query thresholds its whole (S, 4^k) table once, into two boolean rows
+per subset: same = abs(mag - 1) < tol and low = mag < tol.  The classes,
+the adjacency, the clique and the witness read nothing else, so each
+distinct (same, low) pattern is answered once per call and shared by every
+subset that thresholds to it: every subset of a symmetric state, or the
+four bitwise-distinct k = 3 rows of a weighted W_mn state, which give two
+patterns.  ``distinguishable_messages`` is the one-subset case of the same
+path; ``best_over_subsets`` sends all C(n, k) subsets through the front end
+at once.  Nothing is shared across calls.
 
 Encodings that produce the same state up to global phase are collapsed to
 one class first (they can never be distinguished): in encoding order, an
 encoding j starts a new class unless abs(mag[r xor j] - 1) < tol for a
 representative r already found.  One claiming pass applies that rule: an
 unclaimed j starts a class and at once claims every unclaimed j xor s with
-abs(mag[s] - 1) < tol, so the earliest matching representative claims each
-row first.  Representatives i and j are adjacent when mag[i xor j] < tol.
+same[s], so the earliest matching representative claims each row first.
+Representatives i and j are adjacent when low[i xor j].
 The clique search is exact and returns the lexicographically smallest
 maximum clique over the representatives, so results are deterministic.
 
@@ -61,8 +64,10 @@ pairwise overlap by less than tol.  A loose tol can admit more such states
 than their dimension holds, so every witness must pass a Gershgorin check
 on its Gram matrix, whose entries are mag[w_i xor w_j]: the query is refused
 with ``ValueError`` unless (N - 1) times the largest pair value is below 1,
-which shows the N states independent.  When (N - 1) * tol < 1 this holds
-without reading the table, so a query at the default tolerance pays nothing.
+which shows the N states independent.  The check reads each subset's own
+row, so subsets that share a pattern are checked one by one, in order.
+When (N - 1) * tol < 1 this holds without reading the table, so a query at
+the default tolerance pays nothing.
 
 The search first completes {0} smallest-first, each pick the smallest
 vertex adjacent to all picked so far, and returns that clique when it
@@ -83,6 +88,11 @@ soon as it reaches that bound, and otherwise runs to the end.  Without the
 certificate the whole graph is searched, starting from c0.  The witness is
 then walked smallest vertex first; a step probes its vertex with an exact
 search only where the smallest-first completion of its pool falls short.
+A greedy colouring keeps one bitmask per colour class (bit-parallel
+colouring; San Segundo, Rodriguez-Losada & Jimenez, Comput. Oper. Res. 38,
+571 (2011)): the branch and bound walks the classes last to first, each
+from its highest vertex, and a pool is a clique exactly when it has as
+many classes as vertices.
 Every greedy colouring of one search counts against ``MAX_COLOURINGS``
 (10,000, 40 times the 245 of the heaviest pinned query); one more refuses
 the query with ``CapacityError`` naming the limit, k and tol, as a
@@ -151,26 +161,27 @@ def encoded_states(resource: PureState, sender_qubits: tuple[int, ...],
     return [(label, PureState(row)) for label, row in zip(names, out)]
 
 
-def _representatives(mag: np.ndarray, tol: float) -> tuple[list[int], np.ndarray]:
+def _representatives(same: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Encoding indices of the first member of each global-phase class, and
     the class of every encoding: a representative's own class index, or the
-    first representative it matched.  ``mag[x]`` is |<psi|P_x|psi>|.
+    first representative it matched.  ``same[x]`` is whether
+    abs(|<psi|P_x|psi>| - 1) < tol.
 
     Encodings are walked in order; an unclaimed j starts a class and at once
-    claims every unclaimed j ^ s with abs(mag[s] - 1) < tol.  The earliest
-    matching representative claims a row first, so this is the sequential
-    first-match rule, at one step per (representative, s) pair."""
-    same = np.flatnonzero(np.abs(mag - 1.0) < tol).tolist()
-    if not same or same == [0]:
+    claims every unclaimed j ^ s with ``same[s]``.  The earliest matching
+    representative claims a row first, so this is the sequential first-match
+    rule, at one step per (representative, s) pair."""
+    if not same[1:].any():
         # no encoding matches another: each is its own class
-        return list(range(len(mag))), np.arange(len(mag), dtype=np.intp)
-    cls = [-1] * len(mag)
+        return list(range(len(same))), np.arange(len(same), dtype=np.intp)
+    hits = np.flatnonzero(same).tolist()
+    cls = [-1] * len(same)
     reps: list[int] = []
     for j, c in enumerate(cls):
         if c < 0:
             c = cls[j] = len(reps)
             reps.append(j)
-            for s in same:
+            for s in hits:
                 if cls[j ^ s] < 0:
                     cls[j ^ s] = c
     return reps, np.array(cls, dtype=np.intp)
@@ -203,27 +214,26 @@ def _is_cayley(cls: np.ndarray, rep_rows: list[int], ortho: np.ndarray) -> bool:
     return bool((ortho == ortho[0, cls[reps[:, None] ^ reps]]).all())
 
 
-def _greedy_colouring(adj: list[int], pool: int) -> list[tuple[int, int]]:
-    """(vertex, colour) pairs of a greedy colouring of the pool, colours
-    assigned in index order; no clique in the pool exceeds the last colour."""
-    order: list[tuple[int, int]] = []
-    uncolored = pool
-    color = 0
-    while uncolored:
-        color += 1
-        avail = uncolored
+def _greedy_colouring(adj: list[int], pool: int) -> list[int]:
+    """A greedy colouring of the pool as one bitmask per colour class: each
+    class takes, in index order, every uncoloured vertex adjacent to none it
+    took before.  No clique in the pool has more vertices than there are
+    classes."""
+    classes = []
+    while pool:
+        avail, members = pool, 0
         while avail:
-            v = (avail & -avail).bit_length() - 1
-            order.append((v, color))
-            avail &= ~adj[v]
-            avail &= ~(1 << v)
-            uncolored &= ~(1 << v)
-    return order
+            bit = avail & -avail
+            members |= bit
+            avail = (avail ^ bit) & ~adj[bit.bit_length() - 1]
+        classes.append(members)
+        pool ^= members
+    return classes
 
 
 def _max_clique_size(adj: list[int], cand: int, lower: int = 0,
                      upper: float = math.inf,
-                     colour: Callable[[list[int], int], list[tuple[int, int]]]
+                     colour: Callable[[list[int], int], list[int]]
                      = _greedy_colouring) -> int:
     """Exact maximum clique size within the candidate bitmask, or ``lower``
     when no clique there is larger.  ``upper`` is a known bound on it: the
@@ -233,16 +243,23 @@ def _max_clique_size(adj: list[int], cand: int, lower: int = 0,
 
     def expand(size: int, pool: int) -> None:
         nonlocal best
-        colouring = colour(adj, pool)
-        # one colour per vertex exactly when the pool is a clique (or empty)
-        if len(colouring) == (colouring[-1][1] if colouring else 0):
-            best = max(best, size + len(colouring))
+        classes = colour(adj, pool)
+        # one class per vertex exactly when the pool is a clique (or empty)
+        if len(classes) == pool.bit_count():
+            best = max(best, size + len(classes))
             return
-        for v, bound in reversed(colouring):
-            if size + bound <= best or best >= upper:
-                return
-            expand(size + 1, pool & adj[v])
-            pool &= ~(1 << v)
+        # classes last to first, each from its highest vertex: when a vertex
+        # of class c is expanded the pool holds only classes 1..c, so no
+        # clique through it has more than c vertices
+        for bound in range(len(classes), 0, -1):
+            members = classes[bound - 1]
+            while members:
+                if size + bound <= best or best >= upper:
+                    return
+                v = members.bit_length() - 1
+                expand(size + 1, pool & adj[v])
+                pool ^= 1 << v
+                members ^= 1 << v
 
     expand(0, cand)
     return best
@@ -296,7 +313,7 @@ def _lex_smallest_maximum_clique(adj: list[int], n: int,
     ``MAX_COLOURINGS``: one more raises ``CapacityError``."""
     spent = 0
 
-    def colour(adj_: list[int], pool: int) -> list[tuple[int, int]]:
+    def colour(adj_: list[int], pool: int) -> list[int]:
         nonlocal spent
         spent += 1
         if spent > MAX_COLOURINGS:
@@ -305,7 +322,7 @@ def _lex_smallest_maximum_clique(adj: list[int], n: int,
         return _greedy_colouring(adj_, pool)
 
     full = (1 << n) - 1
-    bound = colour(adj, full)[-1][1]
+    bound = len(colour(adj, full))
     first = [0] + _smallest_first(adj, adj[0])
     if len(first) >= bound:
         return first
@@ -313,7 +330,7 @@ def _lex_smallest_maximum_clique(adj: list[int], n: int,
     # the colour count of vertex 0's neighbourhood; otherwise asked only if
     # c0 falls short.  Past the exit above the graph is neither edgeless nor
     # complete (a greedy colouring of n colours means a complete graph)
-    early = not adj[0] or 1 + colour(adj, adj[0])[-1][1] < bound
+    early = not adj[0] or 1 + len(colour(adj, adj[0])) < bound
     cayley = early and transitive()
     if cayley:
         coclique = [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
@@ -367,39 +384,59 @@ def _pauli_magnitudes(resource: PureState, subsets: tuple[tuple[int, ...], ...],
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-# the witness of a query and its number of phase classes
-_Answer = tuple[tuple[tuple[str, ...], ...], int]
-
-
-def _answer(mag: np.ndarray, k: int, tol: float) -> _Answer:
-    """The witness of one Pauli table row ``mag`` and its number of phase
-    classes.  They read nothing but ``mag``, ``k`` and ``tol``, so sender
-    subsets with bitwise-equal rows share one answer.  Raises ``ValueError``
-    when the witness fails ``_check_independent``, and ``CapacityError``,
-    naming k and tol, when the search runs past ``MAX_COLOURINGS``."""
-    rep_rows, cls = _representatives(mag, tol)
+def _answer(same: np.ndarray, low: np.ndarray) -> tuple[list[int], int]:
+    """The witness encodings of one thresholded Pauli table row and its
+    number of phase classes: ``same`` marks abs(mag - 1) < tol and ``low``
+    mag < tol.  They read nothing but the two rows, so sender subsets with
+    equal patterns share one answer.  Raises ``CapacityError`` when the
+    search runs past ``MAX_COLOURINGS``."""
+    rep_rows, cls = _representatives(same)
     n = len(rep_rows)
-    names = pauli_table(k).names
-    if not (mag < tol).any():
+    if not low.any():
         # no two classes are orthogonal: the identity, the first
         # representative, is the lexicographically smallest maximum clique
-        return (names[0],), n
+        return [0], n
     reps = np.asarray(rep_rows)
-    ortho = mag[reps[:, None] ^ reps] < tol
+    ortho = low[reps[:, None] ^ reps]
     np.fill_diagonal(ortho, False)
     packed = np.packbits(ortho, axis=1, bitorder="little")
     flat, width = packed.tobytes(), packed.shape[1]
     adj = [int.from_bytes(flat[i:i + width], "little")
            for i in range(0, len(flat), width)]
-    try:
-        clique = _lex_smallest_maximum_clique(
-            adj, n, lambda: _is_cayley(cls, rep_rows, ortho))
-    except CapacityError as exc:
-        raise CapacityError("%d sender qubits at tolerance %g: %s"
-                            % (k, tol, exc)) from None
-    witness = [rep_rows[i] for i in clique]
-    _check_independent(mag, witness, tol)
-    return tuple(names[x] for x in witness), n
+    clique = _lex_smallest_maximum_clique(
+        adj, n, lambda: _is_cayley(cls, rep_rows, ortho))
+    return [rep_rows[i] for i in clique], n
+
+
+# the witness of a query and its number of phase classes
+_Answer = tuple[tuple[tuple[str, ...], ...], int]
+
+
+def _answers(mags: np.ndarray, k: int, tol: float) -> list[_Answer]:
+    """The answer of each row of the (S, 4^k) table ``mags``, in order.  The
+    table is thresholded once and each distinct (same, low) pattern is
+    answered once, for the length of the call; every row's witness then
+    passes ``_check_independent`` on its own magnitudes, so the first row
+    whose count fails it refuses the query with ``ValueError``.  A search
+    past ``MAX_COLOURINGS`` raises ``CapacityError`` naming k and tol."""
+    patterns = np.concatenate((np.abs(mags - 1.0) < tol, mags < tol),
+                              axis=1).reshape(len(mags), 2, -1)
+    names = pauli_table(k).names
+    shared: dict[bytes, tuple[list[int], _Answer]] = {}
+    out = []
+    for mag, pattern in zip(mags, patterns):
+        key = pattern.tobytes()
+        if key not in shared:
+            try:
+                witness, n = _answer(*pattern)
+            except CapacityError as exc:
+                raise CapacityError("%d sender qubits at tolerance %g: %s"
+                                    % (k, tol, exc)) from None
+            shared[key] = witness, (tuple(names[x] for x in witness), n)
+        witness, answer = shared[key]
+        _check_independent(mag, witness, tol)
+        out.append(answer)
+    return out
 
 
 def _check_independent(mag: np.ndarray, witness: list[int], tol: float) -> None:
@@ -440,8 +477,8 @@ def distinguishable_messages(resource: PureState, sender_qubits: tuple[int, ...]
     sender_qubits = _check_senders(sender_qubits, n)
     k = len(sender_qubits)
     _check_size(k, n, k, "Pauli table entries")
-    mag, = _pauli_magnitudes(resource, (sender_qubits,), k)
-    return _result(sender_qubits, k, _answer(mag, k, tol))
+    answer, = _answers(_pauli_magnitudes(resource, (sender_qubits,), k), k, tol)
+    return _result(sender_qubits, k, answer)
 
 
 def best_over_subsets(resource: PureState, k: int,
@@ -450,9 +487,9 @@ def best_over_subsets(resource: PureState, k: int,
     """Best message count over all k-qubit sender subsets, the first maximal
     subset in ``itertools.combinations`` order, and every subset's count.
     All subsets go through one stacked transform, and subsets whose Pauli
-    table rows are bitwise equal share one answer.  The first subset, in
-    that order, whose count fails the Gram check refuses the whole sweep
-    with ``ValueError``."""
+    table rows threshold to the same pattern share one answer.  The first
+    subset, in that order, whose count fails the Gram check refuses the
+    whole sweep with ``ValueError``."""
     check_integer("k", k)
     n = resource.num_qubits
     if not 0 <= k <= n:
@@ -461,14 +498,11 @@ def best_over_subsets(resource: PureState, k: int,
     check_tolerance(tol)
     _check_size(k, n, k, "Pauli table entries")
     subsets = tuple(itertools.combinations(range(n), k))
-    answers: dict[bytes, _Answer] = {}
+    answers = _answers(_pauli_magnitudes(resource, subsets, k), k, tol)
     per_subset: dict[tuple[int, ...], int] = {}
     best: DenseCodingResult | None = None
-    for subset, mag in zip(subsets, _pauli_magnitudes(resource, subsets, k)):
-        key = mag.tobytes()
-        if key not in answers:
-            answers[key] = _answer(mag, k, tol)
-        per_subset[subset] = len(answers[key][0])
+    for subset, answer in zip(subsets, answers):
+        per_subset[subset] = len(answer[0])
         if best is None or per_subset[subset] > best.count:
-            best = _result(subset, k, answers[key])
+            best = _result(subset, k, answer)
     return best, per_subset

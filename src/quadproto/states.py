@@ -351,6 +351,7 @@ def permute_qubits(state: PureState, perm: Sequence[int]) -> PureState:
     """Relabel qubits: qubit i of the input becomes qubit perm[i]."""
     n = state.num_qubits
     perm = tuple(perm)
+    check_integer("perm entry", *perm)
     if sorted(perm) != list(range(n)):
         raise ValueError("perm must be a permutation of range(num_qubits)")
     # output qubit j reads input qubit inverse[j]

@@ -114,6 +114,16 @@ def test_ghz_n_needs_ascii_decimal_digits(n):
         make_state("GHZ:1")
 
 
+@pytest.mark.parametrize("n", ["03", "05", "00", "01", "012"])
+def test_ghz_n_with_leading_zeros_is_refused(n):
+    # GHZ:03 built a 3-qubit cat named GHZ:03, a memo entry apart from GHZ:3
+    with pytest.raises(ValueError, match=r"^GHZ:n needs n without leading zeros, "
+                                         r"got %s$" % re.escape(repr(n))):
+        make_state("GHZ:" + n)
+    assert make_state("GHZ:3").name == "GHZ:3"
+    assert make_state("GHZ:10").state.num_qubits == 10
+
+
 def test_wide_ghz_is_refused_before_allocating():
     # GHZ:40 fails fast whatever the order, as its 16 TiB vector cannot be
     # allocated; only after it is refused by name is GHZ:24 (256 MiB) tried

@@ -43,6 +43,9 @@ TEMPLATES = (
     ["catalog", "--state", "GHZ:1_0"],
     ["catalog", "--state", "GHZ:\u0663"],
     ["densecode", "--state", "GHZ:+4", "--qubits", "0"],
+    # refused: GHZ:03 built a second 3-qubit cat, named apart from GHZ:3
+    ["catalog", "--state", "GHZ:03"],
+    ["densecode", "--state", "GHZ:05", "--qubits", "0"],
     ["locc", "--set", "ghz8", "--protocol", "ghz_bell_bell"],
     ["locc", "--certificate", "omega16"],
     ["catalog", "--state", "W_mn", "--param", "m=1", "--param", "n=1"],
@@ -165,6 +168,13 @@ def test_wide_ket_labels_are_refused_by_name(capsys, templates):
     for argv in ["catalog", "--state", "GHZ:40"], templates[-2]:
         assert _run(capsys, argv) == (
             2, "error: 40 qubits exceeds the 12-qubit capacity\n"), argv
+
+
+def test_ghz_leading_zeros_are_refused_by_name(capsys):
+    for argv, text in ((["catalog", "--state", "GHZ:03"], "03"),
+                       (["densecode", "--state", "GHZ:05", "--qubits", "0"], "05")):
+        assert _run(capsys, argv) == (
+            2, "error: GHZ:n needs n without leading zeros, got '%s'\n" % text), argv
 
 
 def test_basis_parameters_are_refused_by_name(capsys):

@@ -534,10 +534,15 @@ def test_sender_index_memo_keeps_only_small_indices(monkeypatch):
     assert len(built) == 7
 
 
+def _thresholds(mag, tol):
+    """(same, low): the two boolean rows of ``mag`` that the answer reads."""
+    return np.abs(mag - 1.0) < tol, mag < tol
+
+
 def _graph(st, qubits, tol=ASSERT_TOL):
     """(cls, rep_rows, ortho) as ``distinguishable_messages`` builds them."""
     mag = _mag(st, qubits)
-    rep_rows, cls = densecode._representatives(mag, tol)
+    rep_rows, cls = densecode._representatives(np.abs(mag - 1.0) < tol)
     reps = np.asarray(rep_rows)
     ortho = mag[reps[:, None] ^ reps] < tol
     np.fill_diagonal(ortho, False)
@@ -604,7 +609,7 @@ def test_representatives_take_the_first_matching_class():
         rows = [enc.amplitudes for _, enc in encoded_states(st, (0, 1, 2))]
         mag = _mag(st, (0, 1, 2))
         for tol in (0.6, 0.9):
-            rep_rows, cls = densecode._representatives(mag, tol)
+            rep_rows, cls = densecode._representatives(np.abs(mag - 1.0) < tol)
             reps = []
             for j, row in enumerate(rows):
                 hits = [i for i, r in enumerate(reps)
@@ -641,7 +646,7 @@ def _sequential_representatives(mag, tol):
 def _assert_same_representatives(mag, tol):
     """Whether some row matched more than one representative."""
     want_reps, want_cls = _sequential_representatives(mag, tol)
-    got_reps, got_cls = densecode._representatives(mag, tol)
+    got_reps, got_cls = densecode._representatives(np.abs(mag - 1.0) < tol)
     assert got_reps == want_reps, tol
     assert got_cls.dtype == want_cls.dtype and np.array_equal(got_cls, want_cls), tol
     same = np.abs(mag - 1.0) < tol
@@ -664,7 +669,7 @@ def test_claiming_pass_matches_the_sequential_rule():
     # a cat state with every qubit sending: 16,384 rows in 128 cosets
     mag = _mag(make_state("GHZ:7").state, tuple(range(7)))
     _assert_same_representatives(mag, ASSERT_TOL)
-    assert len(densecode._representatives(mag, ASSERT_TOL)[0]) == 128
+    assert len(densecode._representatives(np.abs(mag - 1.0) < ASSERT_TOL)[0]) == 128
 
 
 # --- rows decided from the table alone, against the graph path -----------------
@@ -712,22 +717,25 @@ def _witness_rows(witness):
 
 
 def _assert_same_answer(mag, k, tol):
-    """The shortcut path against the graph path on one row; where the Gram
-    check refuses, the graph path's witness must fail it too."""
+    """The shortcut path against the graph path on one row: the answer of
+    its thresholded pattern, and the Gram check of the row, which refuses
+    exactly when the graph path's witness fails it."""
+    same, low = _thresholds(mag, tol)
     want_reps, want_cls = _claiming_representatives(mag, tol)
-    got_reps, got_cls = densecode._representatives(mag, tol)
+    got_reps, got_cls = densecode._representatives(same)
     assert got_reps == want_reps, tol
     assert got_cls.dtype == want_cls.dtype and np.array_equal(got_cls, want_cls), tol
     want = _graph_answer(mag, k, tol)
     rows = _witness_rows(want[0])
+    assert densecode._answer(same, low) == (rows.tolist(), want[1]), tol
     gram = mag[rows[:, None] ^ rows]
     np.fill_diagonal(gram, 0.0)
     try:
-        got = densecode._answer(mag, k, tol)
+        densecode._check_independent(mag, rows.tolist(), tol)
     except ValueError:
         assert (len(rows) - 1) * gram.max() >= 1, tol
         return
-    assert got == want, tol
+    assert (len(rows) - 1) * gram.max() < 1, tol
 
 
 # 1e-300 sits below the rounding of mag[0] = |Tr rho_S| on most rows, which
@@ -762,7 +770,7 @@ def test_one_non_identity_match_takes_the_claiming_pass(monkeypatch):
     # and the rows pair up as {0, 3} and {1, 2}
     mag = np.array([1.0 - 2.0 ** -53, 0.5, 0.5, 1.0])
     passes = _spy_claims(monkeypatch)
-    reps, cls = densecode._representatives(mag, 1e-300)
+    reps, cls = densecode._representatives(np.abs(mag - 1.0) < 1e-300)
     assert passes == [4]
     assert reps == [0, 1] and cls.tolist() == [0, 1, 1, 0]
     monkeypatch.undo()
@@ -782,7 +790,7 @@ def test_an_entry_below_tol_between_no_representatives_builds_the_graph(monkeypa
         return real(adj, n, transitive)
 
     monkeypatch.setattr(densecode, "_lex_smallest_maximum_clique", spy)
-    assert densecode._answer(mag, 1, 0.3) == ((("s0",),), 2)
+    assert densecode._answer(*_thresholds(mag, 0.3)) == ([0], 2)
     assert calls == [[0, 0]]
     monkeypatch.undo()
     _assert_same_answer(mag, 1, 0.3)
@@ -814,7 +822,7 @@ def test_identity_only_rows_skip_the_claiming_pass(monkeypatch):
     mag = _mag(make_state("W4").state, (0,))
     np.testing.assert_allclose(mag, [1, 0, 0, 0.5], atol=1e-15)
     passes = _spy_claims(monkeypatch)
-    reps, cls = densecode._representatives(mag, ASSERT_TOL)
+    reps, cls = densecode._representatives(np.abs(mag - 1.0) < ASSERT_TOL)
     assert passes == []
     assert reps == [0, 1, 2, 3] and cls.dtype == np.intp and cls.tolist() == reps
     monkeypatch.undo()
@@ -992,7 +1000,7 @@ def test_clique_coclique_bound_settles_the_heavy_cayley_graphs(name, qubits, mon
     st = make_state(name).state
     adj = _adj(_graph(st, qubits)[2])
     full = (1 << len(adj)) - 1
-    assert densecode._greedy_colouring(adj, full)[-1][1] == 16
+    assert len(densecode._greedy_colouring(adj, full)) == 16
     calls = []
     real = densecode._max_clique_size
 
@@ -1045,7 +1053,57 @@ def test_capacity_queries_colour_few_pools(monkeypatch):
     assert len(queries) == 26
     for name, params, qubits in queries:
         distinguishable_messages(make_state(name, **dict(params)).state, qubits)
-    assert len(calls) < 100
+    assert len(calls) == 51
+
+
+def _pair_colouring(adj, pool):
+    """(vertex, colour) pairs of a greedy colouring of the pool, colours
+    assigned in index order: the colouring before the class bitmasks, kept
+    verbatim as the oracle."""
+    order = []
+    uncolored = pool
+    color = 0
+    while uncolored:
+        color += 1
+        avail = uncolored
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            order.append((v, color))
+            avail &= ~adj[v]
+            avail &= ~(1 << v)
+            uncolored &= ~(1 << v)
+    return order
+
+
+def _assert_same_colouring(adj, pool):
+    classes = densecode._greedy_colouring(adj, pool)
+    # each class's members in index order, the classes in order: the pairs
+    # the old colouring appended, so the search walks them alike
+    pairs = [(v, c) for c, members in enumerate(classes, 1)
+             for v in range(members.bit_length()) if members >> v & 1]
+    assert pairs == _pair_colouring(adj, pool), (adj, pool)
+
+
+def test_class_colouring_is_the_pair_colouring():
+    # random graphs of 1..70 vertices, coloured whole, on random pools and on
+    # each neighbourhood
+    rng = np.random.default_rng(20261019)
+    for n in range(1, 71):
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.95), 1)
+        adj = _adj(upper | upper.T)
+        full = (1 << n) - 1
+        pools = [full, 0] + adj
+        pools += [sum(1 << int(v) for v in np.flatnonzero(rng.random(n) < 0.5))
+                  for _ in range(5)]
+        for pool in pools:
+            _assert_same_colouring(adj, pool)
+    # the oracle states' graphs, whole and on each neighbourhood
+    for st, subsets in _REFERENCE_CASES.values():
+        for subset in subsets:
+            for tol in (ASSERT_TOL, 0.3):
+                adj = _adj(_graph(st, subset, tol)[2])
+                for pool in [(1 << len(adj)) - 1] + adj:
+                    _assert_same_colouring(adj, pool)
 
 
 def _counting_colourings(monkeypatch):
@@ -1149,6 +1207,7 @@ def _assert_sweep_matches_reference(st, k, tol):
     # the first maximal subset in combinations order, and the dict's order
     assert best == want_best, where
     assert list(per_subset.items()) == list(want_per.items()), where
+    assert repr(got) == repr(want), where
 
 
 def _first_completion(adj, n, transitive):
@@ -1159,7 +1218,7 @@ def _first_completion(adj, n, transitive):
 def test_sweep_matches_per_subset_loop(label, monkeypatch):
     st, _ = _REFERENCE_CASES[label]
     for k in range(st.num_qubits + 1):
-        for tol in _TOLERANCES + (ASSERT_TOL,):
+        for tol in _ANSWER_TOLERANCES + (ASSERT_TOL,):
             with monkeypatch.context() as m:
                 # on a Haar state at k >= 4 and tol 0.3 the exact search over
                 # 128-1,024 near-random classes takes seconds (haar4) to more
@@ -1207,6 +1266,51 @@ def test_equal_tables_are_answered_once(monkeypatch):
     assert len(calls) == 2
     monkeypatch.undo()
     assert (best, per_subset) == _reference_best_over_subsets(st, 3)
+
+
+def test_weighted_w_rows_are_answered_once_per_pattern(monkeypatch):
+    # a weighted W_mn with phases, drawn as the benchmark draws them: its four
+    # k = 3 rows are bitwise distinct but threshold to two patterns, so the
+    # sweep searches two graphs
+    rng = np.random.default_rng(5)
+    m, n = rng.uniform(0.25, 4.0, 2)
+    rho, eta, sigma = rng.uniform(0.0, 2 * math.pi, 3)
+    st = make_state("W_mn", m=m, n=n, rho=rho, eta=eta, sigma=sigma).state
+    subsets = tuple(itertools.combinations(range(4), 3))
+    rows = densecode._pauli_magnitudes(st, subsets, 3)
+    assert len({row.tobytes() for row in rows}) == 4
+    counts = _counting_colourings(monkeypatch)
+    got = best_over_subsets(st, 3)
+    assert len(counts) == 2
+    monkeypatch.undo()
+    assert repr(got) == repr(_reference_best_over_subsets(st, 3))
+
+
+def test_gram_check_reads_every_row_of_a_shared_pattern(monkeypatch):
+    # an even-parity 3-qubit state has diagonal one-qubit reductions, so
+    # sender q's row is (1, 0, 0, |<Z_q>|); with <Z> = (0.2, 0.35, 0.2) all
+    # three rows threshold alike at tol 0.6, to four mutually orthogonal
+    # classes, and one search answers N = 4.  The Gram check still reads each
+    # row: 3 x 0.2 < 1 passes qubit 0, and 3 x 0.35 >= 1 refuses qubit 1, as
+    # the per-subset loop does
+    z = np.array([0.2, 0.35, 0.2])
+    signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+    amps = np.zeros(8)
+    amps[[0b000, 0b011, 0b101, 0b110]] = np.sqrt((1 + signs @ z) / 4)
+    st = states.PureState(amps)
+    rows = densecode._pauli_magnitudes(st, ((0,), (1,), (2,)), 1)
+    np.testing.assert_allclose(rows, [[1, 0, 0, x] for x in z], atol=1e-15)
+    message = ("tolerance 0.6 counts N = 4 messages, but their encoded states "
+               "overlap by up to 0.35 and (N - 1) x 0.35 = 1.05 is not below 1, "
+               "so they are not shown to be independent; use a smaller tolerance")
+    counts = _counting_colourings(monkeypatch)
+    with pytest.raises(ValueError) as exc:
+        best_over_subsets(st, 1, tol=0.6)
+    assert str(exc.value) == message
+    assert len(counts) == 1
+    monkeypatch.undo()
+    assert distinguishable_messages(st, (0,), tol=0.6).count == 4
+    assert _sweep_or_refusal(_reference_best_over_subsets, st, 1, 0.6) == message
 
 
 def test_tables_equal_only_to_rounding_are_answered_apart():

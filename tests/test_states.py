@@ -203,6 +203,21 @@ def test_permute_round_trip():
     assert np.allclose(back.amplitudes, st.amplitudes, atol=1e-14)
 
 
+def test_permute_qubits_refuses_non_integer_entries():
+    # (True, False) and (1.0, 0.0) were answered as the swap (1, 0)
+    st = random_state(2, np.random.default_rng(6))
+    for perm, bad in (((True, False), True), ((1.0, 0.0), 1.0),
+                      ((1, np.bool_(False)), np.bool_(False)), (("1", "0"), "1")):
+        with pytest.raises(ValueError, match=r"^perm entry must be an integer, "
+                                             r"got %s$" % re.escape(repr(bad))):
+            permute_qubits(st, perm)
+    # numpy integers stay accepted
+    swapped = permute_qubits(st, (1, 0)).amplitudes
+    assert np.array_equal(permute_qubits(st, (np.int64(1), np.uint8(0))).amplitudes,
+                          swapped)
+    assert np.array_equal(permute_qubits(st, np.array([1, 0])).amplitudes, swapped)
+
+
 def test_inner_fidelity_consistency():
     rng = np.random.default_rng(5)
     a, b = random_state(3, rng), random_state(3, rng)
