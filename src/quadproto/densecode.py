@@ -25,11 +25,11 @@ gather through the memoized sender-major index of ``states.sender_index``,
 then one stacked ``psi @ psi^dag``) and runs one ``pauli_coefficients``
 over the stack, giving one mag row per subset.  The stack is worked in
 slices of at most ``SLICE_ENTRIES`` gathered entries (8^k per subset) and
-stacked amplitudes (2^n per subset), and of at least one subset.  The
-subsets are checked once per query, before anything is built:
-``distinguishable_messages`` and ``encoded_states`` check their one
-subset, and ``best_over_subsets``, whose combinations are valid, only the
-size.
+stacked amplitudes (2^n per subset), and of at least one subset; only a
+one-slice query keeps its index in the memo.  The subsets are checked once
+per query, before anything is built: ``distinguishable_messages`` and
+``encoded_states`` check their one subset with ``states.check_qubits``,
+and ``best_over_subsets``, whose combinations are valid, only the size.
 
 A query thresholds its whole (S, 4^k) table once, into two boolean rows
 per subset: same = abs(mag - 1) < tol and low = mag < tol.  The classes,
@@ -110,8 +110,9 @@ from typing import Callable
 import numpy as np
 
 from .states import (ASSERT_TOL, MAX_COLOURINGS, MAX_STACK_ENTRIES, SLICE_ENTRIES,
-                     CapacityError, PureState, check_integer, check_tolerance,
-                     pauli_coefficients, pauli_table, reduced_densities, sender_index)
+                     CapacityError, PureState, check_integer, check_qubits,
+                     check_tolerance, pauli_coefficients, pauli_table,
+                     reduced_densities, sender_index)
 
 __all__ = [
     "DenseCodingResult",
@@ -123,32 +124,19 @@ __all__ = [
 
 def _check_size(k: int, n: int, width: int, what: str) -> None:
     """Refuse a query whose 4^k x 2^width ``what`` exceed
-    ``MAX_STACK_ENTRIES``, from the sizes alone."""
+    ``MAX_STACK_ENTRIES``, from the sizes alone, with ``CapacityError``."""
     if 4 ** k << width > MAX_STACK_ENTRIES:
-        raise ValueError(
+        raise CapacityError(
             "%d sender qubits of a %d-qubit resource need 4^%d x 2^%d %s, "
             "over the limit of 2^%d"
             % (k, n, k, width, what, MAX_STACK_ENTRIES.bit_length() - 1))
-
-
-def _check_senders(sender_qubits, n: int) -> tuple[int, ...]:
-    """The caller's sender qubits as a tuple, each checked to be an integer;
-    refuses repeated, then out-of-range senders."""
-    sender_qubits = tuple(sender_qubits)
-    check_integer("sender qubit", *sender_qubits)
-    if len(set(sender_qubits)) != len(sender_qubits):
-        raise ValueError("repeated sender qubit in %s" % (list(sender_qubits),))
-    bad = [q for q in sender_qubits if not 0 <= q < n]
-    if bad:
-        raise ValueError("sender qubit %d is out of range for a %d-qubit resource" % (bad[0], n))
-    return sender_qubits
 
 
 def encoded_states(resource: PureState, sender_qubits: tuple[int, ...],
                    ) -> list[tuple[tuple[str, ...], PureState]]:
     """All 4^k encoded states in lexicographic encoding order."""
     n = resource.num_qubits
-    sender_qubits = _check_senders(sender_qubits, n)
+    sender_qubits = check_qubits("sender qubit", sender_qubits, n)
     k = len(sender_qubits)
     _check_size(k, n, n, "encoded amplitudes")
     index, = sender_index(n, (sender_qubits,))
@@ -376,10 +364,13 @@ def _pauli_magnitudes(resource: PureState, subsets: tuple[tuple[int, ...], ...],
     subset, from one ``reduced_densities`` and one ``pauli_coefficients`` per
     slice.  A slice holds at least one subset and otherwise at most
     ``SLICE_ENTRIES`` of both the gather (8^k per subset) and the stacked
-    amplitudes (2^n per subset).  The caller has checked the subsets."""
+    amplitudes (2^n per subset).  Only a one-slice query memoizes its index;
+    a sweep of several slices builds each slice's index and keeps none.  The
+    caller has checked the subsets."""
     step = max(1, SLICE_ENTRIES // max(8 ** k, resource.dim))
+    memo = step >= len(subsets)
     parts = [np.abs(pauli_coefficients(
-                 reduced_densities(resource.amplitudes, subsets[lo:lo + step])))
+                 reduced_densities(resource.amplitudes, subsets[lo:lo + step], memo)))
              for lo in range(0, len(subsets), step)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -474,7 +465,7 @@ def distinguishable_messages(resource: PureState, sender_qubits: tuple[int, ...]
                              tol: float = ASSERT_TOL) -> DenseCodingResult:
     check_tolerance(tol)
     n = resource.num_qubits
-    sender_qubits = _check_senders(sender_qubits, n)
+    sender_qubits = check_qubits("sender qubit", sender_qubits, n)
     k = len(sender_qubits)
     _check_size(k, n, k, "Pauli table entries")
     answer, = _answers(_pauli_magnitudes(resource, (sender_qubits,), k), k, tol)

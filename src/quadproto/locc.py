@@ -29,7 +29,7 @@ import numpy as np
 from .catalog import NamedBasis
 from .measure import (MeasurementPlan, StepSpec, build_plan, contract,
                       enumerate_outcomes)
-from .states import ASSERT_TOL, PureState, check_tolerance
+from .states import ASSERT_TOL, PureState, check_qubits, check_tolerance
 
 __all__ = [
     "LoccProtocol",
@@ -144,8 +144,9 @@ def _coefficients(amplitudes: np.ndarray,
                   ) -> tuple[list[tuple[str, ...]], np.ndarray]:
     """Product labels, first factor outermost, and the (labels, B) matrix of
     every row's coefficient over each product of factor basis vectors."""
-    order = [q for qubits, _ in factors for q in qubits]
-    if sorted(order) != list(range(amplitudes.shape[1].bit_length() - 1)):
+    n = amplitudes.shape[1].bit_length() - 1
+    covered = [q for qubits, _ in factors for q in qubits]
+    if len(check_qubits("factor qubit", covered, n)) != n:
         raise ValueError("factors must partition the qubit set")
     for qubits, basis in factors:
         if basis.num_qubits != len(qubits):

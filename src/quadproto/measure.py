@@ -26,7 +26,7 @@ import numpy as np
 
 from .catalog import NamedBasis, make_basis
 from .states import (COMPLETION_MIN, COMPLETION_PICK, DROP_TOL, NORM_TOL,
-                     check_tolerance, qubit_count)
+                     check_qubits, check_tolerance, qubit_count)
 
 __all__ = [
     "StepSpec",
@@ -86,6 +86,9 @@ class StepSpec:
     basis_params: Mapping[str, object] = field(default_factory=dict)
     party: str = "Alice"
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "qubits", check_qubits("measured qubit", self.qubits))
+
 
 @dataclass(frozen=True)
 class MeasurementStep:
@@ -104,8 +107,7 @@ class MeasurementStep:
     conj_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError("repeated qubit in measurement step")
+        object.__setattr__(self, "qubits", check_qubits("measured qubit", self.qubits))
         if self.basis.num_qubits != len(self.qubits):
             raise ValueError(
                 "basis %r is on %d qubits but the step names %d"
@@ -123,12 +125,7 @@ class MeasurementPlan:
     steps: tuple[MeasurementStep, ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for step in self.steps:
-            overlap = seen & set(step.qubits)
-            if overlap:
-                raise ValueError("qubits %s measured twice" % sorted(overlap))
-            seen.update(step.qubits)
+        check_qubits("measured qubit", [q for step in self.steps for q in step.qubits])
 
     @functools.cached_property
     def outcome_table(self) -> tuple[tuple[tuple[str, ...], ...], tuple[str, ...],
@@ -154,7 +151,7 @@ def build_plan(steps: Iterable[StepSpec]) -> MeasurementPlan:
     memoized on the resolved (qubits, basis, party) steps: ``make_basis``
     shares one basis per name and typed parameters, so equal steps share
     one plan and its ``outcome_table``."""
-    return _plan(tuple([(tuple(s.qubits), make_basis(s.basis, **s.basis_params),
+    return _plan(tuple([(s.qubits, make_basis(s.basis, **s.basis_params),
                          s.party) for s in steps]))
 
 

@@ -72,6 +72,23 @@ def check_integer(what: str, *values) -> None:
             raise ValueError("%s must be an integer, got %r" % (what, value))
 
 
+def check_qubits(what: str, qubits: Iterable, n: int | None = None) -> tuple[int, ...]:
+    """``qubits`` as a tuple, refusing, in this order, an entry that is not an
+    integer (``check_integer``), a repeated qubit and, when the register size
+    ``n`` is given, a qubit outside range(n).  The one qubit-list check of every
+    entry point, run where the list enters, before any by-value memo sees it."""
+    qubits = tuple(qubits)
+    check_integer(what, *qubits)
+    if len(set(qubits)) != len(qubits):
+        raise ValueError("repeated %s in %s" % (what, list(qubits)))
+    if n is not None:
+        for q in qubits:
+            if not 0 <= q < n:
+                raise ValueError("%s %d is out of range for a %d-qubit resource"
+                                 % (what, q, n))
+    return qubits
+
+
 def _lock(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -287,22 +304,23 @@ INDEX_MEMO_ENTRIES = 2 ** 16
 _cached_sender_index = functools.lru_cache(maxsize=256)(_sender_index)
 
 
-def sender_index(n: int, subsets: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """``_sender_index(n, subsets)``, memoized when it has at most
-    ``INDEX_MEMO_ENTRIES`` entries.  Every reduction, local unitary, qubit
-    permutation and dense-coding encoding reads amplitudes through it."""
-    if len(subsets) << n <= INDEX_MEMO_ENTRIES:
+def sender_index(n: int, subsets: tuple[tuple[int, ...], ...],
+                 memo: bool = True) -> np.ndarray:
+    """``_sender_index(n, subsets)``, memoized when ``memo`` holds and it has
+    at most ``INDEX_MEMO_ENTRIES`` entries.  Every reduction, local unitary,
+    qubit permutation and dense-coding encoding reads amplitudes through it."""
+    if memo and len(subsets) << n <= INDEX_MEMO_ENTRIES:
         return _cached_sender_index(n, subsets)
     return _sender_index(n, subsets)
 
 
-def reduced_densities(amplitudes: np.ndarray,
-                      subsets: tuple[tuple[int, ...], ...]) -> np.ndarray:
+def reduced_densities(amplitudes: np.ndarray, subsets: tuple[tuple[int, ...], ...],
+                      memo: bool = True) -> np.ndarray:
     """The (S, 2^k, 2^k) stack of the reductions of a state's amplitudes onto
     each k-qubit subset, its qubits in the listed order, from one gather
-    through ``sender_index`` and one stacked psi @ psi^dag.  Each subset is
-    valid, distinct qubits in range, and all have k of them."""
-    psi = amplitudes[sender_index(amplitudes.size.bit_length() - 1, subsets)]
+    through ``sender_index(n, subsets, memo)`` and one stacked psi @ psi^dag.
+    Each subset is valid, distinct qubits in range, and all have k of them."""
+    psi = amplitudes[sender_index(amplitudes.size.bit_length() - 1, subsets, memo)]
     return psi @ psi.conj().transpose(0, 2, 1)
 
 
@@ -326,13 +344,8 @@ def apply_local(state: PureState, u: np.ndarray,
     mat = np.asarray(u, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("unitary must be square")
-    targets = tuple(targets)
     n = state.num_qubits
-    check_integer("target qubit", *targets)
-    if len(set(targets)) != len(targets):
-        raise ValueError("duplicate target qubit")
-    if any(t < 0 or t >= n for t in targets):
-        raise ValueError("target qubit out of range")
+    targets = check_qubits("target qubit", targets, n)
     if mat.shape[0] != 1 << len(targets):
         raise ValueError("operator size does not match target count")
     dev = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
@@ -350,9 +363,8 @@ def apply_local(state: PureState, u: np.ndarray,
 def permute_qubits(state: PureState, perm: Sequence[int]) -> PureState:
     """Relabel qubits: qubit i of the input becomes qubit perm[i]."""
     n = state.num_qubits
-    perm = tuple(perm)
-    check_integer("perm entry", *perm)
-    if sorted(perm) != list(range(n)):
+    perm = check_qubits("perm entry", perm, n)
+    if len(perm) != n:
         raise ValueError("perm must be a permutation of range(num_qubits)")
     # output qubit j reads input qubit inverse[j]
     inverse = tuple(sorted(range(n), key=perm.__getitem__))
@@ -374,13 +386,9 @@ def fidelity(a: PureState, b: PureState) -> float:
 def reduced_density(state: PureState, keep: Sequence[int]) -> np.ndarray:
     """Partial trace onto the kept qubits, ordered as listed, as a read-only
     (2**k, 2**k) array."""
-    keep = tuple(keep)
-    n = state.num_qubits
-    check_integer("kept qubit", *keep)
-    if not keep or len(set(keep)) != len(keep):
+    keep = check_qubits("kept qubit", keep, state.num_qubits)
+    if not keep:
         raise ValueError("keep must be a nonempty set of distinct qubits")
-    if any(q < 0 or q >= n for q in keep):
-        raise ValueError("kept qubit out of range")
     rho, = reduced_densities(state.amplitudes, (keep,))
     return _lock(rho)
 

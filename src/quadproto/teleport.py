@@ -53,8 +53,8 @@ from .catalog import NamedState, make_state
 from .measure import StepSpec, build_plan, enumerate_outcomes
 from .states import (ASSERT_TOL, MAX_STACK_ENTRIES, PAULI_ORDER, PERP_ALARM,
                      SLICE_ENTRIES, VALUE_TOL, CapacityError, PureState,
-                     apply_paulis, check_integer, check_tolerance, ket_vector,
-                     pauli_coefficients, pauli_table, qubit_count)
+                     apply_paulis, check_integer, check_qubits, check_tolerance,
+                     ket_vector, pauli_coefficients, pauli_table, qubit_count)
 
 __all__ = [
     "FamilySpec",
@@ -96,6 +96,7 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.kind not in ("arbitrary", "ghz_diag", "omega_sub", "w_equal3"):
             raise ValueError("unknown family kind %r" % self.kind)
+        check_integer("num_qubits", self.num_qubits)
         check_integer("Pauli index", *self.dressing)
         if any(not 0 <= i < len(PAULI_ORDER) for i in self.dressing):
             raise ValueError("dressing lists Pauli indices 0..3, got %s"
@@ -198,6 +199,7 @@ class TeleportScenario:
         if list(self.receiver) != sorted(set(self.receiver)):
             raise ValueError("receiver qubits must be strictly ascending, got %s"
                              % list(self.receiver))
+        check_qubits("receiver qubit", self.receiver)
         if (self.allowed_ops == "paulis+diag"
                 and self.family.num_qubits > MAX_DIAG_QUBITS):
             raise ValueError(

@@ -237,6 +237,19 @@ def test_oversized_query_rejected_before_allocation(k, monkeypatch):
         encoded_states(st, tuple(range(7)))
 
 
+def test_size_refusals_are_capacity_errors():
+    # a stack past MAX_STACK_ENTRIES is a CapacityError, as in pauli_table
+    # and the teleport scores; it stays a ValueError, so the CLI exits 2
+    st = make_state("GHZ:12").state
+    with pytest.raises(states.CapacityError, match=r"^9 sender qubits .* 4\^9 x 2\^9 "
+                                                   r"Pauli table entries"):
+        distinguishable_messages(st, range(9))
+    with pytest.raises(states.CapacityError, match=r"^7 sender qubits .* 4\^7 x 2\^12 "
+                                                   r"encoded amplitudes"):
+        encoded_states(st, tuple(range(7)))
+    assert issubclass(states.CapacityError, ValueError)
+
+
 def test_query_at_the_limit_is_answered(monkeypatch):
     # the bound admits a query on 8 sender qubits, 4^8 x 2^8 table entries,
     # and the encodings of GHZ:12 with sender 0..5, 4^6 x 2^12 amplitudes; the
@@ -495,9 +508,10 @@ def test_gather_is_the_reshape_transpose_path(n):
 
 
 def test_sender_index_memo_keeps_only_small_indices(monkeypatch):
-    # GHZ:10 at k = 5: the whole 252 x 2^10 index would be over the memo cap,
-    # but each call reads one slice of 64 subsets, 64 x 2^10 entries, within
-    # it: the four slice indices are kept, and a second sweep builds none
+    # GHZ:10 at k = 5: the whole 252 x 2^10 index would be over the memo cap;
+    # each slice of 64 subsets, 64 x 2^10 entries, is within it, but a sweep
+    # of several slices builds its four slice indices on each call and keeps
+    # none, so a large sweep cannot fill the memo or evict what others keep
     assert 252 * 2 ** 10 > states.INDEX_MEMO_ENTRIES >= 64 * 2 ** 10
     states._cached_sender_index.cache_clear()
     built = []
@@ -514,24 +528,24 @@ def test_sender_index_memo_keeps_only_small_indices(monkeypatch):
     for _ in range(2):
         best, _ = best_over_subsets(ghz10, 5)
         assert best.count == 64
-    assert built == [64, 64, 64, 60]
+    assert built == [64, 64, 64, 60] * 2
     info = states._cached_sender_index.cache_info()
-    assert (info.currsize, info.hits) == (4, 4)
+    assert (info.currsize, info.hits) == (0, 0)
     # GHZ:11 at k = 3: one slice of all 165 subsets, 165 x 2^11 entries, is
     # over the cap, so it is built on each call and not kept
     assert 165 * 2 ** 11 > states.INDEX_MEMO_ENTRIES
     ghz11 = make_state("GHZ:11").state
     for _ in range(2):
         assert best_over_subsets(ghz11, 3)[0].count == 16
-    assert built[4:] == [165, 165]
-    assert states._cached_sender_index.cache_info().currsize == 4
+    assert built[8:] == [165, 165]
+    assert states._cached_sender_index.cache_info().currsize == 0
     # a small sweep's index is kept, and the next sweep reads it
     st = make_state("GHZ4").state
     best_over_subsets(st, 2)
     best_over_subsets(st, 2)
     info = states._cached_sender_index.cache_info()
-    assert (info.currsize, info.hits) == (5, 5)
-    assert len(built) == 7
+    assert (info.currsize, info.hits) == (1, 1)
+    assert len(built) == 11
 
 
 def _thresholds(mag, tol):

@@ -147,12 +147,12 @@ def test_apply_local_two_qubit_nonadjacent():
     (np.full((2, 2), np.nan), (0,), "fails unitarity"),
     (np.eye(4), (0,), "operator size does not match target count"),
     (np.eye(2), (0, 1), "operator size does not match target count"),
-    (np.eye(4), (1, 1), "duplicate target qubit"),
-    (np.eye(2), (2,), "target qubit out of range"),
-    (np.eye(2), (-1,), "target qubit out of range"),
+    (np.eye(4), (1, 1), "repeated target qubit in [1, 1]"),
+    (np.eye(2), (2,), "target qubit 2 is out of range for a 2-qubit resource"),
+    (np.eye(2), (-1,), "target qubit -1 is out of range for a 2-qubit resource"),
 ])
 def test_apply_local_refuses_a_bad_matrix_or_target(u, targets, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         apply_local(basis_state("00"), u, targets)
 
 

@@ -361,6 +361,16 @@ def test_inline_bell_pair_reproduces_standard_protocol():
     assert sc.resource_state().note == "inline resource"
 
 
+def test_family_size_must_be_an_integer():
+    # 1.0 leaked an AttributeError out of run_scenario, and True was answered
+    # as a one-qubit family; numpy integers stay accepted
+    for bad in (1.0, True, np.float64(1), "1", None):
+        with pytest.raises(ValueError, match=r"^num_qubits must be an integer, "
+                                             r"got %s$" % re.escape(repr(bad))):
+            FamilySpec("arbitrary", bad)
+    assert family_span(FamilySpec("arbitrary", np.int64(1))).shape == (2, 2)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         TeleportScenario("x", "GHZ4", FamilySpec("arbitrary", 1),
