@@ -222,16 +222,19 @@ def _greedy_colouring(adj: list[int], pool: int) -> list[int]:
 def _max_clique_size(adj: list[int], cand: int, lower: int = 0,
                      upper: float = math.inf,
                      colour: Callable[[list[int], int], list[int]]
-                     = _greedy_colouring) -> int:
+                     = _greedy_colouring,
+                     classes: list[int] | None = None) -> int:
     """Exact maximum clique size within the candidate bitmask, or ``lower``
     when no clique there is larger.  ``upper`` is a known bound on it: the
     search stops as soon as it finds a clique that large.  ``colour``
-    colours each pool: ``_greedy_colouring``, or a wrapper that counts it."""
+    colours each pool: ``_greedy_colouring``, or a wrapper that counts it;
+    ``classes``, when given, is the colouring of ``cand`` it would make."""
     best = lower
 
-    def expand(size: int, pool: int) -> None:
+    def expand(size: int, pool: int, classes: list[int] | None = None) -> None:
         nonlocal best
-        classes = colour(adj, pool)
+        if classes is None:
+            classes = colour(adj, pool)
         # one class per vertex exactly when the pool is a clique (or empty)
         if len(classes) == pool.bit_count():
             best = max(best, size + len(classes))
@@ -249,7 +252,7 @@ def _max_clique_size(adj: list[int], cand: int, lower: int = 0,
                 pool ^= 1 << v
                 members ^= 1 << v
 
-    expand(0, cand)
+    expand(0, cand, classes)
     return best
 
 
@@ -290,7 +293,8 @@ def _lex_smallest_maximum_clique(adj: list[int], n: int,
     search through vertex 0 stops once it reaches the bound and otherwise
     runs to the end, so c0 is exact either way.  When the graph is not known
     to be vertex-transitive and c0 falls short of the colouring bound, the
-    whole graph is searched from c0 up.
+    whole graph is searched from c0 up, its first pool taking the colouring
+    that gave the bound rather than a second one.
 
     The witness is then walked vertex by vertex, smallest first.  Each step
     first completes the current pool smallest-first and stops there if that
@@ -310,7 +314,8 @@ def _lex_smallest_maximum_clique(adj: list[int], n: int,
         return _greedy_colouring(adj_, pool)
 
     full = (1 << n) - 1
-    bound = len(colour(adj, full))
+    whole = colour(adj, full)
+    bound = len(whole)
     first = [0] + _smallest_first(adj, adj[0])
     if len(first) >= bound:
         return first
@@ -327,7 +332,7 @@ def _lex_smallest_maximum_clique(adj: list[int], n: int,
     if c0 >= bound or cayley or not early and transitive():
         target = c0
     else:
-        target = _max_clique_size(adj, full, lower=c0, colour=colour)
+        target = _max_clique_size(adj, full, lower=c0, colour=colour, classes=whole)
     # vertex 0 is left out of the pool when no maximum clique holds it
     chosen = [0] if c0 == target else []
     pool = adj[0] if chosen else full ^ 1

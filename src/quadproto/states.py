@@ -73,11 +73,15 @@ def check_integer(what: str, *values) -> None:
 
 
 def check_qubits(what: str, qubits: Iterable, n: int | None = None) -> tuple[int, ...]:
-    """``qubits`` as a tuple, refusing, in this order, an entry that is not an
-    integer (``check_integer``), a repeated qubit and, when the register size
-    ``n`` is given, a qubit outside range(n).  The one qubit-list check of every
-    entry point, run where the list enters, before any by-value memo sees it."""
-    qubits = tuple(qubits)
+    """``qubits`` as a tuple, refusing, in this order, a value that is not
+    iterable (a bare qubit), an entry that is not an integer
+    (``check_integer``), a repeated qubit and, when the register size ``n`` is
+    given, a qubit outside range(n).  The one qubit-list check of every entry
+    point, run where the list enters, before any by-value memo sees it."""
+    try:
+        qubits = tuple(qubits)
+    except TypeError:
+        raise ValueError("%s list must be iterable, got %r" % (what, qubits)) from None
     check_integer(what, *qubits)
     if len(set(qubits)) != len(qubits):
         raise ValueError("repeated %s in %s" % (what, list(qubits)))
@@ -266,8 +270,16 @@ def pauli_coefficients(a: np.ndarray) -> np.ndarray:
                  else _pauli_diagonals(k, slice(lo, lo + step)))
         terms = np.take(flat, index, axis=-1)
         terms *= sign[lo:lo + step]
-        parts.append(terms.sum(-1))
+        parts.append(trace_sums(terms))
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+
+def trace_sums(terms: np.ndarray) -> np.ndarray:
+    """The sum over the last axis of signed trace terms, as
+    ``pauli_coefficients`` forms each trace: two terms in one add, the sum
+    numpy forms for them without its reduction set-up, more by ``sum``.  A
+    caller scoring a product on its own sums with it to keep the bits."""
+    return terms[..., 0] + terms[..., 1] if terms.shape[-1] == 2 else terms.sum(-1)
 
 
 def apply_paulis(rows: np.ndarray, names: Sequence[str]) -> np.ndarray:

@@ -23,12 +23,17 @@ A candidate is a prefix D (identity, a CZ or a sign mask, stored as a row
 of +-1 entries) followed by a Pauli product P_x of ``states.pauli_table``.
 Probe i's fidelity under P_x D is |Tr(P_x D r_i v_i^dagger)|**2 (r_i its
 residual, v_i its input), so one ``states.pauli_coefficients`` call scores
-every Pauli product after one prefix for every outcome still open; the scan
-runs prefix outer and an outcome leaves it at its first candidate that
-works.  One outcome's scores take probes x 4^k x 2^k entries, so a family
-above ``MAX_STACK_ENTRIES`` is refused from the sizes, and the open
-outcomes are scored in slices of at most ``SLICE_ENTRIES`` (2^21) scores,
-one outcome per slice when its own scores are more.
+every Pauli product after one prefix on the certifying probes of every
+outcome still open.  The random probes only cross-check: an outcome's are
+scored at its first candidate the certifying probes accept, with the same
+products and sums, and a candidate one of them fails is struck for the next
+accepted one (every probe is scored in bulk when some outcome fires no
+certifying probe).  The scan runs prefix outer and an outcome leaves it at
+its first candidate that works.  One outcome's scores of all probes take
+probes x 4^k x 2^k entries, so a family above ``MAX_STACK_ENTRIES`` is
+refused from the sizes, and the open outcomes are scored in slices sized by
+all probes, at most ``SLICE_ENTRIES`` (2^21) scores, one outcome per slice
+when its own scores are more.
 
 What does not depend on the probe seed is built once per value: the
 catalog memoizes the resource state (``make_state``), and the family span
@@ -54,7 +59,8 @@ from .measure import StepSpec, build_plan, enumerate_outcomes
 from .states import (ASSERT_TOL, MAX_STACK_ENTRIES, PAULI_ORDER, PERP_ALARM,
                      SLICE_ENTRIES, VALUE_TOL, CapacityError, PureState,
                      apply_paulis, check_integer, check_qubits, check_tolerance,
-                     ket_vector, pauli_coefficients, pauli_table, qubit_count)
+                     ket_vector, pauli_coefficients, pauli_table, qubit_count,
+                     trace_sums)
 
 __all__ = [
     "FamilySpec",
@@ -193,13 +199,13 @@ class TeleportScenario:
     def __post_init__(self) -> None:
         if self.allowed_ops not in ("paulis", "paulis+cz", "paulis+diag"):
             raise ValueError("unknown correction vocabulary %r" % self.allowed_ops)
+        object.__setattr__(self, "receiver", check_qubits("receiver qubit", self.receiver))
         if len(self.receiver) != self.family.num_qubits:
             raise ValueError("receiver register size must match the family")
         # the engine and the correction names read the receiver in ascending order
-        if list(self.receiver) != sorted(set(self.receiver)):
+        if list(self.receiver) != sorted(self.receiver):
             raise ValueError("receiver qubits must be strictly ascending, got %s"
                              % list(self.receiver))
-        check_qubits("receiver qubit", self.receiver)
         if (self.allowed_ops == "paulis+diag"
                 and self.family.num_qubits > MAX_DIAG_QUBITS):
             raise ValueError(
@@ -252,6 +258,14 @@ def _prefixes(allowed: str, k: int) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(prefixes), masks
 
 
+def _worst(scores: np.ndarray, mask: np.ndarray | None, js: np.ndarray) -> np.ndarray:
+    """Per outcome ``js`` the least score over axis 1 (rows) of the rows
+    ``mask[js]`` keeps, inf where it keeps none; a mask of None keeps all."""
+    if mask is None:
+        return scores.min(axis=1)
+    return scores.min(axis=1, where=mask[js], initial=np.inf)
+
+
 def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
                       residuals: np.ndarray, expected: np.ndarray,
                       fired: np.ndarray, certifying: np.ndarray,
@@ -260,27 +274,50 @@ def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
 
     ``residuals`` is the (nb, rows, 2**k) stack of every outcome, ``fired``
     its (nb, rows) firing mask, ``expected`` the (rows, 2**k) inputs and
-    ``certifying`` which rows certify; an outcome no certifying row fires
-    is certified by every row it fires.  Returns per outcome the descriptor
-    or None, the worst fidelity over its fired rows of the chosen candidate
-    or 0.0, and the best worst certifying fidelity over the candidates
-    scanned up to and including the chosen one.  A candidate is chosen when
-    both the certifying rows and all fired rows reach ``1 - tol``: a random
-    member failing where the certifying rows pass means the outcome map is
-    not linear on the span, so the scan goes on.
+    ``certifying`` which rows certify, as ``build_probes`` orders them:
+    certifying rows first.  An outcome no certifying row fires is certified
+    by every row it fires.  Returns per outcome the descriptor or None, the
+    worst fidelity over its fired rows of the chosen candidate or 0.0, and
+    the best worst certifying fidelity over the candidates scanned up to and
+    including the chosen one.  A candidate is chosen when both the
+    certifying rows and all fired rows reach ``1 - tol``: a random member
+    failing where the certifying rows pass means the outcome map is not
+    linear on the span, so the scan goes on.
 
-    Per prefix, one Pauli transform scores every product for every outcome
-    still open, in slices of at most ``SLICE_ENTRIES`` scores (one outcome
-    when its scores alone exceed that); outcomes leave the open set at their
-    first hit.
+    Per prefix, one Pauli transform scores every product on the leading
+    certifying rows for every outcome still open, in slices sized by all
+    probe rows: at most ``SLICE_ENTRIES`` scores of all rows (one outcome
+    when its scores alone exceed that).  The random rows an outcome fires
+    are then scored, in rounds, only at its first candidate the certifying
+    rows accept; one they fail strikes that candidate, and the outcome moves
+    to its next accepted one.  Each score is the same signed sum of the same
+    products as in the bulk transform, so it keeps its bits.  When some
+    outcome fires no certifying row, or the certifying rows do not lead,
+    every row is scored in bulk.  Outcomes leave the open set at their first
+    hit.
     """
     nb, rows, dim = residuals.shape
     k = qubit_count(dim)
-    names = pauli_table(k).names
+    names, flip, sign = pauli_table(k)
     cert = fired & certifying
-    cert = np.where(cert.any(axis=1, keepdims=True), cert, fired)[..., None]
-    fired = fired[..., None]
-    exp_conj = expected.conj()[:, None, :]
+    has_cert = cert.any(axis=1, keepdims=True)
+    head = int(certifying.sum())
+    if has_cert.all() and certifying[:head].all():
+        # a candidate passing the certifying rows passes every fired bulk row
+        fired_head = None
+    else:
+        head = rows
+        cert = np.where(has_cert, cert, fired)
+        fired_head = None if np.array_equal(cert, fired) else fired[..., None]
+    cert_head = None if cert[:, :head].all() else cert[:, :head, None]
+    head_conj = expected[:head, None].conj()
+    if head < rows:
+        fired_tail = None if fired[:, head:].all() else fired[:, head:]
+        tail_conj = expected[head:].conj()
+        tail_rows = np.arange(head, rows)[:, None]
+        perms = np.arange(dim) ^ flip[:, None]
+        # cast once, as the bulk transform casts each int8 sign it multiplies
+        signs = sign.astype(np.complex128)
     chosen: list[str | None] = [None] * nb
     min_fid = np.zeros(nb)
     best = np.zeros(nb)
@@ -290,19 +327,42 @@ def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
         resolved = np.zeros(len(open_), dtype=bool)
         for lo in range(0, len(open_), step):
             js = open_[lo:lo + step]
-            outer = exp_conj * (residuals[js] * mask)[..., None]
-            fids = np.abs(pauli_coefficients(outer)) ** 2
-            worst_cert = fids.min(axis=1, where=cert[js], initial=np.inf)
-            worst_all = fids.min(axis=1, where=fired[js], initial=np.inf)
-            ok = (worst_cert >= 1.0 - tol) & (worst_all >= 1.0 - tol)
-            hit = ok.any(axis=1)
-            last = np.where(hit, ok.argmax(axis=1), ok.shape[1] - 1)
+            masked = residuals[js] * mask
+            fids = np.abs(pauli_coefficients(head_conj * masked[:, :head, :, None])) ** 2
+            worst_cert = _worst(fids, cert_head, js)
+            ok = worst_cert >= 1.0 - tol
+            worst = worst_cert
+            if fired_head is not None:
+                worst = _worst(fids, fired_head, js)
+                ok &= worst >= 1.0 - tol
+            first = ok.argmax(axis=1)
             at = np.arange(len(js))
+            worst = worst[at, first]
+            if head < rows:
+                # the fired random rows at each first accepted candidate; an
+                # outcome failing one moves on to its next accepted candidate
+                todo = np.flatnonzero(ok.any(axis=1))
+                while todo.size:
+                    x = first[todo]
+                    terms = tail_conj * masked[todo[:, None, None], tail_rows, perms[x, None]]
+                    terms *= signs[x, None]
+                    tail = _worst(np.abs(trace_sums(terms)) ** 2, fired_tail, js[todo])
+                    failed = ~(tail >= 1.0 - tol)
+                    # the certifying rows are every fired bulk row here
+                    worst[todo] = np.minimum(worst_cert[todo, x], tail)
+                    if not failed.any():
+                        break
+                    todo = todo[failed]
+                    ok[todo, first[todo]] = False
+                    first[todo] = ok[todo].argmax(axis=1)
+                    todo = todo[ok[todo].any(axis=1)]
+            hit = ok.any(axis=1)
+            last = np.where(hit, first, ok.shape[1] - 1)
             scanned = np.maximum.accumulate(worst_cert, axis=1)[at, last]
             best[js] = np.maximum(best[js], scanned)
             for i in np.flatnonzero(hit):
                 chosen[js[i]] = desc + "*".join(names[last[i]])
-            min_fid[js[hit]] = worst_all[at[hit], last[hit]]
+            min_fid[js[hit]] = worst[hit]
             resolved[lo:lo + step] = hit
         open_ = open_[~resolved]
         if not open_.size:
@@ -368,7 +428,7 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     vectors, certifying = build_probes(family, rng, num_random)
     joint = (vectors[:, :, None] * resource.amplitudes).reshape(len(vectors), -1)
     out = enumerate_outcomes(joint, build_plan(scenario.steps))
-    if len(out) and out.kept_qubits != tuple(scenario.receiver):
+    if len(out) and out.kept_qubits != scenario.receiver:
         raise ValueError(
             "plan for %s leaves qubits %s but the receiver holds %s"
             % (scenario.scenario_id, out.kept_qubits, scenario.receiver)
@@ -390,9 +450,10 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     chosen, min_fid, best = _find_corrections(
         _prefixes(scenario.allowed_ops, k), out.residuals, vectors,
         fired, certifying, tol)
-    reports = [OutcomeReport(out.keys[j], float(probs[j, gen_idx[j]]), chosen[j],
-                             float(min_fid[j]), float(best[j]), bool(out.perp[j]))
-               for j in np.argsort(first, kind="stable")]
+    generic = probs[np.arange(len(out)), gen_idx].tolist()
+    fid, top, leak = min_fid.tolist(), best.tolist(), out.perp.tolist()
+    reports = [OutcomeReport(out.keys[j], generic[j], chosen[j], fid[j], top[j], leak[j])
+               for j in np.argsort(first, kind="stable").tolist()]
     feasible = all(r.correction is not None for r in reports)
 
     reason = ""

@@ -945,6 +945,29 @@ def test_search_falls_back_to_the_full_graph(edges, n, want, monkeypatch):
     assert ((1 << n) - 1, c0) in searched
 
 
+def test_full_graph_search_reuses_the_bounding_colouring(monkeypatch):
+    # a seeded G(20, 1/2) with degrees 6 to 12, so not vertex-transitive: c0
+    # falls short of the colouring bound and the whole graph is searched,
+    # its first pool taking the colouring that gave the bound.  31
+    # colourings, the whole graph coloured once; colouring it again for the
+    # search took 32
+    rng = np.random.default_rng(3)
+    upper = np.triu(rng.random((20, 20)) < 0.5, 1)
+    adj = _adj(upper | upper.T)
+    assert len({a.bit_count() for a in adj}) > 1
+    calls = []
+    real = densecode._greedy_colouring
+
+    def counting(adj_, pool):
+        calls.append(pool)
+        return real(adj_, pool)
+
+    monkeypatch.setattr(densecode, "_greedy_colouring", counting)
+    got = _lex_smallest_maximum_clique(adj, 20, lambda: False)
+    assert got == _reference_lex_clique(adj, 20) == [6, 8, 10, 15, 18]
+    assert len(calls) == 31 and calls.count((1 << 20) - 1) == 1
+
+
 def test_search_matches_reference_on_random_graphs(monkeypatch):
     rng = np.random.default_rng(20261018)
     branches = set()

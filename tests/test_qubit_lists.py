@@ -1,8 +1,9 @@
 """Every argument that names qubits goes through ``states.check_qubits``.
 
 Each entry point is called with a bool, a float and a numpy float where an
-integer qubit belongs, with a repeated qubit and, where the register size
-is known, with a qubit out of range.  Each call must be refused with
+integer qubit belongs, with a repeated qubit, with a qubit out of range where
+the register size is known, and with a bare integer in place of the list
+where the list is an argument of its own.  Each call must be refused with
 ``ValueError`` and the same message in a fresh process and after the equal
 integer query has filled the by-value memos (``measure._plan``,
 ``teleport.family_span``, ``states.sender_index``), where 1.0 == 1 == True
@@ -88,7 +89,7 @@ ENTRY_POINTS = {
         lambda x: check_certificate(GHZ8, [((0, x), BELL), ((2, 3), BELL)]),
         "factor qubit", 0, "repeated factor qubit in [0, 0, 2, 3]",
         4, "factor qubit 4 is out of range for a 4-qubit resource"),
-    # the strictly ascending check runs first and keeps its message
+    # check_qubits runs before the strictly ascending check
     "receiver": (
         lambda x: run_scenario(dataclasses.replace(PAIR, receiver=(x,))),
         "receiver qubit", None, None, None, None),
@@ -98,6 +99,18 @@ ENTRY_POINTS = {
         "num_qubits", None, None, None, None),
 }
 NON_INTEGERS = {"True": True, "1.0": 1.0, "float64": np.float64(1)}
+# each entry point whose qubit list is an argument of its own, called with a
+# bare qubit x in its place: tuple(x) had raised "'int' object is not iterable"
+BARE = {
+    "apply_local": lambda x: apply_local(ST3, np.eye(2), x),
+    "reduced_density": lambda x: reduced_density(ST3, x),
+    "permute_qubits": lambda x: permute_qubits(ST3, x),
+    "encoded_states": lambda x: encoded_states(GHZ4, x),
+    "distinguishable_messages": lambda x: distinguishable_messages(GHZ4, x),
+    "StepSpec": lambda x: StepSpec(x, "bell"),
+    "MeasurementStep": lambda x: MeasurementStep(x, PLUS_MINUS),
+    "receiver": lambda x: dataclasses.replace(PAIR, receiver=x),
+}
 # the reported cases: a LOCC round on (0.0, 2) was answered once (0, 2) had
 # been asked, and a receiver of (4.0,) ran, was saved, and did not load back
 EXTRA = {
@@ -118,7 +131,13 @@ EXTRA = {
         lambda: dataclasses.replace(PAIR, family=FamilySpec("arbitrary", 2),
                                     receiver=(1, 1)),
         lambda: run_scenario(PAIR),
-        "receiver qubits must be strictly ascending, got [1, 1]"),
+        "repeated receiver qubit in [1, 1]"),
+    # sorting it for the strictly ascending check had raised a TypeError
+    "receiver_mixed": (
+        lambda: dataclasses.replace(reg.TELEPORT_SCENARIOS["ghz2_pi_01"],
+                                    receiver=(4, "a")),
+        lambda: run_scenario(reg.TELEPORT_SCENARIOS["ghz2_pi_01"]),
+        "receiver qubit must be an integer, got 'a'"),
 }
 
 
@@ -133,12 +152,16 @@ def _case(entry, case):
                 "%s must be an integer, got %r" % (what, bad))
     if case == "repeated":
         return lambda: call(repeat), lambda: call(1), repeated
+    if case == "bare":
+        return (lambda: BARE[entry](1), lambda: call(1),
+                "%s list must be iterable, got 1" % what)
     return lambda: call(out), lambda: call(1), out_of_range
 
 
 CASES = [(entry, case) for entry, (_, _, repeat, _, out, _) in ENTRY_POINTS.items()
          for case in list(NON_INTEGERS) + ["repeated"] * (repeat is not None)
-         + ["out_of_range"] * (out is not None)] + [(name, "") for name in EXTRA]
+         + ["out_of_range"] * (out is not None) + ["bare"] * (entry in BARE)]
+CASES += [(name, "") for name in EXTRA]
 
 
 def _refusal(call):

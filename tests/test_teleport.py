@@ -386,9 +386,11 @@ def test_scenario_validation():
         TeleportScenario("x", "GHZ:5", FamilySpec("arbitrary", 4),
                          (StepSpec((0, 4), "bell"),), (5, 6, 7, 8),
                          allowed_ops="paulis+diag")
-    # the correction names read the receiver in ascending qubit order
-    for receiver in ((5, 4), (4, 4)):
-        with pytest.raises(ValueError, match="strictly ascending"):
+    # the correction names read the receiver in ascending qubit order, and a
+    # repeated qubit is refused first, as in every qubit list
+    for receiver, message in (((5, 4), "strictly ascending"),
+                              ((4, 4), r"^repeated receiver qubit in \[4, 4\]$")):
+        with pytest.raises(ValueError, match=message):
             dataclasses.replace(reg.TELEPORT_SCENARIOS["ghz2_pi_01"], receiver=receiver)
 
 
@@ -730,11 +732,76 @@ def test_find_corrections_resolves_a_mixed_batch(monkeypatch):
                       ASSERT_TOL) == got
 
 
+def test_bulk_scores_cover_the_certifying_rows_when_every_outcome_fires_one(
+        monkeypatch):
+    # 16 certifying and 5 random rows of a two-qubit family, three outcomes
+    # the identity corrects: the bulk transform scores the 16 certifying
+    # rows, and all 21 once an outcome fires random rows only
+    expected, certifying = build_probes(FamilySpec("arbitrary", 2),
+                                        np.random.default_rng(4), num_random=5)
+    rows = len(expected)
+    assert rows == 21 and certifying[:16].all() and not certifying[16:].any()
+    residuals = np.repeat(expected[None], 3, axis=0)
+    scored = []
+    real = teleport.pauli_coefficients
+
+    def spy(a):
+        scored.append(a.shape[-3])  # the rows of each outcome's outer products
+        return real(a)
+
+    monkeypatch.setattr(teleport, "pauli_coefficients", spy)
+    fired = np.ones((3, rows), dtype=bool)
+    for some_uncertified, want in ((False, 16), (True, rows)):
+        fired[2] = ~certifying if some_uncertified else True
+        scored.clear()
+        got = _find_each("paulis", residuals, expected, fired, certifying, ASSERT_TOL)
+        assert scored == [want]
+        assert got == _reference_find_each("paulis", residuals, expected, fired,
+                                           certifying, ASSERT_TOL)
+        assert [c for c, _, _ in got] == ["s0*s0"] * 3
+
+
+@pytest.mark.parametrize("allowed", ["paulis", "paulis+cz"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_random_rows_strike_candidates_the_certifying_rows_accept(allowed, k):
+    # outcomes firing the basis rows |t> and the random rows only, with
+    # residuals B^dagger v for a diagonal candidate B: every diagonal
+    # candidate maps each |t> to +-|t>, so the certifying rows accept them
+    # all, and the random rows strike each one the scan meets before B.  The
+    # last outcome's random rows are noise, so it strikes every one of them
+    rng = np.random.default_rng(100 * k + len(allowed))
+    expected, certifying = build_probes(FamilySpec("arbitrary", k), rng, num_random=4)
+    rows, dim = expected.shape
+    diagonal = [(desc, mat) for desc, mat in _candidates(allowed, k)
+                if np.array_equal(mat, np.diag(np.diag(mat)))]
+    picks = sorted(rng.choice(np.arange(1, len(diagonal)), size=min(3, len(diagonal) - 1),
+                              replace=False).tolist())
+    fired = np.zeros((len(picks) + 1, rows), dtype=bool)
+    fired[:, :dim] = True
+    fired[:, ~certifying] = True
+    noise = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+    noise /= np.linalg.norm(noise, axis=1, keepdims=True)
+    # row i of v @ conj(B) is B^dagger v_i, B being diagonal
+    maps = [expected @ diagonal[p][1].conj() for p in picks]
+    maps.append(np.where(certifying[:, None], expected, noise))
+    residuals = np.where(fired[..., None], np.array(maps), noise)
+    got = _find_each(allowed, residuals, expected, fired, certifying, ASSERT_TOL)
+    assert got == _reference_find_each(allowed, residuals, expected, fired,
+                                       certifying, ASSERT_TOL)
+    assert [c for c, _, _ in got] == [diagonal[p][0] for p in picks] + [None]
+    # the scan of every row in bulk, which runs when the certifying rows do
+    # not lead, gives the same bits
+    order = np.arange(rows)[::-1]
+    assert got == _find_each(allowed, residuals[:, order], expected[order],
+                             fired[:, order], certifying[order], ASSERT_TOL)
+
+
 @pytest.mark.parametrize("seed", [42, 7])
 def test_sliced_scan_matches_the_unsliced_one(seed, monkeypatch):
-    # 36 probes of a two-qubit family: one outcome's scores are 36 x 4^2 x
-    # 2^2 entries, so a slice budget of three of them splits the 16 outcomes
-    # into six slices
+    # 36 probes of a two-qubit family: slices are sized by one outcome's
+    # 36 x 4^2 x 2^2 scores of all rows, so a slice budget of three of them
+    # splits the 16 outcomes into six slices, each scored in bulk on its 16
+    # certifying rows
     sc = reg.TELEPORT_SCENARIOS["omega2_bellbell_cz"]
     want = run_scenario(sc, seed=seed)
     assert len(want.outcomes) == 16 and want.num_probes == 36
@@ -750,14 +817,15 @@ def test_sliced_scan_matches_the_unsliced_one(seed, monkeypatch):
     monkeypatch.setattr(teleport, "SLICE_ENTRIES", limit)
     got = run_scenario(sc, seed=seed)
     assert got == want and repr(got) == repr(want)
-    assert max(entries) == limit and len(entries) > len(teleport._prefixes("paulis+cz", 2)[0])
+    assert max(entries) == 3 * 16 * 64 and len(entries) > len(teleport._prefixes("paulis+cz", 2)[0])
 
 
 def test_four_qubit_scan_stays_within_the_slice_budget(monkeypatch):
     # five outcomes over the 276 probes of an arbitrary four-qubit family:
-    # one outcome's scores are 276 x 4^4 x 2^4 entries (18 MB), so the budget
-    # scores them one at a time; slices sized by MAX_STACK_ENTRIES took all
-    # five at once, and took four Bell pairs teleporting four qubits to 377 MB
+    # one outcome's scores of all rows are 276 x 4^4 x 2^4 entries (18 MB), so
+    # the budget scores them one at a time, in bulk on the 256 certifying
+    # rows; slices sized by MAX_STACK_ENTRIES took all five at once, and took
+    # four Bell pairs teleporting four qubits to 377 MB
     expected, certifying = build_probes(FamilySpec("arbitrary", 4),
                                         np.random.default_rng(5))
     rows = len(expected)
@@ -785,7 +853,7 @@ def test_four_qubit_scan_stays_within_the_slice_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert chosen == ["s0*s0*s0*s0"] + [None] * 4
-    assert entries == [rows * 8 ** 4] * 5
+    assert entries == [256 * 8 ** 4] * 5
     assert max(entries) <= SLICE_ENTRIES
     # one slice's complex scores at the full budget: 32 MiB
     assert peak < 16 * SLICE_ENTRIES
