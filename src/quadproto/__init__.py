@@ -41,7 +41,6 @@ from .catalog import (
 )
 from .measure import (
     MeasurementPlan,
-    MeasurementStep,
     Outcomes,
     StepSpec,
     build_plan,
@@ -101,7 +100,7 @@ __all__ = [
     "CORRECTIONS", "BasisCorrection", "NamedBasis", "NamedState",
     "basis_names", "corrections_for", "make_basis", "make_state",
     "state_names", "validate_orthonormal",
-    "MeasurementPlan", "MeasurementStep", "Outcomes", "StepSpec",
+    "MeasurementPlan", "Outcomes", "StepSpec",
     "build_plan", "complete_basis", "enumerate_outcomes",
     "FamilySpec", "OutcomeReport", "TeleportResult",
     "TeleportScenario", "build_probes", "family_span", "run_scenario",

@@ -62,7 +62,8 @@ class NamedState:
 @dataclass(frozen=True, eq=False)
 class NamedBasis:
     """Ordered orthonormal vectors with outcome labels: row i of the
-    read-only (m, 2**q) ``matrix`` is the vector labeled ``labels[i]``.
+    read-only (m, 2**q) ``matrix`` is the vector labeled ``labels[i]``;
+    the labels are distinct, as every outcome is read off its label.
 
     The rows may span a proper subspace; measurement plans complete the
     set before use.  ``complete`` is True only when the count equals the
@@ -80,6 +81,9 @@ class NamedBasis:
                              "shape %s" % (self.name, mat.shape))
         if len(self.labels) != len(mat):
             raise ValueError("label/vector count mismatch")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("basis %r repeats labels %s" % (self.name, sorted(
+                {lbl for lbl in self.labels if self.labels.count(lbl) > 1})))
         qubit_count(mat.shape[1])
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)

@@ -9,7 +9,9 @@ product outcomes.
 
 Discrimination and certificates read their candidates the same way: one
 check refuses an empty list, repeated labels and mixed register sizes, and
-the states become one (B, 2**n) amplitude stack.  The decomposition is
+the states become one (B, 2**n) amplitude stack.  Certificate factors are
+a plan's (qubits, ``NamedBasis``) pairs, checked by ``measure.check_pairs``
+as plan steps are, then for a partition of the register.  The decomposition is
 ``measure.contract``, the contraction that measures every plan, with the
 declared factor bases as its steps: one coefficient per product label
 (first factor outermost) and candidate.  No product vector is built.  A
@@ -27,9 +29,9 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from .catalog import NamedBasis
-from .measure import (MeasurementPlan, StepSpec, build_plan, contract,
-                      enumerate_outcomes)
-from .states import ASSERT_TOL, PureState, check_qubits, check_tolerance
+from .measure import (MeasurementPlan, StepSpec, build_plan, check_pairs,
+                      contract, enumerate_outcomes)
+from .states import ASSERT_TOL, PureState, check_tolerance
 
 __all__ = [
     "LoccProtocol",
@@ -45,6 +47,10 @@ __all__ = [
 class LoccProtocol:
     protocol_id: str
     rounds: tuple[StepSpec, ...]
+
+    def __post_init__(self) -> None:
+        if not self.rounds:
+            raise ValueError("protocol %r has no rounds" % self.protocol_id)
 
     @functools.cached_property
     def plan(self) -> MeasurementPlan:
@@ -145,13 +151,9 @@ def _coefficients(amplitudes: np.ndarray,
     """Product labels, first factor outermost, and the (labels, B) matrix of
     every row's coefficient over each product of factor basis vectors."""
     n = amplitudes.shape[1].bit_length() - 1
-    covered = [q for qubits, _ in factors for q in qubits]
-    if len(check_qubits("factor qubit", covered, n)) != n:
+    factors = check_pairs("factor qubit", "factor", factors, n)
+    if sum(len(qubits) for qubits, _ in factors) != n:
         raise ValueError("factors must partition the qubit set")
-    for qubits, basis in factors:
-        if basis.num_qubits != len(qubits):
-            raise ValueError("basis %r is on %d qubits but the factor names %d"
-                             % (basis.name, basis.num_qubits, len(qubits)))
     c, _ = contract(amplitudes, [(qubits, basis.matrix.conj())
                                  for qubits, basis in factors])
     labels = list(itertools.product(*(basis.labels for _, basis in factors)))

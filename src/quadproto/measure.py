@@ -1,7 +1,8 @@
 """Projective product-basis measurements on pure states.
 
-A plan is an ordered list of steps; each step measures a disjoint set of
-qubits in a named basis.  Subspace bases are completed automatically with
+A plan measures ordered (qubits, ``NamedBasis``) pairs on disjoint
+qubits, the pairs LOCC certificates take as factors; ``check_pairs``
+checks both.  Subspace bases are completed automatically with
 Gram-Schmidt vectors labeled ``perp0``, ``perp1``, ...  once per basis.
 Enumeration walks every outcome combination exactly (no sampling) for a
 stack of inputs with one contraction, ``contract``, which
@@ -12,7 +13,8 @@ the probability and normalized residual; and the original indices of the
 surviving qubits.
 
 Teleport scenarios and LOCC protocols both describe their measurements as
-``StepSpec`` values (catalog basis names); ``build_plan`` resolves them.
+``StepSpec`` values (catalog basis names); ``build_plan`` resolves them,
+leaving ``party`` to the callers' classical-cost accounting.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from .states import (COMPLETION_MIN, COMPLETION_PICK, DROP_TOL, NORM_TOL,
 
 __all__ = [
     "StepSpec",
-    "MeasurementStep",
     "MeasurementPlan",
     "Outcomes",
     "build_plan",
+    "check_pairs",
     "complete_basis",
     "contract",
     "enumerate_outcomes",
@@ -90,56 +92,55 @@ class StepSpec:
         object.__setattr__(self, "qubits", check_qubits("measured qubit", self.qubits))
 
 
-@dataclass(frozen=True)
-class MeasurementStep:
-    """One projective measurement: ``basis`` applied to ``qubits``.
-
-    The i-th qubit of every basis vector corresponds to ``qubits[i]`` of the
-    register being measured, so the tuple order is meaningful.  ``completed``
-    is ``basis`` extended to a full basis and ``conj_matrix`` its conjugated
-    matrix (one row per label), both computed once here.
-    """
-
-    qubits: tuple[int, ...]
-    basis: NamedBasis
-    party: str = "Alice"
-    completed: NamedBasis = field(init=False, repr=False, compare=False)
-    conj_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", check_qubits("measured qubit", self.qubits))
-        if self.basis.num_qubits != len(self.qubits):
-            raise ValueError(
-                "basis %r is on %d qubits but the step names %d"
-                % (self.basis.name, self.basis.num_qubits, len(self.qubits))
-            )
-        completed = complete_basis(self.basis)
-        conj = completed.matrix.conj()
-        conj.flags.writeable = False
-        object.__setattr__(self, "completed", completed)
-        object.__setattr__(self, "conj_matrix", conj)
+def check_pairs(what: str, part: str, pairs: Iterable, n: int | None = None,
+                ) -> tuple[tuple[tuple[int, ...], NamedBasis], ...]:
+    """(qubits, basis) pairs as a tuple, refusing, in order, a qubit list
+    that is not iterable, bad qubits over all lists as one ``check_qubits``
+    list (with ``n`` when given) and a basis on another number of qubits
+    than its ``part`` names: the one check of plan steps and factors."""
+    out = []
+    for qubits, basis in pairs:
+        try:
+            out.append((tuple(qubits), basis))
+        except TypeError:
+            raise ValueError("%s list must be iterable, got %r" % (what, qubits)) from None
+    check_qubits(what, [q for qubits, _ in out for q in qubits], n)
+    for qubits, basis in out:
+        if basis.num_qubits != len(qubits):
+            raise ValueError("basis %r is on %d qubits but the %s names %d"
+                             % (basis.name, basis.num_qubits, part, len(qubits)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class MeasurementPlan:
-    steps: tuple[MeasurementStep, ...]
+    """Measure each (qubits, basis) pair in turn, the i-th qubit of each
+    basis vector being ``qubits[i]`` of the register.  Each basis is
+    completed once, here, into ``steps``, the (qubits, conjugated matrix)
+    pairs ``contract`` reads, and ``outcome_table``, the labels, joined key
+    and perp flag of every outcome combination, first step's outermost."""
+
+    pairs: tuple[tuple[tuple[int, ...], NamedBasis], ...]
+    steps: tuple = field(init=False, repr=False, compare=False)
+    outcome_table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        check_qubits("measured qubit", [q for step in self.steps for q in step.qubits])
-
-    @functools.cached_property
-    def outcome_table(self) -> tuple[tuple[tuple[str, ...], ...], tuple[str, ...],
-                                     np.ndarray]:
-        """Labels, comma-joined key and perp flag of every outcome combination,
-        first step's labels outermost; built once, so results share the keys."""
-        labels = tuple(itertools.product(*(s.completed.labels for s in self.steps)))
-        keys = tuple(",".join(combo) for combo in labels)
+        pairs = check_pairs("measured qubit", "step", self.pairs)
+        completed = [complete_basis(basis) for _, basis in pairs]
+        labels = tuple(itertools.product(*(basis.labels for basis in completed)))
         perp = np.array([any(lbl.startswith("perp") for lbl in combo)
                          for combo in labels], dtype=bool)
-        return labels, keys, perp
+        steps = tuple((qubits, basis.matrix.conj())
+                      for (qubits, _), basis in zip(pairs, completed))
+        for _, conj in steps:
+            conj.flags.writeable = False
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "outcome_table",
+                           (labels, tuple(map(",".join, labels)), perp))
 
     def validate_for(self, num_qubits: int) -> None:
-        bad = [q for step in self.steps for q in step.qubits
+        bad = [q for qubits, _ in self.steps for q in qubits
                if not 0 <= q < num_qubits]
         if bad:
             raise ValueError("plan touches qubits %s outside a %d-qubit register"
@@ -148,16 +149,14 @@ class MeasurementPlan:
 
 def build_plan(steps: Iterable[StepSpec]) -> MeasurementPlan:
     """Resolve named steps against the catalog into a measurement plan,
-    memoized on the resolved (qubits, basis, party) steps: ``make_basis``
-    shares one basis per name and typed parameters, so equal steps share
-    one plan and its ``outcome_table``."""
-    return _plan(tuple([(s.qubits, make_basis(s.basis, **s.basis_params),
-                         s.party) for s in steps]))
+    memoized on the resolved (qubits, basis) pairs: ``make_basis`` shares
+    one basis per name and typed parameters, so steps that differ at most
+    in ``party`` share one plan and its ``outcome_table``."""
+    return _plan(tuple([(s.qubits, make_basis(s.basis, **s.basis_params))
+                        for s in steps]))
 
 
-@functools.lru_cache(maxsize=1024)
-def _plan(key: tuple) -> MeasurementPlan:
-    return MeasurementPlan(tuple(MeasurementStep(*step) for step in key))
+_plan = functools.lru_cache(maxsize=1024)(MeasurementPlan)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,8 +236,7 @@ def enumerate_outcomes(amplitudes: np.ndarray, plan: MeasurementPlan,
     if bad.size:
         raise ValueError("row %d has norm %r, not 1 within %g"
                          % (bad[0], float(norms[bad[0]]), NORM_TOL))
-    c, kept = contract(vecs, [(step.qubits, step.conj_matrix)
-                              for step in plan.steps])
+    c, kept = contract(vecs, plan.steps)
     probs = _norms(c)
     fires = probs > drop_tol
     index = np.flatnonzero(fires.any(axis=0))

@@ -26,7 +26,6 @@ from quadproto.diagnostics import (
 from quadproto.locc import check_certificate, run_discrimination
 from quadproto.measure import (
     MeasurementPlan,
-    MeasurementStep,
     enumerate_outcomes,
 )
 from quadproto.states import (
@@ -241,8 +240,7 @@ def test_criterion_7_randomized_properties(_announce):
             width = make_basis(bname).num_qubits
             if cursor + width > n:
                 break
-            steps.append(MeasurementStep(
-                tuple(qubits[cursor:cursor + width]), make_basis(bname)))
+            steps.append((tuple(qubits[cursor:cursor + width]), make_basis(bname)))
             cursor += width
         if not steps:
             continue
@@ -264,10 +262,9 @@ def test_criterion_7_randomized_properties(_announce):
     for name in ("GHZ4", "W4", "Omega", "Q4", "Q5"):
         st = make_state(name).state
         split = enumerate_outcomes(st.amplitudes[None], MeasurementPlan((
-            MeasurementStep((0, 1, 2), ghz3),
-            MeasurementStep((3,), pm))), drop_tol=0.0)
+            ((0, 1, 2), ghz3), ((3,), pm))), drop_tol=0.0)
         fused = enumerate_outcomes(st.amplitudes[None], MeasurementPlan((
-            MeasurementStep((0, 1, 2, 3), joint),)), drop_tol=0.0)
+            ((0, 1, 2, 3), joint),)), drop_tol=0.0)
         p_split = dict(zip(split.keys, split.probabilities[:, 0]))
         p_fused = dict(zip(fused.keys, fused.probabilities[:, 0]))
         for key in set(p_split) | set(p_fused):

@@ -21,7 +21,7 @@ from quadproto.catalog import (
     state_names,
     validate_orthonormal,
 )
-from quadproto.measure import MeasurementPlan, MeasurementStep, enumerate_outcomes
+from quadproto.measure import MeasurementPlan, complete_basis, enumerate_outcomes
 from quadproto.states import (GRAM_TOL, NORM_TOL, CapacityError, PureState, inner,
                               ket_vector, purity, reduced_density, tensor)
 
@@ -169,6 +169,15 @@ def test_every_catalog_basis_orthonormal():
         report = validate_orthonormal(make_basis(name))
         assert report["ok"], (name, report)
         assert report["max_offdiag"] <= 1e-12, name
+
+
+def test_repeated_basis_labels_refused():
+    # a repeated label used to drop a term from product_terms and to
+    # repeat an outcome key after completion
+    with pytest.raises(ValueError, match=r"^basis 'dup' repeats labels \['a'\]$"):
+        NamedBasis("dup", ("a", "a"), np.eye(2))
+    with pytest.raises(ValueError, match=r"^basis 'half' repeats labels \['perp0'\]$"):
+        complete_basis(NamedBasis("half", ("perp0",), [[1, 0]]))
 
 
 def test_completeness_flags():
@@ -345,7 +354,7 @@ def test_rho_printed_vectors_break_gram():
 def _branch_probabilities(probe_kets, resource_name, qubits, basis):
     probe = PureState.from_kets(probe_kets, normalize=True)
     joint = tensor(probe, make_state(resource_name).state)
-    plan = MeasurementPlan((MeasurementStep(qubits, basis),))
+    plan = MeasurementPlan(((qubits, basis),))
     return enumerate_outcomes(joint.amplitudes[None], plan, drop_tol=0.0)
 
 
@@ -393,7 +402,7 @@ def test_omega34_printed_pair_has_zero_probability():
     from quadproto.teleport import FamilySpec, family_span
     for member in family_span(FamilySpec("omega_sub", 3, (0, 0))):
         joint = tensor(PureState(member), make_state("Omega").state)
-        plan = MeasurementPlan((MeasurementStep((0, 1, 2, 3), printed),))
+        plan = MeasurementPlan((((0, 1, 2, 3), printed),))
         out = enumerate_outcomes(joint.amplitudes[None], plan, drop_tol=1e-12)
         fired = {key for key, perp in zip(out.keys, out.perp) if not perp}
         assert "Omega4+" in fired and "Omega4-" in fired

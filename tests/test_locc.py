@@ -111,7 +111,8 @@ def test_protocol_plan_is_built_once(monkeypatch):
     monkeypatch.setattr(locc, "build_plan", counting_build_plan)
     for protocol in reg.catalog_protocols():
         assert protocol.plan is protocol.plan
-        assert [s.party for s in protocol.plan.steps] == ["B1", "B2"]
+        assert [qubits for qubits, _ in protocol.plan.steps] == \
+            [s.qubits for s in protocol.rounds]
         twin = LoccProtocol(protocol.protocol_id,
                             tuple(dataclasses.replace(s) for s in protocol.rounds))
         assert twin.rounds[0] is not protocol.rounds[0] and twin == protocol
@@ -119,6 +120,12 @@ def test_protocol_plan_is_built_once(monkeypatch):
         assert twin == protocol
         assert calls == [protocol.rounds, protocol.rounds]
         calls.clear()
+
+
+def test_empty_protocol_refused():
+    # an empty protocol used to leak an IndexError from run_discrimination
+    with pytest.raises(ValueError, match="^protocol 'p' has no rounds$"):
+        LoccProtocol("p", ())
 
 
 def test_catalog_protocol_sweep_shape():

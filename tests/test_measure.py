@@ -8,7 +8,6 @@ from quadproto import scenarios as reg
 from quadproto.catalog import NamedBasis, make_basis, make_state
 from quadproto.measure import (
     MeasurementPlan,
-    MeasurementStep,
     StepSpec,
     build_plan,
     complete_basis,
@@ -21,20 +20,20 @@ from quadproto.teleport import build_probes
 
 
 def _plan(*steps):
-    return MeasurementPlan(tuple(MeasurementStep(q, make_basis(b)) for q, b in steps))
+    return MeasurementPlan(tuple((q, make_basis(b)) for q, b in steps))
 
 
 def test_plan_rejects_overlap_and_range():
     with pytest.raises(ValueError):
-        MeasurementPlan((MeasurementStep((0, 1), make_basis("bell")),
-                         MeasurementStep((1,), make_basis("plus_minus"))))
+        MeasurementPlan((((0, 1), make_basis("bell")),
+                         ((1,), make_basis("plus_minus"))))
     plan = _plan(((0, 3), "bell"))
     with pytest.raises(ValueError):
         plan.validate_for(3)
 
 
 def test_step_size_must_match_basis():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="basis 'bell' is on 2 qubits but the step names 1"):
         enumerate_outcomes(make_state("GHZ4").state.amplitudes[None],
                            _plan(((0,), "bell")))
 
@@ -107,7 +106,7 @@ def test_refinement_equivalence_three_plus_one():
             st, _plan(((0, 1, 2), "ghz3_full"), ((3,), "plus_minus")),
             drop_tol=0.0)
         one_step = enumerate_outcomes(
-            st, MeasurementPlan((MeasurementStep((0, 1, 2, 3), joint_basis),)),
+            st, MeasurementPlan((((0, 1, 2, 3), joint_basis),)),
             drop_tol=0.0)
         p2 = dict(zip(two_step.keys, two_step.probabilities[:, 0]))
         p1 = dict(zip(one_step.keys, one_step.probabilities[:, 0]))
@@ -201,12 +200,22 @@ def test_stack_boundaries():
 def test_build_plan_resolves_names_and_completes_once():
     plan = build_plan((StepSpec((0, 1, 2, 3), "pi_2q", {"i": 1, "j": 2}),
                        StepSpec((4,), "plus_minus", party="Bob")))
-    first, second = plan.steps
-    assert first.basis.labels == make_basis("pi_2q", i=1, j=2).labels
-    assert len(first.completed.labels) == 16
-    assert first.completed.labels[:4] == first.basis.labels
-    assert second.party == "Bob"
-    assert second.completed is second.basis  # already complete
+    (first_qubits, first), (second_qubits, second) = plan.pairs
+    assert (first_qubits, second_qubits) == ((0, 1, 2, 3), (4,))
+    assert first is make_basis("pi_2q", i=1, j=2)
+    completed = complete_basis(first)
+    assert len(completed.labels) == 16
+    assert completed.labels[:4] == first.labels
+    assert complete_basis(second) is second  # already complete
+    # the steps contract reads: each qubit list with its conjugated
+    # completed matrix, read-only
+    for (qubits, conj), (want_qubits, basis) in zip(plan.steps, plan.pairs):
+        assert qubits == want_qubits and not conj.flags.writeable
+        assert np.array_equal(conj, complete_basis(basis).matrix.conj())
+    labels, keys, perp = plan.outcome_table
+    assert len(labels) == 16 * 2 and labels[0] == (completed.labels[0], "+")
+    assert keys == tuple(",".join(combo) for combo in labels)
+    assert list(perp) == [combo[0].startswith("perp") for combo in labels]
 
 
 def test_build_plan_memoized_by_value():
@@ -215,7 +224,8 @@ def test_build_plan_memoized_by_value():
         loaded = loads_scenario(dumps_scenario(sc))
         assert loaded.steps is not sc.steps
         assert build_plan(loaded.steps) is build_plan(sc.steps), sc.scenario_id
-    assert build_plan([StepSpec((0, 1), "bell", party="B")]) is not \
+    # the party is not part of the plan: steps differing only by it share one
+    assert build_plan([StepSpec((0, 1), "bell", party="B")]) is \
         build_plan([StepSpec((0, 1), "bell")])
 
 
@@ -230,9 +240,7 @@ def test_build_plan_cache_keeps_parameter_types():
 def _separately_completed(steps):
     """The plan a caller completing each basis by hand would build."""
     return MeasurementPlan(tuple(
-        MeasurementStep(s.qubits,
-                        complete_basis(make_basis(s.basis, **dict(s.basis_params))),
-                        party=s.party)
+        (s.qubits, complete_basis(make_basis(s.basis, **dict(s.basis_params))))
         for s in steps))
 
 
@@ -344,7 +352,7 @@ def test_building_every_registered_plan_constructs_no_pure_state(monkeypatch):
         memo.cache_clear()  # so every basis is built and completed while counted
     for steps in plans:
         build_plan(steps)
-    assert measure._plan.cache_info().currsize == 68  # distinct plans, all rebuilt
+    assert measure._plan.cache_info().currsize == 59  # distinct plans, all rebuilt
     assert complete_basis.cache_info().misses == 40
     assert built == []
     basis_state("0")  # the count does see a construction
@@ -377,15 +385,16 @@ def _reference_outcomes(amplitudes, plan, drop_tol=DROP_TOL):
     """
     orig = list(range(amplitudes.size.bit_length() - 1))
     branches = [((), amplitudes)]
-    for step in plan.steps:
-        matrix = step.completed.matrix
-        positions = [orig.index(q) for q in step.qubits]
+    for qubits, basis in plan.pairs:
+        completed = complete_basis(basis)
+        matrix = completed.matrix
+        positions = [orig.index(q) for q in qubits]
         rest = [p for p in range(len(orig)) if p not in positions]
         next_branches = []
         for labels, vec in branches:
             t = vec.reshape([2] * len(orig)).transpose(positions + rest)
             rows = matrix.conj() @ t.reshape(matrix.shape[1], -1)
-            for label, row in zip(step.completed.labels, rows):
+            for label, row in zip(completed.labels, rows):
                 if float(np.vdot(row, row).real) > drop_tol:
                     next_branches.append((labels + (label,), row))
         branches = next_branches
@@ -456,7 +465,7 @@ def _random_partial_plan(rng, n):
     while len(qubits) > 1 and len(steps) < 3:
         k = int(rng.integers(1, min(4, len(qubits) - 1) + 1))
         on = tuple(qubits.pop() for _ in range(k))
-        steps.append(MeasurementStep(on, make_basis(str(rng.choice(_RANDOM_PLAN_BASES[k])))))
+        steps.append((on, make_basis(str(rng.choice(_RANDOM_PLAN_BASES[k])))))
         if rng.random() < 0.3:
             break
     return MeasurementPlan(tuple(steps))
@@ -487,10 +496,10 @@ def test_stacked_kernel_matches_per_state_reference_on_random_partial_plans(drop
         plan = _random_partial_plan(rng, n)
         stack = _sparse_stack(rng, n)
         _assert_matches_reference(stack, plan, (case, n, drop_tol), drop_tol)
-        if len(plan.steps) > 1:
+        if len(plan.pairs) > 1:
             # a first-step branch (each fires for some input) that does not
             # fire for every input
-            first = enumerate_outcomes(stack, MeasurementPlan(plan.steps[:1]),
+            first = enumerate_outcomes(stack, MeasurementPlan(plan.pairs[:1]),
                                        drop_tol=drop_tol).probabilities > 0.0
             died_mid_plan += bool((~first.all(axis=1)).any())
     assert died_mid_plan >= 5

@@ -24,7 +24,7 @@ from quadproto import scenarios as reg
 from quadproto.catalog import make_basis, make_state
 from quadproto.densecode import distinguishable_messages, encoded_states
 from quadproto.locc import LoccProtocol, check_certificate, product_terms, run_discrimination
-from quadproto.measure import MeasurementPlan, MeasurementStep, StepSpec, enumerate_outcomes
+from quadproto.measure import MeasurementPlan, StepSpec, enumerate_outcomes
 from quadproto.states import apply_local, permute_qubits, random_state, reduced_density
 from quadproto.teleport import FamilySpec, TeleportScenario, run_scenario
 
@@ -44,8 +44,8 @@ def _locc(x):
         StepSpec((0, x), "bell", party="B1"), StepSpec((2, 3), "bell", party="B2"))))
 
 
-def _outcomes(*steps):
-    return enumerate_outcomes(GHZ4.amplitudes[None], MeasurementPlan(steps))
+def _outcomes(*pairs):
+    return enumerate_outcomes(GHZ4.amplitudes[None], MeasurementPlan(pairs))
 
 
 # each entry point: a call whose slot qubit is x (the valid query has
@@ -74,12 +74,11 @@ ENTRY_POINTS = {
         4, "sender qubit 4 is out of range for a 4-qubit resource"),
     "StepSpec": (
         _locc, "measured qubit", 0, "repeated measured qubit in [0, 0]", None, None),
-    "MeasurementStep": (
-        lambda x: _outcomes(MeasurementStep((0, x), BELL)), "measured qubit",
+    "one_step_plan": (
+        lambda x: _outcomes(((0, x), BELL)), "measured qubit",
         0, "repeated measured qubit in [0, 0]", None, None),
     "MeasurementPlan": (
-        lambda x: _outcomes(MeasurementStep((0, 2), BELL),
-                            MeasurementStep((x,), PLUS_MINUS)), "measured qubit",
+        lambda x: _outcomes(((0, 2), BELL), ((x,), PLUS_MINUS)), "measured qubit",
         0, "repeated measured qubit in [0, 2, 0]", None, None),
     "product_terms": (
         lambda x: product_terms(GHZ8[0][1], [((0, x), BELL), ((2, 3), BELL)]),
@@ -108,7 +107,9 @@ BARE = {
     "encoded_states": lambda x: encoded_states(GHZ4, x),
     "distinguishable_messages": lambda x: distinguishable_messages(GHZ4, x),
     "StepSpec": lambda x: StepSpec(x, "bell"),
-    "MeasurementStep": lambda x: MeasurementStep(x, PLUS_MINUS),
+    "one_step_plan": lambda x: MeasurementPlan([(x, PLUS_MINUS)]),
+    "product_terms": lambda x: product_terms(GHZ8[0][1], [(x, PLUS_MINUS), ((2, 3), BELL)]),
+    "check_certificate": lambda x: check_certificate(GHZ8, [((0, 2), BELL), (x, PLUS_MINUS)]),
     "receiver": lambda x: dataclasses.replace(PAIR, receiver=x),
 }
 # the reported cases: a LOCC round on (0.0, 2) was answered once (0, 2) had
