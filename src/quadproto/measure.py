@@ -94,16 +94,29 @@ class StepSpec:
 
 def check_pairs(what: str, part: str, pairs: Iterable, n: int | None = None,
                 ) -> tuple[tuple[tuple[int, ...], NamedBasis], ...]:
-    """(qubits, basis) pairs as a tuple, refusing, in order, a qubit list
-    that is not iterable, bad qubits over all lists as one ``check_qubits``
-    list (with ``n`` when given) and a basis on another number of qubits
-    than its ``part`` names: the one check of plan steps and factors."""
+    """(qubits, basis) pairs as a tuple, refusing, in order, an entry that is
+    not a 2-item tuple or list, a qubit list that is not iterable, a basis
+    that is not a ``NamedBasis``, bad qubits over all lists as one
+    ``check_qubits`` list (with ``n`` when given) and a basis on another
+    number of qubits than its ``part`` names: the one check of plan steps and
+    factors."""
     out = []
-    for qubits, basis in pairs:
+    for pair in pairs:
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            shown = type(pair).__name__
+            if isinstance(pair, (tuple, list)):
+                shown = "a %d-item %s" % (len(pair), shown)
+            raise ValueError("%s list and basis must be a (qubits, NamedBasis) "
+                             "pair, got %s" % (what, shown))
+        qubits, basis = pair
         try:
-            out.append((tuple(qubits), basis))
+            qubits = tuple(qubits)
         except TypeError:
             raise ValueError("%s list must be iterable, got %r" % (what, qubits)) from None
+        if not isinstance(basis, NamedBasis):
+            raise ValueError("%s list %s needs a NamedBasis, got %r"
+                             % (what, list(qubits), basis))
+        out.append((qubits, basis))
     check_qubits(what, [q for qubits, _ in out for q in qubits], n)
     for qubits, basis in out:
         if basis.num_qubits != len(qubits):
@@ -232,10 +245,11 @@ def enumerate_outcomes(amplitudes: np.ndarray, plan: MeasurementPlan,
 
     vecs = vecs.astype(np.complex128, copy=False)
     norms = np.sqrt(_norms(vecs))
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))  # NaN fails too
-    if bad.size:
+    good = np.abs(norms - 1.0) <= NORM_TOL  # NaN fails too
+    if not good.all():
+        bad = int(good.argmin())
         raise ValueError("row %d has norm %r, not 1 within %g"
-                         % (bad[0], float(norms[bad[0]]), NORM_TOL))
+                         % (bad, float(norms[bad]), NORM_TOL))
     c, kept = contract(vecs, plan.steps)
     probs = _norms(c)
     fires = probs > drop_tol
@@ -245,8 +259,11 @@ def enumerate_outcomes(amplitudes: np.ndarray, plan: MeasurementPlan,
     residuals = None
     if c.shape[2] > 1:
         residuals = c.transpose(1, 0, 2)[index]
-        residuals[~fires] = 0.0
-        residuals /= np.sqrt(np.where(fires, probs, 1.0))[..., None]
+        scale = probs
+        if not fires.all():
+            residuals[~fires] = 0.0
+            scale = np.where(fires, probs, 1.0)
+        residuals /= np.sqrt(scale)[..., None]
     labels, keys, perp = plan.outcome_table
     at = index.tolist()
     return Outcomes(tuple(labels[i] for i in at), tuple(keys[i] for i in at),

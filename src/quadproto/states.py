@@ -45,12 +45,17 @@ MIXED_TOL = 1e-6        # a reduction counts as mixed below purity 1 - MIXED_TOL
 NEGATIVE_GAP = 1e-3     # infeasible setups stay this far below unit fidelity
 
 
+_REALS = (float, int, np.floating, np.integer)
+
+
 def check_tolerance(tol: float, name: str = "tol", allow_zero: bool = False) -> float:
-    """Return ``tol`` if it is a finite number strictly between 0 and 1 (or
-    0 itself with ``allow_zero``, for drop tolerances); raise ValueError
-    otherwise, since any other value gives plausible but wrong verdicts."""
-    if not (math.isfinite(tol) and (0.0 <= tol if allow_zero else 0.0 < tol)
-            and tol < 1.0):
+    """Return ``tol`` if it is a finite Python or numpy real number strictly
+    between 0 and 1 (or 0 itself with ``allow_zero``, for drop tolerances);
+    raise ValueError otherwise, a bool, a string or None included, since any
+    other value gives plausible but wrong verdicts or fails inside ``math``."""
+    if (isinstance(tol, bool) or not isinstance(tol, _REALS)
+            or not (math.isfinite(tol) and (0.0 <= tol if allow_zero else 0.0 < tol)
+                    and tol < 1.0)):
         raise ValueError("%s must be a finite number %s, got %r"
                          % (name, "in [0, 1)" if allow_zero
                             else "strictly between 0 and 1", tol))

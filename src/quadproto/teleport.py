@@ -35,11 +35,15 @@ refused from the sizes, and the open outcomes are scored in slices sized by
 all probes, at most ``SLICE_ENTRIES`` (2^21) scores, one outcome per slice
 when its own scores are more.
 
-What does not depend on the probe seed is built once per value: the
-catalog memoizes the resource state (``make_state``), and the family span
-and the certifying probe rows are memoized by ``FamilySpec``, each in a
-bounded memo holding read-only arrays.  An inline resource and the random
-probe members are built per call.
+What does not depend on the probe seed is built once per value, each in a
+memo of read-only arrays keyed by what determines it: the resource
+state by its catalog call (``make_state``), the plan by its resolved steps
+(``build_plan``), the family span and the certifying probe rows by
+``FamilySpec``, the prefix masks by vocabulary and family size, and the
+random rows' Pauli columns by family size (``_pauli_columns``).
+Per call, once the seed and ``num_random`` are checked as non-negative
+integers, come an inline resource, the random probe members drawn from the
+seed, the joint stack, its outcomes and the correction scan.
 
 When no candidate works the result carries a certificate: per outcome, the
 best achievable worst-case fidelity over the probe set.
@@ -148,6 +152,14 @@ def _certifying_rows(spec: FamilySpec) -> np.ndarray:
     return rows
 
 
+def _check_count(what: str, value) -> None:
+    """Refuse a bool, a non-integer or a negative ``value`` with ValueError,
+    before numpy reads it or a memo keys on it."""
+    check_integer(what, value)
+    if value < 0:
+        raise ValueError("%s must be a non-negative integer, got %r" % (what, value))
+
+
 def build_probes(spec: FamilySpec, rng: np.random.Generator,
                  num_random: int = NUM_RANDOM_PROBES) -> tuple[np.ndarray, np.ndarray]:
     """The probe stack of a family, one probe per row, and which rows certify.
@@ -156,8 +168,9 @@ def build_probes(spec: FamilySpec, rng: np.random.Generator,
     (s_i + s_j)/sqrt(2) and (s_i + i s_j)/sqrt(2), all certifying and
     memoized by value; then, when the span has more than one member,
     ``num_random`` seeded random members, drawn per call, which only
-    cross-check.
+    cross-check.  ``num_random`` is a non-negative integer.
     """
+    _check_count("num_random", num_random)
     span = family_span(spec)
     n = len(span)
     rows = [_certifying_rows(spec)]
@@ -258,12 +271,22 @@ def _prefixes(allowed: str, k: int) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(prefixes), masks
 
 
-def _worst(scores: np.ndarray, mask: np.ndarray | None, js: np.ndarray) -> np.ndarray:
-    """Per outcome ``js`` the least score over axis 1 (rows) of the rows
-    ``mask[js]`` keeps, inf where it keeps none; a mask of None keeps all."""
+def _worst(scores: np.ndarray, mask: np.ndarray | None,
+           sel: slice | np.ndarray) -> np.ndarray:
+    """Per outcome ``sel`` the least score over axis 1 (rows) of the rows
+    ``mask[sel]`` keeps, inf where it keeps none; a mask of None keeps all."""
     if mask is None:
         return scores.min(axis=1)
-    return scores.min(axis=1, where=mask[js], initial=np.inf)
+    return scores.min(axis=1, where=mask[sel], initial=np.inf)
+
+
+@functools.lru_cache(maxsize=None)
+def _pauli_columns(k: int) -> np.ndarray:
+    """The read-only (4**k, 2**k) column ``t ^ flip[x]`` at which product x
+    of ``pauli_table(k)`` reads entry t, in uint8 (k <= 8), memoized by k."""
+    columns = (np.arange(2 ** k) ^ pauli_table(k).flip[:, None]).astype(np.uint8)
+    columns.flags.writeable = False
+    return columns
 
 
 def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
@@ -294,79 +317,86 @@ def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
     products as in the bulk transform, so it keeps its bits.  When some
     outcome fires no certifying row, or the certifying rows do not lead,
     every row is scored in bulk.  Outcomes leave the open set at their first
-    hit.
+    hit.  The first prefix is the identity (``_prefixes``), scored unmasked.
     """
     nb, rows, dim = residuals.shape
     k = qubit_count(dim)
-    names, flip, sign = pauli_table(k)
-    cert = fired & certifying
-    has_cert = cert.any(axis=1, keepdims=True)
-    head = int(certifying.sum())
-    if has_cert.all() and certifying[:head].all():
+    names, _, sign = pauli_table(k)
+    head = np.count_nonzero(certifying)
+    cert = fired[:, :head]
+    if certifying[:head].all() and cert.any(axis=1).all():
         # a candidate passing the certifying rows passes every fired bulk row
         fired_head = None
     else:
         head = rows
-        cert = np.where(has_cert, cert, fired)
+        cert = fired & certifying
+        cert = np.where(cert.any(axis=1, keepdims=True), cert, fired)
         fired_head = None if np.array_equal(cert, fired) else fired[..., None]
-    cert_head = None if cert[:, :head].all() else cert[:, :head, None]
+    cert_head = None if cert.all() else cert[..., None]
     head_conj = expected[:head, None].conj()
     if head < rows:
         fired_tail = None if fired[:, head:].all() else fired[:, head:]
         tail_conj = expected[head:].conj()
         tail_rows = np.arange(head, rows)[:, None]
-        perms = np.arange(dim) ^ flip[:, None]
-        # cast once, as the bulk transform casts each int8 sign it multiplies
-        signs = sign.astype(np.complex128)
+        columns = _pauli_columns(k)
     chosen: list[str | None] = [None] * nb
     min_fid = np.zeros(nb)
     best = np.zeros(nb)
     step = max(1, SLICE_ENTRIES // (rows << 3 * k))
     open_ = np.arange(nb)
-    for desc, mask in zip(*prefixes):
-        resolved = np.zeros(len(open_), dtype=bool)
+    for p, (desc, mask) in enumerate(zip(*prefixes)):
+        if not open_.size:
+            break
+        # while every outcome is open, a slice of outcomes is a view
+        whole = len(open_) == nb
+        left = []
         for lo in range(0, len(open_), step):
             js = open_[lo:lo + step]
-            masked = residuals[js] * mask
+            sel = slice(lo, lo + step) if whole else js
+            masked = residuals[sel] if p == 0 else residuals[sel] * mask
             fids = np.abs(pauli_coefficients(head_conj * masked[:, :head, :, None])) ** 2
-            worst_cert = _worst(fids, cert_head, js)
+            worst_cert = _worst(fids, cert_head, sel)
             ok = worst_cert >= 1.0 - tol
             worst = worst_cert
             if fired_head is not None:
-                worst = _worst(fids, fired_head, js)
+                worst = _worst(fids, fired_head, sel)
                 ok &= worst >= 1.0 - tol
             first = ok.argmax(axis=1)
             at = np.arange(len(js))
             worst = worst[at, first]
+            hit = ok.any(axis=1)
             if head < rows:
                 # the fired random rows at each first accepted candidate; an
                 # outcome failing one moves on to its next accepted candidate
-                todo = np.flatnonzero(ok.any(axis=1))
+                tail_fired = None if fired_tail is None else fired_tail[sel]
+                todo = np.flatnonzero(hit)
                 while todo.size:
                     x = first[todo]
-                    terms = tail_conj * masked[todo[:, None, None], tail_rows, perms[x, None]]
-                    terms *= signs[x, None]
-                    tail = _worst(np.abs(trace_sums(terms)) ** 2, fired_tail, js[todo])
-                    failed = ~(tail >= 1.0 - tol)
-                    # the certifying rows are every fired bulk row here
-                    worst[todo] = np.minimum(worst_cert[todo, x], tail)
-                    if not failed.any():
+                    terms = tail_conj * masked[todo[:, None, None], tail_rows, columns[x, None]]
+                    # the int8 signs, cast as the bulk transform casts them
+                    terms *= sign[x, None]
+                    tail = _worst(np.abs(trace_sums(terms)) ** 2, tail_fired, todo)
+                    # the certifying rows are every fired bulk row here, so
+                    # worst[todo] is candidate x's worst certifying score
+                    worst[todo] = np.minimum(worst[todo], tail)
+                    passed = tail >= 1.0 - tol
+                    if passed.all():
                         break
-                    todo = todo[failed]
+                    todo = todo[~passed]
                     ok[todo, first[todo]] = False
                     first[todo] = ok[todo].argmax(axis=1)
-                    todo = todo[ok[todo].any(axis=1)]
-            hit = ok.any(axis=1)
+                    hit[todo] = ok[todo].any(axis=1)
+                    todo = todo[hit[todo]]
+                    worst[todo] = worst_cert[todo, first[todo]]
             last = np.where(hit, first, ok.shape[1] - 1)
             scanned = np.maximum.accumulate(worst_cert, axis=1)[at, last]
-            best[js] = np.maximum(best[js], scanned)
-            for i in np.flatnonzero(hit):
-                chosen[js[i]] = desc + "*".join(names[last[i]])
-            min_fid[js[hit]] = worst[hit]
-            resolved[lo:lo + step] = hit
-        open_ = open_[~resolved]
-        if not open_.size:
-            break
+            best[sel] = np.maximum(best[sel], scanned)
+            done = js[hit]
+            for j, x in zip(done.tolist(), first[hit].tolist()):
+                chosen[j] = desc + "*".join(names[x])
+            min_fid[done] = worst[hit]
+            left.append(js[~hit])
+        open_ = left[0] if len(left) == 1 else np.concatenate(left)
     return chosen, min_fid, best
 
 
@@ -407,7 +437,9 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
                  tol: float = ASSERT_TOL,
                  num_random: int = NUM_RANDOM_PROBES) -> TeleportResult:
     check_tolerance(tol)
-    rng = np.random.default_rng(seed)
+    # a seed numpy would read another way (None draws OS entropy) is refused
+    _check_count("seed", seed)
+    _check_count("num_random", num_random)
     resource = scenario.resource_state().state
     # refuse a joint register above MAX_QUBITS, and a joint probe stack or one
     # outcome's correction scores after a prefix (rows x 4^k Pauli products x
@@ -425,7 +457,7 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     if rows << 3 * k > MAX_STACK_ENTRIES:
         raise CapacityError("%d probes of a %d-qubit family need %d x 4^%d x "
                             "2^%d correction scores, %s" % (rows, k, rows, k, k, limit))
-    vectors, certifying = build_probes(family, rng, num_random)
+    vectors, certifying = build_probes(family, np.random.default_rng(seed), num_random)
     joint = (vectors[:, :, None] * resource.amplitudes).reshape(len(vectors), -1)
     out = enumerate_outcomes(joint, build_plan(scenario.steps))
     if len(out) and out.kept_qubits != scenario.receiver:
@@ -438,30 +470,35 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     probs = out.probabilities
     fired = probs > 0.0
     first = fired.argmax(axis=1)
-    last = fired.shape[1] - 1 - fired[:, ::-1].argmax(axis=1)
-    # row by row in enumeration order: the reported float depends on the order
-    perp = sum(probs[out.perp], np.zeros(len(vectors)))
-    max_perp = float(perp.max())
-    lowest = np.where(fired, probs, np.inf).min(axis=0)
-    uniform = not np.any(probs.max(axis=0) - lowest > VALUE_TOL)
+    # row by row in enumeration order: the reported float depends on the
+    # order; 0.0 when no auto-completed branch fires
+    max_perp = 0.0
+    if out.perp.any():
+        max_perp = float(sum(probs[out.perp], np.zeros(len(vectors))).max())
+    lowest = probs.min(axis=0, where=fired, initial=np.inf)
+    uniform = not (probs.max(axis=0) - lowest > VALUE_TOL).any()
 
-    # the generic probe: the last random member, else the last probe that fires
-    gen_idx = np.where(certifying.all(), last, len(vectors) - 1)
+    # the generic probe: the last random member, which is the last row when
+    # there are any, else the last probe that fires
+    if certifying[-1]:
+        last = len(vectors) - 1 - fired[:, ::-1].argmax(axis=1)
+        generic = probs[np.arange(len(out)), last].tolist()
+    else:
+        generic = probs[:, -1].tolist()
     chosen, min_fid, best = _find_corrections(
         _prefixes(scenario.allowed_ops, k), out.residuals, vectors,
         fired, certifying, tol)
-    generic = probs[np.arange(len(out)), gen_idx].tolist()
     fid, top, leak = min_fid.tolist(), best.tolist(), out.perp.tolist()
     reports = [OutcomeReport(out.keys[j], generic[j], chosen[j], fid[j], top[j], leak[j])
                for j in np.argsort(first, kind="stable").tolist()]
-    feasible = all(r.correction is not None for r in reports)
+    feasible = None not in chosen
 
     reason = ""
     if max_perp > PERP_ALARM:
         reason = "probability %.3e leaks into auto-completed directions" % max_perp
         feasible = False
-    worst = min((r.min_fidelity for r in reports if r.correction), default=0.0)
-    best_worst = min((r.best_fidelity for r in reports), default=0.0)
+    worst = min((f for f, c in zip(fid, chosen) if c), default=0.0)
+    best_worst = min(top, default=0.0)
     cost = breakdown = None
     if feasible:
         cost, breakdown = classical_cost(scenario, reports)

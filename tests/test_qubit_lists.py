@@ -139,6 +139,22 @@ EXTRA = {
                                     receiver=(4, "a")),
         lambda: run_scenario(reg.TELEPORT_SCENARIOS["ghz2_pi_01"]),
         "receiver qubit must be an integer, got 'a'"),
+    # malformed (qubits, basis) pairs had leaked TypeError, AttributeError
+    # and "too many values to unpack"
+    "factor_not_a_pair": (
+        lambda: product_terms(GHZ8[0][1], [BELL, ((2, 3), BELL)]),
+        lambda: product_terms(GHZ8[0][1], [((0, 1), BELL), ((2, 3), BELL)]),
+        "factor qubit list and basis must be a (qubits, NamedBasis) pair, "
+        "got NamedBasis"),
+    "step_basis_by_name": (
+        lambda: MeasurementPlan([((0, 1), "bell")]),
+        lambda: _outcomes(((0, 1), BELL)),
+        "measured qubit list [0, 1] needs a NamedBasis, got 'bell'"),
+    "step_three_items": (
+        lambda: MeasurementPlan([((0, 1), BELL, 3)]),
+        lambda: _outcomes(((0, 1), BELL)),
+        "measured qubit list and basis must be a (qubits, NamedBasis) pair, "
+        "got a 3-item tuple"),
 }
 
 

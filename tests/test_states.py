@@ -443,7 +443,7 @@ def test_amplitudes_locked():
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
-                                   -1.0, 0.0, 1.0, 2.0])
+                                   -1.0, 0.0, 1.0, 2.0, "x", None, True])
 def test_check_tolerance_rejects_outside_open_unit_interval(value):
     with pytest.raises(ValueError, match="tol must be a finite number"):
         check_tolerance(value)
@@ -454,7 +454,8 @@ def test_check_tolerance_accepts_zero_only_for_drop_tolerances():
         assert check_tolerance(value) == value
         assert check_tolerance(value, allow_zero=True) == value
     assert check_tolerance(0.0, "drop_tol", allow_zero=True) == 0.0
-    for value in (-1e-300, 1.0, float("nan")):
+    # False is not 0: a bool is refused, as a string is
+    for value in (-1e-300, 1.0, float("nan"), False, "0"):
         with pytest.raises(ValueError, match=r"drop_tol .* in \[0, 1\)"):
             check_tolerance(value, "drop_tol", allow_zero=True)
 

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quadproto import catalog
+from quadproto import catalog, measure
 from quadproto import scenarios as reg
 from quadproto import teleport
 from quadproto.measure import StepSpec, build_plan, enumerate_outcomes
@@ -235,6 +235,66 @@ def test_memoized_inputs_are_read_only():
     for _ in range(2):
         with pytest.raises(ValueError, match="one Pauli index per qubit"):
             family_span(FamilySpec("ghz_diag", 3, (0,)))
+
+
+_MEMOS = {"make_state": catalog.make_state, "_plan": measure._plan,
+          "family_span": family_span, "_certifying_rows": teleport._certifying_rows,
+          "_prefixes": teleport._prefixes, "_pauli_columns": teleport._pauli_columns}
+
+
+def _misses():
+    return {name: memo.cache_info().misses for name, memo in _MEMOS.items()}
+
+
+def test_seed_independent_arrays_are_built_once_per_value(monkeypatch):
+    for memo in _MEMOS.values():
+        memo.cache_clear()
+    base = reg.TELEPORT_SCENARIOS["omega2_bellbell_cz"]
+    run_scenario(base, seed=5)
+    assert set(_misses().values()) == {1}
+    # an equal-by-value scenario, as a JSON round trip gives, at another
+    # probe seed, builds nothing the first run built
+    run_scenario(loads_scenario(dumps_scenario(base)), seed=6)
+    assert set(_misses().values()) == {1}
+    assert teleport._pauli_columns.cache_info().hits == 1
+    # a scenario that differs in what a memo is keyed on builds that entry
+    # anew, and only that one; a changed receiver needs steps that leave it
+    w11 = reg.TELEPORT_SCENARIOS["w11_etazeta"]
+    run_scenario(w11)
+    variants = [
+        (w11, {"resource_params": {"m": 1, "n": 2}}, {"make_state"}),
+        (base, {"steps": (StepSpec((0, 1, 2, 3), "omega16"),)}, {"_plan"}),
+        (base, {"steps": (StepSpec((0, 4), "bell"), StepSpec((1, 5), "bell")),
+                "receiver": (2, 3)}, {"_plan"}),
+        (base, {"allowed_ops": "paulis"}, {"_prefixes"}),
+    ]
+    for sc, changes, rebuilt in variants:
+        before = _misses()
+        run_scenario(dataclasses.replace(sc, **changes))
+        after = _misses()
+        assert {name for name in after if after[name] > before[name]} == rebuilt, changes
+    # the random probes are drawn per call: another count builds nothing
+    before = _misses()
+    run_scenario(base, num_random=3)
+    assert _misses() == before
+    # an inline resource is built per call, so no memo holds it
+    pair = TeleportScenario("pair", "pair", FamilySpec("arbitrary", 1),
+                            (StepSpec((0, 1), "bell"),), (2,),
+                            resource_kets=(("00", 1.0), ("11", 1.0)))
+    assert pair.resource_state().state is not pair.resource_state().state
+    before = _misses()
+    run_scenario(pair)
+    assert _misses()["make_state"] == before["make_state"]
+    # memoized arrays are read-only
+    columns = teleport._pauli_columns(2)
+    assert not columns.flags.writeable
+    with pytest.raises(ValueError):
+        columns[0] = 0
+    # a lowered limit still refuses once every entry is built
+    monkeypatch.setattr(teleport, "MAX_STACK_ENTRIES", 36 * 8 ** 2 - 1)
+    monkeypatch.setattr(teleport, "build_probes", _no_probes)
+    with pytest.raises(CapacityError, match="over the limit"):
+        run_scenario(base, seed=5)
 
 
 # --- frozen correction tables -------------------------------------------------
@@ -492,11 +552,40 @@ def test_correction_scores_above_limit_refused(monkeypatch):
         run_scenario(wide)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, 1.0, 2.0])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, 1.0, 2.0,
+                                 "0.1", None, True])
 def test_bad_tolerance_rejected(tol):
     # tol=2.0 used to report w3_sigma feasible with fidelity 0.25
     with pytest.raises(ValueError, match="tol must be a finite number"):
         run_scenario(reg.TELEPORT_SCENARIOS["w3_sigma"], tol=tol)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"num_random": -1}, "num_random must be a non-negative integer, got -1"),
+    ({"num_random": 1.5}, "num_random must be an integer, got 1.5"),
+    ({"num_random": 1.0}, "num_random must be an integer, got 1.0"),
+    ({"num_random": True}, "num_random must be an integer, got True"),
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    # numpy would draw OS entropy, and the verdict could not be reproduced
+    ({"seed": None}, "seed must be an integer, got None"),
+])
+def test_seed_and_probe_count_are_checked_before_any_work(kwargs, message, monkeypatch):
+    # refused before the resource is looked up or any probe is built: the
+    # resource name below is unknown to the catalog
+    sc = dataclasses.replace(reg.TELEPORT_SCENARIOS["ghz2_pi_01"], resource="no_such_state")
+    monkeypatch.setattr(teleport, "build_probes", _no_probes)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        run_scenario(sc, **kwargs)
+    monkeypatch.undo()
+    if "num_random" in kwargs:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            build_probes(sc.family, np.random.default_rng(0), kwargs["num_random"])
+    # numpy integers stay accepted, and 0 random probes is a valid count
+    good = reg.TELEPORT_SCENARIOS["ghz2_pi_01"]
+    assert run_scenario(good, seed=np.int64(3), num_random=np.uint8(0)) == \
+        run_scenario(good, seed=3, num_random=0)
 
 
 # --- registry-wide sweep --------------------------------------------------------
@@ -641,13 +730,34 @@ _ALL_SCENARIOS = list(reg.TELEPORT_SCENARIOS.values()) + [
     sc for group in reg.negative_scenarios().values() for sc in group]
 
 
-@pytest.mark.parametrize("seed", [42, 7])
-def test_block_scan_matches_reference_scan(seed):
-    for sc in _ALL_SCENARIOS:
-        got = run_scenario(sc, seed=seed)
-        want = _reference_run(sc, seed=seed)
-        assert got == want, sc.scenario_id
-        assert repr(got) == repr(want), sc.scenario_id
+# every outcome of a registered scenario fires on the last certifying probe;
+# here outcomes 0,* miss it, (|10> + i|11>)/sqrt(2), so without random
+# members their generic probe is the last one that fires
+_LAST_PROBE_MISSES = TeleportScenario(
+    "last_probe_misses", "pair", FamilySpec("arbitrary", 2),
+    (StepSpec((0,), "computational:1"), StepSpec((1,), "computational:1")), (2, 3),
+    resource_kets=(("00", 1.0), ("11", 1.0)))
+_DEFAULT_PROBES = ((ASSERT_TOL, 20), (1e-6, 20))
+_FEW_PROBES = ((ASSERT_TOL, 0), (1e-6, 1))
+
+
+# 1114088974 and 712690534 are the probe seeds of the benchmark's default seed
+@pytest.mark.parametrize("seed, variants", [
+    (42, _DEFAULT_PROBES + _FEW_PROBES), (7, _DEFAULT_PROBES + _FEW_PROBES),
+    (1114088974, _DEFAULT_PROBES), (712690534, _DEFAULT_PROBES)],
+    ids=["42", "7", "1114088974", "712690534"])
+def test_block_scan_matches_reference_scan(seed, variants):
+    for tol, num_random in variants:
+        for sc in _ALL_SCENARIOS + [_LAST_PROBE_MISSES]:
+            want = _reference_run(sc, seed=seed, tol=tol, num_random=num_random)
+            # a JSON round trip gives a fresh scenario equal by value, as the
+            # benchmark runs it; its second run finds every memo warm
+            loaded = loads_scenario(dumps_scenario(sc))
+            for _ in range(2):
+                got = run_scenario(loaded, seed=seed, tol=tol, num_random=num_random)
+                where = (sc.scenario_id, tol, num_random)
+                assert got == want, where
+                assert repr(got) == repr(want), where
 
 
 def _reference_find_each(allowed, residuals, expected, fired, certifying, tol):
@@ -726,6 +836,15 @@ def test_find_corrections_resolves_a_mixed_batch(monkeypatch):
     [(_, _, first), (_, _, second)] = _find_each(
         "paulis", residuals[2:4], expected, fired[2:4], certifying, ASSERT_TOL)
     assert first < got[2][2] and second == got[3][2]
+    # without the outcome only random members fire, the random rows are
+    # scored at accepted candidates alone, each outcome on the rows it fires:
+    # outcome 4 leaves random row 16 unfired, a zero row as enumerate_outcomes
+    # leaves it, which must not strike its correction
+    assert not fired[4, 16] and fired[4, 17]
+    unfired = residuals[:5].copy()
+    unfired[4, 16] = 0.0
+    assert _find_each("paulis+cz", unfired, expected, fired[:5], certifying,
+                      ASSERT_TOL) == got[:5]
     # slices of two outcomes: three at the identity prefix, two after CZ(0,1)
     monkeypatch.setattr(teleport, "SLICE_ENTRIES", 2 * rows * 4 ** 3)
     assert _find_each("paulis+cz", residuals, expected, fired, certifying,
