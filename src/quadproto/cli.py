@@ -25,7 +25,7 @@ from .densecode import distinguishable_messages
 from .diagnostics import profile
 from .locc import check_certificate, run_discrimination
 from .scenario_io import ScenarioFormatError, load_scenario
-from .states import AMP_TOL, ASSERT_TOL, check_tolerance
+from .states import ASSERT_TOL, check_tolerance
 from .suite import (SECTIONS, capacity_holds, format_text, report_dict,
                     run_suite, teleport_claim_holds)
 from .teleport import TeleportScenario, run_scenario
@@ -36,7 +36,7 @@ __all__ = ["main"]
 def _kets(state) -> list[dict]:
     return [
         {"label": label, "re": float(amp.real), "im": float(amp.imag)}
-        for label, amp in state.ket_terms(tol=AMP_TOL)
+        for label, amp in state.ket_terms()
     ]
 
 

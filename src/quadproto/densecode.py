@@ -109,8 +109,8 @@ from typing import Callable
 
 import numpy as np
 
-from .states import (ASSERT_TOL, MAX_COLOURINGS, MAX_STACK_ENTRIES, SLICE_ENTRIES,
-                     CapacityError, PureState, check_integer, check_qubits,
+from .states import (ASSERT_TOL, MAX_COLOURINGS, SLICE_ENTRIES, CapacityError,
+                     PureState, check_integer, check_qubits, check_stack,
                      check_tolerance, pauli_coefficients, pauli_table,
                      reduced_densities, sender_index)
 
@@ -125,11 +125,8 @@ __all__ = [
 def _check_size(k: int, n: int, width: int, what: str) -> None:
     """Refuse a query whose 4^k x 2^width ``what`` exceed
     ``MAX_STACK_ENTRIES``, from the sizes alone, with ``CapacityError``."""
-    if 4 ** k << width > MAX_STACK_ENTRIES:
-        raise CapacityError(
-            "%d sender qubits of a %d-qubit resource need 4^%d x 2^%d %s, "
-            "over the limit of 2^%d"
-            % (k, n, k, width, what, MAX_STACK_ENTRIES.bit_length() - 1))
+    check_stack(4 ** k << width, "%d sender qubits of a %d-qubit resource need "
+                "4^%d x 2^%d %s", k, n, k, width, what)
 
 
 def encoded_states(resource: PureState, sender_qubits: tuple[int, ...],
@@ -357,10 +354,6 @@ class DenseCodingResult:
     witness: tuple[tuple[str, ...], ...]
     num_encodings: int
     num_classes: int
-
-    @property
-    def bits(self) -> float:
-        return math.log2(self.count)
 
 
 def _pauli_magnitudes(resource: PureState, subsets: tuple[tuple[int, ...], ...],

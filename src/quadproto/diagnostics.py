@@ -12,8 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .states import (MIXED_TOL, SIGMA, PureState, check_tolerance, purity,
-                     reduced_density)
+from .states import MIXED_TOL, SIGMA, PureState, purity, reduced_density
 
 __all__ = [
     "wootters_concurrence",
@@ -78,17 +77,16 @@ def purity_profile(state: PureState) -> dict[tuple[int, ...], float]:
     return out
 
 
-def genuine_multipartite(state: PureState, tol: float = MIXED_TOL) -> bool:
-    """True when every proper reduction is mixed.
+def genuine_multipartite(state: PureState) -> bool:
+    """True when every proper reduction is mixed, below purity 1 - ``MIXED_TOL``.
 
     A pure reduction would mean the state factorizes across that cut.
     """
-    check_tolerance(tol)
-    return _all_mixed(purity_profile(state), tol)
+    return _all_mixed(purity_profile(state))
 
 
-def _all_mixed(purities: Mapping[tuple[int, ...], float], tol: float) -> bool:
-    return all(p < 1.0 - tol for p in purities.values())
+def _all_mixed(purities: Mapping[tuple[int, ...], float]) -> bool:
+    return all(p < 1.0 - MIXED_TOL for p in purities.values())
 
 
 @dataclass(frozen=True)
@@ -112,6 +110,6 @@ def profile(name: str, state: PureState) -> EntanglementProfile:
         num_qubits=state.num_qubits,
         purities=purities,
         pair_concurrences=pairs,
-        genuine=_all_mixed(purities, MIXED_TOL),
+        genuine=_all_mixed(purities),
         max_reduction_purity=max(purities.values()),
     )

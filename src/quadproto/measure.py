@@ -5,12 +5,12 @@ qubits, the pairs LOCC certificates take as factors; ``check_pairs``
 checks both.  Subspace bases are completed automatically with
 Gram-Schmidt vectors labeled ``perp0``, ``perp1``, ...  once per basis.
 Enumeration walks every outcome combination exactly (no sampling) for a
-stack of inputs with one contraction, ``contract``, which
-LOCC certificates share; branches are dropped once, at the end.  The
-result is one ``Outcomes`` record: per branch its labels, its comma-joined
-key and whether an auto-completed direction fired; per branch and input
-the probability and normalized residual; and the original indices of the
-surviving qubits.
+stack of inputs with one contraction, ``contract``, which LOCC
+certificates share; branches are dropped once, at the end, at ``DROP_TOL``.
+The result is one ``Outcomes`` record: per branch its labels, its
+comma-joined key and whether an auto-completed direction (one past its
+basis's declared rows) fired; per branch and input the probability and
+normalized residual; and the original indices of the surviving qubits.
 
 Teleport scenarios and LOCC protocols both describe their measurements as
 ``StepSpec`` values (catalog basis names); ``build_plan`` resolves them,
@@ -28,7 +28,7 @@ import numpy as np
 
 from .catalog import NamedBasis, make_basis
 from .states import (COMPLETION_MIN, COMPLETION_PICK, DROP_TOL, NORM_TOL,
-                     check_qubits, check_tolerance, qubit_count)
+                     check_qubits, qubit_count)
 
 __all__ = [
     "StepSpec",
@@ -131,7 +131,8 @@ class MeasurementPlan:
     basis vector being ``qubits[i]`` of the register.  Each basis is
     completed once, here, into ``steps``, the (qubits, conjugated matrix)
     pairs ``contract`` reads, and ``outcome_table``, the labels, joined key
-    and perp flag of every outcome combination, first step's outermost."""
+    and perp flag (an outcome past its basis's declared rows) of every
+    outcome combination, first step's outermost."""
 
     pairs: tuple[tuple[tuple[int, ...], NamedBasis], ...]
     steps: tuple = field(init=False, repr=False, compare=False)
@@ -141,8 +142,9 @@ class MeasurementPlan:
         pairs = check_pairs("measured qubit", "step", self.pairs)
         completed = [complete_basis(basis) for _, basis in pairs]
         labels = tuple(itertools.product(*(basis.labels for basis in completed)))
-        perp = np.array([any(lbl.startswith("perp") for lbl in combo)
-                         for combo in labels], dtype=bool)
+        perp = np.zeros(1, dtype=bool)
+        for (_, basis), full in zip(pairs, completed):
+            perp = (perp[:, None] | (np.arange(full.dim) >= len(basis.labels))).ravel()
         steps = tuple((qubits, basis.matrix.conj())
                       for (qubits, _), basis in zip(pairs, completed))
         for _, conj in steps:
@@ -221,19 +223,17 @@ def contract(amplitudes: np.ndarray,
     return c.reshape(b, done, -1), tuple(kept)
 
 
-def enumerate_outcomes(amplitudes: np.ndarray, plan: MeasurementPlan,
-                       drop_tol: float = DROP_TOL) -> Outcomes:
+def enumerate_outcomes(amplitudes: np.ndarray, plan: MeasurementPlan) -> Outcomes:
     """Measure a stack of states on one register in a single pass.
 
     ``amplitudes`` is a (B, 2**n) array, one input state per row; every row
     must be finite with unit norm within ``NORM_TOL``.  Returns every branch
-    whose probability exceeds ``drop_tol`` for at least one input, in
+    whose probability exceeds ``DROP_TOL`` for at least one input, in
     enumeration order (first step's labels outermost).  Each input's
     probabilities sum to one before dropping, and each input's branches are
     exactly those a one-row stack would give it.  Dropping once, at the
     end, keeps what pruning each step would: no outcome outweighs its parent.
     """
-    check_tolerance(drop_tol, "drop_tol", allow_zero=True)
     vecs = np.asarray(amplitudes)
     if vecs.ndim != 2:
         raise ValueError("enumerate_outcomes takes a (B, 2**n) amplitude array, "
@@ -252,7 +252,7 @@ def enumerate_outcomes(amplitudes: np.ndarray, plan: MeasurementPlan,
                          % (bad, float(norms[bad]), NORM_TOL))
     c, kept = contract(vecs, plan.steps)
     probs = _norms(c)
-    fires = probs > drop_tol
+    fires = probs > DROP_TOL
     index = np.flatnonzero(fires.any(axis=0))
     fires = fires[:, index].T  # (branches, B): 0.0 and zero rows if not fired
     probs = np.where(fires, probs[:, index].T, 0.0)

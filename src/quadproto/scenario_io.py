@@ -152,9 +152,6 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> TeleportScenario:
     _require_keys(fam, "family", ("kind", "num_qubits"), ("dressing",))
     if not isinstance(fam["kind"], str):
         raise ScenarioFormatError("family.kind must be a string")
-    nq = fam["num_qubits"]
-    if isinstance(nq, bool) or not isinstance(nq, int) or nq < 1:
-        raise ScenarioFormatError("family.num_qubits must be a positive integer")
     dressing = _int_tuple(fam.get("dressing", []), "family.dressing")
 
     if not isinstance(doc["steps"], list) or not doc["steps"]:
@@ -187,7 +184,7 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> TeleportScenario:
         return TeleportScenario(
             scenario_id=doc["scenario_id"],
             resource=res["name"],
-            family=FamilySpec(fam["kind"], nq, dressing),
+            family=FamilySpec(fam["kind"], fam["num_qubits"], dressing),
             steps=tuple(steps),
             receiver=_int_tuple(doc["receiver"], "receiver"),
             resource_params=params,

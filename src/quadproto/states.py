@@ -48,17 +48,15 @@ NEGATIVE_GAP = 1e-3     # infeasible setups stay this far below unit fidelity
 _REALS = (float, int, np.floating, np.integer)
 
 
-def check_tolerance(tol: float, name: str = "tol", allow_zero: bool = False) -> float:
+def check_tolerance(tol: float) -> float:
     """Return ``tol`` if it is a finite Python or numpy real number strictly
-    between 0 and 1 (or 0 itself with ``allow_zero``, for drop tolerances);
-    raise ValueError otherwise, a bool, a string or None included, since any
-    other value gives plausible but wrong verdicts or fails inside ``math``."""
+    between 0 and 1; raise ValueError otherwise, a bool, a string or None
+    included, since any other value gives plausible but wrong verdicts or
+    fails inside ``math``."""
     if (isinstance(tol, bool) or not isinstance(tol, _REALS)
-            or not (math.isfinite(tol) and (0.0 <= tol if allow_zero else 0.0 < tol)
-                    and tol < 1.0)):
-        raise ValueError("%s must be a finite number %s, got %r"
-                         % (name, "in [0, 1)" if allow_zero
-                            else "strictly between 0 and 1", tol))
+            or not (math.isfinite(tol) and 0.0 < tol < 1.0)):
+        raise ValueError("tol must be a finite number strictly between 0 and 1, "
+                         "got %r" % (tol,))
     return tol
 
 
@@ -66,6 +64,14 @@ class CapacityError(ValueError):
     """A query would exceed a supported size: a register past ``MAX_QUBITS``,
     a Pauli table or a teleport probe or score stack past
     ``MAX_STACK_ENTRIES``, or a clique search past ``MAX_COLOURINGS``."""
+
+
+def check_stack(entries: int, need: str, *args) -> None:
+    """Refuse a stack of ``entries`` entries above ``MAX_STACK_ENTRIES`` with
+    ``CapacityError``, saying ``need % args``, over the limit of 2^24."""
+    if entries > MAX_STACK_ENTRIES:
+        raise CapacityError("%s, over the limit of 2^%d"
+                            % (need % args, MAX_STACK_ENTRIES.bit_length() - 1))
 
 
 def check_integer(what: str, *values) -> None:
@@ -144,12 +150,11 @@ class PureState:
         """Build a state from {label: amplitude} ket terms; see ``ket_vector``."""
         return cls(ket_vector(terms, normalize))
 
-    def ket_terms(self, tol: float = AMP_TOL) -> list[tuple[str, complex]]:
-        """Nonzero (label, amplitude) pairs in label order."""
-        check_tolerance(tol, allow_zero=True)
+    def ket_terms(self) -> list[tuple[str, complex]]:
+        """(label, amplitude) pairs above ``AMP_TOL`` in label order."""
         n = self.num_qubits
         return [(format(i, f"0{n}b") if n else "", complex(a))
-                for i, a in enumerate(self.amplitudes) if abs(a) > tol]
+                for i, a in enumerate(self.amplitudes) if abs(a) > AMP_TOL]
 
 
 def ket_vector(terms: Mapping[str, complex] | Iterable[tuple[str, complex]],
@@ -220,9 +225,7 @@ def pauli_table(k: int) -> PauliTable:
     binary (x, z) form: s1 and is2 flip their qubit's bit, is2 and s3 negate
     rows where it is 1, so ``sign[x, t]`` is -1 to the parity of z_x & t.
     Refuses k with 8**k above ``MAX_STACK_ENTRIES``."""
-    if 8 ** k > MAX_STACK_ENTRIES:
-        raise CapacityError("a Pauli table on %d qubits needs 8^%d signs, over the "
-                            "limit of 2^%d" % (k, k, MAX_STACK_ENTRIES.bit_length() - 1))
+    check_stack(8 ** k, "a Pauli table on %d qubits needs 8^%d signs", k, k)
     words = np.arange(4 ** k)[:, None] >> 2 * np.arange(k - 1, -1, -1) & 3
     weights = 1 << np.arange(k - 1, -1, -1)
     t = np.arange(2 ** k)
@@ -299,7 +302,11 @@ def apply_paulis(rows: np.ndarray, names: Sequence[str]) -> np.ndarray:
         raise ValueError("%d Pauli names for %d qubits" % (len(names), k))
     x = 0
     for name in names:
-        x = x << 2 | PAULI_ORDER.index("is2" if name == "s2" else name)
+        try:
+            x = x << 2 | PAULI_ORDER.index("is2" if name == "s2" else name)
+        except ValueError:
+            raise ValueError("unknown Pauli %r, expected one of %s"
+                             % (name, ", ".join(SIGMA))) from None
     _, flip, sign = pauli_table(k)
     phase = (1, -1j, -1, 1j)[names.count("s2") % 4]
     return phase * sign[x] * rows[..., np.arange(2 ** k) ^ flip[x]] + 0.0

@@ -26,8 +26,8 @@ from .densecode import distinguishable_messages
 from .diagnostics import profile, three_tangle_pure
 from .locc import LoccProtocol, check_certificate, run_discrimination
 from .measure import StepSpec
-from .states import (AMP_TOL, ASSERT_TOL, GRAM_TOL, NEGATIVE_GAP, VALUE_TOL,
-                     apply_paulis, check_tolerance)
+from .states import (ASSERT_TOL, GRAM_TOL, NEGATIVE_GAP, VALUE_TOL, apply_paulis,
+                     check_tolerance)
 from .teleport import TeleportResult, run_scenario
 
 __all__ = ["ClaimRow", "SuiteReport", "run_suite", "format_text", "report_dict",
@@ -346,7 +346,7 @@ def _basis_rows() -> list[ClaimRow]:
         if present:
             want = {k for k, v in corr.corrected.items() if v != 0}
             for lbl in labels:
-                terms = by_label[lbl].ket_terms(tol=AMP_TOL)
+                terms = by_label[lbl].ket_terms()
                 got = {k for k, _ in terms}
                 support_ok &= got == want
         changed = corr.printed is None or corr.printed != corr.corrected

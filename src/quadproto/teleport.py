@@ -41,9 +41,9 @@ state by its catalog call (``make_state``), the plan by its resolved steps
 (``build_plan``), the family span and the certifying probe rows by
 ``FamilySpec``, the prefix masks by vocabulary and family size, and the
 random rows' Pauli columns by family size (``_pauli_columns``).
-Per call, once the seed and ``num_random`` are checked as non-negative
-integers, come an inline resource, the random probe members drawn from the
-seed, the joint stack, its outcomes and the correction scan.
+Per call, once the seed is checked as a non-negative integer, come an
+inline resource, the ``NUM_RANDOM_PROBES`` random probe members drawn from
+the seed, the joint stack, its outcomes and the correction scan.
 
 When no candidate works the result carries a certificate: per outcome, the
 best achievable worst-case fidelity over the probe set.
@@ -60,11 +60,10 @@ import numpy as np
 
 from .catalog import NamedState, make_state
 from .measure import StepSpec, build_plan, enumerate_outcomes
-from .states import (ASSERT_TOL, MAX_STACK_ENTRIES, PAULI_ORDER, PERP_ALARM,
-                     SLICE_ENTRIES, VALUE_TOL, CapacityError, PureState,
-                     apply_paulis, check_integer, check_qubits, check_tolerance,
-                     ket_vector, pauli_coefficients, pauli_table, qubit_count,
-                     trace_sums)
+from .states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, SLICE_ENTRIES,
+                     VALUE_TOL, PureState, apply_paulis, check_integer,
+                     check_qubits, check_stack, check_tolerance, ket_vector,
+                     pauli_coefficients, pauli_table, qubit_count, trace_sums)
 
 __all__ = [
     "FamilySpec",
@@ -95,8 +94,10 @@ class FamilySpec:
       * ``ghz_diag``   D(alpha|0..0> + beta|1..1>) for fixed Pauli dressing D
       * ``omega_sub``  D(alpha phi+|1> + beta phi-|0>) on three qubits
       * ``w_equal3``   the single state (|001>+|010>+|100>+|000>)/2
+    ``num_qubits`` is at least 1, and 3 for ``omega_sub`` and ``w_equal3``.
     ``dressing`` lists ``PAULI_ORDER`` indices 0..3; for ``ghz_diag`` one
-    per qubit, for ``omega_sub`` the Paulis on qubits 0 and 2.
+    per qubit, for ``omega_sub`` the Paulis on qubits 0 and 2, and none for
+    the other kinds.  Each rule is checked here, when the spec is built.
     """
 
     kind: str
@@ -106,11 +107,29 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.kind not in ("arbitrary", "ghz_diag", "omega_sub", "w_equal3"):
             raise ValueError("unknown family kind %r" % self.kind)
-        check_integer("num_qubits", self.num_qubits)
-        check_integer("Pauli index", *self.dressing)
-        if any(not 0 <= i < len(PAULI_ORDER) for i in self.dressing):
-            raise ValueError("dressing lists Pauli indices 0..3, got %s"
-                             % list(self.dressing))
+        k, d = self.num_qubits, self.dressing
+        check_integer("num_qubits", k)
+        if k < 1:
+            raise ValueError("num_qubits must be at least 1, got %d" % k)
+        if k != 3 and self.kind in ("omega_sub", "w_equal3"):
+            raise ValueError("%s is a 3-qubit family, got num_qubits %d"
+                             % (self.kind, k))
+        check_integer("Pauli index", *d)
+        if any(not 0 <= i < len(PAULI_ORDER) for i in d):
+            raise ValueError("dressing lists Pauli indices 0..3, got %s" % list(d))
+        if self.kind == "ghz_diag" and len(d) != k:
+            raise ValueError("ghz_diag dressing needs one Pauli index per qubit")
+        if self.kind == "omega_sub" and len(d) != 2:
+            raise ValueError("omega_sub dressing needs two Pauli indices")
+        if self.kind in ("arbitrary", "w_equal3") and d:
+            raise ValueError("%s takes no dressing, got %s" % (self.kind, list(d)))
+
+    @property
+    def span_dim(self) -> int:
+        """The size of the family's span: 2**num_qubits, 2, 2 or 1 by kind."""
+        if self.kind == "arbitrary":
+            return 2 ** self.num_qubits
+        return 1 if self.kind == "w_equal3" else 2
 
 
 @functools.lru_cache(maxsize=1024)
@@ -125,12 +144,8 @@ def family_span(spec: FamilySpec) -> np.ndarray:
         if spec.kind == "w_equal3":
             kets, word = [{"001": 1.0, "010": 1.0, "100": 1.0, "000": 1.0}], (0, 0, 0)
         elif spec.kind == "ghz_diag":
-            if len(d) != k:
-                raise ValueError("ghz_diag dressing needs one Pauli index per qubit")
             kets, word = [{"0" * k: 1.0}, {"1" * k: 1.0}], d
         else:  # omega_sub
-            if len(d) != 2:
-                raise ValueError("omega_sub dressing needs two Pauli indices")
             kets = [{"001": 1.0, "111": 1.0}, {"000": 1.0, "110": -1.0}]
             word = (d[0], 0, d[1])
         bare = np.array([ket_vector(terms, normalize=True) for terms in kets])
@@ -152,31 +167,22 @@ def _certifying_rows(spec: FamilySpec) -> np.ndarray:
     return rows
 
 
-def _check_count(what: str, value) -> None:
-    """Refuse a bool, a non-integer or a negative ``value`` with ValueError,
-    before numpy reads it or a memo keys on it."""
-    check_integer(what, value)
-    if value < 0:
-        raise ValueError("%s must be a non-negative integer, got %r" % (what, value))
-
-
 def build_probes(spec: FamilySpec, rng: np.random.Generator,
-                 num_random: int = NUM_RANDOM_PROBES) -> tuple[np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """The probe stack of a family, one probe per row, and which rows certify.
 
     Rows are the span members, then per pair i < j the superpositions
     (s_i + s_j)/sqrt(2) and (s_i + i s_j)/sqrt(2), all certifying and
     memoized by value; then, when the span has more than one member,
-    ``num_random`` seeded random members, drawn per call, which only
-    cross-check.  ``num_random`` is a non-negative integer.
+    ``NUM_RANDOM_PROBES`` seeded random members, drawn per call, which only
+    cross-check.
     """
-    _check_count("num_random", num_random)
     span = family_span(spec)
     n = len(span)
     rows = [_certifying_rows(spec)]
     if n > 1:
         # one draw, in the order of per-member real then imaginary draws
-        z = rng.standard_normal((num_random, 2, n))
+        z = rng.standard_normal((NUM_RANDOM_PROBES, 2, n))
         coeff = z[:, 0] + 1j * z[:, 1]
         # each row's norm as np.linalg.norm forms it, bit for bit: the dot
         # of the real parts plus the dot of the imaginary parts
@@ -434,12 +440,12 @@ class TeleportResult:
 
 
 def run_scenario(scenario: TeleportScenario, seed: int = 42,
-                 tol: float = ASSERT_TOL,
-                 num_random: int = NUM_RANDOM_PROBES) -> TeleportResult:
+                 tol: float = ASSERT_TOL) -> TeleportResult:
     check_tolerance(tol)
     # a seed numpy would read another way (None draws OS entropy) is refused
-    _check_count("seed", seed)
-    _check_count("num_random", num_random)
+    check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer, got %r" % seed)
     resource = scenario.resource_state().state
     # refuse a joint register above MAX_QUBITS, and a joint probe stack or one
     # outcome's correction scores after a prefix (rows x 4^k Pauli products x
@@ -448,16 +454,13 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     family = scenario.family
     k = family.num_qubits
     n = qubit_count(2 ** k * resource.dim)
-    span = {"arbitrary": 2 ** k, "w_equal3": 1}.get(family.kind, 2)
-    rows = span ** 2 + (num_random if span > 1 else 0)
-    limit = "over the limit of 2^%d" % (MAX_STACK_ENTRIES.bit_length() - 1)
-    if rows << n > MAX_STACK_ENTRIES:
-        raise CapacityError("%d probes of a %d-qubit joint register need %d x "
-                            "2^%d amplitudes, %s" % (rows, n, rows, n, limit))
-    if rows << 3 * k > MAX_STACK_ENTRIES:
-        raise CapacityError("%d probes of a %d-qubit family need %d x 4^%d x "
-                            "2^%d correction scores, %s" % (rows, k, rows, k, k, limit))
-    vectors, certifying = build_probes(family, np.random.default_rng(seed), num_random)
+    span = family.span_dim
+    rows = span ** 2 + (NUM_RANDOM_PROBES if span > 1 else 0)
+    check_stack(rows << n, "%d probes of a %d-qubit joint register need %d x "
+                "2^%d amplitudes", rows, n, rows, n)
+    check_stack(rows << 3 * k, "%d probes of a %d-qubit family need %d x 4^%d x "
+                "2^%d correction scores", rows, k, rows, k, k)
+    vectors, certifying = build_probes(family, np.random.default_rng(seed))
     joint = (vectors[:, :, None] * resource.amplitudes).reshape(len(vectors), -1)
     out = enumerate_outcomes(joint, build_plan(scenario.steps))
     if len(out) and out.kept_qubits != scenario.receiver:

@@ -204,6 +204,7 @@ def test_criterion_6_locc_discrimination(_announce):
     _announce["ok"] = True
 
 
+@pytest.mark.usefixtures("keep_every_branch")
 def test_criterion_7_randomized_properties(_announce):
     rng = np.random.default_rng(2026)
 
@@ -244,8 +245,7 @@ def test_criterion_7_randomized_properties(_announce):
             cursor += width
         if not steps:
             continue
-        out = enumerate_outcomes(st.amplitudes[None], MeasurementPlan(tuple(steps)),
-                                 drop_tol=0.0)
+        out = enumerate_outcomes(st.amplitudes[None], MeasurementPlan(tuple(steps)))
         total = sum(out.probabilities[:, 0])
         assert abs(total - 1.0) < SUM_TOL, case
 
@@ -262,9 +262,9 @@ def test_criterion_7_randomized_properties(_announce):
     for name in ("GHZ4", "W4", "Omega", "Q4", "Q5"):
         st = make_state(name).state
         split = enumerate_outcomes(st.amplitudes[None], MeasurementPlan((
-            ((0, 1, 2), ghz3), ((3,), pm))), drop_tol=0.0)
+            ((0, 1, 2), ghz3), ((3,), pm))))
         fused = enumerate_outcomes(st.amplitudes[None], MeasurementPlan((
-            ((0, 1, 2, 3), joint),)), drop_tol=0.0)
+            ((0, 1, 2, 3), joint),)))
         p_split = dict(zip(split.keys, split.probabilities[:, 0]))
         p_fused = dict(zip(fused.keys, fused.probabilities[:, 0]))
         for key in set(p_split) | set(p_fused):

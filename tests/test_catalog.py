@@ -355,9 +355,10 @@ def _branch_probabilities(probe_kets, resource_name, qubits, basis):
     probe = PureState.from_kets(probe_kets, normalize=True)
     joint = tensor(probe, make_state(resource_name).state)
     plan = MeasurementPlan(((qubits, basis),))
-    return enumerate_outcomes(joint.amplitudes[None], plan, drop_tol=0.0)
+    return enumerate_outcomes(joint.amplitudes[None], plan)
 
 
+@pytest.mark.usefixtures("keep_every_branch")
 def test_tau_printed_pairs_are_protocol_dead():
     # the printed tau3/tau4 kets |1011>/|0011> never receive amplitude, so
     # those branches fire on one arm only (residual independent of the
@@ -379,6 +380,7 @@ def test_tau_printed_pairs_are_protocol_dead():
     assert abs(tau3[1]) < 1e-12
 
 
+@pytest.mark.usefixtures("keep_every_branch")
 def test_tau_corrected_basis_covers_all_branches():
     basis = make_basis("tau_q4")
     for probe in ({"0": 1}, {"1": 1}, {"0": 1, "1": 1j}):
@@ -403,7 +405,7 @@ def test_omega34_printed_pair_has_zero_probability():
     for member in family_span(FamilySpec("omega_sub", 3, (0, 0))):
         joint = tensor(PureState(member), make_state("Omega").state)
         plan = MeasurementPlan((((0, 1, 2, 3), printed),))
-        out = enumerate_outcomes(joint.amplitudes[None], plan, drop_tol=1e-12)
+        out = enumerate_outcomes(joint.amplitudes[None], plan)
         fired = {key for key, perp in zip(out.keys, out.perp) if not perp}
         assert "Omega4+" in fired and "Omega4-" in fired
         assert not fired & {"Omega3+", "Omega3-"}

@@ -77,14 +77,46 @@ BAD_FIELDS = (None, "x", "", 1.5, -1, 0, 7, 10 ** 6, [], {}, [0], ["x"],
               {"a": 1}, True, float("nan"), float("inf"), -float("inf"),
               "0101", "GHZ4", "bell", "paulis+cz", HUGE_INT)
 FILE_SOURCES = ("ghz1_ghz4basis", "ghz2_pi_01", "w3_sigma")
+# family shapes refused when the FamilySpec is built, each with the rule it
+# breaks; the first four used to fail at run time or leak a traceback, and
+# the fifth and sixth had their dressing silently ignored
+BAD_FAMILIES = (
+    ({"kind": "arbitrary", "num_qubits": 0}, "num_qubits must be at least 1, got 0"),
+    ({"kind": "ghz_diag", "num_qubits": 0}, "num_qubits must be at least 1, got 0"),
+    ({"kind": "w_equal3", "num_qubits": 1},
+     "w_equal3 is a 3-qubit family, got num_qubits 1"),
+    ({"kind": "omega_sub", "num_qubits": 1, "dressing": [0, 0]},
+     "omega_sub is a 3-qubit family, got num_qubits 1"),
+    ({"kind": "arbitrary", "num_qubits": 1, "dressing": [0]},
+     "arbitrary takes no dressing, got [0]"),
+    ({"kind": "w_equal3", "num_qubits": 3, "dressing": [1, 2, 3]},
+     "w_equal3 takes no dressing, got [1, 2, 3]"),
+    ({"kind": "ghz_diag", "num_qubits": 2, "dressing": [0]},
+     "ghz_diag dressing needs one Pauli index per qubit"),
+    ({"kind": "omega_sub", "num_qubits": 3, "dressing": [0]},
+     "omega_sub dressing needs two Pauli indices"),
+)
+
+
+def _family_files(tmp_path):
+    """One ``teleport --file`` argument list per ``BAD_FAMILIES`` shape, on
+    the document of a registered scenario."""
+    out = []
+    for i, (family, _) in enumerate(BAD_FAMILIES):
+        doc = json.loads(dumps_scenario(reg.TELEPORT_SCENARIOS["ghz1_ghz4basis"]))
+        doc["family"] = family
+        path = tmp_path / ("family%d.json" % i)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out.append(["teleport", "--file", str(path), "--format", "json"])
+    return out
 
 
 @pytest.fixture
 def templates(tmp_path):
-    """TEMPLATES and two scenario files: one whose inline resource kets have
-    40-bit labels, refused before any amplitude is allocated, then one with
-    an arbitrary five-qubit family, refused for its 1,044 x 4^5 x 2^5
-    correction scores."""
+    """TEMPLATES, the ``BAD_FAMILIES`` scenario files, and two more: one
+    whose inline resource kets have 40-bit labels, refused before any
+    amplitude is allocated, then one with an arbitrary five-qubit family,
+    refused for its 1,044 x 4^5 x 2^5 correction scores."""
     wide_kets = TeleportScenario("wide_kets", "inline", FamilySpec("arbitrary", 1),
                                  (StepSpec((0, 1), "bell"),), (40,),
                                  resource_kets=(("0" * 40, 1.0), ("1" * 40, 1.0)))
@@ -96,7 +128,7 @@ def templates(tmp_path):
         path = tmp_path / ("%s.json" % sc.scenario_id)
         path.write_text(dumps_scenario(sc), encoding="utf-8")
         files.append(["teleport", "--file", str(path), "--format", "json"])
-    return TEMPLATES + tuple(files)
+    return TEMPLATES + tuple(_family_files(tmp_path)) + tuple(files)
 
 
 def _mutate_argv(rng, argv):
@@ -168,6 +200,11 @@ def test_wide_ket_labels_are_refused_by_name(capsys, templates):
     for argv in ["catalog", "--state", "GHZ:40"], templates[-2]:
         assert _run(capsys, argv) == (
             2, "error: 40 qubits exceeds the 12-qubit capacity\n"), argv
+
+
+def test_family_shapes_are_refused_by_rule(capsys, tmp_path):
+    for argv, (_, message) in zip(_family_files(tmp_path), BAD_FAMILIES):
+        assert _run(capsys, argv) == (2, "error: %s: %s\n" % (argv[2], message)), argv
 
 
 def test_ghz_leading_zeros_are_refused_by_name(capsys):

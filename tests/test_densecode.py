@@ -255,7 +255,7 @@ def test_query_at_the_limit_is_answered(monkeypatch):
     # and the encodings of GHZ:12 with sender 0..5, 4^6 x 2^12 amplitudes; the
     # same boundaries are checked here at sizes that are cheap to run
     assert 8 ** 8 == 4 ** 6 * 2 ** 12 == MAX_STACK_ENTRIES
-    monkeypatch.setattr(densecode, "MAX_STACK_ENTRIES", 8 ** 2)
+    monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 8 ** 2)
     st = make_state("GHZ4").state
     assert distinguishable_messages(st, (1, 0)).count == 8
     with pytest.raises(ValueError, match="3 sender qubits of a 4-qubit"):

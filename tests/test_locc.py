@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quadproto import locc
+from quadproto import locc, measure
 from quadproto import scenarios as reg
 from quadproto.catalog import NamedBasis, make_basis
 from quadproto.locc import (
@@ -219,16 +219,16 @@ def _oracle_cases():
 @pytest.mark.parametrize("tol", [DROP_TOL, 0.0, 1e-6])
 def test_discrimination_matches_per_branch_reference(tol, monkeypatch):
     # the reference reads the same kernel output run_discrimination got; the
-    # kernel has its own oracle in test_measure.py.  run_discrimination asks
-    # for the default drop tolerance; the kernel is run at ``tol`` so the
-    # owner logic also meets outputs that keep more branches (0.0) or fewer
+    # kernel has its own oracle in test_measure.py.  The kernel is run at a
+    # drop tolerance of ``tol`` so the owner logic also meets outputs that
+    # keep more branches (0.0) or fewer
     kernel_out = []
 
     def recording(*args, **kwargs):
-        assert kwargs.pop("drop_tol", DROP_TOL) == DROP_TOL
-        kernel_out.append(enumerate_outcomes(*args, drop_tol=tol, **kwargs))
+        kernel_out.append(enumerate_outcomes(*args, **kwargs))
         return kernel_out[-1]
 
+    monkeypatch.setattr(measure, "DROP_TOL", tol)
     monkeypatch.setattr(locc, "enumerate_outcomes", recording)
     checked = 0
     for name, candidates, protocol in _oracle_cases():

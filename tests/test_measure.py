@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quadproto import measure
+from quadproto import measure, teleport
 from quadproto import scenarios as reg
 from quadproto.catalog import NamedBasis, make_basis, make_state
 from quadproto.measure import (
@@ -38,6 +38,7 @@ def test_step_size_must_match_basis():
                            _plan(((0,), "bell")))
 
 
+@pytest.mark.usefixtures("keep_every_branch")
 def test_probability_sums_randomized():
     # 200 random states and plans; branch probabilities always sum to one
     rng = np.random.default_rng(99)
@@ -55,20 +56,20 @@ def test_probability_sums_randomized():
                 steps.append((tuple(pair), str(rng.choice(two_q))))
             else:
                 steps.append(((qubits.pop(),), str(rng.choice(one_q))))
-        out = enumerate_outcomes(st.amplitudes[None], _plan(*steps), drop_tol=0.0)
+        out = enumerate_outcomes(st.amplitudes[None], _plan(*steps))
         total = sum(out.probabilities[:, 0])
         assert abs(total - 1.0) < 1e-10
         checked += 1
     assert checked == 200
 
 
+@pytest.mark.usefixtures("keep_every_branch")
 def test_computational_plan_matches_amplitudes():
     # two-step computational plan equals marginal mod-squared amplitudes
     rng = np.random.default_rng(17)
     st = random_state(4, rng)
     plan = _plan(((1,), "computational:1"), ((0, 2), "computational:2"))
-    out = enumerate_outcomes(plan=plan, amplitudes=st.amplitudes[None],
-                             drop_tol=0.0)
+    out = enumerate_outcomes(plan=plan, amplitudes=st.amplitudes[None])
     probs = dict(zip(out.keys, out.probabilities[:, 0]))
     amps = st.amplitudes.reshape((2, 2, 2, 2))
     for b1 in range(2):
@@ -88,6 +89,7 @@ def test_residual_states_normalized_and_kept_indices():
         assert abs(np.linalg.norm(residual) - 1.0) < 1e-12
 
 
+@pytest.mark.usefixtures("keep_every_branch")
 def test_refinement_equivalence_three_plus_one():
     # measuring (0,1,2) then (3) equals one tensored 16-outcome step
     ghz3 = make_basis("ghz3_full")
@@ -103,11 +105,9 @@ def test_refinement_equivalence_three_plus_one():
     for name in ("GHZ4", "W4", "Omega", "Q4", "Q5"):
         st = make_state(name).state.amplitudes[None]
         two_step = enumerate_outcomes(
-            st, _plan(((0, 1, 2), "ghz3_full"), ((3,), "plus_minus")),
-            drop_tol=0.0)
+            st, _plan(((0, 1, 2), "ghz3_full"), ((3,), "plus_minus")))
         one_step = enumerate_outcomes(
-            st, MeasurementPlan((((0, 1, 2, 3), joint_basis),)),
-            drop_tol=0.0)
+            st, MeasurementPlan((((0, 1, 2, 3), joint_basis),)))
         p2 = dict(zip(two_step.keys, two_step.probabilities[:, 0]))
         p1 = dict(zip(one_step.keys, one_step.probabilities[:, 0]))
         for key in set(p1) | set(p2):
@@ -130,12 +130,13 @@ def test_complete_basis_noop_when_complete():
     assert not any(lbl.startswith("perp") for lbl in full.labels)
 
 
+@pytest.mark.usefixtures("keep_every_branch")
 def test_perp_probability_partial_basis():
     # W4 has no support on the omega measurement's named directions' span
     # complement being zero; check bookkeeping instead of a specific value
     st = make_state("W4").state
     out = enumerate_outcomes(st.amplitudes[None],
-                             _plan(((0, 1, 2, 3), "omega_meas")), drop_tol=0.0)
+                             _plan(((0, 1, 2, 3), "omega_meas")))
     assert list(out.perp) == [key.startswith("perp") for key in out.keys]
     leak = sum(out.probabilities[out.perp, 0])
     named = sum(out.probabilities[~out.perp, 0])
@@ -143,27 +144,35 @@ def test_perp_probability_partial_basis():
     assert leak > 0.5  # most of W4 lies outside the four named directions
 
 
+def test_auto_completed_outcomes_are_flagged_by_position():
+    # a declared label may start with "perp" and is not flagged; a row that
+    # completion appends is, whatever its label
+    pb = NamedBasis("pb", ("perp_a", "b"), np.eye(2))
+    assert MeasurementPlan((((0,), pb),)).outcome_table[2].tolist() == [False, False]
+    half = NamedBasis("half", ("perp_a",), np.eye(2)[:1])
+    plan = MeasurementPlan((((0,), half), ((1,), pb)))
+    _, keys, perp = plan.outcome_table
+    assert keys == ("perp_a,perp_a", "perp_a,b", "perp0,perp_a", "perp0,b")
+    assert perp.tolist() == [False, False, True, True]
+    # so |1> on qubit 0 leaks all of its probability, and |0> none
+    for bits, leaked in (("00", 0.0), ("10", 1.0)):
+        out = enumerate_outcomes(basis_state(bits).amplitudes[None], plan)
+        assert sum(out.probabilities[out.perp, 0]) == leaked, bits
+
+
+@pytest.mark.usefixtures("keep_every_branch")
 def test_zero_probability_branches_dropped():
     # |0000> overlaps exactly two of the eight basis vectors; the other
-    # six must be dropped even at drop_tol=0 (no NaN residuals).
+    # six must be dropped even at DROP_TOL = 0 (no NaN residuals).
     st = basis_state("0000")
     out = enumerate_outcomes(st.amplitudes[None],
-                             _plan(((0, 1, 2, 3), "ghz4_full")), drop_tol=0.0)
+                             _plan(((0, 1, 2, 3), "ghz4_full")))
     assert set(out.keys) == {"4GHZ1+", "4GHZ1-"}
     assert all(abs(p - 0.5) < 1e-12 for p in out.probabilities[:, 0])
     assert out.residuals is None  # nothing left unmeasured
 
 
-def test_negative_drop_tol_rejected():
-    with pytest.raises(ValueError):
-        enumerate_outcomes(make_state("GHZ4").state.amplitudes[None],
-                           _plan(((0, 1), "bell")), drop_tol=-1.0)
-    for bad in (float("nan"), float("inf"), 1.0):
-        with pytest.raises(ValueError, match="drop_tol must be a finite number"):
-            enumerate_outcomes(make_state("GHZ4").state.amplitudes[None],
-                               _plan(((0, 1), "bell")), drop_tol=bad)
-
-
+@pytest.mark.usefixtures("keep_every_branch")
 def test_stack_boundaries():
     plan = _plan(((0, 1), "bell"))
     empty = enumerate_outcomes(np.zeros((0, 16), dtype=np.complex128), plan)
@@ -188,7 +197,7 @@ def test_stack_boundaries():
             run_discrimination(candidates, bell)
     # a branch that fires for one input only reads exactly 0.0 for the other
     out = enumerate_outcomes(np.array([basis_state("0000").amplitudes, ghz]),
-                             _plan(((0, 1, 2, 3), "ghz4_full")), drop_tol=0.0)
+                             _plan(((0, 1, 2, 3), "ghz4_full")))
     assert out.probabilities.shape == (len(out), 2)
     for key, probs in zip(out.keys, out.probabilities):
         if key != "4GHZ1+":
@@ -250,7 +259,11 @@ def _assert_same_branches(stack, steps, where):
     assert got.labels == want.labels and got.keys == want.keys, where
     assert np.array_equal(got.probabilities, want.probabilities), where
     assert got.kept_qubits == want.kept_qubits, where
-    assert np.array_equal(got.perp, want.perp), where
+    # a basis completed by hand declares its perp rows, so only the plan
+    # completing it flags them; no catalog label starts with "perp"
+    assert not want.perp.any(), where
+    assert got.perp.tolist() == [any(lbl.startswith("perp") for lbl in labels)
+                                 for labels in got.labels], where
     if want.residuals is None:
         assert got.residuals is None, where
     else:
@@ -263,10 +276,9 @@ def _all_scenarios():
                         for sc in group]
 
 
-def _probe_stack(scenario, seed, num_random=20):
+def _probe_stack(scenario, seed):
     resource = scenario.resource_state().state
-    vectors, _ = build_probes(scenario.family, np.random.default_rng(seed),
-                              num_random=num_random)
+    vectors, _ = build_probes(scenario.family, np.random.default_rng(seed))
     return np.array([np.kron(v, resource.amplitudes) for v in vectors])
 
 
@@ -278,9 +290,10 @@ def _protocol_stacks():
                                                 for _, state in candidates])
 
 
-def test_completed_plans_match_separate_completion_for_scenarios():
+def test_completed_plans_match_separate_completion_for_scenarios(monkeypatch):
+    monkeypatch.setattr(teleport, "NUM_RANDOM_PROBES", 2)
     for sc in _all_scenarios():
-        _assert_same_branches(_probe_stack(sc, 3, num_random=2), sc.steps,
+        _assert_same_branches(_probe_stack(sc, 3), sc.steps,
                               sc.scenario_id)
 
 
@@ -407,8 +420,9 @@ def _reference_outcomes(amplitudes, plan, drop_tol=DROP_TOL):
     return out
 
 
-def _assert_matches_reference(stack, plan, where, drop_tol=DROP_TOL):
-    got = enumerate_outcomes(stack, plan, drop_tol=drop_tol)
+def _assert_matches_reference(stack, plan, where):
+    got = enumerate_outcomes(stack, plan)
+    drop_tol = measure.DROP_TOL
     # at a large drop_tol every branch of a spread-out input may drop
     assert len(got) or drop_tol > DROP_TOL, where
     assert got.probabilities.shape == (len(got), len(stack)), where
@@ -486,20 +500,22 @@ def _sparse_stack(rng, n):
 
 
 @pytest.mark.parametrize("drop_tol", [0.0, 1e-12, 1e-6, 1e-3, 0.05, 0.2])
-def test_stacked_kernel_matches_per_state_reference_on_random_partial_plans(drop_tol):
+def test_stacked_kernel_matches_per_state_reference_on_random_partial_plans(
+        drop_tol, monkeypatch):
     # one drop at the end of the plan must keep exactly the branches the
     # per-state walk keeps when it prunes after every step
+    monkeypatch.setattr(measure, "DROP_TOL", drop_tol)
     rng = np.random.default_rng(1207)
     died_mid_plan = 0
     for case in range(40):
         n = int(rng.integers(2, 8))
         plan = _random_partial_plan(rng, n)
         stack = _sparse_stack(rng, n)
-        _assert_matches_reference(stack, plan, (case, n, drop_tol), drop_tol)
+        _assert_matches_reference(stack, plan, (case, n, drop_tol))
         if len(plan.pairs) > 1:
             # a first-step branch (each fires for some input) that does not
             # fire for every input
-            first = enumerate_outcomes(stack, MeasurementPlan(plan.pairs[:1]),
-                                       drop_tol=drop_tol).probabilities > 0.0
+            first = enumerate_outcomes(stack, MeasurementPlan(plan.pairs[:1])
+                                       ).probabilities > 0.0
             died_mid_plan += bool((~first.all(axis=1)).any())
     assert died_mid_plan >= 5

@@ -449,15 +449,14 @@ def test_check_tolerance_rejects_outside_open_unit_interval(value):
         check_tolerance(value)
 
 
-def test_check_tolerance_accepts_zero_only_for_drop_tolerances():
-    for value in (1e-300, 1e-12, 0.5, 0.999):
+def test_check_tolerance_accepts_the_open_unit_interval():
+    for value in (1e-300, 1e-12, 0.5, 0.999, np.float64(0.5)):
         assert check_tolerance(value) == value
-        assert check_tolerance(value, allow_zero=True) == value
-    assert check_tolerance(0.0, "drop_tol", allow_zero=True) == 0.0
     # False is not 0: a bool is refused, as a string is
-    for value in (-1e-300, 1.0, float("nan"), False, "0"):
-        with pytest.raises(ValueError, match=r"drop_tol .* in \[0, 1\)"):
-            check_tolerance(value, "drop_tol", allow_zero=True)
+    for value in (-1e-300, False, "0"):
+        with pytest.raises(ValueError, match=r"^tol must be a finite number "
+                                             r"strictly between 0 and 1, got "):
+            check_tolerance(value)
 
 
 def _valid_arguments():
@@ -466,16 +465,12 @@ def _valid_arguments():
     is accepted."""
     ghz4 = quadproto.make_state("GHZ4").state
     ghz8 = reg.locc_candidate_sets()["ghz8"]
-    bell = quadproto.build_plan([quadproto.StepSpec((0, 1), "bell")])
     return {
-        "PureState.ket_terms": ((ghz4,), {}),
-        "enumerate_outcomes": ((ghz4.amplitudes[None], bell), {}),
         "run_scenario": ((reg.TELEPORT_SCENARIOS["ghz2_pi_01"],), {}),
         "distinguishable_messages": ((ghz4, (0,)), {}),
         "best_over_subsets": ((ghz4, 1), {}),
         "product_terms": ((ghz8[0][1], reg.certificate_factors()["ghz8"]), {}),
         "check_certificate": ((ghz8, reg.certificate_factors()["ghz8"]), {}),
-        "genuine_multipartite": ((ghz4,), {}),
         "run_suite": ((), {"sections": ("bases",)}),
     }
 
@@ -590,6 +585,16 @@ def test_pauli_table_builds_no_wide_product_array():
 def test_pauli_table_above_the_stack_limit_is_refused():
     with pytest.raises(CapacityError, match="over the limit of 2"):
         pauli_table(9)
+
+
+def test_unknown_pauli_names_are_refused_by_name():
+    # "sx" used to fail inside tuple.index without naming itself
+    for bad in ("sx", "S1", "i", 1):
+        with pytest.raises(ValueError, match=r"^unknown Pauli %s, expected one of "
+                                             r"s0, s1, s2, is2, s3$" % re.escape(repr(bad))):
+            apply_paulis(np.ones(2) / 2 ** 0.5, [bad])
+    with pytest.raises(ValueError, match="unknown Pauli 'sx'"):
+        apply_paulis(np.eye(4), ["s0", "sx"])
 
 
 def test_single_pauli_products_are_table_rows():

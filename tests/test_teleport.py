@@ -12,7 +12,7 @@ import pytest
 
 from quadproto import catalog, measure
 from quadproto import scenarios as reg
-from quadproto import teleport
+from quadproto import states, teleport
 from quadproto.measure import StepSpec, build_plan, enumerate_outcomes
 from quadproto.scenario_io import dumps_scenario, loads_scenario
 from quadproto.states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, SIGMA,
@@ -38,10 +38,11 @@ def _run(sid, **kw):
 
 # --- probe construction ------------------------------------------------------
 
-def _reference_probes(spec, rng, num_random=teleport.NUM_RANDOM_PROBES):
+def _reference_probes(spec, rng):
     """The one-probe-at-a-time construction ``build_probes`` replaced: (label,
     state, certifying) per probe, the span members, then per pair the plus
-    and phase superpositions, then the seeded random members."""
+    and phase superpositions, then ``teleport.NUM_RANDOM_PROBES`` seeded
+    random members."""
     span = [PureState(row) for row in family_span(spec)]
     probes = [("b%d" % i, v, True) for i, v in enumerate(span)]
     n = len(span)
@@ -53,7 +54,7 @@ def _reference_probes(spec, rng, num_random=teleport.NUM_RANDOM_PROBES):
             probes.append(("p%d%d+" % (i, j), plus, True))
             probes.append(("p%d%di" % (i, j), phase, True))
     if n > 1:
-        for t in range(num_random):
+        for t in range(teleport.NUM_RANDOM_PROBES):
             coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             coeff /= np.linalg.norm(coeff)
             vec = sum(c * v.amplitudes for c, v in zip(coeff, span))
@@ -61,11 +62,12 @@ def _reference_probes(spec, rng, num_random=teleport.NUM_RANDOM_PROBES):
     return probes
 
 
-def test_probe_labels_and_flags():
+def test_probe_labels_and_flags(monkeypatch):
+    monkeypatch.setattr(teleport, "NUM_RANDOM_PROBES", 5)
     rng = np.random.default_rng(0)
-    vectors, certifying = build_probes(FamilySpec("arbitrary", 2), rng, num_random=5)
+    vectors, certifying = build_probes(FamilySpec("arbitrary", 2), rng)
     labels = [label for label, _, _ in
-              _reference_probes(FamilySpec("arbitrary", 2), np.random.default_rng(0), 5)]
+              _reference_probes(FamilySpec("arbitrary", 2), np.random.default_rng(0))]
     # 4 basis members, C(4,2) pairs twice over (plus and phase), 5 randoms
     assert labels[:6] == ["b0", "b1", "b2", "b3", "p01+", "p01i"]
     assert labels[-6:] == ["p23i", "r0", "r1", "r2", "r3", "r4"]
@@ -101,7 +103,7 @@ def test_family_spec_refuses_bool_and_non_integer_dressings():
 
 
 @pytest.mark.parametrize("seed", [42, 7])
-def test_build_probes_matches_reference(seed):
+def test_build_probes_matches_reference(seed, monkeypatch):
     # the registered families reach span sizes 1, 2 and 4; an arbitrary
     # three-qubit family adds 8
     specs = list(dict.fromkeys([sc.family for sc in _ALL_SCENARIOS]
@@ -110,10 +112,11 @@ def test_build_probes_matches_reference(seed):
     assert {spec.kind for spec in specs} == {"arbitrary", "ghz_diag", "omega_sub",
                                              "w_equal3"}
     for spec in specs:
+        assert len(family_span(spec)) == spec.span_dim, spec
         for num_random in (0, 1, 20):
-            vectors, certifying = build_probes(spec, np.random.default_rng(seed),
-                                               num_random)
-            want = _reference_probes(spec, np.random.default_rng(seed), num_random)
+            monkeypatch.setattr(teleport, "NUM_RANDOM_PROBES", num_random)
+            vectors, certifying = build_probes(spec, np.random.default_rng(seed))
+            want = _reference_probes(spec, np.random.default_rng(seed))
             assert np.array_equal(
                 vectors, np.array([state.amplitudes for _, state, _ in want])), \
                 (spec, num_random)
@@ -231,7 +234,7 @@ def test_memoized_inputs_are_read_only():
     with pytest.raises(TypeError):
         sc.resource_state().params["m"] = 99.0
     assert sc.resource_state().params["m"] == 1.0
-    # exceptions are not cached: a bad family is refused on every call
+    # a bad family is refused when it is built, before a memo sees it
     for _ in range(2):
         with pytest.raises(ValueError, match="one Pauli index per qubit"):
             family_span(FamilySpec("ghz_diag", 3, (0,)))
@@ -275,8 +278,10 @@ def test_seed_independent_arrays_are_built_once_per_value(monkeypatch):
         assert {name for name in after if after[name] > before[name]} == rebuilt, changes
     # the random probes are drawn per call: another count builds nothing
     before = _misses()
-    run_scenario(base, num_random=3)
+    monkeypatch.setattr(teleport, "NUM_RANDOM_PROBES", 3)
+    run_scenario(base)
     assert _misses() == before
+    monkeypatch.undo()
     # an inline resource is built per call, so no memo holds it
     pair = TeleportScenario("pair", "pair", FamilySpec("arbitrary", 1),
                             (StepSpec((0, 1), "bell"),), (2,),
@@ -291,7 +296,7 @@ def test_seed_independent_arrays_are_built_once_per_value(monkeypatch):
     with pytest.raises(ValueError):
         columns[0] = 0
     # a lowered limit still refuses once every entry is built
-    monkeypatch.setattr(teleport, "MAX_STACK_ENTRIES", 36 * 8 ** 2 - 1)
+    monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 36 * 8 ** 2 - 1)
     monkeypatch.setattr(teleport, "build_probes", _no_probes)
     with pytest.raises(CapacityError, match="over the limit"):
         run_scenario(base, seed=5)
@@ -431,6 +436,26 @@ def test_family_size_must_be_an_integer():
     assert family_span(FamilySpec("arbitrary", np.int64(1))).shape == (2, 2)
 
 
+@pytest.mark.parametrize("kind, k, dressing, message", [
+    # an AttributeError out of run_scenario, and int('') out of family_span
+    ("arbitrary", 0, (), "num_qubits must be at least 1, got 0"),
+    ("ghz_diag", 0, (), "num_qubits must be at least 1, got 0"),
+    # refused at run time, blaming the plan for the receiver's size
+    ("w_equal3", 1, (), "w_equal3 is a 3-qubit family, got num_qubits 1"),
+    ("omega_sub", 1, (0, 0), "omega_sub is a 3-qubit family, got num_qubits 1"),
+    # a dressing these kinds silently ignored
+    ("arbitrary", 1, (0,), "arbitrary takes no dressing, got [0]"),
+    ("w_equal3", 3, (1, 2, 3), "w_equal3 takes no dressing, got [1, 2, 3]"),
+    ("ghz_diag", 3, (0,), "ghz_diag dressing needs one Pauli index per qubit"),
+    ("ghz_diag", 1, (0, 1), "ghz_diag dressing needs one Pauli index per qubit"),
+    ("omega_sub", 3, (0,), "omega_sub dressing needs two Pauli indices"),
+    ("omega_sub", 3, (0, 1, 2), "omega_sub dressing needs two Pauli indices"),
+])
+def test_family_shape_is_refused_when_the_spec_is_built(kind, k, dressing, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        FamilySpec(kind, k, dressing)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         TeleportScenario("x", "GHZ4", FamilySpec("arbitrary", 1),
@@ -515,11 +540,11 @@ def test_probe_stack_limit_is_exact_for_registered_families(monkeypatch):
         largest = max(largest, entries)
         largest_scores = max(largest_scores, scores)
         monkeypatch.setattr(teleport, "build_probes", _reached)
-        monkeypatch.setattr(teleport, "MAX_STACK_ENTRIES", max(entries, scores))
+        monkeypatch.setattr(states, "MAX_STACK_ENTRIES", max(entries, scores))
         with pytest.raises(_Reached):
             run_scenario(sc)
         monkeypatch.setattr(teleport, "build_probes", _no_probes)
-        monkeypatch.setattr(teleport, "MAX_STACK_ENTRIES", max(entries, scores) - 1)
+        monkeypatch.setattr(states, "MAX_STACK_ENTRIES", max(entries, scores) - 1)
         with pytest.raises(CapacityError, match="over the limit"):
             run_scenario(sc)
         monkeypatch.undo()
@@ -531,11 +556,11 @@ def test_correction_scores_above_limit_refused(monkeypatch):
     # ghz3_pi_000 probes 24 rows of a 7-qubit joint register (3,072
     # amplitudes) but scores 24 x 4^3 x 2^3 = 12,288 entries per prefix
     sc = reg.TELEPORT_SCENARIOS["ghz3_pi_000"]
-    monkeypatch.setattr(teleport, "MAX_STACK_ENTRIES", 12288)
+    monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 12288)
     monkeypatch.setattr(teleport, "build_probes", _reached)
     with pytest.raises(_Reached):
         run_scenario(sc)
-    monkeypatch.setattr(teleport, "MAX_STACK_ENTRIES", 12287)
+    monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 12287)
     monkeypatch.setattr(teleport, "build_probes", _no_probes)
     with pytest.raises(CapacityError, match=r"^24 probes of a 3-qubit family need "
                                             r"24 x 4\^3 x 2\^3 correction scores"):
@@ -560,32 +585,24 @@ def test_bad_tolerance_rejected(tol):
         run_scenario(reg.TELEPORT_SCENARIOS["w3_sigma"], tol=tol)
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    ({"num_random": -1}, "num_random must be a non-negative integer, got -1"),
-    ({"num_random": 1.5}, "num_random must be an integer, got 1.5"),
-    ({"num_random": 1.0}, "num_random must be an integer, got 1.0"),
-    ({"num_random": True}, "num_random must be an integer, got True"),
-    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
-    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-    ({"seed": "x"}, "seed must be an integer, got 'x'"),
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be a non-negative integer, got -1"),
+    (1.5, "seed must be an integer, got 1.5"),
+    ("x", "seed must be an integer, got 'x'"),
     # numpy would draw OS entropy, and the verdict could not be reproduced
-    ({"seed": None}, "seed must be an integer, got None"),
-])
-def test_seed_and_probe_count_are_checked_before_any_work(kwargs, message, monkeypatch):
+    (None, "seed must be an integer, got None"),
+], ids=["-1", "1.5", "x", "None"])
+def test_seed_is_checked_before_any_work(seed, message, monkeypatch):
     # refused before the resource is looked up or any probe is built: the
     # resource name below is unknown to the catalog
     sc = dataclasses.replace(reg.TELEPORT_SCENARIOS["ghz2_pi_01"], resource="no_such_state")
     monkeypatch.setattr(teleport, "build_probes", _no_probes)
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
-        run_scenario(sc, **kwargs)
+        run_scenario(sc, seed=seed)
     monkeypatch.undo()
-    if "num_random" in kwargs:
-        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
-            build_probes(sc.family, np.random.default_rng(0), kwargs["num_random"])
-    # numpy integers stay accepted, and 0 random probes is a valid count
+    # numpy integers stay accepted
     good = reg.TELEPORT_SCENARIOS["ghz2_pi_01"]
-    assert run_scenario(good, seed=np.int64(3), num_random=np.uint8(0)) == \
-        run_scenario(good, seed=3, num_random=0)
+    assert run_scenario(good, seed=np.int64(3)) == run_scenario(good, seed=3)
 
 
 # --- registry-wide sweep --------------------------------------------------------
@@ -668,12 +685,11 @@ def _reference_find(candidates, res_mat, exp_mat, cert_rows, tol):
     return chosen, chosen_min, best
 
 
-def _reference_run(scenario, seed=42, tol=ASSERT_TOL,
-                   num_random=teleport.NUM_RANDOM_PROBES):
+def _reference_run(scenario, seed=42, tol=ASSERT_TOL):
     """run_scenario with the correction scan done one dense matrix at a time."""
     rng = np.random.default_rng(seed)
     resource = scenario.resource_state().state
-    probes = _reference_probes(scenario.family, rng, num_random)
+    probes = _reference_probes(scenario.family, rng)
     out = enumerate_outcomes(
         np.array([tensor(state, resource).amplitudes for _, state, _ in probes]),
         build_plan(scenario.steps))
@@ -746,15 +762,16 @@ _FEW_PROBES = ((ASSERT_TOL, 0), (1e-6, 1))
     (42, _DEFAULT_PROBES + _FEW_PROBES), (7, _DEFAULT_PROBES + _FEW_PROBES),
     (1114088974, _DEFAULT_PROBES), (712690534, _DEFAULT_PROBES)],
     ids=["42", "7", "1114088974", "712690534"])
-def test_block_scan_matches_reference_scan(seed, variants):
+def test_block_scan_matches_reference_scan(seed, variants, monkeypatch):
     for tol, num_random in variants:
+        monkeypatch.setattr(teleport, "NUM_RANDOM_PROBES", num_random)
         for sc in _ALL_SCENARIOS + [_LAST_PROBE_MISSES]:
-            want = _reference_run(sc, seed=seed, tol=tol, num_random=num_random)
+            want = _reference_run(sc, seed=seed, tol=tol)
             # a JSON round trip gives a fresh scenario equal by value, as the
             # benchmark runs it; its second run finds every memo warm
             loaded = loads_scenario(dumps_scenario(sc))
             for _ in range(2):
-                got = run_scenario(loaded, seed=seed, tol=tol, num_random=num_random)
+                got = run_scenario(loaded, seed=seed, tol=tol)
                 where = (sc.scenario_id, tol, num_random)
                 assert got == want, where
                 assert repr(got) == repr(want), where
@@ -795,8 +812,9 @@ def test_find_correction_edge_cases():
 
 def test_find_corrections_resolves_a_mixed_batch(monkeypatch):
     # six outcomes over the 18 probes of an arbitrary two-qubit family
+    monkeypatch.setattr(teleport, "NUM_RANDOM_PROBES", 2)
     expected, certifying = build_probes(FamilySpec("arbitrary", 2),
-                                        np.random.default_rng(3), num_random=2)
+                                        np.random.default_rng(3))
     rows = len(expected)
     pauli = dict(_candidates("paulis", 2))
     cz = _cz_matrix(2, (0, 1))
@@ -856,8 +874,9 @@ def test_bulk_scores_cover_the_certifying_rows_when_every_outcome_fires_one(
     # 16 certifying and 5 random rows of a two-qubit family, three outcomes
     # the identity corrects: the bulk transform scores the 16 certifying
     # rows, and all 21 once an outcome fires random rows only
+    monkeypatch.setattr(teleport, "NUM_RANDOM_PROBES", 5)
     expected, certifying = build_probes(FamilySpec("arbitrary", 2),
-                                        np.random.default_rng(4), num_random=5)
+                                        np.random.default_rng(4))
     rows = len(expected)
     assert rows == 21 and certifying[:16].all() and not certifying[16:].any()
     residuals = np.repeat(expected[None], 3, axis=0)
@@ -882,14 +901,15 @@ def test_bulk_scores_cover_the_certifying_rows_when_every_outcome_fires_one(
 
 @pytest.mark.parametrize("allowed", ["paulis", "paulis+cz"])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_random_rows_strike_candidates_the_certifying_rows_accept(allowed, k):
+def test_random_rows_strike_candidates_the_certifying_rows_accept(allowed, k, monkeypatch):
     # outcomes firing the basis rows |t> and the random rows only, with
     # residuals B^dagger v for a diagonal candidate B: every diagonal
     # candidate maps each |t> to +-|t>, so the certifying rows accept them
     # all, and the random rows strike each one the scan meets before B.  The
     # last outcome's random rows are noise, so it strikes every one of them
     rng = np.random.default_rng(100 * k + len(allowed))
-    expected, certifying = build_probes(FamilySpec("arbitrary", k), rng, num_random=4)
+    monkeypatch.setattr(teleport, "NUM_RANDOM_PROBES", 4)
+    expected, certifying = build_probes(FamilySpec("arbitrary", k), rng)
     rows, dim = expected.shape
     diagonal = [(desc, mat) for desc, mat in _candidates(allowed, k)
                 if np.array_equal(mat, np.diag(np.diag(mat)))]
