@@ -7,112 +7,65 @@ certificate of infeasibility.  The same philosophy drives the dense-coding
 counter (exact maximum-clique search over Pauli encodings) and the LOCC
 discrimination checks (transcript collisions plus disjoint-support
 certificates).
+
+``import quadproto`` loads no submodule and not numpy (PEP 562): each
+submodule, and each name in ``__all__``, is imported on first read and then
+kept here.  ``quadproto.cli`` still imports every submodule.
 """
 
-from .states import (
-    MAX_QUBITS,
-    PAULI_ORDER,
-    PureState,
-    SIGMA,
-    apply_local,
-    apply_paulis,
-    basis_state,
-    fidelity,
-    inner,
-    pauli_table,
-    permute_qubits,
-    purity,
-    random_state,
-    random_unitary,
-    reduced_density,
-    tensor,
-)
-from .catalog import (
-    CORRECTIONS,
-    BasisCorrection,
-    NamedBasis,
-    NamedState,
-    basis_names,
-    corrections_for,
-    make_basis,
-    make_state,
-    state_names,
-    validate_orthonormal,
-)
-from .measure import (
-    MeasurementPlan,
-    Outcomes,
-    StepSpec,
-    build_plan,
-    complete_basis,
-    enumerate_outcomes,
-)
-from .teleport import (
-    FamilySpec,
-    OutcomeReport,
-    TeleportResult,
-    TeleportScenario,
-    build_probes,
-    family_span,
-    run_scenario,
-)
-from .densecode import (
-    DenseCodingResult,
-    best_over_subsets,
-    distinguishable_messages,
-    encoded_states,
-)
-from .locc import (
-    CertificateReport,
-    DiscriminationResult,
-    LoccProtocol,
-    check_certificate,
-    product_terms,
-    run_discrimination,
-)
-from .diagnostics import (
-    EntanglementProfile,
-    genuine_multipartite,
-    pair_concurrence,
-    profile,
-    purity_profile,
-    three_tangle_pure,
-    wootters_concurrence,
-)
-from .scenario_io import (
-    ScenarioFormatError,
-    load_scenario,
-    loads_scenario,
-    dumps_scenario,
-    save_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-)
-from .suite import ClaimRow, SuiteReport, format_text, run_suite
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_QUBITS", "PAULI_ORDER", "PureState",
-    "SIGMA", "apply_local", "apply_paulis", "basis_state", "fidelity",
-    "inner", "pauli_table", "permute_qubits",
-    "purity", "random_state", "random_unitary", "reduced_density", "tensor",
-    "CORRECTIONS", "BasisCorrection", "NamedBasis", "NamedState",
-    "basis_names", "corrections_for", "make_basis", "make_state",
-    "state_names", "validate_orthonormal",
-    "MeasurementPlan", "Outcomes", "StepSpec",
-    "build_plan", "complete_basis", "enumerate_outcomes",
-    "FamilySpec", "OutcomeReport", "TeleportResult",
-    "TeleportScenario", "build_probes", "family_span", "run_scenario",
-    "DenseCodingResult", "best_over_subsets", "distinguishable_messages",
-    "encoded_states",
-    "CertificateReport", "DiscriminationResult", "LoccProtocol",
-    "check_certificate", "product_terms", "run_discrimination",
-    "EntanglementProfile", "genuine_multipartite", "pair_concurrence",
-    "profile", "purity_profile", "three_tangle_pure", "wootters_concurrence",
-    "ScenarioFormatError", "load_scenario", "loads_scenario",
-    "dumps_scenario", "save_scenario", "scenario_from_dict",
-    "scenario_to_dict",
-    "ClaimRow", "SuiteReport", "format_text", "run_suite",
-    "__version__",
-]
+# submodule -> the names it exports here
+_EXPORTS = {
+    "states": (
+        "MAX_QUBITS", "PAULI_ORDER", "PureState", "SIGMA", "apply_local",
+        "apply_paulis", "basis_state", "fidelity", "inner", "pauli_table",
+        "permute_qubits", "purity", "random_state", "random_unitary",
+        "reduced_density", "tensor"),
+    "catalog": (
+        "CORRECTIONS", "BasisCorrection", "NamedBasis", "NamedState",
+        "basis_names", "corrections_for", "make_basis", "make_state",
+        "state_names", "validate_orthonormal"),
+    "measure": (
+        "MeasurementPlan", "Outcomes", "StepSpec", "build_plan",
+        "complete_basis", "enumerate_outcomes"),
+    "teleport": (
+        "FamilySpec", "OutcomeReport", "TeleportResult", "TeleportScenario",
+        "build_probes", "family_span", "run_scenario"),
+    "densecode": (
+        "DenseCodingResult", "best_over_subsets", "distinguishable_messages",
+        "encoded_states"),
+    "locc": (
+        "CertificateReport", "DiscriminationResult", "LoccProtocol",
+        "check_certificate", "product_terms", "run_discrimination"),
+    "diagnostics": (
+        "EntanglementProfile", "genuine_multipartite", "pair_concurrence",
+        "profile", "purity_profile", "three_tangle_pure",
+        "wootters_concurrence"),
+    "scenario_io": (
+        "ScenarioFormatError", "load_scenario", "loads_scenario",
+        "dumps_scenario", "save_scenario", "scenario_from_dict",
+        "scenario_to_dict"),
+    "suite": ("ClaimRow", "SuiteReport", "format_text", "run_suite"),
+    "scenarios": (),
+    "cli": (),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_OWNER, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # importing a submodule binds it here
+        return importlib.import_module("." + name, __name__)
+    if name not in _OWNER:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _OWNER[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

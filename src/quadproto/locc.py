@@ -29,7 +29,7 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from .catalog import NamedBasis
-from .measure import (MeasurementPlan, StepSpec, build_plan, check_pairs,
+from .measure import (MeasurementPlan, StepSpec, build_plan, check_pairs, check_steps,
                       contract, enumerate_outcomes)
 from .states import ASSERT_TOL, PureState, check_tolerance
 
@@ -49,6 +49,7 @@ class LoccProtocol:
     rounds: tuple[StepSpec, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rounds", check_steps("rounds", self.rounds))
         if not self.rounds:
             raise ValueError("protocol %r has no rounds" % self.protocol_id)
 
@@ -89,14 +90,25 @@ class DiscriminationResult:
 def _candidate_stack(candidates: Sequence[tuple[str, PureState]],
                      ) -> tuple[list[str], np.ndarray]:
     """Labels and (B, 2**n) amplitude stack of a candidate list, which must
-    be non-empty, with distinct labels, on one register."""
-    labels = [label for label, _ in candidates]
+    be non-empty (label, PureState) pairs, with distinct labels, on one
+    register."""
+    labels, rows = [], []
+    for entry in candidates:
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+            raise ValueError("candidates must be (label, PureState) pairs, got %s"
+                             % type(entry).__name__)
+        label, state = entry
+        if not isinstance(state, PureState):
+            raise ValueError("candidate %r needs a PureState, got %s"
+                             % (label, type(state).__name__))
+        labels.append(label)
+        rows.append(state.amplitudes)
     if len(set(labels)) != len(labels):
         raise ValueError("candidate labels must be distinct, repeated: %s"
                          % sorted({lbl for lbl in labels if labels.count(lbl) > 1}))
-    if len({state.dim for _, state in candidates}) != 1:
+    if len({row.size for row in rows}) != 1:
         raise ValueError("candidates must be one or more states on one register")
-    return labels, np.array([state.amplitudes for _, state in candidates])
+    return labels, np.array(rows)
 
 
 def run_discrimination(candidates: Sequence[tuple[str, PureState]],
@@ -110,6 +122,8 @@ def run_discrimination(candidates: Sequence[tuple[str, PureState]],
     actually fire for some candidate).  The final party announces the
     verdict, which is not counted here.
     """
+    if not isinstance(protocol, LoccProtocol):
+        raise ValueError("protocol must be a LoccProtocol, got %s" % type(protocol).__name__)
     labels, amplitudes = _candidate_stack(candidates)
     out = enumerate_outcomes(amplitudes, protocol.plan)
     # a branch's owners are the candidates it fires for

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .catalog import NamedBasis, make_basis
 from .states import (COMPLETION_MIN, COMPLETION_PICK, DROP_TOL, NORM_TOL,
-                     check_qubits, qubit_count)
+                     check_iterable, check_qubits, qubit_count)
 
 __all__ = [
     "StepSpec",
@@ -36,6 +36,7 @@ __all__ = [
     "Outcomes",
     "build_plan",
     "check_pairs",
+    "check_steps",
     "complete_basis",
     "contract",
     "enumerate_outcomes",
@@ -80,7 +81,8 @@ class StepSpec:
 
     Teleport scenarios use joint-register coordinates (the unknown state's
     qubits first, then the resource qubits in catalog order); LOCC protocols
-    index the candidate register directly.
+    index the candidate register directly.  Every field is checked here,
+    when the step is built.
     """
 
     qubits: tuple[int, ...]
@@ -90,18 +92,36 @@ class StepSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubits", check_qubits("measured qubit", self.qubits))
+        if not isinstance(self.basis, str):
+            raise ValueError("basis must be a catalog name, got %r" % (self.basis,))
+        if (not isinstance(self.basis_params, Mapping)
+                or not all(isinstance(key, str) for key in self.basis_params)):
+            raise ValueError("basis_params must be a mapping with string keys, got %r"
+                             % (self.basis_params,))
+        if not isinstance(self.party, str):
+            raise ValueError("party must be a string, got %r" % (self.party,))
+
+
+def check_steps(what: str, steps: Iterable) -> tuple[StepSpec, ...]:
+    """``steps`` as a tuple, refusing a value that is not iterable and an
+    entry that is not a ``StepSpec``."""
+    steps = check_iterable(what, steps)
+    for step in steps:
+        if not isinstance(step, StepSpec):
+            raise ValueError("%s must be StepSpecs, got %r" % (what, step))
+    return steps
 
 
 def check_pairs(what: str, part: str, pairs: Iterable, n: int | None = None,
                 ) -> tuple[tuple[tuple[int, ...], NamedBasis], ...]:
-    """(qubits, basis) pairs as a tuple, refusing, in order, an entry that is
-    not a 2-item tuple or list, a qubit list that is not iterable, a basis
-    that is not a ``NamedBasis``, bad qubits over all lists as one
-    ``check_qubits`` list (with ``n`` when given) and a basis on another
-    number of qubits than its ``part`` names: the one check of plan steps and
-    factors."""
+    """(qubits, basis) pairs as a tuple, refusing, in order, a value or an
+    entry that is not iterable or not a 2-item tuple or list, a qubit list
+    that is not iterable, a basis that is not a ``NamedBasis``, bad qubits
+    over all lists as one ``check_qubits`` list (with ``n`` when given) and a
+    basis on another number of qubits than its ``part`` names: the one check
+    of plan steps and factors."""
     out = []
-    for pair in pairs:
+    for pair in check_iterable(part + "s", pairs):
         if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
             shown = type(pair).__name__
             if isinstance(pair, (tuple, list)):
@@ -109,10 +129,7 @@ def check_pairs(what: str, part: str, pairs: Iterable, n: int | None = None,
             raise ValueError("%s list and basis must be a (qubits, NamedBasis) "
                              "pair, got %s" % (what, shown))
         qubits, basis = pair
-        try:
-            qubits = tuple(qubits)
-        except TypeError:
-            raise ValueError("%s list must be iterable, got %r" % (what, qubits)) from None
+        qubits = check_iterable(what + " list", qubits)
         if not isinstance(basis, NamedBasis):
             raise ValueError("%s list %s needs a NamedBasis, got %r"
                              % (what, list(qubits), basis))

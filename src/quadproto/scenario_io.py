@@ -160,17 +160,12 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> TeleportScenario:
     for i, s in enumerate(doc["steps"]):
         _require_keys(s, "steps[%d]" % i, ("qubits", "basis"),
                       ("basis_params", "party"))
-        if not isinstance(s["basis"], str):
-            raise ScenarioFormatError("steps[%d].basis must be a string" % i)
-        party = s.get("party", "Alice")
-        if not isinstance(party, str):
-            raise ScenarioFormatError("steps[%d].party must be a string" % i)
-        steps.append(StepSpec(
-            qubits=_int_tuple(s["qubits"], "steps[%d].qubits" % i),
-            basis=s["basis"],
-            basis_params=_params(s.get("basis_params"), "steps[%d].basis_params" % i),
-            party=party,
-        ))
+        qubits = _int_tuple(s["qubits"], "steps[%d].qubits" % i)
+        basis_params = _params(s.get("basis_params"), "steps[%d].basis_params" % i)
+        try:  # StepSpec checks the basis and party types
+            steps.append(StepSpec(qubits, s["basis"], basis_params, s.get("party", "Alice")))
+        except ValueError as exc:
+            raise ScenarioFormatError("steps[%d]: %s" % (i, exc)) from exc
 
     extras = {}
     for key, default in (("allowed_ops", "paulis"), ("aggregator", "Alice"),

@@ -12,12 +12,14 @@ particles 1..4 follow in catalog order.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .catalog import make_basis
-from .locc import LoccProtocol
 from .measure import StepSpec
 from .teleport import FamilySpec, TeleportScenario
+
+if TYPE_CHECKING:
+    from .locc import LoccProtocol
 
 __all__ = [
     "TELEPORT_SCENARIOS",
@@ -284,6 +286,8 @@ def locc_candidate_sets() -> dict[str, list]:
 
 
 def locc_protocols() -> dict[str, LoccProtocol]:
+    from .locc import LoccProtocol
+
     return {
         "ghz_bell_bell": LoccProtocol("ghz_bell_bell", (
             StepSpec((0, 2), "bell", party="B1"),
@@ -316,6 +320,8 @@ def catalog_protocols() -> list[LoccProtocol]:
     bases per pair, plus the one-vs-three splits with a sign basis on the
     single qubit.
     """
+    from .locc import LoccProtocol
+
     pairings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
     bases = ("bell", "computational:2")
     out: list[LoccProtocol] = []

@@ -83,16 +83,21 @@ def check_integer(what: str, *values) -> None:
             raise ValueError("%s must be an integer, got %r" % (what, value))
 
 
+def check_iterable(what: str, values) -> tuple:
+    """``values`` as a tuple, refusing a value that is not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError("%s must be iterable, got %r" % (what, values)) from None
+
+
 def check_qubits(what: str, qubits: Iterable, n: int | None = None) -> tuple[int, ...]:
     """``qubits`` as a tuple, refusing, in this order, a value that is not
     iterable (a bare qubit), an entry that is not an integer
     (``check_integer``), a repeated qubit and, when the register size ``n`` is
     given, a qubit outside range(n).  The one qubit-list check of every entry
     point, run where the list enters, before any by-value memo sees it."""
-    try:
-        qubits = tuple(qubits)
-    except TypeError:
-        raise ValueError("%s list must be iterable, got %r" % (what, qubits)) from None
+    qubits = check_iterable(what + " list", qubits)
     check_integer(what, *qubits)
     if len(set(qubits)) != len(qubits):
         raise ValueError("repeated %s in %s" % (what, list(qubits)))

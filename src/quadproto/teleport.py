@@ -59,9 +59,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .catalog import NamedState, make_state
-from .measure import StepSpec, build_plan, enumerate_outcomes
+from .measure import StepSpec, build_plan, check_steps, enumerate_outcomes
 from .states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, SLICE_ENTRIES,
-                     VALUE_TOL, PureState, apply_paulis, check_integer,
+                     VALUE_TOL, PureState, apply_paulis, check_integer, check_iterable,
                      check_qubits, check_stack, check_tolerance, ket_vector,
                      pauli_coefficients, pauli_table, qubit_count, trace_sums)
 
@@ -95,9 +95,10 @@ class FamilySpec:
       * ``omega_sub``  D(alpha phi+|1> + beta phi-|0>) on three qubits
       * ``w_equal3``   the single state (|001>+|010>+|100>+|000>)/2
     ``num_qubits`` is at least 1, and 3 for ``omega_sub`` and ``w_equal3``.
-    ``dressing`` lists ``PAULI_ORDER`` indices 0..3; for ``ghz_diag`` one
-    per qubit, for ``omega_sub`` the Paulis on qubits 0 and 2, and none for
-    the other kinds.  Each rule is checked here, when the spec is built.
+    ``dressing`` lists ``PAULI_ORDER`` indices 0..3, kept as a tuple; for
+    ``ghz_diag`` one per qubit, for ``omega_sub`` the Paulis on qubits 0 and
+    2, and none for the other kinds.  Each rule is checked here, when the
+    spec is built.
     """
 
     kind: str
@@ -107,6 +108,7 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.kind not in ("arbitrary", "ghz_diag", "omega_sub", "w_equal3"):
             raise ValueError("unknown family kind %r" % self.kind)
+        object.__setattr__(self, "dressing", check_iterable("dressing", self.dressing))
         k, d = self.num_qubits, self.dressing
         check_integer("num_qubits", k)
         if k < 1:
@@ -216,6 +218,11 @@ class TeleportScenario:
     note: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.resource, str):
+            raise ValueError("resource must be a string, got %r" % (self.resource,))
+        if not isinstance(self.family, FamilySpec):
+            raise ValueError("family must be a FamilySpec, got %r" % (self.family,))
+        object.__setattr__(self, "steps", check_steps("steps", self.steps))
         if self.allowed_ops not in ("paulis", "paulis+cz", "paulis+diag"):
             raise ValueError("unknown correction vocabulary %r" % self.allowed_ops)
         object.__setattr__(self, "receiver", check_qubits("receiver qubit", self.receiver))

@@ -26,3 +26,12 @@ def test_every_traced_target_resolves(monkeypatch):
     for module, name in tracer.TARGETS:
         owner = importlib.import_module("quadproto." + module)
         assert callable(getattr(owner, name, None)), "%s.%s" % (module, name)
+
+
+def test_importing_the_cli_loads_every_traced_module(monkeypatch):
+    # Tracer.install imports quadproto.cli and then reads every target's
+    # module from sys.modules, so cli.py must import each of them
+    from test_package import loaded_after
+    tracer = _load_tracer(monkeypatch)
+    modules, _ = loaded_after("import quadproto.cli")
+    assert {module for module, _ in tracer.TARGETS} <= set(modules)

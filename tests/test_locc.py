@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -126,6 +127,35 @@ def test_empty_protocol_refused():
     # an empty protocol used to leak an IndexError from run_discrimination
     with pytest.raises(ValueError, match="^protocol 'p' has no rounds$"):
         LoccProtocol("p", ())
+
+
+def test_protocol_rounds_must_be_steps():
+    # a round given by basis name used to fail in .plan with an AttributeError
+    with pytest.raises(ValueError, match="^rounds must be StepSpecs, got 'bell'$"):
+        LoccProtocol("p", ("bell",))
+    with pytest.raises(ValueError, match="^rounds must be iterable, got 5$"):
+        LoccProtocol("p", 5)
+    listed = LoccProtocol("p", [StepSpec((0, 1), "bell")])
+    assert listed.rounds == (StepSpec((0, 1), "bell"),)
+
+
+def test_discrimination_inputs_are_refused_by_type():
+    # a non-state candidate used to fail with "'int' object has no attribute 'dim'"
+    protocol = reg.locc_protocols()["ghz_bell_bell"]
+    state = basis_state("0000")
+    for candidates, message in (
+            ([("a", 1)], "candidate 'a' needs a PureState, got int"),
+            ([state], "candidates must be (label, PureState) pairs, got PureState"),
+            ([("a", state, 1)], "candidates must be (label, PureState) pairs, got tuple")):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            run_discrimination(candidates, protocol)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            check_certificate(candidates, reg.certificate_factors()["ghz8"])
+    with pytest.raises(ValueError, match="^protocol must be a LoccProtocol, got str$"):
+        run_discrimination([("a", state)], "ghz_bell_bell")
+    # factors that are not a list used to leak "'int' object is not iterable"
+    with pytest.raises(ValueError, match="^factors must be iterable, got 5$"):
+        check_certificate([("a", state)], 5)
 
 
 def test_catalog_protocol_sweep_shape():

@@ -1,5 +1,7 @@
 """Projective measurement enumeration."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,20 @@ from quadproto.teleport import build_probes
 
 def _plan(*steps):
     return MeasurementPlan(tuple((q, make_basis(b)) for q, b in steps))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"basis": 5}, "basis must be a catalog name, got 5"),
+    ({"basis_params": [1]}, "basis_params must be a mapping with string keys, got [1]"),
+    ({"basis_params": {1: 2}},
+     "basis_params must be a mapping with string keys, got {1: 2}"),
+    ({"party": 3}, "party must be a string, got 3"),
+])
+def test_step_fields_are_checked_when_the_step_is_built(kwargs, message):
+    # these basis_params used to leak a TypeError from build_plan, and party
+    # 3 one from classical_cost, after the whole teleport scan
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        StepSpec((0, 1), **{"basis": "bell", **kwargs})
 
 
 def test_plan_rejects_overlap_and_range():

@@ -1,6 +1,7 @@
 """Strict JSON interchange for teleportation scenarios."""
 
 import json
+import re
 import sys
 import warnings
 
@@ -223,6 +224,19 @@ def test_semantic_errors_become_format_errors():
     doc4["receiver"] = [5, 4]
     with pytest.raises(ScenarioFormatError, match="strictly ascending"):
         scenario_from_dict(doc4)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("party", 3, "steps[0]: party must be a string, got 3"),
+    ("basis", 5, "steps[0]: basis must be a catalog name, got 5"),
+    ("qubits", [0, 0], "steps[0]: repeated measured qubit in [0, 0]"),
+])
+def test_step_errors_name_the_step(field, value, message):
+    # StepSpec owns these checks; the qubits used to escape as a bare ValueError
+    doc = _doc()
+    doc["steps"][0][field] = value
+    with pytest.raises(ScenarioFormatError, match="^%s$" % re.escape(message)):
+        scenario_from_dict(doc)
 
 
 def test_resource_name_and_dressing_checked():

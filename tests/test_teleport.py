@@ -450,10 +450,34 @@ def test_family_size_must_be_an_integer():
     ("ghz_diag", 1, (0, 1), "ghz_diag dressing needs one Pauli index per qubit"),
     ("omega_sub", 3, (0,), "omega_sub dressing needs two Pauli indices"),
     ("omega_sub", 3, (0, 1, 2), "omega_sub dressing needs two Pauli indices"),
+    # a TypeError out of check_integer's star-unpacking
+    ("ghz_diag", 1, 5, "dressing must be iterable, got 5"),
+    ("ghz_diag", 1, None, "dressing must be iterable, got None"),
 ])
 def test_family_shape_is_refused_when_the_spec_is_built(kind, k, dressing, message):
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         FamilySpec(kind, k, dressing)
+
+
+def test_family_dressing_is_kept_as_a_tuple():
+    # a list dressing used to be accepted and then fail in family_span's memo
+    listed = FamilySpec("ghz_diag", 2, [1, 3])
+    assert listed.dressing == (1, 3)
+    assert listed == FamilySpec("ghz_diag", 2, (1, 3))
+    assert hash(listed) == hash(FamilySpec("ghz_diag", 2, iter((1, 3))))
+    assert family_span(listed) is family_span(FamilySpec("ghz_diag", 2, (1, 3)))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("family", "arbitrary", "family must be a FamilySpec, got 'arbitrary'"),
+    ("resource", 5, "resource must be a string, got 5"),
+    ("steps", ("bell",), "steps must be StepSpecs, got 'bell'"),
+    ("steps", 5, "steps must be iterable, got 5"),
+])
+def test_scenario_field_types_are_refused_when_built(field, value, message):
+    # each used to escape as an AttributeError, the resource only in run_scenario
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        dataclasses.replace(reg.TELEPORT_SCENARIOS["ghz1_ghz4basis"], **{field: value})
 
 
 def test_scenario_validation():
