@@ -36,9 +36,7 @@ __all__ = [
     "validate_orthonormal",
 ]
 
-SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
-SQ6 = math.sqrt(6.0)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Commands: ``catalog``, ``teleport``, ``densecode``, ``locc``, ``diagnose``,
 ``suite``.  Every command prints a human-readable table, machine-readable
 JSON, or both (``--format``), optionally mirrored to files (``--out``).
-JSON output is deterministic for a fixed seed: keys sorted, no timestamps.
+JSON output is deterministic: keys sorted, no timestamps.  No result depends
+on ``--seed``; the suite's JSON only echoes it.
 
 Exit codes: 0 success (all claims hold), 1 a checked claim failed,
 2 usage or parse error.
@@ -99,8 +100,8 @@ def _tolerance(text: str) -> float:
 
 
 def _seed(text: str) -> int:
-    """argparse type for --seed: a non-negative integer, as numpy's
-    generators take."""
+    """argparse type for --seed: a non-negative integer, still refused
+    when malformed although no current result depends on it."""
     try:
         return read_decimal(text.strip())
     except ValueError:
@@ -412,10 +413,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "discrimination claims on four-qubit resource states")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_seed, default=42,
-                        help="seed for randomized probes (default 42)")
+                        help="a non-negative integer, accepted and echoed by "
+                             "the suite; no current result depends on it "
+                             "(default 42)")
     common.add_argument("--tolerance", type=_tolerance, default=ASSERT_TOL,
                         help="assertion tolerance, strictly between 0 and 1 "
-                             "(default %g)" % ASSERT_TOL)
+                             "(default %g); above the default, a teleport "
+                             "fidelity is the worst over the family's probe "
+                             "rows, not over the whole family" % ASSERT_TOL)
     common.add_argument("--format", choices=("json", "text", "both"),
                         default="both", help="output style (default both)")
     common.add_argument("--out", default=None,

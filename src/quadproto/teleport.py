@@ -2,12 +2,22 @@
 
 A scenario fixes a resource state, a family of unknown input states, a
 measurement plan over the sender-side qubits, and the receiver's qubits
-(ascending).  The engine enumerates every measurement outcome for a finite
-probe stack that certifies the whole family (family basis states, pairwise
-superpositions with and without a relative i, and seeded random members;
-one amplitude row each, tensored with the resource in one step), then
-searches a deterministic candidate list for a local correction per outcome
-that maps the residual back onto the input with fidelity one.
+(ascending).  The engine enumerates every measurement outcome for the
+family's probe rows (``build_probes``: the span members, then per pair
+the superpositions with and without a relative i; one amplitude row
+each, tensored with the resource in one step), then searches a
+deterministic candidate list for a local correction per outcome that
+maps the residual back onto the input with fidelity one.
+
+The probe rows are a polarization set: outcome j acts on the span as a
+linear map O_j, and its probabilities on the rows fix its Gram matrix
+O_j^dagger O_j on the whole span (``_gram``).  So uniformity (equal
+probability rows, hence equal Gram matrices), the probability leaked into
+auto-completed directions (the top eigenvalue of their summed Gram
+matrix) and each outcome's probability averaged over the family
+(Tr(O_j^dagger O_j)/d) are exact over the span, and a candidate that
+returns every row an outcome fires at fidelity one returns every member
+of the family.  No result depends on a random draw.
 
 Correction vocabularies:
 
@@ -23,30 +33,26 @@ A candidate is a prefix D (identity, a CZ or a sign mask, stored as a row
 of +-1 entries) followed by a Pauli product P_x of ``states.pauli_table``.
 Probe i's fidelity under P_x D is |Tr(P_x D r_i v_i^dagger)|**2 (r_i its
 residual, v_i its input), so one ``states.pauli_coefficients`` call scores
-every Pauli product after one prefix on the certifying probes of every
-outcome still open.  The random probes only cross-check: an outcome's are
-scored at its first candidate the certifying probes accept, with the same
-products and sums, and a candidate one of them fails is struck for the next
-accepted one (every probe is scored in bulk when some outcome fires no
-certifying probe).  The scan runs prefix outer and an outcome leaves it at
-its first candidate that works.  One outcome's scores of all probes take
-probes x 4^k x 2^k entries, so a family above ``MAX_STACK_ENTRIES`` is
-refused from the sizes, and the open outcomes are scored in slices sized by
-all probes, at most ``SLICE_ENTRIES`` (2^21) scores, one outcome per slice
-when its own scores are more.
+every Pauli product after one prefix on every probe of every outcome
+still open.  The scan runs prefix outer and an outcome leaves it at its
+first candidate that works.  One outcome's scores take probes x 4^k x 2^k
+entries, so a family above ``MAX_STACK_ENTRIES`` is refused from the
+sizes, and the open outcomes are scored in slices of at most
+``SLICE_ENTRIES`` (2^21) complex entries, counting each outcome's
+gathered trace terms (probes x 4^k x 2^k) with the outer products they
+are gathered from and the scores they sum to (probes x 4^k each), one
+outcome per slice when its own entries are more.
 
-What does not depend on the probe seed is built once per value, each in a
-memo of read-only arrays keyed by what determines it: the resource
-state by its catalog call (``make_state``), the plan by its resolved steps
-(``build_plan``), the family span and the certifying probe rows by
-``FamilySpec``, the prefix masks by vocabulary and family size, and the
-random rows' Pauli columns by family size (``_pauli_columns``).
-Per call, once the seed is checked as a non-negative integer, come an
-inline resource, the ``NUM_RANDOM_PROBES`` random probe members drawn from
-the seed, the joint stack, its outcomes and the correction scan.
+The inputs of a scan are built once per value, each in a memo of
+read-only arrays keyed by what determines it: the resource state by its
+catalog call (``make_state``), the plan by its resolved steps
+(``build_plan``), the family span and its probe rows by ``FamilySpec``,
+and the prefix masks by vocabulary and family size.  Per call come an
+inline resource, the joint stack, its outcomes, the Gram reads and the
+correction scan.
 
 When no candidate works the result carries a certificate: per outcome, the
-best achievable worst-case fidelity over the probe set.
+best achievable worst-case fidelity over the probes it fires.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from .measure import StepSpec, build_plan, check_steps, enumerate_outcomes
 from .states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, SLICE_ENTRIES,
                      VALUE_TOL, PureState, apply_paulis, check_integer, check_iterable,
                      check_qubits, check_stack, check_tolerance, ket_vector,
-                     pauli_coefficients, pauli_table, qubit_count, trace_sums)
+                     pauli_coefficients, pauli_table, qubit_count)
 
 __all__ = [
     "FamilySpec",
@@ -76,7 +82,6 @@ __all__ = [
     "classical_cost",
 ]
 
-NUM_RANDOM_PROBES = 20
 # paulis+diag scans 2**(2**k - 1) sign masks: 128 at k = 3, 32,768 at k = 4
 MAX_DIAG_QUBITS = 3
 
@@ -157,9 +162,10 @@ def family_span(spec: FamilySpec) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _certifying_rows(spec: FamilySpec) -> np.ndarray:
-    """The certifying probes of a family, one read-only row each: the span
-    members, then per pair i < j (s_i + s_j)/sqrt(2) and (s_i + i s_j)/sqrt(2)."""
+def build_probes(spec: FamilySpec) -> np.ndarray:
+    """The probe rows of a family, one read-only row each, memoized by
+    value: the span members, then per pair i < j (s_i + s_j)/sqrt(2) and
+    (s_i + i s_j)/sqrt(2), span_dim**2 rows in all."""
     span = family_span(spec)
     n, dim = span.shape
     i, j = np.triu_indices(n, 1)
@@ -169,33 +175,17 @@ def _certifying_rows(spec: FamilySpec) -> np.ndarray:
     return rows
 
 
-def build_probes(spec: FamilySpec, rng: np.random.Generator,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The probe stack of a family, one probe per row, and which rows certify.
-
-    Rows are the span members, then per pair i < j the superpositions
-    (s_i + s_j)/sqrt(2) and (s_i + i s_j)/sqrt(2), all certifying and
-    memoized by value; then, when the span has more than one member,
-    ``NUM_RANDOM_PROBES`` seeded random members, drawn per call, which only
-    cross-check.
-    """
-    span = family_span(spec)
-    n = len(span)
-    rows = [_certifying_rows(spec)]
-    if n > 1:
-        # one draw, in the order of per-member real then imaginary draws
-        z = rng.standard_normal((NUM_RANDOM_PROBES, 2, n))
-        coeff = z[:, 0] + 1j * z[:, 1]
-        # each row's norm as np.linalg.norm forms it, bit for bit: the dot
-        # of the real parts plus the dot of the imaginary parts
-        re, im = coeff.real, coeff.imag
-        coeff /= np.sqrt((re[:, None, :] @ re[:, :, None])
-                         + (im[:, None, :] @ im[:, :, None]))[:, 0]
-        # term by term from 0, member 0 first, as a per-probe sum adds them,
-        # so the rows do not depend on how a matrix product would round
-        rows.append(sum(coeff[:, m, None] * span[m] for m in range(n)))
-    vectors = np.concatenate(rows)
-    return vectors, np.arange(len(vectors)) < len(rows[0])
+def _gram(p: np.ndarray, d: int) -> np.ndarray:
+    """The (d, d) Gram matrix G = O^dagger O, in span coordinates, of a map O
+    whose probabilities over the rows of ``build_probes`` are p, by
+    polarization: G_ii = p_i and, per pair i < j, Re G_ij = p_plus -
+    (p_i + p_j)/2 and Im G_ij = (p_i + p_j)/2 - p_iphase."""
+    i, j = np.triu_indices(d, 1)
+    mean = (p[i] + p[j]) / 2
+    gram = np.diag(p[:d].astype(np.complex128))
+    gram[i, j] = (p[d::2] - mean) + 1j * (mean - p[d + 1::2])
+    gram[j, i] = gram[i, j].conj()
+    return gram
 
 
 # ---------------------------------------------------------------------------
@@ -284,78 +274,35 @@ def _prefixes(allowed: str, k: int) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(prefixes), masks
 
 
-def _worst(scores: np.ndarray, mask: np.ndarray | None,
-           sel: slice | np.ndarray) -> np.ndarray:
-    """Per outcome ``sel`` the least score over axis 1 (rows) of the rows
-    ``mask[sel]`` keeps, inf where it keeps none; a mask of None keeps all."""
-    if mask is None:
-        return scores.min(axis=1)
-    return scores.min(axis=1, where=mask[sel], initial=np.inf)
-
-
-@functools.lru_cache(maxsize=None)
-def _pauli_columns(k: int) -> np.ndarray:
-    """The read-only (4**k, 2**k) column ``t ^ flip[x]`` at which product x
-    of ``pauli_table(k)`` reads entry t, in uint8 (k <= 8), memoized by k."""
-    columns = (np.arange(2 ** k) ^ pauli_table(k).flip[:, None]).astype(np.uint8)
-    columns.flags.writeable = False
-    return columns
-
-
 def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
                       residuals: np.ndarray, expected: np.ndarray,
-                      fired: np.ndarray, certifying: np.ndarray,
-                      tol: float) -> tuple[list[str | None], np.ndarray, np.ndarray]:
+                      fired: np.ndarray, tol: float,
+                      ) -> tuple[list[str | None], np.ndarray, np.ndarray]:
     """First candidate per outcome mapping every row it fires onto its input.
 
     ``residuals`` is the (nb, rows, 2**k) stack of every outcome, ``fired``
-    its (nb, rows) firing mask, ``expected`` the (rows, 2**k) inputs and
-    ``certifying`` which rows certify, as ``build_probes`` orders them:
-    certifying rows first.  An outcome no certifying row fires is certified
-    by every row it fires.  Returns per outcome the descriptor or None, the
-    worst fidelity over its fired rows of the chosen candidate or 0.0, and
-    the best worst certifying fidelity over the candidates scanned up to and
-    including the chosen one.  A candidate is chosen when both the
-    certifying rows and all fired rows reach ``1 - tol``: a random member
-    failing where the certifying rows pass means the outcome map is not
-    linear on the span, so the scan goes on.
+    its (nb, rows) firing mask and ``expected`` the (rows, 2**k) inputs.
+    Returns per outcome the descriptor or None, the worst fidelity over its
+    fired rows of the chosen candidate or 0.0, and the best such worst
+    fidelity over the candidates scanned up to and including the chosen
+    one.  A candidate is chosen when every fired row reaches ``1 - tol``.
 
-    Per prefix, one Pauli transform scores every product on the leading
-    certifying rows for every outcome still open, in slices sized by all
-    probe rows: at most ``SLICE_ENTRIES`` scores of all rows (one outcome
-    when its scores alone exceed that).  The random rows an outcome fires
-    are then scored, in rounds, only at its first candidate the certifying
-    rows accept; one they fail strikes that candidate, and the outcome moves
-    to its next accepted one.  Each score is the same signed sum of the same
-    products as in the bulk transform, so it keeps its bits.  When some
-    outcome fires no certifying row, or the certifying rows do not lead,
-    every row is scored in bulk.  Outcomes leave the open set at their first
-    hit.  The first prefix is the identity (``_prefixes``), scored unmasked.
+    Per prefix, one Pauli transform scores every product on every row for
+    every outcome still open, in slices of at most ``SLICE_ENTRIES`` complex
+    entries held at once (one outcome when its own exceed that).  Outcomes
+    leave the open set at their first hit.  The first prefix is the
+    identity (``_prefixes``), scored unmasked.
     """
     nb, rows, dim = residuals.shape
-    k = qubit_count(dim)
-    names, _, sign = pauli_table(k)
-    head = np.count_nonzero(certifying)
-    cert = fired[:, :head]
-    if certifying[:head].all() and cert.any(axis=1).all():
-        # a candidate passing the certifying rows passes every fired bulk row
-        fired_head = None
-    else:
-        head = rows
-        cert = fired & certifying
-        cert = np.where(cert.any(axis=1, keepdims=True), cert, fired)
-        fired_head = None if np.array_equal(cert, fired) else fired[..., None]
-    cert_head = None if cert.all() else cert[..., None]
-    head_conj = expected[:head, None].conj()
-    if head < rows:
-        fired_tail = None if fired[:, head:].all() else fired[:, head:]
-        tail_conj = expected[head:].conj()
-        tail_rows = np.arange(head, rows)[:, None]
-        columns = _pauli_columns(k)
+    names = pauli_table(qubit_count(dim)).names
+    every = fired.all()
+    conj = expected[:, None].conj()
     chosen: list[str | None] = [None] * nb
     min_fid = np.zeros(nb)
     best = np.zeros(nb)
-    step = max(1, SLICE_ENTRIES // (rows << 3 * k))
+    # per outcome, the gathered trace terms (rows x 4^k x 2^k) and, beside
+    # them, the outer products and the scores (rows x 4^k each)
+    step = max(1, SLICE_ENTRIES // (rows * dim ** 2 * (dim + 2)))
     open_ = np.arange(nb)
     for p, (desc, mask) in enumerate(zip(*prefixes)):
         if not open_.size:
@@ -367,47 +314,22 @@ def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
             js = open_[lo:lo + step]
             sel = slice(lo, lo + step) if whole else js
             masked = residuals[sel] if p == 0 else residuals[sel] * mask
-            fids = np.abs(pauli_coefficients(head_conj * masked[:, :head, :, None])) ** 2
-            worst_cert = _worst(fids, cert_head, sel)
-            ok = worst_cert >= 1.0 - tol
-            worst = worst_cert
-            if fired_head is not None:
-                worst = _worst(fids, fired_head, sel)
-                ok &= worst >= 1.0 - tol
-            first = ok.argmax(axis=1)
-            at = np.arange(len(js))
-            worst = worst[at, first]
+            fids = np.abs(pauli_coefficients(conj * masked[..., None])) ** 2
+            # per outcome and candidate, the least score of a row it fires
+            if every:
+                worst = fids.min(axis=1)
+            else:
+                worst = fids.min(axis=1, where=fired[sel, :, None], initial=np.inf)
+            ok = worst >= 1.0 - tol
             hit = ok.any(axis=1)
-            if head < rows:
-                # the fired random rows at each first accepted candidate; an
-                # outcome failing one moves on to its next accepted candidate
-                tail_fired = None if fired_tail is None else fired_tail[sel]
-                todo = np.flatnonzero(hit)
-                while todo.size:
-                    x = first[todo]
-                    terms = tail_conj * masked[todo[:, None, None], tail_rows, columns[x, None]]
-                    # the int8 signs, cast as the bulk transform casts them
-                    terms *= sign[x, None]
-                    tail = _worst(np.abs(trace_sums(terms)) ** 2, tail_fired, todo)
-                    # the certifying rows are every fired bulk row here, so
-                    # worst[todo] is candidate x's worst certifying score
-                    worst[todo] = np.minimum(worst[todo], tail)
-                    passed = tail >= 1.0 - tol
-                    if passed.all():
-                        break
-                    todo = todo[~passed]
-                    ok[todo, first[todo]] = False
-                    first[todo] = ok[todo].argmax(axis=1)
-                    hit[todo] = ok[todo].any(axis=1)
-                    todo = todo[hit[todo]]
-                    worst[todo] = worst_cert[todo, first[todo]]
-            last = np.where(hit, first, ok.shape[1] - 1)
-            scanned = np.maximum.accumulate(worst_cert, axis=1)[at, last]
-            best[sel] = np.maximum(best[sel], scanned)
+            first = ok.argmax(axis=1)
+            # every candidate before the first that works scores below it
+            score = np.where(hit, worst[np.arange(len(js)), first], worst.max(axis=1))
+            best[sel] = np.maximum(best[sel], score)
             done = js[hit]
             for j, x in zip(done.tolist(), first[hit].tolist()):
                 chosen[j] = desc + "*".join(names[x])
-            min_fid[done] = worst[hit]
+            min_fid[done] = score[hit]
             left.append(js[~hit])
         open_ = left[0] if len(left) == 1 else np.concatenate(left)
     return chosen, min_fid, best
@@ -420,9 +342,9 @@ def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
 @dataclass(frozen=True)
 class OutcomeReport:
     key: str
-    probability: float            # for a generic (random or last) probe
+    probability: float            # averaged over the family: Tr(O^dagger O)/d
     correction: str | None
-    min_fidelity: float           # over all probes, after correction (if any)
+    min_fidelity: float           # over the probes it fires, after correction (if any)
     best_fidelity: float          # best worst-case over candidates
     perp: bool
 
@@ -432,9 +354,11 @@ class TeleportResult:
     scenario_id: str
     feasible: bool
     outcomes: tuple[OutcomeReport, ...]
-    worst_fidelity: float         # min over outcomes of min_fidelity
+    # min over outcomes of min_fidelity: a min over the d^2 probe rows, so
+    # at a tolerance above the default it may read above the family's worst
+    worst_fidelity: float
     best_worst_fidelity: float    # min over outcomes of best_fidelity
-    perp_probability: float       # max over probes
+    perp_probability: float       # max over the span
     uniform_nonzero: bool
     classical_cost: int | None
     cost_breakdown: Mapping[str, int] | None
@@ -448,8 +372,10 @@ class TeleportResult:
 
 def run_scenario(scenario: TeleportScenario, seed: int = 42,
                  tol: float = ASSERT_TOL) -> TeleportResult:
+    """Verify one scenario at tolerance ``tol``.  ``seed`` is refused unless
+    it is a non-negative integer, and is otherwise unused: no result depends
+    on it."""
     check_tolerance(tol)
-    # a seed numpy would read another way (None draws OS entropy) is refused
     check_integer("seed", seed)
     if seed < 0:
         raise ValueError("seed must be a non-negative integer, got %r" % seed)
@@ -462,13 +388,13 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     k = family.num_qubits
     n = qubit_count(2 ** k * resource.dim)
     span = family.span_dim
-    rows = span ** 2 + (NUM_RANDOM_PROBES if span > 1 else 0)
+    rows = span ** 2
     check_stack(rows << n, "%d probes of a %d-qubit joint register need %d x "
                 "2^%d amplitudes", rows, n, rows, n)
     check_stack(rows << 3 * k, "%d probes of a %d-qubit family need %d x 4^%d x "
                 "2^%d correction scores", rows, k, rows, k, k)
-    vectors, certifying = build_probes(family, np.random.default_rng(seed))
-    joint = (vectors[:, :, None] * resource.amplitudes).reshape(len(vectors), -1)
+    vectors = build_probes(family)
+    joint = (vectors[:, :, None] * resource.amplitudes).reshape(rows, -1)
     out = enumerate_outcomes(joint, build_plan(scenario.steps))
     if len(out) and out.kept_qubits != scenario.receiver:
         raise ValueError(
@@ -480,26 +406,19 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     probs = out.probabilities
     fired = probs > 0.0
     first = fired.argmax(axis=1)
-    # row by row in enumeration order: the reported float depends on the
-    # order; 0.0 when no auto-completed branch fires
+    # equal probability rows are equal Gram matrices; the leak is the top
+    # eigenvalue of the perp branches' summed Gram matrix, its probabilities
+    # summed row by row in enumeration order, and 0.0 when none fires
+    uniform = bool((np.abs(probs - probs[0]) <= VALUE_TOL).all())
     max_perp = 0.0
     if out.perp.any():
-        max_perp = float(sum(probs[out.perp], np.zeros(len(vectors))).max())
-    lowest = probs.min(axis=0, where=fired, initial=np.inf)
-    uniform = not (probs.max(axis=0) - lowest > VALUE_TOL).any()
-
-    # the generic probe: the last random member, which is the last row when
-    # there are any, else the last probe that fires
-    if certifying[-1]:
-        last = len(vectors) - 1 - fired[:, ::-1].argmax(axis=1)
-        generic = probs[np.arange(len(out)), last].tolist()
-    else:
-        generic = probs[:, -1].tolist()
+        leak = sum(probs[out.perp], np.zeros(rows))
+        max_perp = float(np.linalg.eigvalsh(_gram(leak, span))[-1])
+    average = probs[:, :span].mean(axis=1).tolist()
     chosen, min_fid, best = _find_corrections(
-        _prefixes(scenario.allowed_ops, k), out.residuals, vectors,
-        fired, certifying, tol)
-    fid, top, leak = min_fid.tolist(), best.tolist(), out.perp.tolist()
-    reports = [OutcomeReport(out.keys[j], generic[j], chosen[j], fid[j], top[j], leak[j])
+        _prefixes(scenario.allowed_ops, k), out.residuals, vectors, fired, tol)
+    fid, top, perp = min_fid.tolist(), best.tolist(), out.perp.tolist()
+    reports = [OutcomeReport(out.keys[j], average[j], chosen[j], fid[j], top[j], perp[j])
                for j in np.argsort(first, kind="stable").tolist()]
     feasible = None not in chosen
 
@@ -522,7 +441,7 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
         uniform_nonzero=uniform,
         classical_cost=cost,
         cost_breakdown=breakdown,
-        num_probes=len(vectors),
+        num_probes=rows,
         reason=reason,
     )
 
@@ -533,8 +452,8 @@ def classical_cost(scenario: TeleportScenario,
 
     Measuring parties other than the aggregator relay their raw outcomes
     (ceil(log2) of the distinct results they can see); the aggregator then
-    broadcasts one of the distinct corrections.  Outcomes that never fire
-    on any probe cost nothing.
+    broadcasts one of the distinct corrections.  Outcomes that fire for no
+    member of the family cost nothing.
     """
     step_parties = [s.party for s in scenario.steps]
     firing_keys = [r.key for r in reports]

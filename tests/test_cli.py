@@ -290,9 +290,10 @@ def test_dressed_basis_json_bytes_pinned(capsys):
         "6cbd81005fb51d05cd782a9107610e75ad046c882206a65141fd7b4122616610"
 
 
+# one digest at both seeds: no teleport report depends on the seed
 @pytest.mark.parametrize("seed, digest", [
-    (42, "cafea8eba39156e105e4c2bcc9c4650b2ea7105a75e523c2ae554151d7b7250e"),
-    (7, "cbbfc896252ab02357869b0cfb9287aa9c4fd5c404bb131775ed71f060c89ee7"),
+    (42, "27c13a9ee6fe4bf9717c58724848050ff4b2acde16774b5aff6f6bc5acad70fa"),
+    (7, "27c13a9ee6fe4bf9717c58724848050ff4b2acde16774b5aff6f6bc5acad70fa"),
 ])
 def test_teleport_json_and_text_bytes_pinned(seed, digest, capsys):
     # every registered scenario and negative group, corrections, fidelities
@@ -321,7 +322,7 @@ def test_teleport_json_bytes_pinned(capsys):
             assert rc == 0, sid
             digest.update(out.encode())
     assert digest.hexdigest() == \
-        "c8f39ed7b8b612381ca91f92c73de051c438ba82f942265eb313f2470a9d2aec"
+        "8d4b681478890a08ff65e36c75a99e1b186075f4be76000867f3ebd4a3c7d8ef"
 
 
 def test_locc_single_run(capsys):
@@ -628,7 +629,7 @@ def test_oversized_diag_vocabulary_file_exits_two(tmp_path, capsys):
 
 
 def test_oversized_probe_stack_file_exits_two(tmp_path, monkeypatch, capsys):
-    # an 8-qubit arbitrary family with GHZ4 asks for 65,556 probes of 4,096
+    # an 8-qubit arbitrary family with GHZ4 asks for 65,536 probes of 4,096
     # amplitudes: refused before any probe is built
     sc = TeleportScenario("wide_family", "GHZ4", FamilySpec("arbitrary", 8),
                           tuple(StepSpec((q,), "computational:1") for q in range(4)),
@@ -644,7 +645,7 @@ def test_oversized_probe_stack_file_exits_two(tmp_path, monkeypatch, capsys):
     assert main(["teleport", "--file", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: 65556 probes of a 12-qubit joint register")
+    assert captured.err.startswith("error: 65536 probes of a 12-qubit joint register")
     assert "over the limit of 2^24" in captured.err
 
 

@@ -116,7 +116,7 @@ def templates(tmp_path):
     """TEMPLATES, the ``BAD_FAMILIES`` scenario files, and two more: one
     whose inline resource kets have 40-bit labels, refused before any
     amplitude is allocated, then one with an arbitrary five-qubit family,
-    refused for its 1,044 x 4^5 x 2^5 correction scores."""
+    refused for its 1,024 x 4^5 x 2^5 correction scores."""
     wide_kets = TeleportScenario("wide_kets", "inline", FamilySpec("arbitrary", 1),
                                  (StepSpec((0, 1), "bell"),), (40,),
                                  resource_kets=(("0" * 40, 1.0), ("1" * 40, 1.0)))
@@ -192,7 +192,7 @@ def test_templates_fail_closed(capsys, templates):
         _assert_fails_closed(code, err, argv)
         codes.add(code)
     assert codes == {0, 2}
-    assert (code, err) == (2, "error: 1044 probes of a 5-qubit family need 1044 x "
+    assert (code, err) == (2, "error: 1024 probes of a 5-qubit family need 1024 x "
                               "4^5 x 2^5 correction scores, over the limit of 2^24\n")
 
 
@@ -222,6 +222,25 @@ def test_basis_parameters_are_refused_by_name(capsys):
     # the catalog name is positional only, so a parameter may share its name
     assert _run(capsys, ["catalog", "--state", "GHZ4", "--param", "name=1"]) == (
         2, "error: state 'GHZ4' takes no parameters, got name\n")
+
+
+# an arbitrary family of two qubits, and a negative setup whose uniformity
+# and per-outcome probabilities the random probes used to decide
+@pytest.mark.parametrize("scenario", ["omega2_bellbell_cz", "q4_bob4_1q[rho_q4]"])
+def test_teleport_output_does_not_depend_on_the_seed(capsys, scenario):
+    outputs = set()
+    for seed in ("0", "42", "2147483647", str(2 ** 80)):
+        code = main(["teleport", "--scenario", scenario, "--seed", seed,
+                     "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, ""), seed
+        outputs.add(captured.out)
+    assert len(outputs) == 1
+    # a malformed seed is still a usage error, for teleport and suite alike
+    for argv in (["teleport", "--scenario", scenario], ["suite"]):
+        for seed in ("-1", "1_0", "x"):
+            code, err = _run(capsys, argv + ["--seed", seed])
+            assert code == 2 and "argument --seed: must be a non-negative integer" in err
 
 
 def test_mutated_arguments_fail_closed(capsys, templates):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from quadproto import measure, teleport
+from quadproto import measure
 from quadproto import scenarios as reg
 from quadproto.catalog import NamedBasis, make_basis, make_state
 from quadproto.measure import (
@@ -18,7 +18,7 @@ from quadproto.measure import (
 from quadproto.locc import LoccProtocol, run_discrimination
 from quadproto.scenario_io import dumps_scenario, loads_scenario
 from quadproto.states import DROP_TOL, MAX_QUBITS, PureState, basis_state, random_state
-from quadproto.teleport import build_probes
+from quadproto.teleport import build_probes, family_span
 
 
 def _plan(*steps):
@@ -292,9 +292,16 @@ def _all_scenarios():
                         for sc in group]
 
 
-def _probe_stack(scenario, seed):
+def _probe_stack(scenario, seed, num_random):
+    """The scenario's probe rows, then ``num_random`` seeded random members
+    of its family (generic inputs), each tensored with the resource."""
     resource = scenario.resource_state().state
-    vectors, _ = build_probes(scenario.family, np.random.default_rng(seed))
+    span = family_span(scenario.family)
+    rng = np.random.default_rng(seed)
+    coeff = (rng.standard_normal((num_random, len(span)))
+             + 1j * rng.standard_normal((num_random, len(span))))
+    coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
+    vectors = np.concatenate([build_probes(scenario.family), coeff @ span])
     return np.array([np.kron(v, resource.amplitudes) for v in vectors])
 
 
@@ -306,10 +313,9 @@ def _protocol_stacks():
                                                 for _, state in candidates])
 
 
-def test_completed_plans_match_separate_completion_for_scenarios(monkeypatch):
-    monkeypatch.setattr(teleport, "NUM_RANDOM_PROBES", 2)
+def test_completed_plans_match_separate_completion_for_scenarios():
     for sc in _all_scenarios():
-        _assert_same_branches(_probe_stack(sc, 3), sc.steps,
+        _assert_same_branches(_probe_stack(sc, 3, 2), sc.steps,
                               sc.scenario_id)
 
 
@@ -469,7 +475,7 @@ def _assert_matches_reference(stack, plan, where):
 
 def test_stacked_kernel_matches_per_state_reference_on_probe_stacks():
     for sc in _all_scenarios():
-        _assert_matches_reference(_probe_stack(sc, 42), build_plan(sc.steps),
+        _assert_matches_reference(_probe_stack(sc, 42, 20), build_plan(sc.steps),
                                   sc.scenario_id)
 
 

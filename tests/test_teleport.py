@@ -2,9 +2,12 @@
 
 import dataclasses
 import functools
+import importlib.util
 import itertools
 import math
+import os
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -30,6 +33,9 @@ from quadproto.teleport import (
 )
 
 TOL = 1e-10
+# seeded random family members per span of two or more, the count the
+# per-probe rule of the oracle tests cross-checked with
+NUM_RANDOM = 20
 
 
 def _run(sid, **kw):
@@ -38,11 +44,12 @@ def _run(sid, **kw):
 
 # --- probe construction ------------------------------------------------------
 
-def _reference_probes(spec, rng):
+def _reference_probes(spec, rng=None, num_random=NUM_RANDOM):
     """The one-probe-at-a-time construction ``build_probes`` replaced: (label,
     state, certifying) per probe, the span members, then per pair the plus
-    and phase superpositions, then ``teleport.NUM_RANDOM_PROBES`` seeded
-    random members."""
+    and phase superpositions, then, given a generator, ``num_random``
+    seeded random members, which do not certify (the per-probe rule's cross
+    check)."""
     span = [PureState(row) for row in family_span(spec)]
     probes = [("b%d" % i, v, True) for i, v in enumerate(span)]
     n = len(span)
@@ -53,8 +60,8 @@ def _reference_probes(spec, rng):
                               / math.sqrt(2))
             probes.append(("p%d%d+" % (i, j), plus, True))
             probes.append(("p%d%di" % (i, j), phase, True))
-    if n > 1:
-        for t in range(teleport.NUM_RANDOM_PROBES):
+    if n > 1 and rng is not None:
+        for t in range(num_random):
             coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             coeff /= np.linalg.norm(coeff)
             vec = sum(c * v.amplitudes for c, v in zip(coeff, span))
@@ -62,17 +69,13 @@ def _reference_probes(spec, rng):
     return probes
 
 
-def test_probe_labels_and_flags(monkeypatch):
-    monkeypatch.setattr(teleport, "NUM_RANDOM_PROBES", 5)
-    rng = np.random.default_rng(0)
-    vectors, certifying = build_probes(FamilySpec("arbitrary", 2), rng)
-    labels = [label for label, _, _ in
-              _reference_probes(FamilySpec("arbitrary", 2), np.random.default_rng(0))]
-    # 4 basis members, C(4,2) pairs twice over (plus and phase), 5 randoms
+def test_probe_labels_and_flags():
+    vectors = build_probes(FamilySpec("arbitrary", 2))
+    labels = [label for label, _, _ in _reference_probes(FamilySpec("arbitrary", 2))]
+    # 4 basis members, then C(4,2) pairs twice over (plus and phase)
     assert labels[:6] == ["b0", "b1", "b2", "b3", "p01+", "p01i"]
-    assert labels[-6:] == ["p23i", "r0", "r1", "r2", "r3", "r4"]
-    assert vectors.shape == (4 + 12 + 5, 4)
-    assert certifying.tolist() == [not label.startswith("r") for label in labels]
+    assert labels[-2:] == ["p23+", "p23i"]
+    assert vectors.shape == (len(labels), 4) == (4 + 12, 4)
     assert np.array_equal(vectors[:4], np.eye(4))
     assert np.allclose(vectors[4], [2 ** -0.5, 2 ** -0.5, 0, 0], atol=1e-15)
     assert np.allclose(vectors[15], [0, 0, 2 ** -0.5, 1j * 2 ** -0.5], atol=1e-15)
@@ -82,9 +85,9 @@ def test_probe_labels_and_flags(monkeypatch):
 def test_single_member_family_has_no_superpositions():
     w = PureState.from_kets({"001": 1, "010": 1, "100": 1, "000": 1}, normalize=True)
     assert np.array_equal(family_span(FamilySpec("w_equal3", 3)), [w.amplitudes])
-    vectors, certifying = build_probes(FamilySpec("w_equal3", 3),
-                                       np.random.default_rng(0))
-    assert vectors.shape == (1, 8) and certifying.tolist() == [True]
+    vectors = build_probes(FamilySpec("w_equal3", 3))
+    assert vectors.shape == (1, 8)
+    assert np.array_equal(vectors, [w.amplitudes])
 
 
 def test_family_spec_refuses_bool_and_non_integer_dressings():
@@ -103,7 +106,7 @@ def test_family_spec_refuses_bool_and_non_integer_dressings():
 
 
 @pytest.mark.parametrize("seed", [42, 7])
-def test_build_probes_matches_reference(seed, monkeypatch):
+def test_build_probes_matches_reference(seed):
     # the registered families reach span sizes 1, 2 and 4; an arbitrary
     # three-qubit family adds 8
     specs = list(dict.fromkeys([sc.family for sc in _ALL_SCENARIOS]
@@ -113,15 +116,16 @@ def test_build_probes_matches_reference(seed, monkeypatch):
                                              "w_equal3"}
     for spec in specs:
         assert len(family_span(spec)) == spec.span_dim, spec
+        vectors = build_probes(spec)
+        assert len(vectors) == spec.span_dim ** 2, spec
+        assert np.array_equal(vectors, [state.amplitudes for _, state, _
+                                        in _reference_probes(spec)]), spec
+        # the oracle stacks below are these rows, then the seeded randoms
         for num_random in (0, 1, 20):
-            monkeypatch.setattr(teleport, "NUM_RANDOM_PROBES", num_random)
-            vectors, certifying = build_probes(spec, np.random.default_rng(seed))
-            want = _reference_probes(spec, np.random.default_rng(seed))
-            assert np.array_equal(
-                vectors, np.array([state.amplitudes for _, state, _ in want])), \
-                (spec, num_random)
-            assert np.array_equal(certifying, [cert for _, _, cert in want]), \
-                (spec, num_random)
+            want = _reference_probes(spec, np.random.default_rng(seed), num_random)
+            assert np.array_equal(vectors, [state.amplitudes for _, state, cert
+                                            in want if cert]), (spec, num_random)
+            assert len(want) == len(vectors) + (num_random if len(vectors) > 1 else 0)
 
 
 def _reference_span(spec):
@@ -158,10 +162,13 @@ def test_dressed_spans_match_apply_local_chain():
 
 
 def test_probes_deterministic_per_seed():
+    # the probe rows take no seed: equal families share one read-only array
     spec = FamilySpec("arbitrary", 1)
-    a, _ = build_probes(spec, np.random.default_rng(7))
-    b, _ = build_probes(spec, np.random.default_rng(7))
-    assert np.array_equal(a, b)
+    rows = build_probes(spec)
+    assert rows is build_probes(FamilySpec("arbitrary", 1))
+    assert not rows.flags.writeable
+    assert np.allclose(rows, [[1, 0], [0, 1], [2 ** -0.5, 2 ** -0.5],
+                              [2 ** -0.5, 1j * 2 ** -0.5]], atol=1e-15)
 
 
 # --- seed-independent inputs, memoized by value --------------------------------
@@ -219,17 +226,15 @@ def test_resource_parameters_are_keyed_with_their_type():
 def test_memoized_inputs_are_read_only():
     spec = FamilySpec("ghz_diag", 2, (1, 3))
     sc = reg.TELEPORT_SCENARIOS["w11_etazeta"]
-    for arr in (family_span(spec), teleport._certifying_rows(spec),
+    for arr in (family_span(spec), build_probes(spec),
                 sc.resource_state().state.amplitudes):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
     assert family_span(spec) is family_span(FamilySpec("ghz_diag", 2, (1, 3)))
-    # the probe stack is built per call, the caller's own
-    vectors, _ = build_probes(spec, np.random.default_rng(0))
-    vectors[:] = 0
-    again, _ = build_probes(spec, np.random.default_rng(0))
-    assert np.array_equal(again[:2], family_span(spec))
+    # the probe rows are shared, so no caller can change another's
+    assert build_probes(spec) is build_probes(FamilySpec("ghz_diag", 2, (1, 3)))
+    assert np.array_equal(build_probes(spec)[:2], family_span(spec))
     # the catalog shares one NamedState, whose parameters are read-only
     with pytest.raises(TypeError):
         sc.resource_state().params["m"] = 99.0
@@ -241,8 +246,8 @@ def test_memoized_inputs_are_read_only():
 
 
 _MEMOS = {"make_state": catalog.make_state, "_plan": measure._plan,
-          "family_span": family_span, "_certifying_rows": teleport._certifying_rows,
-          "_prefixes": teleport._prefixes, "_pauli_columns": teleport._pauli_columns}
+          "family_span": family_span, "build_probes": build_probes,
+          "_prefixes": teleport._prefixes}
 
 
 def _misses():
@@ -259,7 +264,7 @@ def test_seed_independent_arrays_are_built_once_per_value(monkeypatch):
     # probe seed, builds nothing the first run built
     run_scenario(loads_scenario(dumps_scenario(base)), seed=6)
     assert set(_misses().values()) == {1}
-    assert teleport._pauli_columns.cache_info().hits == 1
+    assert build_probes.cache_info().hits == 1
     # a scenario that differs in what a memo is keyed on builds that entry
     # anew, and only that one; a changed receiver needs steps that leave it
     w11 = reg.TELEPORT_SCENARIOS["w11_etazeta"]
@@ -276,12 +281,6 @@ def test_seed_independent_arrays_are_built_once_per_value(monkeypatch):
         run_scenario(dataclasses.replace(sc, **changes))
         after = _misses()
         assert {name for name in after if after[name] > before[name]} == rebuilt, changes
-    # the random probes are drawn per call: another count builds nothing
-    before = _misses()
-    monkeypatch.setattr(teleport, "NUM_RANDOM_PROBES", 3)
-    run_scenario(base)
-    assert _misses() == before
-    monkeypatch.undo()
     # an inline resource is built per call, so no memo holds it
     pair = TeleportScenario("pair", "pair", FamilySpec("arbitrary", 1),
                             (StepSpec((0, 1), "bell"),), (2,),
@@ -291,12 +290,12 @@ def test_seed_independent_arrays_are_built_once_per_value(monkeypatch):
     run_scenario(pair)
     assert _misses()["make_state"] == before["make_state"]
     # memoized arrays are read-only
-    columns = teleport._pauli_columns(2)
-    assert not columns.flags.writeable
+    masks = teleport._prefixes("paulis+cz", 2)[1]
+    assert not masks.flags.writeable
     with pytest.raises(ValueError):
-        columns[0] = 0
+        masks[0] = 0
     # a lowered limit still refuses once every entry is built
-    monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 36 * 8 ** 2 - 1)
+    monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 16 * 8 ** 2 - 1)
     monkeypatch.setattr(teleport, "build_probes", _no_probes)
     with pytest.raises(CapacityError, match="over the limit"):
         run_scenario(base, seed=5)
@@ -363,10 +362,9 @@ def test_result_reproducible_and_seed_insensitive():
     base = _run("omega1_ghzbasis", seed=42)
     again = _run("omega1_ghzbasis", seed=42)
     assert base == again
+    # no result depends on the seed, to the last bit
     other = _run("omega1_ghzbasis", seed=7)
-    assert other.feasible == base.feasible
-    assert other.corrections == base.corrections
-    assert other.classical_cost == base.classical_cost
+    assert other == base and repr(other) == repr(base)
     assert other.worst_fidelity >= 1.0 - TOL
 
 
@@ -530,13 +528,13 @@ def _no_probes(*args):
 
 
 def test_probe_stack_above_limit_refused(monkeypatch):
-    # 65,556 probes of an 8-qubit family tensored with GHZ4 would take
+    # 65,536 probes of an 8-qubit family tensored with GHZ4 would take
     # 4.3 GB: refused from the family and resource sizes alone
     sc = TeleportScenario("wide_family", "GHZ4", FamilySpec("arbitrary", 8),
                           tuple(StepSpec((q,), "computational:1") for q in range(4)),
                           tuple(range(4, 12)))
     monkeypatch.setattr(teleport, "build_probes", _no_probes)
-    with pytest.raises(CapacityError, match=r"65556 probes of a 12-qubit joint "
+    with pytest.raises(CapacityError, match=r"65536 probes of a 12-qubit joint "
                                             r"register .* over the limit of 2\^24"):
         run_scenario(sc)
 
@@ -557,7 +555,7 @@ def test_probe_stack_limit_is_exact_for_registered_families(monkeypatch):
     scenarios += [sc for group in reg.negative_scenarios().values() for sc in group]
     largest = largest_scores = 0
     for sc in scenarios:
-        rows = len(build_probes(sc.family, np.random.default_rng(0))[0])
+        rows = len(build_probes(sc.family))
         k = sc.family.num_qubits
         entries = rows * 2 ** k * sc.resource_state().state.dim
         scores = rows * 8 ** k
@@ -572,31 +570,31 @@ def test_probe_stack_limit_is_exact_for_registered_families(monkeypatch):
         with pytest.raises(CapacityError, match="over the limit"):
             run_scenario(sc)
         monkeypatch.undo()
-    assert largest == 3072
-    assert largest_scores == 12288
+    assert largest == 1024
+    assert largest_scores == 2048
 
 
 def test_correction_scores_above_limit_refused(monkeypatch):
-    # ghz3_pi_000 probes 24 rows of a 7-qubit joint register (3,072
-    # amplitudes) but scores 24 x 4^3 x 2^3 = 12,288 entries per prefix
+    # ghz3_pi_000 probes 4 rows of a 7-qubit joint register (512
+    # amplitudes) but scores 4 x 4^3 x 2^3 = 2,048 entries per prefix
     sc = reg.TELEPORT_SCENARIOS["ghz3_pi_000"]
-    monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 12288)
+    monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 2048)
     monkeypatch.setattr(teleport, "build_probes", _reached)
     with pytest.raises(_Reached):
         run_scenario(sc)
-    monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 12287)
+    monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 2047)
     monkeypatch.setattr(teleport, "build_probes", _no_probes)
-    with pytest.raises(CapacityError, match=r"^24 probes of a 3-qubit family need "
-                                            r"24 x 4\^3 x 2\^3 correction scores"):
+    with pytest.raises(CapacityError, match=r"^4 probes of a 3-qubit family need "
+                                            r"4 x 4\^3 x 2\^3 correction scores"):
         run_scenario(sc)
     # at the real limit: an arbitrary five-qubit family's 10-qubit probe
-    # stack fits (1,044 x 2^10), its 1,044 x 4^5 x 2^5 scores do not
+    # stack fits (1,024 x 2^10), its 1,024 x 4^5 x 2^5 scores do not
     wide = TeleportScenario("arbitrary5", "GHZ:5", FamilySpec("arbitrary", 5),
                             tuple(StepSpec((q,), "computational:1") for q in range(5)),
                             tuple(range(5, 10)))
     monkeypatch.undo()
     monkeypatch.setattr(teleport, "build_probes", _no_probes)
-    with pytest.raises(CapacityError, match=r"1044 x 4\^5 x 2\^5 correction scores, "
+    with pytest.raises(CapacityError, match=r"1024 x 4\^5 x 2\^5 correction scores, "
                                             r"over the limit of 2\^24"):
         run_scenario(wide)
 
@@ -709,25 +707,50 @@ def _reference_find(candidates, res_mat, exp_mat, cert_rows, tol):
     return chosen, chosen_min, best
 
 
-def _reference_run(scenario, seed=42, tol=ASSERT_TOL):
-    """run_scenario with the correction scan done one dense matrix at a time."""
-    rng = np.random.default_rng(seed)
+def _reference_gram(p, d):
+    """Polarization one entry at a time, rows in ``build_probes`` order:
+    G_ii = p_i, and per pair i < j Re G_ij = p_plus - (p_i + p_j)/2 and
+    Im G_ij = (p_i + p_j)/2 - p_iphase."""
+    gram = np.zeros((d, d), dtype=np.complex128)
+    for i in range(d):
+        gram[i, i] = p[i]
+    row = d
+    for i in range(d):
+        for j in range(i + 1, d):
+            mean = (p[i] + p[j]) / 2
+            gram[i, j] = complex(p[row] - mean, mean - p[row + 1])
+            gram[j, i] = gram[i, j].conjugate()
+            row += 2
+    return gram
+
+
+def _reference_outcomes(scenario, probes):
+    """The outcomes of (label, state, certifying) probes, each tensored with
+    the resource one at a time."""
     resource = scenario.resource_state().state
-    probes = _reference_probes(scenario.family, rng)
-    out = enumerate_outcomes(
+    return enumerate_outcomes(
         np.array([tensor(state, resource).amplitudes for _, state, _ in probes]),
         build_plan(scenario.steps))
+
+
+def _reference_run(scenario, tol=ASSERT_TOL):
+    """run_scenario with the correction scan done one dense matrix at a time
+    and the Gram reads one entry at a time."""
+    probes = _reference_probes(scenario.family)
+    d = scenario.family.span_dim
+    out = _reference_outcomes(scenario, probes)
     probs = out.probabilities
     firing = [np.flatnonzero(row) for row in probs]
     order = sorted(range(len(out)), key=lambda j: firing[j][0])
-    perp = np.zeros(len(probes))
-    for j in range(len(out)):
-        if out.perp[j]:
-            perp = perp + probs[j]
-    max_perp = float(perp.max())
-    lowest = np.where(probs > 0.0, probs, np.inf).min(axis=0)
-    uniform = not np.any(probs.max(axis=0) - lowest > VALUE_TOL)
-    rand_idx = [i for i, (_, _, cert) in enumerate(probes) if not cert]
+    max_perp = 0.0
+    if out.perp.any():
+        perp = np.zeros(len(probes))
+        for j in range(len(out)):
+            if out.perp[j]:
+                perp = perp + probs[j]
+        max_perp = float(np.linalg.eigvalsh(_reference_gram(perp, d))[-1])
+    uniform = all(abs(probs[j, i] - probs[0, i]) <= VALUE_TOL
+                  for j in range(len(out)) for i in range(len(probes)))
     expected = np.array([state.amplitudes for _, state, _ in probes])
 
     candidates = _candidates(scenario.allowed_ops, scenario.family.num_qubits)
@@ -735,12 +758,11 @@ def _reference_run(scenario, seed=42, tol=ASSERT_TOL):
     feasible = True
     for j in order:
         fired = firing[j]
-        cert_rows = [fi for fi, i in enumerate(fired) if probes[i][2]]
         chosen, chosen_min, best = _reference_find(
-            candidates, out.residuals[j][fired], expected[fired], cert_rows, tol)
-        gen_idx = rand_idx[-1] if rand_idx else fired[-1]
+            candidates, out.residuals[j][fired], expected[fired],
+            list(range(len(fired))), tol)
         feasible &= chosen is not None
-        reports.append(OutcomeReport(out.keys[j], float(probs[j, gen_idx]), chosen,
+        reports.append(OutcomeReport(out.keys[j], float(np.mean(probs[j, :d])), chosen,
                                      chosen_min, best, bool(out.perp[j])))
 
     reason = ""
@@ -770,63 +792,175 @@ _ALL_SCENARIOS = list(reg.TELEPORT_SCENARIOS.values()) + [
     sc for group in reg.negative_scenarios().values() for sc in group]
 
 
-# every outcome of a registered scenario fires on the last certifying probe;
-# here outcomes 0,* miss it, (|10> + i|11>)/sqrt(2), so without random
-# members their generic probe is the last one that fires
+# every outcome of a registered scenario fires on the last probe; here
+# outcomes 0,* miss it, (|10> + i|11>)/sqrt(2), and fire a strict subset of
+# the rows
 _LAST_PROBE_MISSES = TeleportScenario(
     "last_probe_misses", "pair", FamilySpec("arbitrary", 2),
     (StepSpec((0,), "computational:1"), StepSpec((1,), "computational:1")), (2, 3),
     resource_kets=(("00", 1.0), ("11", 1.0)))
-_DEFAULT_PROBES = ((ASSERT_TOL, 20), (1e-6, 20))
-_FEW_PROBES = ((ASSERT_TOL, 0), (1e-6, 1))
 
 
-# 1114088974 and 712690534 are the probe seeds of the benchmark's default seed
-@pytest.mark.parametrize("seed, variants", [
-    (42, _DEFAULT_PROBES + _FEW_PROBES), (7, _DEFAULT_PROBES + _FEW_PROBES),
-    (1114088974, _DEFAULT_PROBES), (712690534, _DEFAULT_PROBES)],
-    ids=["42", "7", "1114088974", "712690534"])
-def test_block_scan_matches_reference_scan(seed, variants, monkeypatch):
-    for tol, num_random in variants:
-        monkeypatch.setattr(teleport, "NUM_RANDOM_PROBES", num_random)
+# 1114088974 and 712690534 are the probe seeds of the benchmark's default
+# seed; no result depends on the seed, so each matches the one reference
+@pytest.mark.parametrize("seed", [42, 7, 1114088974, 712690534])
+def test_block_scan_matches_reference_scan(seed):
+    for tol in (ASSERT_TOL, 1e-6):
         for sc in _ALL_SCENARIOS + [_LAST_PROBE_MISSES]:
-            want = _reference_run(sc, seed=seed, tol=tol)
+            want = _reference_run(sc, tol=tol)
             # a JSON round trip gives a fresh scenario equal by value, as the
             # benchmark runs it; its second run finds every memo warm
             loaded = loads_scenario(dumps_scenario(sc))
             for _ in range(2):
                 got = run_scenario(loaded, seed=seed, tol=tol)
-                where = (sc.scenario_id, tol, num_random)
+                where = (sc.scenario_id, tol)
                 assert got == want, where
                 assert repr(got) == repr(want), where
 
 
-def _reference_find_each(allowed, residuals, expected, fired, certifying, tol):
-    """_reference_find per outcome of a batch, on the rows that outcome fires."""
+def _per_probe_rule(out):
+    """``uniform_nonzero`` and ``perp_probability`` as the per-probe rule read
+    them off a probe stack: uniform when, on every probe, the branches that
+    fire share one probability within ``VALUE_TOL``; the leak the largest
+    perp probability of any probe, summed row by row in enumeration order."""
+    probs = out.probabilities
+    fired = probs > 0.0
+    max_perp = 0.0
+    if out.perp.any():
+        max_perp = float(sum(probs[out.perp], np.zeros(probs.shape[1])).max())
+    lowest = probs.min(axis=0, where=fired, initial=np.inf)
+    return not (probs.max(axis=0) - lowest > VALUE_TOL).any(), max_perp
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_per_probe_rule_with_random_rows_agrees_with_the_gram_reads(seed):
+    # the rule the Gram reads replaced, on the probe rows and NUM_RANDOM
+    # seeded random members: same branches, same uniformity, and a leak that
+    # reaches the span's maximum, which bounds it from above
+    for sc in _ALL_SCENARIOS:
+        out = _reference_outcomes(sc, _reference_probes(sc.family,
+                                                        np.random.default_rng(seed)))
+        uniform, max_perp = _per_probe_rule(out)
+        res = run_scenario(sc, seed=seed)
+        assert set(out.keys) == {o.key for o in res.outcomes}, sc.scenario_id
+        assert res.uniform_nonzero == uniform, sc.scenario_id
+        assert max_perp <= res.perp_probability + 1e-12, sc.scenario_id
+        assert res.perp_probability == pytest.approx(max_perp, abs=1e-12), sc.scenario_id
+    # without the random members the rule misreads two setups as uniform:
+    # a branch that misses a probe another branch fires is not compared there
+    misread = set()
+    for sc in _ALL_SCENARIOS:
+        uniform, _ = _per_probe_rule(_reference_outcomes(sc, _reference_probes(sc.family)))
+        if uniform != run_scenario(sc, seed=seed).uniform_nonzero:
+            assert uniform, sc.scenario_id
+            misread.add(sc.scenario_id)
+    assert misread == {"q4_bob4_1q[rho_q4]", "q4_bob4_1q[varphi_q5]"}
+
+
+# a lopsided pair with a complex amplitude: the registered Gram matrices are
+# all real, and this one's are not
+_COMPLEX_PAIR = TeleportScenario(
+    "complex_pair", "pair", FamilySpec("arbitrary", 1), (StepSpec((0, 1), "bell"),),
+    (2,), resource_kets=(("00", 1.0), ("01", 0.5j), ("11", 1.0)))
+
+
+def test_gram_reads_match_the_outcome_operators():
+    # outcome j maps span member s_i to the unnormalized coefficients c[i, j]
+    # of the contraction, so its Gram matrix is c^dagger c over the members;
+    # polarization of the probe probabilities gives the same matrix, and the
+    # reported leak, uniformity and averaged probability follow from it
+    checked = imaginary = 0
+    for sc in _ALL_SCENARIOS + [_LAST_PROBE_MISSES, _COMPLEX_PAIR]:
+        d = sc.family.span_dim
+        resource = sc.resource_state().state.amplitudes
+        plan = build_plan(sc.steps)
+        coeff, _ = measure.contract(
+            (family_span(sc.family)[:, :, None] * resource).reshape(d, -1), plan.steps)
+        index = {key: i for i, key in enumerate(plan.outcome_table[1])}
+        out = enumerate_outcomes(
+            (build_probes(sc.family)[:, :, None] * resource).reshape(d * d, -1), plan)
+        res = run_scenario(sc)
+        grams = {}
+        for key, p in zip(out.keys, out.probabilities):
+            c = coeff[:, index[key]]
+            grams[key] = c.conj() @ c.T
+            assert np.allclose(teleport._gram(p, d), grams[key], rtol=0, atol=1e-11), key
+            checked += 1
+            imaginary += np.abs(grams[key].imag).max() > 0.1
+        leak = sum((grams[key] for key, perp in zip(out.keys, out.perp) if perp),
+                   np.zeros((d, d)))
+        assert res.perp_probability == pytest.approx(np.linalg.eigvalsh(leak)[-1],
+                                                     abs=1e-11), sc.scenario_id
+        first = grams[out.keys[0]]
+        assert res.uniform_nonzero == all(np.allclose(g, first, rtol=0, atol=1e-9)
+                                          for g in grams.values()), sc.scenario_id
+        for o in res.outcomes:
+            assert o.probability == pytest.approx(np.trace(grams[o.key]).real / d,
+                                                  abs=1e-12), (sc.scenario_id, o.key)
+    assert checked > 500 and imaginary
+
+
+def _bench_reference(monkeypatch):
+    """The benchmark's independent reference algebra, read without writing
+    bytecode next to it."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "reference.py")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("_bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_correction_tables_replay_on_fresh_family_members(monkeypatch):
+    # every registered table, replayed with plain numpy on 3 fresh seeded
+    # members of its family, returns each member and covers every outcome
+    # that fires: the one randomized check of a teleport verdict
+    ref = _bench_reference(monkeypatch)
+    rng = np.random.default_rng(20261020)
+    for sid, sc in reg.TELEPORT_SCENARIOS.items():
+        res = run_scenario(sc)
+        k = sc.family.num_qubits
+        table = {o.key: ref.correction_matrix(o.correction, k) for o in res.outcomes}
+        steps = []
+        for step in sc.steps:
+            basis = catalog.make_basis(step.basis, **dict(step.basis_params))
+            steps.append((step.qubits, {label: v.amplitudes for label, v
+                                        in zip(basis.labels, basis.vectors)}))
+        inputs = ref.family_members(sc.family.kind, k, sc.family.dressing, rng, 3)
+        worst, covered = ref.replay_table(inputs, sc.resource_state().state.amplitudes,
+                                          steps, sc.receiver, table)
+        assert worst >= 1.0 - 1e-10, sid
+        assert covered >= 1.0 - 1e-10, sid
+
+
+def _reference_find_each(allowed, residuals, expected, fired, tol):
+    """_reference_find per outcome of a batch, on the rows that outcome fires,
+    every one of them certifying."""
     out = []
     for res, rows in zip(residuals, fired):
-        cert_rows = np.flatnonzero(certifying[rows]).tolist()
         out.append(_reference_find(_candidates(allowed, expected.shape[1].bit_length() - 1),
-                                   res[rows], expected[rows], cert_rows, tol))
+                                   res[rows], expected[rows],
+                                   list(range(np.count_nonzero(rows))), tol))
     return out
 
 
-def _find_each(allowed, residuals, expected, fired, certifying, tol):
+def _find_each(allowed, residuals, expected, fired, tol):
     k = expected.shape[1].bit_length() - 1
     chosen, min_fid, best = teleport._find_corrections(
-        teleport._prefixes(allowed, k), residuals, expected, fired, certifying, tol)
+        teleport._prefixes(allowed, k), residuals, expected, fired, tol)
     return [(c, float(m), float(b)) for c, m, b in zip(chosen, min_fid, best)]
 
 
 def test_find_correction_edge_cases():
     e0 = np.array([1.0, 0.0], dtype=np.complex128)
     r = np.array([0.6, 0.8j])
-    # s0 passes the certifying row, but only s3 also returns the random row
+    # s0 passes the first row, but only s3 also returns the second
     case1 = (np.array([[e0, [0.6, -0.8j]]]), np.array([e0, r]),
-             np.array([[True, True]]), np.array([True, False]), ASSERT_TOL)
+             np.array([[True, True]]), ASSERT_TOL)
     # s0 passes a loose tolerance; the better s1 after it is not scanned
     case2 = (np.array([[[0.45 ** 0.5, 0.55 ** 0.5]]], dtype=np.complex128),
-             np.array([e0]), np.array([[True]]), np.array([True]), 0.6)
+             np.array([e0]), np.array([[True]]), 0.6)
     for case in (case1, case2):
         assert _find_each("paulis", *case) == _reference_find_each("paulis", *case)
     assert _find_each("paulis", *case1) == [("s3", 1.0, 1.0)]
@@ -835,10 +969,8 @@ def test_find_correction_edge_cases():
 
 
 def test_find_corrections_resolves_a_mixed_batch(monkeypatch):
-    # six outcomes over the 18 probes of an arbitrary two-qubit family
-    monkeypatch.setattr(teleport, "NUM_RANDOM_PROBES", 2)
-    expected, certifying = build_probes(FamilySpec("arbitrary", 2),
-                                        np.random.default_rng(3))
+    # six outcomes over the 16 probes of an arbitrary two-qubit family
+    expected = build_probes(FamilySpec("arbitrary", 2))
     rows = len(expected)
     pauli = dict(_candidates("paulis", 2))
     cz = _cz_matrix(2, (0, 1))
@@ -857,17 +989,17 @@ def test_find_corrections_resolves_a_mixed_batch(monkeypatch):
             rotated,                         # no candidate, best after CZ
             pauli["s3*s1"] @ tilt,           # no candidate, best at the identity
             pauli["s3*s0"].conj().T,         # fired by a strict subset of rows
-            pauli["s0*s1"].conj().T]         # fired by random members only
+            pauli["s0*s1"].conj().T]         # fired by the pair rows only
     fired = np.ones((len(maps), rows), dtype=bool)
     fired[4] = np.arange(rows) % 3 != 1
-    fired[5] = ~certifying
-    assert fired[4, ~certifying].any() and not fired[4].all()
+    fired[5] = np.arange(rows) >= 4
+    assert not fired[4].all()
     residuals = np.where(fired[..., None],
                          np.einsum("mab,ib->mia", np.array(maps), expected),
                          garbage)
-    got = _find_each("paulis+cz", residuals, expected, fired, certifying, ASSERT_TOL)
+    got = _find_each("paulis+cz", residuals, expected, fired, ASSERT_TOL)
     assert got == _reference_find_each("paulis+cz", residuals, expected, fired,
-                                       certifying, ASSERT_TOL)
+                                       ASSERT_TOL)
     assert [c for c, _, _ in got] == ["s1*s3", "CZ(0,1);is2*s1", None, None,
                                       "s3*s0", "s0*s1"]
     for _, min_fid, best in got[2:4]:
@@ -876,33 +1008,30 @@ def test_find_corrections_resolves_a_mixed_batch(monkeypatch):
     # the best of the first open outcome lies past the identity prefix, that
     # of the second at it: best is a maximum over every prefix
     [(_, _, first), (_, _, second)] = _find_each(
-        "paulis", residuals[2:4], expected, fired[2:4], certifying, ASSERT_TOL)
+        "paulis", residuals[2:4], expected, fired[2:4], ASSERT_TOL)
     assert first < got[2][2] and second == got[3][2]
-    # without the outcome only random members fire, the random rows are
-    # scored at accepted candidates alone, each outcome on the rows it fires:
-    # outcome 4 leaves random row 16 unfired, a zero row as enumerate_outcomes
-    # leaves it, which must not strike its correction
-    assert not fired[4, 16] and fired[4, 17]
+    # each outcome is scored on the rows it fires: outcome 4 leaves row 13
+    # unfired, a zero row as enumerate_outcomes leaves it, which must not
+    # strike its correction
+    assert not fired[4, 13] and fired[4, 14]
     unfired = residuals[:5].copy()
-    unfired[4, 16] = 0.0
-    assert _find_each("paulis+cz", unfired, expected, fired[:5], certifying,
-                      ASSERT_TOL) == got[:5]
-    # slices of two outcomes: three at the identity prefix, two after CZ(0,1)
-    monkeypatch.setattr(teleport, "SLICE_ENTRIES", 2 * rows * 4 ** 3)
-    assert _find_each("paulis+cz", residuals, expected, fired, certifying,
-                      ASSERT_TOL) == got
+    unfired[4, 13] = 0.0
+    assert _find_each("paulis+cz", unfired, expected, fired[:5], ASSERT_TOL) == got[:5]
+    # slices of two outcomes, each gathering rows x 4^2 x 2^2 trace terms
+    # beside its rows x 4^2 outer products and scores: three slices at the
+    # identity prefix, two after CZ(0,1)
+    monkeypatch.setattr(teleport, "SLICE_ENTRIES", 2 * rows * 4 ** 2 * (4 + 2))
+    assert _find_each("paulis+cz", residuals, expected, fired, ASSERT_TOL) == got
 
 
 def test_bulk_scores_cover_the_certifying_rows_when_every_outcome_fires_one(
         monkeypatch):
-    # 16 certifying and 5 random rows of a two-qubit family, three outcomes
-    # the identity corrects: the bulk transform scores the 16 certifying
-    # rows, and all 21 once an outcome fires random rows only
-    monkeypatch.setattr(teleport, "NUM_RANDOM_PROBES", 5)
-    expected, certifying = build_probes(FamilySpec("arbitrary", 2),
-                                        np.random.default_rng(4))
+    # the 16 rows of a two-qubit family, every one certifying, and three
+    # outcomes the identity corrects: the bulk transform scores all 16 rows,
+    # whether every outcome fires every row or one fires the pair rows only
+    expected = build_probes(FamilySpec("arbitrary", 2))
     rows = len(expected)
-    assert rows == 21 and certifying[:16].all() and not certifying[16:].any()
+    assert rows == 16
     residuals = np.repeat(expected[None], 3, axis=0)
     scored = []
     real = teleport.pauli_coefficients
@@ -913,62 +1042,71 @@ def test_bulk_scores_cover_the_certifying_rows_when_every_outcome_fires_one(
 
     monkeypatch.setattr(teleport, "pauli_coefficients", spy)
     fired = np.ones((3, rows), dtype=bool)
-    for some_uncertified, want in ((False, 16), (True, rows)):
-        fired[2] = ~certifying if some_uncertified else True
+    for pairs_only in (False, True):
+        fired[2] = np.arange(rows) >= 4 if pairs_only else True
         scored.clear()
-        got = _find_each("paulis", residuals, expected, fired, certifying, ASSERT_TOL)
-        assert scored == [want]
+        got = _find_each("paulis", residuals, expected, fired, ASSERT_TOL)
+        assert scored == [rows]
         assert got == _reference_find_each("paulis", residuals, expected, fired,
-                                           certifying, ASSERT_TOL)
+                                           ASSERT_TOL)
         assert [c for c, _, _ in got] == ["s0*s0"] * 3
 
 
 @pytest.mark.parametrize("allowed", ["paulis", "paulis+cz"])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_random_rows_strike_candidates_the_certifying_rows_accept(allowed, k, monkeypatch):
-    # outcomes firing the basis rows |t> and the random rows only, with
-    # residuals B^dagger v for a diagonal candidate B: every diagonal
-    # candidate maps each |t> to +-|t>, so the certifying rows accept them
-    # all, and the random rows strike each one the scan meets before B.  The
-    # last outcome's random rows are noise, so it strikes every one of them
+def test_random_rows_strike_candidates_the_certifying_rows_accept(allowed, k):
+    # the pair rows strike the candidates that seeded random rows struck
+    # under the per-probe rule.  Outcomes with residuals B^dagger v for a
+    # diagonal candidate B: every
+    # diagonal candidate maps each basis row |t> to +-|t>, so the basis rows
+    # accept them all.  Under the per-probe rule, with the basis rows
+    # certifying, seeded random members struck each one the scan meets
+    # before B; the pair rows strike the same ones, so a scan of the probe
+    # rows alone picks B too.  The last outcome returns the basis rows and is
+    # noise elsewhere: the random rows struck every candidate, and so do the
+    # pair rows
     rng = np.random.default_rng(100 * k + len(allowed))
-    monkeypatch.setattr(teleport, "NUM_RANDOM_PROBES", 4)
-    expected, certifying = build_probes(FamilySpec("arbitrary", k), rng)
-    rows, dim = expected.shape
-    diagonal = [(desc, mat) for desc, mat in _candidates(allowed, k)
+    probes = _reference_probes(FamilySpec("arbitrary", k), rng, 4)
+    stack = np.array([state.amplitudes for _, state, _ in probes])
+    certifying = np.array([cert for _, _, cert in probes])
+    rows, dim = stack.shape
+    candidates = _candidates(allowed, k)
+    diagonal = [(desc, mat) for desc, mat in candidates
                 if np.array_equal(mat, np.diag(np.diag(mat)))]
     picks = sorted(rng.choice(np.arange(1, len(diagonal)), size=min(3, len(diagonal) - 1),
                               replace=False).tolist())
-    fired = np.zeros((len(picks) + 1, rows), dtype=bool)
-    fired[:, :dim] = True
-    fired[:, ~certifying] = True
     noise = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
     noise /= np.linalg.norm(noise, axis=1, keepdims=True)
+    basis = np.arange(rows) < dim
     # row i of v @ conj(B) is B^dagger v_i, B being diagonal
-    maps = [expected @ diagonal[p][1].conj() for p in picks]
-    maps.append(np.where(certifying[:, None], expected, noise))
-    residuals = np.where(fired[..., None], np.array(maps), noise)
-    got = _find_each(allowed, residuals, expected, fired, certifying, ASSERT_TOL)
-    assert got == _reference_find_each(allowed, residuals, expected, fired,
-                                       certifying, ASSERT_TOL)
-    assert [c for c, _, _ in got] == [diagonal[p][0] for p in picks] + [None]
-    # the scan of every row in bulk, which runs when the certifying rows do
-    # not lead, gives the same bits
-    order = np.arange(rows)[::-1]
-    assert got == _find_each(allowed, residuals[:, order], expected[order],
-                             fired[:, order], certifying[order], ASSERT_TOL)
+    maps = [stack @ diagonal[p][1].conj() for p in picks]
+    maps.append(np.where(basis[:, None], stack, noise))
+    residuals = np.array(maps)
+    want = [diagonal[p][0] for p in picks] + [None]
+    old = basis | ~certifying
+    assert [_reference_find(candidates, res[old], stack[old], list(range(dim)),
+                            ASSERT_TOL)[0] for res in residuals] == want
+    residuals, stack = residuals[:, certifying], stack[certifying]
+    fired = np.ones(residuals.shape[:2], dtype=bool)
+    got = _find_each(allowed, residuals, stack, fired, ASSERT_TOL)
+    assert got == _reference_find_each(allowed, residuals, stack, fired, ASSERT_TOL)
+    assert [c for c, _, _ in got] == want
+    # the scan does not depend on the row order, to the bit
+    order = np.arange(len(stack))[::-1]
+    assert got == _find_each(allowed, residuals[:, order], stack[order], fired,
+                             ASSERT_TOL)
 
 
 @pytest.mark.parametrize("seed", [42, 7])
 def test_sliced_scan_matches_the_unsliced_one(seed, monkeypatch):
-    # 36 probes of a two-qubit family: slices are sized by one outcome's
-    # 36 x 4^2 x 2^2 scores of all rows, so a slice budget of three of them
-    # splits the 16 outcomes into six slices, each scored in bulk on its 16
-    # certifying rows
+    # 16 probes of a two-qubit family: slices are sized by one outcome's
+    # 16 x 4^2 x 2^2 gathered trace terms and its 16 x 4^2 outer products
+    # and scores, so a slice budget of three outcomes splits the 16
+    # outcomes into six slices
     sc = reg.TELEPORT_SCENARIOS["omega2_bellbell_cz"]
     want = run_scenario(sc, seed=seed)
-    assert len(want.outcomes) == 16 and want.num_probes == 36
-    limit = 3 * 36 * 64
+    assert len(want.outcomes) == 16 and want.num_probes == 16
+    limit = 3 * 16 * 4 ** 2 * (4 + 2)
     entries = []
     real = teleport.pauli_coefficients
 
@@ -980,18 +1118,18 @@ def test_sliced_scan_matches_the_unsliced_one(seed, monkeypatch):
     monkeypatch.setattr(teleport, "SLICE_ENTRIES", limit)
     got = run_scenario(sc, seed=seed)
     assert got == want and repr(got) == repr(want)
-    assert max(entries) == 3 * 16 * 64 and len(entries) > len(teleport._prefixes("paulis+cz", 2)[0])
+    assert max(entries) == 3 * 16 * 4 ** 3 and len(entries) > len(teleport._prefixes("paulis+cz", 2)[0])
 
 
 def test_four_qubit_scan_stays_within_the_slice_budget(monkeypatch):
-    # five outcomes over the 276 probes of an arbitrary four-qubit family:
-    # one outcome's scores of all rows are 276 x 4^4 x 2^4 entries (18 MB), so
-    # the budget scores them one at a time, in bulk on the 256 certifying
-    # rows; slices sized by MAX_STACK_ENTRIES took all five at once, and took
-    # four Bell pairs teleporting four qubits to 377 MB
-    expected, certifying = build_probes(FamilySpec("arbitrary", 4),
-                                        np.random.default_rng(5))
+    # five outcomes over the 256 probes of an arbitrary four-qubit family:
+    # one outcome gathers 256 x 4^4 x 2^4 = 2^20 trace terms, beside its
+    # 256 x 4^4 outer products and scores, so the budget of 2^21 entries
+    # scores them one at a time; slices sized by MAX_STACK_ENTRIES took all
+    # five at once, and took four Bell pairs teleporting four qubits to 377 MB
+    expected = build_probes(FamilySpec("arbitrary", 4))
     rows = len(expected)
+    assert rows == 256
     rng = np.random.default_rng(6)
     residuals = (rng.standard_normal((5, rows, 16))
                  + 1j * rng.standard_normal((5, rows, 16)))
@@ -1011,14 +1149,13 @@ def test_four_qubit_scan_stays_within_the_slice_budget(monkeypatch):
     tracemalloc.start()
     try:
         chosen, _, _ = teleport._find_corrections(prefixes, residuals, expected,
-                                                  fired, certifying, ASSERT_TOL)
+                                                  fired, ASSERT_TOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert chosen == ["s0*s0*s0*s0"] + [None] * 4
-    assert entries == [256 * 8 ** 4] * 5
-    assert max(entries) <= SLICE_ENTRIES
-    # one slice's complex scores at the full budget: 32 MiB
+    assert entries == [rows * 8 ** 4] * 5
+    # one slice's complex entries at the full budget: 32 MiB
     assert peak < 16 * SLICE_ENTRIES
 
 
@@ -1042,13 +1179,13 @@ def test_best_fidelity_of_a_corrected_outcome_is_the_chosen_candidates_own(
         monkeypatch):
     # no candidate scanned before the chosen one certifies better than it, so
     # a corrected outcome's best_fidelity is the chosen candidate's own worst
-    # certifying fidelity, bit for bit
+    # fidelity over the rows it fires, bit for bit
     calls = []
     real = teleport._find_corrections
 
-    def spy(prefixes, residuals, expected, fired, certifying, tol):
-        got = real(prefixes, residuals, expected, fired, certifying, tol)
-        calls.append((prefixes, residuals, expected, fired, certifying, got))
+    def spy(prefixes, residuals, expected, fired, tol):
+        got = real(prefixes, residuals, expected, fired, tol)
+        calls.append((prefixes, residuals, expected, fired, got))
         return got
 
     monkeypatch.setattr(teleport, "_find_corrections", spy)
@@ -1057,7 +1194,7 @@ def test_best_fidelity_of_a_corrected_outcome_is_the_chosen_candidates_own(
             run_scenario(sc, seed=seed)
     assert len(calls) == 2 * len(_ALL_SCENARIOS)
     corrected = 0
-    for (descs, masks), residuals, expected, fired, certifying, got in calls:
+    for (descs, masks), residuals, expected, fired, got in calls:
         table = pauli_table(expected.shape[1].bit_length() - 1)
         for res, rows, desc, best in zip(residuals, fired, got[0], got[2]):
             if desc is None:
@@ -1070,8 +1207,6 @@ def test_best_fidelity_of_a_corrected_outcome_is_the_chosen_candidates_own(
             fids = np.abs(np.sum(expected[rows].conj()[:, None, :]
                                  * ((res[rows] * masks[p])[:, perm] * sign),
                                  axis=2)) ** 2
-            cert = certifying[rows]
-            own = (fids[cert] if cert.any() else fids).min()
-            assert best == own, desc
+            assert best == fids.min(), desc
             corrected += 1
     assert corrected
