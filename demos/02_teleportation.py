@@ -9,8 +9,8 @@ classical traffic.  Three examples here:
      measured in its own eight-outcome basis (2 cbits),
   2. the same resource consumed as two Bell pairs split over three
      parties (3 cbits once the relay is counted),
-  3. a deliberately broken variant whose best correction table still
-     loses a quarter of the probability, reported as infeasible.
+  3. a deliberately broken variant, reported as infeasible: on its worst
+     outcome no Pauli correction beats entanglement fidelity 1/4.
 """
 
 from quadproto import run_scenario
@@ -21,14 +21,14 @@ def show(res) -> None:
     print("scenario %s" % res.scenario_id)
     print("  feasible: %s" % res.feasible)
     if res.feasible:
-        print("  worst fidelity over probes: %.12f" % res.worst_fidelity)
+        print("  entanglement fidelity, worst outcome: %.12f" % res.worst_fidelity)
         print("  classical cost: %d cbits  %s"
               % (res.classical_cost, dict(res.cost_breakdown)))
         print("  corrections:")
         for outcome, corr in res.corrections.items():
             print("    %-12s -> %s" % (outcome, corr))
     else:
-        print("  best achievable worst-case fidelity: %.6f"
+        print("  best entanglement fidelity, worst outcome: %.6f"
               % res.best_worst_fidelity)
         if res.reason:
             print("  reason: %s" % res.reason)

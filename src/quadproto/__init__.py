@@ -33,7 +33,7 @@ _EXPORTS = {
         "complete_basis", "enumerate_outcomes"),
     "teleport": (
         "FamilySpec", "OutcomeReport", "TeleportResult", "TeleportScenario",
-        "build_probes", "family_span", "run_scenario"),
+        "build_probes", "run_scenario"),
     "densecode": (
         "DenseCodingResult", "best_over_subsets", "distinguishable_messages",
         "encoded_states"),

@@ -418,9 +418,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default 42)")
     common.add_argument("--tolerance", type=_tolerance, default=ASSERT_TOL,
                         help="assertion tolerance, strictly between 0 and 1 "
-                             "(default %g); above the default, a teleport "
-                             "fidelity is the worst over the family's probe "
-                             "rows, not over the whole family" % ASSERT_TOL)
+                             "(default %g); a teleport correction is accepted "
+                             "when its entanglement fidelity on the family's "
+                             "span is at least 1 - tolerance" % ASSERT_TOL)
     common.add_argument("--format", choices=("json", "text", "both"),
                         default="both", help="output style (default both)")
     common.add_argument("--out", default=None,

@@ -16,14 +16,14 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 MAX_QUBITS = 12
-# complex entries of one stacked array (dense-coding encodings, the Pauli-table
-# gather of pauli_coefficients, teleport probes tensored with the resource and
-# one correction prefix's scores, probes x 4^k x 2^k): 256 MiB.  The Pauli table
-# keeps 4^k x 2^k int8 signs under it too, so k <= 8 (16 MiB)
+# complex entries of one stacked array (dense-coding encodings and tables, the
+# Pauli-table gather of pauli_coefficients): 256 MiB.  The Pauli table keeps
+# 4^k x 2^k int8 signs under it too, so k <= 8 (16 MiB), which also bounds a
+# teleport family and one outcome's correction scores (4^k x 2^k terms)
 MAX_STACK_ENTRIES = 2 ** 24
-# entries of one slice of a stack worked in slices (the teleport correction
-# scores of the open outcomes): 32 MiB, so a slice stays cache- and RSS-sized
-# although one outcome may take up to MAX_STACK_ENTRIES
+# entries of one slice of a stack worked in slices (Pauli-table gathers, teleport
+# outcome chunks, dense-coding subsets): 32 MiB, so a slice stays cache- and
+# RSS-sized although one stack may take up to MAX_STACK_ENTRIES
 SLICE_ENTRIES = 2 ** 21
 # greedy colourings one dense-coding clique search may run before it is
 # refused: 40x the 245 of the heaviest pinned, suite or benchmark query
@@ -62,7 +62,7 @@ def check_tolerance(tol: float) -> float:
 
 class CapacityError(ValueError):
     """A query would exceed a supported size: a register past ``MAX_QUBITS``,
-    a Pauli table or a teleport probe or score stack past
+    a Pauli table (and so a teleport family) or a dense-coding stack past
     ``MAX_STACK_ENTRIES``, or a clique search past ``MAX_COLOURINGS``."""
 
 

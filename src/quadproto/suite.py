@@ -76,7 +76,7 @@ def teleport_claim_holds(scenario_id: str, results: list[TeleportResult],
     """A registered scenario's one result: feasible with unit fidelity and
     no perp leak within ``tol``, at its registered cost.  Any other id names
     a negative group, or one of its setups: none feasible, and none within
-    ``NEGATIVE_GAP`` of unit worst-case fidelity."""
+    ``NEGATIVE_GAP`` of unit entanglement fidelity."""
     if scenario_id in reg.TELEPORT_SCENARIOS:
         (res,) = results
         return (res.feasible and res.worst_fidelity >= 1.0 - tol
@@ -103,8 +103,8 @@ def _teleport_rows(seed: int, tol: float) -> list[ClaimRow]:
         rows.append(ClaimRow(
             claim_id="teleport/negative/%s" % group, kind="teleport_negative",
             status=_verdict(teleport_claim_holds(group, results, tol)),
-            expected="infeasible over %d setups, best worst-case < %.0e below 1"
-                     % (len(scenarios), NEGATIVE_GAP),
+            expected="infeasible over %d setups, best entanglement fidelity "
+                     "< 1 - %.0e" % (len(scenarios), NEGATIVE_GAP),
             actual="all_infeasible=%s max_best_worst=%.4f"
                    % (not any(res.feasible for res in results),
                       max(res.best_worst_fidelity for res in results))))

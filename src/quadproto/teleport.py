@@ -2,22 +2,18 @@
 
 A scenario fixes a resource state, a family of unknown input states, a
 measurement plan over the sender-side qubits, and the receiver's qubits
-(ascending).  The engine enumerates every measurement outcome for the
-family's probe rows (``build_probes``: the span members, then per pair
-the superpositions with and without a relative i; one amplitude row
-each, tensored with the resource in one step), then searches a
-deterministic candidate list for a local correction per outcome that
-maps the residual back onto the input with fidelity one.
+(ascending).  The engine measures the family's probe rows, the d members
+s_i of an orthonormal basis of its span (``build_probes``), each tensored
+with the resource in one step, and searches a deterministic candidate list
+for a local correction per outcome that returns every member of the family.
 
-The probe rows are a polarization set: outcome j acts on the span as a
-linear map O_j, and its probabilities on the rows fix its Gram matrix
-O_j^dagger O_j on the whole span (``_gram``).  So uniformity (equal
-probability rows, hence equal Gram matrices), the probability leaked into
-auto-completed directions (the top eigenvalue of their summed Gram
-matrix) and each outcome's probability averaged over the family
-(Tr(O_j^dagger O_j)/d) are exact over the span, and a candidate that
-returns every row an outcome fires at fidelity one returns every member
-of the family.  No result depends on a random draw.
+Outcome j acts on the span as a linear map O_j, O_j s_i = sqrt(p_ji) r_ji
+(p_ji its probability and r_ji its residual for member i), and every result
+is read off these operators, so each is exact over the span and none
+depends on a random draw: uniformity (equal Gram matrices O_j^dagger O_j),
+the probability leaked into auto-completed directions (the top eigenvalue
+of their summed Gram matrix) and each outcome's probability averaged over
+the family (Tr(O_j^dagger O_j)/d).
 
 Correction vocabularies:
 
@@ -27,32 +23,31 @@ Correction vocabularies:
 * ``paulis+diag``     optionally one diagonal sign mask on the whole
                       receiver register, applied before the Pauli layer;
                       limited to 3 receiver qubits (``MAX_DIAG_QUBITS``),
-                      since k qubits have 2**(2**k - 1) masks
+                      since k qubits have 2**(2**k - 1) masks to scan
 
 A candidate is a prefix D (identity, a CZ or a sign mask, stored as a row
 of +-1 entries) followed by a Pauli product P_x of ``states.pauli_table``.
-Probe i's fidelity under P_x D is |Tr(P_x D r_i v_i^dagger)|**2 (r_i its
-residual, v_i its input), so one ``states.pauli_coefficients`` call scores
-every Pauli product after one prefix on every probe of every outcome
-still open.  The scan runs prefix outer and an outcome leaves it at its
-first candidate that works.  One outcome's scores take probes x 4^k x 2^k
-entries, so a family above ``MAX_STACK_ENTRIES`` is refused from the
-sizes, and the open outcomes are scored in slices of at most
-``SLICE_ENTRIES`` (2^21) complex entries, counting each outcome's
-gathered trace terms (probes x 4^k x 2^k) with the outer products they
-are gathered from and the scores they sum to (probes x 4^k each), one
-outcome per slice when its own entries are more.
+It corrects outcome j when P_x D O_j = c I on the span, that is when its
+entanglement fidelity F_e = |Tr(P_x D O_j V V^dagger)|**2 / (d ||O_j V||_F**2)
+(V the members as columns; Nielsen, Phys. Lett. A 303, 249 (2002)) is 1.
+One ``states.pauli_coefficients`` call scores every Pauli product after
+one prefix for every outcome still open; candidates are tried prefix
+outer, Pauli inner, and an outcome takes the first with F_e >= 1 - tol.
+An outcome's scores gather 4^k x 2^k trace terms, as many as the Pauli
+table has entries, so a family whose table is above ``MAX_STACK_ENTRIES``
+(k >= 9) is refused from its size, and the open outcomes are scored in
+chunks of at most ``SLICE_ENTRIES`` (2^21) gathered terms, one outcome per
+chunk when its own are more.
 
-The inputs of a scan are built once per value, each in a memo of
+The inputs of a call are built once per value, each in a memo of
 read-only arrays keyed by what determines it: the resource state by its
 catalog call (``make_state``), the plan by its resolved steps
-(``build_plan``), the family span and its probe rows by ``FamilySpec``,
-and the prefix masks by vocabulary and family size.  Per call come an
-inline resource, the joint stack, its outcomes, the Gram reads and the
-correction scan.
+(``build_plan``), the probe rows by ``FamilySpec``, and the prefix masks
+by vocabulary and family size.  Per call come an inline resource, the
+joint stack, its outcomes, the outcome operators and the correction search.
 
 When no candidate works the result carries a certificate: per outcome, the
-best achievable worst-case fidelity over the probes it fires.
+best entanglement fidelity any candidate reached.
 """
 
 from __future__ import annotations
@@ -68,21 +63,20 @@ from .catalog import NamedState, make_state
 from .measure import StepSpec, build_plan, check_steps, enumerate_outcomes
 from .states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, SLICE_ENTRIES,
                      VALUE_TOL, PureState, apply_paulis, check_integer, check_iterable,
-                     check_qubits, check_stack, check_tolerance, ket_vector,
-                     pauli_coefficients, pauli_table, qubit_count)
+                     check_qubits, check_tolerance, ket_vector, pauli_coefficients,
+                     pauli_table, qubit_count)
 
 __all__ = [
     "FamilySpec",
     "TeleportScenario",
     "OutcomeReport",
     "TeleportResult",
-    "family_span",
     "build_probes",
     "run_scenario",
     "classical_cost",
 ]
 
-# paulis+diag scans 2**(2**k - 1) sign masks: 128 at k = 3, 32,768 at k = 4
+# paulis+diag tries 2**(2**k - 1) sign masks: 128 at k = 3, 32,768 at k = 4
 MAX_DIAG_QUBITS = 3
 
 
@@ -140,9 +134,10 @@ class FamilySpec:
 
 
 @functools.lru_cache(maxsize=1024)
-def family_span(spec: FamilySpec) -> np.ndarray:
-    """Orthonormal basis of the family's span, one member per row of a
-    read-only (d, 2**num_qubits) array, memoized by value."""
+def build_probes(spec: FamilySpec) -> np.ndarray:
+    """The family's probe rows: an orthonormal basis of its span, one member
+    per row of a read-only (span_dim, 2**num_qubits) array, memoized by
+    value."""
     k = spec.num_qubits
     d = spec.dressing
     if spec.kind == "arbitrary":
@@ -159,33 +154,6 @@ def family_span(spec: FamilySpec) -> np.ndarray:
         span = apply_paulis(bare, [PAULI_ORDER[w] for w in word])
     span.flags.writeable = False
     return span
-
-
-@functools.lru_cache(maxsize=1024)
-def build_probes(spec: FamilySpec) -> np.ndarray:
-    """The probe rows of a family, one read-only row each, memoized by
-    value: the span members, then per pair i < j (s_i + s_j)/sqrt(2) and
-    (s_i + i s_j)/sqrt(2), span_dim**2 rows in all."""
-    span = family_span(spec)
-    n, dim = span.shape
-    i, j = np.triu_indices(n, 1)
-    pairs = np.stack([span[i] + span[j], span[i] + 1j * span[j]], axis=1) / math.sqrt(2)
-    rows = np.concatenate([span, pairs.reshape(-1, dim)])
-    rows.flags.writeable = False
-    return rows
-
-
-def _gram(p: np.ndarray, d: int) -> np.ndarray:
-    """The (d, d) Gram matrix G = O^dagger O, in span coordinates, of a map O
-    whose probabilities over the rows of ``build_probes`` are p, by
-    polarization: G_ii = p_i and, per pair i < j, Re G_ij = p_plus -
-    (p_i + p_j)/2 and Im G_ij = (p_i + p_j)/2 - p_iphase."""
-    i, j = np.triu_indices(d, 1)
-    mean = (p[i] + p[j]) / 2
-    gram = np.diag(p[:d].astype(np.complex128))
-    gram[i, j] = (p[d::2] - mean) + 1j * (mean - p[d + 1::2])
-    gram[j, i] = gram[i, j].conj()
-    return gram
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +194,8 @@ class TeleportScenario:
                 and self.family.num_qubits > MAX_DIAG_QUBITS):
             raise ValueError(
                 "paulis+diag corrections are limited to %d receiver qubits, "
-                "got %d: the scan would try 2**(2**k - 1) sign masks per "
-                "Pauli product (solving for corrections instead of scanning "
-                "is an open item in ROADMAP.md)"
+                "got %d: the search still tries each of the 2**(2**k - 1) "
+                "sign masks in turn, scoring every Pauli product after it"
                 % (MAX_DIAG_QUBITS, self.family.num_qubits))
 
     def resource_state(self) -> NamedState:
@@ -275,63 +242,52 @@ def _prefixes(allowed: str, k: int) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
-                      residuals: np.ndarray, expected: np.ndarray,
-                      fired: np.ndarray, tol: float,
+                      ops: np.ndarray, norms: np.ndarray, tol: float,
                       ) -> tuple[list[str | None], np.ndarray, np.ndarray]:
-    """First candidate per outcome mapping every row it fires onto its input.
+    """First candidate per outcome that corrects its span operator.
 
-    ``residuals`` is the (nb, rows, 2**k) stack of every outcome, ``fired``
-    its (nb, rows) firing mask and ``expected`` the (rows, 2**k) inputs.
-    Returns per outcome the descriptor or None, the worst fidelity over its
-    fired rows of the chosen candidate or 0.0, and the best such worst
-    fidelity over the candidates scanned up to and including the chosen
-    one.  A candidate is chosen when every fired row reaches ``1 - tol``.
+    ``ops`` is the (nb, 2**k, 2**k) stack of A_j = O_j V V^dagger (V the
+    span members as columns) and ``norms`` the (nb,) d ||O_j V||_F^2.
+    Candidate P_x D scores its entanglement fidelity
+    F_e = |Tr(P_x D A_j)|**2 / norms[j], which is 1 exactly when
+    P_x D O_j = c I on the span.  Returns per outcome the descriptor of the
+    first candidate with F_e >= ``1 - tol`` or None, its F_e or 0.0, and
+    the best F_e over the candidates tried up to and including it.
 
-    Per prefix, one Pauli transform scores every product on every row for
-    every outcome still open, in slices of at most ``SLICE_ENTRIES`` complex
-    entries held at once (one outcome when its own exceed that).  Outcomes
-    leave the open set at their first hit.  The first prefix is the
-    identity (``_prefixes``), scored unmasked.
+    Per prefix, one ``pauli_coefficients`` call scores every Pauli product
+    for a chunk of the outcomes still open, each gathering 4^k x 2^k trace
+    terms, so a chunk holds at most ``SLICE_ENTRIES`` of them (one outcome
+    when its own are more).  The first prefix is the identity
+    (``_prefixes``), scored unmasked.
     """
-    nb, rows, dim = residuals.shape
-    names = pauli_table(qubit_count(dim)).names
-    every = fired.all()
-    conj = expected[:, None].conj()
+    nb, dim, _ = ops.shape
+    k = qubit_count(dim)
+    names = pauli_table(k).names
     chosen: list[str | None] = [None] * nb
     min_fid = np.zeros(nb)
     best = np.zeros(nb)
-    # per outcome, the gathered trace terms (rows x 4^k x 2^k) and, beside
-    # them, the outer products and the scores (rows x 4^k each)
-    step = max(1, SLICE_ENTRIES // (rows * dim ** 2 * (dim + 2)))
+    step = max(1, SLICE_ENTRIES >> 3 * k)
     open_ = np.arange(nb)
     for p, (desc, mask) in enumerate(zip(*prefixes)):
-        if not open_.size:
-            break
-        # while every outcome is open, a slice of outcomes is a view
-        whole = len(open_) == nb
         left = []
         for lo in range(0, len(open_), step):
             js = open_[lo:lo + step]
-            sel = slice(lo, lo + step) if whole else js
-            masked = residuals[sel] if p == 0 else residuals[sel] * mask
-            fids = np.abs(pauli_coefficients(conj * masked[..., None])) ** 2
-            # per outcome and candidate, the least score of a row it fires
-            if every:
-                worst = fids.min(axis=1)
-            else:
-                worst = fids.min(axis=1, where=fired[sel, :, None], initial=np.inf)
-            ok = worst >= 1.0 - tol
+            masked = ops[js] if p == 0 else ops[js] * mask[:, None]
+            fids = np.abs(pauli_coefficients(masked)) ** 2 / norms[js, None]
+            ok = fids >= 1.0 - tol
             hit = ok.any(axis=1)
             first = ok.argmax(axis=1)
             # every candidate before the first that works scores below it
-            score = np.where(hit, worst[np.arange(len(js)), first], worst.max(axis=1))
-            best[sel] = np.maximum(best[sel], score)
+            score = np.where(hit, fids[np.arange(len(js)), first], fids.max(axis=1))
+            best[js] = np.maximum(best[js], score)
             done = js[hit]
             for j, x in zip(done.tolist(), first[hit].tolist()):
                 chosen[j] = desc + "*".join(names[x])
             min_fid[done] = score[hit]
             left.append(js[~hit])
-        open_ = left[0] if len(left) == 1 else np.concatenate(left)
+        open_ = np.concatenate(left)
+        if not open_.size:
+            break
     return chosen, min_fid, best
 
 
@@ -344,8 +300,9 @@ class OutcomeReport:
     key: str
     probability: float            # averaged over the family: Tr(O^dagger O)/d
     correction: str | None
-    min_fidelity: float           # over the probes it fires, after correction (if any)
-    best_fidelity: float          # best worst-case over candidates
+    # the entanglement fidelity F_e of its correction on the span, 0.0 without one
+    min_fidelity: float
+    best_fidelity: float          # best F_e over the candidates tried
     perp: bool
 
 
@@ -354,9 +311,7 @@ class TeleportResult:
     scenario_id: str
     feasible: bool
     outcomes: tuple[OutcomeReport, ...]
-    # min over outcomes of min_fidelity: a min over the d^2 probe rows, so
-    # at a tolerance above the default it may read above the family's worst
-    worst_fidelity: float
+    worst_fidelity: float         # min over corrected outcomes of min_fidelity
     best_worst_fidelity: float    # min over outcomes of best_fidelity
     perp_probability: float       # max over the span
     uniform_nonzero: bool
@@ -380,44 +335,39 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     if seed < 0:
         raise ValueError("seed must be a non-negative integer, got %r" % seed)
     resource = scenario.resource_state().state
-    # refuse a joint register above MAX_QUBITS, and a joint probe stack or one
-    # outcome's correction scores after a prefix (rows x 4^k Pauli products x
-    # 2^k) above MAX_STACK_ENTRIES, from the sizes alone, before any probe is
-    # built
-    family = scenario.family
-    k = family.num_qubits
-    n = qubit_count(2 ** k * resource.dim)
-    span = family.span_dim
-    rows = span ** 2
-    check_stack(rows << n, "%d probes of a %d-qubit joint register need %d x "
-                "2^%d amplitudes", rows, n, rows, n)
-    check_stack(rows << 3 * k, "%d probes of a %d-qubit family need %d x 4^%d x "
-                "2^%d correction scores", rows, k, rows, k, k)
-    vectors = build_probes(family)
-    joint = (vectors[:, :, None] * resource.amplitudes).reshape(rows, -1)
+    # refuse a joint register above MAX_QUBITS, and a family whose Pauli
+    # table (8^k entries, as many as one outcome's correction scores gather)
+    # is above MAX_STACK_ENTRIES, from the sizes alone, before any probe is
+    # built; the joint stack, d x 2^n <= 2^8 x 2^12 amplitudes, then fits
+    k = scenario.family.num_qubits
+    qubit_count(2 ** k * resource.dim)
+    pauli_table(k)
+    span = build_probes(scenario.family)
+    d = len(span)
+    joint = (span[:, :, None] * resource.amplitudes).reshape(d, -1)
     out = enumerate_outcomes(joint, build_plan(scenario.steps))
     if len(out) and out.kept_qubits != scenario.receiver:
         raise ValueError(
             "plan for %s leaves qubits %s but the receiver holds %s"
             % (scenario.scenario_id, out.kept_qubits, scenario.receiver)
         )
-    # branches are reported in the order the probes first fire them; every
-    # branch fires for some probe
+    # outcome j maps member s_i to O_j s_i = sqrt(p_ji) r_ji; branches are
+    # reported in the order the members first fire them, and every branch
+    # fires for some member
     probs = out.probabilities
-    fired = probs > 0.0
-    first = fired.argmax(axis=1)
-    # equal probability rows are equal Gram matrices; the leak is the top
-    # eigenvalue of the perp branches' summed Gram matrix, its probabilities
-    # summed row by row in enumeration order, and 0.0 when none fires
-    uniform = bool((np.abs(probs - probs[0]) <= VALUE_TOL).all())
+    rows = np.sqrt(probs)[..., None] * out.residuals
+    grams = rows.conj() @ rows.transpose(0, 2, 1)
+    uniform = bool((np.abs(grams - grams[0]) <= VALUE_TOL).all())
+    # the leak: the top eigenvalue of the perp branches' summed Gram matrix
     max_perp = 0.0
     if out.perp.any():
-        leak = sum(probs[out.perp], np.zeros(rows))
-        max_perp = float(np.linalg.eigvalsh(_gram(leak, span))[-1])
-    average = probs[:, :span].mean(axis=1).tolist()
+        max_perp = float(np.linalg.eigvalsh(grams[out.perp].sum(axis=0))[-1])
     chosen, min_fid, best = _find_corrections(
-        _prefixes(scenario.allowed_ops, k), out.residuals, vectors, fired, tol)
-    fid, top, perp = min_fid.tolist(), best.tolist(), out.perp.tolist()
+        _prefixes(scenario.allowed_ops, k), rows.transpose(0, 2, 1) @ span.conj(),
+        d * probs.sum(axis=1), tol)
+    first = (probs > 0.0).argmax(axis=1)
+    average, fid = probs.mean(axis=1).tolist(), min_fid.tolist()
+    top, perp = best.tolist(), out.perp.tolist()
     reports = [OutcomeReport(out.keys[j], average[j], chosen[j], fid[j], top[j], perp[j])
                for j in np.argsort(first, kind="stable").tolist()]
     feasible = None not in chosen
@@ -441,7 +391,7 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
         uniform_nonzero=uniform,
         classical_cost=cost,
         cost_breakdown=breakdown,
-        num_probes=rows,
+        num_probes=d,
         reason=reason,
     )
 

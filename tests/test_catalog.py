@@ -401,8 +401,8 @@ def test_omega34_printed_pair_has_zero_probability():
                                             "Omega4+", "Omega4-"),
                          np.array(printed_pair + [by_label["Omega4+"],
                                                   by_label["Omega4-"]]))
-    from quadproto.teleport import FamilySpec, family_span
-    for member in family_span(FamilySpec("omega_sub", 3, (0, 0))):
+    from quadproto.teleport import FamilySpec, build_probes
+    for member in build_probes(FamilySpec("omega_sub", 3, (0, 0))):
         joint = tensor(PureState(member), make_state("Omega").state)
         plan = MeasurementPlan((((0, 1, 2, 3), printed),))
         out = enumerate_outcomes(joint.amplitudes[None], plan)

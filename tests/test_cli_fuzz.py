@@ -98,6 +98,14 @@ BAD_FAMILIES = (
 )
 
 
+def _wide_family(k):
+    """An arbitrary k-qubit family whose qubit 0 is teleported through a Bell
+    pair: k + 2 qubits, four outcomes, a k-qubit receiver."""
+    return TeleportScenario("arbitrary%d" % k, "pair", FamilySpec("arbitrary", k),
+                            (StepSpec((0, k), "bell"),), tuple(range(1, k)) + (k + 1,),
+                            resource_kets=(("00", 1.0), ("11", 1.0)))
+
+
 def _family_files(tmp_path):
     """One ``teleport --file`` argument list per ``BAD_FAMILIES`` shape, on
     the document of a registered scenario."""
@@ -115,16 +123,13 @@ def _family_files(tmp_path):
 def templates(tmp_path):
     """TEMPLATES, the ``BAD_FAMILIES`` scenario files, and two more: one
     whose inline resource kets have 40-bit labels, refused before any
-    amplitude is allocated, then one with an arbitrary five-qubit family,
-    refused for its 1,024 x 4^5 x 2^5 correction scores."""
+    amplitude is allocated, then one with an arbitrary nine-qubit family,
+    refused for its 8^9-entry Pauli table."""
     wide_kets = TeleportScenario("wide_kets", "inline", FamilySpec("arbitrary", 1),
                                  (StepSpec((0, 1), "bell"),), (40,),
                                  resource_kets=(("0" * 40, 1.0), ("1" * 40, 1.0)))
-    wide = TeleportScenario("arbitrary5", "GHZ:5", FamilySpec("arbitrary", 5),
-                            tuple(StepSpec((q,), "computational:1") for q in range(5)),
-                            tuple(range(5, 10)))
     files = []
-    for sc in wide_kets, wide:
+    for sc in wide_kets, _wide_family(9):
         path = tmp_path / ("%s.json" % sc.scenario_id)
         path.write_text(dumps_scenario(sc), encoding="utf-8")
         files.append(["teleport", "--file", str(path), "--format", "json"])
@@ -192,8 +197,23 @@ def test_templates_fail_closed(capsys, templates):
         _assert_fails_closed(code, err, argv)
         codes.add(code)
     assert codes == {0, 2}
-    assert (code, err) == (2, "error: 1024 probes of a 5-qubit family need 1024 x "
-                              "4^5 x 2^5 correction scores, over the limit of 2^24\n")
+    assert (code, err) == (2, "error: a Pauli table on 9 qubits needs 8^9 signs, "
+                              "over the limit of 2^24\n")
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
+def test_wide_arbitrary_family_files_run_or_are_refused(capsys, tmp_path, k):
+    # families of 5 to 8 qubits, once refused for their row scores, now run
+    # to a report; a 9-qubit family is refused for its Pauli table
+    path = tmp_path / "wide.json"
+    path.write_text(dumps_scenario(_wide_family(k)), encoding="utf-8")
+    code, err = _run(capsys, ["teleport", "--file", str(path), "--format", "json"])
+    _assert_fails_closed(code, err, k)
+    if k < 9:
+        assert code in (0, 1) and err == "", k
+    else:
+        assert (code, err) == (2, "error: a Pauli table on 9 qubits needs 8^9 signs, "
+                                  "over the limit of 2^24\n")
 
 
 def test_wide_ket_labels_are_refused_by_name(capsys, templates):

@@ -18,7 +18,7 @@ from quadproto.measure import (
 from quadproto.locc import LoccProtocol, run_discrimination
 from quadproto.scenario_io import dumps_scenario, loads_scenario
 from quadproto.states import DROP_TOL, MAX_QUBITS, PureState, basis_state, random_state
-from quadproto.teleport import build_probes, family_span
+from quadproto.teleport import build_probes
 
 
 def _plan(*steps):
@@ -293,15 +293,19 @@ def _all_scenarios():
 
 
 def _probe_stack(scenario, seed, num_random):
-    """The scenario's probe rows, then ``num_random`` seeded random members
-    of its family (generic inputs), each tensored with the resource."""
+    """The scenario's probe rows (its span members), per pair i < j of them
+    (s_i + s_j)/sqrt(2) and (s_i + i s_j)/sqrt(2), then ``num_random``
+    seeded random members of its family (generic inputs), each tensored
+    with the resource."""
     resource = scenario.resource_state().state
-    span = family_span(scenario.family)
+    span = build_probes(scenario.family)
+    i, j = np.triu_indices(len(span), 1)
+    pairs = np.stack([span[i] + span[j], span[i] + 1j * span[j]], axis=1) / 2 ** 0.5
     rng = np.random.default_rng(seed)
     coeff = (rng.standard_normal((num_random, len(span)))
              + 1j * rng.standard_normal((num_random, len(span))))
     coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
-    vectors = np.concatenate([build_probes(scenario.family), coeff @ span])
+    vectors = np.concatenate([span, pairs.reshape(-1, span.shape[1]), coeff @ span])
     return np.array([np.kron(v, resource.amplitudes) for v in vectors])
 
 

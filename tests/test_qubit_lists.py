@@ -6,7 +6,7 @@ the register size is known, and with a bare integer in place of the list
 where the list is an argument of its own.  Each call must be refused with
 ``ValueError`` and the same message in a fresh process and after the equal
 integer query has filled the by-value memos (``measure._plan``,
-``teleport.family_span``, ``states.sender_index``), where 1.0 == 1 == True
+``teleport.build_probes``, ``states.sender_index``), where 1.0 == 1 == True
 would otherwise share an entry.
 """
 
@@ -192,7 +192,7 @@ def _refusal(call):
 
 def _clear_memos():
     measure._plan.cache_clear()
-    teleport.family_span.cache_clear()
+    teleport.build_probes.cache_clear()
     states._cached_sender_index.cache_clear()
 
 

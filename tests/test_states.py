@@ -14,7 +14,7 @@ import pytest
 import quadproto
 from quadproto import scenarios as reg
 from quadproto import states
-from quadproto.teleport import FamilySpec, family_span
+from quadproto.teleport import FamilySpec, build_probes
 
 from quadproto.states import (
     MAX_QUBITS,
@@ -599,15 +599,15 @@ def test_unknown_pauli_names_are_refused_by_name():
 
 def test_single_pauli_products_are_table_rows():
     # a dressed family's span is the undressed span under the dense product
-    # of its PAULI_ORDER matrices, which family_span reads off pauli_table
+    # of its PAULI_ORDER matrices, which build_probes reads off pauli_table
     cases = [("ghz_diag", k, word) for k in (1, 2, 3)
              for word in itertools.product(range(4), repeat=k)]
     cases += [("omega_sub", 3, pair) for pair in itertools.product(range(4), repeat=2)]
     for kind, k, dressing in cases:
-        bare = family_span(FamilySpec(kind, k, (0,) * len(dressing)))
+        bare = build_probes(FamilySpec(kind, k, (0,) * len(dressing)))
         word = dressing if kind == "ghz_diag" else (dressing[0], 0, dressing[1])
         want = bare @ _dense_product(PAULI_ORDER[i] for i in word).T
-        got = family_span(FamilySpec(kind, k, dressing))
+        got = build_probes(FamilySpec(kind, k, dressing))
         assert np.array_equal(got, want), (kind, dressing)
 
 

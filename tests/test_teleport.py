@@ -18,9 +18,10 @@ from quadproto import scenarios as reg
 from quadproto import states, teleport
 from quadproto.measure import StepSpec, build_plan, enumerate_outcomes
 from quadproto.scenario_io import dumps_scenario, loads_scenario
-from quadproto.states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, SIGMA,
-                              SLICE_ENTRIES, VALUE_TOL, CapacityError, PureState,
-                              apply_local, pauli_table, tensor)
+from quadproto.states import (ASSERT_TOL, DROP_TOL, MAX_QUBITS, MAX_STACK_ENTRIES,
+                              PAULI_ORDER, PERP_ALARM, SIGMA, SLICE_ENTRIES, VALUE_TOL,
+                              CapacityError, PureState, apply_local, pauli_table,
+                              tensor)
 from quadproto.teleport import (
     FamilySpec,
     OutcomeReport,
@@ -28,7 +29,6 @@ from quadproto.teleport import (
     TeleportScenario,
     build_probes,
     classical_cost,
-    family_span,
     run_scenario,
 )
 
@@ -45,12 +45,12 @@ def _run(sid, **kw):
 # --- probe construction ------------------------------------------------------
 
 def _reference_probes(spec, rng=None, num_random=NUM_RANDOM):
-    """The one-probe-at-a-time construction ``build_probes`` replaced: (label,
-    state, certifying) per probe, the span members, then per pair the plus
-    and phase superpositions, then, given a generator, ``num_random``
-    seeded random members, which do not certify (the per-probe rule's cross
-    check)."""
-    span = [PureState(row) for row in family_span(spec)]
+    """The probe rows of the row rule the operator reads replaced, one probe
+    at a time: (label, state, certifying) per probe, the span members
+    (``build_probes``), then per pair the plus and phase superpositions, a
+    polarization set, then, given a generator, ``num_random`` seeded random
+    members, which do not certify (the per-probe rule's cross check)."""
+    span = [PureState(row) for row in build_probes(spec)]
     probes = [("b%d" % i, v, True) for i, v in enumerate(span)]
     n = len(span)
     for i in range(n):
@@ -70,29 +70,32 @@ def _reference_probes(spec, rng=None, num_random=NUM_RANDOM):
 
 
 def test_probe_labels_and_flags():
+    # the probe rows are the 4 basis members; the row rule's reference adds
+    # C(4,2) pairs twice over (plus and phase), every one certifying
     vectors = build_probes(FamilySpec("arbitrary", 2))
-    labels = [label for label, _, _ in _reference_probes(FamilySpec("arbitrary", 2))]
-    # 4 basis members, then C(4,2) pairs twice over (plus and phase)
+    probes = _reference_probes(FamilySpec("arbitrary", 2))
+    labels = [label for label, _, _ in probes]
     assert labels[:6] == ["b0", "b1", "b2", "b3", "p01+", "p01i"]
     assert labels[-2:] == ["p23+", "p23i"]
-    assert vectors.shape == (len(labels), 4) == (4 + 12, 4)
-    assert np.array_equal(vectors[:4], np.eye(4))
-    assert np.allclose(vectors[4], [2 ** -0.5, 2 ** -0.5, 0, 0], atol=1e-15)
-    assert np.allclose(vectors[15], [0, 0, 2 ** -0.5, 1j * 2 ** -0.5], atol=1e-15)
-    assert np.allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-12)
+    assert len(labels) == 4 + 12 and all(cert for _, _, cert in probes)
+    assert vectors.shape == (4, 4)
+    assert np.array_equal(vectors, np.eye(4))
+    assert np.allclose(probes[4][1].amplitudes, [2 ** -0.5, 2 ** -0.5, 0, 0], atol=1e-15)
+    assert np.allclose(probes[15][1].amplitudes, [0, 0, 2 ** -0.5, 1j * 2 ** -0.5],
+                       atol=1e-15)
 
 
 def test_single_member_family_has_no_superpositions():
     w = PureState.from_kets({"001": 1, "010": 1, "100": 1, "000": 1}, normalize=True)
-    assert np.array_equal(family_span(FamilySpec("w_equal3", 3)), [w.amplitudes])
     vectors = build_probes(FamilySpec("w_equal3", 3))
     assert vectors.shape == (1, 8)
     assert np.array_equal(vectors, [w.amplitudes])
+    assert len(_reference_probes(FamilySpec("w_equal3", 3))) == 1
 
 
 def test_family_spec_refuses_bool_and_non_integer_dressings():
     # True was read as s1, and 1.0 reused the span memoized for an equal (1,)
-    family_span(FamilySpec("ghz_diag", 1, (1,)))
+    build_probes(FamilySpec("ghz_diag", 1, (1,)))
     for bad in (True, 1.0, np.float64(1), "1", None, np.bool_(False)):
         with pytest.raises(ValueError, match=r"^Pauli index must be an integer, "
                                              r"got %s$" % re.escape(repr(bad))):
@@ -101,8 +104,8 @@ def test_family_spec_refuses_bool_and_non_integer_dressings():
         FamilySpec("omega_sub", 3, (0, 2.0))
     # numpy integers stay accepted, and read as the equal int
     for i in range(4):
-        assert np.array_equal(family_span(FamilySpec("ghz_diag", 2, (np.int64(i), np.uint8(1)))),
-                              family_span(FamilySpec("ghz_diag", 2, (i, 1))))
+        assert np.array_equal(build_probes(FamilySpec("ghz_diag", 2, (np.int64(i), np.uint8(1)))),
+                              build_probes(FamilySpec("ghz_diag", 2, (i, 1))))
 
 
 @pytest.mark.parametrize("seed", [42, 7])
@@ -111,21 +114,24 @@ def test_build_probes_matches_reference(seed):
     # three-qubit family adds 8
     specs = list(dict.fromkeys([sc.family for sc in _ALL_SCENARIOS]
                                + [FamilySpec("arbitrary", 3)]))
-    assert {len(family_span(spec)) for spec in specs} == {1, 2, 4, 8}
+    assert {len(build_probes(spec)) for spec in specs} == {1, 2, 4, 8}
     assert {spec.kind for spec in specs} == {"arbitrary", "ghz_diag", "omega_sub",
                                              "w_equal3"}
     for spec in specs:
-        assert len(family_span(spec)) == spec.span_dim, spec
         vectors = build_probes(spec)
-        assert len(vectors) == spec.span_dim ** 2, spec
-        assert np.array_equal(vectors, [state.amplitudes for _, state, _
-                                        in _reference_probes(spec)]), spec
-        # the oracle stacks below are these rows, then the seeded randoms
+        d = spec.span_dim
+        assert vectors.shape == (d, 2 ** spec.num_qubits), spec
+        # an orthonormal basis of the span
+        assert np.allclose(vectors.conj() @ vectors.T, np.eye(d), rtol=0, atol=1e-15), spec
+        if spec.kind == "arbitrary":
+            assert np.array_equal(vectors, np.eye(d)), spec
+        # the oracle stacks below start with these rows: the row rule's d^2
+        # polarization rows, then the seeded randoms
         for num_random in (0, 1, 20):
             want = _reference_probes(spec, np.random.default_rng(seed), num_random)
-            assert np.array_equal(vectors, [state.amplitudes for _, state, cert
-                                            in want if cert]), (spec, num_random)
-            assert len(want) == len(vectors) + (num_random if len(vectors) > 1 else 0)
+            assert np.array_equal(vectors, [state.amplitudes for _, state, _ in want[:d]])
+            assert sum(cert for _, _, cert in want) == d * d, (spec, num_random)
+            assert len(want) == d * d + (num_random if d > 1 else 0)
 
 
 def _reference_span(spec):
@@ -154,7 +160,7 @@ def test_dressed_spans_match_apply_local_chain():
                   if sc.family.kind in ("ghz_diag", "omega_sub")]
     assert registered
     for spec in specs + registered:
-        span = family_span(spec)
+        span = build_probes(spec)
         want = _reference_span(spec)
         assert len(span) == len(want) == 2
         for got, ref in zip(span, want):
@@ -167,8 +173,7 @@ def test_probes_deterministic_per_seed():
     rows = build_probes(spec)
     assert rows is build_probes(FamilySpec("arbitrary", 1))
     assert not rows.flags.writeable
-    assert np.allclose(rows, [[1, 0], [0, 1], [2 ** -0.5, 2 ** -0.5],
-                              [2 ** -0.5, 1j * 2 ** -0.5]], atol=1e-15)
+    assert np.array_equal(rows, [[1, 0], [0, 1]])
 
 
 # --- seed-independent inputs, memoized by value --------------------------------
@@ -226,15 +231,12 @@ def test_resource_parameters_are_keyed_with_their_type():
 def test_memoized_inputs_are_read_only():
     spec = FamilySpec("ghz_diag", 2, (1, 3))
     sc = reg.TELEPORT_SCENARIOS["w11_etazeta"]
-    for arr in (family_span(spec), build_probes(spec),
-                sc.resource_state().state.amplitudes):
+    for arr in (build_probes(spec), sc.resource_state().state.amplitudes):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
-    assert family_span(spec) is family_span(FamilySpec("ghz_diag", 2, (1, 3)))
     # the probe rows are shared, so no caller can change another's
     assert build_probes(spec) is build_probes(FamilySpec("ghz_diag", 2, (1, 3)))
-    assert np.array_equal(build_probes(spec)[:2], family_span(spec))
     # the catalog shares one NamedState, whose parameters are read-only
     with pytest.raises(TypeError):
         sc.resource_state().params["m"] = 99.0
@@ -242,12 +244,11 @@ def test_memoized_inputs_are_read_only():
     # a bad family is refused when it is built, before a memo sees it
     for _ in range(2):
         with pytest.raises(ValueError, match="one Pauli index per qubit"):
-            family_span(FamilySpec("ghz_diag", 3, (0,)))
+            build_probes(FamilySpec("ghz_diag", 3, (0,)))
 
 
 _MEMOS = {"make_state": catalog.make_state, "_plan": measure._plan,
-          "family_span": family_span, "build_probes": build_probes,
-          "_prefixes": teleport._prefixes}
+          "build_probes": build_probes, "_prefixes": teleport._prefixes}
 
 
 def _misses():
@@ -294,11 +295,15 @@ def test_seed_independent_arrays_are_built_once_per_value(monkeypatch):
     assert not masks.flags.writeable
     with pytest.raises(ValueError):
         masks[0] = 0
-    # a lowered limit still refuses once every entry is built
-    monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 16 * 8 ** 2 - 1)
+    # the size limit lives in the Pauli table's memo, which keeps no table
+    # above it: a lowered limit refuses the family on every call, before
+    # any probe is built, once the table is no longer held
+    monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 8 ** 2 - 1)
     monkeypatch.setattr(teleport, "build_probes", _no_probes)
-    with pytest.raises(CapacityError, match="over the limit"):
-        run_scenario(base, seed=5)
+    pauli_table.cache_clear()
+    for _ in range(2):
+        with pytest.raises(CapacityError, match="over the limit"):
+            run_scenario(base, seed=5)
 
 
 # --- frozen correction tables -------------------------------------------------
@@ -431,11 +436,11 @@ def test_family_size_must_be_an_integer():
         with pytest.raises(ValueError, match=r"^num_qubits must be an integer, "
                                              r"got %s$" % re.escape(repr(bad))):
             FamilySpec("arbitrary", bad)
-    assert family_span(FamilySpec("arbitrary", np.int64(1))).shape == (2, 2)
+    assert build_probes(FamilySpec("arbitrary", np.int64(1))).shape == (2, 2)
 
 
 @pytest.mark.parametrize("kind, k, dressing, message", [
-    # an AttributeError out of run_scenario, and int('') out of family_span
+    # an AttributeError out of run_scenario, and int('') out of the span memo
     ("arbitrary", 0, (), "num_qubits must be at least 1, got 0"),
     ("ghz_diag", 0, (), "num_qubits must be at least 1, got 0"),
     # refused at run time, blaming the plan for the receiver's size
@@ -458,12 +463,12 @@ def test_family_shape_is_refused_when_the_spec_is_built(kind, k, dressing, messa
 
 
 def test_family_dressing_is_kept_as_a_tuple():
-    # a list dressing used to be accepted and then fail in family_span's memo
+    # a list dressing used to be accepted and then fail in the span memo
     listed = FamilySpec("ghz_diag", 2, [1, 3])
     assert listed.dressing == (1, 3)
     assert listed == FamilySpec("ghz_diag", 2, (1, 3))
     assert hash(listed) == hash(FamilySpec("ghz_diag", 2, iter((1, 3))))
-    assert family_span(listed) is family_span(FamilySpec("ghz_diag", 2, (1, 3)))
+    assert build_probes(listed) is build_probes(FamilySpec("ghz_diag", 2, (1, 3)))
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -528,15 +533,31 @@ def _no_probes(*args):
 
 
 def test_probe_stack_above_limit_refused(monkeypatch):
-    # 65,536 probes of an 8-qubit family tensored with GHZ4 would take
-    # 4.3 GB: refused from the family and resource sizes alone
-    sc = TeleportScenario("wide_family", "GHZ4", FamilySpec("arbitrary", 8),
-                          tuple(StepSpec((q,), "computational:1") for q in range(4)),
-                          tuple(range(4, 12)))
+    # a 9-qubit family on GHZ3 fills the 12-qubit register; its 512 probe
+    # rows (512 x 2^12 amplitudes) are refused, before any is built, for its
+    # Pauli table: 8^9 entries, as many as one outcome's correction scores
+    sc = TeleportScenario("wide_family", "GHZ:3", FamilySpec("arbitrary", 9),
+                          tuple(StepSpec((q,), "computational:1") for q in range(3)),
+                          tuple(range(3, 12)))
     monkeypatch.setattr(teleport, "build_probes", _no_probes)
-    with pytest.raises(CapacityError, match=r"65536 probes of a 12-qubit joint "
-                                            r"register .* over the limit of 2\^24"):
-        run_scenario(sc)
+    for _ in range(2):
+        with pytest.raises(CapacityError, match=r"^a Pauli table on 9 qubits needs "
+                                                r"8\^9 signs, over the limit of 2\^24$"):
+            run_scenario(sc)
+
+
+def test_joint_probe_stack_stays_under_the_stack_limit():
+    # the joint stack of d <= 2^k probe rows over a 2^n register, k + 1 <= n
+    # <= MAX_QUBITS, holds at most 2^(2n - 1) <= 2^23 amplitudes, so no
+    # limit on it could fire; the Pauli table's limit caps k at 8 as well
+    families = [k for k in range(1, MAX_QUBITS + 1) if 8 ** k <= MAX_STACK_ENTRIES]
+    assert families == list(range(1, 9))
+    with pytest.raises(CapacityError, match="over the limit"):
+        pauli_table(9)
+    largest = max(2 ** k << n for k in range(1, MAX_QUBITS)
+                  for n in range(k + 1, MAX_QUBITS + 1))
+    assert largest == 2 ** 23 < MAX_STACK_ENTRIES
+    assert max(2 ** k << n for k in families for n in range(k + 1, MAX_QUBITS + 1)) == 2 ** 20
 
 
 class _Reached(Exception):
@@ -548,55 +569,57 @@ def _reached(*args):
 
 
 def test_probe_stack_limit_is_exact_for_registered_families(monkeypatch):
-    # the row count read off the family's size is the one build_probes
-    # makes: the limit admits exactly the larger of that stack and one
-    # prefix's correction scores (rows x 4^k x 2^k), and refuses one entry less
+    # the only size limit left before the probes is the family's Pauli
+    # table: the limit admits exactly its 8^k entries and refuses one less,
+    # and the probe stack build_probes makes stays far below either
     scenarios = list(reg.TELEPORT_SCENARIOS.values())
     scenarios += [sc for group in reg.negative_scenarios().values() for sc in group]
-    largest = largest_scores = 0
+    largest = largest_table = 0
     for sc in scenarios:
-        rows = len(build_probes(sc.family))
         k = sc.family.num_qubits
-        entries = rows * 2 ** k * sc.resource_state().state.dim
-        scores = rows * 8 ** k
+        entries = len(build_probes(sc.family)) * 2 ** k * sc.resource_state().state.dim
         largest = max(largest, entries)
-        largest_scores = max(largest_scores, scores)
+        largest_table = max(largest_table, 8 ** k)
+        pauli_table.cache_clear()
         monkeypatch.setattr(teleport, "build_probes", _reached)
-        monkeypatch.setattr(states, "MAX_STACK_ENTRIES", max(entries, scores))
+        monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 8 ** k)
         with pytest.raises(_Reached):
             run_scenario(sc)
+        pauli_table.cache_clear()
         monkeypatch.setattr(teleport, "build_probes", _no_probes)
-        monkeypatch.setattr(states, "MAX_STACK_ENTRIES", max(entries, scores) - 1)
+        monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 8 ** k - 1)
         with pytest.raises(CapacityError, match="over the limit"):
             run_scenario(sc)
         monkeypatch.undo()
-    assert largest == 1024
-    assert largest_scores == 2048
+    assert largest == 256
+    assert largest_table == 512
 
 
 def test_correction_scores_above_limit_refused(monkeypatch):
-    # ghz3_pi_000 probes 4 rows of a 7-qubit joint register (512
-    # amplitudes) but scores 4 x 4^3 x 2^3 = 2,048 entries per prefix
+    # ghz3_pi_000 scores 4^3 x 2^3 = 512 entries per outcome, its Pauli
+    # table's size, which the limit admits, and refuses at one entry less
     sc = reg.TELEPORT_SCENARIOS["ghz3_pi_000"]
-    monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 2048)
+    pauli_table.cache_clear()
+    monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 512)
     monkeypatch.setattr(teleport, "build_probes", _reached)
     with pytest.raises(_Reached):
         run_scenario(sc)
-    monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 2047)
+    pauli_table.cache_clear()
+    monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 511)
     monkeypatch.setattr(teleport, "build_probes", _no_probes)
-    with pytest.raises(CapacityError, match=r"^4 probes of a 3-qubit family need "
-                                            r"4 x 4\^3 x 2\^3 correction scores"):
+    with pytest.raises(CapacityError, match=r"^a Pauli table on 3 qubits needs "
+                                            r"8\^3 signs, over the limit"):
         run_scenario(sc)
-    # at the real limit: an arbitrary five-qubit family's 10-qubit probe
-    # stack fits (1,024 x 2^10), its 1,024 x 4^5 x 2^5 scores do not
+    monkeypatch.undo()
+    pauli_table.cache_clear()
+    # at the real limit, an arbitrary five-qubit family, refused for its
+    # d^2 x 4^5 x 2^5 row scores, now runs: 32 rows, 32 outcomes of 8^5
     wide = TeleportScenario("arbitrary5", "GHZ:5", FamilySpec("arbitrary", 5),
                             tuple(StepSpec((q,), "computational:1") for q in range(5)),
                             tuple(range(5, 10)))
-    monkeypatch.undo()
-    monkeypatch.setattr(teleport, "build_probes", _no_probes)
-    with pytest.raises(CapacityError, match=r"1024 x 4\^5 x 2\^5 correction scores, "
-                                            r"over the limit of 2\^24"):
-        run_scenario(wide)
+    res = run_scenario(wide)
+    assert res.num_probes == 32 and len(res.outcomes) == 32
+    assert not res.feasible and res.best_worst_fidelity < 1.0 - 1e-3
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, 1.0, 2.0,
@@ -638,7 +661,7 @@ def test_every_registered_scenario_matches_its_cost():
         assert res.classical_cost == reg.TELEPORT_COSTS[sid], sid
 
 
-# --- reference scan: one dense candidate matrix at a time ------------------------
+# --- reference rules: one dense candidate matrix at a time ----------------------
 
 def _kron_all(mats):
     out = np.eye(1, dtype=np.complex128)
@@ -688,6 +711,8 @@ def _candidates(allowed, k):
 
 
 def _reference_find(candidates, res_mat, exp_mat, cert_rows, tol):
+    """The row rule: the first candidate whose worst fidelity over the rows
+    reaches ``1 - tol``, its worst, and the best worst tried."""
     chosen = None
     chosen_min = 0.0
     best = 0.0
@@ -708,7 +733,7 @@ def _reference_find(candidates, res_mat, exp_mat, cert_rows, tol):
 
 
 def _reference_gram(p, d):
-    """Polarization one entry at a time, rows in ``build_probes`` order:
+    """Polarization one entry at a time, rows in ``_reference_probes`` order:
     G_ii = p_i, and per pair i < j Re G_ij = p_plus - (p_i + p_j)/2 and
     Im G_ij = (p_i + p_j)/2 - p_iphase."""
     gram = np.zeros((d, d), dtype=np.complex128)
@@ -734,8 +759,10 @@ def _reference_outcomes(scenario, probes):
 
 
 def _reference_run(scenario, tol=ASSERT_TOL):
-    """run_scenario with the correction scan done one dense matrix at a time
-    and the Gram reads one entry at a time."""
+    """run_scenario under the row rule the operator solve replaced: the d^2
+    polarization rows, the Gram reads by polarization one entry at a time,
+    and the correction scan one dense matrix at a time over the rows each
+    outcome fires."""
     probes = _reference_probes(scenario.family)
     d = scenario.family.span_dim
     out = _reference_outcomes(scenario, probes)
@@ -788,13 +815,63 @@ def _reference_run(scenario, tol=ASSERT_TOL):
     )
 
 
+_ROW_RULE = {}
+
+
+def _row_rule(scenario, tol):
+    """``_reference_run``, kept per scenario id and tolerance."""
+    key = (scenario.scenario_id, tol)
+    if key not in _ROW_RULE:
+        _ROW_RULE[key] = _reference_run(scenario, tol)
+    return _ROW_RULE[key]
+
+
+def _verdict(res):
+    """Every field the row rule and the operator solve agree on, to the bit:
+    all but the fidelities, the leak's last bits and the probe count."""
+    return (res.feasible, res.uniform_nonzero, res.classical_cost, res.cost_breakdown,
+            res.reason, [(o.key, o.probability, o.correction, o.perp) for o in res.outcomes])
+
+
+def _reference_operators(scenario):
+    """Per outcome, in the order run_scenario reports them: its key and O_j V,
+    the (2^k, d) matrix whose column i is O_j s_i = sqrt(p_ji) r_ji, each
+    member tensored with the resource one at a time."""
+    span = build_probes(scenario.family)
+    out = _reference_outcomes(scenario, [(None, PureState(v), True) for v in span])
+    probs = out.probabilities
+    order = sorted(range(len(out)), key=lambda j: np.flatnonzero(probs[j])[0])
+    return [(out.keys[j], (np.sqrt(probs[j])[:, None] * out.residuals[j]).T)
+            for j in order]
+
+
+def _dense_solve(allowed, v, maps, tol):
+    """Per (2^k, d) matrix O_j V of ``maps``, V the (2^k, d) span members as
+    columns: the first dense candidate C, prefix outer and Pauli inner, whose
+    entanglement fidelity |Tr(V^dagger C O_j V)|^2 / (d ||O_j V||_F^2)
+    reaches ``1 - tol``, that fidelity (0.0 without one), and the best one
+    tried."""
+    d = v.shape[1]
+    out = []
+    for ov in maps:
+        norm = d * np.linalg.norm(ov) ** 2
+        chosen, fid, best = None, 0.0, 0.0
+        for desc, mat in _candidates(allowed, v.shape[0].bit_length() - 1):
+            f = abs(np.trace(v.conj().T @ mat @ ov)) ** 2 / norm
+            best = max(best, f)
+            if f >= 1.0 - tol:
+                chosen, fid = desc, f
+                break
+        out.append((chosen, fid, best))
+    return out
+
+
 _ALL_SCENARIOS = list(reg.TELEPORT_SCENARIOS.values()) + [
     sc for group in reg.negative_scenarios().values() for sc in group]
 
 
-# every outcome of a registered scenario fires on the last probe; here
-# outcomes 0,* miss it, (|10> + i|11>)/sqrt(2), and fire a strict subset of
-# the rows
+# outcomes 0,* miss the member |11>, so they fire a strict subset of the
+# members, as some outcomes of the negative setups do
 _LAST_PROBE_MISSES = TeleportScenario(
     "last_probe_misses", "pair", FamilySpec("arbitrary", 2),
     (StepSpec((0,), "computational:1"), StepSpec((1,), "computational:1")), (2, 3),
@@ -805,17 +882,61 @@ _LAST_PROBE_MISSES = TeleportScenario(
 # seed; no result depends on the seed, so each matches the one reference
 @pytest.mark.parametrize("seed", [42, 7, 1114088974, 712690534])
 def test_block_scan_matches_reference_scan(seed):
-    for tol in (ASSERT_TOL, 1e-6):
+    # the operator solve against the row rule it replaced: on every scenario
+    # at four tolerances, the same outcomes in the same order, corrections,
+    # verdict, uniformity, perp flags, cost and probabilities, to the bit,
+    # and the same leak within 1e-12
+    for tol in (ASSERT_TOL, 1e-6, 1e-3, 0.1):
         for sc in _ALL_SCENARIOS + [_LAST_PROBE_MISSES]:
-            want = _reference_run(sc, tol=tol)
+            want = _row_rule(sc, tol)
+            d = sc.family.span_dim
             # a JSON round trip gives a fresh scenario equal by value, as the
             # benchmark runs it; its second run finds every memo warm
             loaded = loads_scenario(dumps_scenario(sc))
-            for _ in range(2):
-                got = run_scenario(loaded, seed=seed, tol=tol)
-                where = (sc.scenario_id, tol)
-                assert got == want, where
-                assert repr(got) == repr(want), where
+            got = run_scenario(loaded, seed=seed, tol=tol)
+            where = (sc.scenario_id, tol)
+            assert _verdict(got) == _verdict(want), where
+            assert got.perp_probability == pytest.approx(want.perp_probability,
+                                                         abs=1e-12), where
+            assert (got.num_probes, want.num_probes) == (d, d * d), where
+            again = run_scenario(loaded, seed=seed, tol=tol)
+            assert again == got and repr(again) == repr(got), where
+
+
+@pytest.mark.parametrize("tol", [ASSERT_TOL, 0.1, 0.3])
+def test_entanglement_fidelity_matches_a_dense_kron_build(tol):
+    # each outcome's correction, its F_e and the best F_e tried, against
+    # C O_j V built from np.kron candidate matrices one at a time
+    for sc in _ALL_SCENARIOS + [_LAST_PROBE_MISSES]:
+        res = run_scenario(sc, tol=tol)
+        maps = _reference_operators(sc)
+        want = _dense_solve(sc.allowed_ops, build_probes(sc.family).T,
+                            [ov for _, ov in maps], tol)
+        assert [o.key for o in res.outcomes] == [key for key, _ in maps], sc.scenario_id
+        for o, (chosen, fid, best) in zip(res.outcomes, want):
+            where = (sc.scenario_id, o.key)
+            assert o.correction == chosen, where
+            assert o.min_fidelity == pytest.approx(fid, abs=1e-12), where
+            assert o.best_fidelity == pytest.approx(best, abs=1e-12), where
+
+
+def test_the_one_loose_tolerance_divergence_from_the_row_rule():
+    # at tol 0.3 the rules part on one setup only: F_e accepts a correction
+    # for 4 outcomes of q4_bob4_1q[eta_zeta_w11] that returns the family on
+    # average but not every member, and the row rule, a worst case over the
+    # d^2 rows, refuses them; the setup stays infeasible either way
+    parted = {}
+    for sc in _ALL_SCENARIOS:
+        got, want = run_scenario(sc, tol=0.3), _row_rule(sc, 0.3)
+        if _verdict(got) != _verdict(want):
+            parted[sc.scenario_id] = got, want
+    assert list(parted) == ["q4_bob4_1q[eta_zeta_w11]"]
+    got, want = parted["q4_bob4_1q[eta_zeta_w11]"]
+    assert not got.feasible and not want.feasible and want.corrections == {}
+    assert sorted(got.corrections.values()) == ["is2", "s0", "s1", "s3"]
+    for o, w in zip(got.outcomes, want.outcomes):
+        if o.correction:
+            assert 0.7 <= o.min_fidelity < 1.0 - 1e-3 and w.best_fidelity < 0.7, o.key
 
 
 def _per_probe_rule(out):
@@ -834,9 +955,9 @@ def _per_probe_rule(out):
 
 @pytest.mark.parametrize("seed", [42, 7])
 def test_per_probe_rule_with_random_rows_agrees_with_the_gram_reads(seed):
-    # the rule the Gram reads replaced, on the probe rows and NUM_RANDOM
-    # seeded random members: same branches, same uniformity, and a leak that
-    # reaches the span's maximum, which bounds it from above
+    # the rule the Gram reads replaced, on the row rule's probe rows and
+    # NUM_RANDOM seeded random members: same branches, same uniformity, and
+    # a leak that reaches the span's maximum, which bounds it from above
     for sc in _ALL_SCENARIOS:
         out = _reference_outcomes(sc, _reference_probes(sc.family,
                                                         np.random.default_rng(seed)))
@@ -867,24 +988,24 @@ _COMPLEX_PAIR = TeleportScenario(
 def test_gram_reads_match_the_outcome_operators():
     # outcome j maps span member s_i to the unnormalized coefficients c[i, j]
     # of the contraction, so its Gram matrix is c^dagger c over the members;
-    # polarization of the probe probabilities gives the same matrix, and the
-    # reported leak, uniformity and averaged probability follow from it
+    # the row rule's polarization of its d^2 probe probabilities gives the
+    # same matrix, and the reported leak, uniformity and averaged
+    # probability follow from it
     checked = imaginary = 0
     for sc in _ALL_SCENARIOS + [_LAST_PROBE_MISSES, _COMPLEX_PAIR]:
         d = sc.family.span_dim
         resource = sc.resource_state().state.amplitudes
         plan = build_plan(sc.steps)
         coeff, _ = measure.contract(
-            (family_span(sc.family)[:, :, None] * resource).reshape(d, -1), plan.steps)
+            (build_probes(sc.family)[:, :, None] * resource).reshape(d, -1), plan.steps)
         index = {key: i for i, key in enumerate(plan.outcome_table[1])}
-        out = enumerate_outcomes(
-            (build_probes(sc.family)[:, :, None] * resource).reshape(d * d, -1), plan)
+        out = _reference_outcomes(sc, _reference_probes(sc.family))
         res = run_scenario(sc)
         grams = {}
         for key, p in zip(out.keys, out.probabilities):
             c = coeff[:, index[key]]
             grams[key] = c.conj() @ c.T
-            assert np.allclose(teleport._gram(p, d), grams[key], rtol=0, atol=1e-11), key
+            assert np.allclose(_reference_gram(p, d), grams[key], rtol=0, atol=1e-11), key
             checked += 1
             imaginary += np.abs(grams[key].imag).max() > 0.1
         leak = sum((grams[key] for key, perp in zip(out.keys, out.perp) if perp),
@@ -934,229 +1055,213 @@ def test_correction_tables_replay_on_fresh_family_members(monkeypatch):
         assert covered >= 1.0 - 1e-10, sid
 
 
-def _reference_find_each(allowed, residuals, expected, fired, tol):
-    """_reference_find per outcome of a batch, on the rows that outcome fires,
-    every one of them certifying."""
-    out = []
-    for res, rows in zip(residuals, fired):
-        out.append(_reference_find(_candidates(allowed, expected.shape[1].bit_length() - 1),
-                                   res[rows], expected[rows],
-                                   list(range(np.count_nonzero(rows))), tol))
-    return out
-
-
-def _find_each(allowed, residuals, expected, fired, tol):
-    k = expected.shape[1].bit_length() - 1
+def _find_each(allowed, ops, tol):
+    """``_find_corrections`` on a stack of operators on a whole k-qubit
+    space (V = I, d = 2^k), as Python floats."""
+    d = ops.shape[-1]
+    norms = d * np.sum(np.abs(ops) ** 2, axis=(1, 2))
     chosen, min_fid, best = teleport._find_corrections(
-        teleport._prefixes(allowed, k), residuals, expected, fired, tol)
+        teleport._prefixes(allowed, d.bit_length() - 1), ops, norms, tol)
     return [(c, float(m), float(b)) for c, m, b in zip(chosen, min_fid, best)]
 
 
+def _reference_find_each(allowed, ops, tol):
+    """``_dense_solve`` on the same operators."""
+    return _dense_solve(allowed, np.eye(ops.shape[-1]), ops, tol)
+
+
+def _assert_same(got, want):
+    assert [c for c, _, _ in got] == [c for c, _, _ in want]
+    assert np.allclose([f for _, f, _ in got], [f for _, f, _ in want], rtol=0, atol=1e-12)
+    assert np.allclose([b for _, _, b in got], [b for _, _, b in want], rtol=0, atol=1e-12)
+
+
+def _row_rule_each(allowed, ops, tol):
+    """The row rule's correction per operator of a whole k-qubit space: the
+    scan over the d^2 polarization rows each outcome fires."""
+    k = ops.shape[-1].bit_length() - 1
+    rows = np.array([st.amplitudes for _, st, _ in _reference_probes(FamilySpec("arbitrary", k))])
+    out = []
+    for a in ops:
+        images = rows @ a.T
+        weight = np.sum(np.abs(images) ** 2, axis=1)
+        fired = weight > DROP_TOL
+        residuals = images[fired] / np.sqrt(weight[fired])[:, None]
+        out.append(_reference_find(_candidates(allowed, k), residuals, rows[fired],
+                                   list(range(np.count_nonzero(fired))), tol)[0])
+    return out
+
+
 def test_find_correction_edge_cases():
-    e0 = np.array([1.0, 0.0], dtype=np.complex128)
-    r = np.array([0.6, 0.8j])
-    # s0 passes the first row, but only s3 also returns the second
-    case1 = (np.array([[e0, [0.6, -0.8j]]]), np.array([e0, r]),
-             np.array([[True, True]]), ASSERT_TOL)
-    # s0 passes a loose tolerance; the better s1 after it is not scanned
-    case2 = (np.array([[[0.45 ** 0.5, 0.55 ** 0.5]]], dtype=np.complex128),
-             np.array([e0]), np.array([[True]]), 0.6)
-    for case in (case1, case2):
-        assert _find_each("paulis", *case) == _reference_find_each("paulis", *case)
-    assert _find_each("paulis", *case1) == [("s3", 1.0, 1.0)]
-    [(chosen, _, best)] = _find_each("paulis", *case2)
-    assert chosen == "s0" and best == pytest.approx(0.45)
+    # s3: s0 scores F_e 0 and s3 exactly 1
+    flip = SIGMA["s3"][None]
+    # cos(t) I - i sin(t) s1 scores cos^2 = 0.45 under s0 and 0.55 under s1:
+    # s0 passes a loose tolerance, and the better s1 after it is not tried
+    t = math.acos(0.45 ** 0.5)
+    turn = (math.cos(t) * SIGMA["s0"] - 1j * math.sin(t) * SIGMA["s1"])[None]
+    for ops, tol in ((flip, ASSERT_TOL), (turn, 0.6)):
+        _assert_same(_find_each("paulis", ops, tol), _reference_find_each("paulis", ops, tol))
+        assert [_row_rule_each("paulis", ops, tol)] == [[_find_each("paulis", ops, tol)[0][0]]]
+    assert _find_each("paulis", flip, ASSERT_TOL) == [("s3", 1.0, 1.0)]
+    [(chosen, fid, best)] = _find_each("paulis", turn, 0.6)
+    assert chosen == "s0" and fid == best == pytest.approx(0.45)
 
 
 def test_find_corrections_resolves_a_mixed_batch(monkeypatch):
-    # six outcomes over the 16 probes of an arbitrary two-qubit family
-    expected = build_probes(FamilySpec("arbitrary", 2))
-    rows = len(expected)
+    # six outcome operators on an arbitrary two-qubit family
     pauli = dict(_candidates("paulis", 2))
     cz = _cz_matrix(2, (0, 1))
-    rng = np.random.default_rng(11)
-    garbage = rng.standard_normal((rows, 4)) + 1j * rng.standard_normal((rows, 4))
     # a small X rotation on qubit 0 after s3*s3 and CZ(0,1): no candidate
-    # works, and the best one, with fidelity at least cos(0.1)^2, is s3*s3
-    # after CZ, past the identity prefix
+    # works, and the best one, with F_e cos(0.1)^2, is s3*s3 after CZ, past
+    # the identity prefix
     theta = 0.1
     tilt = np.kron(math.cos(theta) * np.eye(2) - 1j * math.sin(theta) * SIGMA["s1"],
                    np.eye(2))
-    rotated = cz @ pauli["s3*s3"] @ tilt
-    # P_x C r = v needs r = C P_x^dagger v, CZ being its own inverse
-    maps = [pauli["s1*s3"].conj().T,        # a Pauli at the identity prefix
-            cz @ pauli["is2*s1"].conj().T,   # a Pauli after CZ(0,1)
-            rotated,                         # no candidate, best after CZ
-            pauli["s3*s1"] @ tilt,           # no candidate, best at the identity
-            pauli["s3*s0"].conj().T,         # fired by a strict subset of rows
-            pauli["s0*s1"].conj().T]         # fired by the pair rows only
-    fired = np.ones((len(maps), rows), dtype=bool)
-    fired[4] = np.arange(rows) % 3 != 1
-    fired[5] = np.arange(rows) >= 4
-    assert not fired[4].all()
-    residuals = np.where(fired[..., None],
-                         np.einsum("mab,ib->mia", np.array(maps), expected),
-                         garbage)
-    got = _find_each("paulis+cz", residuals, expected, fired, ASSERT_TOL)
-    assert got == _reference_find_each("paulis+cz", residuals, expected, fired,
-                                       ASSERT_TOL)
-    assert [c for c, _, _ in got] == ["s1*s3", "CZ(0,1);is2*s1", None, None,
-                                      "s3*s0", "s0*s1"]
-    for _, min_fid, best in got[2:4]:
-        assert math.cos(theta) ** 2 - 1e-12 <= best < 1.0 - 1e-3
-        assert min_fid == 0.0
+    # P_x D O = I needs O = D P_x^dagger, CZ being its own inverse
+    ops = np.array([
+        pauli["s1*s3"].conj().T,                 # a Pauli at the identity prefix
+        cz @ pauli["is2*s1"].conj().T,           # a Pauli after CZ(0,1)
+        cz @ pauli["s3*s3"] @ tilt,              # no candidate, best after CZ
+        pauli["s3*s1"] @ tilt,                   # no candidate, best at the identity
+        pauli["s3*s0"] @ np.diag([1, 1, 1, 0]),  # |11> does not fire it
+        0.5 * pauli["s0*s1"].conj().T])          # a less likely outcome
+    got = _find_each("paulis+cz", ops, ASSERT_TOL)
+    _assert_same(got, _reference_find_each("paulis+cz", ops, ASSERT_TOL))
+    assert [c for c, _, _ in got] == ["s1*s3", "CZ(0,1);is2*s1", None, None, None, "s0*s1"]
+    # the row rule, on the polarization rows each outcome fires, agrees
+    assert _row_rule_each("paulis+cz", ops, ASSERT_TOL) == [c for c, _, _ in got]
+    for _, fid, best in got[2:4]:
+        assert best == pytest.approx(math.cos(theta) ** 2, abs=1e-12)
+        assert fid == 0.0
+    # s3*s0 returns three members of four: F_e 3^2 / (4 x 3)
+    assert got[4][1] == 0.0 and got[4][2] == pytest.approx(0.75, abs=1e-12)
     # the best of the first open outcome lies past the identity prefix, that
     # of the second at it: best is a maximum over every prefix
-    [(_, _, first), (_, _, second)] = _find_each(
-        "paulis", residuals[2:4], expected, fired[2:4], ASSERT_TOL)
+    [(_, _, first), (_, _, second)] = _find_each("paulis", ops[2:4], ASSERT_TOL)
     assert first < got[2][2] and second == got[3][2]
-    # each outcome is scored on the rows it fires: outcome 4 leaves row 13
-    # unfired, a zero row as enumerate_outcomes leaves it, which must not
-    # strike its correction
-    assert not fired[4, 13] and fired[4, 14]
-    unfired = residuals[:5].copy()
-    unfired[4, 13] = 0.0
-    assert _find_each("paulis+cz", unfired, expected, fired[:5], ASSERT_TOL) == got[:5]
-    # slices of two outcomes, each gathering rows x 4^2 x 2^2 trace terms
-    # beside its rows x 4^2 outer products and scores: three slices at the
-    # identity prefix, two after CZ(0,1)
-    monkeypatch.setattr(teleport, "SLICE_ENTRIES", 2 * rows * 4 ** 2 * (4 + 2))
-    assert _find_each("paulis+cz", residuals, expected, fired, ASSERT_TOL) == got
+    # chunks of two outcomes, each gathering 4^2 x 2^2 trace terms: three
+    # chunks at the identity prefix, two after CZ(0,1), the same bits
+    monkeypatch.setattr(teleport, "SLICE_ENTRIES", 2 * 8 ** 2)
+    assert _find_each("paulis+cz", ops, ASSERT_TOL) == got
 
 
 def test_bulk_scores_cover_the_certifying_rows_when_every_outcome_fires_one(
         monkeypatch):
-    # the 16 rows of a two-qubit family, every one certifying, and three
-    # outcomes the identity corrects: the bulk transform scores all 16 rows,
-    # whether every outcome fires every row or one fires the pair rows only
-    expected = build_probes(FamilySpec("arbitrary", 2))
-    rows = len(expected)
-    assert rows == 16
-    residuals = np.repeat(expected[None], 3, axis=0)
+    # three outcomes of a two-qubit family that the identity corrects, at
+    # three probabilities: one transform scores all three operators, whether
+    # each outcome fires every member or one misses a member and stays open
     scored = []
     real = teleport.pauli_coefficients
 
     def spy(a):
-        scored.append(a.shape[-3])  # the rows of each outcome's outer products
+        scored.append(a.shape)
         return real(a)
 
     monkeypatch.setattr(teleport, "pauli_coefficients", spy)
-    fired = np.ones((3, rows), dtype=bool)
-    for pairs_only in (False, True):
-        fired[2] = np.arange(rows) >= 4 if pairs_only else True
+    ops = np.array([np.eye(4), 0.5 * np.eye(4), 0.25 * np.eye(4)], dtype=np.complex128)
+    for misses in (False, True):
+        ops[2, 3, 3] = 0.0 if misses else 0.25
         scored.clear()
-        got = _find_each("paulis", residuals, expected, fired, ASSERT_TOL)
-        assert scored == [rows]
-        assert got == _reference_find_each("paulis", residuals, expected, fired,
-                                           ASSERT_TOL)
-        assert [c for c, _, _ in got] == ["s0*s0"] * 3
+        got = _find_each("paulis", ops, ASSERT_TOL)
+        assert scored == [(3, 4, 4)]
+        _assert_same(got, _reference_find_each("paulis", ops, ASSERT_TOL))
+        assert [c for c, _, _ in got] == ["s0*s0"] * 2 + [None if misses else "s0*s0"]
+        assert [c for c, _, _ in got] == _row_rule_each("paulis", ops, ASSERT_TOL)
 
 
 @pytest.mark.parametrize("allowed", ["paulis", "paulis+cz"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_random_rows_strike_candidates_the_certifying_rows_accept(allowed, k):
-    # the pair rows strike the candidates that seeded random rows struck
-    # under the per-probe rule.  Outcomes with residuals B^dagger v for a
-    # diagonal candidate B: every
-    # diagonal candidate maps each basis row |t> to +-|t>, so the basis rows
-    # accept them all.  Under the per-probe rule, with the basis rows
-    # certifying, seeded random members struck each one the scan meets
-    # before B; the pair rows strike the same ones, so a scan of the probe
-    # rows alone picks B too.  The last outcome returns the basis rows and is
-    # noise elsewhere: the random rows struck every candidate, and so do the
-    # pair rows
+    # the operator solve strikes the candidates that seeded random rows
+    # struck under the per-probe rule.  Outcomes B^dagger for a diagonal
+    # candidate B: every diagonal candidate maps each basis row |t> to
+    # +-|t>, so the basis rows accept them all, and the random rows strike
+    # each one the scan meets before B; F_e strikes the same ones, so the
+    # solve picks B too.  The last outcome applies a phase to each basis
+    # row: the basis rows accept every diagonal candidate, the random rows
+    # strike them all, and no candidate reaches F_e 1
     rng = np.random.default_rng(100 * k + len(allowed))
     probes = _reference_probes(FamilySpec("arbitrary", k), rng, 4)
     stack = np.array([state.amplitudes for _, state, _ in probes])
-    certifying = np.array([cert for _, _, cert in probes])
-    rows, dim = stack.shape
+    random = ~np.array([cert for _, _, cert in probes])
+    dim = 2 ** k
     candidates = _candidates(allowed, k)
     diagonal = [(desc, mat) for desc, mat in candidates
                 if np.array_equal(mat, np.diag(np.diag(mat)))]
     picks = sorted(rng.choice(np.arange(1, len(diagonal)), size=min(3, len(diagonal) - 1),
                               replace=False).tolist())
-    noise = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
-    noise /= np.linalg.norm(noise, axis=1, keepdims=True)
-    basis = np.arange(rows) < dim
-    # row i of v @ conj(B) is B^dagger v_i, B being diagonal
-    maps = [stack @ diagonal[p][1].conj() for p in picks]
-    maps.append(np.where(basis[:, None], stack, noise))
-    residuals = np.array(maps)
+    ops = np.array([diagonal[p][1].conj().T for p in picks]
+                   + [np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, dim)))])
     want = [diagonal[p][0] for p in picks] + [None]
-    old = basis | ~certifying
-    assert [_reference_find(candidates, res[old], stack[old], list(range(dim)),
-                            ASSERT_TOL)[0] for res in residuals] == want
-    residuals, stack = residuals[:, certifying], stack[certifying]
-    fired = np.ones(residuals.shape[:2], dtype=bool)
-    got = _find_each(allowed, residuals, stack, fired, ASSERT_TOL)
-    assert got == _reference_find_each(allowed, residuals, stack, fired, ASSERT_TOL)
+    old = (np.arange(len(stack)) < dim) | random
+    assert [_reference_find(candidates, stack[old] @ a.T, stack[old], list(range(dim)),
+                            ASSERT_TOL)[0] for a in ops] == want
+    got = _find_each(allowed, ops, ASSERT_TOL)
+    _assert_same(got, _reference_find_each(allowed, ops, ASSERT_TOL))
     assert [c for c, _, _ in got] == want
-    # the scan does not depend on the row order, to the bit
-    order = np.arange(len(stack))[::-1]
-    assert got == _find_each(allowed, residuals[:, order], stack[order], fired,
-                             ASSERT_TOL)
+    # the solve does not depend on the outcome order, to the bit
+    assert got[::-1] == _find_each(allowed, ops[::-1], ASSERT_TOL)
 
 
 @pytest.mark.parametrize("seed", [42, 7])
 def test_sliced_scan_matches_the_unsliced_one(seed, monkeypatch):
-    # 16 probes of a two-qubit family: slices are sized by one outcome's
-    # 16 x 4^2 x 2^2 gathered trace terms and its 16 x 4^2 outer products
-    # and scores, so a slice budget of three outcomes splits the 16
-    # outcomes into six slices
+    # 16 outcomes of a two-qubit family: chunks are sized by one outcome's
+    # 4^2 x 2^2 gathered trace terms, so a budget of three outcomes splits
+    # the 16 into six chunks per prefix
     sc = reg.TELEPORT_SCENARIOS["omega2_bellbell_cz"]
     want = run_scenario(sc, seed=seed)
-    assert len(want.outcomes) == 16 and want.num_probes == 16
-    limit = 3 * 16 * 4 ** 2 * (4 + 2)
+    assert len(want.outcomes) == 16 and want.num_probes == 4
     entries = []
     real = teleport.pauli_coefficients
 
     def spy(a):
-        entries.append(a.size * a.shape[-1])  # the gathered rows x 4^k x 2^k
+        entries.append(a.size * a.shape[-1])  # the gathered outcomes x 4^k x 2^k
         return real(a)
 
     monkeypatch.setattr(teleport, "pauli_coefficients", spy)
-    monkeypatch.setattr(teleport, "SLICE_ENTRIES", limit)
+    monkeypatch.setattr(teleport, "SLICE_ENTRIES", 3 * 8 ** 2)
     got = run_scenario(sc, seed=seed)
     assert got == want and repr(got) == repr(want)
-    assert max(entries) == 3 * 16 * 4 ** 3 and len(entries) > len(teleport._prefixes("paulis+cz", 2)[0])
+    assert max(entries) == 3 * 8 ** 2 and len(entries) == 12
 
 
 def test_four_qubit_scan_stays_within_the_slice_budget(monkeypatch):
-    # five outcomes over the 256 probes of an arbitrary four-qubit family:
-    # one outcome gathers 256 x 4^4 x 2^4 = 2^20 trace terms, beside its
-    # 256 x 4^4 outer products and scores, so the budget of 2^21 entries
-    # scores them one at a time; slices sized by MAX_STACK_ENTRIES took all
-    # five at once, and took four Bell pairs teleporting four qubits to 377 MB
-    expected = build_probes(FamilySpec("arbitrary", 4))
-    rows = len(expected)
-    assert rows == 256
-    rng = np.random.default_rng(6)
-    residuals = (rng.standard_normal((5, rows, 16))
-                 + 1j * rng.standard_normal((5, rows, 16)))
-    residuals /= np.linalg.norm(residuals, axis=2, keepdims=True)
-    residuals[0] = expected  # the identity corrects outcome 0
-    fired = np.ones((5, rows), dtype=bool)
+    # four Bell pairs teleporting an arbitrary four-qubit family: 256
+    # outcomes, each gathering 4^4 x 2^4 = 2^12 trace terms, all in one
+    # chunk of the 2^21-entry budget; the whole call peaks below 32 MiB and
+    # keeps its table at any chunk size
+    pairs = tuple((format(x, "04b") * 2, 1.0) for x in range(16))
+    sc = TeleportScenario("bell4", "four pairs", FamilySpec("arbitrary", 4),
+                          tuple(StepSpec((q, q + 4), "bell") for q in range(4)),
+                          (8, 9, 10, 11), resource_kets=pairs)
+    want = run_scenario(sc)  # memos and tables built untraced
     entries = []
     real = teleport.pauli_coefficients
 
     def spy(a):
-        entries.append(a.size * a.shape[-1])  # the gathered rows x 4^k x 2^k
+        entries.append(a.size * a.shape[-1])  # the gathered outcomes x 4^k x 2^k
         return real(a)
 
     monkeypatch.setattr(teleport, "pauli_coefficients", spy)
-    prefixes = teleport._prefixes("paulis", 4)
-    real(residuals[:1, :1, :, None] * expected[:1].conj())  # tables built untraced
     tracemalloc.start()
     try:
-        chosen, _, _ = teleport._find_corrections(prefixes, residuals, expected,
-                                                  fired, ASSERT_TOL)
+        res = run_scenario(sc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert chosen == ["s0*s0*s0*s0"] + [None] * 4
-    assert entries == [rows * 8 ** 4] * 5
+    bell = {"phi+": "s0", "phi-": "s3", "psi+": "s1", "psi-": "is2"}
+    assert res.feasible and len(res.outcomes) == 256 and res.classical_cost == 8
+    assert res.corrections == {o.key: "*".join(bell[b] for b in o.key.split(","))
+                               for o in res.outcomes}
+    assert entries == [256 * 8 ** 4]
     # one slice's complex entries at the full budget: 32 MiB
     assert peak < 16 * SLICE_ENTRIES
+    # one outcome a chunk, or 64: the same result, to the bit
+    for outcomes in (1, 64):
+        entries.clear()
+        monkeypatch.setattr(teleport, "SLICE_ENTRIES", outcomes * 8 ** 4)
+        assert repr(run_scenario(sc)) == repr(res) == repr(want)
+        assert entries == [outcomes * 8 ** 4] * (256 // outcomes)
 
 
 @pytest.mark.parametrize("allowed", ["paulis", "paulis+cz", "paulis+diag"])
@@ -1177,15 +1282,15 @@ def test_vocabulary_matches_dense_candidates(allowed, k):
 
 def test_best_fidelity_of_a_corrected_outcome_is_the_chosen_candidates_own(
         monkeypatch):
-    # no candidate scanned before the chosen one certifies better than it, so
-    # a corrected outcome's best_fidelity is the chosen candidate's own worst
-    # fidelity over the rows it fires, bit for bit
+    # no candidate tried before the chosen one scores better than it, so a
+    # corrected outcome's best_fidelity is the chosen candidate's own F_e,
+    # bit for bit
     calls = []
     real = teleport._find_corrections
 
-    def spy(prefixes, residuals, expected, fired, tol):
-        got = real(prefixes, residuals, expected, fired, tol)
-        calls.append((prefixes, residuals, expected, fired, got))
+    def spy(prefixes, ops, norms, tol):
+        got = real(prefixes, ops, norms, tol)
+        calls.append((prefixes, ops, norms, got))
         return got
 
     monkeypatch.setattr(teleport, "_find_corrections", spy)
@@ -1194,19 +1299,16 @@ def test_best_fidelity_of_a_corrected_outcome_is_the_chosen_candidates_own(
             run_scenario(sc, seed=seed)
     assert len(calls) == 2 * len(_ALL_SCENARIOS)
     corrected = 0
-    for (descs, masks), residuals, expected, fired, got in calls:
-        table = pauli_table(expected.shape[1].bit_length() - 1)
-        for res, rows, desc, best in zip(residuals, fired, got[0], got[2]):
+    for (descs, masks), ops, norms, got in calls:
+        t = np.arange(ops.shape[-1])
+        table = pauli_table(t.size.bit_length() - 1)
+        for a, norm, desc, fid, best in zip(ops, norms, *got):
             if desc is None:
                 continue
             prefix, _, pauli = desc.rpartition(";")
             p = descs.index(prefix + ";" if prefix else "")
-            t = table.names.index(tuple(pauli.split("*")))
-            perm = np.arange(res.shape[1])[None] ^ table.flip[t]
-            sign = table.sign[t:t + 1]
-            fids = np.abs(np.sum(expected[rows].conj()[:, None, :]
-                                 * ((res[rows] * masks[p])[:, perm] * sign),
-                                 axis=2)) ** 2
-            assert best == fids.min(), desc
+            x = table.names.index(tuple(pauli.split("*")))
+            trace = np.sum((a * masks[p][:, None])[t ^ table.flip[x], t] * table.sign[x])
+            assert best == fid == np.abs(trace) ** 2 / norm, desc
             corrected += 1
     assert corrected
