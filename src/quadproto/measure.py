@@ -10,7 +10,8 @@ certificates share; branches are dropped once, at the end, at ``DROP_TOL``.
 The result is one ``Outcomes`` record: per branch its labels, its
 comma-joined key and whether an auto-completed direction (one past its
 basis's declared rows) fired; per branch and input the probability and
-normalized residual; and the original indices of the surviving qubits.
+the unnormalized amplitude row, whose squared norm it is; and the original
+indices of the surviving qubits.
 
 Teleport scenarios and LOCC protocols both describe their measurements as
 ``StepSpec`` values (catalog basis names); ``build_plan`` resolves them,
@@ -198,15 +199,16 @@ class Outcomes:
     Branch j, in enumeration order (first step's labels outermost), has
     labels ``labels[j]`` and key ``keys[j]`` (the labels comma-joined);
     ``probabilities[j, i]`` is its probability for input i, exactly 0.0
-    where it does not fire for that input, and ``residuals[j, i]`` the
-    normalized post-measurement state, a zero row where it does not fire.
-    ``len()`` is the number of branches.
+    where it does not fire for that input, and ``amplitudes[j, i]`` the
+    unnormalized branch row <outcome j|input i> over the kept qubits, whose
+    squared norm is ``probabilities[j, i]``, a zero row where it does not
+    fire.  ``len()`` is the number of branches.
     """
 
     labels: tuple[tuple[str, ...], ...]
     keys: tuple[str, ...]
     probabilities: np.ndarray       # (nb, B)
-    residuals: np.ndarray | None    # (nb, B, 2**len(kept_qubits)); None when
+    amplitudes: np.ndarray | None   # (nb, B, 2**len(kept_qubits)); None when
                                     # every qubit was measured
     perp: np.ndarray                # (nb,) bool: an auto-completed label fired
     kept_qubits: tuple[int, ...]    # original indices, ascending
@@ -273,15 +275,12 @@ def enumerate_outcomes(amplitudes: np.ndarray, plan: MeasurementPlan) -> Outcome
     index = np.flatnonzero(fires.any(axis=0))
     fires = fires[:, index].T  # (branches, B): 0.0 and zero rows if not fired
     probs = np.where(fires, probs[:, index].T, 0.0)
-    residuals = None
+    rows = None
     if c.shape[2] > 1:
-        residuals = c.transpose(1, 0, 2)[index]
-        scale = probs
+        rows = c.transpose(1, 0, 2)[index]
         if not fires.all():
-            residuals[~fires] = 0.0
-            scale = np.where(fires, probs, 1.0)
-        residuals /= np.sqrt(scale)[..., None]
+            rows[~fires] = 0.0
     labels, keys, perp = plan.outcome_table
     at = index.tolist()
     return Outcomes(tuple(labels[i] for i in at), tuple(keys[i] for i in at),
-                    probs, residuals, perp[index], kept)
+                    probs, rows, perp[index], kept)

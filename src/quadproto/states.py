@@ -284,6 +284,7 @@ def pauli_coefficients(a: np.ndarray) -> np.ndarray:
         terms = np.take(flat, index, axis=-1)
         terms *= sign[lo:lo + step]
         parts.append(trace_sums(terms))
+        del index, terms  # keep one slice live while the next is built
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 

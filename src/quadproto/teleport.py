@@ -7,10 +7,11 @@ s_i of an orthonormal basis of its span (``build_probes``), each tensored
 with the resource in one step, and searches a deterministic candidate list
 for a local correction per outcome that returns every member of the family.
 
-Outcome j acts on the span as a linear map O_j, O_j s_i = sqrt(p_ji) r_ji
-(p_ji its probability and r_ji its residual for member i), and every result
-is read off these operators, so each is exact over the span and none
-depends on a random draw: uniformity (equal Gram matrices O_j^dagger O_j),
+Outcome j acts on the span as a linear map O_j, O_j s_i being the
+unnormalized amplitude row the measurement gives member i (its squared
+norm p_ji the outcome's probability for that member), and every result is
+read off these operators, so each is exact over the span and none depends
+on a random draw: uniformity (equal Gram matrices O_j^dagger O_j),
 the probability leaked into auto-completed directions (the top eigenvalue
 of their summed Gram matrix) and each outcome's probability averaged over
 the family (Tr(O_j^dagger O_j)/d).
@@ -258,7 +259,8 @@ def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
     for a chunk of the outcomes still open, each gathering 4^k x 2^k trace
     terms, so a chunk holds at most ``SLICE_ENTRIES`` of them (one outcome
     when its own are more).  The first prefix is the identity
-    (``_prefixes``), scored unmasked.
+    (``_prefixes``), scored on slices of the unmasked stack; when it corrects
+    every outcome in one chunk, the search ends there.
     """
     nb, dim, _ = ops.shape
     k = qubit_count(dim)
@@ -272,13 +274,17 @@ def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
         left = []
         for lo in range(0, len(open_), step):
             js = open_[lo:lo + step]
-            masked = ops[js] if p == 0 else ops[js] * mask[:, None]
-            fids = np.abs(pauli_coefficients(masked)) ** 2 / norms[js, None]
+            # the identity comes first, every outcome open: slice it unmasked
+            at = slice(lo, lo + step) if p == 0 else js
+            masked = ops[at] if p == 0 else ops[at] * mask[:, None]
+            fids = np.abs(pauli_coefficients(masked)) ** 2 / norms[at, None]
             ok = fids >= 1.0 - tol
             hit = ok.any(axis=1)
             first = ok.argmax(axis=1)
             # every candidate before the first that works scores below it
             score = np.where(hit, fids[np.arange(len(js)), first], fids.max(axis=1))
+            if p == 0 and len(js) == nb and hit.all():
+                return [desc + "*".join(names[x]) for x in first.tolist()], score, score
             best[js] = np.maximum(best[js], score)
             done = js[hit]
             for j, x in zip(done.tolist(), first[hit].tolist()):
@@ -351,11 +357,11 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
             "plan for %s leaves qubits %s but the receiver holds %s"
             % (scenario.scenario_id, out.kept_qubits, scenario.receiver)
         )
-    # outcome j maps member s_i to O_j s_i = sqrt(p_ji) r_ji; branches are
+    # outcome j maps member s_i to O_j s_i, its amplitude row; branches are
     # reported in the order the members first fire them, and every branch
     # fires for some member
-    probs = out.probabilities
-    rows = np.sqrt(probs)[..., None] * out.residuals
+    probs, rows = out.probabilities, out.amplitudes
+    sums = probs.sum(axis=1)
     grams = rows.conj() @ rows.transpose(0, 2, 1)
     uniform = bool((np.abs(grams - grams[0]) <= VALUE_TOL).all())
     # the leak: the top eigenvalue of the perp branches' summed Gram matrix
@@ -364,9 +370,9 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
         max_perp = float(np.linalg.eigvalsh(grams[out.perp].sum(axis=0))[-1])
     chosen, min_fid, best = _find_corrections(
         _prefixes(scenario.allowed_ops, k), rows.transpose(0, 2, 1) @ span.conj(),
-        d * probs.sum(axis=1), tol)
+        d * sums, tol)
     first = (probs > 0.0).argmax(axis=1)
-    average, fid = probs.mean(axis=1).tolist(), min_fid.tolist()
+    average, fid = (sums / d).tolist(), min_fid.tolist()  # the bits of np.mean
     top, perp = best.tolist(), out.perp.tolist()
     reports = [OutcomeReport(out.keys[j], average[j], chosen[j], fid[j], top[j], perp[j])
                for j in np.argsort(first, kind="stable").tolist()]

@@ -35,3 +35,29 @@ def test_importing_the_cli_loads_every_traced_module(monkeypatch):
     tracer = _load_tracer(monkeypatch)
     modules, _ = loaded_after("import quadproto.cli")
     assert {module for module, _ in tracer.TARGETS} <= set(modules)
+
+
+def test_every_work_reader_reads_a_real_return_value(monkeypatch):
+    # Tracer._wrap applies each WORK reader to its target's return value, so
+    # a renamed result field would stop every traced run, not this file
+    from quadproto import scenarios as reg
+    from quadproto.catalog import make_state
+    from quadproto.densecode import distinguishable_messages
+    from quadproto.locc import run_discrimination
+    from quadproto.measure import StepSpec, build_plan, enumerate_outcomes
+    from quadproto.teleport import run_scenario
+    tracer = _load_tracer(monkeypatch)
+    ghz = make_state("GHZ4").state
+    scenario = reg.TELEPORT_SCENARIOS[sorted(reg.TELEPORT_SCENARIOS)[0]]
+    returns = {
+        "measure.enumerate_outcomes": enumerate_outcomes(
+            ghz.amplitudes[None], build_plan([StepSpec((0, 1), "bell")])),
+        "teleport.run_scenario": run_scenario(scenario),
+        "densecode.distinguishable_messages": distinguishable_messages(ghz, (0,)),
+        "locc.run_discrimination": run_discrimination(
+            reg.locc_candidate_sets()["omega16"], reg.locc_protocols()["ghz_bell_bell"]),
+    }
+    assert {target for target, _ in tracer.WORK.values()} == set(returns)
+    for metric, (target, read) in tracer.WORK.items():
+        count = read(returns[target])
+        assert isinstance(count, int) and count >= 0, metric

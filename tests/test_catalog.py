@@ -375,7 +375,8 @@ def test_tau_printed_pairs_are_protocol_dead():
         assert abs(leak - 0.25) < 1e-12, probe
     # superposition input: the printed tau3 branch keeps only the alpha arm
     out = _branch_probabilities({"0": 1, "1": 1}, "Q4", (0, 1, 3, 4), printed)
-    tau3 = out.residuals[out.keys.index("tau3+"), 0]
+    j = out.keys.index("tau3+")
+    tau3 = out.amplitudes[j, 0] / np.sqrt(out.probabilities[j, 0])
     assert abs(abs(tau3[0]) - 1.0) < 1e-12  # residual |0>
     assert abs(tau3[1]) < 1e-12
 

@@ -100,9 +100,9 @@ def test_residual_states_normalized_and_kept_indices():
     st = make_state("GHZ4").state
     out = enumerate_outcomes(st.amplitudes[None], _plan(((0, 1), "bell")))
     assert len(out) > 0 and out.kept_qubits == (2, 3)
-    assert out.residuals.shape == (len(out), 1, 4)
-    for residual in out.residuals[:, 0]:
-        assert abs(np.linalg.norm(residual) - 1.0) < 1e-12
+    assert out.amplitudes.shape == (len(out), 1, 4)
+    for row, p in zip(out.amplitudes[:, 0], out.probabilities[:, 0]):
+        assert abs(np.linalg.norm(row / np.sqrt(p)) - 1.0) < 1e-12
 
 
 @pytest.mark.usefixtures("keep_every_branch")
@@ -179,20 +179,20 @@ def test_auto_completed_outcomes_are_flagged_by_position():
 @pytest.mark.usefixtures("keep_every_branch")
 def test_zero_probability_branches_dropped():
     # |0000> overlaps exactly two of the eight basis vectors; the other
-    # six must be dropped even at DROP_TOL = 0 (no NaN residuals).
+    # six must be dropped even at DROP_TOL = 0.
     st = basis_state("0000")
     out = enumerate_outcomes(st.amplitudes[None],
                              _plan(((0, 1, 2, 3), "ghz4_full")))
     assert set(out.keys) == {"4GHZ1+", "4GHZ1-"}
     assert all(abs(p - 0.5) < 1e-12 for p in out.probabilities[:, 0])
-    assert out.residuals is None  # nothing left unmeasured
+    assert out.amplitudes is None  # nothing left unmeasured
 
 
 @pytest.mark.usefixtures("keep_every_branch")
 def test_stack_boundaries():
     plan = _plan(((0, 1), "bell"))
     empty = enumerate_outcomes(np.zeros((0, 16), dtype=np.complex128), plan)
-    assert len(empty) == 0 and empty.residuals is None
+    assert len(empty) == 0 and empty.amplitudes is None
     ghz = make_state("GHZ4").state.amplitudes
     bad_stacks = [
         (ghz, "amplitude array, got 1 dimensions"),
@@ -280,10 +280,10 @@ def _assert_same_branches(stack, steps, where):
     assert not want.perp.any(), where
     assert got.perp.tolist() == [any(lbl.startswith("perp") for lbl in labels)
                                  for labels in got.labels], where
-    if want.residuals is None:
-        assert got.residuals is None, where
+    if want.amplitudes is None:
+        assert got.amplitudes is None, where
     else:
-        assert np.array_equal(got.residuals, want.residuals), where
+        assert np.array_equal(got.amplitudes, want.amplitudes), where
 
 
 def _all_scenarios():
@@ -420,7 +420,7 @@ def _reference_outcomes(amplitudes, plan, drop_tol=DROP_TOL):
     """Enumerate one state's branches a row at a time with ``np.vdot``.
 
     This is the per-state walk the stacked kernel replaced; it returns
-    (labels, probability, normalized residual or None) per firing branch.
+    (labels, probability, amplitude row or None) per firing branch.
     """
     orig = list(range(amplitudes.size.bit_length() - 1))
     branches = [((), amplitudes)]
@@ -442,7 +442,7 @@ def _reference_outcomes(amplitudes, plan, drop_tol=DROP_TOL):
     for labels, vec in branches:
         p = float(np.vdot(vec, vec).real)
         if p > drop_tol:
-            out.append((labels, p, vec / np.sqrt(p) if vec.size > 1 else None))
+            out.append((labels, p, vec if vec.size > 1 else None))
     return out
 
 
@@ -463,16 +463,15 @@ def _assert_matches_reference(stack, plan, where):
         want = _reference_outcomes(amplitudes, plan, drop_tol)
         branches.update(w[0] for w in want)
         assert [got.labels[j] for j in fired] == [w[0] for w in want], (where, i)
-        for j, (labels, p, residual) in zip(fired, want):
+        for j, (labels, p, row) in zip(fired, want):
             assert got.probabilities[j, i] == p, (where, i, labels)
-            if residual is None:
-                assert got.residuals is None, (where, i, labels)
+            if row is None:
+                assert got.amplitudes is None, (where, i, labels)
             else:
-                assert np.array_equal(got.residuals[j, i], residual), \
-                    (where, i, labels)
-        if got.residuals is not None:
+                assert np.array_equal(got.amplitudes[j, i], row), (where, i, labels)
+        if got.amplitudes is not None:
             for j in np.flatnonzero(got.probabilities[:, i] == 0.0):
-                assert not got.residuals[j, i].any(), (where, i, got.keys[j])
+                assert not got.amplitudes[j, i].any(), (where, i, got.keys[j])
     assert len(got) == len(branches) == len(set(got.labels)), where
     assert set(got.labels) == branches, where
 
@@ -545,3 +544,22 @@ def test_stacked_kernel_matches_per_state_reference_on_random_partial_plans(
                                        ).probabilities > 0.0
             died_mid_plan += bool((~first.all(axis=1)).any())
     assert died_mid_plan >= 5
+
+
+def test_amplitude_rows_square_to_their_probabilities():
+    # teleport reads O_j s_i straight off the amplitude rows, so each row's
+    # squared norm is its probability bit for bit, and a branch that does
+    # not fire for an input (dropped below DROP_TOL included) gives it a
+    # zero row
+    rng = np.random.default_rng(2610)
+    cases = [(_probe_stack(sc, 42, 20), build_plan(sc.steps)) for sc in _all_scenarios()]
+    for n in rng.integers(2, 8, size=40).tolist():
+        cases.append((_sparse_stack(rng, n), _random_partial_plan(rng, n)))
+    unfired = 0
+    for stack, plan in cases:
+        out = enumerate_outcomes(stack, plan)
+        assert np.array_equal(measure._norms(out.amplitudes), out.probabilities)
+        dead = out.probabilities == 0.0
+        assert not out.amplitudes[dead].any()
+        unfired += int(dead.sum())
+    assert unfired > 0

@@ -582,6 +582,23 @@ def test_pauli_table_builds_no_wide_product_array():
     assert peak < 4 * 4 ** k * 2 ** k
 
 
+def test_sliced_pauli_coefficients_keep_one_slice_live():
+    # a k = 8 call gathers its 8^8 trace terms in slices of SLICE_ENTRIES, a
+    # 16 MiB index and 32 MiB of complex terms each; holding the previous
+    # slice while the next is built peaked at 80.9 MiB
+    k = 8
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
+    pauli_table(k)  # the memoized table is built before the count starts
+    tracemalloc.start()
+    try:
+        pauli_coefficients(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 52 * 2 ** 20
+
+
 def test_pauli_table_above_the_stack_limit_is_refused():
     with pytest.raises(CapacityError, match="over the limit of 2"):
         pauli_table(9)

@@ -786,7 +786,8 @@ def _reference_run(scenario, tol=ASSERT_TOL):
     for j in order:
         fired = firing[j]
         chosen, chosen_min, best = _reference_find(
-            candidates, out.residuals[j][fired], expected[fired],
+            candidates, out.amplitudes[j][fired] / np.sqrt(probs[j, fired])[:, None],
+            expected[fired],
             list(range(len(fired))), tol)
         feasible &= chosen is not None
         reports.append(OutcomeReport(out.keys[j], float(np.mean(probs[j, :d])), chosen,
@@ -835,14 +836,13 @@ def _verdict(res):
 
 def _reference_operators(scenario):
     """Per outcome, in the order run_scenario reports them: its key and O_j V,
-    the (2^k, d) matrix whose column i is O_j s_i = sqrt(p_ji) r_ji, each
-    member tensored with the resource one at a time."""
+    the (2^k, d) matrix whose column i is O_j s_i, member i's amplitude row,
+    each member tensored with the resource one at a time."""
     span = build_probes(scenario.family)
     out = _reference_outcomes(scenario, [(None, PureState(v), True) for v in span])
     probs = out.probabilities
     order = sorted(range(len(out)), key=lambda j: np.flatnonzero(probs[j])[0])
-    return [(out.keys[j], (np.sqrt(probs[j])[:, None] * out.residuals[j]).T)
-            for j in order]
+    return [(out.keys[j], out.amplitudes[j].T) for j in order]
 
 
 def _dense_solve(allowed, v, maps, tol):
