@@ -31,13 +31,13 @@ def main() -> None:
     print()
 
     # a state that looks four-partite but is not
-    from quadproto import basis_state, genuine_multipartite, tensor
+    from quadproto import genuine_multipartite, tensor
     pair_of_pairs = tensor(make_state("Bell:phi+").state,
                            make_state("Bell:phi+").state)
     print("two stacked Bell pairs genuine? %s"
           % genuine_multipartite(pair_of_pairs))
     print("product |0000> genuine?        %s"
-          % genuine_multipartite(basis_state("0000")))
+          % genuine_multipartite(PureState.from_kets({"0000": 1.0})))
 
 
 if __name__ == "__main__":

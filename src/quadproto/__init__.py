@@ -21,9 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "states": (
         "MAX_QUBITS", "PAULI_ORDER", "PureState", "SIGMA", "apply_local",
-        "apply_paulis", "basis_state", "fidelity", "inner", "pauli_table",
-        "permute_qubits", "purity", "random_state", "random_unitary",
-        "reduced_density", "tensor"),
+        "apply_paulis", "pauli_table", "purity", "reduced_density", "tensor"),
     "catalog": (
         "CORRECTIONS", "BasisCorrection", "NamedBasis", "NamedState",
         "basis_names", "corrections_for", "make_basis", "make_state",

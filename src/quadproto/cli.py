@@ -253,8 +253,7 @@ def _cmd_teleport(args) -> int:
     else:
         raise ValueError("teleport needs --scenario, --file, or --list")
 
-    results = [run_scenario(sc, seed=args.seed, tol=args.tolerance)
-               for sc in scenarios]
+    results = [run_scenario(sc, tol=args.tolerance) for sc in scenarios]
     reports = [_teleport_payload(sc, res) for sc, res in zip(scenarios, results)]
     payload = reports[0] if len(reports) == 1 else {"reports": reports}
     name = "teleport_%s" % (args.scenario or

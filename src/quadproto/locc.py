@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
@@ -142,7 +141,7 @@ def run_discrimination(candidates: Sequence[tuple[str, PureState]],
     total = 0
     for i, key in protocol._reported_rounds:
         fired = {combo[i] for combo in out.labels}
-        bits = math.ceil(math.log2(len(fired))) if len(fired) > 1 else 0
+        bits = max(len(fired) - 1, 0).bit_length()  # ceil(log2), 0 for one or none
         breakdown[key] = breakdown.get(key, 0) + bits
         total += bits
     return DiscriminationResult(

@@ -2,8 +2,7 @@
 
 Big-endian labeling throughout: qubit 0 is the leftmost symbol of a ket
 label, so in |011> qubit 0 is |0> and qubits 1, 2 are |1>.  States are
-immutable values; reductions and unitaries are plain read-only arrays.  Every
-operation returns a fresh object.
+immutable values and reductions read-only arrays, each one a fresh object.
 """
 from __future__ import annotations
 
@@ -81,6 +80,13 @@ def check_integer(what: str, *values) -> None:
     for value in values:
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError("%s must be an integer, got %r" % (what, value))
+
+
+def check_seed(seed) -> None:
+    """Refuse a seed that is not a non-negative integer; no result reads one."""
+    check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer, got %r" % seed)
 
 
 def check_iterable(what: str, values) -> tuple:
@@ -193,11 +199,6 @@ def ket_vector(terms: Mapping[str, complex] | Iterable[tuple[str, complex]],
     return vec
 
 
-def basis_state(label: str) -> PureState:
-    """Computational basis ket for a bit-string label."""
-    return PureState.from_kets({label: 1.0})
-
-
 # Single-qubit constants.  is2 denotes i*sigma_2, the real rotation used in
 # correction tables so that every allowed operation has real entries.
 SIGMA = {
@@ -283,17 +284,10 @@ def pauli_coefficients(a: np.ndarray) -> np.ndarray:
                  else _pauli_diagonals(k, slice(lo, lo + step)))
         terms = np.take(flat, index, axis=-1)
         terms *= sign[lo:lo + step]
-        parts.append(trace_sums(terms))
+        # k = 1 sums its two terms in one add, skipping numpy's reduction set-up
+        parts.append(terms[..., 0] + terms[..., 1] if k == 1 else terms.sum(-1))
         del index, terms  # keep one slice live while the next is built
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-
-
-def trace_sums(terms: np.ndarray) -> np.ndarray:
-    """The sum over the last axis of signed trace terms, as
-    ``pauli_coefficients`` forms each trace: two terms in one add, the sum
-    numpy forms for them without its reduction set-up, more by ``sum``.  A
-    caller scoring a product on its own sums with it to keep the bits."""
-    return terms[..., 0] + terms[..., 1] if terms.shape[-1] == 2 else terms.sum(-1)
 
 
 def apply_paulis(rows: np.ndarray, names: Sequence[str]) -> np.ndarray:
@@ -337,8 +331,8 @@ _cached_sender_index = functools.lru_cache(maxsize=256)(_sender_index)
 def sender_index(n: int, subsets: tuple[tuple[int, ...], ...],
                  memo: bool = True) -> np.ndarray:
     """``_sender_index(n, subsets)``, memoized when ``memo`` holds and it has
-    at most ``INDEX_MEMO_ENTRIES`` entries.  Every reduction, local unitary,
-    qubit permutation and dense-coding encoding reads amplitudes through it."""
+    at most ``INDEX_MEMO_ENTRIES`` entries.  Every reduction, local unitary
+    and dense-coding encoding reads amplitudes through it."""
     if memo and len(subsets) << n <= INDEX_MEMO_ENTRIES:
         return _cached_sender_index(n, subsets)
     return _sender_index(n, subsets)
@@ -354,6 +348,7 @@ def reduced_densities(amplitudes: np.ndarray, subsets: tuple[tuple[int, ...], ..
     return psi @ psi.conj().transpose(0, 2, 1)
 
 
+# only tests and demos call tensor and apply_local; bench/tracer.py wraps both by name
 def tensor(a: PureState, b: PureState) -> PureState:
     """Kronecker product; a's qubits occupy the leading label positions."""
     if a.num_qubits + b.num_qubits > MAX_QUBITS:
@@ -390,29 +385,6 @@ def apply_local(state: PureState, u: np.ndarray,
     return PureState(psi)
 
 
-def permute_qubits(state: PureState, perm: Sequence[int]) -> PureState:
-    """Relabel qubits: qubit i of the input becomes qubit perm[i]."""
-    n = state.num_qubits
-    perm = check_qubits("perm entry", perm, n)
-    if len(perm) != n:
-        raise ValueError("perm must be a permutation of range(num_qubits)")
-    # output qubit j reads input qubit inverse[j]
-    inverse = tuple(sorted(range(n), key=perm.__getitem__))
-    return PureState(state.amplitudes[sender_index(n, (inverse,))].reshape(-1))
-
-
-def inner(a: PureState, b: PureState) -> complex:
-    """<a|b> with the left argument conjugated."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("states live on different registers")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def fidelity(a: PureState, b: PureState) -> float:
-    """|<a|b>|**2, insensitive to global phase on either state."""
-    return float(abs(inner(a, b)) ** 2)
-
-
 def reduced_density(state: PureState, keep: Sequence[int]) -> np.ndarray:
     """Partial trace onto the kept qubits, ordered as listed, as a read-only
     (2**k, 2**k) array."""
@@ -427,18 +399,3 @@ def purity(rho: np.ndarray) -> float:
     """Tr(rho**2); equals 1 exactly for pure states."""
     mat = np.asarray(rho)
     return float(np.trace(mat @ mat).real)
-
-
-def random_state(num_qubits: int, rng: np.random.Generator) -> PureState:
-    """Haar-distributed pure state drawn from the given generator."""
-    vec = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
-    return PureState(vec / np.linalg.norm(vec))
-
-
-def random_unitary(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix, read-only."""
-    dim = 1 << num_qubits
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return _lock(q)

@@ -27,7 +27,7 @@ from .diagnostics import profile, three_tangle_pure
 from .locc import LoccProtocol, check_certificate, run_discrimination
 from .measure import StepSpec
 from .states import (ASSERT_TOL, GRAM_TOL, NEGATIVE_GAP, VALUE_TOL, apply_paulis,
-                     check_tolerance)
+                     check_seed, check_tolerance)
 from .teleport import TeleportResult, run_scenario
 
 __all__ = ["ClaimRow", "SuiteReport", "run_suite", "format_text", "report_dict",
@@ -86,10 +86,10 @@ def teleport_claim_holds(scenario_id: str, results: list[TeleportResult],
             and max(res.best_worst_fidelity for res in results) < 1.0 - NEGATIVE_GAP)
 
 
-def _teleport_rows(seed: int, tol: float) -> list[ClaimRow]:
+def _teleport_rows(tol: float) -> list[ClaimRow]:
     rows: list[ClaimRow] = []
     for sid, sc in reg.TELEPORT_SCENARIOS.items():
-        res = run_scenario(sc, seed=seed, tol=tol)
+        res = run_scenario(sc, tol=tol)
         want = reg.TELEPORT_COSTS[sid]
         actual = "feasible=%s worst=%.3g cost=%s" % (
             res.feasible, res.worst_fidelity, res.classical_cost)
@@ -99,7 +99,7 @@ def _teleport_rows(seed: int, tol: float) -> list[ClaimRow]:
             expected="unit fidelity, cost %d" % want, actual=actual,
             corrected=sid in reg.CORRECTED_SCENARIOS, detail=sc.note))
     for group, scenarios in reg.negative_scenarios().items():
-        results = [run_scenario(sc, seed=seed, tol=tol) for sc in scenarios]
+        results = [run_scenario(sc, tol=tol) for sc in scenarios]
         rows.append(ClaimRow(
             claim_id="teleport/negative/%s" % group, kind="teleport_negative",
             status=_verdict(teleport_claim_holds(group, results, tol)),
@@ -370,18 +370,19 @@ def _registry_rows() -> list[ClaimRow]:
 
 
 SECTIONS = {
-    "teleport": lambda seed, tol: _teleport_rows(seed, tol),
-    "densecode": lambda seed, tol: _densecode_rows(tol),
-    "locc": lambda seed, tol: _locc_rows(tol),
-    "diagnostics": lambda seed, tol: _diagnostics_rows(),
-    "bases": lambda seed, tol: _basis_rows(),
-    "unverified": lambda seed, tol: _registry_rows(),
+    "teleport": _teleport_rows,
+    "densecode": _densecode_rows,
+    "locc": _locc_rows,
+    "diagnostics": lambda tol: _diagnostics_rows(),
+    "bases": lambda tol: _basis_rows(),
+    "unverified": lambda tol: _registry_rows(),
 }
 
 
 def run_suite(seed: int = 42, tol: float = ASSERT_TOL,
               sections: tuple[str, ...] | None = None) -> SuiteReport:
     check_tolerance(tol)
+    check_seed(seed)
     picked = sections or tuple(SECTIONS)
     unknown = [s for s in picked if s not in SECTIONS]
     if unknown:
@@ -391,7 +392,7 @@ def run_suite(seed: int = 42, tol: float = ASSERT_TOL,
         raise ValueError("repeated suite sections: %s" % ", ".join(repeated))
     rows: list[ClaimRow] = []
     for name in picked:
-        rows.extend(SECTIONS[name](seed, tol))
+        rows.extend(SECTIONS[name](tol))
     return SuiteReport(rows=tuple(rows), seed=seed, tolerance=tol)
 
 

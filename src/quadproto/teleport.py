@@ -54,7 +54,6 @@ best entanglement fidelity any candidate reached.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -64,8 +63,8 @@ from .catalog import NamedState, make_state
 from .measure import StepSpec, build_plan, check_steps, enumerate_outcomes
 from .states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, SLICE_ENTRIES,
                      VALUE_TOL, PureState, apply_paulis, check_integer, check_iterable,
-                     check_qubits, check_tolerance, ket_vector, pauli_coefficients,
-                     pauli_table, qubit_count)
+                     check_qubits, check_seed, check_tolerance, ket_vector,
+                     pauli_coefficients, pauli_table, qubit_count)
 
 __all__ = [
     "FamilySpec",
@@ -333,13 +332,10 @@ class TeleportResult:
 
 def run_scenario(scenario: TeleportScenario, seed: int = 42,
                  tol: float = ASSERT_TOL) -> TeleportResult:
-    """Verify one scenario at tolerance ``tol``.  ``seed`` is refused unless
-    it is a non-negative integer, and is otherwise unused: no result depends
-    on it."""
+    """Verify one scenario at tolerance ``tol``.  ``seed`` is only checked
+    (``check_seed``): no result depends on it."""
     check_tolerance(tol)
-    check_integer("seed", seed)
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer, got %r" % seed)
+    check_seed(seed)
     resource = scenario.resource_state().state
     # refuse a joint register above MAX_QUBITS, and a family whose Pauli
     # table (8^k entries, as many as one outcome's correction scores gather)
@@ -420,11 +416,11 @@ def classical_cost(scenario: TeleportScenario,
             continue
         positions = [i for i, p in enumerate(step_parties) if p == party]
         seen = {tuple(key.split(",")[i] for i in positions) for key in firing_keys}
-        bits = math.ceil(math.log2(len(seen))) if len(seen) > 1 else 0
+        bits = max(len(seen) - 1, 0).bit_length()  # ceil(log2), 0 for one or none
         breakdown["outcomes:" + party] = bits
         total += bits
     distinct = {r.correction for r in reports if r.correction is not None}
-    bits = math.ceil(math.log2(len(distinct))) if len(distinct) > 1 else 0
+    bits = max(len(distinct) - 1, 0).bit_length()
     breakdown["correction:" + scenario.aggregator] = bits
     total += bits
     return total, breakdown

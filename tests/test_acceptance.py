@@ -31,12 +31,12 @@ from quadproto.measure import (
 from quadproto.states import (
     PureState,
     apply_local,
-    random_state,
-    random_unitary,
     reduced_density,
 )
 from quadproto.suite import run_suite
 from quadproto.teleport import run_scenario
+
+from reference_inputs import haar_unitary, ref
 
 FID_TOL = 1e-10
 NEGATIVE_GAP = 1e-3
@@ -212,12 +212,12 @@ def test_criterion_7_randomized_properties(_announce):
     # under local unitaries, and marginal purity bounds
     for case in range(200):
         n = int(rng.integers(2, 7))
-        a = random_state(n, rng)
-        b = random_state(n, rng)
+        a = PureState(ref.haar(n, rng))
+        b = PureState(ref.haar(n, rng))
         assert abs(np.linalg.norm(a.amplitudes) - 1.0) < 1e-12
         before = np.vdot(a.amplitudes, b.amplitudes)
         q = int(rng.integers(0, n))
-        u = random_unitary(1, rng)
+        u = haar_unitary(1, rng)
         ua = apply_local(a, u, [q])
         ub = apply_local(b, u, [q])
         after = np.vdot(ua.amplitudes, ub.amplitudes)
@@ -231,7 +231,7 @@ def test_criterion_7_randomized_properties(_announce):
     basis_pool = ("plus_minus", "computational:1", "bell", "computational:2")
     for case in range(200):
         n = int(rng.integers(2, 7))
-        st = random_state(n, rng)
+        st = PureState(ref.haar(n, rng))
         qubits = list(range(n))
         rng.shuffle(qubits)
         steps = []

@@ -22,7 +22,7 @@ from quadproto.catalog import (
     validate_orthonormal,
 )
 from quadproto.measure import MeasurementPlan, complete_basis, enumerate_outcomes
-from quadproto.states import (GRAM_TOL, NORM_TOL, CapacityError, PureState, inner,
+from quadproto.states import (GRAM_TOL, NORM_TOL, CapacityError, PureState,
                               ket_vector, purity, reduced_density, tensor)
 
 S2 = 1 / np.sqrt(2)
@@ -323,11 +323,11 @@ def test_omega15_sign_completion_is_unique():
         signs = [1] + [1 - 2 * ((bits >> k) & 1) for k in range(3)]
         cand = PureState.from_kets(
             {ket: s for ket, s in zip(group, signs)}, normalize=True)
-        if all(abs(inner(cand, o)) < 1e-12 for o in others):
+        if all(abs(np.vdot(cand.amplitudes, o.amplitudes)) < 1e-12 for o in others):
             survivors.append(cand)
     assert len(survivors) == 1
     operative = _omega16_vector("Omega15")
-    assert abs(abs(inner(survivors[0], operative)) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(survivors[0].amplitudes, operative.amplitudes)) - 1.0) < 1e-12
 
 
 def test_omega15_printed_duplicates_omega14():
@@ -335,7 +335,7 @@ def test_omega15_printed_duplicates_omega14():
                if c.basis == "omega16" and c.label == "Omega15")
     printed = PureState.from_kets(rec.printed, normalize=True)
     other = _omega16_vector("Omega14")
-    assert abs(abs(inner(printed, other)) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(printed.amplitudes, other.amplitudes)) - 1.0) < 1e-12
 
 
 def test_rho_printed_vectors_break_gram():
@@ -346,7 +346,7 @@ def test_rho_printed_vectors_break_gram():
                  {"0001": 1, "0011": 1, "1001": 1, "1100": 1},
                  {"0001": 1, "0011": 1, "1001": -1, "1100": -1}):
         vecs.append(PureState.from_kets(kets, normalize=True))
-    gram = np.array([[inner(a, b) for b in vecs] for a in vecs])
+    gram = np.array([[np.vdot(a.amplitudes, b.amplitudes) for b in vecs] for a in vecs])
     off = np.abs(gram - np.eye(4))
     assert abs(off.max() - 0.25) < 1e-12
 

@@ -22,8 +22,9 @@ from quadproto.densecode import (
     encoded_states,
 )
 from quadproto.states import (ASSERT_TOL, MAX_STACK_ENTRIES, PAULI_ORDER, SIGMA,
-                              apply_local, pauli_coefficients, pauli_table,
-                              random_state)
+                              PureState, apply_local, pauli_coefficients, pauli_table)
+
+from reference_inputs import ref
 
 PRINCIPAL = ("GHZ4", "W4", "Omega", "Q4", "Q5")
 
@@ -415,8 +416,8 @@ def _reference_cases():
     states["W_mn(1,1)"] = make_state("W_mn", m=1, n=1).state
     rng = np.random.default_rng(20261018)
     for i in range(3):
-        states["haar4_%d" % i] = random_state(4, rng)
-    states["haar5"] = random_state(5, rng)
+        states["haar4_%d" % i] = PureState(ref.haar(4, rng))
+    states["haar5"] = PureState(ref.haar(5, rng))
     cases = {label: (st, [q for k in (1, 2, 3)
                           for q in itertools.combinations(range(st.num_qubits), k)])
              for label, st in states.items()}
@@ -494,7 +495,7 @@ def _mag(st, qubits):
 def test_gather_is_the_reshape_transpose_path(n):
     # every ordered tuple of distinct qubits, k = 0..n, one at a time and
     # stacked: the gathered matrices are bit for bit the transposed ones
-    st = random_state(n, np.random.default_rng(n))
+    st = PureState(ref.haar(n, np.random.default_rng(n)))
     for k in range(n + 1):
         subsets = tuple(itertools.permutations(range(n), k))
         index = states._sender_index(n, subsets)
@@ -610,7 +611,7 @@ def test_certificate_is_not_built_when_the_colouring_bound_decides(monkeypatch):
 
     monkeypatch.setattr(densecode, "_is_cayley", no_certificate)
     assert distinguishable_messages(make_state("GHZ4").state, (0, 1, 2)).count == 16
-    haar = random_state(4, np.random.default_rng(3))
+    haar = PureState(ref.haar(4, np.random.default_rng(3)))
     assert distinguishable_messages(haar, (0, 1), tol=1e-15).count == 1
 
 
@@ -619,7 +620,7 @@ def test_representatives_take_the_first_matching_class():
     # is the first of them, as in the sequential rule
     rng = np.random.default_rng(7)
     multiple = 0
-    for st in (random_state(4, rng), make_state("W4").state):
+    for st in (PureState(ref.haar(4, rng)), make_state("W4").state):
         rows = [enc.amplitudes for _, enc in encoded_states(st, (0, 1, 2))]
         mag = _mag(st, (0, 1, 2))
         for tol in (0.6, 0.9):

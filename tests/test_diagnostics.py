@@ -23,12 +23,11 @@ from quadproto.states import (
     NORM_TOL,
     PureState,
     apply_local,
-    basis_state,
-    permute_qubits,
-    random_unitary,
     reduced_density,
     tensor,
 )
+
+from reference_inputs import haar_unitary, ref
 
 
 # --- concurrence oracles ----------------------------------------------------------
@@ -42,7 +41,7 @@ def test_bell_states_are_maximally_concurrent():
 
 def test_product_states_have_zero_concurrence():
     for label in ("00", "01", "10", "11"):
-        st = basis_state(label)
+        st = PureState.from_kets({label: 1.0})
         rho = np.outer(st.amplitudes, st.amplitudes.conj())
         assert wootters_concurrence(rho) < 1e-12
 
@@ -79,7 +78,7 @@ def test_pair_concurrence_is_local_unitary_invariant():
     rng = np.random.default_rng(3)
     dressed = st
     for q in range(4):
-        dressed = apply_local(dressed, random_unitary(1, rng), [q])
+        dressed = apply_local(dressed, haar_unitary(1, rng), [q])
     for i, j in itertools.combinations(range(4), 2):
         a = pair_concurrence(st, i, j)
         b = pair_concurrence(dressed, i, j)
@@ -104,7 +103,8 @@ def test_tangle_permutation_invariant():
     for perm in itertools.permutations(range(3)):
         # the non-hermitian eigensolve behind the concurrence loses a
         # couple of digits on generic states
-        assert abs(three_tangle_pure(permute_qubits(st, perm)) - base) < 1e-7
+        moved = PureState(ref.to_qubit_order(st.amplitudes, perm))
+        assert abs(three_tangle_pure(moved) - base) < 1e-7
 
 
 def test_tangle_rejects_wrong_size():
@@ -133,8 +133,8 @@ def test_principal_states_are_genuinely_entangled():
 
 
 def test_factorizable_states_flagged():
-    assert not genuine_multipartite(basis_state("0000"))
-    ghz3_padded = tensor(make_state("GHZ:3").state, basis_state("0"))
+    assert not genuine_multipartite(PureState.from_kets({"0000": 1.0}))
+    ghz3_padded = tensor(make_state("GHZ:3").state, PureState.from_kets({"0": 1.0}))
     assert not genuine_multipartite(ghz3_padded)
     bell_pairs = tensor(make_state("Bell:phi+").state,
                         make_state("Bell:phi+").state)
@@ -151,7 +151,8 @@ def test_profile_computes_the_purities_once(monkeypatch):
 
     monkeypatch.setattr(diagnostics, "purity_profile", counting)
     states = [make_state(name).state for name in ("GHZ4", "W4", "Omega", "Q4", "Q5")]
-    states += [basis_state("0000"), tensor(make_state("GHZ:3").state, basis_state("0"))]
+    states += [PureState.from_kets({"0000": 1.0}),
+               tensor(make_state("GHZ:3").state, PureState.from_kets({"0": 1.0}))]
     for st in states:
         prof = profile("x", st)
         assert len(calls) == 1

@@ -20,7 +20,9 @@ from quadproto.locc import (
     run_discrimination,
 )
 from quadproto.measure import StepSpec, build_plan, enumerate_outcomes
-from quadproto.states import ASSERT_TOL, DROP_TOL, PureState, basis_state, random_state
+from quadproto.states import ASSERT_TOL, DROP_TOL, PureState
+
+from reference_inputs import ref
 
 
 def _bell(label):
@@ -142,7 +144,7 @@ def test_protocol_rounds_must_be_steps():
 def test_discrimination_inputs_are_refused_by_type():
     # a non-state candidate used to fail with "'int' object has no attribute 'dim'"
     protocol = reg.locc_protocols()["ghz_bell_bell"]
-    state = basis_state("0000")
+    state = PureState.from_kets({"0000": 1.0})
     for candidates, message in (
             ([("a", 1)], "candidate 'a' needs a PureState, got int"),
             ([state], "candidates must be (label, PureState) pairs, got PureState"),
@@ -307,14 +309,14 @@ def test_product_terms_match_amplitudes():
 
 
 def test_product_terms_respect_qubit_order():
-    st = basis_state("01")
+    st = PureState.from_kets({"01": 1.0})
     comp1 = make_basis("computational:1")
     flipped = product_terms(st, [((1,), comp1), ((0,), comp1)])
     assert set(flipped) == {("1", "0")}
 
 
 def test_product_terms_require_partition():
-    st = basis_state("00")
+    st = PureState.from_kets({"00": 1.0})
     comp1 = make_basis("computational:1")
     with pytest.raises(ValueError):
         product_terms(st, [((0,), comp1)])
@@ -391,7 +393,8 @@ def test_certificate_refuses_bad_candidate_lists():
     with pytest.raises(ValueError, match="repeated: \\['x'\\]"):
         check_certificate([("x", ghz8[0][1]), ("x", ghz8[1][1])], factors)
     with pytest.raises(ValueError, match="one or more states on one register"):
-        check_certificate([("a", ghz8[0][1]), ("b", basis_state("000"))], factors)
+        check_certificate([("a", ghz8[0][1]), ("b", PureState.from_kets({"000": 1.0}))],
+                          factors)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, 1.0])
@@ -473,7 +476,7 @@ def _certificate_cases():
     bell = make_basis("bell")
     phi = NamedBasis("phi_only", ("phi+", "phi-"), bell.matrix[:2])
     rng = np.random.default_rng(45)
-    haar4 = [("h%d" % i, random_state(4, rng)) for i in range(4)]
+    haar4 = [("h%d" % i, PureState(ref.haar(4, rng))) for i in range(4)]
     for order in (((2,), (0, 3), (1,)), ((3,), (2,), (1,), (0,)),
                   ((3, 1), (2, 0))):
         factors = [(qubits, bell if len(qubits) == 2 else comp1) for qubits in order]
@@ -482,8 +485,9 @@ def _certificate_cases():
         sub = [(qubits, phi if len(qubits) == 2 else comp1) for qubits in order]
         yield "haar4 phi %s" % (order,), haar4, sub
         yield "haar4 phi alone %s" % (order,), haar4[:1], sub
-    yield "empty", [("e", basis_state("0110"))], [((0, 1), phi), ((2, 3), phi)]
-    haar5 = [("h%d" % i, random_state(5, rng)) for i in range(3)]
+    yield ("empty", [("e", PureState.from_kets({"0110": 1.0}))],
+           [((0, 1), phi), ((2, 3), phi)])
+    haar5 = [("h%d" % i, PureState(ref.haar(5, rng))) for i in range(3)]
     yield "haar5 reversed", haar5, [((q,), comp1) for q in range(4, -1, -1)]
     yield "haar5 omega_meas", haar5, [((3,), comp1),
                                       ((4, 0, 2, 1), make_basis("omega_meas"))]

@@ -17,8 +17,10 @@ from quadproto.measure import (
 )
 from quadproto.locc import LoccProtocol, run_discrimination
 from quadproto.scenario_io import dumps_scenario, loads_scenario
-from quadproto.states import DROP_TOL, MAX_QUBITS, PureState, basis_state, random_state
+from quadproto.states import DROP_TOL, MAX_QUBITS, PureState, ket_vector
 from quadproto.teleport import build_probes
+
+from reference_inputs import ref
 
 
 def _plan(*steps):
@@ -63,7 +65,7 @@ def test_probability_sums_randomized():
     checked = 0
     for _ in range(200):
         n = int(rng.integers(2, 7))
-        st = random_state(n, rng)
+        st = PureState(ref.haar(n, rng))
         qubits = list(rng.permutation(n))
         steps = []
         while qubits and len(steps) < 2:
@@ -83,7 +85,7 @@ def test_probability_sums_randomized():
 def test_computational_plan_matches_amplitudes():
     # two-step computational plan equals marginal mod-squared amplitudes
     rng = np.random.default_rng(17)
-    st = random_state(4, rng)
+    st = PureState(ref.haar(4, rng))
     plan = _plan(((1,), "computational:1"), ((0, 2), "computational:2"))
     out = enumerate_outcomes(plan=plan, amplitudes=st.amplitudes[None])
     probs = dict(zip(out.keys, out.probabilities[:, 0]))
@@ -172,7 +174,7 @@ def test_auto_completed_outcomes_are_flagged_by_position():
     assert perp.tolist() == [False, False, True, True]
     # so |1> on qubit 0 leaks all of its probability, and |0> none
     for bits, leaked in (("00", 0.0), ("10", 1.0)):
-        out = enumerate_outcomes(basis_state(bits).amplitudes[None], plan)
+        out = enumerate_outcomes(ket_vector({bits: 1.0})[None], plan)
         assert sum(out.probabilities[out.perp, 0]) == leaked, bits
 
 
@@ -180,7 +182,7 @@ def test_auto_completed_outcomes_are_flagged_by_position():
 def test_zero_probability_branches_dropped():
     # |0000> overlaps exactly two of the eight basis vectors; the other
     # six must be dropped even at DROP_TOL = 0.
-    st = basis_state("0000")
+    st = PureState.from_kets({"0000": 1.0})
     out = enumerate_outcomes(st.amplitudes[None],
                              _plan(((0, 1, 2, 3), "ghz4_full")))
     assert set(out.keys) == {"4GHZ1+", "4GHZ1-"}
@@ -208,11 +210,12 @@ def test_stack_boundaries():
             enumerate_outcomes(stack, plan)
     bell = LoccProtocol("bell", (StepSpec((0, 1), "bell"),))
     # mixed sizes, and an empty set, which used to report success
-    for candidates in ([("a", make_state("GHZ4").state), ("b", basis_state("000"))], []):
+    mixed = [("a", make_state("GHZ4").state), ("b", PureState.from_kets({"000": 1.0}))]
+    for candidates in (mixed, []):
         with pytest.raises(ValueError, match="one or more states on one register"):
             run_discrimination(candidates, bell)
     # a branch that fires for one input only reads exactly 0.0 for the other
-    out = enumerate_outcomes(np.array([basis_state("0000").amplitudes, ghz]),
+    out = enumerate_outcomes(np.array([ket_vector({"0000": 1.0}), ghz]),
                              _plan(((0, 1, 2, 3), "ghz4_full")))
     assert out.probabilities.shape == (len(out), 2)
     for key, probs in zip(out.keys, out.probabilities):
@@ -394,7 +397,7 @@ def test_building_every_registered_plan_constructs_no_pure_state(monkeypatch):
     assert measure._plan.cache_info().currsize == 59  # distinct plans, all rebuilt
     assert complete_basis.cache_info().misses == 40
     assert built == []
-    basis_state("0")  # the count does see a construction
+    PureState.from_kets({"0": 1.0})  # the count does see a construction
     assert len(built) == 1
 
 

@@ -25,10 +25,12 @@ from quadproto.catalog import make_basis, make_state
 from quadproto.densecode import distinguishable_messages, encoded_states
 from quadproto.locc import LoccProtocol, check_certificate, product_terms, run_discrimination
 from quadproto.measure import MeasurementPlan, StepSpec, enumerate_outcomes
-from quadproto.states import apply_local, permute_qubits, random_state, reduced_density
+from quadproto.states import PureState, apply_local, reduced_density
 from quadproto.teleport import FamilySpec, TeleportScenario, run_scenario
 
-ST3 = random_state(3, np.random.default_rng(8))
+from reference_inputs import ref
+
+ST3 = PureState(ref.haar(3, np.random.default_rng(8)))
 GHZ4 = make_state("GHZ4").state
 GHZ8 = reg.locc_candidate_sets()["ghz8"]
 BELL, PLUS_MINUS = make_basis("bell"), make_basis("plus_minus")
@@ -60,10 +62,6 @@ ENTRY_POINTS = {
         lambda x: reduced_density(ST3, (0, x)), "kept qubit",
         0, "repeated kept qubit in [0, 0]",
         3, "kept qubit 3 is out of range for a 3-qubit resource"),
-    "permute_qubits": (
-        lambda x: permute_qubits(ST3, (2, x, 0)), "perm entry",
-        2, "repeated perm entry in [2, 2, 0]",
-        3, "perm entry 3 is out of range for a 3-qubit resource"),
     "encoded_states": (
         lambda x: encoded_states(GHZ4, (0, x)), "sender qubit",
         0, "repeated sender qubit in [0, 0]",
@@ -103,7 +101,6 @@ NON_INTEGERS = {"True": True, "1.0": 1.0, "float64": np.float64(1)}
 BARE = {
     "apply_local": lambda x: apply_local(ST3, np.eye(2), x),
     "reduced_density": lambda x: reduced_density(ST3, x),
-    "permute_qubits": lambda x: permute_qubits(ST3, x),
     "encoded_states": lambda x: encoded_states(GHZ4, x),
     "distinguishable_messages": lambda x: distinguishable_messages(GHZ4, x),
     "StepSpec": lambda x: StepSpec(x, "bell"),

@@ -24,20 +24,16 @@ from quadproto.states import (
     PureState,
     apply_local,
     apply_paulis,
-    basis_state,
     check_tolerance,
-    fidelity,
-    inner,
     ket_vector,
     pauli_coefficients,
     pauli_table,
-    permute_qubits,
     purity,
-    random_state,
-    random_unitary,
     reduced_density,
     tensor,
 )
+
+from reference_inputs import haar_unitary, ref
 
 
 def test_from_kets_round_trip():
@@ -106,9 +102,9 @@ def test_capacity_cap():
 
 def test_big_endian_labeling():
     # qubit 0 is the leftmost symbol: |10> flips qubit 0, not qubit 1
-    st = apply_local(basis_state("00"), SIGMA["s1"], (0,))
+    st = apply_local(PureState.from_kets({"00": 1.0}), SIGMA["s1"], (0,))
     assert dict(st.ket_terms()) == {"10": (1 + 0j)}
-    st = apply_local(basis_state("00"), SIGMA["s1"], (1,))
+    st = apply_local(PureState.from_kets({"00": 1.0}), SIGMA["s1"], (1,))
     assert dict(st.ket_terms()) == {"01": (1 + 0j)}
 
 
@@ -116,9 +112,9 @@ def test_apply_local_matches_dense_kron():
     rng = np.random.default_rng(7)
     for _ in range(50):
         n = int(rng.integers(2, 5))
-        st = random_state(n, rng)
+        st = PureState(ref.haar(n, rng))
         target = int(rng.integers(0, n))
-        u = random_unitary(1, rng)
+        u = haar_unitary(1, rng)
         moved = apply_local(st, u, (target,))
         mats = [u if q == target else np.eye(2) for q in range(n)]
         full = mats[0]
@@ -129,14 +125,14 @@ def test_apply_local_matches_dense_kron():
 
 def test_apply_local_two_qubit_nonadjacent():
     rng = np.random.default_rng(11)
-    st = random_state(3, rng)
+    st = PureState(ref.haar(3, rng))
     cz = np.diag([1, 1, 1, -1])
     a = apply_local(st, cz, (0, 2))
-    # oracle: permute target pair to the front, apply, permute back
-    b = permute_qubits(st, (0, 2, 1))
+    # oracle: swap the target pair to the front, apply, swap back
+    b = PureState(ref.to_qubit_order(st.amplitudes, (0, 2, 1)))
     b = apply_local(b, cz, (0, 1))
-    b = permute_qubits(b, (0, 2, 1))
-    assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-12)
+    b = ref.to_qubit_order(b.amplitudes, (0, 2, 1))
+    assert np.allclose(a.amplitudes, b, atol=1e-12)
 
 
 @pytest.mark.parametrize("u, targets, message", [
@@ -153,13 +149,13 @@ def test_apply_local_two_qubit_nonadjacent():
 ])
 def test_apply_local_refuses_a_bad_matrix_or_target(u, targets, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        apply_local(basis_state("00"), u, targets)
+        apply_local(PureState.from_kets({"00": 1.0}), u, targets)
 
 
 def test_non_integer_qubits_are_refused_whatever_the_index_memo_holds():
     # the sender-index memo is keyed by value, where 1.0 == 1 == True: a
     # float or bool qubit would be answered once the equal int was asked
-    st = random_state(3, np.random.default_rng(4))
+    st = PureState(ref.haar(3, np.random.default_rng(4)))
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     apply_local(st, h, (1,))
     reduced_density(st, (1,))
@@ -194,45 +190,14 @@ def test_apply_local_takes_a_state_and_a_matrix_each_within_tolerance():
         PureState(np.array([1 + 1.1e-12, 0.0]))
 
 
-def test_permute_round_trip():
-    rng = np.random.default_rng(3)
-    st = random_state(4, rng)
-    perm = (2, 0, 3, 1)
-    inverse = tuple(np.argsort(perm))
-    back = permute_qubits(permute_qubits(st, perm), inverse)
-    assert np.allclose(back.amplitudes, st.amplitudes, atol=1e-14)
-
-
-def test_permute_qubits_refuses_non_integer_entries():
-    # (True, False) and (1.0, 0.0) were answered as the swap (1, 0)
-    st = random_state(2, np.random.default_rng(6))
-    for perm, bad in (((True, False), True), ((1.0, 0.0), 1.0),
-                      ((1, np.bool_(False)), np.bool_(False)), (("1", "0"), "1")):
-        with pytest.raises(ValueError, match=r"^perm entry must be an integer, "
-                                             r"got %s$" % re.escape(repr(bad))):
-            permute_qubits(st, perm)
-    # numpy integers stay accepted
-    swapped = permute_qubits(st, (1, 0)).amplitudes
-    assert np.array_equal(permute_qubits(st, (np.int64(1), np.uint8(0))).amplitudes,
-                          swapped)
-    assert np.array_equal(permute_qubits(st, np.array([1, 0])).amplitudes, swapped)
-
-
-def test_inner_fidelity_consistency():
-    rng = np.random.default_rng(5)
-    a, b = random_state(3, rng), random_state(3, rng)
-    assert abs(fidelity(a, b) - abs(inner(a, b)) ** 2) < 1e-14
-    assert abs(fidelity(a, a) - 1.0) < 1e-14
-
-
 def test_tensor_orders_registers():
-    st = tensor(basis_state("1"), basis_state("00"))
+    st = tensor(PureState.from_kets({"1": 1.0}), PureState.from_kets({"00": 1.0}))
     assert dict(st.ket_terms()) == {"100": (1 + 0j)}
 
 
 def test_reduced_density_pure_product():
-    st = tensor(basis_state("0"), PureState.from_kets({"0": 1, "1": 1},
-                                                      normalize=True))
+    plus = PureState.from_kets({"0": 1, "1": 1}, normalize=True)
+    st = tensor(PureState.from_kets({"0": 1.0}), plus)
     rho = reduced_density(st, (1,))
     assert abs(purity(rho) - 1.0) < 1e-12
     assert np.allclose(rho, np.full((2, 2), 0.5), atol=1e-12)
@@ -245,7 +210,7 @@ def test_reduced_density_entangled_half():
 
 
 def test_reduced_density_is_a_read_only_array():
-    rho = reduced_density(basis_state("01"), (1, 0))
+    rho = reduced_density(PureState.from_kets({"01": 1.0}), (1, 0))
     assert type(rho) is np.ndarray and rho.shape == (4, 4)
     assert np.array_equal(rho, np.diag([0, 0, 1, 0]))
     with pytest.raises(ValueError):
@@ -274,11 +239,6 @@ def _apply_local_by_transpose(st, u, targets):
     return psi
 
 
-def _permute_by_transpose(st, perm):
-    n = st.num_qubits
-    return st.amplitudes.reshape([2] * n).transpose(np.argsort(perm)).reshape(-1)
-
-
 def _ordered_subsets(n):
     """Every ordered tuple of distinct qubits of an n-qubit register, by size."""
     return [tuple(itertools.permutations(range(n), k)) for k in range(n + 1)]
@@ -288,7 +248,7 @@ def _ordered_subsets(n):
 def test_reduced_densities_are_the_transpose_path(n):
     # every ordered subset, k = 0..n, stacked in chunks of 32 and one at a
     # time: the gathered reductions are bit for bit the transposed ones
-    st = random_state(n, np.random.default_rng(100 + n))
+    st = PureState(ref.haar(n, np.random.default_rng(100 + n)))
     for subsets in _ordered_subsets(n):
         want = [_reduced_density_by_transpose(st, s) for s in subsets]
         for lo in range(0, len(subsets), 32):
@@ -306,20 +266,12 @@ def test_reduced_densities_are_the_transpose_path(n):
 def test_apply_local_is_the_transpose_path(n):
     # every ordered target tuple, k = 0..n, one Haar unitary per k
     rng = np.random.default_rng(200 + n)
-    st = random_state(n, rng)
+    st = PureState(ref.haar(n, rng))
     for subsets in _ordered_subsets(n):
-        u = random_unitary(len(subsets[0]), rng)
+        u = haar_unitary(len(subsets[0]), rng)
         for s in subsets:
             want = _apply_local_by_transpose(st, u, s)
             assert apply_local(st, u, s).amplitudes.tobytes() == want.tobytes(), s
-
-
-@pytest.mark.parametrize("n", range(2, 8))
-def test_permute_qubits_is_the_transpose_path(n):
-    st = random_state(n, np.random.default_rng(300 + n))
-    for perm in itertools.permutations(range(n)):
-        want = _permute_by_transpose(st, perm)
-        assert permute_qubits(st, perm).amplitudes.tobytes() == want.tobytes(), perm
 
 
 def test_sender_index_is_memoized_per_call(monkeypatch):
@@ -349,15 +301,13 @@ def test_sender_index_is_memoized_per_call(monkeypatch):
     assert built == [16, 17, 17, 17, 17]
     info = states._cached_sender_index.cache_info()
     assert (info.currsize, info.hits) == (1, 3)
-    # one subset's index holds 2^n <= 2^MAX_QUBITS entries, so a reduction,
-    # a local unitary and a permutation of the same register share one entry
+    # one subset's index holds 2^n <= 2^MAX_QUBITS entries, so a reduction
+    # and a local unitary on the same qubits of a register share one entry
     st = PureState(amps)
     reduced_density(st, (3, 1))
     apply_local(st, np.eye(4), (3, 1))
     assert built[5:] == [1]
-    permute_qubits(st, tuple(range(n)))
-    assert built[6:] == [1]
-    assert states._cached_sender_index.cache_info().currsize == 3
+    assert states._cached_sender_index.cache_info().currsize == 2
 
 
 def test_pauli_algebra():
@@ -376,7 +326,7 @@ def test_apply_paulis_matches_dense_oracle():
     names = tuple(SIGMA)
     for k in range(1, 5):
         kets = np.eye(2 ** k, dtype=np.complex128)
-        for stack in (np.array([random_state(k, rng).amplitudes for _ in range(3)]),
+        for stack in (np.array([ref.haar(k, rng) for _ in range(3)]),
                       kets, -kets):
             words = itertools.product(names, repeat=k) if k <= 3 else \
                 [[names[i] for i in rng.integers(0, 5, size=k)] for _ in range(40)]
@@ -405,15 +355,16 @@ def test_randomized_core_consistency():
     cases = 0
     for _ in range(200):
         n = int(rng.integers(1, 6))
-        st = random_state(n, rng)
+        st = PureState(ref.haar(n, rng))
         assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-12
-        u = random_unitary(1, rng)
+        u = haar_unitary(1, rng)
         q = int(rng.integers(0, n))
         rotated = apply_local(st, u, (q,))
         # unitaries preserve overlaps
-        other = random_state(n, rng)
+        other = PureState(ref.haar(n, rng))
         rotated_other = apply_local(other, u, (q,))
-        assert abs(inner(rotated, rotated_other) - inner(st, other)) < 1e-10
+        assert abs(np.vdot(rotated.amplitudes, rotated_other.amplitudes)
+                   - np.vdot(st.amplitudes, other.amplitudes)) < 1e-10
         # purity of any marginal is within [1/2^k, 1]
         keep = tuple(sorted(rng.choice(n, size=max(1, n // 2), replace=False)))
         p = purity(reduced_density(st, keep))
@@ -422,22 +373,8 @@ def test_randomized_core_consistency():
     assert cases == 200
 
 
-def test_random_state_seeded_determinism():
-    a = random_state(3, np.random.default_rng(9))
-    b = random_state(3, np.random.default_rng(9))
-    assert np.array_equal(a.amplitudes, b.amplitudes)
-
-
-def test_random_unitary_is_unitary():
-    rng = np.random.default_rng(13)
-    for n in (1, 2):
-        u = random_unitary(n, rng)
-        assert np.allclose(u @ u.conj().T, np.eye(2 ** n), atol=1e-12)
-        assert not u.flags.writeable
-
-
 def test_amplitudes_locked():
-    st = basis_state("01")
+    st = PureState.from_kets({"01": 1.0})
     with pytest.raises(ValueError):
         st.amplitudes[0] = 1.0
 

@@ -1,6 +1,7 @@
 """Claim-suite orchestration."""
 
 import json
+import re
 
 import pytest
 
@@ -80,6 +81,19 @@ def test_every_claim_row_is_filled(full_report):
         seen.add(row.claim_id)
         assert row.status in ("PASS", "FAIL", "REFUTED", "INFO")
         assert row.expected and row.actual
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be a non-negative integer, got -1"),
+    (1.5, "seed must be an integer, got 1.5"),
+    (None, "seed must be an integer, got None"),
+], ids=["-1", "1.5", "None"])
+def test_seed_is_checked_whatever_the_sections(seed, message):
+    # no section reads the seed, so run_suite checks it before echoing it
+    for sections in (("teleport",), ("bases",)):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            run_suite(seed=seed, sections=sections)
+    assert run_suite(seed=7, sections=("bases",)).seed == 7
 
 
 def test_section_list_is_stable():

@@ -2,12 +2,9 @@
 
 import dataclasses
 import functools
-import importlib.util
 import itertools
 import math
-import os
 import re
-import sys
 import tracemalloc
 
 import numpy as np
@@ -31,6 +28,8 @@ from quadproto.teleport import (
     classical_cost,
     run_scenario,
 )
+
+from reference_inputs import ref
 
 TOL = 1e-10
 # seeded random family members per span of two or more, the count the
@@ -163,8 +162,8 @@ def test_dressed_spans_match_apply_local_chain():
         span = build_probes(spec)
         want = _reference_span(spec)
         assert len(span) == len(want) == 2
-        for got, ref in zip(span, want):
-            assert np.array_equal(got, ref.amplitudes), spec
+        for got, member in zip(span, want):
+            assert np.array_equal(got, member.amplitudes), spec
 
 
 def test_probes_deterministic_per_seed():
@@ -1021,23 +1020,10 @@ def test_gram_reads_match_the_outcome_operators():
     assert checked > 500 and imaginary
 
 
-def _bench_reference(monkeypatch):
-    """The benchmark's independent reference algebra, read without writing
-    bytecode next to it."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "bench", "reference.py")
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("_bench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_correction_tables_replay_on_fresh_family_members(monkeypatch):
+def test_correction_tables_replay_on_fresh_family_members():
     # every registered table, replayed with plain numpy on 3 fresh seeded
     # members of its family, returns each member and covers every outcome
     # that fires: the one randomized check of a teleport verdict
-    ref = _bench_reference(monkeypatch)
     rng = np.random.default_rng(20261020)
     for sid, sc in reg.TELEPORT_SCENARIOS.items():
         res = run_scenario(sc)
