@@ -2,12 +2,14 @@
 
 Every state and basis used by the protocol suites is constructed here from
 its ket list, never from a stored amplitude blob, so the normalization and
-orthogonality invariants are recomputed on every call.  A few printed sources
-of these sets circulate with transcription defects (sign-pattern duplicates,
-kets that break orthogonality or orphan a measurement branch); the operative
-vectors below are the corrected ones, and every correction is recorded in
-``CORRECTIONS`` with both forms so reports can show as-printed next to
-as-corrected.
+orthogonality invariants are recomputed on every call.  Fixed names are
+two ket tables, ``_FIXED_STATES`` and ``_FIXED_BASES`` (a basis as its
+(label, ket terms) rows); only parametric bases have builder functions.
+A few printed sources of these sets circulate with transcription defects
+(sign-pattern duplicates, kets that break orthogonality or orphan a
+measurement branch); the operative vectors below are the corrected ones,
+and every correction is recorded in ``CORRECTIONS`` with both forms so
+reports can show as-printed next to as-corrected.
 """
 
 from __future__ import annotations
@@ -194,13 +196,6 @@ def _w_pqrs(p: complex, q: complex, r: complex, s: complex) -> PureState:
                                normalize=True)
 
 
-def _bell(kind: str) -> PureState:
-    sign = 1.0 if kind.endswith("+") else -1.0
-    if kind.startswith("phi"):
-        return PureState.from_kets({"00": 1.0, "11": sign}, normalize=True)
-    return PureState.from_kets({"01": 1.0, "10": sign}, normalize=True)
-
-
 _STATE_ALIASES = {
     "Q1": "GHZ4",
     "GHZ": "GHZ4",
@@ -279,19 +274,17 @@ def make_state(name: str, /, **params) -> NamedState:
         return NamedState(canonical, ghz, params={"n": n})
     if canonical.startswith("Bell:"):
         kind = canonical.split(":", 1)[1]
-        if kind not in ("phi+", "phi-", "psi+", "psi-"):
+        kets = dict(_FIXED_BASES["bell"]).get(kind)
+        if kets is None:
             raise ValueError("unknown Bell state %r" % kind)
-        return NamedState(canonical, _bell(kind))
+        return NamedState(canonical, PureState.from_kets(kets, normalize=True))
     raise ValueError("unknown state name %r" % name)
 
 
 def state_names() -> list[str]:
     """Concrete (non-parametric) catalog names, for dumps and CLI listings."""
-    return [
-        "GHZ4", "W4", "Omega", "Q4", "Q5", "Q4_11", "W3",
-        "GHZ:3", "GHZ:5",
-        "Bell:phi+", "Bell:phi-", "Bell:psi+", "Bell:psi-",
-    ]
+    return [*_FIXED_STATES, "GHZ:3", "GHZ:5",
+            *("Bell:" + label for label, _ in _FIXED_BASES["bell"])]
 
 
 # ---------------------------------------------------------------------------
@@ -303,128 +296,14 @@ def _basis(name: str, entries: Sequence[tuple[str, Mapping[str, complex]]]) -> N
                       [ket_vector(kets, normalize=True) for _, kets in entries])
 
 
-def _pair_basis(name: str, prefix: str, pairs: Sequence[tuple[str, str]],
-                start: int = 1) -> NamedBasis:
-    """(|a> +/- |b>)/sqrt(2) for each pair, labeled prefix<k>+ / prefix<k>-."""
+def _pairs(prefix: str, pairs: Sequence[tuple[str, str]],
+           start: int = 1) -> list[tuple[str, Mapping[str, complex]]]:
+    """(|a> +/- |b>)/sqrt(2) rows for each pair, labeled prefix<k>+ / prefix<k>-."""
     entries: list[tuple[str, Mapping[str, complex]]] = []
     for k, (a, b) in enumerate(pairs, start=start):
         entries.append(("%s%d+" % (prefix, k), {a: 1.0, b: 1.0}))
         entries.append(("%s%d-" % (prefix, k), {a: 1.0, b: -1.0}))
-    return _basis(name, entries)
-
-
-def _bell_basis() -> NamedBasis:
-    return _basis("bell", [
-        ("phi+", {"00": 1.0, "11": 1.0}),
-        ("phi-", {"00": 1.0, "11": -1.0}),
-        ("psi+", {"01": 1.0, "10": 1.0}),
-        ("psi-", {"01": 1.0, "10": -1.0}),
-    ])
-
-
-def _plus_minus() -> NamedBasis:
-    return _basis("plus_minus", [("+", {"0": 1.0, "1": 1.0}),
-                                 ("-", {"0": 1.0, "1": -1.0})])
-
-
-def _computational(k: int) -> NamedBasis:
-    labels = [format(i, "0%db" % k) for i in range(2 ** k)]
-    return _basis("computational:%d" % k, [(s, {s: 1.0}) for s in labels])
-
-
-def _ghz4_full() -> NamedBasis:
-    return _pair_basis("ghz4_full", "4GHZ", [
-        ("0000", "1111"),
-        ("0111", "1000"),
-        ("0011", "1100"),
-        ("0100", "1011"),
-    ])
-
-
-def _ghz3_full() -> NamedBasis:
-    return _pair_basis("ghz3_full", "3GHZ", [
-        ("000", "111"),
-        ("011", "100"),
-        ("001", "110"),
-        ("010", "101"),
-    ])
-
-
-def _omega_meas() -> NamedBasis:
-    # |00>|phi+> +/- |11>|phi->  and  |01>|phi-> +/- |10>|phi+>
-    return _basis("omega_meas", [
-        ("Omega1+", {"0000": 1.0, "0011": 1.0, "1100": 1.0, "1111": -1.0}),
-        ("Omega1-", {"0000": 1.0, "0011": 1.0, "1100": -1.0, "1111": 1.0}),
-        ("Omega2+", {"0100": 1.0, "0111": -1.0, "1000": 1.0, "1011": 1.0}),
-        ("Omega2-", {"0100": 1.0, "0111": -1.0, "1000": -1.0, "1011": -1.0}),
-    ])
-
-
-def _eta_zeta_w(p: complex, q: complex, r: complex, s: complex) -> NamedBasis:
-    pc, qc, rc, sc = np.conj(p), np.conj(q), np.conj(r), np.conj(s)
-    name = "eta_zeta_w11" if (p, q, r, s) == (1.0, 1.0, 1.0, SQ3) else "eta_zeta_w"
-    return _basis(name, [
-        ("eta+", {"0100": pc, "0010": qc, "0001": rc, "1000": sc}),
-        ("eta-", {"0100": pc, "0010": qc, "0001": rc, "1000": -sc}),
-        ("zeta+", {"1100": pc, "1010": qc, "1001": rc, "0000": sc}),
-        ("zeta-", {"1100": pc, "1010": qc, "1001": rc, "0000": -sc}),
-    ])
-
-
-def _rho_q4() -> NamedBasis:
-    # corrected kets; printed rho1 uses |1011> and rho2 uses |0011>,|1001>,
-    # which breaks the Gram condition (see CORRECTIONS)
-    return _basis("rho_q4", [
-        ("rho1+", {"0000": 1.0, "0100": 1.0, "1001": 1.0, "1110": 1.0}),
-        ("rho1-", {"0000": 1.0, "0100": 1.0, "1001": -1.0, "1110": -1.0}),
-        ("rho2+", {"0001": 1.0, "0110": 1.0, "1000": 1.0, "1100": 1.0}),
-        ("rho2-", {"0001": 1.0, "0110": 1.0, "1000": -1.0, "1100": -1.0}),
-    ])
-
-
-def _tau_q4() -> NamedBasis:
-    return _pair_basis("tau_q4", "tau", [
-        ("0000", "1001"),
-        ("0001", "1000"),
-        ("0100", "1110"),
-        ("0110", "1100"),
-    ])
-
-
-def _eta_zeta_q4_11() -> NamedBasis:
-    return _basis("eta_zeta_q4_11", [
-        ("eta+", {"0000": 1.0, "0100": 1.0, "0111": 1.0, "1010": SQ3}),
-        ("eta-", {"0000": 1.0, "0100": 1.0, "0111": 1.0, "1010": -SQ3}),
-        ("zeta+", {"1000": 1.0, "1100": 1.0, "1111": 1.0, "0010": SQ3}),
-        ("zeta-", {"1000": 1.0, "1100": 1.0, "1111": 1.0, "0010": -SQ3}),
-    ])
-
-
-def _varphi_q5() -> NamedBasis:
-    return _basis("varphi_q5", [
-        ("varphi1+", {"0000": 1.0, "0111": 1.0, "1101": 1.0, "1110": 1.0}),
-        ("varphi1-", {"0000": 1.0, "0111": 1.0, "1101": -1.0, "1110": -1.0}),
-        ("varphi2+", {"0101": 1.0, "0110": 1.0, "1000": 1.0, "1111": 1.0}),
-        ("varphi2-", {"0101": 1.0, "0110": 1.0, "1000": -1.0, "1111": -1.0}),
-    ])
-
-
-def _xi_q5() -> NamedBasis:
-    return _pair_basis("xi_q5", "xi", [
-        ("0000", "1101"),
-        ("0111", "1110"),
-        ("0101", "1000"),
-        ("0110", "1111"),
-    ])
-
-
-def _omega3_q5() -> NamedBasis:
-    return _pair_basis("omega3_q5", "omega", [
-        ("000", "101"),
-        ("001", "100"),
-        ("010", "111"),
-        ("011", "110"),
-    ])
+    return entries
 
 
 # omega16 groups: each group of four kets carries the same four sign patterns.
@@ -442,14 +321,98 @@ _OMEGA16_PATTERNS = [
 ]
 
 
-def _omega16() -> NamedBasis:
-    entries = []
-    k = 1
-    for kets in _OMEGA16_GROUPS:
-        for pattern in _OMEGA16_PATTERNS:
-            entries.append(("Omega%d" % k, dict(zip(kets, map(float, pattern)))))
-            k += 1
-    return _basis("omega16", entries)
+# fixed-name bases: (label, ket terms) rows, each normalized when built
+_FIXED_BASES: dict[str, list[tuple[str, Mapping[str, complex]]]] = {
+    "bell": [
+        ("phi+", {"00": 1.0, "11": 1.0}),
+        ("phi-", {"00": 1.0, "11": -1.0}),
+        ("psi+", {"01": 1.0, "10": 1.0}),
+        ("psi-", {"01": 1.0, "10": -1.0}),
+    ],
+    "plus_minus": [
+        ("+", {"0": 1.0, "1": 1.0}),
+        ("-", {"0": 1.0, "1": -1.0}),
+    ],
+    "computational:1": [(s, {s: 1.0}) for s in ("0", "1")],
+    "computational:2": [(s, {s: 1.0}) for s in ("00", "01", "10", "11")],
+    "ghz4_full": _pairs("4GHZ", [
+        ("0000", "1111"),
+        ("0111", "1000"),
+        ("0011", "1100"),
+        ("0100", "1011"),
+    ]),
+    "ghz3_full": _pairs("3GHZ", [
+        ("000", "111"),
+        ("011", "100"),
+        ("001", "110"),
+        ("010", "101"),
+    ]),
+    # |00>|phi+> +/- |11>|phi->  and  |01>|phi-> +/- |10>|phi+>
+    "omega_meas": [
+        ("Omega1+", {"0000": 1.0, "0011": 1.0, "1100": 1.0, "1111": -1.0}),
+        ("Omega1-", {"0000": 1.0, "0011": 1.0, "1100": -1.0, "1111": 1.0}),
+        ("Omega2+", {"0100": 1.0, "0111": -1.0, "1000": 1.0, "1011": 1.0}),
+        ("Omega2-", {"0100": 1.0, "0111": -1.0, "1000": -1.0, "1011": -1.0}),
+    ],
+    # corrected kets; printed rho1 uses |1011> and rho2 uses |0011>,|1001>,
+    # which breaks the Gram condition (see CORRECTIONS)
+    "rho_q4": [
+        ("rho1+", {"0000": 1.0, "0100": 1.0, "1001": 1.0, "1110": 1.0}),
+        ("rho1-", {"0000": 1.0, "0100": 1.0, "1001": -1.0, "1110": -1.0}),
+        ("rho2+", {"0001": 1.0, "0110": 1.0, "1000": 1.0, "1100": 1.0}),
+        ("rho2-", {"0001": 1.0, "0110": 1.0, "1000": -1.0, "1100": -1.0}),
+    ],
+    "tau_q4": _pairs("tau", [
+        ("0000", "1001"),
+        ("0001", "1000"),
+        ("0100", "1110"),
+        ("0110", "1100"),
+    ]),
+    "eta_zeta_q4_11": [
+        ("eta+", {"0000": 1.0, "0100": 1.0, "0111": 1.0, "1010": SQ3}),
+        ("eta-", {"0000": 1.0, "0100": 1.0, "0111": 1.0, "1010": -SQ3}),
+        ("zeta+", {"1000": 1.0, "1100": 1.0, "1111": 1.0, "0010": SQ3}),
+        ("zeta-", {"1000": 1.0, "1100": 1.0, "1111": 1.0, "0010": -SQ3}),
+    ],
+    "varphi_q5": [
+        ("varphi1+", {"0000": 1.0, "0111": 1.0, "1101": 1.0, "1110": 1.0}),
+        ("varphi1-", {"0000": 1.0, "0111": 1.0, "1101": -1.0, "1110": -1.0}),
+        ("varphi2+", {"0101": 1.0, "0110": 1.0, "1000": 1.0, "1111": 1.0}),
+        ("varphi2-", {"0101": 1.0, "0110": 1.0, "1000": -1.0, "1111": -1.0}),
+    ],
+    "xi_q5": _pairs("xi", [
+        ("0000", "1101"),
+        ("0111", "1110"),
+        ("0101", "1000"),
+        ("0110", "1111"),
+    ]),
+    "omega3_q5": _pairs("omega", [
+        ("000", "101"),
+        ("001", "100"),
+        ("010", "111"),
+        ("011", "110"),
+    ]),
+    "omega16": [("Omega%d" % (4 * g + p + 1), dict(zip(kets, map(float, pattern))))
+                for g, kets in enumerate(_OMEGA16_GROUPS)
+                for p, pattern in enumerate(_OMEGA16_PATTERNS)],
+    "sigma_w": _pairs("Sigma", [
+        ("0010", "0011"),
+        ("0100", "0101"),
+        ("1000", "1001"),
+        ("0000", "0001"),
+    ]),
+}
+
+
+def _eta_zeta_w(p: complex, q: complex, r: complex, s: complex) -> NamedBasis:
+    pc, qc, rc, sc = np.conj(p), np.conj(q), np.conj(r), np.conj(s)
+    name = "eta_zeta_w11" if (p, q, r, s) == (1.0, 1.0, 1.0, SQ3) else "eta_zeta_w"
+    return _basis(name, [
+        ("eta+", {"0100": pc, "0010": qc, "0001": rc, "1000": sc}),
+        ("eta-", {"0100": pc, "0010": qc, "0001": rc, "1000": -sc}),
+        ("zeta+", {"1100": pc, "1010": qc, "1001": rc, "0000": sc}),
+        ("zeta-", {"1100": pc, "1010": qc, "1001": rc, "0000": -sc}),
+    ])
 
 
 _PAULI_NAMES = ("s0", "s1", "s2", "s3")
@@ -471,12 +434,12 @@ def _dress(basis: NamedBasis, name: str, *indices: int) -> NamedBasis:
 
 
 def _pi_2q(i: int = 0, j: int = 0) -> NamedBasis:
-    base = _pair_basis("", "pi", [("0000", "1111"), ("0011", "1100")])
+    base = _basis("", _pairs("pi", [("0000", "1111"), ("0011", "1100")]))
     return _dress(base, "pi_2q", i, j)
 
 
 def _pi_3q(i: int = 0, j: int = 0, k: int = 0) -> NamedBasis:
-    base = _pair_basis("", "pi", [("0000", "1111"), ("0001", "1110")], start=3)
+    base = _basis("", _pairs("pi", [("0000", "1111"), ("0001", "1110")], start=3))
     return _dress(base, "pi_3q", i, j, k)
 
 
@@ -492,36 +455,13 @@ def _omega34_3q(i: int = 0, j: int = 0) -> NamedBasis:
     return _dress(base, "omega34_3q", i, 0, j)
 
 
-def _sigma_w() -> NamedBasis:
-    return _pair_basis("sigma_w", "Sigma", [
-        ("0010", "0011"),
-        ("0100", "0101"),
-        ("1000", "1001"),
-        ("0000", "0001"),
-    ])
-
-
+# parametric bases, their parameters checked against each builder's signature
 _BASIS_BUILDERS: dict[str, Callable[..., NamedBasis]] = {
-    "bell": _bell_basis,
-    "plus_minus": _plus_minus,
-    "computational:1": lambda: _computational(1),
-    "computational:2": lambda: _computational(2),
-    "ghz4_full": _ghz4_full,
-    "ghz3_full": _ghz3_full,
-    "omega_meas": _omega_meas,
     "eta_zeta_w11": lambda: _eta_zeta_w(1.0, 1.0, 1.0, SQ3),
     "eta_zeta_w": _eta_zeta_w,
-    "rho_q4": _rho_q4,
-    "tau_q4": _tau_q4,
-    "eta_zeta_q4_11": _eta_zeta_q4_11,
-    "varphi_q5": _varphi_q5,
-    "xi_q5": _xi_q5,
-    "omega3_q5": _omega3_q5,
-    "omega16": _omega16,
     "pi_2q": _pi_2q,
     "pi_3q": _pi_3q,
     "omega34_3q": _omega34_3q,
-    "sigma_w": _sigma_w,
 }
 
 
@@ -529,10 +469,15 @@ _BASIS_BUILDERS: dict[str, Callable[..., NamedBasis]] = {
 def make_basis(name: str, /, **params) -> NamedBasis:
     """Construct a catalog basis by name; memoized on the call as written.
 
-    Parametric bases: ``pi_2q(i, j)``, ``pi_3q(i, j, k)``,
-    ``omega34_3q(i, j)`` take Pauli dressing indices 0..3;
-    ``eta_zeta_w(p, q, r, s)`` matches the generalized W family.
+    Fixed bases take no parameters.  Parametric bases: ``pi_2q(i, j)``,
+    ``pi_3q(i, j, k)``, ``omega34_3q(i, j)`` take Pauli dressing indices
+    0..3; ``eta_zeta_w(p, q, r, s)`` matches the generalized W family.
     """
+    if name in _FIXED_BASES:
+        if params:
+            raise ValueError("basis %r takes no parameters, got %s"
+                             % (name, ", ".join(params)))
+        return _basis(name, _FIXED_BASES[name])
     try:
         builder = _BASIS_BUILDERS[name]
     except KeyError:
@@ -552,7 +497,7 @@ def basis_names() -> list[str]:
     ``eta_zeta_w`` is omitted: it always needs its family coefficients.
     The Pauli-dressed bases appear here with identity dressing.
     """
-    return sorted(n for n in _BASIS_BUILDERS if n != "eta_zeta_w")
+    return sorted(n for n in (*_FIXED_BASES, *_BASIS_BUILDERS) if n != "eta_zeta_w")
 
 
 # ---------------------------------------------------------------------------

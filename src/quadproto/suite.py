@@ -16,7 +16,7 @@ as-printed forms stay distinguishable from the operative ones.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -419,16 +419,5 @@ def report_dict(report: SuiteReport) -> dict:
         "tolerance": report.tolerance,
         "ok": report.ok,
         "counts": report.counts,
-        "claims": [
-            {
-                "claim_id": row.claim_id,
-                "kind": row.kind,
-                "status": row.status,
-                "expected": row.expected,
-                "actual": row.actual,
-                "corrected": row.corrected,
-                "detail": row.detail,
-            }
-            for row in report.rows
-        ],
+        "claims": [asdict(row) for row in report.rows],
     }

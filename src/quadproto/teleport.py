@@ -125,19 +125,12 @@ class FamilySpec:
         if self.kind in ("arbitrary", "w_equal3") and d:
             raise ValueError("%s takes no dressing, got %s" % (self.kind, list(d)))
 
-    @property
-    def span_dim(self) -> int:
-        """The size of the family's span: 2**num_qubits, 2, 2 or 1 by kind."""
-        if self.kind == "arbitrary":
-            return 2 ** self.num_qubits
-        return 1 if self.kind == "w_equal3" else 2
-
 
 @functools.lru_cache(maxsize=1024)
 def build_probes(spec: FamilySpec) -> np.ndarray:
     """The family's probe rows: an orthonormal basis of its span, one member
-    per row of a read-only (span_dim, 2**num_qubits) array, memoized by
-    value."""
+    per row of a read-only (d, 2**num_qubits) array, memoized by value; d is
+    2**num_qubits, 2, 2 or 1 by kind."""
     k = spec.num_qubits
     d = spec.dressing
     if spec.kind == "arbitrary":
@@ -243,7 +236,7 @@ def _prefixes(allowed: str, k: int) -> tuple[tuple[str, ...], np.ndarray]:
 
 def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
                       ops: np.ndarray, norms: np.ndarray, tol: float,
-                      ) -> tuple[list[str | None], np.ndarray, np.ndarray]:
+                      ) -> tuple[list[str | None], np.ndarray]:
     """First candidate per outcome that corrects its span operator.
 
     ``ops`` is the (nb, 2**k, 2**k) stack of A_j = O_j V V^dagger (V the
@@ -251,8 +244,9 @@ def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
     Candidate P_x D scores its entanglement fidelity
     F_e = |Tr(P_x D A_j)|**2 / norms[j], which is 1 exactly when
     P_x D O_j = c I on the span.  Returns per outcome the descriptor of the
-    first candidate with F_e >= ``1 - tol`` or None, its F_e or 0.0, and
-    the best F_e over the candidates tried up to and including it.
+    first candidate with F_e >= ``1 - tol`` or None, and the best F_e over
+    the candidates tried up to and including it: a chosen candidate's own,
+    as every one tried before it scores below ``1 - tol``.
 
     Per prefix, one ``pauli_coefficients`` call scores every Pauli product
     for a chunk of the outcomes still open, each gathering 4^k x 2^k trace
@@ -265,7 +259,6 @@ def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
     k = qubit_count(dim)
     names = pauli_table(k).names
     chosen: list[str | None] = [None] * nb
-    min_fid = np.zeros(nb)
     best = np.zeros(nb)
     step = max(1, SLICE_ENTRIES >> 3 * k)
     open_ = np.arange(nb)
@@ -283,17 +276,16 @@ def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
             # every candidate before the first that works scores below it
             score = np.where(hit, fids[np.arange(len(js)), first], fids.max(axis=1))
             if p == 0 and len(js) == nb and hit.all():
-                return [desc + "*".join(names[x]) for x in first.tolist()], score, score
+                return [desc + "*".join(names[x]) for x in first.tolist()], score
             best[js] = np.maximum(best[js], score)
             done = js[hit]
             for j, x in zip(done.tolist(), first[hit].tolist()):
                 chosen[j] = desc + "*".join(names[x])
-            min_fid[done] = score[hit]
             left.append(js[~hit])
         open_ = np.concatenate(left)
         if not open_.size:
             break
-    return chosen, min_fid, best
+    return chosen, best
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +356,13 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     max_perp = 0.0
     if out.perp.any():
         max_perp = float(np.linalg.eigvalsh(grams[out.perp].sum(axis=0))[-1])
-    chosen, min_fid, best = _find_corrections(
+    chosen, best = _find_corrections(
         _prefixes(scenario.allowed_ops, k), rows.transpose(0, 2, 1) @ span.conj(),
         d * sums, tol)
     first = (probs > 0.0).argmax(axis=1)
-    average, fid = (sums / d).tolist(), min_fid.tolist()  # the bits of np.mean
+    average = (sums / d).tolist()  # the bits of np.mean
     top, perp = best.tolist(), out.perp.tolist()
+    fid = [b if c else 0.0 for b, c in zip(top, chosen)]
     reports = [OutcomeReport(out.keys[j], average[j], chosen[j], fid[j], top[j], perp[j])
                for j in np.argsort(first, kind="stable").tolist()]
     feasible = None not in chosen

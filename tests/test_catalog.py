@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from quadproto import catalog
 from quadproto.catalog import (
     CORRECTIONS,
     NamedBasis,
@@ -184,6 +185,32 @@ def test_completeness_flags():
     assert validate_orthonormal(make_basis("bell"))["complete"]
     assert validate_orthonormal(make_basis("ghz3_full"))["complete"]
     assert not validate_orthonormal(make_basis("omega_meas"))["complete"]
+
+
+def test_bell_states_are_the_bell_basis_rows():
+    bell = make_basis("bell")
+    assert [n for n in state_names() if n.startswith("Bell:")] == [
+        "Bell:" + label for label in bell.labels]
+    for label, row in zip(bell.labels, bell.matrix):
+        assert np.array_equal(make_state("Bell:" + label).state.amplitudes, row), label
+    with pytest.raises(ValueError, match=r"^unknown Bell state 'phi'$"):
+        make_state("Bell:phi")
+
+
+def test_fixed_and_parametric_bases_share_no_name():
+    assert not set(catalog._FIXED_BASES) & set(catalog._BASIS_BUILDERS)
+    assert set(catalog._BASIS_BUILDERS) == {"eta_zeta_w11", "eta_zeta_w", "pi_2q",
+                                            "pi_3q", "omega34_3q"}
+
+
+def test_basis_names_are_the_parameter_free_names():
+    assert basis_names() == [
+        "bell", "computational:1", "computational:2", "eta_zeta_q4_11",
+        "eta_zeta_w11", "ghz3_full", "ghz4_full", "omega16", "omega34_3q",
+        "omega3_q5", "omega_meas", "pi_2q", "pi_3q", "plus_minus", "rho_q4",
+        "sigma_w", "tau_q4", "varphi_q5", "xi_q5"]
+    for name in basis_names():
+        assert make_basis(name).name == name
 
 
 def test_eta_zeta_w_needs_params():
