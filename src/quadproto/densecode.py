@@ -11,11 +11,12 @@ order (first sender qubit slowest).
 The XOR of two encoding indices is their Pauli product up to phase, so
 |<P_a psi|P_b psi>| = |Tr(P_(a xor b) rho_S)| with rho_S the reduction of
 psi to the sender qubits.  A query reads everything off the 4^k numbers
-mag = |Tr(P_x rho_S)|, one gather of ``states.pauli_coefficients`` by the
-flip masks and int8 signs of ``states.pauli_table``, which teleport
-corrections also read; no encoded state is built.  That gather is a
-(4^k, 2^k) array, so a query with 8^k above ``MAX_STACK_ENTRIES`` (k of 9
-or more, whatever the resource size) is refused before the table is built.
+mag = |Tr(P_x rho_S)|, from ``states.pauli_coefficients``: one gather of
+the 4^k flip-diagonal entries of rho_S and one Walsh-Hadamard matmul by the
+signs of ``states.pauli_table``, the kernel teleport corrections also read;
+no encoded state is built.  The table holds 4^k x 2^k signs, so a query
+with 8^k above ``MAX_STACK_ENTRIES`` (k of 9 or more, whatever the resource
+size) is refused before the table is built.
 ``encoded_states`` alone builds the encodings, as rows of one (4^k, 2^n)
 array, and refuses 4^k x 2^n above the same limit.
 
@@ -24,8 +25,9 @@ reads their reductions rho_S with one ``states.reduced_densities`` (one
 gather through the memoized sender-major index of ``states.sender_index``,
 then one stacked ``psi @ psi^dag``) and runs one ``pauli_coefficients``
 over the stack, giving one mag row per subset.  The stack is worked in
-slices of at most ``SLICE_ENTRIES`` gathered entries (8^k per subset) and
-stacked amplitudes (2^n per subset), and of at least one subset; only a
+slices of at least one subset and at most ``SLICE_ENTRIES`` entries,
+budgeting 8^k per subset for the Pauli traces (a conservative budget: the
+kernel gathers 4^k) and 2^n per subset for the stacked amplitudes; only a
 one-slice query keeps its index in the memo.  The subsets are checked once
 per query, before anything is built: ``distinguishable_messages`` and
 ``encoded_states`` check their one subset with ``states.check_qubits``,
@@ -137,7 +139,7 @@ def encoded_states(resource: PureState, sender_qubits: tuple[int, ...],
     k = len(sender_qubits)
     _check_size(k, n, n, "encoded amplitudes")
     index, = sender_index(n, (sender_qubits,))
-    names, flip, sign = pauli_table(k)
+    names, flip, _, sign = pauli_table(k)
     psi_t = resource.amplitudes[index]
     rows = psi_t[np.arange(len(psi_t)) ^ flip[:, None]]
     rows *= sign[:, :, None]
@@ -361,8 +363,8 @@ def _pauli_magnitudes(resource: PureState, subsets: tuple[tuple[int, ...], ...],
     """The (S, 4^k) table of mag = |Tr(P_x rho_S)|, one row per k-qubit sender
     subset, from one ``reduced_densities`` and one ``pauli_coefficients`` per
     slice.  A slice holds at least one subset and otherwise at most
-    ``SLICE_ENTRIES`` of both the gather (8^k per subset) and the stacked
-    amplitudes (2^n per subset).  Only a one-slice query memoizes its index;
+    ``SLICE_ENTRIES`` of both the Pauli traces, budgeted at 8^k per subset
+    (the kernel gathers 4^k), and the stacked amplitudes (2^n per subset).  Only a one-slice query memoizes its index;
     a sweep of several slices builds each slice's index and keeps none.  The
     caller has checked the subsets."""
     step = max(1, SLICE_ENTRIES // max(8 ** k, resource.dim))

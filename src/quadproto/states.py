@@ -15,14 +15,13 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 MAX_QUBITS = 12
-# complex entries of one stacked array (dense-coding encodings and tables, the
-# Pauli-table gather of pauli_coefficients): 256 MiB.  The Pauli table keeps
-# 4^k x 2^k int8 signs under it too, so k <= 8 (16 MiB), which also bounds a
-# teleport family and one outcome's correction scores (4^k x 2^k terms)
+# complex entries of one stacked array (dense-coding encodings and tables):
+# 256 MiB.  The Pauli table keeps 4^k x 2^k int8 signs under it too, so
+# k <= 8 (16 MiB), which also bounds a teleport family
 MAX_STACK_ENTRIES = 2 ** 24
-# entries of one slice of a stack worked in slices (Pauli-table gathers, teleport
-# outcome chunks, dense-coding subsets): 32 MiB, so a slice stays cache- and
-# RSS-sized although one stack may take up to MAX_STACK_ENTRIES
+# entries of one slice of a dense-coding sweep, worked a slice of subsets at a
+# time: 32 MiB, so a slice stays cache- and RSS-sized although one stack may
+# take up to MAX_STACK_ENTRIES
 SLICE_ENTRIES = 2 ** 21
 # greedy colourings one dense-coding clique search may run before it is
 # refused: 40x the 245 of the heaviest pinned, suite or benchmark query
@@ -216,20 +215,22 @@ PAULI_ORDER = ("s0", "s1", "is2", "s3")
 
 
 class PauliTable(NamedTuple):
-    """All 4**k products, qubit 0 slowest: product ``x`` is named
-    ``names[x]`` and maps amplitudes ``a`` to ``sign[x, t] * a[t ^ flip[x]]``
-    at each row ``t``."""
+    """All 4**k products, qubit 0 slowest, in the binary (x, z) form: product
+    ``x`` is named ``names[x]`` and maps amplitudes ``a`` to
+    ``sign[x, t] * a[t ^ flip[x]]`` at each row ``t``, where ``sign[x, t]`` is
+    -1 to the parity of ``z[x] & t``."""
 
     names: tuple[tuple[str, ...], ...]
     flip: np.ndarray              # (4**k,) bits each product flips
+    z: np.ndarray                 # (4**k,) bits whose parity with t negates row t
     sign: np.ndarray              # (4**k, 2**k) int8, entries +-1
 
 
 @functools.lru_cache(maxsize=None)
 def pauli_table(k: int) -> PauliTable:
     """The read-only table of all 4**k Pauli products on k qubits, in the
-    binary (x, z) form: s1 and is2 flip their qubit's bit, is2 and s3 negate
-    rows where it is 1, so ``sign[x, t]`` is -1 to the parity of z_x & t.
+    binary (x, z) form of Dehaene & De Moor, PRA 68, 042318 (2003): s1 and
+    is2 flip their qubit's bit, is2 and s3 negate rows where it is 1.
     Refuses k with 8**k above ``MAX_STACK_ENTRIES``."""
     check_stack(8 ** k, "a Pauli table on %d qubits needs 8^%d signs", k, k)
     words = np.arange(4 ** k)[:, None] >> 2 * np.arange(k - 1, -1, -1) & 3
@@ -240,54 +241,60 @@ def pauli_table(k: int) -> PauliTable:
     for shift in 1, 2, 4:
         parity ^= parity >> shift
     signs = (1 - 2 * (parity & 1)).astype(np.int8)
+    z = (words >> 1) @ weights
     return PauliTable(tuple(itertools.product(PAULI_ORDER, repeat=k)),
-                      _lock(((words ^ words >> 1) & 1) @ weights),
-                      _lock(signs[(words >> 1) @ weights]))
+                      _lock(((words ^ words >> 1) & 1) @ weights), _lock(z),
+                      _lock(signs[z]))
 
 
-def _pauli_diagonals(k: int, products: slice = slice(None)) -> np.ndarray:
-    """(len(products), 2**k) flat indices (t ^ flip[x]) * 2**k + t of the
-    entries each product x of ``pauli_table(k)`` in ``products`` picks from a
-    (2**k, 2**k) matrix.  Left writeable, since ``np.take`` copies a
-    read-only index on every call; only ``pauli_coefficients`` reads it."""
+@functools.lru_cache(maxsize=None)
+def _diagonal_index(k: int) -> np.ndarray:
+    """(2**k, 2**k) flat indices (t ^ f) * 2**k + t of the entries on each
+    flip diagonal f of a (2**k, 2**k) matrix: 4**k entries, 512 KiB at
+    k = 8.  Left writeable, since ``np.take`` copies a read-only index on
+    every call; only ``flip_diagonals`` reads it."""
     t = np.arange(2 ** k)
-    index = t ^ pauli_table(k).flip[products, None]
+    index = t ^ t[:, None]
     index <<= k
     index |= t
     return index
 
 
-# the whole index of every k whose 8**k entries fit SLICE_ENTRIES (k <= 7,
-# 16 MiB); a k = 8 index is built per call, a slice at a time, and not kept
-_cached_pauli_diagonals = functools.lru_cache(maxsize=None)(_pauli_diagonals)
-
-
-def pauli_coefficients(a: np.ndarray) -> np.ndarray:
-    """Tr(P_x a) for every product P_x of ``pauli_table(k)``, in table order,
-    of a (2**k, 2**k) matrix or of each matrix of a (..., 2**k, 2**k) stack.
-    P_x has entry sign[x, t] at (t, t ^ flip[x]), so each trace is a signed
-    sum along the diagonal a[t ^ flip[x], t], gathered by one ``np.take``
-    into a fresh C-contiguous array: the sum over t then rounds the same way
-    whatever the memory layout of ``a``.  Products are gathered in slices of
-    ``SLICE_ENTRIES`` index entries, which is one slice up to k = 7; each
-    row's sum is the same whatever the slicing."""
+def flip_diagonals(a: np.ndarray) -> np.ndarray:
+    """The flip diagonals h[..., f, t] = a[..., t ^ f, t] of a (2**k, 2**k)
+    matrix or of each matrix of a (..., 2**k, 2**k) stack, gathered by one
+    ``np.take`` of 4**k entries per matrix into a fresh C-contiguous array,
+    whatever the memory layout of ``a``."""
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("matrix must be square")
     k = qubit_count(a.shape[-1])
-    flat = a.reshape(a.shape[:-2] + (4 ** k,))
-    sign = pauli_table(k).sign
-    step = SLICE_ENTRIES >> k
-    parts = []
-    for lo in range(0, 4 ** k, step):
-        index = (_cached_pauli_diagonals(k) if step >= 4 ** k
-                 else _pauli_diagonals(k, slice(lo, lo + step)))
-        terms = np.take(flat, index, axis=-1)
-        terms *= sign[lo:lo + step]
-        # k = 1 sums its two terms in one add, skipping numpy's reduction set-up
-        parts.append(terms[..., 0] + terms[..., 1] if k == 1 else terms.sum(-1))
-        del index, terms  # keep one slice live while the next is built
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    return np.take(a.reshape(a.shape[:-2] + (4 ** k,)), _diagonal_index(k), axis=-1)
+
+
+def pauli_traces(h: np.ndarray) -> np.ndarray:
+    """Tr(P_x a) for every product P_x of ``pauli_table(k)``, in table order,
+    from the flip diagonals h = ``flip_diagonals(a)`` of a matrix or stack.
+
+    P_x has entry sign[x, t] = H[z[x], t] at (t, t ^ flip[x]), where
+    H[z, t] = (-1)^popcount(z & t) is the +-1 Sylvester-Hadamard matrix, so
+    Tr(P_x a) = (h @ H)[flip[x], z[x]]: one matmul by H, the Walsh-Hadamard
+    transform of every diagonal, gives all 4**k traces.  H is read off the
+    table: its s0/s3 rows, those whose base-4 digits are all 0 or 3, are H
+    in z order."""
+    k = h.shape[-1].bit_length() - 1
+    _, flip, z, sign = pauli_table(k)
+    walsh = sign.reshape((4,) * k + (-1,))[(slice(None, None, 3),) * k]
+    terms = h @ walsh.reshape(2 ** k, 2 ** k)
+    return np.take(terms.reshape(terms.shape[:-2] + (4 ** k,)), flip << k | z, axis=-1)
+
+
+def pauli_coefficients(a: np.ndarray) -> np.ndarray:
+    """Tr(P_x a) for every product P_x of ``pauli_table(k)``, in table order,
+    of a (2**k, 2**k) matrix or of each matrix of a (..., 2**k, 2**k) stack:
+    ``pauli_traces(flip_diagonals(a))``, one gather of 4**k entries and one
+    Walsh-Hadamard matmul per matrix."""
+    return pauli_traces(flip_diagonals(a))
 
 
 def apply_paulis(rows: np.ndarray, names: Sequence[str]) -> np.ndarray:
@@ -307,7 +314,7 @@ def apply_paulis(rows: np.ndarray, names: Sequence[str]) -> np.ndarray:
         except ValueError:
             raise ValueError("unknown Pauli %r, expected one of %s"
                              % (name, ", ".join(SIGMA))) from None
-    _, flip, sign = pauli_table(k)
+    _, flip, _, sign = pauli_table(k)
     phase = (1, -1j, -1, 1j)[names.count("s2") % 4]
     return phase * sign[x] * rows[..., np.arange(2 ** k) ^ flip[x]] + 0.0
 

@@ -22,23 +22,24 @@ Correction vocabularies:
 * ``paulis+cz``       optionally one controlled-phase on a receiver pair,
                       applied before the Pauli layer
 * ``paulis+diag``     optionally one diagonal sign mask on the whole
-                      receiver register, applied before the Pauli layer;
-                      limited to 3 receiver qubits (``MAX_DIAG_QUBITS``),
-                      since k qubits have 2**(2**k - 1) masks to scan
+                      receiver register, applied before the Pauli layer
 
 A candidate is a prefix D (identity, a CZ or a sign mask, stored as a row
 of +-1 entries) followed by a Pauli product P_x of ``states.pauli_table``.
 It corrects outcome j when P_x D O_j = c I on the span, that is when its
 entanglement fidelity F_e = |Tr(P_x D O_j V V^dagger)|**2 / (d ||O_j V||_F**2)
 (V the members as columns; Nielsen, Phys. Lett. A 303, 249 (2002)) is 1.
-One ``states.pauli_coefficients`` call scores every Pauli product after
-one prefix for every outcome still open; candidates are tried prefix
-outer, Pauli inner, and an outcome takes the first with F_e >= 1 - tol.
-An outcome's scores gather 4^k x 2^k trace terms, as many as the Pauli
-table has entries, so a family whose table is above ``MAX_STACK_ENTRIES``
-(k >= 9) is refused from its size, and the open outcomes are scored in
-chunks of at most ``SLICE_ENTRIES`` (2^21) gathered terms, one outcome per
-chunk when its own are more.
+Each outcome's 4^k flip diagonals h[a, t] = A[t ^ a, t] of
+A = O_j V V^dagger are gathered once (``states.flip_diagonals``).  A
+prefix multiplies them by its mask read at t ^ a, and one
+``states.pauli_traces`` call, a matmul by the +-1 Sylvester-Hadamard
+matrix, then scores every Pauli product after it for every outcome still
+open; candidates are tried prefix outer, Pauli inner, and an outcome takes
+the first with F_e >= 1 - tol.  ``paulis+diag`` tries the identity prefix
+so, and solves its sign masks on the diagonals of the outcomes still open
+(``_sign_masks``), in O(4^k k) per outcome, with no enumeration of the
+2^(2^k - 1) masks.  The Pauli table has 8^k entries, so a family whose
+table is above ``MAX_STACK_ENTRIES`` (k >= 9) is refused from its size.
 
 The inputs of a call are built once per value, each in a memo of
 read-only arrays keyed by what determines it: the resource state by its
@@ -61,10 +62,10 @@ import numpy as np
 
 from .catalog import NamedState, make_state
 from .measure import StepSpec, build_plan, check_steps, enumerate_outcomes
-from .states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, SLICE_ENTRIES,
-                     VALUE_TOL, PureState, apply_paulis, check_integer, check_iterable,
-                     check_qubits, check_seed, check_tolerance, ket_vector,
-                     pauli_coefficients, pauli_table, qubit_count)
+from .states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, VALUE_TOL, PureState,
+                     apply_paulis, check_integer, check_iterable, check_qubits,
+                     check_seed, check_tolerance, flip_diagonals, ket_vector,
+                     pauli_table, pauli_traces, qubit_count)
 
 __all__ = [
     "FamilySpec",
@@ -75,9 +76,6 @@ __all__ = [
     "run_scenario",
     "classical_cost",
 ]
-
-# paulis+diag tries 2**(2**k - 1) sign masks: 128 at k = 3, 32,768 at k = 4
-MAX_DIAG_QUBITS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +181,6 @@ class TeleportScenario:
         if list(self.receiver) != sorted(self.receiver):
             raise ValueError("receiver qubits must be strictly ascending, got %s"
                              % list(self.receiver))
-        if (self.allowed_ops == "paulis+diag"
-                and self.family.num_qubits > MAX_DIAG_QUBITS):
-            raise ValueError(
-                "paulis+diag corrections are limited to %d receiver qubits, "
-                "got %d: the search still tries each of the 2**(2**k - 1) "
-                "sign masks in turn, scoring every Pauli product after it"
-                % (MAX_DIAG_QUBITS, self.family.num_qubits))
 
     def resource_state(self) -> NamedState:
         if self.resource_kets:
@@ -204,12 +195,13 @@ class TeleportScenario:
 
 @functools.lru_cache(maxsize=None)
 def _prefixes(allowed: str, k: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """Descriptors and (num_prefixes, 2**k) +-1 masks of the diagonal
+    """Descriptors and (num_prefixes, 2**k) +-1 masks of the listed diagonal
     prefixes of one vocabulary on k receiver qubits, identity first.
 
     Candidate ``(p, x)`` is the matrix ``P_x @ diag(masks[p])``, scanned
     prefix outer, Pauli inner; its descriptor is the prefix's followed by
-    the names of ``pauli_table(k)`` product x joined by ``*``.
+    the names of ``pauli_table(k)`` product x joined by ``*``.  The sign
+    masks of ``paulis+diag`` are not listed: ``_sign_masks`` solves them.
     """
     d = 2 ** k
     rows = np.arange(d)
@@ -222,20 +214,77 @@ def _prefixes(allowed: str, k: int) -> tuple[tuple[str, ...], np.ndarray]:
                 # qubit 0 is the most significant bit
                 both = (rows >> (k - 1 - i)) & (rows >> (k - 1 - j)) & 1
                 masks.append(1.0 - 2.0 * both)
-    elif allowed == "paulis+diag":
-        # sign masks with a + on |0..0>, one per bit pattern of the rest
-        for m in range(1, 2 ** (d - 1)):
-            mask = np.ones(d)
-            mask[1:] = 1.0 - 2.0 * ((m >> (rows[1:] - 1)) & 1)
-            prefixes.append("D(%s);" % "".join("+" if s > 0 else "-" for s in mask))
-            masks.append(mask)
     masks = np.array(masks)
     masks.flags.writeable = False
     return tuple(prefixes), masks
 
 
-def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
-                      ops: np.ndarray, norms: np.ndarray, tol: float,
+def _sign_masks(h: np.ndarray, norms: np.ndarray, tol: float,
+                ) -> tuple[list[str | None], np.ndarray]:
+    """The ``paulis+diag`` candidates D(m);P_x past the identity prefix, for
+    each outcome of the (nb, 2**k, 2**k) flip diagonals ``h`` of A_j and its
+    ``norms``: the descriptor of the candidate taken, or None, and its F_e,
+    or the best F_e of any candidate when none reaches ``1 - tol``.
+
+    P_x D(m) A_j has trace sum_t s_t h[a, t], a = flip[x], for the +-1
+    pattern s_t = sign[x, t] m[t ^ a], and every pattern is some (m, x)'s.
+    So the best F_e on flip a is max over theta of
+    (sum_t |Re(e^(-i theta) h[a, t])|)**2 / norm, which one of 2**k patterns
+    attains: each term folded into the half-plane -pi/2 < arg <= pi/2 and
+    the terms sorted by argument, pattern i negates the i first.  A
+    cumulative sum scores them all.
+
+    Among the flips whose best pattern reaches ``1 - tol``, each pattern is
+    read as the (m, x) that the mask scan meets first: the smallest mask
+    integer (mask entry 0, on |0...0>, is +; entry b is bit b - 1), then the
+    smallest table index, with each term that is exactly 0 taking the sign
+    that keeps the mask smallest.  The outcome takes the first such
+    candidate over the flips, in the same order.  Where F_e = 1 this is the
+    scan's candidate, since two patterns that both reach it differ only on
+    such terms; at a loose tolerance the scan may stop at a worse candidate
+    before it.
+    """
+    nb, dim, _ = h.shape
+    names, flip, _, sign = pauli_table(dim.bit_length() - 1)
+    fold = np.where((h.real > 0) | ((h.real == 0) & (h.imag >= 0)), 1.0, -1.0)
+    g = fold * h
+    order = np.argsort(np.arctan2(g.imag, g.real), axis=-1, kind="stable")
+    ranked = np.take_along_axis(g, order, axis=-1)
+    # pattern i negates the i first terms: sum - 2 * (their sum)
+    sums = g.sum(axis=-1, keepdims=True) - 2.0 * (np.cumsum(ranked, axis=-1) - ranked)
+    fids = np.abs(sums) ** 2 / norms[:, None, None]
+    negated = fids.argmax(axis=-1)
+    top = np.take_along_axis(fids, negated[..., None], axis=-1)[..., 0]
+    best = top.max(axis=1)
+    picks: dict = {}
+    t = np.arange(dim)
+    for j, a in zip(*np.nonzero(top >= 1.0 - tol)):
+        s = fold[j, a].copy()
+        s[order[j, a, :negated[j, a]]] *= -1.0
+        s[h[j, a] == 0] = 0.0
+        # mask entry u of product x flipping a is s[u ^ a] sign[x, u ^ a],
+        # up to the sign that makes entry 0 a +, or either sign when s[a] = 0
+        xs = np.flatnonzero(flip == a)
+        cand = s[t ^ a] * sign[xs][:, t ^ a]
+        if s[a]:
+            cand = cand * cand[:, :1]
+        else:
+            cand, xs = np.concatenate((cand, -cand)), np.concatenate((xs, xs))
+        negative = cand < 0
+        # the smallest mask integer, whose last entry is its top bit, then x
+        pick = np.lexsort(np.vstack((xs, negative.T)))[0]
+        key = negative[pick, ::-1].tobytes(), xs[pick]
+        if j not in picks or key < picks[j][0]:
+            picks[j] = key, negative[pick], top[j, a]
+    descs: list[str | None] = [None] * nb
+    for j, ((_, x), negative, fid) in picks.items():
+        descs[j] = ("D(%s);" % "".join("-" if n else "+" for n in negative)
+                    if negative.any() else "") + "*".join(names[x])
+        best[j] = fid
+    return descs, best
+
+
+def _find_corrections(allowed: str, ops: np.ndarray, norms: np.ndarray, tol: float,
                       ) -> tuple[list[str | None], np.ndarray]:
     """First candidate per outcome that corrects its span operator.
 
@@ -244,47 +293,49 @@ def _find_corrections(prefixes: tuple[tuple[str, ...], np.ndarray],
     Candidate P_x D scores its entanglement fidelity
     F_e = |Tr(P_x D A_j)|**2 / norms[j], which is 1 exactly when
     P_x D O_j = c I on the span.  Returns per outcome the descriptor of the
-    first candidate with F_e >= ``1 - tol`` or None, and the best F_e over
-    the candidates tried up to and including it: a chosen candidate's own,
-    as every one tried before it scores below ``1 - tol``.
+    first candidate of vocabulary ``allowed`` with F_e >= ``1 - tol`` or
+    None, and the best F_e over the candidates tried up to and including
+    it: a chosen candidate's own, as every one tried before it scores below
+    ``1 - tol``.
 
-    Per prefix, one ``pauli_coefficients`` call scores every Pauli product
-    for a chunk of the outcomes still open, each gathering 4^k x 2^k trace
-    terms, so a chunk holds at most ``SLICE_ENTRIES`` of them (one outcome
-    when its own are more).  The first prefix is the identity
-    (``_prefixes``), scored on slices of the unmasked stack; when it corrects
-    every outcome in one chunk, the search ends there.
+    The flip diagonals of every A_j are gathered once.  Per prefix of
+    ``_prefixes``, the open outcomes' diagonals times the prefix mask go
+    through one ``pauli_traces`` call, which scores every Pauli product.
+    The first prefix is the identity, scored on the unmasked stack; when it
+    corrects every outcome, the search ends there.  ``paulis+diag`` hands
+    the outcomes it leaves open to ``_sign_masks``.
     """
     nb, dim, _ = ops.shape
     k = qubit_count(dim)
     names = pauli_table(k).names
+    diagonals = flip_diagonals(ops)
     chosen: list[str | None] = [None] * nb
     best = np.zeros(nb)
-    step = max(1, SLICE_ENTRIES >> 3 * k)
     open_ = np.arange(nb)
-    for p, (desc, mask) in enumerate(zip(*prefixes)):
-        left = []
-        for lo in range(0, len(open_), step):
-            js = open_[lo:lo + step]
-            # the identity comes first, every outcome open: slice it unmasked
-            at = slice(lo, lo + step) if p == 0 else js
-            masked = ops[at] if p == 0 else ops[at] * mask[:, None]
-            fids = np.abs(pauli_coefficients(masked)) ** 2 / norms[at, None]
-            ok = fids >= 1.0 - tol
-            hit = ok.any(axis=1)
-            first = ok.argmax(axis=1)
-            # every candidate before the first that works scores below it
-            score = np.where(hit, fids[np.arange(len(js)), first], fids.max(axis=1))
-            if p == 0 and len(js) == nb and hit.all():
-                return [desc + "*".join(names[x]) for x in first.tolist()], score
-            best[js] = np.maximum(best[js], score)
-            done = js[hit]
-            for j, x in zip(done.tolist(), first[hit].tolist()):
-                chosen[j] = desc + "*".join(names[x])
-            left.append(js[~hit])
-        open_ = np.concatenate(left)
+    for p, (desc, mask) in enumerate(zip(*_prefixes(allowed, k))):
+        # a mask is read along flip diagonal a at row t ^ a; the identity,
+        # first, with every outcome open, is read on the unmasked stack
+        h = (diagonals if p == 0 else
+             diagonals[open_] * mask[np.arange(dim) ^ np.arange(dim)[:, None]])
+        fids = np.abs(pauli_traces(h)) ** 2 / norms[open_, None]
+        ok = fids >= 1.0 - tol
+        hit = ok.any(axis=1)
+        first = ok.argmax(axis=1)
+        # every candidate before the first that works scores below it
+        score = np.where(hit, fids[np.arange(len(open_)), first], fids.max(axis=1))
+        if p == 0 and hit.all():
+            return [desc + "*".join(names[x]) for x in first.tolist()], score
+        best[open_] = np.maximum(best[open_], score)
+        for j, x in zip(open_[hit].tolist(), first[hit].tolist()):
+            chosen[j] = desc + "*".join(names[x])
+        open_ = open_[~hit]
         if not open_.size:
-            break
+            return chosen, best
+    if allowed == "paulis+diag":
+        descs, scores = _sign_masks(diagonals[open_], norms[open_], tol)
+        best[open_] = np.maximum(best[open_], scores)
+        for j, desc in zip(open_.tolist(), descs):
+            chosen[j] = desc
     return chosen, best
 
 
@@ -330,9 +381,9 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     check_seed(seed)
     resource = scenario.resource_state().state
     # refuse a joint register above MAX_QUBITS, and a family whose Pauli
-    # table (8^k entries, as many as one outcome's correction scores gather)
-    # is above MAX_STACK_ENTRIES, from the sizes alone, before any probe is
-    # built; the joint stack, d x 2^n <= 2^8 x 2^12 amplitudes, then fits
+    # table (8^k signs) is above MAX_STACK_ENTRIES, from the sizes alone,
+    # before any probe is built; the joint stack, d x 2^n <= 2^8 x 2^12
+    # amplitudes, then fits
     k = scenario.family.num_qubits
     qubit_count(2 ** k * resource.dim)
     pauli_table(k)
@@ -357,8 +408,7 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     if out.perp.any():
         max_perp = float(np.linalg.eigvalsh(grams[out.perp].sum(axis=0))[-1])
     chosen, best = _find_corrections(
-        _prefixes(scenario.allowed_ops, k), rows.transpose(0, 2, 1) @ span.conj(),
-        d * sums, tol)
+        scenario.allowed_ops, rows.transpose(0, 2, 1) @ span.conj(), d * sums, tol)
     first = (probs > 0.0).argmax(axis=1)
     average = (sums / d).tolist()  # the bits of np.mean
     top, perp = best.tolist(), out.perp.tolist()

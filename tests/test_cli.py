@@ -605,8 +605,10 @@ def test_oversized_densecode_query_exits_two(qubits, monkeypatch, capsys):
     assert "over the limit of 2^24" in captured.err
 
 
-def test_oversized_diag_vocabulary_file_exits_two(tmp_path, capsys):
-    # four Bell pairs teleporting four qubits, a valid scenario with paulis
+def test_four_qubit_diag_vocabulary_file_runs(tmp_path, capsys):
+    # four Bell pairs teleporting four qubits under paulis+diag, once refused
+    # for its 2^15 sign masks: the file runs, and corrects all 256 outcomes
+    # with the Pauli table of the same file under paulis
     pairs = tuple((format(x, "04b") * 2, 1.0) for x in range(16))
     sc = TeleportScenario(
         scenario_id="bell4",
@@ -617,15 +619,22 @@ def test_oversized_diag_vocabulary_file_exits_two(tmp_path, capsys):
         resource_kets=pairs,
     )
     doc = json.loads(dumps_scenario(sc))
-    doc["allowed_ops"] = "paulis+diag"
-    path = str(tmp_path / "diag4.json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    assert main(["teleport", "--file", path]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "limited to 3 receiver qubits" in captured.err
-    assert "still tries each of the 2**(2**k - 1) sign masks" in captured.err
+    reports = {}
+    for allowed in ("paulis", "paulis+diag"):
+        doc["allowed_ops"] = allowed
+        path = str(tmp_path / "bell4.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["teleport", "--file", path, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        reports[allowed] = json.loads(captured.out)
+    diag, plain = reports["paulis+diag"], reports["paulis"]
+    assert diag["feasible"] and len(diag["per_outcome"]) == 256
+    assert all(o["min_fidelity"] >= 1.0 - 1e-12 for o in diag["per_outcome"])
+    assert diag["allowed_ops"] == "paulis+diag"
+    del diag["allowed_ops"], plain["allowed_ops"]
+    assert diag == plain
 
 
 def test_oversized_probe_stack_file_exits_two(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ Mutated argument lists and mutated scenario documents run through
 and no traceback escapes: bad input fails closed with a message.
 """
 
+import dataclasses
 import json
 import random
 
@@ -121,15 +122,22 @@ def _family_files(tmp_path):
 
 @pytest.fixture
 def templates(tmp_path):
-    """TEMPLATES, the ``BAD_FAMILIES`` scenario files, and two more: one
-    whose inline resource kets have 40-bit labels, refused before any
-    amplitude is allocated, then one with an arbitrary nine-qubit family,
-    refused for its 8^9-entry Pauli table."""
+    """TEMPLATES, the ``BAD_FAMILIES`` scenario files, and three more: four
+    Bell pairs teleporting an arbitrary four-qubit family under paulis+diag,
+    whose 2^15 sign masks are solved, not scanned; one whose inline resource
+    kets have 40-bit labels, refused before any amplitude is allocated;
+    then one with an arbitrary nine-qubit family, refused for its
+    8^9-entry Pauli table."""
+    bell4 = TeleportScenario("bell4_diag", "four pairs", FamilySpec("arbitrary", 4),
+                             tuple(StepSpec((q, q + 4), "bell") for q in range(4)),
+                             (8, 9, 10, 11), allowed_ops="paulis+diag",
+                             resource_kets=tuple((format(x, "04b") * 2, 1.0)
+                                                 for x in range(16)))
     wide_kets = TeleportScenario("wide_kets", "inline", FamilySpec("arbitrary", 1),
                                  (StepSpec((0, 1), "bell"),), (40,),
                                  resource_kets=(("0" * 40, 1.0), ("1" * 40, 1.0)))
     files = []
-    for sc in wide_kets, _wide_family(9):
+    for sc in bell4, wide_kets, _wide_family(9):
         path = tmp_path / ("%s.json" % sc.scenario_id)
         path.write_text(dumps_scenario(sc), encoding="utf-8")
         files.append(["teleport", "--file", str(path), "--format", "json"])
@@ -203,17 +211,20 @@ def test_templates_fail_closed(capsys, templates):
 
 @pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
 def test_wide_arbitrary_family_files_run_or_are_refused(capsys, tmp_path, k):
-    # families of 5 to 8 qubits, once refused for their row scores, now run
-    # to a report; a 9-qubit family is refused for its Pauli table
+    # families of 5 to 8 qubits, once refused for their row scores (and
+    # under paulis+diag for their sign masks), now run to a report; a
+    # 9-qubit family is refused for its Pauli table
     path = tmp_path / "wide.json"
-    path.write_text(dumps_scenario(_wide_family(k)), encoding="utf-8")
-    code, err = _run(capsys, ["teleport", "--file", str(path), "--format", "json"])
-    _assert_fails_closed(code, err, k)
-    if k < 9:
-        assert code in (0, 1) and err == "", k
-    else:
-        assert (code, err) == (2, "error: a Pauli table on 9 qubits needs 8^9 signs, "
-                                  "over the limit of 2^24\n")
+    for allowed in ("paulis", "paulis+diag"):
+        sc = dataclasses.replace(_wide_family(k), allowed_ops=allowed)
+        path.write_text(dumps_scenario(sc), encoding="utf-8")
+        code, err = _run(capsys, ["teleport", "--file", str(path), "--format", "json"])
+        _assert_fails_closed(code, err, (k, allowed))
+        if k < 9:
+            assert code in (0, 1) and err == "", (k, allowed)
+        else:
+            assert (code, err) == (2, "error: a Pauli table on 9 qubits needs 8^9 "
+                                      "signs, over the limit of 2^24\n"), allowed
 
 
 def test_wide_ket_labels_are_refused_by_name(capsys, templates):

@@ -191,6 +191,23 @@ def test_counts_past_the_dimension_are_refused(name, params):
         best_over_subsets(st, 3, tol=0.6)
 
 
+def test_a_gram_tie_at_exactly_one_is_refused():
+    # Q4_11 with sender 0 or 1 at tol 0.6: N = 4 messages whose pair overlaps
+    # are 1/3, so (N - 1) x max is exactly 1, which is not below 1.  The
+    # kernel rounds the overlap to 1/3 + 2 ulp (0x1.5555555555557p-2); a
+    # kernel that rounded it below 1/3 would let N = 4 through, and fail here
+    st = make_state("Q4_11").state
+    message = (r"^tolerance 0\.6 counts N = 4 messages, but their encoded states "
+               r"overlap by up to 0\.333 and \(N - 1\) x 0\.333 = 1 is not below 1, ")
+    for sender in (0,), (1,):
+        mag = densecode._pauli_magnitudes(st, (sender,), 1)[0]
+        assert 3 * mag[mag < 0.6].max() >= 1
+        with pytest.raises(ValueError, match=message):
+            distinguishable_messages(st, sender, tol=0.6)
+    with pytest.raises(ValueError, match=message):
+        best_over_subsets(st, 1, tol=0.6)
+
+
 def test_count_within_the_dimension_passes_the_gram_check():
     # Q4_11 at tol 0.3: N = 16, and the witness pairs are below 1e-16
     st = make_state("Q4_11").state
@@ -276,13 +293,14 @@ def test_twelve_qubit_cat_with_six_senders_is_answered():
 
 
 def test_eight_sender_query_keeps_no_pauli_index():
-    # the k = 8 gather index, 4^8 x 2^8 int64, would take 128 MiB: it is built
-    # per call, a slice of SLICE_ENTRIES at a time, and not cached
-    assert 8 ** 7 <= states.SLICE_ENTRIES < 8 ** 8
-    states._cached_pauli_diagonals.cache_clear()
+    # an index of the 4^8 x 2^8 trace terms would take 128 MiB as int64: the
+    # kernel gathers the 4^8 flip diagonal entries instead, and keeps only
+    # their index (512 KiB)
+    states._diagonal_index.cache_clear()
     res = distinguishable_messages(make_state("GHZ:8").state, tuple(range(8)))
     assert (res.count, res.num_classes, res.num_encodings) == (256, 256, 65536)
-    assert states._cached_pauli_diagonals.cache_info().currsize == 0
+    assert states._diagonal_index.cache_info().currsize == 1
+    assert states._diagonal_index(8).nbytes <= 8 * 4 ** 8
     rho = np.diag(np.full(256, 1 / 256)).astype(complex)
     tracemalloc.start()
     try:
@@ -292,8 +310,8 @@ def test_eight_sender_query_keeps_no_pauli_index():
         tracemalloc.stop()
     # the traceless products of a maximally mixed state
     assert mag[0] == 1 and np.count_nonzero(mag) == 1
-    # under the 128 MiB of the whole index; the unsliced gather took 384 MiB
-    assert peak < 2 ** 27
+    # the gather, its transform and its read, 1 MiB each
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("k", [-1, 5, 9])
@@ -1406,7 +1424,7 @@ def test_many_subset_sweep_stays_within_the_slice_budget(monkeypatch):
     # (32 MiB)
     st = make_state("GHZ:10").state
     shapes = _record_stacks(monkeypatch)
-    states._cached_pauli_diagonals(5)
+    states._diagonal_index(5)
     pauli_table(5)
     tracemalloc.start()
     try:

@@ -216,10 +216,12 @@ def test_semantic_errors_become_format_errors():
     doc2["family"] = {"kind": "mystery", "num_qubits": 1}
     with pytest.raises(ScenarioFormatError, match="family"):
         scenario_from_dict(doc2)
+    # paulis+diag on four receiver qubits, once refused, now loads
     doc3 = _doc(allowed_ops="paulis+diag", receiver=[2, 3, 4, 5])
     doc3["family"] = {"kind": "arbitrary", "num_qubits": 4}
-    with pytest.raises(ScenarioFormatError, match="limited to 3 receiver qubits"):
-        scenario_from_dict(doc3)
+    sc = scenario_from_dict(doc3)
+    assert (sc.allowed_ops, sc.family.num_qubits, sc.receiver) == ("paulis+diag", 4,
+                                                                    (2, 3, 4, 5))
     doc4 = scenario_to_dict(reg.TELEPORT_SCENARIOS["ghz2_pi_01"])
     doc4["receiver"] = [5, 4]
     with pytest.raises(ScenarioFormatError, match="strictly ascending"):

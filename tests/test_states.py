@@ -478,16 +478,19 @@ def test_pauli_table_matches_dense_kron(k):
     table = pauli_table(k)
     assert pauli_table(k) is table
     assert table.names == tuple(itertools.product(PAULI_ORDER, repeat=k))
-    assert table.flip.shape == (4 ** k,)
+    assert table.flip.shape == table.z.shape == (4 ** k,)
     assert table.sign.shape == (4 ** k, 2 ** k) and table.sign.dtype == np.int8
-    assert not table.flip.flags.writeable and not table.sign.flags.writeable
+    assert not any(a.flags.writeable for a in (table.flip, table.z, table.sign))
     # one byte per sign: no index or float array of the table's size is kept
-    assert table.flip.nbytes + table.sign.nbytes <= 4 ** k * 2 ** k + 8 * 4 ** k
+    assert table.sign.nbytes == 4 ** k * 2 ** k
+    assert table.flip.nbytes + table.z.nbytes <= 16 * 4 ** k
     rows = np.arange(2 ** k)
-    for names, flip, sign in zip(*table):
+    parity = np.array([[bin(z & t).count("1") & 1 for t in rows] for z in rows])
+    for names, flip, z, sign in zip(*table):
         got = np.zeros((2 ** k, 2 ** k), dtype=np.complex128)
         got[rows, rows ^ flip] = sign
         assert np.array_equal(got, _dense_product(names)), names
+        assert np.array_equal(sign, 1 - 2 * parity[z]), names
 
 
 @pytest.mark.parametrize("k", range(9))
@@ -519,21 +522,21 @@ def test_pauli_table_builds_no_wide_product_array():
     assert peak < 4 * 4 ** k * 2 ** k
 
 
-def test_sliced_pauli_coefficients_keep_one_slice_live():
-    # a k = 8 call gathers its 8^8 trace terms in slices of SLICE_ENTRIES, a
-    # 16 MiB index and 32 MiB of complex terms each; holding the previous
-    # slice while the next is built peaked at 80.9 MiB
+def test_eight_qubit_pauli_coefficients_hold_one_gather():
+    # a k = 8 call holds its 4^8 gathered diagonal entries, their
+    # Walsh-Hadamard transform and the table-order read of it, 1 MiB each:
+    # 3.5 MiB measured
     k = 8
     rng = np.random.default_rng(8)
     a = rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
-    pauli_table(k)  # the memoized table is built before the count starts
+    pauli_coefficients(a)  # the memoized table and index are built before the count
     tracemalloc.start()
     try:
         pauli_coefficients(a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 52 * 2 ** 20
+    assert peak <= 4 * 2 ** 20
 
 
 def test_pauli_table_above_the_stack_limit_is_refused():
@@ -595,9 +598,9 @@ def test_stacked_pauli_coefficients_are_per_matrix_calls(k):
 
 
 def _two_step_pauli_coefficients(a):
-    """The two-gather form the one ``np.take`` replaced: the 2**k flip
-    diagonals a[..., t ^ f, t] first, then one row per product by its flip."""
-    _, flip, sign = pauli_table(a.shape[-1].bit_length() - 1)
+    """The two-gather form: the 2**k flip diagonals a[..., t ^ f, t] first,
+    then one signed row per product by its flip, summed over t."""
+    _, flip, _, sign = pauli_table(a.shape[-1].bit_length() - 1)
     t = np.arange(a.shape[-1])
     terms = np.take(a[..., t ^ t[:, None], t], flip, axis=-2)
     terms *= sign
@@ -605,20 +608,31 @@ def _two_step_pauli_coefficients(a):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
-def test_one_gather_matches_the_two_step_gather(k, monkeypatch):
-    # bit for bit, whatever the layout: the sum over t must round as before,
-    # also gathered two products per slice, as a k = 8 gather is sliced
+def test_one_gather_matches_the_two_step_gather(k):
+    # the Walsh-Hadamard matmul sums each trace's 2^k terms in another
+    # order than the two-step gather and than a dense np.kron build.  Each
+    # order is within (2^k - 1) u of the exact sum, per unit of the sum of
+    # the terms' magnitudes (u = 2^-53, the products being exact), so two
+    # orders differ by at most 2^k x 2^-52 of it.  Whatever the layout of the
+    # input, the one gather makes the same C-contiguous diagonals, so the
+    # coefficients are those of a contiguous copy, bit for bit
     rng = np.random.default_rng(20 + k)
     d = 2 ** k
     base = rng.normal(size=(3, 4, d, d)) + 1j * rng.normal(size=(3, 4, d, d))
     stacks = [base, base[1, 2], base.transpose(1, 0, 3, 2), base[::-1, ::2],
               base[..., ::-1, :], np.asfortranarray(base), base.real]
+    table = pauli_table(k)
+    dense = np.array([_dense_product(names) for names in table.names])
+    t = np.arange(d)
     for i, a in enumerate(stacks):
-        want = _two_step_pauli_coefficients(a)
-        assert np.array_equal(pauli_coefficients(a), want), i
-        with monkeypatch.context() as patch:
-            patch.setattr(states, "SLICE_ENTRIES", 2 << k)
-            assert np.array_equal(pauli_coefficients(a), want), i
+        got = pauli_coefficients(a)
+        assert np.array_equal(got, pauli_coefficients(np.ascontiguousarray(a))), i
+        # the sum of the magnitudes of each product's terms
+        scale = np.abs(a[..., t ^ table.flip[:, None], t]).sum(-1)
+        bound = d * 2.0 ** -52 * scale
+        assert (np.abs(got - _two_step_pauli_coefficients(a)) <= bound).all(), i
+        want = np.einsum("xst,...ts->...x", dense, a)
+        assert (np.abs(got - want) <= bound).all(), i
 
 
 def test_pauli_coefficients_reject_a_matrix_that_is_not_square():

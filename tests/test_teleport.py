@@ -16,9 +16,8 @@ from quadproto import states, teleport
 from quadproto.measure import StepSpec, build_plan, enumerate_outcomes
 from quadproto.scenario_io import dumps_scenario, loads_scenario
 from quadproto.states import (ASSERT_TOL, DROP_TOL, MAX_QUBITS, MAX_STACK_ENTRIES,
-                              PAULI_ORDER, PERP_ALARM, SIGMA, SLICE_ENTRIES, VALUE_TOL,
-                              CapacityError, PureState, apply_local, pauli_table,
-                              tensor)
+                              PAULI_ORDER, PERP_ALARM, SIGMA, VALUE_TOL, CapacityError,
+                              PureState, apply_local, pauli_table, tensor)
 from quadproto.teleport import (
     FamilySpec,
     OutcomeReport,
@@ -494,11 +493,11 @@ def test_scenario_validation():
                          (StepSpec((0, 1), "bell"),), (2,))
     with pytest.raises(ValueError):
         FamilySpec("mystery", 2)
-    # 32,768 sign masks at four receiver qubits: refused, not scanned
-    with pytest.raises(ValueError, match="limited to 3 receiver qubits"):
-        TeleportScenario("x", "GHZ:5", FamilySpec("arbitrary", 4),
-                         (StepSpec((0, 4), "bell"),), (5, 6, 7, 8),
-                         allowed_ops="paulis+diag")
+    # 32,768 sign masks at four receiver qubits, once refused: solved on
+    # the flip diagonals, so the scenario runs, with the table of paulis
+    diag = run_scenario(_bell4("paulis+diag"))
+    assert diag.feasible and len(diag.outcomes) == 256
+    assert diag.corrections == run_scenario(_bell4("paulis")).corrections
     # the correction names read the receiver in ascending qubit order, and a
     # repeated qubit is refused first, as in every qubit list
     for receiver, message in (((5, 4), "strictly ascending"),
@@ -1049,8 +1048,7 @@ def _find_each(allowed, ops, tol):
     ``run_scenario`` reports it, the best F_e tried)."""
     d = ops.shape[-1]
     norms = d * np.sum(np.abs(ops) ** 2, axis=(1, 2))
-    chosen, best = teleport._find_corrections(
-        teleport._prefixes(allowed, d.bit_length() - 1), ops, norms, tol)
+    chosen, best = teleport._find_corrections(allowed, ops, norms, tol)
     return [(c, float(b) if c else 0.0, float(b)) for c, b in zip(chosen, best)]
 
 
@@ -1081,6 +1079,135 @@ def _row_rule_each(allowed, ops, tol):
     return out
 
 
+def _mask_integer(mask):
+    """The scan's number of a sign mask with a + on |0...0>: entry b is bit
+    b - 1."""
+    return sum(1 << b - 1 for b in range(1, len(mask)) if mask[b] < 0)
+
+
+def _planted_diag_cases(rng, k, count, span="whole"):
+    """``count`` (O, V) pairs, O the inverse of a random paulis+diag
+    candidate at a random phase and V the span's members as columns: every
+    basis row (``whole``); a random half of them (``half``), so that entries
+    of the outcome's flip diagonals are exactly 0; or (|t> + |t ^ b>)/sqrt 2
+    for a random b and half the t (``paired``), a span that X^b maps to
+    itself, so that two flips correct the outcome."""
+    d = 2 ** k
+    table = pauli_table(k)
+    cases = []
+    for _ in range(count):
+        x = rng.integers(4 ** k)
+        pauli = np.eye(d)[np.arange(d) ^ table.flip[x]] * table.sign[x][:, None]
+        mat = pauli @ np.diag(np.concatenate(([1.0], rng.choice([-1.0, 1.0], d - 1))))
+        v = np.eye(d)
+        if span == "half":
+            v = v[:, np.sort(rng.permutation(d)[:d // 2])]
+        elif span == "paired":
+            b = rng.integers(1, d)
+            t = np.array([t for t in range(d) if t < t ^ b])
+            v = (v[:, t] + v[:, t ^ b]) / np.sqrt(2)
+        cases.append((np.exp(2j * np.pi * rng.random()) * mat.T, v))
+    return cases
+
+
+def _solve_spans(allowed, cases, tol):
+    """``_find_corrections`` on A = O V V^dagger for each (O, V) of
+    ``cases``, as (correction, its F_e or 0.0, best F_e)."""
+    ops = np.array([o @ v @ v.conj().T for o, v in cases])
+    norms = np.array([v.shape[1] * np.linalg.norm(o @ v) ** 2 for o, v in cases])
+    chosen, best = teleport._find_corrections(allowed, ops, norms, tol)
+    return [(c, float(b) if c else 0.0, float(b)) for c, b in zip(chosen, best)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sign_masks_match_a_brute_force_mask_scan(k):
+    # paulis+diag against the scan over every mask and product, one dense
+    # matrix at a time.  Random operators: the same verdict at every
+    # tolerance, and when none is corrected the brute-force best F_e within
+    # 1e-12.  Planted inverses of candidates, on whole spans, on spans whose
+    # flip diagonals hold exact zeros and on spans two flips correct: at
+    # ASSERT_TOL, the scan's own correction and F_e
+    rng = np.random.default_rng(300 + k)
+    d = 2 ** k
+    cases = [(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), np.eye(d))
+             for _ in range(6)]
+    for span in ("whole", "half", "paired"):
+        cases += _planted_diag_cases(rng, k, 6, span)
+    exact = _solve_spans("paulis+diag", cases, ASSERT_TOL)
+    # every one-qubit mask is the sign of a Pauli, so k = 1 needs none
+    assert any(c is not None and c.startswith("D(") for c, _, _ in exact) == (k > 1)
+    for tol in (ASSERT_TOL, 0.1, 0.5):
+        got = _solve_spans("paulis+diag", cases, tol)
+        want = [_dense_solve("paulis+diag", v, [o @ v], tol)[0] for o, v in cases]
+        for i, ((c, fid, best), (c_want, fid_want, best_want)) in enumerate(zip(got, want)):
+            where = (tol, i)
+            assert (c is None) == (c_want is None), where
+            if c is None:
+                assert best == pytest.approx(best_want, rel=0, abs=1e-12), where
+            elif tol == ASSERT_TOL:
+                assert c == c_want, where
+                assert fid == pytest.approx(fid_want, rel=0, abs=1e-12), where
+            else:
+                # a loose tolerance may take a better candidate than the
+                # scan's first: its own F_e, from a dense build
+                mask, names = _parse(c, k)
+                o, v = cases[i]
+                mat = _kron_all([SIGMA[n] for n in names]) @ np.diag(mask)
+                dense = abs(np.trace(v.conj().T @ mat @ o @ v)) ** 2 / (
+                    v.shape[1] * np.linalg.norm(o @ v) ** 2)
+                assert fid == pytest.approx(dense, rel=0, abs=1e-12), where
+                assert fid >= 1.0 - tol, where
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_sign_masks_on_four_to_six_receiver_qubits(k):
+    # past the reach of a mask scan (2^15 to 2^63 masks).  Planted inverses
+    # of candidates: corrected at F_e 1 by the member of their class
+    # +-X^a diag(s) with the smallest mask integer, then the smallest table
+    # index, over the 2^k products that flip a.  Random operators: the best
+    # F_e over every sign pattern, by brute force over all 2^16 patterns at
+    # k = 4; at k = 5 and 6, a tolerance just below it takes a candidate
+    # whose dense F_e is that best and that no single sign change nor any
+    # of 2,000 random patterns beats
+    rng = np.random.default_rng(400 + k)
+    d = 2 ** k
+    table = pauli_table(k)
+    rows = np.arange(d)
+    planted = _planted_diag_cases(rng, k, 4)
+    for (o, _), (c, fid, _) in zip(planted, _solve_spans("paulis+diag", planted, ASSERT_TOL)):
+        mask, names = _parse(c, k)
+        mat = _kron_all([SIGMA[n] for n in names]) @ np.diag(mask)
+        assert abs(abs(np.trace(mat @ o)) - d) < 1e-9 and fid == pytest.approx(1.0), c
+        a = int(np.flatnonzero(mat[0])[0])
+        members = []
+        for x in np.flatnonzero(table.flip == a):
+            # the mask m with P_x diag(m) = +-mat
+            m = np.diag(_kron_all([SIGMA[n] for n in table.names[x]]).T @ mat).real
+            members.append((_mask_integer(m * m[0]), x))
+        assert (_mask_integer(mask), table.names.index(names)) == min(members), c
+    ops = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    norms = d * np.sum(np.abs(ops) ** 2, axis=(1, 2))
+    _, best = teleport._find_corrections("paulis+diag", ops, norms, ASSERT_TOL)
+    h = states.flip_diagonals(ops)
+    if k == 4:
+        patterns = 1 - 2 * ((np.arange(2 ** d)[:, None] >> rows) & 1)
+        brute = (np.abs(h @ patterns.T) ** 2).max(axis=(1, 2)) / norms
+        assert np.allclose(best, brute, rtol=0, atol=1e-12)
+        return
+    sample = 1 - 2 * rng.integers(0, 2, size=(2000, d))
+    for j, (a_j, norm) in enumerate(zip(ops, norms)):
+        [(c, fid, top)] = _find_each("paulis+diag", a_j[None], 1.0 - best[j] + 1e-9)
+        assert fid == top and abs(top - best[j]) <= 1e-9, c
+        mask, names = _parse(c, k)
+        x = table.names.index(names)
+        s = table.sign[x] * mask[rows ^ table.flip[x]]
+        term = h[j, table.flip[x]]
+        assert abs(s @ term) ** 2 / norm == pytest.approx(fid, rel=0, abs=1e-12)
+        flipped = np.abs(s @ term - 2 * s * term) ** 2 / norm
+        assert flipped.max() <= fid + 1e-12
+        assert (np.abs(h[j] @ sample.T) ** 2 / norm).max() <= fid + 1e-12
+
+
 def test_find_correction_edge_cases():
     # s3: s0 scores F_e 0 and s3 exactly 1
     flip = SIGMA["s3"][None]
@@ -1096,7 +1223,7 @@ def test_find_correction_edge_cases():
     assert chosen == "s0" and fid == best == pytest.approx(0.45)
 
 
-def test_find_corrections_resolves_a_mixed_batch(monkeypatch):
+def test_find_corrections_resolves_a_mixed_batch():
     # six outcome operators on an arbitrary two-qubit family
     pauli = dict(_candidates("paulis", 2))
     cz = _cz_matrix(2, (0, 1))
@@ -1128,10 +1255,9 @@ def test_find_corrections_resolves_a_mixed_batch(monkeypatch):
     # of the second at it: best is a maximum over every prefix
     [(_, _, first), (_, _, second)] = _find_each("paulis", ops[2:4], ASSERT_TOL)
     assert first < got[2][2] and second == got[3][2]
-    # chunks of two outcomes, each gathering 4^2 x 2^2 trace terms: three
-    # chunks at the identity prefix, two after CZ(0,1), the same bits
-    monkeypatch.setattr(teleport, "SLICE_ENTRIES", 2 * 8 ** 2)
-    assert _find_each("paulis+cz", ops, ASSERT_TOL) == got
+    # each outcome scored alone: the same bits
+    assert [_find_each("paulis+cz", ops[j:j + 1], ASSERT_TOL)[0]
+            for j in range(len(ops))] == got
 
 
 def test_bulk_scores_cover_the_certifying_rows_when_every_outcome_fires_one(
@@ -1140,13 +1266,13 @@ def test_bulk_scores_cover_the_certifying_rows_when_every_outcome_fires_one(
     # three probabilities: one transform scores all three operators, whether
     # each outcome fires every member or one misses a member and stays open
     scored = []
-    real = teleport.pauli_coefficients
+    real = teleport.pauli_traces
 
-    def spy(a):
-        scored.append(a.shape)
-        return real(a)
+    def spy(h):
+        scored.append(h.shape)
+        return real(h)
 
-    monkeypatch.setattr(teleport, "pauli_coefficients", spy)
+    monkeypatch.setattr(teleport, "pauli_traces", spy)
     ops = np.array([np.eye(4), 0.5 * np.eye(4), 0.25 * np.eye(4)], dtype=np.complex128)
     for misses in (False, True):
         ops[2, 3, 3] = 0.0 if misses else 0.25
@@ -1192,46 +1318,55 @@ def test_random_rows_strike_candidates_the_certifying_rows_accept(allowed, k):
     assert got[::-1] == _find_each(allowed, ops[::-1], ASSERT_TOL)
 
 
+def _spy_calls(monkeypatch, name):
+    """Record the arguments of every call of ``teleport.<name>``."""
+    calls = []
+    real = getattr(teleport, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(teleport, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("seed", [42, 7])
 def test_sliced_scan_matches_the_unsliced_one(seed, monkeypatch):
-    # 16 outcomes of a two-qubit family: chunks are sized by one outcome's
-    # 4^2 x 2^2 gathered trace terms, so a budget of three outcomes splits
-    # the 16 into six chunks per prefix
+    # 16 outcomes of a two-qubit family, scored as one stack: the scan of
+    # each slice of three outcomes gives the same corrections and the same
+    # best F_e, to the bit
     sc = reg.TELEPORT_SCENARIOS["omega2_bellbell_cz"]
     want = run_scenario(sc, seed=seed)
     assert len(want.outcomes) == 16 and want.num_probes == 4
-    entries = []
-    real = teleport.pauli_coefficients
-
-    def spy(a):
-        entries.append(a.size * a.shape[-1])  # the gathered outcomes x 4^k x 2^k
-        return real(a)
-
-    monkeypatch.setattr(teleport, "pauli_coefficients", spy)
-    monkeypatch.setattr(teleport, "SLICE_ENTRIES", 3 * 8 ** 2)
+    calls = _spy_calls(monkeypatch, "_find_corrections")
     got = run_scenario(sc, seed=seed)
     assert got == want and repr(got) == repr(want)
-    assert max(entries) == 3 * 8 ** 2 and len(entries) == 12
+    [(allowed, ops, norms, tol)] = calls
+    chosen, best = teleport._find_corrections(allowed, ops, norms, tol)
+    parts = [teleport._find_corrections(allowed, ops[lo:lo + 3], norms[lo:lo + 3], tol)
+             for lo in range(0, 16, 3)]
+    assert sum((c for c, _ in parts), []) == chosen
+    assert np.concatenate([b for _, b in parts]).tobytes() == best.tobytes()
+
+
+def _bell4(allowed):
+    """Four Bell pairs teleporting an arbitrary four-qubit family: 256
+    outcomes, each corrected by the Pauli product its Bell outcomes name."""
+    pairs = tuple((format(x, "04b") * 2, 1.0) for x in range(16))
+    return TeleportScenario("bell4", "four pairs", FamilySpec("arbitrary", 4),
+                            tuple(StepSpec((q, q + 4), "bell") for q in range(4)),
+                            (8, 9, 10, 11), resource_kets=pairs, allowed_ops=allowed)
 
 
 def test_four_qubit_scan_stays_within_the_slice_budget(monkeypatch):
-    # four Bell pairs teleporting an arbitrary four-qubit family: 256
-    # outcomes, each gathering 4^4 x 2^4 = 2^12 trace terms, all in one
-    # chunk of the 2^21-entry budget; the whole call peaks below 32 MiB and
-    # keeps its table at any chunk size
-    pairs = tuple((format(x, "04b") * 2, 1.0) for x in range(16))
-    sc = TeleportScenario("bell4", "four pairs", FamilySpec("arbitrary", 4),
-                          tuple(StepSpec((q, q + 4), "bell") for q in range(4)),
-                          (8, 9, 10, 11), resource_kets=pairs)
+    # 256 outcomes, whose 4^4 flip diagonal entries each are gathered in one
+    # call and scored by one Walsh-Hadamard matmul; the whole call peaks at
+    # 7.1 MiB
+    sc = _bell4("paulis")
     want = run_scenario(sc)  # memos and tables built untraced
-    entries = []
-    real = teleport.pauli_coefficients
-
-    def spy(a):
-        entries.append(a.size * a.shape[-1])  # the gathered outcomes x 4^k x 2^k
-        return real(a)
-
-    monkeypatch.setattr(teleport, "pauli_coefficients", spy)
+    gathered = _spy_calls(monkeypatch, "flip_diagonals")
+    scored = _spy_calls(monkeypatch, "pauli_traces")
     tracemalloc.start()
     try:
         res = run_scenario(sc)
@@ -1242,28 +1377,69 @@ def test_four_qubit_scan_stays_within_the_slice_budget(monkeypatch):
     assert res.feasible and len(res.outcomes) == 256 and res.classical_cost == 8
     assert res.corrections == {o.key: "*".join(bell[b] for b in o.key.split(","))
                                for o in res.outcomes}
-    assert entries == [256 * 8 ** 4]
-    # one slice's complex entries at the full budget: 32 MiB
-    assert peak < 16 * SLICE_ENTRIES
-    # one outcome a chunk, or 64: the same result, to the bit
-    for outcomes in (1, 64):
-        entries.clear()
-        monkeypatch.setattr(teleport, "SLICE_ENTRIES", outcomes * 8 ** 4)
-        assert repr(run_scenario(sc)) == repr(res) == repr(want)
-        assert entries == [outcomes * 8 ** 4] * (256 // outcomes)
+    assert repr(res) == repr(want)
+    assert [a.shape for a, in gathered] == [(256, 16, 16)]
+    assert [h.shape for h, in scored] == [(256, 16, 16)]
+    assert peak < 10 * 2 ** 20
+
+
+@pytest.mark.parametrize("allowed", ["paulis+cz", "paulis+diag"])
+def test_each_outcome_is_gathered_once_across_prefixes(allowed, monkeypatch):
+    # three-qubit operators that no candidate corrects, so every prefix
+    # scores them, and the sign masks are solved: one gather of all four
+    rng = np.random.default_rng(len(allowed))
+    ops = rng.normal(size=(4, 8, 8)) + 1j * rng.normal(size=(4, 8, 8))
+    gathered = _spy_calls(monkeypatch, "flip_diagonals")
+    scored = _spy_calls(monkeypatch, "pauli_traces")
+    got = _find_each(allowed, ops, ASSERT_TOL)
+    assert [c for c, _, _ in got] == [None] * 4
+    assert [a.shape for a, in gathered] == [(4, 8, 8)]
+    assert len(scored) == len(teleport._prefixes(allowed, 3)[0])
+    assert len(scored) == (4 if allowed == "paulis+cz" else 1)
+
+
+def _parse(desc, k):
+    """The +-1 mask of a candidate descriptor's prefix and its Pauli names."""
+    prefix, _, pauli = desc.rpartition(";")
+    if prefix.startswith("D("):
+        mask = np.array([1.0 if c == "+" else -1.0 for c in prefix[2:-1]])
+    elif prefix.startswith("CZ("):
+        mask = np.diag(_cz_matrix(k, tuple(map(int, prefix[3:-1].split(","))))).real
+    else:
+        mask = np.ones(2 ** k)
+    return mask, tuple(pauli.split("*"))
 
 
 @pytest.mark.parametrize("allowed", ["paulis", "paulis+cz", "paulis+diag"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_vocabulary_matches_dense_candidates(allowed, k):
     rows = np.arange(2 ** k)
+    table = pauli_table(k)
     entries = []
     for prefix, mask in zip(*teleport._prefixes(allowed, k)):
-        for names, flip, sign in zip(*pauli_table(k)):
+        for names, flip, sign in zip(table.names, table.flip, table.sign):
             pauli = np.zeros((2 ** k, 2 ** k), dtype=np.complex128)
             pauli[rows, rows ^ flip] = sign
             entries.append((prefix + "*".join(names), pauli @ np.diag(mask)))
     reference = _candidates(allowed, k)
+    if allowed == "paulis+diag":
+        # the identity prefix is listed, and the sign masks are solved:
+        # every candidate is +-X^a diag(s), and each of the 2^k x 2^(2^k - 1)
+        # classes, planted as an outcome, takes the candidate the scan meets
+        # first in it, at F_e 1
+        assert len(reference) == 4 ** k * 2 ** (2 ** k - 1)
+        reference = reference[:4 ** k]
+        first = {}
+        for desc, mat in _candidates(allowed, k):
+            a = int(np.flatnonzero(mat[0])[0])
+            s = mat[rows, rows ^ a].real
+            assert np.array_equal(np.abs(mat), np.eye(2 ** k)[rows ^ a]), desc
+            first.setdefault((a, tuple(s * s[0])), (desc, mat))
+        assert len(first) == 2 ** k * 2 ** (2 ** k - 1)
+        ops = np.array([mat.T for _, mat in first.values()])
+        got = _find_each(allowed, ops, ASSERT_TOL)
+        assert [c for c, _, _ in got] == [desc for desc, _ in first.values()]
+        assert {f for _, f, _ in got} == {1.0}
     assert [desc for desc, _ in entries] == [desc for desc, _ in reference]
     for (desc, mat), (_, want) in zip(entries, reference):
         assert np.array_equal(mat, want), desc
@@ -1273,31 +1449,26 @@ def test_best_fidelity_of_a_corrected_outcome_is_the_chosen_candidates_own(
         monkeypatch):
     # no candidate tried before the chosen one scores better than it, so a
     # corrected outcome's best F_e, which run_scenario also reports as its
-    # min_fidelity, is the chosen candidate's own F_e, bit for bit
-    calls = []
+    # min_fidelity, is the chosen candidate's own F_e: that of the kernel on
+    # the masked operator, bit for bit, and of a dense build within 1e-12
     real = teleport._find_corrections
-
-    def spy(prefixes, ops, norms, tol):
-        got = real(prefixes, ops, norms, tol)
-        calls.append((prefixes, ops, norms, got))
-        return got
-
-    monkeypatch.setattr(teleport, "_find_corrections", spy)
+    calls = _spy_calls(monkeypatch, "_find_corrections")
     for seed in (42, 7):
         for sc in _ALL_SCENARIOS:
             run_scenario(sc, seed=seed)
     assert len(calls) == 2 * len(_ALL_SCENARIOS)
     corrected = 0
-    for (descs, masks), ops, norms, got in calls:
-        t = np.arange(ops.shape[-1])
-        table = pauli_table(t.size.bit_length() - 1)
-        for a, norm, desc, best in zip(ops, norms, *got):
+    for allowed, ops, norms, tol in calls:
+        k = ops.shape[-1].bit_length() - 1
+        names = pauli_table(k).names
+        for a, norm, desc, best in zip(ops, norms, *real(allowed, ops, norms, tol)):
             if desc is None:
                 continue
-            prefix, _, pauli = desc.rpartition(";")
-            p = descs.index(prefix + ";" if prefix else "")
-            x = table.names.index(tuple(pauli.split("*")))
-            trace = np.sum((a * masks[p][:, None])[t ^ table.flip[x], t] * table.sign[x])
+            mask, pauli = _parse(desc, k)
+            trace = states.pauli_coefficients(a * mask[:, None])[names.index(pauli)]
             assert best == np.abs(trace) ** 2 / norm, desc
+            dense = _kron_all([SIGMA[n] for n in pauli]) @ np.diag(mask)
+            assert best == pytest.approx(abs(np.trace(dense @ a)) ** 2 / norm,
+                                         rel=0, abs=1e-12), desc
             corrected += 1
     assert corrected
