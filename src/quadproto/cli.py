@@ -60,13 +60,16 @@ def _emit(args, name: str, payload: dict, text: str) -> None:
 
 
 def _parse_params(items: list[str]) -> dict[str, int | float | complex]:
-    """``key=value`` pairs; values are Python int, real or complex literals."""
+    """``key=value`` pairs; values are Python int, real or complex literals,
+    in ASCII alone, as ``int`` and ``complex`` also read other scripts' digits."""
     out: dict[str, int | float | complex] = {}
     for item in items or []:
         if "=" not in item:
             raise ValueError("parameter %r is not key=value" % item)
         key, _, raw = item.partition("=")
         try:
+            if not raw.isascii():
+                raise ValueError
             finite = cmath.isfinite(complex(raw))
         except ValueError:
             raise ValueError("parameter %s must be an int, real or complex "

@@ -12,23 +12,23 @@ The XOR of two encoding indices is their Pauli product up to phase, so
 |<P_a psi|P_b psi>| = |Tr(P_(a xor b) rho_S)| with rho_S the reduction of
 psi to the sender qubits.  A query reads everything off the 4^k numbers
 mag = |Tr(P_x rho_S)|, from ``states.pauli_coefficients``: one gather of
-the 4^k flip-diagonal entries of rho_S and one Walsh-Hadamard matmul by the
-signs of ``states.pauli_table``, the kernel teleport corrections also read;
-no encoded state is built.  The table holds 4^k x 2^k signs, so a query
-with 8^k above ``MAX_STACK_ENTRIES`` (k of 9 or more, whatever the resource
-size) is refused before the table is built.
+the 4^k flip-diagonal entries of rho_S and one matmul by the 2^k x 2^k
+Walsh-Hadamard matrix of ``states.pauli_table``, the kernel teleport
+corrections also read; no encoded state is built.  That matmul sums 8^k
+terms, so a query past ``states.check_pauli_qubits`` (k of 9 or more,
+whatever the resource size) is refused before anything is built.
 ``encoded_states`` alone builds the encodings, as rows of one (4^k, 2^n)
-array, and refuses 4^k x 2^n above the same limit.
+array, and refuses 4^k x 2^n above ``MAX_STACK_ENTRIES``.
 
 A query has two parts.  The front end takes a list of sender subsets,
 reads their reductions rho_S with one ``states.reduced_densities`` (one
 gather through the memoized sender-major index of ``states.sender_index``,
 then one stacked ``psi @ psi^dag``) and runs one ``pauli_coefficients``
 over the stack, giving one mag row per subset.  The stack is worked in
-slices of at least one subset and at most ``SLICE_ENTRIES`` entries,
-budgeting 8^k per subset for the Pauli traces (a conservative budget: the
-kernel gathers 4^k) and 2^n per subset for the stacked amplitudes; only a
-one-slice query keeps its index in the memo.  The subsets are checked once
+slices of at least one subset and at most ``SLICE_ENTRIES`` complex
+entries, budgeting per subset what the front end holds at once (see
+``_pauli_magnitudes``); only a one-slice query keeps its index in the
+memo.  The subsets are checked once
 per query, before anything is built: ``distinguishable_messages`` and
 ``encoded_states`` check their one subset with ``states.check_qubits``,
 and ``best_over_subsets``, whose combinations are valid, only the size.
@@ -112,8 +112,8 @@ from typing import Callable
 import numpy as np
 
 from .states import (ASSERT_TOL, MAX_COLOURINGS, SLICE_ENTRIES, CapacityError,
-                     PureState, check_integer, check_qubits, check_stack,
-                     check_tolerance, pauli_coefficients, pauli_table,
+                     PureState, check_integer, check_pauli_qubits, check_qubits,
+                     check_stack, check_tolerance, pauli_coefficients, pauli_table,
                      reduced_densities, sender_index)
 
 __all__ = [
@@ -124,25 +124,19 @@ __all__ = [
 ]
 
 
-def _check_size(k: int, n: int, width: int, what: str) -> None:
-    """Refuse a query whose 4^k x 2^width ``what`` exceed
-    ``MAX_STACK_ENTRIES``, from the sizes alone, with ``CapacityError``."""
-    check_stack(4 ** k << width, "%d sender qubits of a %d-qubit resource need "
-                "4^%d x 2^%d %s", k, n, k, width, what)
-
-
 def encoded_states(resource: PureState, sender_qubits: tuple[int, ...],
                    ) -> list[tuple[tuple[str, ...], PureState]]:
     """All 4^k encoded states in lexicographic encoding order."""
     n = resource.num_qubits
     sender_qubits = check_qubits("sender qubit", sender_qubits, n)
     k = len(sender_qubits)
-    _check_size(k, n, n, "encoded amplitudes")
+    check_stack(4 ** k << n, "%d sender qubits of a %d-qubit resource need "
+                "4^%d x 2^%d encoded amplitudes", k, n, k, n)
     index, = sender_index(n, (sender_qubits,))
-    names, flip, _, sign = pauli_table(k)
+    names, flip, z, walsh = pauli_table(k)
     psi_t = resource.amplitudes[index]
     rows = psi_t[np.arange(len(psi_t)) ^ flip[:, None]]
-    rows *= sign[:, :, None]
+    rows *= walsh[z, :, None]
     out = np.empty((len(rows), 1 << n), dtype=rows.dtype)
     out[:, index] = rows
     return [(label, PureState(row)) for label, row in zip(names, out)]
@@ -363,11 +357,12 @@ def _pauli_magnitudes(resource: PureState, subsets: tuple[tuple[int, ...], ...],
     """The (S, 4^k) table of mag = |Tr(P_x rho_S)|, one row per k-qubit sender
     subset, from one ``reduced_densities`` and one ``pauli_coefficients`` per
     slice.  A slice holds at least one subset and otherwise at most
-    ``SLICE_ENTRIES`` of both the Pauli traces, budgeted at 8^k per subset
-    (the kernel gathers 4^k), and the stacked amplitudes (2^n per subset).  Only a one-slice query memoizes its index;
-    a sweep of several slices builds each slice's index and keeps none.  The
-    caller has checked the subsets."""
-    step = max(1, SLICE_ENTRIES // max(8 ** k, resource.dim))
+    ``SLICE_ENTRIES`` complex entries, per subset the most either call holds:
+    the amplitudes, their conjugate and rho_S (2 x 2^n + 4^k), then rho_S,
+    its diagonals, their transform and the traces (4 x 4^k).  Only a
+    one-slice query memoizes its index; a sweep of several slices builds
+    each slice's index and keeps none.  The caller has checked the subsets."""
+    step = max(1, SLICE_ENTRIES // max(2 * resource.dim + 4 ** k, 4 ** (k + 1)))
     memo = step >= len(subsets)
     parts = [np.abs(pauli_coefficients(
                  reduced_densities(resource.amplitudes, subsets[lo:lo + step], memo)))
@@ -379,7 +374,8 @@ def _answer(same: np.ndarray, low: np.ndarray) -> tuple[list[int], int]:
     """The witness encodings of one thresholded Pauli table row and its
     number of phase classes: ``same`` marks abs(mag - 1) < tol and ``low``
     mag < tol.  They read nothing but the two rows, so sender subsets with
-    equal patterns share one answer.  Raises ``CapacityError`` when the
+    equal patterns share one answer.  Raises ``CapacityError``, from n alone,
+    when the n x n class graph is past ``MAX_STACK_ENTRIES``, or when the
     search runs past ``MAX_COLOURINGS``."""
     rep_rows, cls = _representatives(same)
     n = len(rep_rows)
@@ -387,6 +383,7 @@ def _answer(same: np.ndarray, low: np.ndarray) -> tuple[list[int], int]:
         # no two classes are orthogonal: the identity, the first
         # representative, is the lexicographically smallest maximum clique
         return [0], n
+    check_stack(n * n, "a graph over %d phase classes needs %d^2 entries", n, n)
     reps = np.asarray(rep_rows)
     ortho = low[reps[:, None] ^ reps]
     np.fill_diagonal(ortho, False)
@@ -467,7 +464,7 @@ def distinguishable_messages(resource: PureState, sender_qubits: tuple[int, ...]
     n = resource.num_qubits
     sender_qubits = check_qubits("sender qubit", sender_qubits, n)
     k = len(sender_qubits)
-    _check_size(k, n, k, "Pauli table entries")
+    check_pauli_qubits(k)
     answer, = _answers(_pauli_magnitudes(resource, (sender_qubits,), k), k, tol)
     return _result(sender_qubits, k, answer)
 
@@ -487,7 +484,7 @@ def best_over_subsets(resource: PureState, k: int,
         raise ValueError("k = %r sender qubits is out of range for a %d-qubit "
                          "resource" % (k, n))
     check_tolerance(tol)
-    _check_size(k, n, k, "Pauli table entries")
+    check_pauli_qubits(k)
     subsets = tuple(itertools.combinations(range(n), k))
     answers = _answers(_pauli_magnitudes(resource, subsets, k), k, tol)
     per_subset: dict[tuple[int, ...], int] = {}

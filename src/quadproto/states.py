@@ -16,12 +16,12 @@ import numpy as np
 
 MAX_QUBITS = 12
 # complex entries of one stacked array (dense-coding encodings and tables):
-# 256 MiB.  The Pauli table keeps 4^k x 2^k int8 signs under it too, so
-# k <= 8 (16 MiB), which also bounds a teleport family
+# 256 MiB.  It also caps the 8^k terms of one Walsh-Hadamard transform of a
+# k-qubit matrix, so every Pauli kernel runs at k <= 8 (check_pauli_qubits)
 MAX_STACK_ENTRIES = 2 ** 24
-# entries of one slice of a dense-coding sweep, worked a slice of subsets at a
-# time: 32 MiB, so a slice stays cache- and RSS-sized although one stack may
-# take up to MAX_STACK_ENTRIES
+# complex entries one slice of a dense-coding sweep may hold, the kernel's
+# working arrays included: 32 MiB, so a slice stays cache- and RSS-sized
+# although one stack may take up to MAX_STACK_ENTRIES
 SLICE_ENTRIES = 2 ** 21
 # greedy colourings one dense-coding clique search may run before it is
 # refused: 40x the 245 of the heaviest pinned, suite or benchmark query
@@ -60,7 +60,7 @@ def check_tolerance(tol: float) -> float:
 
 class CapacityError(ValueError):
     """A query would exceed a supported size: a register past ``MAX_QUBITS``,
-    a Pauli table (and so a teleport family) or a dense-coding stack past
+    a Pauli kernel (and so a teleport family) or a dense-coding stack past
     ``MAX_STACK_ENTRIES``, or a clique search past ``MAX_COLOURINGS``."""
 
 
@@ -70,6 +70,13 @@ def check_stack(entries: int, need: str, *args) -> None:
     if entries > MAX_STACK_ENTRIES:
         raise CapacityError("%s, over the limit of 2^%d"
                             % (need % args, MAX_STACK_ENTRIES.bit_length() - 1))
+
+
+def check_pauli_qubits(k: int) -> None:
+    """The one k limit of the Pauli table, teleport families and dense coding:
+    refuse k >= 9, whose Walsh-Hadamard transform of a (2**k, 2**k) matrix's
+    flip diagonals sums 8**k terms, above ``MAX_STACK_ENTRIES``."""
+    check_stack(8 ** k, "a Walsh-Hadamard transform on %d qubits sums 8^%d terms", k, k)
 
 
 def check_integer(what: str, *values) -> None:
@@ -217,13 +224,13 @@ PAULI_ORDER = ("s0", "s1", "is2", "s3")
 class PauliTable(NamedTuple):
     """All 4**k products, qubit 0 slowest, in the binary (x, z) form: product
     ``x`` is named ``names[x]`` and maps amplitudes ``a`` to
-    ``sign[x, t] * a[t ^ flip[x]]`` at each row ``t``, where ``sign[x, t]`` is
-    -1 to the parity of ``z[x] & t``."""
+    ``walsh[z[x], t] * a[t ^ flip[x]]`` at each row ``t``, with ``walsh`` the
+    +-1 Sylvester-Hadamard matrix, (-1)^popcount(z & t) at [z, t]."""
 
     names: tuple[tuple[str, ...], ...]
     flip: np.ndarray              # (4**k,) bits each product flips
     z: np.ndarray                 # (4**k,) bits whose parity with t negates row t
-    sign: np.ndarray              # (4**k, 2**k) int8, entries +-1
+    walsh: np.ndarray             # (2**k, 2**k) int8, entries +-1
 
 
 @functools.lru_cache(maxsize=None)
@@ -231,20 +238,15 @@ def pauli_table(k: int) -> PauliTable:
     """The read-only table of all 4**k Pauli products on k qubits, in the
     binary (x, z) form of Dehaene & De Moor, PRA 68, 042318 (2003): s1 and
     is2 flip their qubit's bit, is2 and s3 negate rows where it is 1.
-    Refuses k with 8**k above ``MAX_STACK_ENTRIES``."""
-    check_stack(8 ** k, "a Pauli table on %d qubits needs 8^%d signs", k, k)
+    Refuses k past ``check_pauli_qubits``."""
+    check_pauli_qubits(k)
     words = np.arange(4 ** k)[:, None] >> 2 * np.arange(k - 1, -1, -1) & 3
     weights = 1 << np.arange(k - 1, -1, -1)
-    t = np.arange(2 ** k)
-    # k <= 8, so three XOR folds leave the parity of z & t in bit 0
-    parity = t[:, None] & t
-    for shift in 1, 2, 4:
-        parity ^= parity >> shift
-    signs = (1 - 2 * (parity & 1)).astype(np.int8)
-    z = (words >> 1) @ weights
+    walsh = functools.reduce(np.kron, [np.array([[1, 1], [1, -1]], dtype=np.int8)] * k,
+                             np.ones((1, 1), dtype=np.int8))
     return PauliTable(tuple(itertools.product(PAULI_ORDER, repeat=k)),
-                      _lock(((words ^ words >> 1) & 1) @ weights), _lock(z),
-                      _lock(signs[z]))
+                      _lock(((words ^ words >> 1) & 1) @ weights),
+                      _lock((words >> 1) @ weights), _lock(walsh))
 
 
 @functools.lru_cache(maxsize=None)
@@ -276,16 +278,13 @@ def pauli_traces(h: np.ndarray) -> np.ndarray:
     """Tr(P_x a) for every product P_x of ``pauli_table(k)``, in table order,
     from the flip diagonals h = ``flip_diagonals(a)`` of a matrix or stack.
 
-    P_x has entry sign[x, t] = H[z[x], t] at (t, t ^ flip[x]), where
-    H[z, t] = (-1)^popcount(z & t) is the +-1 Sylvester-Hadamard matrix, so
-    Tr(P_x a) = (h @ H)[flip[x], z[x]]: one matmul by H, the Walsh-Hadamard
-    transform of every diagonal, gives all 4**k traces.  H is read off the
-    table: its s0/s3 rows, those whose base-4 digits are all 0 or 3, are H
-    in z order."""
+    P_x has entry H[z[x], t] at (t, t ^ flip[x]), with H the table's +-1
+    Sylvester-Hadamard matrix ``walsh``, so Tr(P_x a) = (h @ H)[flip[x], z[x]]:
+    one matmul by H, the Walsh-Hadamard transform of every diagonal, gives
+    all 4**k traces."""
     k = h.shape[-1].bit_length() - 1
-    _, flip, z, sign = pauli_table(k)
-    walsh = sign.reshape((4,) * k + (-1,))[(slice(None, None, 3),) * k]
-    terms = h @ walsh.reshape(2 ** k, 2 ** k)
+    _, flip, z, walsh = pauli_table(k)
+    terms = h @ walsh
     return np.take(terms.reshape(terms.shape[:-2] + (4 ** k,)), flip << k | z, axis=-1)
 
 
@@ -300,7 +299,7 @@ def pauli_coefficients(a: np.ndarray) -> np.ndarray:
 def apply_paulis(rows: np.ndarray, names: Sequence[str]) -> np.ndarray:
     """The product of ``SIGMA[names[q]]`` on each qubit q, applied to each
     row of a (..., 2**k) stack: row x of ``pauli_table(k)``, so entry t is
-    ``sign[x, t] * rows[..., t ^ flip[x]]``, times (-i)**m for the m names
+    ``walsh[z[x], t] * rows[..., t ^ flip[x]]``, times (-i)**m for the m names
     that are s2 = -i is2.  ``+ 0.0`` turns every -0.0 into 0.0, so each part
     of a nonzero amplitude has the sign the dense matrices give it."""
     rows = np.asarray(rows)
@@ -314,9 +313,9 @@ def apply_paulis(rows: np.ndarray, names: Sequence[str]) -> np.ndarray:
         except ValueError:
             raise ValueError("unknown Pauli %r, expected one of %s"
                              % (name, ", ".join(SIGMA))) from None
-    _, flip, _, sign = pauli_table(k)
+    _, flip, z, walsh = pauli_table(k)
     phase = (1, -1j, -1, 1j)[names.count("s2") % 4]
-    return phase * sign[x] * rows[..., np.arange(2 ** k) ^ flip[x]] + 0.0
+    return phase * walsh[z[x]] * rows[..., np.arange(2 ** k) ^ flip[x]] + 0.0
 
 
 def _sender_index(n: int, subsets: tuple[tuple[int, ...], ...]) -> np.ndarray:

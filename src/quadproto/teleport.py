@@ -38,8 +38,8 @@ open; candidates are tried prefix outer, Pauli inner, and an outcome takes
 the first with F_e >= 1 - tol.  ``paulis+diag`` tries the identity prefix
 so, and solves its sign masks on the diagonals of the outcomes still open
 (``_sign_masks``), in O(4^k k) per outcome, with no enumeration of the
-2^(2^k - 1) masks.  The Pauli table has 8^k entries, so a family whose
-table is above ``MAX_STACK_ENTRIES`` (k >= 9) is refused from its size.
+2^(2^k - 1) masks.  One transform sums 8^k terms per outcome, so a family
+past ``states.check_pauli_qubits`` (k >= 9) is refused from its size.
 
 The inputs of a call are built once per value, each in a memo of
 read-only arrays keyed by what determines it: the resource state by its
@@ -63,9 +63,9 @@ import numpy as np
 from .catalog import NamedState, make_state
 from .measure import StepSpec, build_plan, check_steps, enumerate_outcomes
 from .states import (ASSERT_TOL, PAULI_ORDER, PERP_ALARM, VALUE_TOL, PureState,
-                     apply_paulis, check_integer, check_iterable, check_qubits,
-                     check_seed, check_tolerance, flip_diagonals, ket_vector,
-                     pauli_table, pauli_traces, qubit_count)
+                     apply_paulis, check_integer, check_iterable, check_pauli_qubits,
+                     check_qubits, check_seed, check_tolerance, flip_diagonals,
+                     ket_vector, pauli_table, pauli_traces, qubit_count)
 
 __all__ = [
     "FamilySpec",
@@ -227,7 +227,7 @@ def _sign_masks(h: np.ndarray, norms: np.ndarray, tol: float,
     or the best F_e of any candidate when none reaches ``1 - tol``.
 
     P_x D(m) A_j has trace sum_t s_t h[a, t], a = flip[x], for the +-1
-    pattern s_t = sign[x, t] m[t ^ a], and every pattern is some (m, x)'s.
+    pattern s_t = walsh[z[x], t] m[t ^ a], and every pattern is some (m, x)'s.
     So the best F_e on flip a is max over theta of
     (sum_t |Re(e^(-i theta) h[a, t])|)**2 / norm, which one of 2**k patterns
     attains: each term folded into the half-plane -pi/2 < arg <= pi/2 and
@@ -245,7 +245,7 @@ def _sign_masks(h: np.ndarray, norms: np.ndarray, tol: float,
     before it.
     """
     nb, dim, _ = h.shape
-    names, flip, _, sign = pauli_table(dim.bit_length() - 1)
+    names, flip, z, walsh = pauli_table(dim.bit_length() - 1)
     fold = np.where((h.real > 0) | ((h.real == 0) & (h.imag >= 0)), 1.0, -1.0)
     g = fold * h
     order = np.argsort(np.arctan2(g.imag, g.real), axis=-1, kind="stable")
@@ -262,10 +262,10 @@ def _sign_masks(h: np.ndarray, norms: np.ndarray, tol: float,
         s = fold[j, a].copy()
         s[order[j, a, :negated[j, a]]] *= -1.0
         s[h[j, a] == 0] = 0.0
-        # mask entry u of product x flipping a is s[u ^ a] sign[x, u ^ a],
+        # mask entry u of product x flipping a is s[u ^ a] walsh[z[x], u ^ a],
         # up to the sign that makes entry 0 a +, or either sign when s[a] = 0
         xs = np.flatnonzero(flip == a)
-        cand = s[t ^ a] * sign[xs][:, t ^ a]
+        cand = s[t ^ a] * walsh[z[xs]][:, t ^ a]
         if s[a]:
             cand = cand * cand[:, :1]
         else:
@@ -380,13 +380,13 @@ def run_scenario(scenario: TeleportScenario, seed: int = 42,
     check_tolerance(tol)
     check_seed(seed)
     resource = scenario.resource_state().state
-    # refuse a joint register above MAX_QUBITS, and a family whose Pauli
-    # table (8^k signs) is above MAX_STACK_ENTRIES, from the sizes alone,
+    # refuse a joint register above MAX_QUBITS, and a family past the Pauli
+    # kernel's k limit (8^k terms per transform), from the sizes alone,
     # before any probe is built; the joint stack, d x 2^n <= 2^8 x 2^12
     # amplitudes, then fits
     k = scenario.family.num_qubits
     qubit_count(2 ** k * resource.dim)
-    pauli_table(k)
+    check_pauli_qubits(k)
     span = build_probes(scenario.family)
     d = len(span)
     joint = (span[:, :, None] * resource.amplitudes).reshape(d, -1)

@@ -580,6 +580,14 @@ def test_complex_parameter_literal_accepted(capsys):
     (["teleport", "--file", "overflow.json"],
      "W_pqrs needs |p|^2, |q|^2, |r|^2 and |s|^2 within the float range, got "
      "p=(1e+200+0j), q=0j, r=0j, s=(1e+200+0j)"),
+    # int and complex read digits of other scripts: m=\u0665 built W_mn at m = 5
+    (["catalog", "--state", "W_mn", "--param", "m=\u0665", "--param", "n=1"],
+     "parameter m must be an int, real or complex literal, got '\u0665'"),
+    (["catalog", "--state", "W_mn", "--param", "m=1", "--param", "n=\u0661e2"],
+     "parameter n must be an int, real or complex literal, got '\u0661e2'"),
+    (["catalog", "--state", "W_pqrs", "--param", "p=\uff11", "--param", "q=2",
+      "--param", "r=2", "--param", "s=3"],
+     "parameter p must be an int, real or complex literal, got '\uff11'"),
 ])
 def test_parameter_errors_are_named(argv, message, capsys, tmp_path, monkeypatch):
     (tmp_path / "overflow.json").write_text(dumps_scenario(dataclasses.replace(
@@ -592,17 +600,18 @@ def test_parameter_errors_are_named(argv, message, capsys, tmp_path, monkeypatch
 
 @pytest.mark.parametrize("qubits", [",".join(map(str, range(k))) for k in (9, 12)])
 def test_oversized_densecode_query_exits_two(qubits, monkeypatch, capsys):
-    # 2.1 GB and 1.1 TB of Pauli table entries: refused before the table is built
+    # a Walsh-Hadamard transform of 8^9 or 8^12 terms: refused before the
+    # Pauli table is built
     def no_table(k):
         raise AssertionError("the Pauli table was built for k = %d" % k)
 
     monkeypatch.setattr(densecode, "pauli_table", no_table)
     assert main(["densecode", "--state", "GHZ:12", "--qubits", qubits]) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: %d sender qubits of a 12-qubit resource"
-                                   % len(qubits.split(",")))
-    assert "over the limit of 2^24" in captured.err
+    k = len(qubits.split(","))
+    assert (captured.out, captured.err) == (
+        "", "error: a Walsh-Hadamard transform on %d qubits sums 8^%d terms, over "
+            "the limit of 2^24\n" % (k, k))
 
 
 def test_four_qubit_diag_vocabulary_file_runs(tmp_path, capsys):
@@ -638,9 +647,9 @@ def test_four_qubit_diag_vocabulary_file_runs(tmp_path, capsys):
 
 
 def test_oversized_probe_stack_file_exits_two(tmp_path, monkeypatch, capsys):
-    # a 9-qubit arbitrary family on a 3-qubit resource asks for a Pauli table
-    # of 8^9 entries, as many as one outcome's correction scores: refused
-    # before any probe is built
+    # a 9-qubit arbitrary family on a 3-qubit resource asks for one
+    # Walsh-Hadamard transform of 8^9 terms per outcome: refused before any
+    # probe is built
     sc = TeleportScenario("wide_family", "GHZ:3", FamilySpec("arbitrary", 9),
                           tuple(StepSpec((q,), "computational:1") for q in range(3)),
                           tuple(range(3, 12)))
@@ -655,8 +664,8 @@ def test_oversized_probe_stack_file_exits_two(tmp_path, monkeypatch, capsys):
     assert main(["teleport", "--file", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: a Pauli table on 9 qubits needs 8^9 signs, "
-                            "over the limit of 2^24\n")
+    assert captured.err == ("error: a Walsh-Hadamard transform on 9 qubits sums "
+                            "8^9 terms, over the limit of 2^24\n")
 
 
 @pytest.mark.parametrize("text", ["x", "5.0", ""])

@@ -25,8 +25,8 @@ TEMPLATES = (
     ["teleport", "--scenario", "ghz1_ghz4basis", "--format", "json"],
     ["teleport", "--scenario", "w4_plain_1q", "--format", "text"],
     ["densecode", "--state", "GHZ4", "--qubits", "0,1"],
-    # refused for its 4^9 x 2^9 Pauli table; mutated qubit lists hold at
-    # most four senders
+    # refused for the 8^9 terms of its Walsh-Hadamard transform; mutated
+    # qubit lists hold at most four senders
     ["densecode", "--state", "GHZ:12", "--qubits", "0,1,2,3,4,5,6,7,8"],
     ["densecode", "--state", "W_mn", "--param", "m=1", "--param", "n=2",
      "--qubits", "1"],
@@ -47,6 +47,8 @@ TEMPLATES = (
     # refused: GHZ:03 built a second 3-qubit cat, named apart from GHZ:3
     ["catalog", "--state", "GHZ:03"],
     ["densecode", "--state", "GHZ:05", "--qubits", "0"],
+    # refused: complex() would read the Arabic-Indic m=5 as 5
+    ["catalog", "--state", "W_mn", "--param", "m=\u0665", "--param", "n=1"],
     ["locc", "--set", "ghz8", "--protocol", "ghz_bell_bell"],
     ["locc", "--certificate", "omega16"],
     ["catalog", "--state", "W_mn", "--param", "m=1", "--param", "n=1"],
@@ -126,8 +128,8 @@ def templates(tmp_path):
     Bell pairs teleporting an arbitrary four-qubit family under paulis+diag,
     whose 2^15 sign masks are solved, not scanned; one whose inline resource
     kets have 40-bit labels, refused before any amplitude is allocated;
-    then one with an arbitrary nine-qubit family, refused for its
-    8^9-entry Pauli table."""
+    then one with an arbitrary nine-qubit family, refused for the 8^9
+    terms of its Walsh-Hadamard transform."""
     bell4 = TeleportScenario("bell4_diag", "four pairs", FamilySpec("arbitrary", 4),
                              tuple(StepSpec((q, q + 4), "bell") for q in range(4)),
                              (8, 9, 10, 11), allowed_ops="paulis+diag",
@@ -205,15 +207,15 @@ def test_templates_fail_closed(capsys, templates):
         _assert_fails_closed(code, err, argv)
         codes.add(code)
     assert codes == {0, 2}
-    assert (code, err) == (2, "error: a Pauli table on 9 qubits needs 8^9 signs, "
-                              "over the limit of 2^24\n")
+    assert (code, err) == (2, "error: a Walsh-Hadamard transform on 9 qubits "
+                              "sums 8^9 terms, over the limit of 2^24\n")
 
 
 @pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
 def test_wide_arbitrary_family_files_run_or_are_refused(capsys, tmp_path, k):
     # families of 5 to 8 qubits, once refused for their row scores (and
     # under paulis+diag for their sign masks), now run to a report; a
-    # 9-qubit family is refused for its Pauli table
+    # 9-qubit family is refused for its Walsh-Hadamard transform
     path = tmp_path / "wide.json"
     for allowed in ("paulis", "paulis+diag"):
         sc = dataclasses.replace(_wide_family(k), allowed_ops=allowed)
@@ -223,8 +225,9 @@ def test_wide_arbitrary_family_files_run_or_are_refused(capsys, tmp_path, k):
         if k < 9:
             assert code in (0, 1) and err == "", (k, allowed)
         else:
-            assert (code, err) == (2, "error: a Pauli table on 9 qubits needs 8^9 "
-                                      "signs, over the limit of 2^24\n"), allowed
+            assert (code, err) == (2, "error: a Walsh-Hadamard transform on 9 "
+                                      "qubits sums 8^9 terms, over the limit of "
+                                      "2^24\n"), allowed
 
 
 def test_wide_ket_labels_are_refused_by_name(capsys, templates):

@@ -230,8 +230,9 @@ def test_gram_check_reads_nothing_when_the_tolerance_settles_it():
 
 @pytest.mark.parametrize("k", [9, 12])
 def test_oversized_query_rejected_before_allocation(k, monkeypatch):
-    # a query gathers a 4^k x 2^k Pauli table, 2.1 GB at k = 9 whatever the
-    # resource size; the encodings of 4^k x 2^12 amplitudes are larger still
+    # a query's Walsh-Hadamard transform sums 8^k terms, 2^27 at k = 9
+    # whatever the resource size; the encodings of 4^k x 2^12 amplitudes are
+    # larger still
     def no_table(k):
         raise AssertionError("the Pauli table was built for k = %d" % k)
 
@@ -240,8 +241,8 @@ def test_oversized_query_rejected_before_allocation(k, monkeypatch):
     monkeypatch.setattr(states, "_cached_sender_index", no_table)
     st = make_state("GHZ:12").state
     assert 8 ** k > MAX_STACK_ENTRIES
-    table = (r"^%d sender qubits of a 12-qubit resource need 4\^%d x 2\^%d Pauli "
-             r"table entries, over the limit of 2\^24$" % (k, k, k))
+    table = (r"^a Walsh-Hadamard transform on %d qubits sums 8\^%d terms, over the "
+             r"limit of 2\^24$" % (k, k))
     with pytest.raises(ValueError, match=table):
         distinguishable_messages(st, tuple(range(k)))
     with pytest.raises(ValueError, match=table):
@@ -259,8 +260,8 @@ def test_size_refusals_are_capacity_errors():
     # a stack past MAX_STACK_ENTRIES is a CapacityError, as in pauli_table
     # and the teleport scores; it stays a ValueError, so the CLI exits 2
     st = make_state("GHZ:12").state
-    with pytest.raises(states.CapacityError, match=r"^9 sender qubits .* 4\^9 x 2\^9 "
-                                                   r"Pauli table entries"):
+    with pytest.raises(states.CapacityError, match=r"^a Walsh-Hadamard transform on "
+                                                   r"9 qubits sums 8\^9 terms"):
         distinguishable_messages(st, range(9))
     with pytest.raises(states.CapacityError, match=r"^7 sender qubits .* 4\^7 x 2\^12 "
                                                    r"encoded amplitudes"):
@@ -269,21 +270,65 @@ def test_size_refusals_are_capacity_errors():
 
 
 def test_query_at_the_limit_is_answered(monkeypatch):
-    # the bound admits a query on 8 sender qubits, 4^8 x 2^8 table entries,
-    # and the encodings of GHZ:12 with sender 0..5, 4^6 x 2^12 amplitudes; the
-    # same boundaries are checked here at sizes that are cheap to run
+    # the bound admits a query on 8 sender qubits, whose Walsh-Hadamard
+    # transform sums 8^8 terms, and the encodings of GHZ:12 with sender
+    # 0..5, 4^6 x 2^12 amplitudes; the same boundaries are checked here at
+    # sizes that are cheap to run
     assert 8 ** 8 == 4 ** 6 * 2 ** 12 == MAX_STACK_ENTRIES
     monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 8 ** 2)
     st = make_state("GHZ4").state
     assert distinguishable_messages(st, (1, 0)).count == 8
-    with pytest.raises(ValueError, match="3 sender qubits of a 4-qubit"):
+    with pytest.raises(ValueError, match=r"transform on 3 qubits sums 8\^3 terms"):
         distinguishable_messages(st, (0, 1, 2))
     assert best_over_subsets(st, 2)[0].count == 8
-    with pytest.raises(ValueError, match="3 sender qubits of a 4-qubit"):
+    with pytest.raises(ValueError, match=r"transform on 3 qubits sums 8\^3 terms"):
         best_over_subsets(st, 3)
     assert len(encoded_states(st, (1,))) == 4
     with pytest.raises(ValueError, match="2 sender qubits of a 4-qubit"):
         encoded_states(st, (1, 0))
+
+
+def _w_state(n):
+    return PureState.from_kets({format(1 << q, "0%db" % n): 1.0 for q in range(n)},
+                               normalize=True)
+
+
+def test_class_graph_past_the_stack_limit_is_refused_from_its_size():
+    # the W state on 7 or 8 qubits, every qubit a sender, has 8,192 or 32,768
+    # phase classes: an n x n class graph and the intp index that builds it
+    # would hold 2^26 or 2^30 entries (8 GiB at n = 8), refused from n before
+    # either is built
+    for n, classes in (7, 8192), (8, 32768):
+        msg = (r"^%d sender qubits at tolerance 1e-10: a graph over %d phase classes "
+               r"needs %d\^2 entries, over the limit of 2\^24$" % (n, classes, classes))
+        w = _w_state(n)
+        start = time.perf_counter()
+        with pytest.raises(states.CapacityError, match=msg):
+            distinguishable_messages(w, tuple(range(n)))
+        assert time.perf_counter() - start < 1.0, n
+    # the W7 graph's index alone would take 512 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(states.CapacityError, match="8192 phase classes"):
+            best_over_subsets(_w_state(7), 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def test_class_graph_at_the_limit_is_answered(monkeypatch):
+    # GHZ4 with sender 0 has four classes, none matching another: a 4 x 4
+    # graph, which a limit of 16 entries admits and 15 refuses; the Pauli
+    # kernel's 8^1 terms are within both
+    st = make_state("GHZ4").state
+    monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 16)
+    res = distinguishable_messages(st, (0,))
+    assert (res.count, res.num_classes) == (4, 4)
+    monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 15)
+    with pytest.raises(states.CapacityError, match=r"a graph over 4 phase classes "
+                                                   r"needs 4\^2 entries"):
+        distinguishable_messages(st, (0,))
 
 
 def test_twelve_qubit_cat_with_six_senders_is_answered():
@@ -527,11 +572,12 @@ def test_gather_is_the_reshape_transpose_path(n):
 
 
 def test_sender_index_memo_keeps_only_small_indices(monkeypatch):
-    # GHZ:10 at k = 5: the whole 252 x 2^10 index would be over the memo cap;
-    # each slice of 64 subsets, 64 x 2^10 entries, is within it, but a sweep
-    # of several slices builds its four slice indices on each call and keeps
-    # none, so a large sweep cannot fill the memo or evict what others keep
-    assert 252 * 2 ** 10 > states.INDEX_MEMO_ENTRIES >= 64 * 2 ** 10
+    # GHZ:10 at k = 7: the whole 120 x 2^10 index would be over the memo cap;
+    # each slice of 32 subsets (4 x 4^7 kernel entries each), 32 x 2^10
+    # entries, is within it, but a sweep of several slices builds its four
+    # slice indices on each call and keeps none, so a large sweep cannot fill
+    # the memo or evict what others keep
+    assert 120 * 2 ** 10 > states.INDEX_MEMO_ENTRIES >= 32 * 2 ** 10
     states._cached_sender_index.cache_clear()
     built = []
     real = states._sender_index
@@ -545,9 +591,9 @@ def test_sender_index_memo_keeps_only_small_indices(monkeypatch):
                         functools.lru_cache(maxsize=256)(spy))
     ghz10 = make_state("GHZ:10").state
     for _ in range(2):
-        best, _ = best_over_subsets(ghz10, 5)
-        assert best.count == 64
-    assert built == [64, 64, 64, 60] * 2
+        best, _ = best_over_subsets(ghz10, 7)
+        assert best.count == 256
+    assert built == [32, 32, 32, 24] * 2
     info = states._cached_sender_index.cache_info()
     assert (info.currsize, info.hits) == (0, 0)
     # GHZ:11 at k = 3: one slice of all 165 subsets, 165 x 2^11 entries, is
@@ -1411,7 +1457,9 @@ def test_sweep_results_do_not_depend_on_the_slicing(entries, monkeypatch):
         shapes.clear()
         got_best, got_per = best_over_subsets(s, k)
         assert got_best == best and list(got_per.items()) == list(per_subset.items())
-        per = max(8 ** k, 2 ** s.num_qubits)
+        # the gathered amplitudes, their conjugate and rho_S, then rho_S,
+        # its diagonals, their transform and the traces
+        per = max(2 * 2 ** s.num_qubits + 4 ** k, 4 * 4 ** k)
         assert sum(shape[0] for shape in shapes) == math.comb(s.num_qubits, k)
         assert all(size == 1 or size * per <= entries for size, *_ in shapes), shapes
         # a slice is full unless it is the last one
@@ -1419,9 +1467,10 @@ def test_sweep_results_do_not_depend_on_the_slicing(entries, monkeypatch):
 
 
 def test_many_subset_sweep_stays_within_the_slice_budget(monkeypatch):
-    # GHZ:10 at k = 5: 252 subsets, whose stacked gather in one piece would be
-    # 252 x 8^5 complex entries, 132 MB; sliced, each gather holds 64 subsets
-    # (32 MiB)
+    # GHZ:10 at k = 5: 252 subsets, each holding at most 4 x 4^5 complex
+    # entries in the kernel (rho_S, its diagonals, their transform and the
+    # traces) and 2 x 2^10 + 4^5 in the reduction, so the sweep is one slice
+    # of 16.5 MiB, within the 32 MiB of SLICE_ENTRIES
     st = make_state("GHZ:10").state
     shapes = _record_stacks(monkeypatch)
     states._diagonal_index(5)
@@ -1434,9 +1483,9 @@ def test_many_subset_sweep_stays_within_the_slice_budget(monkeypatch):
         tracemalloc.stop()
     assert (best.count, len(per_subset)) == (64, 252)
     assert set(per_subset.values()) == {64}
-    assert [shape[0] for shape in shapes] == [64, 64, 64, 60]
-    assert all(shape[0] * 8 ** 5 <= states.SLICE_ENTRIES for shape in shapes)
-    assert peak < 3 * states.SLICE_ENTRIES * 16 // 2
+    assert [shape[0] for shape in shapes] == [252]
+    assert all(shape[0] * 4 * 4 ** 5 <= states.SLICE_ENTRIES for shape in shapes)
+    assert peak <= states.SLICE_ENTRIES * 16
 
 
 def test_non_integer_k_and_senders_are_refused_before_anything_is_built(monkeypatch):

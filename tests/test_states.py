@@ -479,18 +479,25 @@ def test_pauli_table_matches_dense_kron(k):
     assert pauli_table(k) is table
     assert table.names == tuple(itertools.product(PAULI_ORDER, repeat=k))
     assert table.flip.shape == table.z.shape == (4 ** k,)
-    assert table.sign.shape == (4 ** k, 2 ** k) and table.sign.dtype == np.int8
-    assert not any(a.flags.writeable for a in (table.flip, table.z, table.sign))
-    # one byte per sign: no index or float array of the table's size is kept
-    assert table.sign.nbytes == 4 ** k * 2 ** k
+    assert table.walsh.shape == (2 ** k, 2 ** k) and table.walsh.dtype == np.int8
+    assert not any(a.flags.writeable for a in (table.flip, table.z, table.walsh))
+    with pytest.raises(ValueError):
+        table.walsh[0, 0] = -1
+    # one byte per entry of H, and no array of 4^k x 2^k entries is kept
+    assert table.walsh.nbytes == 4 ** k
     assert table.flip.nbytes + table.z.nbytes <= 16 * 4 ** k
+    # the Sylvester-Hadamard matrix: +-1 rows, pairwise orthogonal
+    walsh = table.walsh.astype(np.int64)
+    assert np.array_equal(walsh @ walsh.T, 2 ** k * np.eye(2 ** k, dtype=np.int64))
     rows = np.arange(2 ** k)
     parity = np.array([[bin(z & t).count("1") & 1 for t in rows] for z in rows])
-    for names, flip, z, sign in zip(*table):
+    assert np.array_equal(table.walsh, 1 - 2 * parity)
+    # one product per name, each reading its signs as row z[x] of H
+    assert len(table.names) == 4 ** k
+    for names, flip, z in zip(table.names, table.flip, table.z):
         got = np.zeros((2 ** k, 2 ** k), dtype=np.complex128)
-        got[rows, rows ^ flip] = sign
+        got[rows, rows ^ flip] = table.walsh[z]
         assert np.array_equal(got, _dense_product(names)), names
-        assert np.array_equal(sign, 1 - 2 * parity[z]), names
 
 
 @pytest.mark.parametrize("k", range(9))
@@ -505,8 +512,8 @@ def test_pauli_table_signs_are_parities_read_off_the_names(k):
         flip = sum(b for b, name in zip(bits, names) if name in ("s1", "is2"))
         z = sum(b for b, name in zip(bits, names) if name in ("is2", "s3"))
         parity = np.array([bin(z & col).count("1") & 1 for col in t])
-        assert table.flip[x] == flip, names
-        assert np.array_equal(table.sign[x], 1 - 2 * parity), names
+        assert (table.flip[x], table.z[x]) == (flip, z), names
+        assert np.array_equal(table.walsh[table.z[x]], 1 - 2 * parity), names
 
 
 def test_pauli_table_builds_no_wide_product_array():
@@ -518,8 +525,22 @@ def test_pauli_table_builds_no_wide_product_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.sign.nbytes == 4 ** k * 2 ** k
+    assert table.walsh.nbytes == 4 ** k
     assert peak < 4 * 4 ** k * 2 ** k
+
+
+def test_eight_qubit_pauli_table_keeps_no_sign_rows():
+    # at the largest admitted k the table keeps its 4^8 names (7 MiB of
+    # tuples), flip and z masks (1 MiB) and one 64 KiB H: 8.1 MiB measured;
+    # 4^8 x 2^8 int8 sign rows would add 16 MiB
+    tracemalloc.start()
+    try:
+        table = pauli_table.__wrapped__(8)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table.walsh.shape == (2 ** 8, 2 ** 8)
+    assert kept < 9 * 2 ** 20
 
 
 def test_eight_qubit_pauli_coefficients_hold_one_gather():
@@ -540,7 +561,8 @@ def test_eight_qubit_pauli_coefficients_hold_one_gather():
 
 
 def test_pauli_table_above_the_stack_limit_is_refused():
-    with pytest.raises(CapacityError, match="over the limit of 2"):
+    with pytest.raises(CapacityError, match=r"^a Walsh-Hadamard transform on 9 qubits "
+                                            r"sums 8\^9 terms, over the limit of 2\^24$"):
         pauli_table(9)
 
 
@@ -600,10 +622,10 @@ def test_stacked_pauli_coefficients_are_per_matrix_calls(k):
 def _two_step_pauli_coefficients(a):
     """The two-gather form: the 2**k flip diagonals a[..., t ^ f, t] first,
     then one signed row per product by its flip, summed over t."""
-    _, flip, _, sign = pauli_table(a.shape[-1].bit_length() - 1)
+    _, flip, z, walsh = pauli_table(a.shape[-1].bit_length() - 1)
     t = np.arange(a.shape[-1])
     terms = np.take(a[..., t ^ t[:, None], t], flip, axis=-2)
-    terms *= sign
+    terms *= walsh[z]
     return terms.sum(-1)
 
 

@@ -295,12 +295,12 @@ def test_seed_independent_arrays_are_built_once_per_value(monkeypatch):
     assert not masks.flags.writeable
     with pytest.raises(ValueError):
         masks[0] = 0
-    # the size limit lives in the Pauli table's memo, which keeps no table
-    # above it: a lowered limit refuses the family on every call, before
-    # any probe is built, once the table is no longer held
+    # the size limit is checked on every call, apart from the Pauli table's
+    # memo: a lowered limit refuses the family, before any probe is built,
+    # although its table is still held
+    assert pauli_table.cache_info().currsize
     monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 8 ** 2 - 1)
     monkeypatch.setattr(teleport, "build_probes", _no_probes)
-    pauli_table.cache_clear()
     for _ in range(2):
         with pytest.raises(CapacityError, match="over the limit"):
             run_scenario(base, seed=5)
@@ -534,22 +534,25 @@ def _no_probes(*args):
 
 def test_probe_stack_above_limit_refused(monkeypatch):
     # a 9-qubit family on GHZ3 fills the 12-qubit register; its 512 probe
-    # rows (512 x 2^12 amplitudes) are refused, before any is built, for its
-    # Pauli table: 8^9 entries, as many as one outcome's correction scores
+    # rows (512 x 2^12 amplitudes) are refused, before any is built, for the
+    # 8^9 terms of one outcome's Walsh-Hadamard transform, and no Pauli
+    # table is built for it
     sc = TeleportScenario("wide_family", "GHZ:3", FamilySpec("arbitrary", 9),
                           tuple(StepSpec((q,), "computational:1") for q in range(3)),
                           tuple(range(3, 12)))
     monkeypatch.setattr(teleport, "build_probes", _no_probes)
+    monkeypatch.setattr(teleport, "pauli_table", _no_probes)
     for _ in range(2):
-        with pytest.raises(CapacityError, match=r"^a Pauli table on 9 qubits needs "
-                                                r"8\^9 signs, over the limit of 2\^24$"):
+        with pytest.raises(CapacityError, match=r"^a Walsh-Hadamard transform on 9 "
+                                                r"qubits sums 8\^9 terms, over the "
+                                                r"limit of 2\^24$"):
             run_scenario(sc)
 
 
 def test_joint_probe_stack_stays_under_the_stack_limit():
     # the joint stack of d <= 2^k probe rows over a 2^n register, k + 1 <= n
     # <= MAX_QUBITS, holds at most 2^(2n - 1) <= 2^23 amplitudes, so no
-    # limit on it could fire; the Pauli table's limit caps k at 8 as well
+    # limit on it could fire; the Pauli kernel's limit caps k at 8 as well
     families = [k for k in range(1, MAX_QUBITS + 1) if 8 ** k <= MAX_STACK_ENTRIES]
     assert families == list(range(1, 9))
     with pytest.raises(CapacityError, match="over the limit"):
@@ -569,49 +572,45 @@ def _reached(*args):
 
 
 def test_probe_stack_limit_is_exact_for_registered_families(monkeypatch):
-    # the only size limit left before the probes is the family's Pauli
-    # table: the limit admits exactly its 8^k entries and refuses one less,
-    # and the probe stack build_probes makes stays far below either
+    # the only size limit left before the probes is the Pauli kernel's: the
+    # limit admits exactly the 8^k terms of one Walsh-Hadamard transform and
+    # refuses one less, and the probe stack build_probes makes stays far
+    # below either
     scenarios = list(reg.TELEPORT_SCENARIOS.values())
     scenarios += [sc for group in reg.negative_scenarios().values() for sc in group]
-    largest = largest_table = 0
+    largest = largest_transform = 0
     for sc in scenarios:
         k = sc.family.num_qubits
         entries = len(build_probes(sc.family)) * 2 ** k * sc.resource_state().state.dim
         largest = max(largest, entries)
-        largest_table = max(largest_table, 8 ** k)
-        pauli_table.cache_clear()
+        largest_transform = max(largest_transform, 8 ** k)
         monkeypatch.setattr(teleport, "build_probes", _reached)
         monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 8 ** k)
         with pytest.raises(_Reached):
             run_scenario(sc)
-        pauli_table.cache_clear()
         monkeypatch.setattr(teleport, "build_probes", _no_probes)
         monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 8 ** k - 1)
         with pytest.raises(CapacityError, match="over the limit"):
             run_scenario(sc)
         monkeypatch.undo()
     assert largest == 256
-    assert largest_table == 512
+    assert largest_transform == 512
 
 
 def test_correction_scores_above_limit_refused(monkeypatch):
-    # ghz3_pi_000 scores 4^3 x 2^3 = 512 entries per outcome, its Pauli
-    # table's size, which the limit admits, and refuses at one entry less
+    # ghz3_pi_000's Walsh-Hadamard transform sums 8^3 = 512 terms per
+    # outcome, which the limit admits, and refuses at one entry less
     sc = reg.TELEPORT_SCENARIOS["ghz3_pi_000"]
-    pauli_table.cache_clear()
     monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 512)
     monkeypatch.setattr(teleport, "build_probes", _reached)
     with pytest.raises(_Reached):
         run_scenario(sc)
-    pauli_table.cache_clear()
     monkeypatch.setattr(states, "MAX_STACK_ENTRIES", 511)
     monkeypatch.setattr(teleport, "build_probes", _no_probes)
-    with pytest.raises(CapacityError, match=r"^a Pauli table on 3 qubits needs "
-                                            r"8\^3 signs, over the limit"):
+    with pytest.raises(CapacityError, match=r"^a Walsh-Hadamard transform on 3 "
+                                            r"qubits sums 8\^3 terms, over the limit"):
         run_scenario(sc)
     monkeypatch.undo()
-    pauli_table.cache_clear()
     # at the real limit, an arbitrary five-qubit family, refused for its
     # d^2 x 4^5 x 2^5 row scores, now runs: 32 rows, 32 outcomes of 8^5
     wide = TeleportScenario("arbitrary5", "GHZ:5", FamilySpec("arbitrary", 5),
@@ -1097,7 +1096,7 @@ def _planted_diag_cases(rng, k, count, span="whole"):
     cases = []
     for _ in range(count):
         x = rng.integers(4 ** k)
-        pauli = np.eye(d)[np.arange(d) ^ table.flip[x]] * table.sign[x][:, None]
+        pauli = np.eye(d)[np.arange(d) ^ table.flip[x]] * table.walsh[table.z[x]][:, None]
         mat = pauli @ np.diag(np.concatenate(([1.0], rng.choice([-1.0, 1.0], d - 1))))
         v = np.eye(d)
         if span == "half":
@@ -1200,7 +1199,7 @@ def test_sign_masks_on_four_to_six_receiver_qubits(k):
         assert fid == top and abs(top - best[j]) <= 1e-9, c
         mask, names = _parse(c, k)
         x = table.names.index(names)
-        s = table.sign[x] * mask[rows ^ table.flip[x]]
+        s = table.walsh[table.z[x]] * mask[rows ^ table.flip[x]]
         term = h[j, table.flip[x]]
         assert abs(s @ term) ** 2 / norm == pytest.approx(fid, rel=0, abs=1e-12)
         flipped = np.abs(s @ term - 2 * s * term) ** 2 / norm
@@ -1417,9 +1416,9 @@ def test_vocabulary_matches_dense_candidates(allowed, k):
     table = pauli_table(k)
     entries = []
     for prefix, mask in zip(*teleport._prefixes(allowed, k)):
-        for names, flip, sign in zip(table.names, table.flip, table.sign):
+        for names, flip, z in zip(table.names, table.flip, table.z):
             pauli = np.zeros((2 ** k, 2 ** k), dtype=np.complex128)
-            pauli[rows, rows ^ flip] = sign
+            pauli[rows, rows ^ flip] = table.walsh[z]
             entries.append((prefix + "*".join(names), pauli @ np.diag(mask)))
     reference = _candidates(allowed, k)
     if allowed == "paulis+diag":
